@@ -46,9 +46,6 @@ pub mod reduced_oracle;
 
 pub use ear::{ear_apsp, EarApspOutput};
 pub use matrix::DistMatrix;
-pub use oracle::{
-    build_oracle, build_oracle_with_plan, build_oracle_with_plan_mode, ApspMethod, DistanceOracle,
-    OracleStats,
-};
+pub use oracle::{build_oracle, build_oracle_with_plan, ApspMethod, DistanceOracle, OracleStats};
 pub use query::{QueryEngine, QueryScratch};
 pub use reduced_oracle::ReducedOracle;

@@ -24,10 +24,7 @@ use std::sync::Arc;
 
 use ear_decomp::block_cut::{BlockCutTree, Route};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{
-    dist_add, lane_batches, with_engine, with_multi_engine, CsrGraph, CsrView, SsspMode, VertexId,
-    Weight, INF, LANES, MAX_BATCH_VERTICES, MIN_BATCH_VERTICES,
-};
+use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 
 use crate::matrix::DistMatrix;
@@ -98,7 +95,6 @@ pub(crate) type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
 pub struct DistanceOracle {
     plan: Arc<DecompPlan>,
     method: ApspMethod,
-    sssp: SsspMode,
     tables: Vec<Arc<DistMatrix>>,
     ap_table: Arc<DistMatrix>,
     /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
@@ -246,7 +242,7 @@ impl DistanceOracle {
     /// it too and runs nothing.
     ///
     /// The result is bit-identical to a cold
-    /// [`build_oracle_with_plan_mode`] on `plan` — the differential suite
+    /// [`build_oracle_with_plan`] on `plan` — the differential suite
     /// holds it to that — at a cost proportional to the dirty blocks'
     /// share of the graph, not the graph size.
     ///
@@ -262,7 +258,7 @@ impl DistanceOracle {
         let dirty = plan.dirty_blocks().to_vec();
         let _span = ear_obs::span_with("apsp.refresh", dirty.len() as u64);
 
-        let (fresh, processing) = compute_block_tables(&plan, exec, self.method, self.sssp, &dirty);
+        let (fresh, processing) = compute_block_tables(&plan, exec, self.method, &dirty);
         let mut tables = self.tables.clone();
         for (&b, t) in dirty.iter().zip(fresh) {
             tables[b as usize] = Arc::new(t);
@@ -278,7 +274,7 @@ impl DistanceOracle {
         let (ap_table, ap_phase) = if dirty.is_empty() {
             (Arc::clone(&self.ap_table), processing.clone())
         } else {
-            let (t, r) = compute_ap_table(&plan, exec, self.sssp, &ap_segments);
+            let (t, r) = compute_ap_table(&plan, exec, &ap_segments);
             (Arc::new(t), r)
         };
 
@@ -290,7 +286,6 @@ impl DistanceOracle {
         DistanceOracle {
             plan,
             method: self.method,
-            sssp: self.sssp,
             tables,
             ap_table,
             ap_segments,
@@ -350,75 +345,18 @@ pub fn build_oracle(g: &CsrGraph, exec: &HeteroExecutor, method: ApspMethod) -> 
     build_oracle_with_plan(Arc::new(DecompPlan::build(g)), exec, method)
 }
 
-/// Runs every SSSP phase of `f` in lane batches when `sssp` is
-/// [`SsspMode::Batched`], one scalar run per source otherwise. `total`
-/// sources are consumed in order; `f` receives `(start, &sources)` per
-/// workunit and must return one distance row per source plus summed
-/// counters.
-///
-/// Batched mode applies the per-block size heuristic: a block narrower
-/// than [`MIN_BATCH_VERTICES`] cannot fill a lane batch, and a scalar run
-/// on it is cheap enough that the per-batch dispatch alone would cost a
-/// double-digit percentage; a block wider than [`MAX_BATCH_VERTICES`]
-/// makes the lane engines' aggregate scratch outgrow the cache a single
-/// pooled engine stays warm in. Both get scalar-shaped units. The sweep
-/// runs every vertex as a source, so `total` *is* the block's vertex
-/// count and doubles as the size check.
-pub(crate) fn sssp_units(total: u32, sssp: SsspMode) -> Vec<(u32, u32)> {
-    match sssp {
-        SsspMode::Batched
-            if (MIN_BATCH_VERTICES..=MAX_BATCH_VERTICES).contains(&(total as usize)) =>
-        {
-            lane_batches(total).collect()
-        }
-        _ => (0..total).map(|s| (s, 1)).collect(),
-    }
-}
-
-/// One Phase-II / AP-phase workunit: all sources `start..start + len` of
-/// `target`, through the pooled lane engine in batched mode or one pooled
-/// scalar run per source otherwise. Single-source units — scalar mode,
-/// blocks outside the [`MIN_BATCH_VERTICES`]..=[`MAX_BATCH_VERTICES`]
-/// band, and `len == 1` batch tails — take the scalar engine directly:
-/// the lane engine would only delegate to it anyway, paying its batch
-/// dispatch for nothing.
-pub(crate) fn sssp_unit_rows(
-    target: CsrView<'_>,
-    start: u32,
-    len: u32,
-    sssp: SsspMode,
-) -> (Vec<Vec<Weight>>, WorkCounters) {
-    debug_assert!(len >= 1 && len as usize <= LANES);
-    if sssp == SsspMode::Scalar || len == 1 {
-        let mut counters = WorkCounters::default();
-        let rows = (start..start + len)
-            .map(|s| {
-                with_engine(|eng| {
-                    let stats = eng.run_view(target, s);
-                    counters.edges_relaxed += stats.edges_relaxed;
-                    counters.vertices_settled += stats.settled;
-                    eng.dist_vec()
-                })
-            })
-            .collect();
-        return (rows, counters);
-    }
-    with_multi_engine(|me| {
-        let mut sources = [0u32; LANES];
-        for (i, s) in sources.iter_mut().enumerate().take(len as usize) {
-            *s = start + i as u32;
-        }
-        me.run_batch_view(target, &sources[..len as usize]);
-        let mut counters = WorkCounters::default();
-        let rows = (0..len as usize)
-            .map(|lane| {
-                let stats = me.stats(lane);
-                counters.edges_relaxed += stats.edges_relaxed;
-                counters.vertices_settled += stats.settled;
-                me.dist_vec(lane)
-            })
-            .collect();
-        (rows, counters)
+/// One Phase-II / AP-phase workunit: the distance row of source `s` in
+/// `target`, from one run of the worker thread's pooled
+/// [`SsspEngine`](ear_graph::SsspEngine), plus its work counters.
+pub(crate) fn sssp_row(target: CsrView<'_>, s: u32) -> (Vec<Weight>, WorkCounters) {
+    with_engine(|eng| {
+        let stats = eng.run_view(target, s);
+        let counters = WorkCounters {
+            edges_relaxed: stats.edges_relaxed,
+            vertices_settled: stats.settled,
+            ..WorkCounters::default()
+        };
+        (eng.dist_vec(), counters)
     })
 }
 
@@ -436,26 +374,11 @@ pub fn build_oracle_with_plan(
     exec: &HeteroExecutor,
     method: ApspMethod,
 ) -> DistanceOracle {
-    build_oracle_with_plan_mode(plan, exec, method, SsspMode::from_env())
-}
-
-/// [`build_oracle_with_plan`] with an explicit [`SsspMode`]: `Scalar`
-/// drives one pooled [`SsspEngine`](ear_graph::SsspEngine) run per
-/// workunit (the retained differential baseline); `Batched` feeds each
-/// block's sources to the lane engine in [`LANES`]-wide batches, so one
-/// CSR edge scan serves up to eight sources. The two modes produce
-/// bit-identical oracles — `tests/sssp_multi_differential.rs` enforces it.
-pub fn build_oracle_with_plan_mode(
-    plan: Arc<DecompPlan>,
-    exec: &HeteroExecutor,
-    method: ApspMethod,
-    sssp: SsspMode,
-) -> DistanceOracle {
     let nb = plan.n_blocks();
     let _build_span = ear_obs::span_with("apsp.build", plan.n() as u64);
 
     let all: Vec<u32> = (0..nb as u32).collect();
-    let (fresh, processing) = compute_block_tables(&plan, exec, method, sssp, &all);
+    let (fresh, processing) = compute_block_tables(&plan, exec, method, &all);
     let tables: Vec<Arc<DistMatrix>> = fresh.into_iter().map(Arc::new).collect();
 
     let ap_segments: Vec<ApSegment> = tables
@@ -463,7 +386,7 @@ pub fn build_oracle_with_plan_mode(
         .enumerate()
         .map(|(b, t)| Arc::new(ap_segment(&plan, b as u32, t)))
         .collect();
-    let (ap_table, ap_phase) = compute_ap_table(&plan, exec, sssp, &ap_segments);
+    let (ap_table, ap_phase) = compute_ap_table(&plan, exec, &ap_segments);
 
     // Statistics.
     let a = plan.bct().ap_count();
@@ -500,7 +423,6 @@ pub fn build_oracle_with_plan_mode(
     DistanceOracle {
         plan,
         method,
-        sssp,
         tables,
         ap_table: Arc::new(ap_table),
         ap_segments,
@@ -519,7 +441,6 @@ fn compute_block_tables(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
     method: ApspMethod,
-    sssp: SsspMode,
     blocks: &[u32],
 ) -> (Vec<DistMatrix>, ExecutionReport) {
     // Ear reduction requires simple blocks; a multigraph input's parallel
@@ -535,20 +456,16 @@ fn compute_block_tables(
         pos[b as usize] = i;
     }
 
-    // Phase II: workunits are (block, source-range) — one source each in
-    // scalar mode, a lane batch of up to LANES consecutive sources in
-    // batched mode, so the executor sees fewer, larger units.
+    // Phase II: workunits are (block, source) pairs.
     let phase2_span = ear_obs::span("apsp.phase2");
-    let units: Vec<(u32, u32, u32)> = blocks
+    let units: Vec<(u32, u32)> = blocks
         .iter()
         .flat_map(|&b| {
             let srcs = match red(b) {
                 Some(r) => r.reduced.n(),
                 None => plan.block(b).n(),
             };
-            sssp_units(srcs as u32, sssp)
-                .into_iter()
-                .map(move |(start, len)| (b, start, len))
+            (0..srcs as u32).map(move |s| (b, s))
         })
         .collect();
     let RunOutput {
@@ -556,21 +473,18 @@ fn compute_block_tables(
         report: phase2,
     } = exec.run(
         units.clone(),
-        |&(b, _, len)| {
-            let per_source = match red(b) {
-                Some(r) => r.reduced.m() as u64 + 1,
-                None => plan.block(b).m() as u64 + 1,
-            };
-            per_source * len as u64
+        |&(b, _)| match red(b) {
+            Some(r) => r.reduced.m() as u64 + 1,
+            None => plan.block(b).m() as u64 + 1,
         },
-        |&(b, start, len)| {
+        |&(b, s)| {
             let target = match red(b) {
                 Some(r) => r.reduced.view(),
                 None => plan.block_graph(b),
             };
             // Pooled engines: per-source scratch is reused across
             // workunits handled by the same worker thread.
-            sssp_unit_rows(target, start, len, sssp)
+            sssp_row(target, s)
         },
     );
     // Assemble per-block reduced (or full) matrices.
@@ -581,12 +495,9 @@ fn compute_block_tables(
             None => DistMatrix::new(plan.block(b).n()),
         })
         .collect();
-    for ((b, start, _), unit_rows) in units.into_iter().zip(rows) {
-        for (i, row) in unit_rows.into_iter().enumerate() {
-            let s = start + i as u32;
-            for (t, w) in row.into_iter().enumerate() {
-                srs[pos[b as usize]].set(s, t as u32, w);
-            }
+    for ((b, s), row) in units.into_iter().zip(rows) {
+        for (t, w) in row.into_iter().enumerate() {
+            srs[pos[b as usize]].set(s, t as u32, w);
         }
     }
     drop(phase2_span);
@@ -673,7 +584,6 @@ fn ap_segment(plan: &DecompPlan, b: u32, table: &DistMatrix) -> Vec<(u32, u32, W
 fn compute_ap_table(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
-    sssp: SsspMode,
     segments: &[ApSegment],
 ) -> (DistMatrix, ExecutionReport) {
     let _ap_span = ear_obs::span("apsp.ap_table");
@@ -684,14 +594,14 @@ fn compute_ap_table(
         .collect();
     let ap_graph = CsrGraph::from_edges(a, &ap_edges);
     let RunOutput {
-        results: ap_unit_rows,
+        results: ap_rows,
         report: ap_phase,
     } = exec.run(
-        sssp_units(a as u32, sssp),
-        |&(_, len)| (ap_graph.m() as u64 + 1) * len as u64,
-        |&(start, len)| sssp_unit_rows(ap_graph.view(), start, len, sssp),
+        (0..a as u32).collect(),
+        |_| ap_graph.m() as u64 + 1,
+        |&s| sssp_row(ap_graph.view(), s),
     );
-    let ap_table = DistMatrix::from_rows(ap_unit_rows.into_iter().flatten().collect());
+    let ap_table = DistMatrix::from_rows(ap_rows);
     (ap_table, ap_phase)
 }
 
@@ -903,13 +813,8 @@ mod tests {
             assert_eq!(warm.stats(), cold.stats());
             // The refresh only reran the dirty blocks.
             assert_eq!(warm.processing.total_units(), {
-                let (_, rep) = compute_block_tables(
-                    &warm_plan,
-                    &exec,
-                    method,
-                    warm.sssp,
-                    warm_plan.dirty_blocks(),
-                );
+                let (_, rep) =
+                    compute_block_tables(&warm_plan, &exec, method, warm_plan.dirty_blocks());
                 rep.total_units()
             });
         }

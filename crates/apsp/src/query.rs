@@ -49,7 +49,7 @@
 //!
 //! `tests/query_fastpath_differential.rs` pins all of it — scalar,
 //! batch and path — bit-identical to the legacy query path across every
-//! testkit family, both layouts, before and after recustomization.
+//! testkit family, before and after recustomization.
 
 use std::sync::Arc;
 

@@ -16,11 +16,11 @@ use std::sync::Arc;
 use ear_decomp::block_cut::Route;
 use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_decomp::reduce::ReducedGraph;
-use ear_graph::{dist_add, CsrGraph, SsspMode, VertexId, Weight, INF};
+use ear_graph::{dist_add, CsrGraph, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput};
 
 use crate::matrix::DistMatrix;
-use crate::oracle::{sssp_unit_rows, sssp_units, ApSegment};
+use crate::oracle::{sssp_row, ApSegment};
 
 /// A distance oracle storing `a² + Σ (nᵢʳ)²` entries.
 ///
@@ -29,7 +29,6 @@ use crate::oracle::{sssp_unit_rows, sssp_units, ApSegment};
 /// with its parent oracle instead of recomputing them.
 pub struct ReducedOracle {
     plan: Arc<DecompPlan>,
-    sssp: SsspMode,
     /// Per-block distance matrices over the *reduced* (or full, when the
     /// block is not simple) block vertices.
     srs: Vec<Arc<DistMatrix>>,
@@ -53,31 +52,17 @@ impl ReducedOracle {
     /// [`DecompPlan`]; only the all-sources Dijkstra over the plan's
     /// reduced blocks and the AP table remain to be computed.
     pub fn build_with_plan(plan: Arc<DecompPlan>, exec: &HeteroExecutor) -> ReducedOracle {
-        Self::build_with_plan_mode(plan, exec, SsspMode::from_env())
-    }
-
-    /// [`Self::build_with_plan`] with an explicit [`SsspMode`]: `Batched`
-    /// runs the all-sources phase (and the AP table) in lane batches of up
-    /// to [`ear_graph::LANES`] sources per CSR edge scan; `Scalar` is the
-    /// retained one-run-per-source baseline. Both produce bit-identical
-    /// oracles.
-    pub fn build_with_plan_mode(
-        plan: Arc<DecompPlan>,
-        exec: &HeteroExecutor,
-        sssp: SsspMode,
-    ) -> ReducedOracle {
         let all: Vec<u32> = (0..plan.n_blocks() as u32).collect();
-        let (fresh, processing) = compute_reduced_tables(&plan, exec, sssp, &all);
+        let (fresh, processing) = compute_reduced_tables(&plan, exec, &all);
         let srs: Vec<Arc<DistMatrix>> = fresh.into_iter().map(Arc::new).collect();
         let ap_segments: Vec<ApSegment> = srs
             .iter()
             .enumerate()
             .map(|(b, sr)| Arc::new(reduced_ap_segment(&plan, b as u32, sr)))
             .collect();
-        let ap_table = Arc::new(compute_reduced_ap_table(&plan, sssp, &ap_segments));
+        let ap_table = Arc::new(compute_reduced_ap_table(&plan, &ap_segments));
         ReducedOracle {
             plan,
-            sssp,
             srs,
             ap_table,
             ap_segments,
@@ -91,7 +76,7 @@ impl ReducedOracle {
     /// with `self` via [`Arc::clone`]. The AP table is rebuilt whenever any
     /// block is dirty, and shared on a no-op recustomization.
     ///
-    /// Bit-identical to a cold [`Self::build_with_plan_mode`] on `plan`;
+    /// Bit-identical to a cold [`Self::build_with_plan`] on `plan`;
     /// cost scales with the dirty blocks' share of the graph.
     ///
     /// # Panics
@@ -106,7 +91,7 @@ impl ReducedOracle {
         let dirty = plan.dirty_blocks().to_vec();
         let _span = ear_obs::span_with("apsp.reduced_refresh", dirty.len() as u64);
 
-        let (fresh, processing) = compute_reduced_tables(&plan, exec, self.sssp, &dirty);
+        let (fresh, processing) = compute_reduced_tables(&plan, exec, &dirty);
         let mut srs = self.srs.clone();
         for (&b, t) in dirty.iter().zip(fresh) {
             srs[b as usize] = Arc::new(t);
@@ -119,7 +104,7 @@ impl ReducedOracle {
         let ap_table = if dirty.is_empty() {
             Arc::clone(&self.ap_table)
         } else {
-            Arc::new(compute_reduced_ap_table(&plan, self.sssp, &ap_segments))
+            Arc::new(compute_reduced_ap_table(&plan, &ap_segments))
         };
 
         if ear_obs::is_enabled() {
@@ -129,7 +114,6 @@ impl ReducedOracle {
 
         ReducedOracle {
             plan,
-            sssp: self.sssp,
             srs,
             ap_table,
             ap_segments,
@@ -206,7 +190,6 @@ impl ReducedOracle {
 fn compute_reduced_tables(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
-    sssp: SsspMode,
     blocks: &[u32],
 ) -> (Vec<DistMatrix>, ExecutionReport) {
     let mut pos = vec![usize::MAX; plan.n_blocks()];
@@ -223,13 +206,11 @@ fn compute_reduced_tables(
         })
         .collect();
 
-    let units: Vec<(u32, u32, u32)> = blocks
+    let units: Vec<(u32, u32)> = blocks
         .iter()
         .flat_map(|&b| {
             let srcs = srs[pos[b as usize]].n();
-            sssp_units(srcs as u32, sssp)
-                .into_iter()
-                .map(move |(start, len)| (b, start, len))
+            (0..srcs as u32).map(move |s| (b, s))
         })
         .collect();
     let RunOutput {
@@ -237,23 +218,20 @@ fn compute_reduced_tables(
         report: processing,
     } = exec.run(
         units.clone(),
-        |&(b, _, len)| (plan.block(b).m() as u64 + 1) * len as u64,
-        |&(b, start, len)| {
+        |&(b, _)| plan.block(b).m() as u64 + 1,
+        |&(b, s)| {
             let target = match plan.reduction(b) {
                 Some(r) => r.reduced.view(),
                 None => plan.block_graph(b),
             };
-            // Pooled engines: scratch reused across the (block,
-            // source-range) workunits each worker thread handles.
-            sssp_unit_rows(target, start, len, sssp)
+            // Pooled engines: scratch reused across the (block, source)
+            // workunits each worker thread handles.
+            sssp_row(target, s)
         },
     );
-    for ((b, start, _), unit_rows) in units.into_iter().zip(rows) {
-        for (i, row) in unit_rows.into_iter().enumerate() {
-            let s = start + i as u32;
-            for (t, w) in row.into_iter().enumerate() {
-                srs[pos[b as usize]].set(s, t as u32, w);
-            }
+    for ((b, s), row) in units.into_iter().zip(rows) {
+        for (t, w) in row.into_iter().enumerate() {
+            srs[pos[b as usize]].set(s, t as u32, w);
         }
     }
     (srs, processing)
@@ -289,20 +267,15 @@ fn reduced_ap_segment(plan: &DecompPlan, b: u32, sr: &DistMatrix) -> Vec<(u32, u
 /// AP table over the AP graph, from prebuilt per-block edge segments —
 /// a refresh recomputes only dirty blocks' segments. Concatenation in
 /// block id order keeps the result bit-identical to a cold build.
-fn compute_reduced_ap_table(
-    plan: &Arc<DecompPlan>,
-    sssp: SsspMode,
-    segments: &[ApSegment],
-) -> DistMatrix {
+fn compute_reduced_ap_table(plan: &Arc<DecompPlan>, segments: &[ApSegment]) -> DistMatrix {
     let a = plan.bct().ap_count();
     let ap_edges: Vec<(u32, u32, Weight)> = segments
         .iter()
         .flat_map(|seg| seg.iter().copied())
         .collect();
     let ap_graph = CsrGraph::from_edges(a, &ap_edges);
-    let ap_rows: Vec<Vec<Weight>> = sssp_units(a as u32, sssp)
-        .into_iter()
-        .flat_map(|(start, len)| sssp_unit_rows(ap_graph.view(), start, len, sssp).0)
+    let ap_rows: Vec<Vec<Weight>> = (0..a as u32)
+        .map(|s| sssp_row(ap_graph.view(), s).0)
         .collect();
     DistMatrix::from_rows(ap_rows)
 }

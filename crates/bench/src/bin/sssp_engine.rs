@@ -1,17 +1,14 @@
 //! Old-vs-new SSSP microbenchmark: the legacy allocate-per-source
-//! `dijkstra_with_stats` against the pooled [`SsspEngine`] and the
-//! lane-batched [`MultiSsspEngine`], on the exact workload the reduced
-//! oracle's build phase runs — all-sources Dijkstra over the reduced
-//! biconnected blocks of testkit graph families.
+//! `dijkstra_with_stats` against the pooled [`SsspEngine`], on the exact
+//! workload the reduced oracle's build phase runs — all-sources Dijkstra
+//! over the reduced biconnected blocks of testkit graph families.
 //!
-//! All sides compute identical rows (asserted via checksum and relaxation
-//! counts before any timing — the bench refuses to report a speedup for
-//! an implementation that diverged); what differs is the per-source
-//! overhead: the legacy path allocates and INF-fills fresh arrays plus a
-//! lazy-deletion binary heap for every source, the engine path reuses
-//! generation-stamped scratch and an indexed 4-ary heap, and the batched
-//! path additionally amortizes one CSR edge scan over up to eight
-//! co-popping source lanes.
+//! Both sides compute identical rows (asserted via checksum and
+//! relaxation counts before any timing — the bench refuses to report a
+//! speedup for an implementation that diverged); what differs is the
+//! per-source overhead: the legacy path allocates and INF-fills fresh
+//! arrays plus a lazy-deletion binary heap for every source, the engine
+//! path reuses generation-stamped scratch and an indexed 4-ary heap.
 //!
 //! The headline families measure the oracle's design point — the small
 //! reduced blocks left after chain contraction / BCC splitting, where the
@@ -21,22 +18,13 @@
 //! replaces the binary heap — the regime the unit-weight-bounded testkit
 //! families put every production block in.
 //!
-//! The engine and batched passes run on **locality-ordered copies** of the
-//! per-block targets (DFS pre-order via [`NodeOrder`], the layout the
-//! decomposition plan computes for its blocks); the legacy pass keeps the
-//! original vertex order. Distance checksums and relaxation counts are
-//! permutation-invariant, so the divergence gates still hold across the
+//! The engine pass runs on **locality-ordered copies** of the per-block
+//! targets (DFS pre-order via [`NodeOrder`], the layout the decomposition
+//! plan computes for its blocks); the legacy pass keeps the original
+//! vertex order. Distance checksums and relaxation counts are
+//! permutation-invariant, so the divergence gate still holds across the
 //! relabeling. Each family also reports `reorder_ns` (cost of computing
-//! and applying the order) and `view_vs_copied_front_half` (plan build
-//! time ratio, Copied / Viewed — above 1.0 means the zero-copy arena
-//! layout builds faster).
-//!
-//! The bench enforces the batched floor: `batched_vs_engine` below 0.95
-//! on any family aborts the run, so a lane-policy regression cannot land
-//! silently. The gate takes the better of two noise-robust estimators —
-//! best-of-reps times and the median of back-to-back paired ratios — and
-//! `batched_vs_engine` reports that estimator (the ns/source columns stay
-//! plain medians).
+//! and applying the order).
 //!
 //! Flags: `--seed S` (default 7), `--reps R` (default 7), `--max-n N`
 //! (design-point graph scale, default 32), `--smoke` (tiny inputs for CI),
@@ -47,10 +35,7 @@
 use std::time::Instant;
 
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{
-    lane_batches, CsrGraph, LayoutMode, MultiSsspEngine, NodeOrder, SsspEngine, Weight,
-    MAX_BATCH_VERTICES, MIN_BATCH_VERTICES,
-};
+use ear_graph::{CsrGraph, NodeOrder, SsspEngine, Weight};
 use ear_testkit::{chain_heavy_graphs, multi_bcc_graphs, workload_graphs, Strategy, TestRng};
 
 struct Opts {
@@ -129,10 +114,6 @@ struct Workload {
     src_ord: Vec<Vec<u32>>,
     /// Total time to compute + apply the locality orders, in ns.
     reorder_ns: u128,
-    /// Median plan front-half build time, copied layout, in ns.
-    copied_front_ns: f64,
-    /// Median plan front-half build time, viewed (arena) layout, in ns.
-    viewed_front_ns: f64,
 }
 
 fn prepare(
@@ -142,17 +123,9 @@ fn prepare(
     src_cap: usize,
 ) -> Workload {
     let mut blocks = Vec::new();
-    let mut copied_ns = Vec::new();
-    let mut viewed_ns = Vec::new();
     for &seed in cases {
         let g = strat.generate(&mut TestRng::new(seed));
-        let t0 = Instant::now();
-        let plan = DecompPlan::build_with_layout(&g, LayoutMode::Copied);
-        copied_ns.push(t0.elapsed().as_nanos() as f64);
-        let t0 = Instant::now();
-        let viewed = DecompPlan::build_with_layout(&g, LayoutMode::Viewed);
-        viewed_ns.push(t0.elapsed().as_nanos() as f64);
-        drop(viewed);
+        let plan = DecompPlan::build(&g);
         for b in 0..plan.n_blocks() as u32 {
             let target = match plan.reduction(b) {
                 Some(r) => r.reduced.clone(),
@@ -166,9 +139,9 @@ fn prepare(
     // Locality-order the engine targets: DFS pre-order clusters each
     // block's traversal working set; the legacy pass keeps the original
     // labels so the comparison includes the layout win. Sources are the
-    // first `src_cap` ranks of the DFS order (consecutive ids — exactly
-    // what the lane batches want), mapped back through the order for the
-    // legacy pass so both layouts solve the same logical queries.
+    // first `src_cap` ranks of the DFS order, mapped back through the
+    // order for the legacy pass so both layouts solve the same logical
+    // queries.
     let t0 = Instant::now();
     let mut ordered = Vec::with_capacity(blocks.len());
     let mut src_raw = Vec::with_capacity(blocks.len());
@@ -191,8 +164,6 @@ fn prepare(
         src_raw,
         src_ord,
         reorder_ns,
-        copied_front_ns: median(&mut copied_ns),
-        viewed_front_ns: median(&mut viewed_ns),
     }
 }
 
@@ -242,47 +213,6 @@ fn run_engine(w: &Workload, eng: &mut SsspEngine) -> Pass {
     }
 }
 
-/// The production batched-mode dispatch: blocks outside the
-/// [`MIN_BATCH_VERTICES`]`..=`[`MAX_BATCH_VERTICES`] band go straight to
-/// the pooled scalar engine (below it they cannot fill a lane batch and
-/// per-batch dispatch would be a double-digit fraction of a scalar run;
-/// above it the lanes' aggregate scratch outgrows the cache one engine
-/// stays warm in); blocks inside the band run [`LANES`]-wide batches on
-/// the lane engine. Mirrors the oracle build's `sssp_units` /
-/// `sssp_unit_rows` routing.
-fn run_batched(w: &Workload, me: &mut MultiSsspEngine, eng: &mut SsspEngine) -> Pass {
-    let t0 = Instant::now();
-    let mut edges_relaxed = 0u64;
-    let mut checksum: Weight = 0;
-    for (b, srcs) in w.ordered.iter().zip(&w.src_ord) {
-        if !(MIN_BATCH_VERTICES..=MAX_BATCH_VERTICES).contains(&b.n()) {
-            for &s in srcs {
-                let stats = eng.run(b, s);
-                edges_relaxed += stats.edges_relaxed;
-                for t in 0..b.n() as u32 {
-                    checksum = checksum.wrapping_add(eng.dist(t));
-                }
-            }
-            continue;
-        }
-        for (start, len) in lane_batches(srcs.len() as u32) {
-            let sources = &srcs[start as usize..(start + len) as usize];
-            me.run_batch(b, sources);
-            for lane in 0..len as usize {
-                edges_relaxed += me.stats(lane).edges_relaxed;
-                for t in 0..b.n() as u32 {
-                    checksum = checksum.wrapping_add(me.dist(lane, t));
-                }
-            }
-        }
-    }
-    Pass {
-        ns: t0.elapsed().as_nanos(),
-        edges_relaxed,
-        checksum,
-    }
-}
-
 fn median(xs: &mut [f64]) -> f64 {
     assert!(!xs.is_empty());
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -303,39 +233,21 @@ struct FamilyResult {
     edges_relaxed_per_source: f64,
     legacy_ns_per_source: f64,
     engine_ns_per_source: f64,
-    batched_ns_per_source: f64,
     legacy_edges_per_sec: f64,
     engine_edges_per_sec: f64,
-    batched_edges_per_sec: f64,
     speedup: f64,
-    batched_speedup: f64,
-    /// The floor gate's noise-robust engine/batched ratio — the value the
-    /// 0.95 assertion enforces, so the published number and the gate can
-    /// never disagree.
-    batched_vs_engine: f64,
     reorder_ns: u128,
-    view_vs_copied_front_half: f64,
 }
 
 fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
     let mut eng = SsspEngine::new();
-    let mut multi = MultiSsspEngine::new();
-    // The batched pass's scalar routing (blocks outside the lane band)
-    // shares `eng`, exactly as production does: the oracle's batched-mode
-    // scalar fallback is the same pooled thread-local engine
-    // (`with_engine`) that scalar mode runs on. A separate instance would
-    // also expose the ratio to heap-placement luck — two allocations of
-    // the same arrays can sit in systematically different cache/TLB
-    // neighborhoods for a whole process lifetime.
-    //
-    // Warm-up: page in the graphs, size the engines, and cross-check that
-    // all three implementations agree before timing anything. A checksum
-    // or relaxation-count mismatch aborts the run — the bench refuses to
+    // Warm-up: page in the graphs, size the engine, and cross-check that
+    // both implementations agree before timing anything. A checksum or
+    // relaxation-count mismatch aborts the run — the bench refuses to
     // report a speedup for an implementation that computed different
     // distances.
     let l0 = run_legacy(w);
     let e0 = run_engine(w, &mut eng);
-    let b0 = run_batched(w, &mut multi, &mut eng);
     assert_eq!(
         l0.checksum, e0.checksum,
         "{}: engine distance checksum mismatch",
@@ -346,117 +258,32 @@ fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
         "{}: engine relaxation count mismatch",
         w.family
     );
-    assert_eq!(
-        l0.checksum, b0.checksum,
-        "{}: batched distance checksum mismatch",
-        w.family
-    );
-    assert_eq!(
-        l0.edges_relaxed, b0.edges_relaxed,
-        "{}: batched relaxation count mismatch",
-        w.family
-    );
 
     // Each timed sample aggregates enough back-to-back passes to outlast
     // timer granularity and scheduler jitter: a smoke-scale family is a
-    // handful of microsecond blocks, and a single ~1 µs pass cannot be
-    // measured at the precision the 0.95 floor gate needs. The warmup
-    // pass sizes the aggregation; full-scale families (ms-scale passes)
-    // keep `iters == 1` and time exactly as before.
+    // handful of microsecond blocks. The warmup pass sizes the
+    // aggregation; full-scale families (ms-scale passes) keep
+    // `iters == 1`.
     const TARGET_SAMPLE_NS: u128 = 200_000;
-    let fastest = l0.ns.min(e0.ns).min(b0.ns).max(1);
+    let fastest = l0.ns.min(e0.ns).max(1);
     let iters = ((TARGET_SAMPLE_NS / fastest) as usize + 1).min(1024);
-
-    // The floor gate uses the better of two noise-robust estimators of
-    // the engine/batched ratio; a genuine policy regression fails both,
-    // every round, while machine noise rarely defeats either:
-    //
-    // * **best-of-reps ratio** — scheduler noise only ever *inflates* a
-    //   sample, so the minimum over reps estimates true cost and a
-    //   preempted rep cannot fail the run. Its weakness: one side can
-    //   catch a single quiet-CPU window the other never sees, deflating
-    //   only its own minimum.
-    // * **median of paired ratios** — the engine and batched samples of
-    //   one rep run back-to-back, so their ratio cancels the bursty
-    //   multiplicative slowdowns a shared machine injects; the median
-    //   over reps then discards the pairs a burst split down the middle.
-    //
-    // If the gate still misses, additional rep rounds accumulate samples
-    // before the verdict. A failed round also *reallocates* every engine:
-    // rarely a process lands heap placements where the lane engines'
-    // state arrays contend in cache for that process's whole lifetime,
-    // and no amount of resampling against the same addresses escapes it.
-    // Fresh allocations do; a genuine code regression travels with the
-    // code, not the addresses, and fails the fresh engines too. The
-    // paired median is computed per-round (same engine state on both
-    // sides of every pair); the minima and the *reported* medians span
-    // all samples taken.
-    let min_of = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let mut legacy_ns: Vec<f64> = Vec::new();
-    let mut engine_ns: Vec<f64> = Vec::new();
-    let mut batched_ns: Vec<f64> = Vec::new();
     let per_sample = (iters as u64 * w.sources) as f64;
-    let mut floor_ratio = 0.0;
-    for round in 0..4 {
-        if round > 0 {
-            eng = SsspEngine::new();
-            multi = MultiSsspEngine::new();
-            run_engine(w, &mut eng);
-            run_batched(w, &mut multi, &mut eng);
+    let mut legacy_ns: Vec<f64> = Vec::with_capacity(reps);
+    let mut engine_ns: Vec<f64> = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let mut ns = [0u128; 2];
+        for _ in 0..iters {
+            ns[0] += run_legacy(w).ns;
         }
-        let round_start = engine_ns.len();
-        for _ in 0..reps {
-            let mut ns = [0u128; 3];
-            for _ in 0..iters {
-                ns[0] += run_legacy(w).ns;
-            }
-            for _ in 0..iters {
-                ns[1] += run_engine(w, &mut eng).ns;
-            }
-            for _ in 0..iters {
-                ns[2] += run_batched(w, &mut multi, &mut eng).ns;
-            }
-            legacy_ns.push(ns[0] as f64 / per_sample);
-            engine_ns.push(ns[1] as f64 / per_sample);
-            batched_ns.push(ns[2] as f64 / per_sample);
+        for _ in 0..iters {
+            ns[1] += run_engine(w, &mut eng).ns;
         }
-        let best_of = min_of(&engine_ns) / min_of(&batched_ns);
-        let mut paired: Vec<f64> = engine_ns[round_start..]
-            .iter()
-            .zip(&batched_ns[round_start..])
-            .map(|(e, b)| e / b)
-            .collect();
-        floor_ratio = best_of.max(median(&mut paired));
-        // Keep sampling while the published ratio would still claim the
-        // batched dispatch runs behind the engine: on size-band parity
-        // families both passes run the same scalar code, so a sub-1.0
-        // round is noise the next round's samples wash out. A genuine
-        // regression keeps every round below the floor and fails the
-        // assert after the last one.
-        if floor_ratio >= 1.0 {
-            break;
-        }
-    }
-    if std::env::var_os("EAR_BENCH_DEBUG").is_some() {
-        eprintln!(
-            "[debug] {} iters={iters} engine={engine_ns:.1?} batched={batched_ns:.1?}",
-            w.family
-        );
+        legacy_ns.push(ns[0] as f64 / per_sample);
+        engine_ns.push(ns[1] as f64 / per_sample);
     }
     let legacy = median(&mut legacy_ns);
     let engine = median(&mut engine_ns);
-    let batched = median(&mut batched_ns);
     let per_source_edges = l0.edges_relaxed as f64 / w.sources as f64;
-    // The batched floor: the lane policy must never cost more than 5%
-    // against the scalar engine on any family. A dip means the per-block
-    // size heuristic (BatchPolicy::Auto) regressed — abort rather than
-    // publish the number.
-    assert!(
-        floor_ratio >= 0.95,
-        "{}: batched_vs_engine {floor_ratio:.3} (robust over {} samples) fell below the 0.95 floor",
-        w.family,
-        engine_ns.len()
-    );
     FamilyResult {
         family: w.family,
         graphs: w.graphs,
@@ -466,15 +293,10 @@ fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
         edges_relaxed_per_source: per_source_edges,
         legacy_ns_per_source: legacy,
         engine_ns_per_source: engine,
-        batched_ns_per_source: batched,
         legacy_edges_per_sec: per_source_edges / (legacy * 1e-9),
         engine_edges_per_sec: per_source_edges / (engine * 1e-9),
-        batched_edges_per_sec: per_source_edges / (batched * 1e-9),
         speedup: legacy / engine,
-        batched_speedup: legacy / batched,
-        batched_vs_engine: floor_ratio,
         reorder_ns: w.reorder_ns,
-        view_vs_copied_front_half: w.copied_front_ns / w.viewed_front_ns.max(1.0),
     }
 }
 
@@ -487,14 +309,9 @@ fn write_json(path: &str, opts: &Opts, results: &[FamilyResult]) {
     use ear_bench::report::Direction::{Higher, Lower};
     rep.column("legacy_ns_per_source", Lower)
         .column("engine_ns_per_source", Lower)
-        .column("batched_per_source", Lower) // ns despite the name
         .column("legacy_edges_relaxed_per_sec", Higher)
         .column("engine_edges_relaxed_per_sec", Higher)
-        .column("batched_edges_relaxed_per_sec", Higher)
-        .column("speedup", Higher)
-        .column("batched_speedup", Higher)
-        .column("batched_vs_engine", Higher)
-        .column("view_vs_copied_front_half", Higher);
+        .column("speedup", Higher);
     for r in results {
         rep.family(r.family, r.checksum, opts.reps as u64)
             .uint("graphs", r.graphs as u64)
@@ -503,29 +320,19 @@ fn write_json(path: &str, opts: &Opts, results: &[FamilyResult]) {
             .num("edges_relaxed_per_source", r.edges_relaxed_per_source, 1)
             .num("legacy_ns_per_source", r.legacy_ns_per_source, 1)
             .num("engine_ns_per_source", r.engine_ns_per_source, 1)
-            .num("batched_per_source", r.batched_ns_per_source, 1)
             .num("legacy_edges_relaxed_per_sec", r.legacy_edges_per_sec, 0)
             .num("engine_edges_relaxed_per_sec", r.engine_edges_per_sec, 0)
-            .num("batched_edges_relaxed_per_sec", r.batched_edges_per_sec, 0)
             .num("speedup", r.speedup, 3)
-            .num("batched_speedup", r.batched_speedup, 3)
-            .num("batched_vs_engine", r.batched_vs_engine, 3)
-            .uint("reorder_ns", r.reorder_ns as u64)
-            .num("view_vs_copied_front_half", r.view_vs_copied_front_half, 3);
+            .uint("reorder_ns", r.reorder_ns as u64);
     }
     let mut speedups: Vec<f64> = results.iter().map(|r| r.speedup).collect();
-    let mut batched: Vec<f64> = results.iter().map(|r| r.batched_speedup).collect();
     let mut large: Vec<f64> = results
         .iter()
         .filter(|r| r.family.ends_with("_large"))
         .map(|r| r.speedup)
         .collect();
     let s = rep.summary();
-    s.num("median_speedup", median(&mut speedups), 3).num(
-        "median_batched_speedup",
-        median(&mut batched),
-        3,
-    );
+    s.num("median_speedup", median(&mut speedups), 3);
     if !large.is_empty() {
         s.num("engine_large_speedup", median(&mut large), 3);
     }
@@ -542,9 +349,8 @@ fn main() {
     // blocks of tens of thousands of vertices whose runs are edge-bound,
     // where the engine's Dial bucket-queue path beats the legacy binary
     // heap on queue cost. `--max-n` rescales the design-point rows.
-    // Smoke reps stay high enough (5) for the best-of-reps floor gate to
-    // shake off scheduler noise — each smoke rep is microseconds, so the
-    // extra passes cost nothing.
+    // Smoke reps stay at 5 — each smoke rep is microseconds, so the extra
+    // passes cost nothing.
     let (max_n, cases_per_family, reps) = if opts.smoke {
         (32, 3, 5)
     } else {
@@ -581,7 +387,7 @@ fn main() {
         // exercise the large-family code path without the full cost. At
         // full scale the blocks reach tens of thousands of vertices, so
         // the sweep runs each block from a capped slice of 16 sources
-        // (two lane batches) instead of every vertex — otherwise the
+        // instead of every vertex — otherwise the
         // all-sources pass would go quadratic in block size.
         let (chain_scale, mbcc_scale) = if opts.smoke {
             (400, 400)
@@ -608,15 +414,7 @@ fn main() {
     }
 
     let mut table = ear_bench::Table::new(&[
-        "family",
-        "graphs",
-        "blocks",
-        "sources",
-        "legacy",
-        "engine",
-        "batched",
-        "speedup",
-        "batched_x",
+        "family", "graphs", "blocks", "sources", "legacy", "engine", "speedup",
     ]);
     let mut results = Vec::new();
     for w in &workloads {
@@ -628,9 +426,7 @@ fn main() {
             r.sources.to_string(),
             format!("{:.0} ns/src", r.legacy_ns_per_source),
             format!("{:.0} ns/src", r.engine_ns_per_source),
-            format!("{:.0} ns/src", r.batched_ns_per_source),
             format!("{:.2}x", r.speedup),
-            format!("{:.2}x", r.batched_speedup),
         ]);
         results.push(r);
     }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ear_apsp::{build_oracle_with_plan_mode, QueryEngine};
+use ear_apsp::{build_oracle_with_plan, QueryEngine};
 use ear_core::prelude::*;
 use ear_decomp::{ear_decomposition, DecompPlan};
 use ear_mcb::verify_basis;
@@ -58,17 +58,10 @@ fn print_decomposition(plan: &DecompPlan) {
         let bp = plan.block(b as u32);
         print!("  block {rank}: {} vertices, {} edges", bp.n(), bp.m());
         if bp.m() >= bp.n() && bp.simple {
-            // Ear decomposition wants an owned graph; viewed plans
-            // materialize the block (a print-path copy only).
-            let owned;
-            let sub = match &bp.sub {
-                Some(sub) => sub,
-                None => {
-                    owned = plan.block_graph(b as u32).materialize();
-                    &owned
-                }
-            };
-            match ear_decomposition(sub) {
+            // Ear decomposition wants an owned graph: materialize the
+            // block (a print-path copy only).
+            let sub = plan.block_graph(b as u32).materialize();
+            match ear_decomposition(&sub) {
                 Ok(d) => print!(", {} ears", d.ears.len()),
                 Err(e) => print!(", no open ear decomposition ({e})"),
             }
@@ -95,7 +88,7 @@ fn print_decomposition(plan: &DecompPlan) {
 /// shared by every stage.
 pub fn combined(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result<(), String> {
     let obs = opts.begin_obs("cli.combined")?;
-    let plan = Arc::new(DecompPlan::build_with_layout(g, opts.layout()));
+    let plan = Arc::new(DecompPlan::build(g));
 
     println!("== stats ==");
     print_stats(&GraphStats::from_plan(&plan));
@@ -107,7 +100,6 @@ pub fn combined(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result
     let out = ApspPipeline::new()
         .mode(opts.mode)
         .use_ear(!opts.no_ear)
-        .batched(opts.batched)
         .plan(Arc::clone(&plan))
         .run(g);
     report_apsp(g, &out, pairs);
@@ -132,8 +124,7 @@ pub fn apsp(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result<(),
     let out = ApspPipeline::new()
         .mode(opts.mode)
         .use_ear(!opts.no_ear)
-        .batched(opts.batched)
-        .plan(Arc::new(DecompPlan::build_with_layout(g, opts.layout())))
+        .plan(Arc::new(DecompPlan::build(g)))
         .run(g);
     report_apsp(g, &out, pairs);
     obs.finish()
@@ -180,7 +171,7 @@ pub fn mcb(
     let out = McbPipeline::new()
         .mode(opts.mode)
         .use_ear(!opts.no_ear)
-        .plan(Arc::new(DecompPlan::build_with_layout(g, opts.layout())))
+        .plan(Arc::new(DecompPlan::build(g)))
         .run(g);
     report_mcb(g, &out, print_cycles)?;
     if profile || profile_json {
@@ -431,16 +422,11 @@ pub fn recustomize(
     } else {
         ApspMethod::Ear
     };
-    let sssp = if opts.batched {
-        SsspMode::Batched
-    } else {
-        SsspMode::Scalar
-    };
     let exec = opts.mode.executor();
 
     let build_start = Instant::now();
-    let mut plan = Arc::new(DecompPlan::build_with_layout(g, opts.layout()));
-    let mut oracle = build_oracle_with_plan_mode(Arc::clone(&plan), &exec, method, sssp);
+    let mut plan = Arc::new(DecompPlan::build(g));
+    let mut oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
     println!(
         "initial build: {} blocks, {} table entries, {:.3} ms wall",
         plan.n_blocks(),
@@ -465,8 +451,8 @@ pub fn recustomize(
 
         let gp = g.reweighted(&weights);
         let cold_start = Instant::now();
-        let cold_plan = Arc::new(DecompPlan::build_with_layout(&gp, opts.layout()));
-        let cold_oracle = build_oracle_with_plan_mode(cold_plan, &exec, method, sssp);
+        let cold_plan = Arc::new(DecompPlan::build(&gp));
+        let cold_oracle = build_oracle_with_plan(cold_plan, &exec, method);
         let cold_s = cold_start.elapsed().as_secs_f64();
 
         let warm_sum = oracle_checksum(&warm_oracle, g.n(), seed ^ round as u64);
@@ -518,15 +504,10 @@ pub fn query(
     } else {
         ApspMethod::Ear
     };
-    let sssp = if opts.batched {
-        SsspMode::Batched
-    } else {
-        SsspMode::Scalar
-    };
     let exec = opts.mode.executor();
     let build_start = Instant::now();
-    let plan = Arc::new(DecompPlan::build_with_layout(g, opts.layout()));
-    let oracle = build_oracle_with_plan_mode(Arc::clone(&plan), &exec, method, sssp);
+    let plan = Arc::new(DecompPlan::build(g));
+    let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
     let engine = QueryEngine::new(&oracle);
     println!(
         "query engine: {} blocks, {} APs, {} gateway records, {} fused entries, {:.3} ms build wall",

@@ -37,7 +37,6 @@ use std::process::ExitCode;
 
 use ear_core::prelude::*;
 use ear_graph::io::{read_edge_list, read_matrix_market};
-use ear_graph::LayoutMode;
 
 mod commands;
 
@@ -58,11 +57,11 @@ fn usage() -> &'static str {
     "usage:
   ear stats <graph>
   ear decompose <graph>
-  ear apsp <graph> [--pairs u:v[,u:v...]] [--mode M] [--no-ear] [--batched] [--views]
-  ear query <graph> [--pairs u:v[,u:v...]] [--queries N] [--seed S] [--mode M] [--no-ear] [--batched] [--views]
+  ear apsp <graph> [--pairs u:v[,u:v...]] [--mode M] [--no-ear]
+  ear query <graph> [--pairs u:v[,u:v...]] [--queries N] [--seed S] [--mode M] [--no-ear]
   ear mcb <graph> [--print-cycles] [--profile] [--profile-json] [--mode M] [--no-ear]
   ear combined <graph> [--pairs u:v[,u:v...]] [--mode M] [--no-ear]
-  ear recustomize <graph> [--fraction F] [--rounds N] [--seed S] [--mode M] [--no-ear] [--batched] [--views]
+  ear recustomize <graph> [--fraction F] [--rounds N] [--seed S] [--mode M] [--no-ear]
   ear bc <graph> [--top K]
   ear generate <spec-name> <scale> [out-file]
   ear trace-check <trace-file>
@@ -70,7 +69,6 @@ fn usage() -> &'static str {
 
 graph: .mtx (Matrix Market) or edge list 'u v [w]' per line; '-' = stdin
 mode:  seq | multicore | gpu | hetero (default)
-views: store decomposition blocks as zero-copy arena views (EAR_CSR_VIEWS=1)
 obs:   apsp/query/mcb/combined/recustomize also take
          [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE]
          [--metrics-stream FILE] [--metrics-interval MS]
@@ -182,11 +180,6 @@ pub struct CommonOpts {
     pub mode: ExecMode,
     /// Disable the ear reduction.
     pub no_ear: bool,
-    /// Use the lane-batched multi-source SSSP engine for the oracle build.
-    pub batched: bool,
-    /// Store decomposition blocks as zero-copy arena views instead of
-    /// per-block copied graphs.
-    pub views: bool,
     /// Write a Chrome trace-event JSON of the run here.
     pub trace_out: Option<String>,
     /// Write a metrics-snapshot JSON of the run here.
@@ -205,8 +198,6 @@ impl CommonOpts {
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut mode = ExecMode::Hetero;
         let mut no_ear = false;
-        let mut batched = SsspMode::from_env() == SsspMode::Batched;
-        let mut views = LayoutMode::from_env() == LayoutMode::Viewed;
         let mut trace_out = None;
         let mut metrics_out = None;
         let mut profile_out = None;
@@ -226,8 +217,6 @@ impl CommonOpts {
                     };
                 }
                 "--no-ear" => no_ear = true,
-                "--batched" => batched = true,
-                "--views" => views = true,
                 "--trace-out" => {
                     i += 1;
                     trace_out = Some(args.get(i).ok_or("--trace-out needs a path")?.clone());
@@ -265,23 +254,12 @@ impl CommonOpts {
         Ok(CommonOpts {
             mode,
             no_ear,
-            batched,
-            views,
             trace_out,
             metrics_out,
             profile_out,
             metrics_stream,
             metrics_interval_ms,
         })
-    }
-
-    /// The block-storage layout the flags select.
-    pub fn layout(&self) -> LayoutMode {
-        if self.views {
-            LayoutMode::Viewed
-        } else {
-            LayoutMode::Copied
-        }
     }
 
     /// True when any observability output was requested.

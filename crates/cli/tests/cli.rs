@@ -137,45 +137,6 @@ fn apsp_ear_toggle_agrees() {
 }
 
 #[test]
-fn apsp_batched_flag_agrees_with_scalar() {
-    let p = tmpfile("theta9.txt", THETA);
-    let scalar = ear(&["apsp", p.to_str().unwrap(), "--pairs", "1:3,0:2"]);
-    let batched = ear(&[
-        "apsp",
-        p.to_str().unwrap(),
-        "--pairs",
-        "1:3,0:2",
-        "--batched",
-    ]);
-    assert!(
-        batched.status.success(),
-        "{}",
-        String::from_utf8_lossy(&batched.stderr)
-    );
-    let ts = String::from_utf8_lossy(&scalar.stdout);
-    let tb = String::from_utf8_lossy(&batched.stdout);
-    assert!(tb.contains("d(1,3) = 4"), "{tb}");
-    assert!(tb.contains("d(0,2) = 3"), "{tb}");
-    // Same query answers line for line — the batched build is bit-identical.
-    let answers = |t: &str| -> Vec<String> {
-        t.lines()
-            .filter(|l| l.starts_with("d("))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(answers(&ts), answers(&tb), "scalar:\n{ts}\nbatched:\n{tb}");
-
-    // The env toggle routes through the same path as the flag.
-    let env = Command::new(env!("CARGO_BIN_EXE_ear"))
-        .args(["apsp", p.to_str().unwrap(), "--pairs", "1:3,0:2"])
-        .env("EAR_SSSP_BATCHED", "1")
-        .output()
-        .expect("binary runs");
-    assert!(env.status.success());
-    assert_eq!(answers(&String::from_utf8_lossy(&env.stdout)), answers(&tb));
-}
-
-#[test]
 fn mcb_finds_the_basis() {
     let p = tmpfile("theta5.txt", THETA);
     let out = ear(&[

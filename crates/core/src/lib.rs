@@ -27,7 +27,7 @@ pub use pipeline::{ApspOutcome, ApspPipeline, McbOutcome, McbPipeline};
 pub mod prelude {
     pub use crate::pipeline::{ApspOutcome, ApspPipeline, McbOutcome, McbPipeline};
     pub use ear_apsp::{ApspMethod, DistanceOracle};
-    pub use ear_graph::{CsrGraph, GraphBuilder, SsspMode, VertexId, Weight, INF};
+    pub use ear_graph::{CsrGraph, GraphBuilder, VertexId, Weight, INF};
     pub use ear_hetero::HeteroExecutor;
     pub use ear_mcb::{ExecMode, McbConfig, McbResult};
 }

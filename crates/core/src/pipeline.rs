@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle_with_plan_mode, ApspMethod, DistanceOracle};
+use ear_apsp::{build_oracle_with_plan, ApspMethod, DistanceOracle};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, SsspMode};
+use ear_graph::CsrGraph;
 use ear_mcb::{mcb_with_plan, ExecMode, McbConfig, McbResult};
 
 /// Configures and runs the ear-decomposition APSP pipeline (paper §2).
@@ -14,7 +14,6 @@ use ear_mcb::{mcb_with_plan, ExecMode, McbConfig, McbResult};
 pub struct ApspPipeline {
     mode: ExecMode,
     use_ear: bool,
-    sssp: SsspMode,
     plan: Option<Arc<DecompPlan>>,
 }
 
@@ -30,7 +29,6 @@ impl ApspPipeline {
         ApspPipeline {
             mode: ExecMode::Hetero,
             use_ear: true,
-            sssp: SsspMode::from_env(),
             plan: None,
         }
     }
@@ -45,18 +43,6 @@ impl ApspPipeline {
     /// et al. baseline configuration.
     pub fn use_ear(mut self, on: bool) -> Self {
         self.use_ear = on;
-        self
-    }
-
-    /// Toggles the lane-batched multi-source SSSP engine for the oracle
-    /// build (`--batched` / `EAR_SSSP_BATCHED=1`); the default follows
-    /// [`SsspMode::from_env`]. Both modes produce bit-identical oracles.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.sssp = if on {
-            SsspMode::Batched
-        } else {
-            SsspMode::Scalar
-        };
         self
     }
 
@@ -80,7 +66,7 @@ impl ApspPipeline {
             Some(p) => Arc::clone(p),
             None => Arc::new(DecompPlan::build(g)),
         };
-        let oracle = build_oracle_with_plan_mode(plan, &exec, method, self.sssp);
+        let oracle = build_oracle_with_plan(plan, &exec, method);
         let modelled_time_s = oracle.modelled_time_s();
         ApspOutcome {
             oracle,

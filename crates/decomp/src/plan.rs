@@ -7,10 +7,11 @@
 //!
 //! * the [`BlockCutTree`] (which also fixes articulation points and
 //!   per-vertex home blocks);
-//! * one [`BlockPlan`] per biconnected component, holding the extracted
-//!   block subgraph, its id maps back to the parent graph, and — for
-//!   simple blocks — the degree-2 chain reduction ([`ReducedGraph`] with
-//!   all its `RemovedInfo` bookkeeping);
+//! * one [`BlockPlan`] per biconnected component, holding its id maps
+//!   back to the parent graph and — for simple blocks — the degree-2 chain
+//!   reduction ([`ReducedGraph`] with all its `RemovedInfo` bookkeeping);
+//! * one shared [`CsrArena`] holding every block subgraph, served as
+//!   zero-copy [`CsrView`] windows by [`DecompPlan::block_graph`];
 //! * the edge→block assignment and the bridge list.
 //!
 //! Consumers (`ear-apsp`'s `build_oracle_with_plan` and `ReducedOracle`,
@@ -31,9 +32,8 @@
 //!   [`NodeOrder`]. Shared via [`Arc`] by every customization of the same
 //!   graph shape.
 //! * [`CustomizedPlan`] — everything that depends on the current edge
-//!   *weights*: the per-block subgraph weight arrays, the chain-contracted
-//!   reductions, the shared arena's weight layer, and the weight vector
-//!   itself.
+//!   *weights*: the chain-contracted reductions, the shared arena's weight
+//!   layer, and the weight vector itself.
 //!
 //! [`DecompPlan::recustomize`] recomputes only the second layer for a new
 //! weight vector — rayon-parallel over the **dirty blocks** (those
@@ -90,27 +90,23 @@ use crate::bcc::{biconnected_components, Bcc};
 use crate::block_cut::BlockCutTree;
 use crate::reduce::{reduce_graph, ReducedGraph};
 use ear_graph::{
-    edge_subgraph_into_arena, edge_subgraph_reusing, CsrArena, CsrGraph, CsrSpan, CsrView, EdgeId,
-    LayoutMode, NodeOrder, SubgraphScratch, VertexId, Weight,
+    edge_subgraph_into_arena, CsrArena, CsrGraph, CsrSpan, CsrView, EdgeId, NodeOrder,
+    SubgraphScratch, VertexId, Weight,
 };
 
-/// One biconnected component of the plan: the extracted subgraph, its id
-/// maps, and (for simple blocks) its degree-2 chain reduction.
+/// One biconnected component of the plan: its id maps and (for simple
+/// blocks) its degree-2 chain reduction. The block subgraph itself lives in
+/// the plan's shared arena ([`DecompPlan::block_graph`]).
 ///
 /// The id maps and the side table are weight-independent and sit behind
 /// [`Arc`], so a recustomization's untouched (and even touched) blocks
-/// share them with the original plan; only `sub` and `reduction` carry
+/// share them with the original plan; only `reduction` carries
 /// weight-dependent state.
 #[derive(Clone, Debug)]
 pub struct BlockPlan {
-    /// The block subgraph as an **owned** graph — `Some` exactly under
-    /// [`LayoutMode::Copied`]. Viewed plans keep every block inside the
-    /// plan's shared [`CsrArena`] instead; use [`DecompPlan::block_graph`]
-    /// for layout-independent access.
-    pub sub: Option<CsrGraph>,
-    /// Vertex count of the block (valid in both layouts).
+    /// Vertex count of the block.
     n: usize,
-    /// Edge count of the block (valid in both layouts).
+    /// Edge count of the block.
     m: usize,
     /// `local → parent` vertex ids (topology, shared across
     /// customizations).
@@ -118,9 +114,11 @@ pub struct BlockPlan {
     /// `local edge → parent edge` ids (topology, shared across
     /// customizations).
     pub to_parent_edge: Arc<Vec<EdgeId>>,
-    /// Whether `sub` is simple — the one flag all reduction guards use.
+    /// Whether the block subgraph is simple — the one flag all reduction
+    /// guards use.
     pub simple: bool,
-    /// The chain contraction of `sub`, present exactly when `simple`.
+    /// The chain contraction of the block subgraph, present exactly when
+    /// `simple`.
     pub reduction: Option<ReducedGraph>,
     /// Members of this block whose home block is a different one
     /// (articulation points, plus self-loop copies of a vertex), as sorted
@@ -165,9 +163,7 @@ pub struct PlanTopology {
     /// `vertex → local id within its home block` (`u32::MAX` for isolated
     /// vertices); the home block is `bct.vertex_block`.
     home_local: Vec<u32>,
-    /// Which block-storage layout this plan was built with.
-    layout: LayoutMode,
-    /// One arena window per block under [`LayoutMode::Viewed`].
+    /// One arena window per block, in block-id order.
     spans: Vec<CsrSpan>,
     /// BCC-clustered locality order over the parent graph's vertices:
     /// blocks in id order, home vertices of each block in local-id order
@@ -176,16 +172,16 @@ pub struct PlanTopology {
     node_order: NodeOrder,
 }
 
-/// The weight-dependent layer of a [`DecompPlan`]: per-block subgraphs and
-/// reductions under one specific weight vector, plus the shared arena's
-/// weight layer. Produced by [`DecompPlan::build`] (cold) or
-/// [`DecompPlan::recustomize`] (warm, dirty blocks only).
+/// The weight-dependent layer of a [`DecompPlan`]: per-block reductions
+/// under one specific weight vector, plus the shared arena's weight layer.
+/// Produced by [`DecompPlan::build`] (cold) or [`DecompPlan::recustomize`]
+/// (warm, dirty blocks only).
 #[derive(Clone, Debug)]
 pub struct CustomizedPlan {
     blocks: Vec<BlockPlan>,
-    /// Shared CSR storage for every block under [`LayoutMode::Viewed`]
-    /// (empty under `Copied`). Topology arrays are shared across
-    /// customizations; the weight layer belongs to this customization.
+    /// Shared CSR storage for every block. Topology arrays are shared
+    /// across customizations; the weight layer belongs to this
+    /// customization.
     arena: CsrArena,
     /// The full-graph weight vector this customization was built for —
     /// the baseline [`DecompPlan::recustomize`] diffs against.
@@ -228,22 +224,15 @@ pub struct DecompPlan {
 }
 
 impl DecompPlan {
-    /// Builds the plan with the process-default layout
-    /// ([`LayoutMode::from_env`], i.e. `EAR_CSR_VIEWS`).
-    pub fn build(g: &CsrGraph) -> DecompPlan {
-        Self::build_with_layout(g, LayoutMode::from_env())
-    }
-
     /// Builds the plan: biconnected components, block-cut tree, per-block
     /// subgraph extraction (scratch-reusing, O(n + m) total), and parallel
     /// per-block chain reduction of every simple block.
     ///
-    /// Under [`LayoutMode::Copied`] every block is extracted into its own
-    /// [`CsrGraph`]; under [`LayoutMode::Viewed`] all blocks land in one
-    /// shared [`CsrArena`] and are served as zero-copy [`CsrView`] windows
-    /// — bit-identical local ids, edge order and adjacency order either
-    /// way (the arena push mirrors standalone CSR construction exactly).
-    pub fn build_with_layout(g: &CsrGraph, layout: LayoutMode) -> DecompPlan {
+    /// All blocks land in one shared [`CsrArena`] and are served as
+    /// zero-copy [`CsrView`] windows with the local ids, edge order and
+    /// adjacency order of a standalone `edge_subgraph` extraction (the
+    /// arena push mirrors standalone CSR construction exactly).
+    pub fn build(g: &CsrGraph) -> DecompPlan {
         let _span = ear_obs::span_with("decomp.plan", g.n() as u64);
         let bcc = {
             let _s = ear_obs::span("decomp.bcc");
@@ -260,76 +249,37 @@ impl DecompPlan {
             ..
         } = bcc;
 
-        // Extract every block with one shared scratch; the component edge
-        // lists move into the blocks without copying. Copied layout builds
-        // one owned CsrGraph per block; Viewed layout appends each block's
-        // CSR windows to the shared arena instead (zero per-block
-        // adjacency allocations).
+        // Extract every block with one shared scratch into the shared
+        // arena (zero per-block adjacency allocations); the component edge
+        // lists move into the blocks without copying.
         let extract_span = ear_obs::span_with("decomp.extract", comps.len() as u64);
         let mut scratch = SubgraphScratch::new();
         let mut arena = CsrArena::new();
-        let mut spans: Vec<CsrSpan> = Vec::new();
-        // (copied graph, n, m, parent vertex map, parent edge map, simple)
-        // per block — the copied graph is None under the arena layout.
-        type Extracted = (
-            Option<CsrGraph>,
-            usize,
-            usize,
-            Vec<VertexId>,
-            Vec<EdgeId>,
-            bool,
-        );
-        let mut extracted: Vec<Extracted> = Vec::with_capacity(comps.len());
+        let mut spans: Vec<CsrSpan> = Vec::with_capacity(comps.len());
+        // (parent vertex map, parent edge map, simple) per block.
+        let mut extracted: Vec<(Vec<VertexId>, Vec<EdgeId>, bool)> =
+            Vec::with_capacity(comps.len());
         for comp in comps {
-            match layout {
-                LayoutMode::Copied => {
-                    let (sub, map) = edge_subgraph_reusing(g, comp, &mut scratch);
-                    let simple = sub.is_simple();
-                    let (n, m) = (sub.n(), sub.m());
-                    extracted.push((
-                        Some(sub),
-                        n,
-                        m,
-                        map.to_parent_vertex,
-                        map.to_parent_edge,
-                        simple,
-                    ));
-                }
-                LayoutMode::Viewed => {
-                    let (span, map) = edge_subgraph_into_arena(g, comp, &mut scratch, &mut arena);
-                    let simple = arena.view(&span).is_simple();
-                    extracted.push((
-                        None,
-                        span.n as usize,
-                        span.m as usize,
-                        map.to_parent_vertex,
-                        map.to_parent_edge,
-                        simple,
-                    ));
-                    spans.push(span);
-                }
-            }
+            let (span, map) = edge_subgraph_into_arena(g, comp, &mut scratch, &mut arena);
+            let simple = arena.view(&span).is_simple();
+            extracted.push((map.to_parent_vertex, map.to_parent_edge, simple));
+            spans.push(span);
         }
         drop(extract_span);
 
         // Chain-contract all simple blocks, in parallel across blocks. The
         // per-block sequential `reduce_graph` keeps the output bit-identical
-        // to what each pipeline used to compute on its own; it consumes a
-        // view, so both layouts share the exact same code path.
+        // to what each pipeline used to compute on its own.
         let reductions: Vec<Option<ReducedGraph>> = {
             use rayon::prelude::*;
             let _s = ear_obs::span("decomp.reduce");
             extracted
                 .par_iter()
-                .zip(0usize..)
-                .map(|((sub, n, _, _, _, simple), b)| {
-                    let _b = ear_obs::span_with("decomp.reduce.block", *n as u64);
+                .zip(&spans)
+                .map(|((_, _, simple), span)| {
+                    let _b = ear_obs::span_with("decomp.reduce.block", span.n as u64);
                     simple.then(|| {
-                        let view = match sub {
-                            Some(sub) => sub.view(),
-                            None => arena.view(&spans[b]),
-                        };
-                        reduce_graph(view).expect("simplicity was just checked")
+                        reduce_graph(arena.view(span)).expect("simplicity was just checked")
                     })
                 })
                 .collect()
@@ -339,9 +289,10 @@ impl DecompPlan {
         let blocks: Vec<BlockPlan> = extracted
             .into_iter()
             .zip(reductions)
+            .zip(&spans)
             .enumerate()
             .map(
-                |(b, ((sub, n, m, to_parent_vertex, to_parent_edge, simple), reduction))| {
+                |(b, (((to_parent_vertex, to_parent_edge, simple), reduction), span))| {
                     let mut shared = Vec::new();
                     for (l, &p) in to_parent_vertex.iter().enumerate() {
                         if bct.vertex_block[p as usize] == b as u32 {
@@ -352,9 +303,8 @@ impl DecompPlan {
                     }
                     shared.sort_unstable();
                     BlockPlan {
-                        sub,
-                        n,
-                        m,
+                        n: span.n as usize,
+                        m: span.m as usize,
                         to_parent_vertex: Arc::new(to_parent_vertex),
                         to_parent_edge: Arc::new(to_parent_edge),
                         simple,
@@ -401,9 +351,8 @@ impl DecompPlan {
                 .map(|r| r.removed_count() as u64)
                 .sum();
             ear_obs::counter_add("decomp.removed_vertices", removed);
-            // Bytes the viewed layout serves from shared storage instead of
-            // per-block copies (zero when the plan was built Copied).
-            ear_obs::counter_add("decomp.plan.view_bytes_saved", arena.used_bytes() as u64);
+            // Bytes of shared arena storage backing every block.
+            ear_obs::counter_add("decomp.plan.arena_bytes", arena.used_bytes() as u64);
         }
 
         let dirty: Vec<u32> = (0..blocks.len() as u32).collect();
@@ -415,7 +364,6 @@ impl DecompPlan {
                 edge_comp,
                 bridges,
                 home_local,
-                layout,
                 spans,
                 node_order,
             }),
@@ -431,8 +379,7 @@ impl DecompPlan {
 
     /// Recomputes only the **weight layer** for `new_weights` (indexed by
     /// parent edge id): the shared arena's weight arrays, and — for each
-    /// *dirty* block, rayon-parallel — the block subgraph's weights and its
-    /// chain reduction's weight layer, reusing the recorded chains instead
+    /// *dirty* block, rayon-parallel — its chain reduction's weight layer, reusing the recorded chains instead
     /// of re-walking degree-2 paths. No BCC split, block-cut tree, chain
     /// walk or extraction is repeated, and clean blocks' state is shared
     /// with `self` (the id maps and every topology array already sit
@@ -443,7 +390,7 @@ impl DecompPlan {
     /// current weights.
     ///
     /// The returned customization is bit-identical to the one a cold
-    /// [`DecompPlan::build_with_layout`] of the reweighted graph produces.
+    /// [`DecompPlan::build`] of the reweighted graph produces.
     /// Pair it with the shared topology via [`DecompPlan::recustomized`].
     ///
     /// # Panics
@@ -476,26 +423,23 @@ impl DecompPlan {
             (flag, dirty, changed)
         };
 
-        // Viewed layout: swap the shared arena's weight layer first (the
-        // block views below window it). The arena weight stream is indexed
-        // by arena edge record; each span's records map to parent edges
-        // through the block's edge map.
-        let arena = match self.topo.layout {
-            LayoutMode::Viewed => {
-                let _s = ear_obs::span("decomp.recustomize.arena");
-                let mut arena_w = vec![0 as Weight; self.custom.arena.edges_len()];
-                for (s, bp) in self.topo.spans.iter().zip(&self.custom.blocks) {
-                    for (i, &pe) in bp.to_parent_edge.iter().enumerate() {
-                        arena_w[s.edge as usize + i] = new_weights[pe as usize];
-                    }
+        // Swap the shared arena's weight layer first (the block views below
+        // window it). The arena weight stream is indexed by arena edge
+        // record; each span's records map to parent edges through the
+        // block's edge map.
+        let arena = {
+            let _s = ear_obs::span("decomp.recustomize.arena");
+            let mut arena_w = vec![0 as Weight; self.custom.arena.edges_len()];
+            for (s, bp) in self.topo.spans.iter().zip(&self.custom.blocks) {
+                for (i, &pe) in bp.to_parent_edge.iter().enumerate() {
+                    arena_w[s.edge as usize + i] = new_weights[pe as usize];
                 }
-                self.custom.arena.reweighted(&self.topo.spans, &arena_w)
             }
-            LayoutMode::Copied => CsrArena::new(),
+            self.custom.arena.reweighted(&self.topo.spans, &arena_w)
         };
 
-        // Per-block weight layer: dirty blocks are reweighted (subgraph
-        // weights + chain-reduction resummation), clean blocks are shared.
+        // Per-block weight layer: dirty blocks get their chain reduction
+        // resummed, clean blocks are shared.
         let blocks: Vec<BlockPlan> = {
             use rayon::prelude::*;
             let _s = ear_obs::span("decomp.recustomize.blocks");
@@ -508,21 +452,9 @@ impl DecompPlan {
                         return bp.clone();
                     }
                     let _b = ear_obs::span_with("decomp.recustomize.block", bp.n as u64);
-                    let sub = bp.sub.as_ref().map(|s| {
-                        let local_w: Vec<Weight> = bp
-                            .to_parent_edge
-                            .iter()
-                            .map(|&pe| new_weights[pe as usize])
-                            .collect();
-                        s.reweighted(&local_w)
-                    });
-                    let view = match &sub {
-                        Some(s) => s.view(),
-                        None => arena.view(&self.topo.spans[b]),
-                    };
+                    let view = arena.view(&self.topo.spans[b]);
                     let reduction = bp.reduction.as_ref().map(|r| r.reweighted(view));
                     BlockPlan {
-                        sub,
                         n: bp.n,
                         m: bp.m,
                         to_parent_vertex: Arc::clone(&bp.to_parent_vertex),
@@ -594,21 +526,10 @@ impl DecompPlan {
         self.custom.edge_weights()
     }
 
-    /// The block-storage layout this plan was built with.
-    pub fn layout(&self) -> LayoutMode {
-        self.topo.layout
-    }
-
-    /// Block `b`'s subgraph as a zero-copy [`CsrView`] — the
-    /// layout-independent access path every solver should use. Copied
-    /// plans view the block's owned graph; viewed plans window the shared
-    /// arena. Both are bit-identical (same local ids, edge order and
-    /// adjacency order).
+    /// Block `b`'s subgraph as a zero-copy [`CsrView`] window of the
+    /// shared arena — the access path every solver uses.
     pub fn block_graph(&self, b: u32) -> CsrView<'_> {
-        match &self.custom.blocks[b as usize].sub {
-            Some(sub) => sub.view(),
-            None => self.custom.arena.view(&self.topo.spans[b as usize]),
-        }
+        self.custom.arena.view(&self.topo.spans[b as usize])
     }
 
     /// The BCC-clustered locality order computed by the build (blocks in id
@@ -619,21 +540,19 @@ impl DecompPlan {
         &self.topo.node_order
     }
 
-    /// Bytes of shared arena storage backing a viewed plan's blocks (zero
-    /// for copied plans) — the allocation the viewed layout avoids.
+    /// Bytes of shared arena storage backing the plan's blocks.
     pub fn arena_bytes(&self) -> usize {
         self.custom.arena.used_bytes()
     }
 
-    /// The arena spans backing a viewed plan's blocks, one per block in
-    /// block-id order (empty for copied plans). Exposed so invariant
-    /// checkers can verify the spans tile the arena exactly.
+    /// The arena spans backing the plan's blocks, one per block in
+    /// block-id order. Exposed so invariant checkers can verify the spans
+    /// tile the arena exactly.
     pub fn spans(&self) -> &[CsrSpan] {
         &self.topo.spans
     }
 
-    /// The shared storage arena behind a viewed plan (empty for copied
-    /// plans).
+    /// The shared storage arena behind the plan's blocks.
     pub fn arena(&self) -> &CsrArena {
         &self.custom.arena
     }
@@ -819,39 +738,27 @@ mod tests {
     }
 
     #[test]
-    fn viewed_plan_matches_copied_plan() {
+    fn block_views_match_standalone_extraction() {
         for g in [
             mixed(),
             CsrGraph::from_edges(4, &[(0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 1, 1)]),
             CsrGraph::from_edges(2, &[(0, 0, 1), (0, 1, 1)]),
             CsrGraph::from_edges(0, &[]),
         ] {
-            let c = DecompPlan::build_with_layout(&g, LayoutMode::Copied);
-            let v = DecompPlan::build_with_layout(&g, LayoutMode::Viewed);
-            assert_eq!(c.n_blocks(), v.n_blocks());
-            assert_eq!(c.node_order().ranks(), v.node_order().ranks());
-            assert_eq!(c.arena_bytes(), 0);
-            for b in 0..c.n_blocks() as u32 {
-                let (cb, vb) = (c.block(b), v.block(b));
-                assert!(cb.sub.is_some() && vb.sub.is_none());
-                assert_eq!((cb.n(), cb.m()), (vb.n(), vb.m()));
-                assert_eq!(cb.to_parent_vertex, vb.to_parent_vertex);
-                assert_eq!(cb.to_parent_edge, vb.to_parent_edge);
-                assert_eq!(cb.simple, vb.simple);
-                let (cg, vg) = (c.block_graph(b), v.block_graph(b));
-                assert_eq!(cg.edges(), vg.edges());
-                for u in 0..cg.n() as u32 {
-                    assert_eq!(cg.neighbors(u), vg.neighbors(u));
-                    assert_eq!(cg.incidences(u).1, vg.incidences(u).1);
+            let plan = DecompPlan::build(&g);
+            assert_eq!(plan.spans().len(), plan.n_blocks());
+            assert_eq!(plan.arena_bytes() > 0, plan.n_blocks() > 0);
+            for b in 0..plan.n_blocks() as u32 {
+                let bp = plan.block(b);
+                let (sub, map) = ear_graph::edge_subgraph(&g, &bp.to_parent_edge);
+                assert_eq!(map.to_parent_vertex, *bp.to_parent_vertex);
+                let view = plan.block_graph(b);
+                assert_eq!((view.n(), view.m()), (bp.n(), bp.m()));
+                assert_eq!(view.edges(), sub.edges());
+                for u in 0..sub.n() as u32 {
+                    assert_eq!(view.incidences(u), sub.view().incidences(u));
                 }
-                match (&cb.reduction, &vb.reduction) {
-                    (None, None) => {}
-                    (Some(rc), Some(rv)) => {
-                        assert_eq!(rc.retained, rv.retained);
-                        assert_eq!(rc.reduced.edges(), rv.reduced.edges());
-                    }
-                    _ => panic!("reduction presence differs on block {b}"),
-                }
+                assert_eq!(bp.simple, sub.is_simple());
             }
         }
     }
@@ -941,28 +848,26 @@ mod tests {
     }
 
     #[test]
-    fn recustomized_matches_cold_build_in_both_layouts() {
+    fn recustomized_matches_cold_build() {
         let g = mixed();
         let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         w[1] = 20; // triangle block
         w[7] = 90; // bridge block
-        for layout in [LayoutMode::Copied, LayoutMode::Viewed] {
-            let plan = DecompPlan::build_with_layout(&g, layout);
-            let warm = plan.recustomized(&w);
-            let cold = DecompPlan::build_with_layout(&g.reweighted(&w), layout);
-            assert_same_customization(&warm, &cold);
-            assert!(plan.shares_topology(&warm));
-            assert!(!plan.shares_topology(&cold));
-            assert_eq!(warm.generation(), 1);
-            // Dirty set: exactly the blocks holding edges 1 and 7.
-            let want: Vec<u32> = {
-                let mut v = vec![plan.edge_comp()[1], plan.edge_comp()[7]];
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            assert_eq!(warm.dirty_blocks(), &want[..]);
-        }
+        let plan = DecompPlan::build(&g);
+        let warm = plan.recustomized(&w);
+        let cold = DecompPlan::build(&g.reweighted(&w));
+        assert_same_customization(&warm, &cold);
+        assert!(plan.shares_topology(&warm));
+        assert!(!plan.shares_topology(&cold));
+        assert_eq!(warm.generation(), 1);
+        // Dirty set: exactly the blocks holding edges 1 and 7.
+        let want: Vec<u32> = {
+            let mut v = vec![plan.edge_comp()[1], plan.edge_comp()[7]];
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        assert_eq!(warm.dirty_blocks(), &want[..]);
     }
 
     #[test]
@@ -993,6 +898,7 @@ mod tests {
             *x += 1;
         }
         let warm = plan.recustomized(&w);
+        assert!(plan.arena().shares_topology(warm.arena()));
         for (a, b) in plan.blocks().iter().zip(warm.blocks()) {
             assert!(Arc::ptr_eq(&a.to_parent_vertex, &b.to_parent_vertex));
             assert!(Arc::ptr_eq(&a.to_parent_edge, &b.to_parent_edge));
@@ -1000,9 +906,6 @@ mod tests {
                 (Some(ra), Some(rb)) => assert!(ra.shares_topology(rb)),
                 (None, None) => {}
                 _ => panic!("reduction presence changed"),
-            }
-            if let (Some(sa), Some(sb)) = (&a.sub, &b.sub) {
-                assert!(sa.shares_topology(sb));
             }
         }
     }

@@ -305,6 +305,8 @@ fn compute_chain_weights(
     for ch in &topo.chains {
         let mut acc: Weight = 0;
         for (pos, &e) in ch.edges.iter().enumerate() {
+            // Cannot overflow for graphs from `ear_graph::io`: the readers'
+            // weight contract keeps every edge-disjoint sum below INF.
             acc += g.weight(e);
             if pos < ch.interior.len() {
                 prefix_weights.push(acc);

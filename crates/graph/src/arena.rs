@@ -1,20 +1,22 @@
 //! Concatenated CSR storage for many small graphs: one allocation family,
 //! zero-copy per-graph views.
 //!
-//! The decomposition plan's copied layout builds one standalone
-//! [`CsrGraph`](crate::csr::CsrGraph) per biconnected block — four heap allocations and an
-//! allocator-chosen address per block, so a sweep over the blocks hops
-//! around the heap. A [`CsrArena`] instead appends every block into four
-//! shared arrays in block order (the plan's locality order): pushing a
-//! graph returns a [`CsrSpan`], and [`CsrArena::view`] reopens it as a
-//! zero-copy [`CsrView`] window.
+//! One standalone [`CsrGraph`](crate::csr::CsrGraph) per biconnected
+//! block would cost four heap allocations and an allocator-chosen address
+//! per block, so a sweep over the blocks would hop around the heap. A
+//! [`CsrArena`] instead appends every block into four shared arrays in
+//! block order (the plan's locality order): pushing a graph returns a
+//! [`CsrSpan`], and [`CsrArena::view`] reopens it as a zero-copy
+//! [`CsrView`] window. The decomposition plan stores all of its blocks
+//! this way.
 //!
 //! [`CsrArena::push`] runs the exact construction
 //! [`CsrGraph::from_edge_records`](crate::csr::CsrGraph::from_edge_records) runs — counting sort of the edge list
 //! into per-vertex incidence lists, self-loops contributing a single entry
 //! — so an arena window and a standalone per-block graph are bit-identical
 //! term by term (`tests` below and the layout differential suite hold both
-//! to that).
+//! to that; the testkit's `plan_invariants` checks every plan block
+//! against a standalone `edge_subgraph` extraction).
 
 use std::sync::Arc;
 
@@ -223,9 +225,7 @@ impl CsrArena {
         self.edges.len()
     }
 
-    /// Bytes of backing storage currently in use (not capacity) — what a
-    /// copied layout would have had to allocate per block to hold the same
-    /// data.
+    /// Bytes of backing storage currently in use (not capacity).
     pub fn used_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
             + self.adj.len() * std::mem::size_of::<(VertexId, EdgeId)>()

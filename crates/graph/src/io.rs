@@ -6,11 +6,21 @@
 //! interprets the matrix as an undirected graph the way the paper does:
 //! one vertex per row/column index, one edge per stored off-diagonal entry,
 //! symmetric duplicates collapsed.
+//!
+//! # Weight contract
+//!
+//! Both readers reject a file whose edge weights sum to [`INF`] or more
+//! (summed with `checked_add`, so a `u64` overflow is rejected too). Every
+//! simple path and every contracted degree-2 chain uses each edge at most
+//! once, so its length is at most the total and stays below `INF`: an
+//! accepted graph can never present a finite distance that reads as
+//! "unreachable", and chain contraction can sum weights without
+//! overflow checks.
 
 use std::io::{BufRead, Write};
 
 use crate::csr::CsrGraph;
-use crate::types::Weight;
+use crate::types::{VertexId, Weight, INF};
 
 /// Errors produced by the readers.
 #[derive(Debug)]
@@ -45,6 +55,17 @@ fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
     }
 }
 
+/// Adds the weight of the edge read at `line` to the file's running total,
+/// enforcing the [weight contract](self#weight-contract).
+fn add_weight(total: Weight, w: Weight, line: usize) -> Result<Weight, IoError> {
+    total.checked_add(w).filter(|&t| t < INF).ok_or_else(|| {
+        parse_err(
+            line,
+            format!("total edge weight reaches INF = {INF} (weight {w} after {total})"),
+        )
+    })
+}
+
 /// Reads a Matrix Market `coordinate` file as an undirected graph.
 ///
 /// * Pattern matrices get unit weights.
@@ -53,6 +74,11 @@ fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
 ///   positive integer weights.
 /// * Diagonal entries (self-loops) are skipped.
 /// * For `general` symmetry, entries `(i,j)` and `(j,i)` are collapsed.
+/// * A size line declaring more than `VertexId::MAX` rows or columns is a
+///   parse error: those indices have no vertex id.
+/// * The kept edges' weights must sum below [`INF`] (the
+///   [weight contract](self#weight-contract)); otherwise the file is
+///   rejected with a parse error at the edge that reaches it.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrGraph, IoError> {
     let mut lines = reader.lines().enumerate();
     // Header.
@@ -98,6 +124,15 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrGraph, IoError> {
                     .parse()
                     .map_err(|_| parse_err(i + 1, "bad col count"))?;
                 let nnz: usize = parts[2].parse().map_err(|_| parse_err(i + 1, "bad nnz"))?;
+                if rows.max(cols) > VertexId::MAX as usize {
+                    return Err(parse_err(
+                        i + 1,
+                        format!(
+                            "{rows} x {cols} matrix exceeds the {} vertex-id limit",
+                            VertexId::MAX
+                        ),
+                    ));
+                }
                 break (rows.max(cols), nnz, i + 1);
             }
             None => return Err(parse_err(0, "missing size line")),
@@ -106,6 +141,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrGraph, IoError> {
     let _ = size_line;
     let mut seen = std::collections::HashSet::new();
     let mut edges = Vec::new();
+    let mut total: Weight = 0;
     for (i, l) in lines {
         let l = l?;
         let t = l.trim();
@@ -136,6 +172,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrGraph, IoError> {
         let (a, b) = ((r - 1) as u32, (c - 1) as u32);
         let key = if a < b { (a, b) } else { (b, a) };
         if seen.insert(key) {
+            total = add_weight(total, w, i + 1)?;
             edges.push((key.0, key.1, w));
         }
     }
@@ -155,9 +192,14 @@ fn weight_of(s: &str) -> Option<Weight> {
 /// Reads a whitespace-separated weighted edge list: each non-comment line is
 /// `u v [w]` with zero-based vertex ids; `w` defaults to 1. The vertex count
 /// is `max id + 1` unless a larger `min_n` is given.
+///
+/// The weights must sum below [`INF`] (the
+/// [weight contract](self#weight-contract)); otherwise the file is
+/// rejected with a parse error at the edge that reaches it.
 pub fn read_edge_list<R: BufRead>(reader: R, min_n: usize) -> Result<CsrGraph, IoError> {
     let mut edges: Vec<(u32, u32, Weight)> = Vec::new();
     let mut n = min_n;
+    let mut total: Weight = 0;
     for (i, l) in reader.lines().enumerate() {
         let l = l?;
         let t = l.trim();
@@ -175,6 +217,7 @@ pub fn read_edge_list<R: BufRead>(reader: R, min_n: usize) -> Result<CsrGraph, I
         } else {
             1
         };
+        total = add_weight(total, w, i + 1)?;
         n = n.max(u as usize + 1).max(v as usize + 1);
         edges.push((u, v, w));
     }
@@ -259,6 +302,59 @@ mod tests {
         let g = read_edge_list(Cursor::new("0 1\n"), 10).unwrap();
         assert_eq!(g.n(), 10);
         assert_eq!(g.weight(0), 1);
+    }
+
+    #[test]
+    fn matrix_market_rejects_sizes_beyond_vertex_ids() {
+        // 2^32 + 1 rows: vertex 2^32 would fold onto vertex 0 as a u32.
+        let text =
+            "%%MatrixMarket matrix coordinate pattern general\n4294967297 2 1\n4294967297 1\n";
+        match read_matrix_market(Cursor::new(text)) {
+            Err(IoError::Parse { line: 2, .. }) => {}
+            other => panic!("expected a size-line parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn readers_reject_a_single_weight_at_inf() {
+        let el = format!("0 1 {INF}\n");
+        assert!(matches!(
+            read_edge_list(Cursor::new(el), 0),
+            Err(IoError::Parse { line: 1, .. })
+        ));
+        let mm = format!("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 {INF}\n");
+        assert!(matches!(
+            read_matrix_market(Cursor::new(mm)),
+            Err(IoError::Parse { line: 3, .. })
+        ));
+        // Just below the bound is accepted.
+        let g = read_edge_list(Cursor::new(format!("0 1 {}\n", INF - 1)), 0).unwrap();
+        assert_eq!(g.weight(0), INF - 1);
+    }
+
+    #[test]
+    fn readers_reject_weights_whose_sum_overflows() {
+        // 5 + u64::MAX wraps: checked_add catches it.
+        let el = format!("0 1 5\n1 2 {}\n", u64::MAX);
+        assert!(matches!(
+            read_edge_list(Cursor::new(el), 0),
+            Err(IoError::Parse { line: 2, .. })
+        ));
+        let mm = format!(
+            "%%MatrixMarket matrix coordinate integer general\n3 3 2\n1 2 5\n2 3 {}\n",
+            u64::MAX
+        );
+        assert!(matches!(
+            read_matrix_market(Cursor::new(mm)),
+            Err(IoError::Parse { line: 4, .. })
+        ));
+        // Each weight alone below INF, the running sum reaching it.
+        let half = INF / 2 + 1;
+        let el = format!("0 1 {half}\n1 2 {half}\n");
+        assert!(matches!(
+            read_edge_list(Cursor::new(el), 0),
+            Err(IoError::Parse { line: 2, .. })
+        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Node orderings and the layout-mode switch for cache-aware CSR storage.
+//! Node orderings for cache-aware CSR storage.
 //!
 //! A [`NodeOrder`] is a bijection between *original* vertex ids (the ids
 //! the caller built the graph with, stable at every public API boundary)
@@ -13,15 +13,7 @@
 //! whole-graph variant so the permutation machinery can be exercised (and
 //! benchmarked) without a plan.
 //!
-//! [`LayoutMode`] selects how the plan stores its per-block graphs:
-//! `Copied` (one standalone [`CsrGraph`] per block, the differential
-//! baseline) or `Viewed` (zero-copy windows of a shared
-//! [`CsrArena`](crate::arena::CsrArena)). Both paths feed the same
-//! [`CsrView`](crate::view::CsrView)-based solvers and are bit-identical.
-//!
 //! [`CsrGraph::permute`]: crate::csr::CsrGraph::permute
-
-use std::sync::OnceLock;
 
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
@@ -156,29 +148,6 @@ impl NodeOrder {
     }
 }
 
-/// How the decomposition plan stores per-block graphs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LayoutMode {
-    /// One standalone [`CsrGraph`] per block — the retained differential
-    /// baseline.
-    Copied,
-    /// Zero-copy [`CsrView`](crate::view::CsrView) windows of one shared
-    /// [`CsrArena`](crate::arena::CsrArena) laid out in block order.
-    Viewed,
-}
-
-impl LayoutMode {
-    /// Reads the process-wide default from `EAR_CSR_VIEWS` (cached on
-    /// first call): `1`/`true`/`on` select [`LayoutMode::Viewed`].
-    pub fn from_env() -> LayoutMode {
-        static MODE: OnceLock<LayoutMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("EAR_CSR_VIEWS").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") => LayoutMode::Viewed,
-            _ => LayoutMode::Copied,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,11 +198,5 @@ mod tests {
         let by_rank = o.permute(&by_node);
         assert_eq!(by_rank, vec![11, 13, 10, 12]);
         assert_eq!(o.unpermute(&by_rank), by_node);
-    }
-
-    #[test]
-    fn layout_mode_env_parses() {
-        let m = LayoutMode::from_env();
-        assert!(matches!(m, LayoutMode::Copied | LayoutMode::Viewed));
     }
 }

@@ -29,7 +29,6 @@ pub mod dijkstra;
 pub mod engine;
 pub mod io;
 pub mod layout;
-pub mod multi;
 pub mod spanning;
 pub mod subgraph;
 pub mod traverse;
@@ -41,11 +40,7 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dijkstra::{dijkstra, dijkstra_tree, dijkstra_with_stats, DijkstraStats, SsspTree};
 pub use engine::{with_engine, SsspEngine};
-pub use layout::{LayoutMode, NodeOrder};
-pub use multi::{
-    lane_batches, with_multi_engine, BatchPolicy, LaneMask, MultiSsspEngine, SsspMode, LANES,
-    MAX_BATCH_VERTICES, MIN_BATCH_VERTICES,
-};
+pub use layout::NodeOrder;
 pub use spanning::{non_tree_edges, spanning_forest, tree_edge_flags};
 pub use subgraph::{
     edge_subgraph, edge_subgraph_into_arena, edge_subgraph_reusing, induced_subgraph,

@@ -15,17 +15,12 @@
 //! [`HeteroExecutor::run_concurrent`] is the wall-clock twin used by tests
 //! and examples: one OS thread per device, genuinely concurrent, no model.
 //!
-//! Kernels that run SSSP should go through `ear_graph::with_engine` — or
-//! `ear_graph::with_multi_engine` when a workunit is a lane batch of
-//! sources — rather than allocating scratch inline: batches execute on
-//! short-lived Rayon worker threads, and the engine pools' thread-local
-//! slot plus global free list keeps warm, pre-sized scratch flowing
-//! between batches instead of reallocating per workunit. A lane batch is
-//! the preferred workunit shape for multi-source phases (the APSP oracle
-//! builders use it): the kernel returns one result *per source* in the
-//! batch (`Vec<R>`) with the per-source counters summed into the unit's
-//! [`WorkCounters`], and the size hint scales with the batch width so the
-//! queue still orders by real work.
+//! Kernels that run SSSP should go through `ear_graph::with_engine`
+//! rather than allocating scratch inline: batches execute on short-lived
+//! Rayon worker threads, and the engine pool's thread-local slot plus
+//! global free list keeps warm, pre-sized scratch flowing between batches
+//! instead of reallocating per workunit. The APSP oracle builders use one
+//! workunit per (block, source) pair, sized by the block's edge count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -743,37 +738,6 @@ mod tests {
         assert_eq!(out.report.total_units(), 4000);
         let relaxed: u64 = out.report.total_counters().edges_relaxed;
         assert_eq!(relaxed, units.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn lane_batched_workunits_round_trip_in_order() {
-        // The APSP oracle builders' batched workunit shape: a unit is a
-        // (start, len) source range, the kernel returns one row per source
-        // with the per-source counters summed, and the size hint scales
-        // with the batch width.
-        let ex = HeteroExecutor::cpu_gpu();
-        let total = 1000u64;
-        let units: Vec<(u64, u64)> = (0..total)
-            .step_by(8)
-            .map(|start| (start, (total - start).min(8)))
-            .collect();
-        let out = ex.run(
-            units.clone(),
-            |&(_, len)| 10 * len,
-            |&(start, len)| {
-                let rows: Vec<u64> = (start..start + len).map(|s| s * s).collect();
-                let c = WorkCounters {
-                    edges_relaxed: len,
-                    ..Default::default()
-                };
-                (rows, c)
-            },
-        );
-        let flat: Vec<u64> = out.results.into_iter().flatten().collect();
-        let expect: Vec<u64> = (0..total).map(|s| s * s).collect();
-        assert_eq!(flat, expect, "per-lane rows must flatten in source order");
-        assert_eq!(out.report.total_units(), units.len());
-        assert_eq!(out.report.total_counters().edges_relaxed, total);
     }
 
     #[test]

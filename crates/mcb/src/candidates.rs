@@ -15,7 +15,7 @@
 //! (the paper's "setting off the MSB"), nodes compacted once half-dead.
 
 use ear_decomp::fvs::feedback_vertex_set;
-use ear_graph::{with_multi_engine, CsrGraph, EdgeId, SsspMode, SsspTree, VertexId, Weight, LANES};
+use ear_graph::{CsrGraph, EdgeId, SsspTree, VertexId, Weight};
 use ear_hetero::WorkCounters;
 use rayon::prelude::*;
 
@@ -222,61 +222,24 @@ impl Candidates {
 /// runs on the Rayon pool and the cost groups are recorded for the device
 /// replay).
 pub fn generate(g: &CsrGraph) -> Candidates {
-    generate_with_mode(g, SsspMode::from_env())
-}
-
-/// [`generate`] with an explicit [`SsspMode`]. In `Batched` mode the FVS
-/// roots are consumed in [`LANES`]-wide chunks through the lane engine —
-/// one CSR edge scan per relaxation round serves every root of the chunk —
-/// while chunk order and in-chunk lane order preserve the per-root
-/// sequence, so `tree_units` and every downstream candidate are
-/// bit-identical to the scalar path.
-pub fn generate_with_mode(g: &CsrGraph, sssp: SsspMode) -> Candidates {
     let z = feedback_vertex_set(g);
     let m_hint = g.m() as u64 + 1;
-    let results: Vec<(SsspTree, WorkCounters)> = match sssp {
-        SsspMode::Scalar => z
-            .par_iter()
-            .map(|&root| {
-                // Pooled engine: scratch survives across the roots a worker
-                // thread handles.
-                ear_graph::with_engine(|eng| {
-                    let stats = eng.run_tree(g, root);
-                    let c = WorkCounters {
-                        edges_relaxed: stats.edges_relaxed,
-                        vertices_settled: stats.settled,
-                        ..Default::default()
-                    };
-                    (eng.tree(), c)
-                })
+    let results: Vec<(SsspTree, WorkCounters)> = z
+        .par_iter()
+        .map(|&root| {
+            // Pooled engine: scratch survives across the roots a worker
+            // thread handles.
+            ear_graph::with_engine(|eng| {
+                let stats = eng.run_tree(g, root);
+                let c = WorkCounters {
+                    edges_relaxed: stats.edges_relaxed,
+                    vertices_settled: stats.settled,
+                    ..Default::default()
+                };
+                (eng.tree(), c)
             })
-            .collect(),
-        SsspMode::Batched => {
-            // FVS members are distinct, so a chunk never carries duplicate
-            // sources; short tails fall back inside the engine itself.
-            let chunks: Vec<&[VertexId]> = z.chunks(LANES).collect();
-            let per_chunk: Vec<Vec<(SsspTree, WorkCounters)>> = chunks
-                .par_iter()
-                .map(|&chunk| {
-                    with_multi_engine(|me| {
-                        me.run_batch_trees(g, chunk);
-                        (0..chunk.len())
-                            .map(|lane| {
-                                let stats = me.stats(lane);
-                                let c = WorkCounters {
-                                    edges_relaxed: stats.edges_relaxed,
-                                    vertices_settled: stats.settled,
-                                    ..Default::default()
-                                };
-                                (me.tree(lane), c)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            per_chunk.into_iter().flatten().collect()
-        }
-    };
+        })
+        .collect();
     let tree_units = group_units(m_hint, results.iter().map(|(_, c)| *c));
     let trees: Vec<SsspTree> = results.into_iter().map(|(t, _)| t).collect();
 

@@ -233,18 +233,10 @@ fn run_blocks(
                 cycles.push(remap_cycle(g, &parent_cs, &bp.to_parent_edge, sub_edges));
             }
         } else {
-            // De Pina needs owned storage; copied plans lend the block
-            // directly, viewed plans materialize it (the escape hatch is
-            // bit-identical to the copied block by construction).
-            let owned;
-            let sub = match &bp.sub {
-                Some(sub) => sub,
-                None => {
-                    owned = plan.block_graph(b).materialize();
-                    &owned
-                }
-            };
-            let (basis_s, t) = depina_mcb_traced(sub, &opts);
+            // De Pina needs owned storage: materialize the block's arena
+            // window.
+            let sub = plan.block_graph(b).materialize();
+            let (basis_s, t) = depina_mcb_traced(&sub, &opts);
             trace.merge(t);
             for c in basis_s {
                 cycles.push(remap_cycle(g, &parent_cs, &bp.to_parent_edge, c.edges));

@@ -15,8 +15,10 @@
 //!   (Lemma 3.1's `dim MCB(G) = dim MCB(G^r)`), and distance preservation
 //!   between retained vertices;
 //! * [`plan_invariants`] — a [`DecompPlan`] partitions the edge set into
-//!   blocks, its id maps agree with the block-cut tree, and its stored
-//!   per-block reductions are identical to fresh [`reduce_graph`] runs;
+//!   blocks, its id maps agree with the block-cut tree, every arena block
+//!   view equals a standalone [`edge_subgraph`] extraction edge for edge,
+//!   and its stored per-block reductions are identical to fresh
+//!   [`reduce_graph`] runs;
 //! * [`customization_invariants`] — [`DecompPlan::recustomized`] shares
 //!   the topology layer, marks dirty exactly the blocks containing a
 //!   changed edge, and is bit-identical to a cold build on the reweighted
@@ -25,10 +27,6 @@
 //!   made of genuine cycle vectors;
 //! * [`exactly_once`] — a heterogeneous execution processed every
 //!   workunit exactly once across all devices;
-//! * [`multi_source_invariants`] — a lane-batched multi-source SSSP run
-//!   is an honest bundle of independent Dijkstras: per-lane distance
-//!   axioms, bit-identity of every lane against the scalar engine, and
-//!   exactly-once settled-mask accounting;
 //! * [`trace_invariants`] — a captured `ear-obs` trace is well-formed:
 //!   spans nest properly per thread with non-regressing timestamps, every
 //!   `hetero.unit` span opened is closed exactly once (the tracing-level
@@ -39,9 +37,7 @@ use ear_apsp::matrix::DistMatrix;
 use ear_apsp::oracle::DistanceOracle;
 use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::{reduce_graph, ReducedGraph};
-use ear_graph::{
-    connected_components, dijkstra, edge_subgraph, CsrGraph, LayoutMode, VertexId, Weight, INF,
-};
+use ear_graph::{connected_components, dijkstra, edge_subgraph, CsrGraph, VertexId, Weight, INF};
 use ear_hetero::executor::ExecutionReport;
 use ear_mcb::cycle_space::{Cycle, CycleSpace};
 
@@ -292,8 +288,11 @@ pub fn reduction_invariants(g: &CsrGraph) -> Result<(), String> {
 /// to own: the blocks partition the edge set, every block member (including
 /// articulation-point copies and self-loop singletons) round-trips through
 /// the local/parent id maps consistently with the block-cut tree, the
-/// simplicity flags are honest, and each stored reduction is identical to a
-/// fresh [`reduce_graph`] run on an independently extracted subgraph.
+/// simplicity flags are honest, every block's arena view equals an
+/// independent [`edge_subgraph`] extraction (the standalone-graph reference
+/// layout) edge for edge and incidence for incidence, and each stored
+/// reduction is identical to a fresh [`reduce_graph`] run on that
+/// extraction.
 pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
     if plan.n() != g.n() || plan.m() != g.m() {
         return Err(format!(
@@ -356,9 +355,7 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
         }
     }
 
-    // 3. Simplicity flags and reduction presence are honest (checked
-    //    through the layout-independent view accessor, so viewed plans are
-    //    held to the same standard as copied ones).
+    // 3. Simplicity flags and reduction presence are honest.
     for (b, bp) in plan.blocks().iter().enumerate() {
         let bg = plan.block_graph(b as u32);
         if bp.simple != bg.is_simple() {
@@ -377,18 +374,40 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
         }
     }
 
-    // 4. Stored reductions match a fresh extraction + reduction, edge for
-    //    edge (the differential guarantee the shared-plan pipelines rely
-    //    on).
+    // 4. Every block view equals a standalone extraction — same local ids,
+    //    edge records and per-vertex incidence order — and stored
+    //    reductions match a fresh reduction of it, edge for edge (the
+    //    differential guarantee the shared-plan pipelines rely on).
     for (b, bp) in plan.blocks().iter().enumerate() {
-        let (sub, _) = edge_subgraph(g, &bp.to_parent_edge);
-        let sub_edges: Vec<_> = sub.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+        let (sub, map) = edge_subgraph(g, &bp.to_parent_edge);
         let bg = plan.block_graph(b as u32);
-        let bp_edges: Vec<_> = bg.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
-        if sub_edges != bp_edges {
+        if (bg.n(), bg.m()) != (sub.n(), sub.m()) {
             return Err(format!(
-                "block {b}: stored subgraph differs from extraction"
+                "block {b}: view is {}x{} but the extraction is {}x{}",
+                bg.n(),
+                bg.m(),
+                sub.n(),
+                sub.m()
             ));
+        }
+        if map.to_parent_vertex != *bp.to_parent_vertex {
+            return Err(format!(
+                "block {b}: local vertex ids differ from extraction"
+            ));
+        }
+        if let Some(i) = (0..sub.m()).find(|&i| bg.edges()[i] != sub.edges()[i]) {
+            return Err(format!(
+                "block {b}: edge {i} is {:?} in the view but {:?} in the extraction",
+                bg.edges()[i],
+                sub.edges()[i]
+            ));
+        }
+        for u in 0..sub.n() as u32 {
+            if bg.incidences(u) != sub.view().incidences(u) {
+                return Err(format!(
+                    "block {b} vertex {u}: incidence stream differs from extraction"
+                ));
+            }
         }
         let Some(r) = &bp.reduction else { continue };
         let fresh = reduce_graph(sub.view())
@@ -422,11 +441,8 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
 /// Checks the cache-aware layout artifacts of a [`DecompPlan`] built from
 /// `g`: the locality [`NodeOrder`](ear_graph::NodeOrder) is a bijection
 /// that clusters each block's home vertices into a contiguous rank range
-/// (blocks in id order, isolated vertices last), and the block storage is
-/// honest for the plan's [`LayoutMode`] — copied plans own one standalone
-/// graph per block and no arena, viewed plans own no per-block graphs and
-/// their spans tile the shared arena exactly once with no gaps or
-/// overlaps.
+/// (blocks in id order, isolated vertices last), and the block spans tile
+/// the shared arena exactly once with no gaps or overlaps.
 pub fn layout_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
     // 1. The order is a bijection on the vertex set: rank and node arrays
     //    are mutually inverse over 0..n.
@@ -477,80 +493,56 @@ pub fn layout_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> 
         }
     }
 
-    // 3. Storage honesty per layout mode.
-    match plan.layout() {
-        LayoutMode::Copied => {
-            for (b, bp) in plan.blocks().iter().enumerate() {
-                if bp.sub.is_none() {
-                    return Err(format!("copied plan: block {b} has no owned subgraph"));
-                }
-            }
-            if plan.arena_bytes() != 0 || !plan.spans().is_empty() {
-                return Err(format!(
-                    "copied plan carries arena storage: {} bytes, {} spans",
-                    plan.arena_bytes(),
-                    plan.spans().len()
-                ));
-            }
+    // 3. One span per block; the spans tile the arena arrays exactly
+    //    once, in block order: each window starts where the previous one
+    //    ended, and the last ends at the arena's high-water mark.
+    if plan.spans().len() != plan.n_blocks() {
+        return Err(format!(
+            "plan has {} spans for {} blocks",
+            plan.spans().len(),
+            plan.n_blocks()
+        ));
+    }
+    let arena = plan.arena();
+    let (mut off, mut adj, mut edge) = (0u32, 0u32, 0u32);
+    for (b, s) in plan.spans().iter().enumerate() {
+        let bp = plan.block(b as u32);
+        if s.n as usize != bp.n() || s.m as usize != bp.m() {
+            return Err(format!(
+                "span {b} is {}x{} but the block plan says {}x{}",
+                s.n,
+                s.m,
+                bp.n(),
+                bp.m()
+            ));
         }
-        LayoutMode::Viewed => {
-            for (b, bp) in plan.blocks().iter().enumerate() {
-                if bp.sub.is_some() {
-                    return Err(format!("viewed plan: block {b} owns a per-block copy"));
-                }
-            }
-            if plan.spans().len() != plan.n_blocks() {
-                return Err(format!(
-                    "viewed plan has {} spans for {} blocks",
-                    plan.spans().len(),
-                    plan.n_blocks()
-                ));
-            }
-            // The spans tile the arena arrays exactly once, in block order:
-            // each window starts where the previous one ended, and the last
-            // ends at the arena's high-water mark.
-            let arena = plan.arena();
-            let (mut off, mut adj, mut edge) = (0u32, 0u32, 0u32);
-            for (b, s) in plan.spans().iter().enumerate() {
-                let bp = plan.block(b as u32);
-                if s.n as usize != bp.n() || s.m as usize != bp.m() {
-                    return Err(format!(
-                        "span {b} is {}x{} but the block plan says {}x{}",
-                        s.n,
-                        s.m,
-                        bp.n(),
-                        bp.m()
-                    ));
-                }
-                if s.off != off || s.adj != adj || s.edge != edge {
-                    return Err(format!(
-                        "span {b} windows ({}, {}, {}) leave a gap or overlap after ({off}, {adj}, {edge})",
-                        s.off, s.adj, s.edge
-                    ));
-                }
-                off += s.n + 1;
-                adj += s.adj_len;
-                edge += s.m;
-            }
-            if off as usize != arena.offsets_len()
-                || adj as usize != arena.adj_len()
-                || edge as usize != arena.edges_len()
-            {
-                return Err(format!(
-                    "spans cover ({off}, {adj}, {edge}) of the arena's ({}, {}, {})",
-                    arena.offsets_len(),
-                    arena.adj_len(),
-                    arena.edges_len()
-                ));
-            }
-            if plan.n_blocks() > 0 && plan.arena_bytes() == 0 {
-                return Err("viewed plan with blocks reports zero arena bytes".into());
-            }
+        if s.off != off || s.adj != adj || s.edge != edge {
+            return Err(format!(
+                "span {b} windows ({}, {}, {}) leave a gap or overlap after ({off}, {adj}, {edge})",
+                s.off, s.adj, s.edge
+            ));
         }
+        off += s.n + 1;
+        adj += s.adj_len;
+        edge += s.m;
+    }
+    if off as usize != arena.offsets_len()
+        || adj as usize != arena.adj_len()
+        || edge as usize != arena.edges_len()
+    {
+        return Err(format!(
+            "spans cover ({off}, {adj}, {edge}) of the arena's ({}, {}, {})",
+            arena.offsets_len(),
+            arena.adj_len(),
+            arena.edges_len()
+        ));
+    }
+    if plan.n_blocks() > 0 && plan.arena_bytes() == 0 {
+        return Err("plan with blocks reports zero arena bytes".into());
     }
 
-    // 4. The layout-independent accessor serves windows whose dimensions
-    //    match the block plans in both modes.
+    // 4. The block accessor serves windows whose dimensions match the
+    //    block plans.
     for b in 0..plan.n_blocks() as u32 {
         let bg = plan.block_graph(b);
         let bp = plan.block(b);
@@ -581,7 +573,7 @@ pub fn layout_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> 
 /// * **cold-build bit-identity** — every block graph (edges and
 ///   incidence streams), every reduction (reduced edges and per-removed-
 ///   vertex `w_left`/`w_right`), and the stored weight vector equal those
-///   of a cold `DecompPlan::build_with_layout` on the reweighted graph.
+///   of a cold `DecompPlan::build` on the reweighted graph.
 pub fn customization_invariants(
     g: &CsrGraph,
     plan: &DecompPlan,
@@ -646,7 +638,7 @@ pub fn customization_invariants(
     }
 
     // 3. Bit-identity against a cold build of the reweighted graph.
-    let cold = DecompPlan::build_with_layout(&g.reweighted(new_weights), plan.layout());
+    let cold = DecompPlan::build(&g.reweighted(new_weights));
     if warm.edge_weights() != cold.edge_weights() {
         return Err("stored weight vectors differ from the cold build".into());
     }
@@ -694,124 +686,6 @@ pub fn customization_invariants(
                     "block {b}: reduction presence differs from the cold build"
                 ))
             }
-        }
-    }
-    Ok(())
-}
-
-/// Checks that a lane-batched multi-source SSSP run over `sources` is an
-/// honest bundle of independent single-source Dijkstras.
-///
-/// Runs a fresh [`MultiSsspEngine`](ear_graph::MultiSsspEngine) tree
-/// batch and verifies, per lane:
-///
-/// * **distance axioms** — the source sits at distance 0, every edge
-///   `u–v` of weight `w` satisfies the relaxation inequality
-///   `d(v) ≤ d(u) + w` on finite `d(u)`, and unreachable vertices answer
-///   `INF`;
-/// * **lane/scalar equality** — distances, statistics and the full
-///   shortest-path tree are bit-identical to a scalar
-///   [`SsspEngine`](ear_graph::SsspEngine) run from the same source;
-/// * **settled exactly once** — the lane's settle order names each vertex
-///   at most once, its length equals `stats.settled`, and the per-vertex
-///   settled bitmask holds the lane's bit exactly for the vertices that
-///   order names (and for no lane index ≥ the batch width).
-pub fn multi_source_invariants(g: &CsrGraph, sources: &[VertexId]) -> Result<(), String> {
-    use ear_graph::MultiSsspEngine;
-
-    if sources.is_empty() || sources.len() > ear_graph::LANES {
-        return Err(format!(
-            "batch must hold 1..={} sources, got {}",
-            ear_graph::LANES,
-            sources.len()
-        ));
-    }
-    let mut me = MultiSsspEngine::new();
-    me.run_batch_trees(g, sources);
-    let mut scalar = ear_graph::SsspEngine::new();
-    let n = g.n();
-
-    let mut settled_seen = vec![0u8; n];
-    for (lane, &s) in sources.iter().enumerate() {
-        let dv = me.dist_vec(lane);
-
-        // Distance axioms.
-        if dv[s as usize] != 0 {
-            return Err(format!("lane {lane}: d(source {s}) = {}", dv[s as usize]));
-        }
-        for e in g.edges() {
-            if e.is_self_loop() {
-                continue;
-            }
-            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
-                let da = dv[a as usize];
-                if da < INF && dv[b as usize] > da + e.w {
-                    return Err(format!(
-                        "lane {lane}: edge {a}–{b} (w {}) under-relaxed: d({b}) = {} > {}",
-                        e.w,
-                        dv[b as usize],
-                        da + e.w
-                    ));
-                }
-            }
-        }
-
-        // Bit-identity against the scalar engine.
-        let sstats = scalar.run_tree(g, s);
-        if me.stats(lane) != sstats {
-            return Err(format!(
-                "lane {lane}: stats {:?} != scalar {sstats:?}",
-                me.stats(lane)
-            ));
-        }
-        if dv != scalar.dist_vec() {
-            return Err(format!("lane {lane}: dist_vec diverges from scalar"));
-        }
-        let st = scalar.tree();
-        let mt = me.tree(lane);
-        if mt != st {
-            return Err(format!("lane {lane}: tree diverges from scalar"));
-        }
-
-        // Settled exactly once, and exactly the finite-distance vertices.
-        let order = me.settle_order(lane);
-        if order.len() as u64 != me.stats(lane).settled {
-            return Err(format!(
-                "lane {lane}: settle order names {} vertices, stats say {}",
-                order.len(),
-                me.stats(lane).settled
-            ));
-        }
-        let bit = 1u8 << lane;
-        for &v in order {
-            if settled_seen[v as usize] & bit != 0 {
-                return Err(format!("lane {lane}: vertex {v} settled twice"));
-            }
-            settled_seen[v as usize] |= bit;
-        }
-        for v in 0..n as u32 {
-            let settled = settled_seen[v as usize] & bit != 0;
-            if settled != (dv[v as usize] < INF) {
-                return Err(format!(
-                    "lane {lane}: vertex {v} settled={settled} but d = {}",
-                    dv[v as usize]
-                ));
-            }
-        }
-    }
-    for v in 0..n as u32 {
-        let mask = me.settled_lanes(v);
-        if mask != settled_seen[v as usize] {
-            return Err(format!(
-                "vertex {v}: settled mask {mask:#b} but settle orders say {:#b}",
-                settled_seen[v as usize]
-            ));
-        }
-        if (mask as u32) >> sources.len() != 0 {
-            return Err(format!(
-                "vertex {v}: settled mask {mask:#b} has bits beyond the {} batch lanes",
-                sources.len()
-            ));
         }
     }
     Ok(())
@@ -1059,28 +933,6 @@ mod tests {
         let mut regressing = good.clone();
         regressing.threads[0].events[3].ts_ns = 1;
         assert!(trace_invariants(&regressing, None).is_err());
-    }
-
-    #[test]
-    fn multi_source_invariants_hold_on_mixed_batches() {
-        // Two components: lanes sourced in one must leave the other
-        // unsettled; duplicate sources exercise the fallback path.
-        let g = CsrGraph::from_edges(
-            7,
-            &[
-                (0, 1, 1),
-                (1, 2, 2),
-                (2, 0, 4),
-                (3, 4, 1),
-                (4, 5, 2),
-                (5, 6, 1),
-                (6, 3, 3),
-            ],
-        );
-        multi_source_invariants(&g, &[0, 3, 2, 5]).unwrap();
-        multi_source_invariants(&g, &[1]).unwrap();
-        multi_source_invariants(&g, &[4, 4, 0]).unwrap();
-        assert!(multi_source_invariants(&g, &[]).is_err());
     }
 
     #[test]

@@ -9,18 +9,20 @@
 //!    mapped back through the inverse: Dijkstra distance vectors, APSP
 //!    oracle tables, MCB weight/dimension, and the permutation-invariant
 //!    engine counters (`settled`, `edges_relaxed`).
-//! 2. **Viewed ≡ Copied** — a `DecompPlan` built with
-//!    `LayoutMode::Viewed` (zero-copy arena windows) is indistinguishable
-//!    from one built with `LayoutMode::Copied` (per-block rebuilt CSRs)
-//!    to every consumer: same blocks, same reductions, same oracle
-//!    tables, same MCB basis, and both satisfy
+//!    The plan's own BCC-clustered order is the layout that matters, so
+//!    every consumer is also run on the graph permuted by it.
+//! 2. **Views ≡ copies** — a `DecompPlan`'s zero-copy arena windows are
+//!    bit-identical to standalone per-block CSRs extracted with
+//!    `edge_subgraph` (same local ids, edge records, adjacency order and
+//!    reductions), and every plan satisfies
 //!    `ear_testkit::invariants::layout_invariants`.
 
 use std::sync::Arc;
 
 use ear_apsp::{build_oracle_with_plan, ApspMethod, ReducedOracle};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{dijkstra, LayoutMode, NodeOrder, SsspEngine};
+use ear_decomp::reduce::reduce_graph;
+use ear_graph::{dijkstra, edge_subgraph, NodeOrder, SsspEngine};
 use ear_hetero::HeteroExecutor;
 use ear_mcb::{mcb, mcb_with_plan, ExecMode, McbConfig};
 use ear_testkit::invariants::{layout_invariants, plan_invariants};
@@ -42,52 +44,50 @@ fn families() -> Vec<(&'static str, GraphStrategy)> {
     ]
 }
 
-/// Both layout modes satisfy the structural plan invariants and the
-/// layout-specific ones (order bijection, contiguous block ranges, exact
-/// arena tiling) on every family.
+/// Every plan satisfies the structural plan invariants and the layout
+/// ones (order bijection, contiguous block ranges, exact arena tiling) on
+/// every family.
 #[test]
 fn layout_invariants_hold_on_every_family() {
     for (name, strat) in families() {
         forall(format!("layout_invariants/{name}").leak())
             .cases(16)
             .run(&strat, |g| {
-                for mode in [LayoutMode::Copied, LayoutMode::Viewed] {
-                    let plan = DecompPlan::build_with_layout(g, mode);
-                    plan_invariants(g, &plan)?;
-                    layout_invariants(g, &plan)?;
-                }
-                Ok(())
+                let plan = DecompPlan::build(g);
+                plan_invariants(g, &plan)?;
+                layout_invariants(g, &plan)
             });
     }
 }
 
-/// A viewed plan's blocks, reductions and node order are term-for-term
-/// identical to a copied plan's.
+/// A plan's arena-viewed blocks and reductions are term-for-term identical
+/// to standalone copies: each block extracted on its own with
+/// `edge_subgraph` and reduced with `reduce_graph`.
 #[test]
 fn viewed_plan_is_bit_identical_to_copied() {
     for (name, strat) in families() {
         forall(format!("viewed_vs_copied/{name}").leak())
             .cases(16)
             .run(&strat, |g| {
-                let c = DecompPlan::build_with_layout(g, LayoutMode::Copied);
-                let v = DecompPlan::build_with_layout(g, LayoutMode::Viewed);
-                if c.node_order().ranks() != v.node_order().ranks() {
-                    return Err("node orders diverge across layouts".into());
-                }
-                if c.n_blocks() != v.n_blocks() {
-                    return Err("block counts diverge across layouts".into());
-                }
-                for b in 0..c.n_blocks() as u32 {
-                    let (cg, vg) = (c.block_graph(b), v.block_graph(b));
-                    if cg.edges() != vg.edges() {
+                let v = DecompPlan::build(g);
+                for b in 0..v.n_blocks() as u32 {
+                    let (copy, map) = edge_subgraph(g, &v.block(b).to_parent_edge);
+                    let vg = v.block_graph(b);
+                    if map.to_parent_vertex != *v.block(b).to_parent_vertex {
+                        return Err(format!("block {b}: local ids diverge"));
+                    }
+                    if copy.edges() != vg.edges() {
                         return Err(format!("block {b}: edge records diverge"));
                     }
-                    for u in 0..cg.n() as u32 {
-                        if cg.incidences(u) != vg.incidences(u) {
+                    for u in 0..copy.n() as u32 {
+                        if copy.view().incidences(u) != vg.incidences(u) {
                             return Err(format!("block {b}: adjacency of {u} diverges"));
                         }
                     }
-                    match (c.reduction(b), v.reduction(b)) {
+                    let copied_reduction = copy
+                        .is_simple()
+                        .then(|| reduce_graph(copy.view()).expect("simple block"));
+                    match (copied_reduction, v.reduction(b)) {
                         (None, None) => {}
                         (Some(cr), Some(vr)) => {
                             if cr.retained != vr.retained
@@ -189,8 +189,9 @@ fn permute_round_trips_through_rank_and_node() {
     }
 }
 
-/// APSP oracles built under both layout modes agree with each other and
-/// with an oracle built on the permuted graph (read back through `rank`).
+/// APSP oracles built on the graph laid out in the plan's BCC-clustered
+/// order and in DFS pre-order agree with the oracle on the original
+/// labels (read back through `rank`).
 #[test]
 fn oracle_is_layout_and_permutation_invariant() {
     for (name, strat) in families() {
@@ -198,31 +199,21 @@ fn oracle_is_layout_and_permutation_invariant() {
             .cases(8)
             .run(&strat, |g| {
                 let exec = HeteroExecutor::sequential();
-                let copied = build_oracle_with_plan(
-                    Arc::new(DecompPlan::build_with_layout(g, LayoutMode::Copied)),
-                    &exec,
-                    ApspMethod::Ear,
-                );
-                let viewed = build_oracle_with_plan(
-                    Arc::new(DecompPlan::build_with_layout(g, LayoutMode::Viewed)),
-                    &exec,
-                    ApspMethod::Ear,
-                );
-                let order = copied.plan().node_order().clone();
-                let p = g.permute(&order);
-                let permuted = build_oracle_with_plan(
-                    Arc::new(DecompPlan::build_with_layout(&p, LayoutMode::Viewed)),
-                    &exec,
-                    ApspMethod::Ear,
-                );
-                for u in 0..g.n() as u32 {
-                    for v in 0..g.n() as u32 {
-                        let a = copied.dist(u, v);
-                        if viewed.dist(u, v) != a {
-                            return Err(format!("dist({u},{v}): viewed oracle diverges"));
-                        }
-                        if permuted.dist(order.rank(u), order.rank(v)) != a {
-                            return Err(format!("dist({u},{v}): permuted oracle diverges"));
+                let base =
+                    build_oracle_with_plan(Arc::new(DecompPlan::build(g)), &exec, ApspMethod::Ear);
+                let orders = [base.plan().node_order().clone(), NodeOrder::dfs_preorder(g)];
+                for order in &orders {
+                    let p = g.permute(order);
+                    let permuted = build_oracle_with_plan(
+                        Arc::new(DecompPlan::build(&p)),
+                        &exec,
+                        ApspMethod::Ear,
+                    );
+                    for u in 0..g.n() as u32 {
+                        for v in 0..g.n() as u32 {
+                            if permuted.dist(order.rank(u), order.rank(v)) != base.dist(u, v) {
+                                return Err(format!("dist({u},{v}): permuted oracle diverges"));
+                            }
                         }
                     }
                 }
@@ -231,7 +222,8 @@ fn oracle_is_layout_and_permutation_invariant() {
     }
 }
 
-/// The reduced oracle answers identically under both layout modes.
+/// The reduced oracle answers identically on the graph laid out in the
+/// plan's BCC-clustered order, and agrees with the full oracle.
 #[test]
 fn reduced_oracle_is_layout_invariant() {
     for (name, strat) in families() {
@@ -239,12 +231,12 @@ fn reduced_oracle_is_layout_invariant() {
             .cases(8)
             .run(&strat, |g| {
                 let exec = HeteroExecutor::sequential();
-                let c = ReducedOracle::build_with_plan(
-                    Arc::new(DecompPlan::build_with_layout(g, LayoutMode::Copied)),
-                    &exec,
-                );
+                let plan = Arc::new(DecompPlan::build(g));
+                let order = plan.node_order().clone();
+                let full = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
+                let c = ReducedOracle::build_with_plan(plan, &exec);
                 let v = ReducedOracle::build_with_plan(
-                    Arc::new(DecompPlan::build_with_layout(g, LayoutMode::Viewed)),
+                    Arc::new(DecompPlan::build(&g.permute(&order))),
                     &exec,
                 );
                 if c.table_entries() != v.table_entries() {
@@ -252,8 +244,12 @@ fn reduced_oracle_is_layout_invariant() {
                 }
                 for a in 0..g.n() as u32 {
                     for b in 0..g.n() as u32 {
-                        if c.dist(a, b) != v.dist(a, b) {
+                        let d = c.dist(a, b);
+                        if v.dist(order.rank(a), order.rank(b)) != d {
                             return Err(format!("dist({a},{b}) diverges across layouts"));
+                        }
+                        if full.dist(a, b) != d {
+                            return Err(format!("dist({a},{b}) diverges from the full oracle"));
                         }
                     }
                 }
@@ -262,9 +258,9 @@ fn reduced_oracle_is_layout_invariant() {
     }
 }
 
-/// The MCB pipeline returns the same basis, cycle for cycle, under both
-/// layout modes, and the basis weight/dimension survive vertex
-/// permutation (edge ids are stable, so the cycles themselves map 1:1).
+/// The MCB pipeline on a shared plan returns the same basis, cycle for
+/// cycle, as a cold `mcb` run, and the basis weight/dimension survive
+/// relabeling by both the plan's BCC-clustered order and DFS pre-order.
 #[test]
 fn mcb_is_layout_and_permutation_invariant() {
     for (name, strat) in families() {
@@ -281,33 +277,27 @@ fn mcb_is_layout_and_permutation_invariant() {
                     mode: ExecMode::Sequential,
                     use_ear: true,
                 };
-                let c = mcb_with_plan(
-                    g,
-                    &DecompPlan::build_with_layout(g, LayoutMode::Copied),
-                    &config,
-                );
-                let v = mcb_with_plan(
-                    g,
-                    &DecompPlan::build_with_layout(g, LayoutMode::Viewed),
-                    &config,
-                );
-                if c.total_weight != v.total_weight || c.dim != v.dim {
-                    return Err("MCB summary diverges across layouts".into());
+                let plan = DecompPlan::build(g);
+                let c = mcb_with_plan(g, &plan, &config);
+                let cold = mcb(g, &config);
+                if c.total_weight != cold.total_weight || c.dim != cold.dim {
+                    return Err("MCB summary diverges from the cold run".into());
                 }
-                for (i, (a, b)) in c.cycles.iter().zip(&v.cycles).enumerate() {
+                for (i, (a, b)) in c.cycles.iter().zip(&cold.cycles).enumerate() {
                     if a.edges != b.edges || a.weight != b.weight {
-                        return Err(format!("cycle {i} diverges across layouts"));
+                        return Err(format!("cycle {i} diverges from the cold run"));
                     }
                 }
                 // Weight and dimension are graph properties: invariant
                 // under relabeling.
-                let order = NodeOrder::dfs_preorder(g);
-                let pm = mcb(&g.permute(&order), &config);
-                if pm.total_weight != c.total_weight || pm.dim != c.dim {
-                    return Err(format!(
-                        "MCB weight/dim not permutation-invariant: {}/{} vs {}/{}",
-                        pm.total_weight, c.total_weight, pm.dim, c.dim
-                    ));
+                for order in [plan.node_order().clone(), NodeOrder::dfs_preorder(g)] {
+                    let pm = mcb(&g.permute(&order), &config);
+                    if pm.total_weight != c.total_weight || pm.dim != c.dim {
+                        return Err(format!(
+                            "MCB weight/dim not permutation-invariant: {}/{} vs {}/{}",
+                            pm.total_weight, c.total_weight, pm.dim, c.dim
+                        ));
+                    }
                 }
                 Ok(())
             });

@@ -8,11 +8,8 @@
 //! parallel thread would race. (Separate test *binaries* are separate
 //! processes and unaffected.)
 
-use std::sync::Arc;
-
-use ear_apsp::{build_oracle, build_oracle_with_plan_mode, ApspMethod, DistanceOracle};
-use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, SsspMode};
+use ear_apsp::{build_oracle, ApspMethod, DistanceOracle};
+use ear_graph::CsrGraph;
 use ear_hetero::{HeteroExecutor, WorkCounters};
 use ear_mcb::{mcb, ExecMode, McbConfig};
 use ear_testkit::invariants::trace_invariants;
@@ -204,75 +201,6 @@ fn tracing_is_transparent_and_metrics_match_legacy_stats() {
                 m.counter("sssp.settled"),
                 m.counter("hetero.vertices_settled"),
                 "{tag}: engine and executor disagree on settles"
-            );
-
-            // ---- Batched lane engine under tracing: still bit-identical,
-            // and the lane path's scalar-parity `sssp.*` counters still
-            // line up with the executor's report-derived `hetero.*` series.
-            let plan = Arc::new(DecompPlan::build(&g));
-            ear_obs::reset();
-            ear_obs::enable();
-            let batched = build_oracle_with_plan_mode(
-                Arc::clone(&plan),
-                &exec,
-                ApspMethod::Ear,
-                SsspMode::Batched,
-            );
-            let bm = ear_obs::metrics_snapshot();
-            let btrace = ear_obs::trace_snapshot();
-            ear_obs::disable();
-            ear_obs::reset();
-            assert_eq!(
-                base_dists,
-                all_dists(&batched, g.n()),
-                "{tag}: batched APSP distances diverged under tracing"
-            );
-            assert_eq!(
-                base_oracle.stats(),
-                batched.stats(),
-                "{tag}: batched oracle stats diverged"
-            );
-            let mut blegacy = batched.processing.total_counters();
-            blegacy.merge(&batched.ap_phase.total_counters());
-            assert_counters_eq(&tag, &bm, "hetero", &blegacy);
-            let bunits = batched.processing.total_units() + batched.ap_phase.total_units();
-            assert_eq!(
-                bm.counter("hetero.units"),
-                bunits as u64,
-                "{tag}: batched hetero.units disagrees with report totals"
-            );
-            trace_invariants(&btrace, Some(bunits))
-                .unwrap_or_else(|e| panic!("{tag}: batched APSP trace invalid: {e}"));
-            // Every SSSP source ran exactly once regardless of route:
-            // blocks inside the MIN/MAX batch band go through the multi
-            // engine's lane batches, blocks outside it through the pooled
-            // scalar engine. `sssp.runs` covers both routes, so the
-            // batched build must account for the same source set as the
-            // scalar-mode build above, with the multi engine claiming at
-            // most that many.
-            assert_eq!(
-                bm.counter("sssp.runs"),
-                apsp_metrics.counter("sssp.runs"),
-                "{tag}: batched build ran a different source set than scalar mode"
-            );
-            assert!(
-                bm.counter("sssp.multi.sources") <= bm.counter("sssp.runs"),
-                "{tag}: multi engine claims more sources than ran"
-            );
-            assert_eq!(
-                bm.counter("sssp.multi.batches") > 0,
-                bm.counter("sssp.multi.sources") > 0,
-                "{tag}: lane batches and lane sources must appear together"
-            );
-            assert_eq!(
-                bm.counter("sssp.edges_relaxed"),
-                bm.counter("hetero.edges_relaxed"),
-                "{tag}: batched engine and executor disagree on relaxations"
-            );
-            assert_eq!(
-                bm.counter("sssp.settled"),
-                bm.counter("hetero.vertices_settled"),
-                "{tag}: batched engine and executor disagree on settles"
             );
         }
     }

@@ -6,14 +6,14 @@
 //! `DistanceOracle` query path, and that `QueryEngine::recustomized`
 //! tracks an incremental oracle refresh exactly while sharing the routing
 //! topology always and every clean table span. This suite pins those
-//! claims across every testkit graph family, both plan layouts, random
-//! and adversarial vertex pairs, and before/after recustomization.
+//! claims across every testkit graph family, random and adversarial
+//! vertex pairs, and before/after recustomization.
 
 use std::sync::Arc;
 
 use ear_apsp::{build_oracle_with_plan, ApspMethod, QueryEngine, QueryScratch};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, LayoutMode, VertexId, Weight};
+use ear_graph::{CsrGraph, VertexId, Weight};
 use ear_hetero::HeteroExecutor;
 use ear_testkit::rng::derive_seed;
 use ear_testkit::{
@@ -84,7 +84,7 @@ fn query_pairs(g: &CsrGraph, plan: &DecompPlan, seed: u64) -> Vec<(VertexId, Ver
 }
 
 /// Fast scalar `dist` ≡ legacy oracle `dist` ≡ the materialized matrix,
-/// on every pair of every family, in both layouts.
+/// on every pair of every family.
 #[test]
 fn fast_dist_matches_legacy_and_materialize() {
     for (name, strat) in families() {
@@ -92,22 +92,19 @@ fn fast_dist_matches_legacy_and_materialize() {
             .cases(8)
             .run(&strat, |g| {
                 let exec = HeteroExecutor::sequential();
-                for layout in [LayoutMode::Copied, LayoutMode::Viewed] {
-                    let plan = Arc::new(DecompPlan::build_with_layout(g, layout));
-                    let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-                    let q = QueryEngine::new(&oracle);
-                    let full = oracle.materialize();
-                    for u in 0..g.n() as u32 {
-                        for v in 0..g.n() as u32 {
-                            let fast = q.dist(u, v);
-                            let legacy = oracle.dist(u, v);
-                            if fast != legacy || fast != full.get(u, v) {
-                                return Err(format!(
-                                    "{layout:?}: dist({u},{v}) fast {fast} legacy {legacy} \
-                                     matrix {}",
-                                    full.get(u, v)
-                                ));
-                            }
+                let plan = Arc::new(DecompPlan::build(g));
+                let oracle = build_oracle_with_plan(plan, &exec, ApspMethod::Ear);
+                let q = QueryEngine::new(&oracle);
+                let full = oracle.materialize();
+                for u in 0..g.n() as u32 {
+                    for v in 0..g.n() as u32 {
+                        let fast = q.dist(u, v);
+                        let legacy = oracle.dist(u, v);
+                        if fast != legacy || fast != full.get(u, v) {
+                            return Err(format!(
+                                "dist({u},{v}) fast {fast} legacy {legacy} matrix {}",
+                                full.get(u, v)
+                            ));
                         }
                     }
                 }

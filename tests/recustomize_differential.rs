@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, ReducedOracle};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, LayoutMode, Weight};
+use ear_graph::{CsrGraph, Weight};
 use ear_hetero::HeteroExecutor;
 use ear_mcb::{mcb, mcb_with_plan, ExecMode, McbConfig};
 use ear_testkit::invariants::customization_invariants;
@@ -63,19 +63,16 @@ fn perturbations(g: &CsrGraph, seed: u64) -> Vec<(&'static str, Vec<Weight>)> {
 
 /// `customization_invariants` (topology sharing, dirty-set exactness,
 /// cold-build bit-identity) holds on every family, every perturbation
-/// shape, in both layouts.
+/// shape.
 #[test]
 fn customization_invariants_hold_on_every_family() {
     for (name, strat) in families() {
         forall(format!("customization_invariants/{name}").leak())
             .cases(12)
             .run(&strat, |g| {
-                for layout in [LayoutMode::Copied, LayoutMode::Viewed] {
-                    let plan = DecompPlan::build_with_layout(g, layout);
-                    for (shape, w) in perturbations(g, g.m() as u64) {
-                        customization_invariants(g, &plan, &w)
-                            .map_err(|e| format!("{shape}/{layout:?}: {e}"))?;
-                    }
+                let plan = DecompPlan::build(g);
+                for (shape, w) in perturbations(g, g.m() as u64) {
+                    customization_invariants(g, &plan, &w).map_err(|e| format!("{shape}: {e}"))?;
                 }
                 Ok(())
             });
