@@ -4,6 +4,9 @@
 //! baseline the paper compares against.
 //!
 //! * [`matrix`] — dense distance-matrix storage;
+//! * [`arena`] — the oracle's one distance store: the AP table and every
+//!   per-block table fused into one flat arena, shared by the oracle and
+//!   its query engines;
 //! * [`ear`] — Algorithm 1: reduce → all-sources Dijkstra on `G^r` on the
 //!   heterogeneous executor → closed-form post-processing back to `G`;
 //! * [`oracle`] — the general-graph extension (paper §2.2): per-BCC tables,
@@ -14,9 +17,9 @@
 //!   query — the storage level the paper's published MB figures for its
 //!   chain-heavy graphs imply;
 //! * [`query`] — the serving-grade fast path over a built oracle:
-//!   precomputed per-vertex gateway records, all tables fused into one
-//!   flat arena, a batched many-to-many kernel, and fast path
-//!   realization — bit-identical to the oracle's own query path;
+//!   precomputed per-vertex gateway records over the oracle's own arena,
+//!   a batched many-to-many kernel, and fast path realization —
+//!   bit-identical to the oracle's own query path;
 //! * [`baselines`] — plain Dijkstra-from-every-vertex and Floyd–Warshall
 //!   (the correctness oracle);
 //! * [`partition`] — region-growing graph partitioner (METIS substitute);
@@ -35,6 +38,7 @@
 //! decomposes the graph exactly once — see the "Decomposition plan"
 //! sections of `README.md` / `DESIGN.md`.
 
+pub mod arena;
 pub mod baselines;
 pub mod djidjev;
 pub mod ear;
@@ -44,6 +48,7 @@ pub mod partition;
 pub mod query;
 pub mod reduced_oracle;
 
+pub use arena::DistArena;
 pub use ear::{ear_apsp, EarApspOutput};
 pub use matrix::DistMatrix;
 pub use oracle::{build_oracle, build_oracle_with_plan, ApspMethod, DistanceOracle, OracleStats};

@@ -60,13 +60,6 @@ impl DistMatrix {
         self.set(j, i, w);
     }
 
-    /// The whole row-major backing slice (`n * n` entries) — what the
-    /// query engine's fused arena packs from.
-    #[inline]
-    pub fn data(&self) -> &[Weight] {
-        &self.d
-    }
-
     /// Immutable row view.
     #[inline]
     pub fn row(&self, i: u32) -> &[Weight] {

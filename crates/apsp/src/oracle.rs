@@ -19,6 +19,9 @@
 //!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
 //! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`].
+//! All of it lives in one [`DistArena`]: the build writes every table
+//! straight into its span, and the [`crate::QueryEngine`] serving the
+//! oracle reads the same allocation through a shared [`Arc`].
 
 use std::sync::Arc;
 
@@ -27,6 +30,7 @@ use ear_decomp::plan::DecompPlan;
 use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 
+use crate::arena::DistArena;
 use crate::matrix::DistMatrix;
 
 /// How each biconnected component is solved.
@@ -88,15 +92,15 @@ pub(crate) type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
 
 /// The queryable distance oracle.
 ///
-/// Per-block tables sit behind [`Arc`] so an incremental
-/// [`DistanceOracle::recustomized`] refresh can share the tables of clean
-/// blocks with its parent oracle instead of recomputing (or copying) them.
+/// Every table sits in one [`DistArena`] behind an [`Arc`]: a no-op
+/// [`DistanceOracle::recustomized`] refresh shares it outright, a dirty
+/// one clones it and rewrites only what changed, and
+/// [`crate::QueryEngine`] serves straight out of it.
 #[derive(Debug)]
 pub struct DistanceOracle {
     plan: Arc<DecompPlan>,
     method: ApspMethod,
-    tables: Vec<Arc<DistMatrix>>,
-    ap_table: Arc<DistMatrix>,
+    tables: Arc<DistArena>,
     /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
     /// so a refresh recollects only dirty blocks' segments.
     ap_segments: Vec<ApSegment>,
@@ -160,15 +164,10 @@ impl DistanceOracle {
         }
     }
 
-    /// The per-block distance tables, indexed by block id. Shared storage:
-    /// the query engine's fused arena packs from these.
-    pub fn block_tables(&self) -> &[Arc<DistMatrix>] {
+    /// The oracle's distance store (AP table and every block table),
+    /// shared with the [`crate::QueryEngine`]s serving it.
+    pub fn tables(&self) -> &Arc<DistArena> {
         &self.tables
-    }
-
-    /// The `a × a` articulation-point distance table.
-    pub fn ap_table(&self) -> &Arc<DistMatrix> {
-        &self.ap_table
     }
 
     /// Distance between two articulation points from the `a × a` table.
@@ -177,7 +176,7 @@ impl DistanceOracle {
         let i = bct.ap_index[a1 as usize];
         let j = bct.ap_index[a2 as usize];
         debug_assert!(i != u32::MAX && j != u32::MAX);
-        self.ap_table.get(i, j)
+        self.tables.ap_row(i)[j as usize]
     }
 
     /// Reconstructs an actual shortest path `u → v` as a vertex sequence
@@ -189,7 +188,7 @@ impl DistanceOracle {
     /// the path is deterministic) — with every `d(·,v)` answered by a full
     /// [`Self::dist`] query, i.e. an LCA route plus table reads per
     /// incident edge per hop. [`crate::QueryEngine::path`] walks the same
-    /// descent over precomputed gateway records and the fused flat tables
+    /// descent over precomputed gateway records and the same arena
     /// (bit-identical output, the differential suite holds it to that) and
     /// is the realization servers should call.
     pub fn path(&self, g: &CsrGraph, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
@@ -233,13 +232,14 @@ impl DistanceOracle {
     }
 
     /// Incrementally refreshes the oracle for a recustomized plan: only the
-    /// tables of `plan`'s **dirty blocks** (see
-    /// [`DecompPlan::dirty_blocks`]) are recomputed — phases II and III run
-    /// on exactly those blocks — while every clean block's table is shared
-    /// with `self` via [`Arc::clone`]. The articulation-point table is
-    /// rebuilt whenever any block is dirty (a changed within-block distance
-    /// can reroute AP-to-AP paths globally); a no-op recustomization shares
-    /// it too and runs nothing.
+    /// tables of the blocks whose weights differ between `self`'s plan and
+    /// `plan` (see [`DecompPlan::dirty_blocks_since`]) are recomputed —
+    /// phases II and III run on exactly those blocks — into a clone of
+    /// `self`'s arena, so every clean block's span is copied, never
+    /// recomputed. The articulation-point span is rebuilt whenever any
+    /// block is dirty (a changed within-block distance can reroute
+    /// AP-to-AP paths globally); a no-op recustomization shares the whole
+    /// arena and runs nothing.
     ///
     /// The result is bit-identical to a cold
     /// [`build_oracle_with_plan`] on `plan` — the differential suite
@@ -255,27 +255,23 @@ impl DistanceOracle {
             "recustomized requires a plan sharing this oracle's topology \
              (build it with DecompPlan::recustomized)"
         );
-        let dirty = plan.dirty_blocks().to_vec();
+        let dirty = plan.dirty_blocks_since(&self.plan);
         let _span = ear_obs::span_with("apsp.refresh", dirty.len() as u64);
 
-        let (fresh, processing) = compute_block_tables(&plan, exec, self.method, &dirty);
-        let mut tables = self.tables.clone();
-        for (&b, t) in dirty.iter().zip(fresh) {
-            tables[b as usize] = Arc::new(t);
-        }
+        let mut tables = Arc::clone(&self.tables);
+        let processing = compute_block_tables(&plan, exec, self.method, &dirty, &mut tables);
 
         // Only dirty blocks' AP-pair segments need recollecting; clean
         // blocks' within-block AP distances are unchanged by construction.
         let mut ap_segments = self.ap_segments.clone();
         for &b in &dirty {
-            ap_segments[b as usize] = Arc::new(ap_segment(&plan, b, &tables[b as usize]));
+            ap_segments[b as usize] = Arc::new(ap_segment(&plan, b, &tables));
         }
 
-        let (ap_table, ap_phase) = if dirty.is_empty() {
-            (Arc::clone(&self.ap_table), processing.clone())
+        let ap_phase = if dirty.is_empty() {
+            processing.clone()
         } else {
-            let (t, r) = compute_ap_table(&plan, exec, &ap_segments);
-            (Arc::new(t), r)
+            compute_ap_table(&plan, exec, &ap_segments, Arc::make_mut(&mut tables))
         };
 
         if ear_obs::is_enabled() {
@@ -287,7 +283,6 @@ impl DistanceOracle {
             plan,
             method: self.method,
             tables,
-            ap_table,
             ap_segments,
             stats: self.stats.clone(),
             processing,
@@ -299,7 +294,7 @@ impl DistanceOracle {
         let (Some(lu), Some(lv)) = (self.plan.local(block, u), self.plan.local(block, v)) else {
             return INF;
         };
-        self.tables[block as usize].get(lu, lv)
+        self.tables.block(block, lu, lv)
     }
 
     /// A block containing both `x` (any vertex) and articulation point `a`.
@@ -378,15 +373,13 @@ pub fn build_oracle_with_plan(
     let _build_span = ear_obs::span_with("apsp.build", plan.n() as u64);
 
     let all: Vec<u32> = (0..nb as u32).collect();
-    let (fresh, processing) = compute_block_tables(&plan, exec, method, &all);
-    let tables: Vec<Arc<DistMatrix>> = fresh.into_iter().map(Arc::new).collect();
+    let mut tables = Arc::new(DistArena::new(&plan));
+    let processing = compute_block_tables(&plan, exec, method, &all, &mut tables);
 
-    let ap_segments: Vec<ApSegment> = tables
-        .iter()
-        .enumerate()
-        .map(|(b, t)| Arc::new(ap_segment(&plan, b as u32, t)))
+    let ap_segments: Vec<ApSegment> = (0..nb as u32)
+        .map(|b| Arc::new(ap_segment(&plan, b, &tables)))
         .collect();
-    let (ap_table, ap_phase) = compute_ap_table(&plan, exec, &ap_segments);
+    let ap_phase = compute_ap_table(&plan, exec, &ap_segments, Arc::make_mut(&mut tables));
 
     // Statistics.
     let a = plan.bct().ap_count();
@@ -394,12 +387,7 @@ pub fn build_oracle_with_plan(
         ApspMethod::Ear => plan.removed_vertices(),
         ApspMethod::Plain => 0,
     };
-    let table_entries = (a as u64) * (a as u64)
-        + plan
-            .blocks()
-            .iter()
-            .map(|bp| (bp.n() as u64).pow(2))
-            .sum::<u64>();
+    let table_entries = tables.entries() as u64;
     let stats = OracleStats {
         n: plan.n(),
         m: plan.m(),
@@ -424,7 +412,6 @@ pub fn build_oracle_with_plan(
         plan,
         method,
         tables,
-        ap_table: Arc::new(ap_table),
         ap_segments,
         stats,
         processing,
@@ -434,15 +421,17 @@ pub fn build_oracle_with_plan(
 
 /// Phases II + III for the given `blocks` only: per-block (reduced)
 /// all-sources SSSP, then — in `Ear` mode — the §2.1.3 extension to the
-/// full block. Returns one table per requested block, aligned with
-/// `blocks`, plus the merged executor report. The cold build passes every
-/// block; an incremental refresh passes just the dirty ones.
+/// full block, whose rows land straight in the blocks' spans of `tables`
+/// (cloned first when shared: a refresh's clone-and-rewrite). Returns the
+/// merged executor report. The cold build passes every block; an
+/// incremental refresh passes just the dirty ones.
 fn compute_block_tables(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
     method: ApspMethod,
     blocks: &[u32],
-) -> (Vec<DistMatrix>, ExecutionReport) {
+    tables: &mut Arc<DistArena>,
+) -> ExecutionReport {
     // Ear reduction requires simple blocks; a multigraph input's parallel
     // bundles fall back to plain processing for that block. The plan's
     // per-block `reduction` accessor is the single guard.
@@ -450,11 +439,6 @@ fn compute_block_tables(
         ApspMethod::Ear => plan.reduction(b),
         ApspMethod::Plain => None,
     };
-    // Position of each requested block in the output vector.
-    let mut pos = vec![usize::MAX; plan.n_blocks()];
-    for (i, &b) in blocks.iter().enumerate() {
-        pos[b as usize] = i;
-    }
 
     // Phase II: workunits are (block, source) pairs.
     let phase2_span = ear_obs::span("apsp.phase2");
@@ -487,27 +471,28 @@ fn compute_block_tables(
             sssp_row(target, s)
         },
     );
-    // Assemble per-block reduced (or full) matrices.
-    let mut srs: Vec<DistMatrix> = blocks
-        .iter()
-        .map(|&b| match red(b) {
-            Some(r) => DistMatrix::new(r.reduced.n()),
-            None => DistMatrix::new(plan.block(b).n()),
-        })
-        .collect();
-    for ((b, s), row) in units.into_iter().zip(rows) {
-        for (t, w) in row.into_iter().enumerate() {
-            srs[pos[b as usize]].set(s, t as u32, w);
-        }
-    }
     drop(phase2_span);
 
     // Phase III (Ear only): extend each block's reduced matrix to the whole
-    // block; workunits are (block, vertex) rows.
+    // block; workunits are (block, vertex) rows. Plain mode's phase-II rows
+    // already are the block tables.
     let phase3_span = ear_obs::span("apsp.phase3");
-    let (tables, phase3) = match method {
-        ApspMethod::Plain => (srs, None),
+    let (units, rows, phase3) = match method {
+        ApspMethod::Plain => (units, rows, None),
         ApspMethod::Ear => {
+            // Transient per-block reduced (or full) matrices, by position
+            // in `blocks`.
+            let mut pos = vec![usize::MAX; plan.n_blocks()];
+            for (i, &b) in blocks.iter().enumerate() {
+                pos[b as usize] = i;
+            }
+            let mut srs: Vec<DistMatrix> = blocks
+                .iter()
+                .map(|&b| DistMatrix::new(red(b).map_or(plan.block(b).n(), |r| r.reduced.n())))
+                .collect();
+            for ((b, s), row) in units.into_iter().zip(rows) {
+                srs[pos[b as usize]].row_mut(s).copy_from_slice(&row);
+            }
             let units: Vec<(u32, u32)> = blocks
                 .iter()
                 .flat_map(|&b| (0..plan.block(b).n() as u32).map(move |x| (b, x)))
@@ -527,31 +512,27 @@ fn compute_block_tables(
                     None => (srs[pos[b as usize]].row(x).to_vec(), Default::default()),
                 },
             );
-            let mut tables: Vec<DistMatrix> = blocks
-                .iter()
-                .map(|&b| DistMatrix::new(plan.block(b).n()))
-                .collect();
-            for ((b, x), row) in units.into_iter().zip(rows) {
-                for (t, w) in row.into_iter().enumerate() {
-                    tables[pos[b as usize]].set(x, t as u32, w);
-                }
-            }
-            (tables, Some(report))
+            (units, rows, Some(report))
         }
     };
+    if !units.is_empty() {
+        let arena = Arc::make_mut(tables);
+        for ((b, x), row) in units.into_iter().zip(rows) {
+            arena.block_row_mut(b, x).copy_from_slice(&row);
+        }
+    }
     drop(phase3_span);
 
-    let processing = match phase3 {
+    match phase3 {
         Some(p3) => merge_reports(phase2, p3),
         None => phase2,
-    };
-    (tables, processing)
+    }
 }
 
 /// Block `b`'s contribution to the AP graph: one `(ap_index, ap_index,
 /// within-block distance)` edge per finite AP pair of the block, in the
 /// deterministic `i < j` order the cold build has always used.
-fn ap_segment(plan: &DecompPlan, b: u32, table: &DistMatrix) -> Vec<(u32, u32, Weight)> {
+fn ap_segment(plan: &DecompPlan, b: u32, tables: &DistArena) -> Vec<(u32, u32, Weight)> {
     let bct = plan.bct();
     let aps = &bct.block_aps[b as usize];
     let mut seg = Vec::new();
@@ -561,7 +542,7 @@ fn ap_segment(plan: &DecompPlan, b: u32, table: &DistMatrix) -> Vec<(u32, u32, W
                 plan.local(b, aps[i]).unwrap(),
                 plan.local(b, aps[j]).unwrap(),
             );
-            let w = table.get(li, lj);
+            let w = tables.block(b, li, lj);
             if w < INF {
                 seg.push((
                     bct.ap_index[aps[i] as usize],
@@ -575,17 +556,18 @@ fn ap_segment(plan: &DecompPlan, b: u32, table: &DistMatrix) -> Vec<(u32, u32, W
 }
 
 /// Stage 2 post-processing: the AP graph (APs connected within each block
-/// by within-block distances) and its all-sources Dijkstra. Consumes
-/// prebuilt per-block edge segments — a refresh recomputes only dirty
-/// blocks' segments and reuses the rest, so the O(Σ aᵢ²) recollection no
-/// longer reruns in full on every recustomization. Concatenation in block
-/// id order keeps the AP graph's edge ids (and thus the Dijkstra results)
-/// bit-identical to a cold build.
+/// by within-block distances) and its all-sources Dijkstra, written into
+/// the AP span of `tables`. Consumes prebuilt per-block edge segments — a
+/// refresh recomputes only dirty blocks' segments and reuses the rest, so
+/// the O(Σ aᵢ²) recollection no longer reruns in full on every
+/// recustomization. Concatenation in block id order keeps the AP graph's
+/// edge ids (and thus the Dijkstra results) bit-identical to a cold build.
 fn compute_ap_table(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
     segments: &[ApSegment],
-) -> (DistMatrix, ExecutionReport) {
+    tables: &mut DistArena,
+) -> ExecutionReport {
     let _ap_span = ear_obs::span("apsp.ap_table");
     let a = plan.bct().ap_count();
     let ap_edges: Vec<(u32, u32, Weight)> = segments
@@ -601,8 +583,10 @@ fn compute_ap_table(
         |_| ap_graph.m() as u64 + 1,
         |&s| sssp_row(ap_graph.view(), s),
     );
-    let ap_table = DistMatrix::from_rows(ap_rows);
-    (ap_table, ap_phase)
+    for (s, row) in ap_rows.into_iter().enumerate() {
+        tables.ap_row_mut(s as u32).copy_from_slice(&row);
+    }
+    ap_phase
 }
 
 fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
@@ -812,11 +796,10 @@ mod tests {
             assert_eq!(warm.materialize(), cold.materialize());
             assert_eq!(warm.stats(), cold.stats());
             // The refresh only reran the dirty blocks.
-            assert_eq!(warm.processing.total_units(), {
-                let (_, rep) =
-                    compute_block_tables(&warm_plan, &exec, method, warm_plan.dirty_blocks());
-                rep.total_units()
-            });
+            let mut scratch = Arc::new(DistArena::new(&warm_plan));
+            let dirty = warm_plan.dirty_blocks();
+            let rep = compute_block_tables(&warm_plan, &exec, method, dirty, &mut scratch);
+            assert_eq!(warm.processing.total_units(), rep.total_units());
         }
     }
 
@@ -826,16 +809,25 @@ mod tests {
         let exec = HeteroExecutor::sequential();
         let plan = Arc::new(DecompPlan::build(&g));
         let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-        let w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+        let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         let warm = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
-        for (a, b) in oracle.tables.iter().zip(&warm.tables) {
-            assert!(Arc::ptr_eq(a, b));
-        }
-        assert!(Arc::ptr_eq(&oracle.ap_table, &warm.ap_table));
+        assert!(Arc::ptr_eq(oracle.tables(), warm.tables()));
         for (a, b) in oracle.ap_segments.iter().zip(&warm.ap_segments) {
             assert!(Arc::ptr_eq(a, b));
         }
         assert_eq!(warm.processing.total_units(), 0);
+
+        // A dirty refresh rewrites its own arena; clean spans are
+        // byte-identical copies of the parent's.
+        w[0] = 50; // triangle block only
+        let warm_plan = Arc::new(plan.recustomized(&w));
+        let dirty = warm_plan.dirty_blocks().to_vec();
+        let warm = oracle.recustomized(warm_plan, &exec);
+        assert!(!Arc::ptr_eq(oracle.tables(), warm.tables()));
+        for b in (0..plan.n_blocks() as u32).filter(|b| !dirty.contains(b)) {
+            let (old, new) = (oracle.tables().block_span(b), warm.tables().block_span(b));
+            assert_eq!(old, new, "clean block {b}");
+        }
     }
 
     #[test]
@@ -855,7 +847,7 @@ mod tests {
         }
         // The rebuilt AP table still matches a cold one bit-for-bit.
         let cold = build_oracle(&g.reweighted(&w), &exec, ApspMethod::Ear);
-        assert_eq!(*warm.ap_table, *cold.ap_table);
+        assert_eq!(warm.tables().ap_span(), cold.tables().ap_span());
     }
 
     #[test]

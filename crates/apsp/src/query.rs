@@ -1,11 +1,12 @@
-//! The query fast path: precomputed gateway routing over fused flat
-//! tables, a batched many-to-many kernel, and fast path realization.
+//! The query fast path: precomputed gateway routing over the oracle's
+//! own distance arena, a batched many-to-many kernel, and fast path
+//! realization.
 //!
 //! [`crate::DistanceOracle::dist`] pays, on every call, a binary-lifting
-//! LCA walk over the block-cut tree, a chain of `Vec<Arc<DistMatrix>>`
-//! indirections, and (for articulation-point sources) a membership probe
-//! per candidate block. None of that work depends on the weights — it is
-//! pure routing, and it can all be precomputed. [`QueryEngine`] does so:
+//! LCA walk over the block-cut tree, per-block local-id lookups, and (for
+//! articulation-point sources) a membership probe per candidate block.
+//! None of that work depends on the weights — it is pure routing, and it
+//! can all be precomputed. [`QueryEngine`] does so:
 //!
 //! * **Gateway records** — for every vertex `v`, the articulation points
 //!   of its home block (`v` itself when `v` is an AP) with the
@@ -17,19 +18,17 @@
 //!   the true distance (each term is an exact distance, so every summand
 //!   is a valid walk length). Same-home-block pairs short-circuit to one
 //!   flat table read. The per-vertex layout is tuned for serving: one
-//!   16-byte [`VertexRoute`] record answers every classification question
-//!   (home block, local id, component, AP-ness, gateway span) in a single
-//!   cache line, and each gateway is one 16-byte `(AP index, folded
-//!   distance)` record, so resolving an endpoint touches two lines total.
-//! * **Fused flat tables** — the `a × a` AP table and every per-block
-//!   table packed into one contiguous arena (`[A | B₀ | B₁ | …]`) with
-//!   per-block `(offset, stride)` headers, so the hot read is one slice
-//!   index instead of `Arc` + `Vec` + `DistMatrix` hops. The arena is
-//!   Arc-shared at the arena level: a no-op [`QueryEngine::recustomized`]
-//!   shares the whole [`FusedTables`] allocation, and a dirty refresh
-//!   clones the arena (clean spans are a memcpy, never recomputed) and
-//!   overwrites only the AP span, the dirty blocks' spans, and the dirty
-//!   blocks' gateway distances.
+//!   16-byte route record answers every classification question (home
+//!   block, local id, component, AP-ness, gateway span) in a single cache
+//!   line, and each gateway is one 16-byte `(AP index, folded distance)`
+//!   record, so resolving an endpoint touches two lines total.
+//! * **One distance store** — every table read goes to the oracle's
+//!   [`DistArena`] (`[A | B₀ | B₁ | …]`, one slice index per read). The
+//!   engine holds a clone of the oracle's `Arc` and copies no table: it
+//!   owns only routing data (the weight-independent [`QueryTopology`] and
+//!   the gateway records). [`QueryEngine::recustomized`] takes the
+//!   refreshed oracle's arena and refolds the gateway distances of the
+//!   dirty blocks only; a no-op refresh shares the gateway records too.
 //! * **Batched kernel** — [`QueryEngine::dist_batch`] answers `|S| × |T|`
 //!   pairs by hoisting gateway resolution out of the pair loop: the
 //!   distinct target gateway APs are collected once, each source
@@ -56,6 +55,7 @@ use std::sync::Arc;
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{dist_add, CsrGraph, VertexId, Weight, INF};
 
+use crate::arena::DistArena;
 use crate::oracle::DistanceOracle;
 
 /// Marks an articulation point in [`VertexRoute::gw_start`]'s top bit
@@ -82,7 +82,7 @@ struct VertexRoute {
     home_local: u32,
     /// Connected-component id (`u32::MAX` isolated).
     comp: u32,
-    /// Start of the vertex's records in [`FusedTables::gw`], with
+    /// Start of the vertex's records in [`Gateways::gw`], with
     /// [`AP_FLAG`] or-ed in when the vertex is an articulation point.
     gw_start: u32,
 }
@@ -92,7 +92,7 @@ struct VertexRoute {
 /// distance to it. 16 bytes, so a typical gateway list is one line.
 #[derive(Clone, Copy, Debug)]
 struct GwRec {
-    /// AP index (row of the fused AP table).
+    /// AP index (row of the arena's AP table).
     ap: u32,
     /// `d(v, ap)`, exact global distance (0 for an AP's self-record).
     dist: Weight,
@@ -103,7 +103,7 @@ struct GwRec {
 /// gateway records inlined. The scalar `dist` and `path` hot loops read
 /// exactly one of these per endpoint; vertices with longer gateway lists
 /// carry [`OVF_FLAG`] and fall back to the CSR spans. Lives in
-/// [`FusedTables`] (the gateway distances are weight-dependent).
+/// [`Gateways`] (the gateway distances are weight-dependent).
 #[repr(C, align(64))]
 #[derive(Clone, Copy, Debug)]
 struct PackedRoute {
@@ -119,42 +119,23 @@ struct PackedRoute {
     gw: [GwRec; GW_INLINE],
 }
 
-/// Arena placement of one block's table.
-#[derive(Clone, Copy, Debug)]
-struct BlockHeader {
-    /// Offset of the block's `n × n` table in the arena.
-    off: usize,
-    /// Side length (row stride).
-    n: u32,
-}
-
-/// The weight-independent routing layer: per-vertex route records and the
-/// fused arena's layout headers. Derived once per decomposition and
-/// shared (via [`Arc`]) by every [`QueryEngine::recustomized`] refresh.
+/// The weight-independent routing layer: per-vertex route records, the
+/// gateway template and the per-block member CSR. Derived once per
+/// decomposition and shared (via [`Arc`]) by every
+/// [`QueryEngine::recustomized`] refresh.
 #[derive(Debug)]
 pub struct QueryTopology {
-    /// Articulation-point count (the AP table is `ap_count × ap_count`).
-    ap_count: usize,
     /// Per-vertex packed routing records (`n + 1` entries; see
     /// [`VertexRoute`]).
     routes: Vec<VertexRoute>,
     /// Weight-independent template of the gateway records: the `dist`
     /// fields are garbage here and are folded per customization into
-    /// [`FusedTables::gw`].
+    /// [`Gateways::gw`].
     gw_template: Vec<GwRec>,
-    /// Arena placement of each block's table; the AP table occupies
-    /// `arena[0 .. ap_count²]`.
-    blocks: Vec<BlockHeader>,
-    /// Total arena length (`ap_count² + Σ block_n²`).
-    arena_len: usize,
     /// Non-AP home vertices of each block (CSR) — exactly the vertices
     /// whose gateway distances a dirty block invalidates.
     bm_start: Vec<u32>,
     bm_vtx: Vec<u32>,
-    /// Local id, within its block, of each AP in the block's gateway
-    /// order (CSR aligned with the per-block gateway AP lists).
-    bap_start: Vec<u32>,
-    bap_local: Vec<u32>,
 }
 
 impl QueryTopology {
@@ -162,29 +143,11 @@ impl QueryTopology {
         let bct = plan.bct();
         let n = plan.n();
         let nb = plan.n_blocks();
-        let ap_count = bct.ap_count();
-
-        // Per-block gateway AP lists (indices + block-local ids), in the
-        // deterministic `block_aps` order.
-        let mut bap_start = vec![0u32; nb + 1];
-        for b in 0..nb {
-            bap_start[b + 1] = bap_start[b] + bct.block_aps[b].len() as u32;
-        }
-        let mut bap_ap = vec![0u32; bap_start[nb] as usize];
-        let mut bap_local = vec![0u32; bap_start[nb] as usize];
-        for (b, aps) in bct.block_aps.iter().enumerate() {
-            for (k, &apv) in aps.iter().enumerate() {
-                let i = bap_start[b] as usize + k;
-                bap_ap[i] = bct.ap_index[apv as usize];
-                bap_local[i] = plan
-                    .local(b as u32, apv)
-                    .expect("block must contain its APs");
-            }
-        }
 
         // Packed per-vertex routes plus the gateway template: an AP
         // routes through itself (one record, distance 0); everyone else
-        // through the home block's APs.
+        // through the home block's APs, in the deterministic `block_aps`
+        // order.
         let mut routes = Vec::with_capacity(n + 1);
         let mut gw_template = Vec::new();
         for v in 0..n {
@@ -202,9 +165,9 @@ impl QueryTopology {
                 gw_start |= AP_FLAG;
                 gw_template.push(GwRec { ap, dist: 0 });
             } else if home != u32::MAX {
-                let b = home as usize;
-                for &a in &bap_ap[bap_start[b] as usize..bap_start[b + 1] as usize] {
-                    gw_template.push(GwRec { ap: a, dist: INF });
+                for &a in &bct.block_aps[home as usize] {
+                    let ap = bct.ap_index[a as usize];
+                    gw_template.push(GwRec { ap, dist: INF });
                 }
             }
             routes.push(VertexRoute {
@@ -227,45 +190,26 @@ impl QueryTopology {
 
         // Non-AP home members of each block, for targeted gateway
         // refreshes.
-        let mut bm_start = vec![0u32; nb + 1];
-        for r in &routes[..n] {
-            if r.gw_start & AP_FLAG == 0 && r.home != u32::MAX {
-                bm_start[r.home as usize + 1] += 1;
-            }
-        }
-        for b in 0..nb {
-            bm_start[b + 1] += bm_start[b];
-        }
-        let mut bm_vtx = vec![0u32; bm_start[nb] as usize];
-        let mut cursor = bm_start.clone();
-        for (v, r) in routes[..n].iter().enumerate() {
-            if r.gw_start & AP_FLAG == 0 && r.home != u32::MAX {
-                let b = r.home as usize;
-                bm_vtx[cursor[b] as usize] = v as u32;
-                cursor[b] += 1;
-            }
-        }
-
-        // Arena headers: AP table first, then blocks in id order.
-        let mut blocks = Vec::with_capacity(nb);
-        let mut off = ap_count * ap_count;
-        for b in 0..nb {
-            let bn = plan.block(b as u32).n();
-            blocks.push(BlockHeader { off, n: bn as u32 });
-            off += bn * bn;
+        let mut bm_start = vec![0u32];
+        let mut bm_vtx = Vec::new();
+        for b in 0..nb as u32 {
+            bm_vtx.extend(plan.block(b).to_parent_vertex.iter().filter(|&&v| {
+                bct.vertex_block[v as usize] == b && bct.ap_index[v as usize] == u32::MAX
+            }));
+            bm_start.push(bm_vtx.len() as u32);
         }
 
         QueryTopology {
-            ap_count,
             routes,
             gw_template,
-            blocks,
-            arena_len: off,
             bm_start,
             bm_vtx,
-            bap_start,
-            bap_local,
         }
+    }
+
+    /// The non-AP home vertices of block `b`.
+    fn members(&self, b: u32) -> &[u32] {
+        &self.bm_vtx[self.bm_start[b as usize] as usize..self.bm_start[b as usize + 1] as usize]
     }
 
     /// Gateway record range of a vertex (flag bit stripped).
@@ -277,13 +221,10 @@ impl QueryTopology {
     }
 }
 
-/// The weight-dependent layer: one contiguous arena holding the AP table
-/// and every per-block table, plus the gateway records with their folded
-/// distances. Shared at the arena level — see the module docs.
+/// The weight-dependent routing layer: the gateway records with their
+/// folded distances, in CSR form and repacked one line per vertex.
 #[derive(Debug)]
-pub struct FusedTables {
-    /// `[ AP table (a²) | block 0 (n₀²) | block 1 (n₁²) | … ]`, row-major.
-    arena: Vec<Weight>,
+struct Gateways {
     /// Per-vertex gateway records, spans addressed by
     /// [`QueryTopology::gw_range`].
     gw: Vec<GwRec>,
@@ -293,22 +234,16 @@ pub struct FusedTables {
     packed: Vec<PackedRoute>,
 }
 
-impl FusedTables {
-    fn build(topo: &QueryTopology, oracle: &DistanceOracle) -> FusedTables {
-        let mut arena = Vec::with_capacity(topo.arena_len);
-        arena.extend_from_slice(oracle.ap_table().data());
-        for t in oracle.block_tables() {
-            arena.extend_from_slice(t.data());
-        }
-        debug_assert_eq!(arena.len(), topo.arena_len);
+impl Gateways {
+    fn build(topo: &QueryTopology, plan: &DecompPlan, tables: &DistArena) -> Gateways {
         // The template already carries the AP self-records (dist 0);
         // every member record is refolded below.
         let mut gw = topo.gw_template.clone();
-        for b in 0..topo.blocks.len() {
-            Self::fill_block_gw(topo, oracle, b as u32, &mut gw);
+        for b in 0..plan.n_blocks() as u32 {
+            Self::fill_block_gw(topo, plan, tables, b, &mut gw);
         }
         let packed = Self::pack_routes(topo, &gw);
-        FusedTables { arena, gw, packed }
+        Gateways { gw, packed }
     }
 
     /// Repacks the CSR routing + gateway state into the one-line-per-
@@ -341,9 +276,7 @@ impl FusedTables {
     /// Mirrors block `b`'s refreshed gateway distances from the CSR into
     /// the packed records (refresh path; build packs from scratch).
     fn sync_packed_block(topo: &QueryTopology, b: u32, gw: &[GwRec], packed: &mut [PackedRoute]) {
-        let members = &topo.bm_vtx
-            [topo.bm_start[b as usize] as usize..topo.bm_start[b as usize + 1] as usize];
-        for &v in members {
+        for &v in topo.members(b) {
             let p = &mut packed[v as usize];
             if p.meta & OVF_FLAG == 0 {
                 let range = topo.gw_range(v);
@@ -353,18 +286,25 @@ impl FusedTables {
     }
 
     /// (Re)folds `d(v, gateway)` for every non-AP home vertex of block
-    /// `b` from the oracle's current table of that block.
-    fn fill_block_gw(topo: &QueryTopology, oracle: &DistanceOracle, b: u32, gw: &mut [GwRec]) {
-        let table = &oracle.block_tables()[b as usize];
-        let locals = &topo.bap_local
-            [topo.bap_start[b as usize] as usize..topo.bap_start[b as usize + 1] as usize];
-        let members = &topo.bm_vtx
-            [topo.bm_start[b as usize] as usize..topo.bm_start[b as usize + 1] as usize];
-        for &v in members {
+    /// `b` from the arena's current table of that block.
+    fn fill_block_gw(
+        topo: &QueryTopology,
+        plan: &DecompPlan,
+        tables: &DistArena,
+        b: u32,
+        gw: &mut [GwRec],
+    ) {
+        // Block-local ids of the block's APs, in gateway order.
+        let aps = &plan.bct().block_aps[b as usize];
+        let locals: Vec<u32> = aps
+            .iter()
+            .map(|&a| plan.local(b, a).expect("block must contain its APs"))
+            .collect();
+        for &v in topo.members(b) {
             let lv = topo.routes[v as usize].home_local;
             let out = &mut gw[topo.gw_range(v)];
-            for (slot, &la) in out.iter_mut().zip(locals) {
-                slot.dist = table.get(lv, la);
+            for (slot, &la) in out.iter_mut().zip(&locals) {
+                slot.dist = tables.block(b, lv, la);
             }
         }
     }
@@ -409,41 +349,46 @@ impl QueryScratch {
 /// The serving-grade query layer over a built [`DistanceOracle`] — see
 /// the module docs for the data layout and the bit-identity argument.
 ///
-/// Cheaply cloneable (three `Arc`s). [`QueryEngine::recustomized`]
-/// follows an oracle refresh while sharing the routing topology always
-/// and the fused arena whenever no block is dirty.
+/// Cheaply cloneable (four `Arc`s). The distance tables are the oracle's
+/// own [`DistArena`]; the engine owns only routing data.
+/// [`QueryEngine::recustomized`] follows an oracle refresh while sharing
+/// the routing topology always and the gateway records whenever no block
+/// is dirty.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     plan: Arc<DecompPlan>,
     topo: Arc<QueryTopology>,
-    tables: Arc<FusedTables>,
+    tables: Arc<DistArena>,
+    gateways: Arc<Gateways>,
 }
 
 impl QueryEngine {
     /// Builds the engine from a built oracle: derives the gateway routing
-    /// topology and packs the oracle's tables into the fused arena.
+    /// topology and folds the gateway distances out of the oracle's arena,
+    /// which the engine then shares (no table is copied).
     pub fn new(oracle: &DistanceOracle) -> QueryEngine {
         let _span = ear_obs::span_with("query.build", oracle.plan().n() as u64);
         let topo = Arc::new(QueryTopology::new(oracle.plan()));
-        let tables = Arc::new(FusedTables::build(&topo, oracle));
+        let tables = Arc::clone(oracle.tables());
+        let gateways = Arc::new(Gateways::build(&topo, oracle.plan(), &tables));
         if ear_obs::is_enabled() {
             ear_obs::counter_add("query.engines", 1);
-            ear_obs::counter_add("query.gateway_records", tables.gw.len() as u64);
-            ear_obs::counter_add("query.arena_entries", topo.arena_len as u64);
+            ear_obs::counter_add("query.gateway_records", gateways.gw.len() as u64);
         }
         QueryEngine {
             plan: Arc::clone(oracle.plan()),
             topo,
             tables,
+            gateways,
         }
     }
 
-    /// Follows an incremental oracle refresh: the routing topology is
-    /// always shared with `self`, and the fused arena is shared outright
-    /// on a no-op refresh. A dirty refresh clones the arena — clean block
-    /// spans are memcpy'd, never recomputed — and overwrites only the AP
-    /// span, the dirty blocks' spans and the dirty blocks' folded gateway
-    /// distances.
+    /// Follows an incremental oracle refresh: takes the refreshed oracle's
+    /// arena (copying no table), always shares the routing topology with
+    /// `self`, and refolds the gateway distances of the blocks whose
+    /// weights differ between the two plans (see
+    /// [`DecompPlan::dirty_blocks_since`]) — none on a no-op refresh,
+    /// which shares the gateway records outright.
     ///
     /// # Panics
     /// Panics unless `oracle`'s plan shares this engine's plan topology.
@@ -452,38 +397,30 @@ impl QueryEngine {
             self.plan.shares_topology(oracle.plan()),
             "recustomized requires an oracle sharing this engine's topology"
         );
-        let dirty = oracle.plan().dirty_blocks();
+        let dirty = oracle.plan().dirty_blocks_since(&self.plan);
         let _span = ear_obs::span_with("query.refresh", dirty.len() as u64);
         if ear_obs::is_enabled() {
             ear_obs::counter_add("query.refreshes", 1);
             ear_obs::counter_add("query.refresh.dirty_blocks", dirty.len() as u64);
         }
-        if dirty.is_empty() {
-            return QueryEngine {
-                plan: Arc::clone(oracle.plan()),
-                topo: Arc::clone(&self.topo),
-                tables: Arc::clone(&self.tables),
-            };
-        }
-        let topo = &*self.topo;
-        let mut arena = self.tables.arena.clone();
-        let mut gw = self.tables.gw.clone();
-        let mut packed = self.tables.packed.clone();
-        // Any dirty block can reroute AP-to-AP paths globally, so the
-        // oracle rebuilt the whole AP table; take it wholesale.
-        let a2 = topo.ap_count * topo.ap_count;
-        arena[..a2].copy_from_slice(oracle.ap_table().data());
-        for &b in dirty {
-            let h = topo.blocks[b as usize];
-            let len = (h.n as usize).pow(2);
-            arena[h.off..h.off + len].copy_from_slice(oracle.block_tables()[b as usize].data());
-            FusedTables::fill_block_gw(topo, oracle, b, &mut gw);
-            FusedTables::sync_packed_block(topo, b, &gw, &mut packed);
-        }
+        let tables = Arc::clone(oracle.tables());
+        let gateways = if dirty.is_empty() {
+            Arc::clone(&self.gateways)
+        } else {
+            let topo = &*self.topo;
+            let mut gw = self.gateways.gw.clone();
+            let mut packed = self.gateways.packed.clone();
+            for &b in &dirty {
+                Gateways::fill_block_gw(topo, oracle.plan(), &tables, b, &mut gw);
+                Gateways::sync_packed_block(topo, b, &gw, &mut packed);
+            }
+            Arc::new(Gateways { gw, packed })
+        };
         QueryEngine {
             plan: Arc::clone(oracle.plan()),
             topo: Arc::clone(&self.topo),
-            tables: Arc::new(FusedTables { arena, gw, packed }),
+            tables,
+            gateways,
         }
     }
 
@@ -508,22 +445,20 @@ impl QueryEngine {
             return 0;
         }
         let t = &*self.topo;
-        let pu = &self.tables.packed[u as usize];
-        let pv = &self.tables.packed[v as usize];
+        let pu = &self.gateways.packed[u as usize];
+        let pv = &self.gateways.packed[v as usize];
         if (pu.meta | pv.meta) & AP_FLAG == 0 && pu.home == pv.home {
             // Both non-AP with one home block: a single flat table read
             // (INF for two isolated vertices, which share the sentinel).
             if pu.home == u32::MAX {
                 return INF;
             }
-            let h = t.blocks[pu.home as usize];
-            return self.tables.arena
-                [h.off + pu.home_local as usize * h.n as usize + pv.home_local as usize];
+            return self.tables.block(pu.home, pu.home_local, pv.home_local);
         }
         if pu.comp != pv.comp || pu.comp == u32::MAX {
             return INF;
         }
-        let gw = &self.tables.gw[..];
+        let gw = &self.gateways.gw[..];
         let gu: &[GwRec] = if pu.meta & OVF_FLAG == 0 {
             &pu.gw[..(pu.meta & !AP_FLAG) as usize]
         } else {
@@ -542,15 +477,14 @@ impl QueryEngine {
     /// already-resolved gateway spans.
     #[inline]
     fn gateway_min(&self, gu: &[GwRec], gv: &[GwRec]) -> Weight {
-        let a = self.topo.ap_count;
-        let arena = &self.tables.arena[..];
+        let tables = &*self.tables;
         // 2×2 is the shape of every chain-interior block (two cut
         // vertices): unrolled so both AP-table row reads issue in
         // parallel and the four candidates reduce without loop carries.
         // Same min over the same candidates — bit-identical result.
         if let ([u0, u1], [v0, v1]) = (gu, gv) {
-            let r0 = &arena[u0.ap as usize * a..][..a];
-            let r1 = &arena[u1.ap as usize * a..][..a];
+            let r0 = tables.ap_row(u0.ap);
+            let r1 = tables.ap_row(u1.ap);
             let c00 = dist_add(u0.dist, dist_add(r0[v0.ap as usize], v0.dist));
             let c01 = dist_add(u0.dist, dist_add(r0[v1.ap as usize], v1.dist));
             let c10 = dist_add(u1.dist, dist_add(r1[v0.ap as usize], v0.dist));
@@ -559,7 +493,7 @@ impl QueryEngine {
         }
         let mut best = INF;
         for ru in gu {
-            let row = &arena[ru.ap as usize * a..][..a];
+            let row = tables.ap_row(ru.ap);
             for rv in gv {
                 let cand = dist_add(ru.dist, dist_add(row[rv.ap as usize], rv.dist));
                 if cand < best {
@@ -601,11 +535,11 @@ impl QueryEngine {
             ear_obs::counter_add("query.batch_queries", pairs);
         }
         let t = &*self.topo;
-        let arena = &self.tables.arena[..];
-        let gw = &self.tables.gw[..];
+        let tables = &*self.tables;
+        let gw = &self.gateways.gw[..];
         out.clear();
         out.reserve(sources.len() * targets.len());
-        scratch.ensure(t.ap_count);
+        scratch.ensure(tables.ap_n());
         let stamp = scratch.stamp;
 
         // Distinct gateway APs across all targets, positions recorded.
@@ -625,12 +559,12 @@ impl QueryEngine {
 
         for &s in sources {
             // mid[j] = min over s-gateways of d(s,a) + A[a, t_aps[j]],
-            // walked row-wise over the fused AP table.
+            // walked row-wise over the arena's AP table.
             for m in scratch.mid.iter_mut() {
                 *m = INF;
             }
             for rec in &gw[t.gw_range(s)] {
-                let row = &arena[rec.ap as usize * t.ap_count..][..t.ap_count];
+                let row = tables.ap_row(rec.ap);
                 for (m, &aj) in scratch.mid.iter_mut().zip(&scratch.t_aps) {
                     let cand = dist_add(rec.dist, row[aj as usize]);
                     if cand < *m {
@@ -647,9 +581,7 @@ impl QueryEngine {
                     if rs.home == u32::MAX {
                         INF
                     } else {
-                        let h = t.blocks[rs.home as usize];
-                        arena
-                            [h.off + rs.home_local as usize * h.n as usize + rt.home_local as usize]
+                        tables.block(rs.home, rs.home_local, rt.home_local)
                     }
                 } else if rs.comp != rt.comp || rs.comp == u32::MAX {
                     INF
@@ -684,15 +616,15 @@ impl QueryEngine {
             return None;
         }
         let t = &*self.topo;
-        let arena = &self.tables.arena[..];
-        let gw = &self.tables.gw[..];
+        let tables = &*self.tables;
+        let gw = &self.gateways.gw[..];
         // tgt_mid[a] = min over a' ∈ gw(v) of A[a,a'] + d(a',v): the
         // whole AP table's contribution to d(·, v), folded once. The AP
         // table is symmetric (undirected distances), so the fold streams
         // rows instead of columns.
-        let mut tgt_mid = vec![INF; t.ap_count];
+        let mut tgt_mid = vec![INF; tables.ap_n()];
         for rec in &gw[t.gw_range(v)] {
-            let row = &arena[rec.ap as usize * t.ap_count..][..t.ap_count];
+            let row = tables.ap_row(rec.ap);
             for (m, &aw) in tgt_mid.iter_mut().zip(row) {
                 let cand = dist_add(aw, rec.dist);
                 if cand < *m {
@@ -700,7 +632,7 @@ impl QueryEngine {
                 }
             }
         }
-        let packed = &self.tables.packed[..];
+        let packed = &self.gateways.packed[..];
         let pv = &packed[v as usize];
         // d(y, v) through the hoisted fold — bit-identical to
         // `dist_inner` by the associativity of `dist_add`. One packed
@@ -714,9 +646,7 @@ impl QueryEngine {
                 if py.home == u32::MAX {
                     return INF;
                 }
-                let h = t.blocks[py.home as usize];
-                return arena
-                    [h.off + py.home_local as usize * h.n as usize + pv.home_local as usize];
+                return tables.block(py.home, py.home_local, pv.home_local);
             }
             if py.comp != pv.comp || py.comp == u32::MAX {
                 return INF;
@@ -778,36 +708,25 @@ impl QueryEngine {
 
     /// Total gateway records across all vertices.
     pub fn gateway_records(&self) -> usize {
-        self.tables.gw.len()
+        self.gateways.gw.len()
     }
 
-    /// Entries in the fused arena (`a² + Σ nᵢ²`).
+    /// Entries in the distance arena (`a² + Σ nᵢ²`), shared with the
+    /// oracle — not a copy.
     pub fn arena_entries(&self) -> usize {
-        self.topo.arena_len
+        self.tables.entries()
+    }
+
+    /// The distance arena this engine reads: the serving oracle's own
+    /// [`DistanceOracle::tables`] allocation.
+    pub fn tables(&self) -> &Arc<DistArena> {
+        &self.tables
     }
 
     /// True when `other` shares this engine's routing topology allocation
     /// (always the case across [`Self::recustomized`] refreshes).
     pub fn shares_topology_with(&self, other: &QueryEngine) -> bool {
         Arc::ptr_eq(&self.topo, &other.topo)
-    }
-
-    /// True when `other` shares this engine's fused-arena allocation
-    /// (the case exactly for no-op refreshes).
-    pub fn shares_tables_with(&self, other: &QueryEngine) -> bool {
-        Arc::ptr_eq(&self.tables, &other.tables)
-    }
-
-    /// The arena span of one block's table (tests: clean spans of a dirty
-    /// refresh must be byte-identical to the parent's).
-    pub fn block_span(&self, b: u32) -> &[Weight] {
-        let h = self.topo.blocks[b as usize];
-        &self.tables.arena[h.off..h.off + (h.n as usize).pow(2)]
-    }
-
-    /// The arena span of the AP table.
-    pub fn ap_span(&self) -> &[Weight] {
-        &self.tables.arena[..self.topo.ap_count * self.topo.ap_count]
     }
 }
 
@@ -896,12 +815,15 @@ mod tests {
         let plan = Arc::new(DecompPlan::build(&g));
         let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
         let q = QueryEngine::new(&oracle);
+        // One store: the engine reads the oracle's arena, not a copy.
+        assert!(Arc::ptr_eq(q.tables(), oracle.tables()));
 
         let w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         let noop_oracle = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
         let noop = q.recustomized(&noop_oracle);
         assert!(q.shares_topology_with(&noop));
-        assert!(q.shares_tables_with(&noop));
+        assert!(Arc::ptr_eq(q.tables(), noop.tables()));
+        assert!(Arc::ptr_eq(&q.gateways, &noop.gateways));
 
         let mut w2 = w.clone();
         w2[0] = 50; // triangle block only
@@ -910,11 +832,12 @@ mod tests {
         let warm_oracle = oracle.recustomized(Arc::clone(&warm_plan), &exec);
         let warm = q.recustomized(&warm_oracle);
         assert!(q.shares_topology_with(&warm));
-        assert!(!q.shares_tables_with(&warm));
-        // Clean spans are byte-identical memcpys of the parent arena.
+        assert!(Arc::ptr_eq(warm.tables(), warm_oracle.tables()));
+        // Clean spans are byte-identical copies of the parent arena.
         for b in 0..plan.n_blocks() as u32 {
             if !dirty.contains(&b) {
-                assert_eq!(q.block_span(b), warm.block_span(b), "clean block {b}");
+                let (old, new) = (q.tables().block_span(b), warm.tables().block_span(b));
+                assert_eq!(old, new, "clean block {b}");
             }
         }
         // And the refreshed engine answers like a cold engine on the

@@ -71,8 +71,9 @@ impl ReducedOracle {
     }
 
     /// Incrementally refreshes the oracle for a recustomized plan: the
-    /// reduced all-sources phase reruns only on `plan`'s **dirty blocks**
-    /// (see [`DecompPlan::dirty_blocks`]); clean blocks' tables are shared
+    /// reduced all-sources phase reruns only on the blocks whose weights
+    /// differ between `self`'s plan and `plan` (see
+    /// [`DecompPlan::dirty_blocks_since`]); clean blocks' tables are shared
     /// with `self` via [`Arc::clone`]. The AP table is rebuilt whenever any
     /// block is dirty, and shared on a no-op recustomization.
     ///
@@ -88,7 +89,7 @@ impl ReducedOracle {
             "recustomized requires a plan sharing this oracle's topology \
              (build it with DecompPlan::recustomized)"
         );
-        let dirty = plan.dirty_blocks().to_vec();
+        let dirty = plan.dirty_blocks_since(&self.plan);
         let _span = ear_obs::span_with("apsp.reduced_refresh", dirty.len() as u64);
 
         let (fresh, processing) = compute_reduced_tables(&plan, exec, &dirty);

@@ -487,7 +487,8 @@ pub fn recustomize(
 }
 
 /// `ear query` — serve point-to-point queries off the fast-path
-/// [`QueryEngine`] (precomputed gateway records + fused flat tables),
+/// [`QueryEngine`] (precomputed gateway records over the oracle's own
+/// distance arena),
 /// answer any `--pairs` with distance and realized path, then run a
 /// seeded uniform workload through both the fast path and the legacy
 /// oracle, checksum-gated, and report the throughput of each.
@@ -510,7 +511,7 @@ pub fn query(
     let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
     let engine = QueryEngine::new(&oracle);
     println!(
-        "query engine: {} blocks, {} APs, {} gateway records, {} fused entries, {:.3} ms build wall",
+        "query engine: {} blocks, {} APs, {} gateway records, {} table entries (shared with the oracle), {:.3} ms build wall",
         plan.n_blocks(),
         plan.bct().ap_count(),
         engine.gateway_records(),

@@ -6,7 +6,7 @@
 //! ear apsp <graph> [--pairs u:v,...]     build the distance oracle, answer queries
 //! ear query <graph> [--pairs u:v,...] [--queries N]
 //!                                        fast-path query engine: O(1) gateway routing
-//!                                        over fused flat tables, checksum-gated vs legacy
+//!                                        over the oracle's tables, checksum-gated vs legacy
 //! ear mcb <graph> [--print-cycles] [--profile]  minimum cycle basis
 //! ear combined <graph> [--pairs u:v,...] stats + APSP + MCB off one shared plan
 //! ear recustomize <graph> [--fraction F] [--rounds N] [--seed S]

@@ -197,8 +197,9 @@ pub struct CustomizedPlan {
 impl CustomizedPlan {
     /// Blocks whose weight layer this customization (re)computed, sorted:
     /// all blocks for a cold build, the blocks containing a changed edge
-    /// for a recustomization. Incremental oracle refreshes rebuild exactly
-    /// these.
+    /// for a recustomization. Incremental refreshes rebuild the blocks
+    /// [`DecompPlan::dirty_blocks_since`] returns for their own plan,
+    /// which equal this set when that plan is the direct parent.
     pub fn dirty_blocks(&self) -> &[u32] {
         &self.dirty
     }
@@ -212,6 +213,32 @@ impl CustomizedPlan {
     pub fn edge_weights(&self) -> &[Weight] {
         &self.edge_weights
     }
+}
+
+impl PlanTopology {
+    /// One pass over a weight diff through the edge→block table: per
+    /// block, whether it holds an edge whose weight differs between `old`
+    /// and `new`, plus the number of changed edges.
+    fn changed_blocks(&self, old: &[Weight], new: &[Weight]) -> (Vec<bool>, u64) {
+        let mut flag = vec![false; self.bct.n_blocks];
+        let mut changed = 0u64;
+        for ((&o, &w), &b) in old.iter().zip(new).zip(&self.edge_comp) {
+            if o != w {
+                changed += 1;
+                flag[b as usize] = true;
+            }
+        }
+        (flag, changed)
+    }
+}
+
+/// The ids of the set flags, ascending.
+fn flagged(flags: &[bool]) -> Vec<u32> {
+    flags
+        .iter()
+        .enumerate()
+        .filter_map(|(b, &d)| d.then_some(b as u32))
+        .collect()
 }
 
 /// The full decomposition front half of both pipelines, built once from a
@@ -403,25 +430,12 @@ impl DecompPlan {
         );
         let _span = ear_obs::span_with("decomp.recustomize", self.m() as u64);
 
-        // Dirty-block set: one pass over the weight diff through the
-        // edge→block table.
-        let (dirty_flag, dirty, changed_edges) = {
+        let (dirty_flag, changed_edges) = {
             let _s = ear_obs::span("decomp.recustomize.dirty");
-            let mut flag = vec![false; self.n_blocks()];
-            let mut changed = 0u64;
-            for (e, (&old, &new)) in self.custom.edge_weights.iter().zip(new_weights).enumerate() {
-                if old != new {
-                    changed += 1;
-                    flag[self.topo.edge_comp[e] as usize] = true;
-                }
-            }
-            let dirty: Vec<u32> = flag
-                .iter()
-                .enumerate()
-                .filter_map(|(b, &d)| d.then_some(b as u32))
-                .collect();
-            (flag, dirty, changed)
+            self.topo
+                .changed_blocks(&self.custom.edge_weights, new_weights)
         };
+        let dirty = flagged(&dirty_flag);
 
         // Swap the shared arena's weight layer first (the block views below
         // window it). The arena weight stream is indexed by arena edge
@@ -513,6 +527,25 @@ impl DecompPlan {
     /// edge after [`DecompPlan::recustomized`]. Sorted ascending.
     pub fn dirty_blocks(&self) -> &[u32] {
         self.custom.dirty_blocks()
+    }
+
+    /// Blocks holding an edge whose weight differs between `base` and
+    /// `self`, sorted ascending: the blocks a consumer built for `base`
+    /// must recompute to serve `self`. Equals [`Self::dirty_blocks`] when
+    /// `self` is `base.recustomized(..)`, and stays exact for any other
+    /// pair sharing a topology (a skipped generation, a sibling branch).
+    ///
+    /// # Panics
+    /// Panics unless `base` shares this plan's topology.
+    pub fn dirty_blocks_since(&self, base: &DecompPlan) -> Vec<u32> {
+        assert!(
+            self.shares_topology(base),
+            "dirty_blocks_since requires a plan sharing this topology"
+        );
+        let (flags, _) = self
+            .topo
+            .changed_blocks(base.edge_weights(), self.edge_weights());
+        flagged(&flags)
     }
 
     /// Customization generation: 0 for a cold build, +1 per recustomize.
@@ -868,6 +901,13 @@ mod tests {
             v
         };
         assert_eq!(warm.dirty_blocks(), &want[..]);
+        assert_eq!(warm.dirty_blocks_since(&plan), want);
+        // Two hops back to the original weights: the second hop's own
+        // dirty set is non-empty, but nothing differs from `plan`.
+        let back = warm.recustomized(&g.edges().iter().map(|e| e.w).collect::<Vec<_>>());
+        assert_eq!(back.dirty_blocks(), &want[..]);
+        assert!(back.dirty_blocks_since(&plan).is_empty());
+        assert_eq!(back.dirty_blocks_since(&warm), want);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper's whole pipeline is "run one Dijkstra per source of the
 //! reduced graph" (§2.1.2), so per-source constant factors dominate. The
-//! free functions in [`crate::dijkstra`] allocate four O(n) vectors and a
-//! heap per call; [`SsspEngine`] preallocates them once and reuses them
-//! across runs:
+//! free functions in [`crate::dijkstra`](mod@crate::dijkstra) allocate
+//! four O(n) vectors and a heap per call; [`SsspEngine`] preallocates
+//! them once and reuses them across runs:
 //!
 //! * **Generation-stamped scratch** — instead of clearing `dist`/`parent`
 //!   arrays between runs, every write is tagged with the current run's

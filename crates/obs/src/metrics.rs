@@ -15,10 +15,10 @@
 //! own, uncontended mutex), registered once in a process-wide list —
 //! the same scheme the span collector uses for its ring buffers. The
 //! global registry lock is taken only by readers ([`snapshot`],
-//! [`counter_value`], [`gauge_value`]) and by [`reset`], never on the
-//! recording path, so concurrent workers (the rayon shim's scoped
-//! threads, the streaming exporter, the sampling profiler) no longer
-//! serialise on one mutex per `counter_add`.
+//! [`counter_value`], [`gauge_value`]) and by [`reset`](crate::reset),
+//! never on the recording path, so concurrent workers (the rayon shim's
+//! scoped threads, the streaming exporter, the sampling profiler) no
+//! longer serialise on one mutex per `counter_add`.
 //!
 //! Fold semantics at snapshot time: counters **sum** across shards,
 //! histograms **merge** bucket-wise, and gauges resolve last-write-wins

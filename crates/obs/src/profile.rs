@@ -66,7 +66,7 @@ pub fn is_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Number of sampling ticks taken since the last [`reset`].
+/// Number of sampling ticks taken since the last [`reset`](crate::reset).
 pub fn samples() -> u64 {
     SAMPLES.load(Ordering::Relaxed)
 }

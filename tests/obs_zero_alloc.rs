@@ -2,7 +2,9 @@
 //! instrumentation must be a single relaxed atomic load per call site —
 //! in particular, ZERO heap allocations. A counting global allocator
 //! catches any regression (a lazily-registered thread buffer, a format!
-//! in a span constructor, a metrics map touch...).
+//! in a span constructor, a metrics map touch...). The allocator also
+//! tallies bytes, which pins that the query engine shares the oracle's
+//! distance tables instead of copying them.
 //!
 //! One `#[test]` only: the allocator counter and the tracing switch are
 //! process-global, and a parallel test would pollute the deltas.
@@ -13,10 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -26,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,18 +42,27 @@ fn allocs() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
 }
 
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
+}
+
 /// Allocation delta of `f`, minimized over up to `attempts` runs. The
 /// counter is process-global, so a worker thread from an earlier parallel
 /// section releasing its caches can charge a stray allocation to an
 /// unrelated window; that noise is transient, so a genuinely
 /// allocation-free path observes a zero delta on some attempt, while a
 /// real regression allocates on every one.
-fn min_alloc_delta(attempts: usize, mut f: impl FnMut()) -> u64 {
+fn min_alloc_delta(attempts: usize, f: impl FnMut()) -> u64 {
+    min_delta(allocs, attempts, f)
+}
+
+/// [`min_alloc_delta`] over any of the allocator's tallies.
+fn min_delta(tally: fn() -> u64, attempts: usize, mut f: impl FnMut()) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..attempts {
-        let before = allocs();
+        let before = tally();
         f();
-        best = best.min(allocs() - before);
+        best = best.min(tally() - before);
         if best == 0 {
             break;
         }
@@ -227,5 +241,38 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
         "48 extra blocks cost {slope} plan-build allocations, above the arena \
          layout's {ARENA_SLOPE} + {} slack — is a per-block copy back?",
         48 * SLACK_PER_BLOCK
+    );
+    // 6. One distance store: the query engine reads the oracle's arena
+    //    instead of copying it, so building one allocates far less than
+    //    the arena's own bytes (a copying engine allocates at least that
+    //    much). A 20×20 grid is one block of 400 vertices: 160 000
+    //    entries, 1.28 MB of tables.
+    let side = 20u32;
+    let mut edges = Vec::new();
+    for r in 0..side {
+        for c in 0..side {
+            let v = r * side + c;
+            if c + 1 < side {
+                edges.push((v, v + 1, 1 + u64::from(v % 7)));
+            }
+            if r + 1 < side {
+                edges.push((v, v + side, 1 + u64::from(v % 5)));
+            }
+        }
+    }
+    let grid = ear_graph::CsrGraph::from_edges((side * side) as usize, &edges);
+    let oracle = ear_apsp::build_oracle(&grid, &exec, ear_apsp::ApspMethod::Ear);
+    let arena_bytes = ear_apsp::QueryEngine::new(&oracle).arena_entries() as u64 * 8;
+    assert!(
+        arena_bytes >= 1 << 20,
+        "grid arena is only {arena_bytes} bytes"
+    );
+    let engine_bytes = min_delta(alloc_bytes, 3, || {
+        std::hint::black_box(ear_apsp::QueryEngine::new(&oracle));
+    });
+    assert!(
+        engine_bytes < arena_bytes,
+        "QueryEngine::new allocated {engine_bytes} bytes over a {arena_bytes}-byte arena \
+         — is it copying the oracle's tables?"
     );
 }

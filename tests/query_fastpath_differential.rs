@@ -1,17 +1,18 @@
 //! Differential acceptance suite for the query fast path.
 //!
 //! `ear_apsp::QueryEngine` claims that precomputed gateway routing over
-//! fused flat tables — scalar `dist`, the batched many-to-many kernel,
-//! and the fast `path` realization — is **bit-identical** to the legacy
-//! `DistanceOracle` query path, and that `QueryEngine::recustomized`
-//! tracks an incremental oracle refresh exactly while sharing the routing
-//! topology always and every clean table span. This suite pins those
+//! the oracle's own distance arena — scalar `dist`, the batched
+//! many-to-many kernel, and the fast `path` realization — is
+//! **bit-identical** to the legacy `DistanceOracle` query path, and that
+//! `QueryEngine::recustomized` tracks an incremental oracle refresh
+//! exactly while sharing the routing topology always and the refreshed
+//! oracle's arena (clean spans byte-identical). This suite pins those
 //! claims across every testkit graph family, random and adversarial
 //! vertex pairs, and before/after recustomization.
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle_with_plan, ApspMethod, QueryEngine, QueryScratch};
+use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, QueryEngine, QueryScratch};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, VertexId, Weight};
 use ear_hetero::HeteroExecutor;
@@ -194,9 +195,10 @@ fn fast_path_matches_legacy_path() {
 
 /// `QueryEngine::recustomized` tracks an incremental oracle refresh
 /// exactly: answers match a cold engine on the refreshed oracle, the
-/// routing topology is always shared, a no-op refresh shares the fused
-/// arena outright, and a dirty refresh keeps every clean block span
-/// byte-identical.
+/// engine always reads its oracle's own arena, the routing topology is
+/// always shared, a no-op refresh shares the arena outright, and a dirty
+/// refresh keeps every clean block span byte-identical and rebuilds the
+/// AP span exactly as a cold build on the reweighted graph.
 #[test]
 fn recustomized_engine_matches_cold_and_shares_clean_state() {
     for (name, strat) in families() {
@@ -207,13 +209,19 @@ fn recustomized_engine_matches_cold_and_shares_clean_state() {
                 let plan = Arc::new(DecompPlan::build(g));
                 let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
                 let q = QueryEngine::new(&oracle);
+                if !Arc::ptr_eq(q.tables(), oracle.tables()) {
+                    return Err("engine must read the oracle's arena, not a copy".into());
+                }
                 let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
 
                 // No-op refresh: everything is shared.
                 let noop_plan = Arc::new(plan.recustomized(&base));
                 let noop_oracle = oracle.recustomized(Arc::clone(&noop_plan), &exec);
                 let noop = q.recustomized(&noop_oracle);
-                if !q.shares_topology_with(&noop) || !q.shares_tables_with(&noop) {
+                if !Arc::ptr_eq(noop_oracle.tables(), oracle.tables()) {
+                    return Err("no-op oracle refresh must share the arena".into());
+                }
+                if !q.shares_topology_with(&noop) || !Arc::ptr_eq(q.tables(), noop.tables()) {
                     return Err("no-op refresh must share topology and tables".into());
                 }
 
@@ -235,18 +243,23 @@ fn recustomized_engine_matches_cold_and_shares_clean_state() {
                 if !q.shares_topology_with(&warm) {
                     return Err("refresh must share the routing topology".into());
                 }
-                if !dirty.is_empty() && q.shares_tables_with(&warm) {
-                    return Err("dirty refresh must not share the fused arena".into());
+                if !Arc::ptr_eq(warm.tables(), warm_oracle.tables()) {
+                    return Err("refreshed engine must read the refreshed oracle's arena".into());
                 }
+                if !dirty.is_empty() && Arc::ptr_eq(q.tables(), warm.tables()) {
+                    return Err("dirty refresh must not share the parent arena".into());
+                }
+                let (old, new) = (q.tables(), warm.tables());
                 for b in 0..plan.n_blocks() as u32 {
-                    if !dirty.contains(&b) && q.block_span(b) != warm.block_span(b) {
+                    if !dirty.contains(&b) && old.block_span(b) != new.block_span(b) {
                         return Err(format!("clean block {b} span changed"));
                     }
                 }
-                let cold = QueryEngine::new(&warm_oracle);
-                if warm.ap_span() != cold.ap_span() {
+                let cold_oracle = build_oracle(&g.reweighted(&w), &exec, ApspMethod::Ear);
+                if warm.tables().ap_span() != cold_oracle.tables().ap_span() {
                     return Err("refreshed AP span diverges from cold".into());
                 }
+                let cold = QueryEngine::new(&warm_oracle);
                 for u in 0..g.n() as u32 {
                     for v in 0..g.n() as u32 {
                         let (a, b) = (warm.dist(u, v), cold.dist(u, v));

@@ -8,11 +8,13 @@
 //! pipeline, the stats reporter) gives the same answers either way. This
 //! suite pins that claim across every testkit graph family and three
 //! perturbation shapes: a no-op reweight (`w' == w`), a single-edge
-//! perturbation, and a dense random reweight.
+//! perturbation, and a dense random reweight — and, for the refreshes,
+//! across plans that are not the refreshed object's direct child (a
+//! skipped generation, a sibling branch).
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, ReducedOracle};
+use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, QueryEngine, ReducedOracle};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, Weight};
 use ear_hetero::HeteroExecutor;
@@ -154,6 +156,91 @@ fn refreshed_oracles_match_cold_builds() {
                     if warm.table_entries() != cold.table_entries() {
                         return Err(format!("{shape}/reduced: table entries diverge"));
                     }
+                }
+                Ok(())
+            });
+    }
+}
+
+/// Every pair of `n` vertices on which `warm` and `cold` disagree, as an
+/// error naming the first.
+fn same_answers(
+    n: usize,
+    what: &str,
+    warm: impl Fn(u32, u32) -> Weight,
+    cold: impl Fn(u32, u32) -> Weight,
+) -> Result<(), String> {
+    for u in 0..n as u32 {
+        for v in 0..n as u32 {
+            let (a, b) = (warm(u, v), cold(u, v));
+            if a != b {
+                return Err(format!("{what}: dist({u},{v}) warm {a} vs cold {b}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A refresh handed a plan that is not the direct child of the refreshed
+/// object's own plan still matches a cold build: the full oracle (both
+/// methods), the reduced oracle and the query engine each recompute the
+/// blocks whose weights differ from *their* plan, not the plan's parent.
+/// Two shapes, both built from single-edge steps so the hops usually
+/// dirty different blocks: a skipped generation (`p0` → `p2`, where `p2 =
+/// p0.recustomized(w1).recustomized(w2)`) and a sibling branch (`p1` →
+/// `pb`, both children of `p0`).
+#[test]
+fn refresh_across_generations_and_branches_matches_cold_builds() {
+    for (name, strat) in families() {
+        forall(format!("non_child_refresh/{name}").leak())
+            .cases(8)
+            .run(&strat, |g| {
+                if g.m() == 0 {
+                    return Ok(());
+                }
+                let exec = HeteroExecutor::sequential();
+                let mut rng = TestRng::new(derive_seed(g.n() as u64, 0x51b1));
+                let mut step = |w: &[Weight]| {
+                    let mut w = w.to_vec();
+                    let e = rng.usize_in(0, g.m());
+                    w[e] = w[e].wrapping_add(rng.u64_in(1, 51)).max(1);
+                    w
+                };
+                let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+                let (w1, wb) = (step(&base), step(&base));
+                let w2 = step(&w1);
+                let p0 = Arc::new(DecompPlan::build(g));
+                let p1 = Arc::new(p0.recustomized(&w1));
+                let p2 = Arc::new(p1.recustomized(&w2));
+                let pb = Arc::new(p0.recustomized(&wb));
+                for (shape, from, to, w) in [("skip", &p0, &p2, &w2), ("sibling", &p1, &pb, &wb)] {
+                    let gp = g.reweighted(w);
+                    for method in [ApspMethod::Ear, ApspMethod::Plain] {
+                        let base = build_oracle_with_plan(Arc::clone(from), &exec, method);
+                        let warm = base.recustomized(Arc::clone(to), &exec);
+                        let cold = build_oracle(&gp, &exec, method);
+                        let what = format!("{shape}/{method:?}");
+                        same_answers(g.n(), &what, |u, v| warm.dist(u, v), |u, v| cold.dist(u, v))?;
+                        // The engine follows an oracle that is exact for
+                        // `to` by construction (a cold build on it).
+                        let engine = QueryEngine::new(&base).recustomized(&build_oracle_with_plan(
+                            Arc::clone(to),
+                            &exec,
+                            method,
+                        ));
+                        let what = format!("{shape}/{method:?}/engine");
+                        same_answers(
+                            g.n(),
+                            &what,
+                            |u, v| engine.dist(u, v),
+                            |u, v| cold.dist(u, v),
+                        )?;
+                    }
+                    let warm = ReducedOracle::build_with_plan(Arc::clone(from), &exec)
+                        .recustomized(Arc::clone(to), &exec);
+                    let cold = ReducedOracle::build(&gp, &exec);
+                    let what = format!("{shape}/reduced");
+                    same_answers(g.n(), &what, |u, v| warm.dist(u, v), |u, v| cold.dist(u, v))?;
                 }
                 Ok(())
             });
