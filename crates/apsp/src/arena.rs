@@ -1,13 +1,16 @@
-//! The oracle's one distance store: the `a × a` articulation-point table
-//! and every per-block table in one row-major arena, `[ A | B₀ | B₁ | … ]`
-//! — exactly the `a² + Σ nᵢ²` entries of paper §2.3. The oracle builds it
-//! in place and owns it behind an [`Arc`]; its query engines share that
-//! `Arc`. A refresh clones the parent arena and rewrites only the AP span
-//! and the dirty blocks' spans; the block headers stay shared.
+//! The oracles' one distance store: the `a × a` articulation-point table
+//! and every per-block table in one row-major arena, `[ A | B₀ | B₁ | … ]`.
+//! A block's side is set by the storage level: `nᵢ` for
+//! [`crate::DistanceOracle`] — exactly the `a² + Σ nᵢ²` entries of paper
+//! §2.3 — or `nᵢʳ` for [`crate::ReducedOracle`] (`a² + Σ (nᵢʳ)²`). Each
+//! oracle builds its arena in place and owns it behind an [`Arc`]; query
+//! engines share that `Arc`. A refresh clones the parent arena and
+//! rewrites only the AP span and the dirty blocks' spans; the block
+//! headers stay shared.
 
 use std::sync::Arc;
 
-use ear_decomp::plan::DecompPlan;
+use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_graph::Weight;
 
 /// Placement of one block's table in the arena.
@@ -32,24 +35,23 @@ pub struct DistArena {
 }
 
 impl DistArena {
-    /// A zero-filled arena laid out for `plan`'s blocks; the oracle build
-    /// overwrites every entry.
-    pub(crate) fn new(plan: &DecompPlan) -> DistArena {
+    /// A zero-filled arena laid out for `plan`'s blocks, block `b`'s table
+    /// being `side(plan.block(b))` on a side; the oracle build overwrites
+    /// every entry.
+    pub(crate) fn new(plan: &DecompPlan, side: impl Fn(&BlockPlan) -> usize) -> DistArena {
         let ap_n = plan.bct().ap_count();
         let mut off = ap_n * ap_n;
         let mut blocks = Vec::with_capacity(plan.n_blocks());
         for bp in plan.blocks() {
-            blocks.push(BlockHeader {
-                off,
-                n: bp.n() as u32,
-            });
-            off += bp.n() * bp.n();
+            let n = side(bp);
+            blocks.push(BlockHeader { off, n: n as u32 });
+            off += n * n;
         }
         let (data, blocks) = (vec![0; off], blocks.into());
         DistArena { data, ap_n, blocks }
     }
 
-    /// Stored entries: `a² + Σ nᵢ²`.
+    /// Stored entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at the reduced level).
     pub fn entries(&self) -> usize {
         self.data.len()
     }

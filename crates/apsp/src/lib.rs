@@ -4,18 +4,19 @@
 //! baseline the paper compares against.
 //!
 //! * [`matrix`] — dense distance-matrix storage;
-//! * [`arena`] — the oracle's one distance store: the AP table and every
-//!   per-block table fused into one flat arena, shared by the oracle and
+//! * [`arena`] — the oracles' one distance store: the AP table and every
+//!   per-block table fused into one flat arena, shared by an oracle and
 //!   its query engines;
 //! * [`ear`] — Algorithm 1: reduce → all-sources Dijkstra on `G^r` on the
 //!   heterogeneous executor → closed-form post-processing back to `G`;
 //! * [`oracle`] — the general-graph extension (paper §2.2): per-BCC tables,
 //!   the articulation-point table `A`, block-cut-tree routing, and the
-//!   `O(a² + Σ nᵢ²)` memory accounting of Table 1;
+//!   `O(a² + Σ nᵢ²)` memory accounting of Table 1 — one build, refresh
+//!   and routing machinery serving both oracles;
 //! * [`reduced_oracle`] — the memory-frugal variant: only *reduced* block
-//!   tables are stored (`a² + Σ (nᵢʳ)²`) and the §2.1.3 extension runs per
-//!   query — the storage level the paper's published MB figures for its
-//!   chain-heavy graphs imply;
+//!   tables are stored (`a² + Σ (nᵢʳ)²`, in the same kind of arena) and
+//!   the §2.1.3 extension runs per query — the storage level the paper's
+//!   published MB figures for its chain-heavy graphs imply;
 //! * [`query`] — the serving-grade fast path over a built oracle:
 //!   precomputed per-vertex gateway records over the oracle's own arena,
 //!   a batched many-to-many kernel, and fast path realization —

@@ -25,13 +25,14 @@
 
 use std::sync::Arc;
 
-use ear_decomp::block_cut::{BlockCutTree, Route};
-use ear_decomp::plan::DecompPlan;
+use ear_decomp::block_cut::Route;
+use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 
 use crate::arena::DistArena;
 use crate::matrix::DistMatrix;
+use crate::reduced_oracle::block_pair_dist;
 
 /// How each biconnected component is solved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,7 +89,229 @@ impl OracleStats {
 
 /// One block's AP-pair edge list `(ap_i, ap_j, d)` feeding the AP-graph
 /// Dijkstra, `Arc`-shared between an oracle and its warm refreshes.
-pub(crate) type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
+type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
+
+/// The storage level of an oracle's block tables — the one thing
+/// [`DistanceOracle`] and [`crate::ReducedOracle`] differ in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Level {
+    /// Full `nᵢ × nᵢ` tables (paper §2.3), filled by `method`; phase III
+    /// runs in `Ear` mode.
+    Full(ApspMethod),
+    /// Reduced `nᵢʳ × nᵢʳ` tables, written by phase II; the §2.1.3
+    /// extension runs per query.
+    Reduced,
+}
+
+/// The tables of one customization at one [`Level`], and the cached AP
+/// segments a refresh reuses: the build, refresh and routing machinery
+/// both oracle types share.
+#[derive(Debug)]
+pub(crate) struct Store {
+    pub(crate) plan: Arc<DecompPlan>,
+    level: Level,
+    pub(crate) arena: Arc<DistArena>,
+    /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
+    /// so a refresh recollects only dirty blocks' segments.
+    pub(crate) ap_segments: Vec<ApSegment>,
+}
+
+impl Store {
+    /// Cold build: every block's table and the AP table. Returns the
+    /// executor reports of phases II + III and of the AP table.
+    pub(crate) fn build(
+        plan: Arc<DecompPlan>,
+        exec: &HeteroExecutor,
+        level: Level,
+    ) -> (Store, ExecutionReport, ExecutionReport) {
+        let nb = plan.n_blocks();
+        let side = |bp: &BlockPlan| match level {
+            Level::Full(_) => bp.n(),
+            Level::Reduced => bp.reduced_n(),
+        };
+        let mut store = Store {
+            arena: Arc::new(DistArena::new(&plan, side)),
+            ap_segments: vec![ApSegment::default(); nb],
+            plan,
+            level,
+        };
+        let all: Vec<u32> = (0..nb as u32).collect();
+        let (processing, ap_phase) = store.rewrite(exec, &all);
+        (store, processing, ap_phase)
+    }
+
+    /// Incremental refresh for a recustomized `plan`: clones the arena and
+    /// rewrites the spans and AP segments of the blocks whose weights
+    /// differ between the two plans (see [`DecompPlan::dirty_blocks_since`]),
+    /// then the AP span if any block is dirty. Bit-identical to a cold
+    /// [`Store::build`] on `plan`; a no-op refresh shares the whole arena.
+    ///
+    /// # Panics
+    /// Panics unless `plan` shares this store's plan topology.
+    pub(crate) fn refreshed(
+        &self,
+        plan: Arc<DecompPlan>,
+        exec: &HeteroExecutor,
+    ) -> (Store, ExecutionReport, ExecutionReport) {
+        assert!(
+            self.plan.shares_topology(&plan),
+            "recustomized requires a plan sharing this oracle's topology \
+             (build it with DecompPlan::recustomized)"
+        );
+        let dirty = plan.dirty_blocks_since(&self.plan);
+        let (span, refreshes, dirty_blocks) = match self.level {
+            Level::Full(_) => (
+                "apsp.refresh",
+                "apsp.refreshes",
+                "apsp.refresh.dirty_blocks",
+            ),
+            Level::Reduced => (
+                "apsp.reduced_refresh",
+                "apsp.reduced_refreshes",
+                "apsp.reduced_refresh.dirty_blocks",
+            ),
+        };
+        let _span = ear_obs::span_with(span, dirty.len() as u64);
+        let mut store = Store {
+            plan,
+            level: self.level,
+            arena: Arc::clone(&self.arena),
+            ap_segments: self.ap_segments.clone(),
+        };
+        let (processing, ap_phase) = store.rewrite(exec, &dirty);
+        if ear_obs::is_enabled() {
+            ear_obs::counter_add(refreshes, 1);
+            ear_obs::counter_add(dirty_blocks, dirty.len() as u64);
+        }
+        (store, processing, ap_phase)
+    }
+
+    /// Recomputes the tables and AP segments of `blocks` and, unless
+    /// `blocks` is empty, the AP span (a changed within-block distance can
+    /// reroute AP-to-AP paths globally). Clean blocks' spans and segments
+    /// are kept as they are.
+    fn rewrite(
+        &mut self,
+        exec: &HeteroExecutor,
+        blocks: &[u32],
+    ) -> (ExecutionReport, ExecutionReport) {
+        let processing =
+            compute_block_tables(&self.plan, exec, self.level, blocks, &mut self.arena);
+        for &b in blocks {
+            self.ap_segments[b as usize] = Arc::new(self.ap_segment(b));
+        }
+        let ap_phase = if blocks.is_empty() {
+            processing.clone()
+        } else {
+            let arena = Arc::make_mut(&mut self.arena);
+            compute_ap_table(&self.plan, exec, &self.ap_segments, arena)
+        };
+        (processing, ap_phase)
+    }
+
+    /// Within-block distance between local ids `i` and `j` of block `b` —
+    /// the one read that depends on the level: a span lookup, or the
+    /// §2.1.3 minima over the reduced span.
+    fn block_dist(&self, b: u32, i: VertexId, j: VertexId) -> Weight {
+        match self.level {
+            Level::Full(_) => self.arena.block(b, i, j),
+            Level::Reduced => block_pair_dist(&self.plan, &self.arena, b, i, j),
+        }
+    }
+
+    /// Within-block distance between vertices `u` and `v` of block `b`
+    /// (`INF` when either is not a member).
+    fn pair_dist(&self, b: u32, u: VertexId, v: VertexId) -> Weight {
+        let (Some(lu), Some(lv)) = (self.plan.local(b, u), self.plan.local(b, v)) else {
+            return INF;
+        };
+        self.block_dist(b, lu, lv)
+    }
+
+    /// Shortest-path distance between any two vertices (`INF` when
+    /// disconnected), by block-cut-tree LCA routing.
+    pub(crate) fn dist(&self, u: VertexId, v: VertexId) -> Weight {
+        if u == v {
+            return 0;
+        }
+        let bct = self.plan.bct();
+        match bct.route(u, v) {
+            Route::Disconnected => INF,
+            Route::SameBlock(b) => self.pair_dist(b, u, v),
+            Route::ViaAps { a1, a2 } => {
+                let d1 = if a1 == u {
+                    0
+                } else {
+                    self.pair_dist(self.common_block(u, a1), u, a1)
+                };
+                let d2 = if a2 == v {
+                    0
+                } else {
+                    self.pair_dist(self.common_block(v, a2), v, a2)
+                };
+                let (i, j) = (bct.ap_index[a1 as usize], bct.ap_index[a2 as usize]);
+                debug_assert!(i != u32::MAX && j != u32::MAX);
+                let mid = self.arena.ap_row(i)[j as usize];
+                dist_add(d1, dist_add(mid, d2))
+            }
+        }
+    }
+
+    /// A block containing both `x` (any vertex) and articulation point `a`.
+    /// For the routing results this always exists: `a` is the gateway of
+    /// `x`'s own block.
+    fn common_block(&self, x: VertexId, a: VertexId) -> u32 {
+        let b = self.plan.bct().vertex_block[x as usize];
+        debug_assert_ne!(b, u32::MAX);
+        if self.plan.local(b, a).is_some() {
+            return b;
+        }
+        // `x` is itself an articulation point whose stored block does not
+        // contain `a`: scan x's own adjacent blocks (the precomputed
+        // AP→blocks index) for one holding `a` — O(deg(x)).
+        self.plan
+            .bct()
+            .blocks_of_ap(x)
+            .iter()
+            .copied()
+            .find(|&blk| self.plan.local(blk, a).is_some())
+            .expect("routing produced a non-adjacent gateway")
+    }
+
+    /// The full `n × n` distance matrix (tests / small graphs only).
+    pub(crate) fn materialize(&self) -> DistMatrix {
+        let n = self.plan.n();
+        let mut m = DistMatrix::new(n);
+        for u in 0..n as u32 {
+            for v in 0..n as u32 {
+                m.set(u, v, self.dist(u, v));
+            }
+        }
+        m
+    }
+
+    /// Block `b`'s contribution to the AP graph: one `(ap_index, ap_index,
+    /// within-block distance)` edge per finite AP pair of the block, in the
+    /// deterministic `i < j` order the cold build has always used.
+    fn ap_segment(&self, b: u32) -> Vec<(u32, u32, Weight)> {
+        let bct = self.plan.bct();
+        let aps = &bct.block_aps[b as usize];
+        let mut seg = Vec::new();
+        for i in 0..aps.len() {
+            for j in i + 1..aps.len() {
+                let w = self.pair_dist(b, aps[i], aps[j]);
+                if w < INF {
+                    seg.push((
+                        bct.ap_index[aps[i] as usize],
+                        bct.ap_index[aps[j] as usize],
+                        w,
+                    ));
+                }
+            }
+        }
+        seg
+    }
+}
 
 /// The queryable distance oracle.
 ///
@@ -98,12 +321,7 @@ pub(crate) type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
 /// [`crate::QueryEngine`] serves straight out of it.
 #[derive(Debug)]
 pub struct DistanceOracle {
-    plan: Arc<DecompPlan>,
-    method: ApspMethod,
-    tables: Arc<DistArena>,
-    /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
-    /// so a refresh recollects only dirty blocks' segments.
-    ap_segments: Vec<ApSegment>,
+    store: Store,
     stats: OracleStats,
     /// Executor report of the per-block processing phases (II + III).
     pub processing: ExecutionReport,
@@ -119,18 +337,16 @@ impl DistanceOracle {
 
     /// The per-block method this oracle was built with.
     pub fn method(&self) -> ApspMethod {
-        self.method
+        match self.store.level {
+            Level::Full(method) => method,
+            Level::Reduced => unreachable!("a DistanceOracle stores full tables"),
+        }
     }
 
     /// The decomposition plan this oracle was built from (shareable with
     /// other pipelines via [`Arc::clone`]).
     pub fn plan(&self) -> &Arc<DecompPlan> {
-        &self.plan
-    }
-
-    /// Block-cut tree access.
-    pub fn block_cut_tree(&self) -> &BlockCutTree {
-        self.plan.bct()
+        &self.store.plan
     }
 
     /// Total modelled device time across all build phases.
@@ -141,42 +357,13 @@ impl DistanceOracle {
     /// Shortest-path distance between any two vertices (`INF` when
     /// disconnected).
     pub fn dist(&self, u: VertexId, v: VertexId) -> Weight {
-        if u == v {
-            return 0;
-        }
-        match self.plan.bct().route(u, v) {
-            Route::Disconnected => INF,
-            Route::SameBlock(b) => self.block_dist(b, u, v),
-            Route::ViaAps { a1, a2 } => {
-                let d1 = if a1 == u {
-                    0
-                } else {
-                    self.block_dist(self.common_block(u, a1), u, a1)
-                };
-                let d2 = if a2 == v {
-                    0
-                } else {
-                    self.block_dist(self.common_block(v, a2), v, a2)
-                };
-                let mid = self.ap_dist(a1, a2);
-                dist_add(d1, dist_add(mid, d2))
-            }
-        }
+        self.store.dist(u, v)
     }
 
     /// The oracle's distance store (AP table and every block table),
     /// shared with the [`crate::QueryEngine`]s serving it.
     pub fn tables(&self) -> &Arc<DistArena> {
-        &self.tables
-    }
-
-    /// Distance between two articulation points from the `a × a` table.
-    pub fn ap_dist(&self, a1: VertexId, a2: VertexId) -> Weight {
-        let bct = self.plan.bct();
-        let i = bct.ap_index[a1 as usize];
-        let j = bct.ap_index[a2 as usize];
-        debug_assert!(i != u32::MAX && j != u32::MAX);
-        self.tables.ap_row(i)[j as usize]
+        &self.store.arena
     }
 
     /// Reconstructs an actual shortest path `u → v` as a vertex sequence
@@ -221,14 +408,7 @@ impl DistanceOracle {
 
     /// Materialises the full `n × n` matrix (tests / small graphs only).
     pub fn materialize(&self) -> DistMatrix {
-        let n = self.stats.n;
-        let mut m = DistMatrix::new(n);
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                m.set(u, v, self.dist(u, v));
-            }
-        }
-        m
+        self.store.materialize()
     }
 
     /// Incrementally refreshes the oracle for a recustomized plan: only the
@@ -250,73 +430,13 @@ impl DistanceOracle {
     /// Panics unless `plan` shares this oracle's plan topology (i.e. it
     /// came from [`DecompPlan::recustomized`] on the same decomposition).
     pub fn recustomized(&self, plan: Arc<DecompPlan>, exec: &HeteroExecutor) -> DistanceOracle {
-        assert!(
-            self.plan.shares_topology(&plan),
-            "recustomized requires a plan sharing this oracle's topology \
-             (build it with DecompPlan::recustomized)"
-        );
-        let dirty = plan.dirty_blocks_since(&self.plan);
-        let _span = ear_obs::span_with("apsp.refresh", dirty.len() as u64);
-
-        let mut tables = Arc::clone(&self.tables);
-        let processing = compute_block_tables(&plan, exec, self.method, &dirty, &mut tables);
-
-        // Only dirty blocks' AP-pair segments need recollecting; clean
-        // blocks' within-block AP distances are unchanged by construction.
-        let mut ap_segments = self.ap_segments.clone();
-        for &b in &dirty {
-            ap_segments[b as usize] = Arc::new(ap_segment(&plan, b, &tables));
-        }
-
-        let ap_phase = if dirty.is_empty() {
-            processing.clone()
-        } else {
-            compute_ap_table(&plan, exec, &ap_segments, Arc::make_mut(&mut tables))
-        };
-
-        if ear_obs::is_enabled() {
-            ear_obs::counter_add("apsp.refreshes", 1);
-            ear_obs::counter_add("apsp.refresh.dirty_blocks", dirty.len() as u64);
-        }
-
+        let (store, processing, ap_phase) = self.store.refreshed(plan, exec);
         DistanceOracle {
-            plan,
-            method: self.method,
-            tables,
-            ap_segments,
+            store,
             stats: self.stats.clone(),
             processing,
             ap_phase,
         }
-    }
-
-    fn block_dist(&self, block: u32, u: VertexId, v: VertexId) -> Weight {
-        let (Some(lu), Some(lv)) = (self.plan.local(block, u), self.plan.local(block, v)) else {
-            return INF;
-        };
-        self.tables.block(block, lu, lv)
-    }
-
-    /// A block containing both `x` (any vertex) and articulation point `a`.
-    /// For the routing results this always exists: `a` is the gateway of
-    /// `x`'s own block.
-    fn common_block(&self, x: VertexId, a: VertexId) -> u32 {
-        let b = self.plan.bct().vertex_block[x as usize];
-        debug_assert_ne!(b, u32::MAX);
-        if self.plan.local(b, a).is_some() {
-            return b;
-        }
-        // `x` is itself an articulation point whose stored block does not
-        // contain `a`: scan x's own adjacent blocks (the precomputed
-        // AP→blocks index) for one holding `a` — O(deg(x)) instead of the
-        // old O(n_blocks) all-blocks fallback.
-        self.plan
-            .bct()
-            .blocks_of_ap(x)
-            .iter()
-            .copied()
-            .find(|&blk| self.plan.local(blk, a).is_some())
-            .expect("routing produced a non-adjacent gateway")
     }
 }
 
@@ -343,7 +463,7 @@ pub fn build_oracle(g: &CsrGraph, exec: &HeteroExecutor, method: ApspMethod) -> 
 /// One Phase-II / AP-phase workunit: the distance row of source `s` in
 /// `target`, from one run of the worker thread's pooled
 /// [`SsspEngine`](ear_graph::SsspEngine), plus its work counters.
-pub(crate) fn sssp_row(target: CsrView<'_>, s: u32) -> (Vec<Weight>, WorkCounters) {
+fn sssp_row(target: CsrView<'_>, s: u32) -> (Vec<Weight>, WorkCounters) {
     with_engine(|eng| {
         let stats = eng.run_view(target, s);
         let counters = WorkCounters {
@@ -369,36 +489,27 @@ pub fn build_oracle_with_plan(
     exec: &HeteroExecutor,
     method: ApspMethod,
 ) -> DistanceOracle {
-    let nb = plan.n_blocks();
     let _build_span = ear_obs::span_with("apsp.build", plan.n() as u64);
-
-    let all: Vec<u32> = (0..nb as u32).collect();
-    let mut tables = Arc::new(DistArena::new(&plan));
-    let processing = compute_block_tables(&plan, exec, method, &all, &mut tables);
-
-    let ap_segments: Vec<ApSegment> = (0..nb as u32)
-        .map(|b| Arc::new(ap_segment(&plan, b, &tables)))
-        .collect();
-    let ap_phase = compute_ap_table(&plan, exec, &ap_segments, Arc::make_mut(&mut tables));
+    let (store, processing, ap_phase) = Store::build(plan, exec, Level::Full(method));
 
     // Statistics.
-    let a = plan.bct().ap_count();
+    let plan = &store.plan;
     let removed = match method {
         ApspMethod::Ear => plan.removed_vertices(),
         ApspMethod::Plain => 0,
     };
-    let table_entries = tables.entries() as u64;
+    let table_entries = store.arena.entries() as u64;
     let stats = OracleStats {
         n: plan.n(),
         m: plan.m(),
-        n_bccs: nb,
+        n_bccs: plan.n_blocks(),
         largest_bcc_edge_share: if plan.m() == 0 {
             0.0
         } else {
             plan.largest_block_edges() as f64 / plan.m() as f64
         },
         removed_vertices: removed,
-        articulation_points: a,
+        articulation_points: plan.bct().ap_count(),
         table_entries,
         max_entries: (plan.n() as u64).pow(2),
     };
@@ -409,77 +520,62 @@ pub fn build_oracle_with_plan(
     }
 
     DistanceOracle {
-        plan,
-        method,
-        tables,
-        ap_segments,
+        store,
         stats,
         processing,
         ap_phase,
     }
 }
 
-/// Phases II + III for the given `blocks` only: per-block (reduced)
-/// all-sources SSSP, then — in `Ear` mode — the §2.1.3 extension to the
-/// full block, whose rows land straight in the blocks' spans of `tables`
-/// (cloned first when shared: a refresh's clone-and-rewrite). Returns the
-/// merged executor report. The cold build passes every block; an
-/// incremental refresh passes just the dirty ones.
+/// Phases II + III for the given `blocks` only, writing each block's rows
+/// straight into its span of `tables` (cloned first when shared: a
+/// refresh's clone-and-rewrite). Phase II is the all-sources Dijkstra on
+/// each block's reduced graph — on the block itself when it is not
+/// reduced or `level` is `Full(Plain)`. Phase III runs at `Full(Ear)`
+/// only: the §2.1.3 extension of the reduced matrices to the whole block.
+/// Returns the merged executor report. The cold build passes every block;
+/// an incremental refresh passes just the dirty ones.
 fn compute_block_tables(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
-    method: ApspMethod,
+    level: Level,
     blocks: &[u32],
     tables: &mut Arc<DistArena>,
 ) -> ExecutionReport {
     // Ear reduction requires simple blocks; a multigraph input's parallel
     // bundles fall back to plain processing for that block. The plan's
     // per-block `reduction` accessor is the single guard.
-    let red = |b: u32| match method {
-        ApspMethod::Ear => plan.reduction(b),
-        ApspMethod::Plain => None,
+    let red = |b: u32| match level {
+        Level::Full(ApspMethod::Plain) => None,
+        Level::Full(ApspMethod::Ear) | Level::Reduced => plan.reduction(b),
     };
+    let target = |b: u32| red(b).map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
 
     // Phase II: workunits are (block, source) pairs.
     let phase2_span = ear_obs::span("apsp.phase2");
     let units: Vec<(u32, u32)> = blocks
         .iter()
-        .flat_map(|&b| {
-            let srcs = match red(b) {
-                Some(r) => r.reduced.n(),
-                None => plan.block(b).n(),
-            };
-            (0..srcs as u32).map(move |s| (b, s))
-        })
+        .flat_map(|&b| (0..target(b).n() as u32).map(move |s| (b, s)))
         .collect();
     let RunOutput {
         results: rows,
         report: phase2,
     } = exec.run(
         units.clone(),
-        |&(b, _)| match red(b) {
-            Some(r) => r.reduced.m() as u64 + 1,
-            None => plan.block(b).m() as u64 + 1,
-        },
-        |&(b, s)| {
-            let target = match red(b) {
-                Some(r) => r.reduced.view(),
-                None => plan.block_graph(b),
-            };
-            // Pooled engines: per-source scratch is reused across
-            // workunits handled by the same worker thread.
-            sssp_row(target, s)
-        },
+        |&(b, _)| target(b).m() as u64 + 1,
+        // Pooled engines: per-source scratch is reused across workunits
+        // handled by the same worker thread.
+        |&(b, s)| sssp_row(target(b), s),
     );
     drop(phase2_span);
 
-    // Phase III (Ear only): extend each block's reduced matrix to the whole
-    // block; workunits are (block, vertex) rows. Plain mode's phase-II rows
-    // already are the block tables.
+    // Phase III (`Full(Ear)` only): extend each block's reduced matrix to
+    // the whole block; workunits are (block, vertex) rows. At the other
+    // levels the phase-II rows already are the block tables.
     let phase3_span = ear_obs::span("apsp.phase3");
-    let (units, rows, phase3) = match method {
-        ApspMethod::Plain => (units, rows, None),
-        ApspMethod::Ear => {
+    let (units, rows, phase3) = match level {
+        Level::Full(ApspMethod::Plain) | Level::Reduced => (units, rows, None),
+        Level::Full(ApspMethod::Ear) => {
             // Transient per-block reduced (or full) matrices, by position
             // in `blocks`.
             let mut pos = vec![usize::MAX; plan.n_blocks()];
@@ -488,7 +584,7 @@ fn compute_block_tables(
             }
             let mut srs: Vec<DistMatrix> = blocks
                 .iter()
-                .map(|&b| DistMatrix::new(red(b).map_or(plan.block(b).n(), |r| r.reduced.n())))
+                .map(|&b| DistMatrix::new(plan.block(b).reduced_n()))
                 .collect();
             for ((b, s), row) in units.into_iter().zip(rows) {
                 srs[pos[b as usize]].row_mut(s).copy_from_slice(&row);
@@ -527,32 +623,6 @@ fn compute_block_tables(
         Some(p3) => merge_reports(phase2, p3),
         None => phase2,
     }
-}
-
-/// Block `b`'s contribution to the AP graph: one `(ap_index, ap_index,
-/// within-block distance)` edge per finite AP pair of the block, in the
-/// deterministic `i < j` order the cold build has always used.
-fn ap_segment(plan: &DecompPlan, b: u32, tables: &DistArena) -> Vec<(u32, u32, Weight)> {
-    let bct = plan.bct();
-    let aps = &bct.block_aps[b as usize];
-    let mut seg = Vec::new();
-    for i in 0..aps.len() {
-        for j in i + 1..aps.len() {
-            let (li, lj) = (
-                plan.local(b, aps[i]).unwrap(),
-                plan.local(b, aps[j]).unwrap(),
-            );
-            let w = tables.block(b, li, lj);
-            if w < INF {
-                seg.push((
-                    bct.ap_index[aps[i] as usize],
-                    bct.ap_index[aps[j] as usize],
-                    w,
-                ));
-            }
-        }
-    }
-    seg
 }
 
 /// Stage 2 post-processing: the AP graph (APs connected within each block
@@ -796,9 +866,10 @@ mod tests {
             assert_eq!(warm.materialize(), cold.materialize());
             assert_eq!(warm.stats(), cold.stats());
             // The refresh only reran the dirty blocks.
-            let mut scratch = Arc::new(DistArena::new(&warm_plan));
+            let mut scratch = Arc::new(DistArena::new(&warm_plan, BlockPlan::n));
             let dirty = warm_plan.dirty_blocks();
-            let rep = compute_block_tables(&warm_plan, &exec, method, dirty, &mut scratch);
+            let level = Level::Full(method);
+            let rep = compute_block_tables(&warm_plan, &exec, level, dirty, &mut scratch);
             assert_eq!(warm.processing.total_units(), rep.total_units());
         }
     }
@@ -812,7 +883,7 @@ mod tests {
         let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         let warm = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
         assert!(Arc::ptr_eq(oracle.tables(), warm.tables()));
-        for (a, b) in oracle.ap_segments.iter().zip(&warm.ap_segments) {
+        for (a, b) in oracle.store.ap_segments.iter().zip(&warm.store.ap_segments) {
             assert!(Arc::ptr_eq(a, b));
         }
         assert_eq!(warm.processing.total_units(), 0);
@@ -842,7 +913,7 @@ mod tests {
         let dirty = warm_plan.dirty_blocks().to_vec();
         let warm = oracle.recustomized(warm_plan, &exec);
         for b in 0..plan.n_blocks() {
-            let shared = Arc::ptr_eq(&oracle.ap_segments[b], &warm.ap_segments[b]);
+            let shared = Arc::ptr_eq(&oracle.store.ap_segments[b], &warm.store.ap_segments[b]);
             assert_eq!(shared, !dirty.contains(&(b as u32)), "block {b}");
         }
         // The rebuilt AP table still matches a cold one bit-for-bit.

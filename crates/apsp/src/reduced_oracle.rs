@@ -10,34 +10,36 @@
 //! closed-form extension *per query* instead of materialising it. This
 //! type is that storage level: every distance involving a removed vertex
 //! costs a constant number of reduced-table lookups at query time.
+//!
+//! Everything else is the full oracle's machinery: the tables sit in a
+//! [`crate::DistArena`] laid out with `nᵢʳ`-sided blocks, phase II writes
+//! into it directly (there is no phase III), and the AP table, the
+//! block-cut-tree router and the incremental refresh are the same code
+//! paths. Only the within-block read differs: the §2.1.3 minima over the
+//! block's reduced span instead of a direct lookup.
 
 use std::sync::Arc;
 
-use ear_decomp::block_cut::Route;
-use ear_decomp::plan::{BlockPlan, DecompPlan};
-use ear_decomp::reduce::ReducedGraph;
-use ear_graph::{dist_add, CsrGraph, VertexId, Weight, INF};
-use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput};
+use ear_decomp::plan::DecompPlan;
+use ear_decomp::reduce::{ReducedGraph, RemovedInfo};
+use ear_graph::{dist_add, CsrGraph, VertexId, Weight};
+use ear_hetero::{ExecutionReport, HeteroExecutor};
 
+use crate::arena::DistArena;
 use crate::matrix::DistMatrix;
-use crate::oracle::{sssp_row, ApSegment};
+use crate::oracle::{Level, Store};
 
 /// A distance oracle storing `a² + Σ (nᵢʳ)²` entries.
 ///
-/// Per-block reduced tables sit behind [`Arc`] so an incremental
-/// [`ReducedOracle::recustomized`] refresh shares clean blocks' tables
-/// with its parent oracle instead of recomputing them.
+/// The tables sit in one [`DistArena`] behind an [`Arc`]: a no-op
+/// [`ReducedOracle::recustomized`] refresh shares it outright, a dirty one
+/// clones it and rewrites only the dirty blocks' spans and the AP span.
 pub struct ReducedOracle {
-    plan: Arc<DecompPlan>,
-    /// Per-block distance matrices over the *reduced* (or full, when the
-    /// block is not simple) block vertices.
-    srs: Vec<Arc<DistMatrix>>,
-    ap_table: Arc<DistMatrix>,
-    /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
-    /// so a refresh recollects only dirty blocks' segments.
-    ap_segments: Vec<ApSegment>,
-    /// Executor report of the build (reduced all-sources Dijkstra phase).
+    store: Store,
+    /// Executor report of the reduced all-sources Dijkstra (phase II).
     pub processing: ExecutionReport,
+    /// Executor report of the articulation-point table construction.
+    pub ap_phase: ExecutionReport,
 }
 
 impl ReducedOracle {
@@ -52,30 +54,21 @@ impl ReducedOracle {
     /// [`DecompPlan`]; only the all-sources Dijkstra over the plan's
     /// reduced blocks and the AP table remain to be computed.
     pub fn build_with_plan(plan: Arc<DecompPlan>, exec: &HeteroExecutor) -> ReducedOracle {
-        let all: Vec<u32> = (0..plan.n_blocks() as u32).collect();
-        let (fresh, processing) = compute_reduced_tables(&plan, exec, &all);
-        let srs: Vec<Arc<DistMatrix>> = fresh.into_iter().map(Arc::new).collect();
-        let ap_segments: Vec<ApSegment> = srs
-            .iter()
-            .enumerate()
-            .map(|(b, sr)| Arc::new(reduced_ap_segment(&plan, b as u32, sr)))
-            .collect();
-        let ap_table = Arc::new(compute_reduced_ap_table(&plan, &ap_segments));
+        let (store, processing, ap_phase) = Store::build(plan, exec, Level::Reduced);
         ReducedOracle {
-            plan,
-            srs,
-            ap_table,
-            ap_segments,
+            store,
             processing,
+            ap_phase,
         }
     }
 
     /// Incrementally refreshes the oracle for a recustomized plan: the
     /// reduced all-sources phase reruns only on the blocks whose weights
     /// differ between `self`'s plan and `plan` (see
-    /// [`DecompPlan::dirty_blocks_since`]); clean blocks' tables are shared
-    /// with `self` via [`Arc::clone`]. The AP table is rebuilt whenever any
-    /// block is dirty, and shared on a no-op recustomization.
+    /// [`DecompPlan::dirty_blocks_since`]), into a clone of `self`'s arena,
+    /// so clean blocks' spans are copied, never recomputed. The AP span is
+    /// rebuilt whenever any block is dirty; a no-op recustomization shares
+    /// the whole arena and runs nothing.
     ///
     /// Bit-identical to a cold [`Self::build_with_plan`] on `plan`;
     /// cost scales with the dirty blocks' share of the graph.
@@ -84,222 +77,61 @@ impl ReducedOracle {
     /// Panics unless `plan` shares this oracle's plan topology (i.e. it
     /// came from [`DecompPlan::recustomized`] on the same decomposition).
     pub fn recustomized(&self, plan: Arc<DecompPlan>, exec: &HeteroExecutor) -> ReducedOracle {
-        assert!(
-            self.plan.shares_topology(&plan),
-            "recustomized requires a plan sharing this oracle's topology \
-             (build it with DecompPlan::recustomized)"
-        );
-        let dirty = plan.dirty_blocks_since(&self.plan);
-        let _span = ear_obs::span_with("apsp.reduced_refresh", dirty.len() as u64);
-
-        let (fresh, processing) = compute_reduced_tables(&plan, exec, &dirty);
-        let mut srs = self.srs.clone();
-        for (&b, t) in dirty.iter().zip(fresh) {
-            srs[b as usize] = Arc::new(t);
-        }
-        // Only dirty blocks' AP-pair segments need recollecting.
-        let mut ap_segments = self.ap_segments.clone();
-        for &b in &dirty {
-            ap_segments[b as usize] = Arc::new(reduced_ap_segment(&plan, b, &srs[b as usize]));
-        }
-        let ap_table = if dirty.is_empty() {
-            Arc::clone(&self.ap_table)
-        } else {
-            Arc::new(compute_reduced_ap_table(&plan, &ap_segments))
-        };
-
-        if ear_obs::is_enabled() {
-            ear_obs::counter_add("apsp.reduced_refreshes", 1);
-            ear_obs::counter_add("apsp.reduced_refresh.dirty_blocks", dirty.len() as u64);
-        }
-
+        let (store, processing, ap_phase) = self.store.refreshed(plan, exec);
         ReducedOracle {
-            plan,
-            srs,
-            ap_table,
-            ap_segments,
+            store,
             processing,
+            ap_phase,
         }
     }
 
     /// Stored table entries: `a² + Σ (nᵢʳ)²`.
     pub fn table_entries(&self) -> u64 {
-        (self.ap_table.n() as u64).pow(2)
-            + self
-                .srs
-                .iter()
-                .map(|sr| (sr.n() as u64).pow(2))
-                .sum::<u64>()
+        self.store.arena.entries() as u64
     }
 
     /// Shortest-path distance, `INF` when disconnected.
     pub fn dist(&self, u: VertexId, v: VertexId) -> Weight {
-        if u == v {
-            return 0;
-        }
-        let bct = self.plan.bct();
-        match bct.route(u, v) {
-            Route::Disconnected => INF,
-            Route::SameBlock(b) => {
-                let (Some(lu), Some(lv)) = (self.plan.local(b, u), self.plan.local(b, v)) else {
-                    return INF;
-                };
-                block_pair_dist(self.plan.block(b), &self.srs[b as usize], lu, lv)
-            }
-            Route::ViaAps { a1, a2 } => {
-                let d1 = if a1 == u { 0 } else { self.vertex_to_ap(u, a1) };
-                let d2 = if a2 == v { 0 } else { self.vertex_to_ap(v, a2) };
-                let i = bct.ap_index[a1 as usize];
-                let j = bct.ap_index[a2 as usize];
-                dist_add(d1, dist_add(self.ap_table.get(i, j), d2))
-            }
-        }
+        self.store.dist(u, v)
     }
 
-    fn vertex_to_ap(&self, x: VertexId, ap: VertexId) -> Weight {
-        let b = self.plan.bct().vertex_block[x as usize];
-        debug_assert_ne!(b, u32::MAX);
-        if let (Some(lx), Some(la)) = (self.plan.local(b, x), self.plan.local(b, ap)) {
-            return block_pair_dist(self.plan.block(b), &self.srs[b as usize], lx, la);
-        }
-        // x is an articulation point whose stored block lacks `ap`: scan
-        // x's own adjacent blocks (precomputed AP→blocks index) for one
-        // holding both — O(deg(x)) instead of the old O(n_blocks) scan.
-        for &b in self.plan.bct().blocks_of_ap(x) {
-            if let (Some(lx), Some(la)) = (self.plan.local(b, x), self.plan.local(b, ap)) {
-                return block_pair_dist(self.plan.block(b), &self.srs[b as usize], lx, la);
-            }
-        }
-        INF
+    /// Materialises the full `n × n` matrix (tests / small graphs only).
+    pub fn materialize(&self) -> DistMatrix {
+        self.store.materialize()
     }
 
     /// Number of vertices of the underlying graph.
     pub fn n(&self) -> usize {
-        self.plan.n()
+        self.store.plan.n()
     }
 
     /// The decomposition plan this oracle was built from.
     pub fn plan(&self) -> &Arc<DecompPlan> {
-        &self.plan
+        &self.store.plan
     }
 }
 
-/// The reduced all-sources Dijkstra phase for the given `blocks` only.
-/// Returns one reduced table per requested block, aligned with `blocks`,
-/// plus the executor report. The cold build passes every block; an
-/// incremental refresh passes just the dirty ones.
-fn compute_reduced_tables(
-    plan: &Arc<DecompPlan>,
-    exec: &HeteroExecutor,
-    blocks: &[u32],
-) -> (Vec<DistMatrix>, ExecutionReport) {
-    let mut pos = vec![usize::MAX; plan.n_blocks()];
-    for (i, &b) in blocks.iter().enumerate() {
-        pos[b as usize] = i;
-    }
-    let mut srs: Vec<DistMatrix> = blocks
-        .iter()
-        .map(|&b| {
-            let srn = plan
-                .reduction(b)
-                .map_or(plan.block(b).n(), |r| r.reduced.n());
-            DistMatrix::new(srn)
-        })
-        .collect();
-
-    let units: Vec<(u32, u32)> = blocks
-        .iter()
-        .flat_map(|&b| {
-            let srcs = srs[pos[b as usize]].n();
-            (0..srcs as u32).map(move |s| (b, s))
-        })
-        .collect();
-    let RunOutput {
-        results: rows,
-        report: processing,
-    } = exec.run(
-        units.clone(),
-        |&(b, _)| plan.block(b).m() as u64 + 1,
-        |&(b, s)| {
-            let target = match plan.reduction(b) {
-                Some(r) => r.reduced.view(),
-                None => plan.block_graph(b),
-            };
-            // Pooled engines: scratch reused across the (block, source)
-            // workunits each worker thread handles.
-            sssp_row(target, s)
-        },
-    );
-    for ((b, s), row) in units.into_iter().zip(rows) {
-        for (t, w) in row.into_iter().enumerate() {
-            srs[pos[b as usize]].set(s, t as u32, w);
-        }
-    }
-    (srs, processing)
-}
-
-/// Block `b`'s contribution to the reduced AP graph: one edge per finite
-/// AP pair, with within-block AP distances answered by the per-query
-/// formula (an articulation point can itself be a degree-2 vertex of its
-/// block). Deterministic `i < j` order, as the cold build has always used.
-fn reduced_ap_segment(plan: &DecompPlan, b: u32, sr: &DistMatrix) -> Vec<(u32, u32, Weight)> {
-    let bct = plan.bct();
-    let aps = &bct.block_aps[b as usize];
-    let mut seg = Vec::new();
-    for i in 0..aps.len() {
-        for j in i + 1..aps.len() {
-            let (lu, lv) = (
-                plan.local(b, aps[i]).unwrap(),
-                plan.local(b, aps[j]).unwrap(),
-            );
-            let w = block_pair_dist(plan.block(b), sr, lu, lv);
-            if w < INF {
-                seg.push((
-                    bct.ap_index[aps[i] as usize],
-                    bct.ap_index[aps[j] as usize],
-                    w,
-                ));
-            }
-        }
-    }
-    seg
-}
-
-/// AP table over the AP graph, from prebuilt per-block edge segments —
-/// a refresh recomputes only dirty blocks' segments. Concatenation in
-/// block id order keeps the result bit-identical to a cold build.
-fn compute_reduced_ap_table(plan: &Arc<DecompPlan>, segments: &[ApSegment]) -> DistMatrix {
-    let a = plan.bct().ap_count();
-    let ap_edges: Vec<(u32, u32, Weight)> = segments
-        .iter()
-        .flat_map(|seg| seg.iter().copied())
-        .collect();
-    let ap_graph = CsrGraph::from_edges(a, &ap_edges);
-    let ap_rows: Vec<Vec<Weight>> = (0..a as u32)
-        .map(|s| sssp_row(ap_graph.view(), s).0)
-        .collect();
-    DistMatrix::from_rows(ap_rows)
-}
-
-/// Within-block distance between two block-local vertices, computed from
-/// the reduced table with the paper's §2.1.3 minima.
-fn block_pair_dist(bp: &BlockPlan, sr: &DistMatrix, u: VertexId, v: VertexId) -> Weight {
+/// Within-block distance between local ids `u` and `v` of block `b`,
+/// computed from the block's reduced span of `tables` with the paper's
+/// §2.1.3 minima.
+pub(crate) fn block_pair_dist(
+    plan: &DecompPlan,
+    tables: &DistArena,
+    b: u32,
+    u: VertexId,
+    v: VertexId,
+) -> Weight {
     if u == v {
         return 0;
     }
-    let Some(r) = &bp.reduction else {
-        return sr.get(u, v);
+    let sr = |i, j| tables.block(b, i, j);
+    let Some(r) = plan.reduction(b) else {
+        return sr(u, v);
     };
     match (r.removed_info(u), r.removed_info(v)) {
-        (None, None) => sr.get(r.to_reduced[u as usize], r.to_reduced[v as usize]),
-        (None, Some(iy)) => {
-            let lu = r.to_reduced[u as usize];
-            two_way(sr, lu, r, &iy)
-        }
-        (Some(ix), None) => {
-            let lv = r.to_reduced[v as usize];
-            two_way(sr, lv, r, &ix)
-        }
+        (None, None) => sr(r.to_reduced[u as usize], r.to_reduced[v as usize]),
+        (None, Some(iy)) => two_way(sr, r.to_reduced[u as usize], r, &iy),
+        (Some(ix), None) => two_way(sr, r.to_reduced[v as usize], r, &ix),
         (Some(ix), Some(iy)) => {
             let (lxl, lxr) = (
                 r.to_reduced[ix.left as usize],
@@ -309,10 +141,10 @@ fn block_pair_dist(bp: &BlockPlan, sr: &DistMatrix, u: VertexId, v: VertexId) ->
                 r.to_reduced[iy.left as usize],
                 r.to_reduced[iy.right as usize],
             );
-            let mut best = dist_add(ix.w_left, dist_add(sr.get(lxl, lyl), iy.w_left))
-                .min(dist_add(ix.w_left, dist_add(sr.get(lxl, lyr), iy.w_right)))
-                .min(dist_add(ix.w_right, dist_add(sr.get(lxr, lyl), iy.w_left)))
-                .min(dist_add(ix.w_right, dist_add(sr.get(lxr, lyr), iy.w_right)));
+            let mut best = dist_add(ix.w_left, dist_add(sr(lxl, lyl), iy.w_left))
+                .min(dist_add(ix.w_left, dist_add(sr(lxl, lyr), iy.w_right)))
+                .min(dist_add(ix.w_right, dist_add(sr(lxr, lyl), iy.w_left)))
+                .min(dist_add(ix.w_right, dist_add(sr(lxr, lyr), iy.w_right)));
             if ix.chain == iy.chain {
                 best = best.min(ix.w_left.abs_diff(iy.w_left));
             }
@@ -321,17 +153,19 @@ fn block_pair_dist(bp: &BlockPlan, sr: &DistMatrix, u: VertexId, v: VertexId) ->
     }
 }
 
+/// Distance from a retained vertex (reduced id `retained_local`) to a
+/// removed one: the shorter way round its chain.
 #[inline]
 fn two_way(
-    sr: &DistMatrix,
+    sr: impl Fn(VertexId, VertexId) -> Weight,
     retained_local: VertexId,
     r: &ReducedGraph,
-    info: &ear_decomp::reduce::RemovedInfo,
+    info: &RemovedInfo,
 ) -> Weight {
     let ll = r.to_reduced[info.left as usize];
     let lr = r.to_reduced[info.right as usize];
-    dist_add(sr.get(retained_local, ll), info.w_left)
-        .min(dist_add(sr.get(retained_local, lr), info.w_right))
+    dist_add(sr(retained_local, ll), info.w_left)
+        .min(dist_add(sr(retained_local, lr), info.w_right))
 }
 
 #[cfg(test)]
@@ -339,6 +173,7 @@ mod tests {
     use super::*;
     use crate::baselines::floyd_warshall;
     use crate::oracle::{build_oracle, ApspMethod};
+    use ear_graph::INF;
 
     fn check(g: &CsrGraph) -> ReducedOracle {
         let exec = HeteroExecutor::sequential();
@@ -461,20 +296,26 @@ mod tests {
             }
         }
         assert_eq!(warm.table_entries(), cold.table_entries());
-        // Clean blocks' tables are the parent's allocations.
+        // A dirty refresh rewrites its own arena: clean blocks' spans are
+        // byte-identical copies and their AP segments stay shared.
         let dirty = warm_plan.dirty_blocks();
         assert_eq!(dirty.len(), 1);
-        for b in 0..plan.n_blocks() {
-            let shared = Arc::ptr_eq(&ro.srs[b], &warm.srs[b]);
-            assert_eq!(shared, !dirty.contains(&(b as u32)), "block {b}");
-            let seg_shared = Arc::ptr_eq(&ro.ap_segments[b], &warm.ap_segments[b]);
-            assert_eq!(seg_shared, !dirty.contains(&(b as u32)), "segment {b}");
+        let (old, new) = (&ro.store, &warm.store);
+        assert!(!Arc::ptr_eq(&old.arena, &new.arena));
+        for b in 0..plan.n_blocks() as u32 {
+            let clean = !dirty.contains(&b);
+            if clean {
+                assert_eq!(old.arena.block_span(b), new.arena.block_span(b), "span {b}");
+            }
+            let (i, j) = (&old.ap_segments[b as usize], &new.ap_segments[b as usize]);
+            assert_eq!(Arc::ptr_eq(i, j), clean, "segment {b}");
         }
-        // No-op refresh shares everything, including the AP table.
+        // The phase-II units are the dirty block's sources only.
+        let sources = plan.block(dirty[0]).reduced_n();
+        assert_eq!(warm.processing.total_units(), sources);
+        // A no-op refresh shares the whole arena and runs nothing.
         let noop = ro.recustomized(Arc::new(plan.recustomized(plan.edge_weights())), &exec);
-        assert!(Arc::ptr_eq(&ro.ap_table, &noop.ap_table));
-        for b in 0..plan.n_blocks() {
-            assert!(Arc::ptr_eq(&ro.srs[b], &noop.srs[b]));
-        }
+        assert!(Arc::ptr_eq(&ro.store.arena, &noop.store.arena));
+        assert_eq!(noop.processing.total_units(), 0);
     }
 }

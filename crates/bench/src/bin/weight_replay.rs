@@ -8,8 +8,9 @@
 //! 1. **Warm** — `DecompPlan::recustomized` (weight layer only, dirty
 //!    blocks recomputed in parallel) followed by the incremental
 //!    `DistanceOracle::recustomized` and `ReducedOracle::recustomized`
-//!    refreshes, which rebuild only the dirty blocks' tables and share
-//!    every clean table by `Arc`.
+//!    refreshes, which recompute only the dirty blocks' tables into a
+//!    clone of the parent oracle's arena (clean tables are copied, never
+//!    recomputed) and share the whole arena when no block is dirty.
 //! 2. **Cold** — full `DecompPlan::build` on the reweighted graph plus
 //!    cold oracle builds, exactly what a caller without the
 //!    customization layer would pay.

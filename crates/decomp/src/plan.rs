@@ -138,6 +138,14 @@ impl BlockPlan {
         self.m
     }
 
+    /// Vertices left after chain reduction (`nʳ`): the reduced graph's
+    /// size for a simple block, `n` for a block that is not reduced. The
+    /// side of the block's table at the reduced storage level (Table 1's
+    /// `a² + Σ (nᵢʳ)²`).
+    pub fn reduced_n(&self) -> usize {
+        self.reduction.as_ref().map_or(self.n, |r| r.reduced.n())
+    }
+
     /// Parent id of a local vertex.
     #[inline]
     pub fn parent(&self, local: VertexId) -> VertexId {

@@ -341,18 +341,7 @@ pub(crate) fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialise tests that touch the global enabled flag / buffers.
-    fn with_obs<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
-        crate::reset();
-        crate::enable();
-        let r = f();
-        crate::disable();
-        crate::reset();
-        r
-    }
+    use crate::with_obs;
 
     #[test]
     fn spans_nest_and_order() {

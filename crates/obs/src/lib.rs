@@ -94,6 +94,22 @@ pub fn reset() {
     profile::reset();
 }
 
+/// Runs one test on a freshly reset, enabled collector and leaves it
+/// disabled and reset. The switch, buffers and registries are
+/// process-global, so every test module that touches them serialises on
+/// this one lock (a poisoned lock from a failed test is taken over).
+#[cfg(test)]
+pub(crate) fn with_obs<R>(f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    reset();
+    enable();
+    let r = f();
+    disable();
+    reset();
+    r
+}
+
 pub use collector::snapshot as trace_snapshot;
 pub use collector::{
     counter_event, event_count, modelled_run, span, span_with, Event, EventKind, ModelledSlice,

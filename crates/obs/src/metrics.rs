@@ -391,17 +391,7 @@ pub(crate) fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn with_obs<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
-        crate::reset();
-        crate::enable();
-        let r = f();
-        crate::disable();
-        crate::reset();
-        r
-    }
+    use crate::with_obs;
 
     #[test]
     fn counters_accumulate_and_snapshot() {

@@ -185,19 +185,7 @@ pub(crate) fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialise against the other obs tests that toggle the global flag.
-    fn with_obs<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
-        crate::reset();
-        crate::enable();
-        let r = f();
-        stop();
-        crate::disable();
-        crate::reset();
-        r
-    }
+    use crate::with_obs;
 
     #[test]
     fn sampler_folds_open_stacks_and_final_sample_catches_short_runs() {

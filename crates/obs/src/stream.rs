@@ -147,65 +147,62 @@ pub fn stop() -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use crate::with_obs;
 
     #[test]
     fn stream_writes_parseable_frames_with_counter_deltas() {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
-        crate::reset();
-        crate::enable();
-        let dir = std::env::temp_dir().join("ear-obs-stream-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("frames.jsonl");
-        let path_s = path.to_str().unwrap();
+        with_obs(|| {
+            let dir = std::env::temp_dir().join("ear-obs-stream-test");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("frames.jsonl");
+            let path_s = path.to_str().unwrap();
 
-        crate::counter_add("stream.test", 5);
-        // Interval far longer than the test: only the stop() flush fires.
-        start(path_s, Duration::from_secs(3600)).unwrap();
-        assert!(is_active());
-        assert!(
-            start(path_s, Duration::from_secs(1)).is_err(),
-            "double start"
-        );
-        crate::counter_add("stream.test", 2);
-        stop().unwrap();
-        assert!(!is_active());
-        assert!(frames() >= 1);
+            crate::counter_add("stream.test", 5);
+            // Interval far longer than the test: only the stop() flush fires.
+            start(path_s, Duration::from_secs(3600)).unwrap();
+            assert!(is_active());
+            assert!(
+                start(path_s, Duration::from_secs(1)).is_err(),
+                "double start"
+            );
+            crate::counter_add("stream.test", 2);
+            stop().unwrap();
+            assert!(!is_active());
+            assert!(frames() >= 1);
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(!lines.is_empty());
-        let first = parse(lines[0]).unwrap();
-        assert_eq!(
-            first.get("schema").unwrap().as_str(),
-            Some("ear-metrics-stream/v1")
-        );
-        assert_eq!(first.get("seq").unwrap().as_f64(), Some(0.0));
-        // First frame's delta is vs an empty baseline: the full total.
-        assert_eq!(
-            first
-                .get("delta")
-                .unwrap()
-                .get("counters")
-                .unwrap()
-                .get("stream.test")
-                .unwrap()
-                .as_f64(),
-            Some(7.0)
-        );
-        let snap = first.get("snapshot").unwrap();
-        assert_eq!(snap.get("schema").unwrap().as_str(), Some("ear-metrics/v1"));
-        assert_eq!(
-            snap.get("counters")
-                .unwrap()
-                .get("stream.test")
-                .unwrap()
-                .as_f64(),
-            Some(7.0)
-        );
+            let text = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert!(!lines.is_empty());
+            let first = parse(lines[0]).unwrap();
+            assert_eq!(
+                first.get("schema").unwrap().as_str(),
+                Some("ear-metrics-stream/v1")
+            );
+            assert_eq!(first.get("seq").unwrap().as_f64(), Some(0.0));
+            // First frame's delta is vs an empty baseline: the full total.
+            assert_eq!(
+                first
+                    .get("delta")
+                    .unwrap()
+                    .get("counters")
+                    .unwrap()
+                    .get("stream.test")
+                    .unwrap()
+                    .as_f64(),
+                Some(7.0)
+            );
+            let snap = first.get("snapshot").unwrap();
+            assert_eq!(snap.get("schema").unwrap().as_str(), Some("ear-metrics/v1"));
+            assert_eq!(
+                snap.get("counters")
+                    .unwrap()
+                    .get("stream.test")
+                    .unwrap()
+                    .as_f64(),
+                Some(7.0)
+            );
 
-        crate::disable();
-        crate::reset();
-        let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&path);
+        });
     }
 }

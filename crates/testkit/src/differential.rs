@@ -119,17 +119,12 @@ pub fn apsp_implementations() -> Vec<ApspImpl> {
         ApspImpl {
             name: "reduced_oracle",
             simple_only: true,
-            run: Box::new(|g| {
-                let o = ReducedOracle::build(g, &HeteroExecutor::sequential());
-                let n = g.n();
-                let mut m = DistMatrix::new(n);
-                for u in 0..n as u32 {
-                    for v in 0..n as u32 {
-                        m.set(u, v, o.dist(u, v));
-                    }
-                }
-                m
-            }),
+            run: Box::new(|g| ReducedOracle::build(g, &HeteroExecutor::sequential()).materialize()),
+        },
+        ApspImpl {
+            name: "reduced_oracle/cpu_gpu",
+            simple_only: true,
+            run: Box::new(|g| ReducedOracle::build(g, &HeteroExecutor::cpu_gpu()).materialize()),
         },
     ]
 }
@@ -292,9 +287,9 @@ mod tests {
     #[test]
     fn registries_cover_every_implementation() {
         // The tentpole's acceptance criterion: every APSP implementation
-        // and every MCB mode is registered. 10 APSP entries; 3 standalone
+        // and every MCB mode is registered. 11 APSP entries; 3 standalone
         // MCB algorithms + 4 modes × 2 ear settings.
-        assert_eq!(apsp_implementations().len(), 10);
+        assert_eq!(apsp_implementations().len(), 11);
         assert_eq!(mcb_implementations().len(), 11);
     }
 

@@ -44,8 +44,7 @@ impl GraphStats {
         for bp in plan.blocks() {
             largest = largest.max(bp.m());
             sum_sq += (bp.n() as u64).pow(2);
-            let nr = bp.reduction.as_ref().map_or(bp.n(), |r| r.reduced.n());
-            sum_sq_reduced += (nr as u64).pow(2);
+            sum_sq_reduced += (bp.reduced_n() as u64).pow(2);
         }
         let a = plan.bct().ap_count();
         GraphStats {

@@ -227,6 +227,21 @@ fn one_shared_plan_serves_every_consumer() {
             if stats.table_entries != GraphStats::measure(g).table_entries {
                 return Err("shared-plan stats diverge".into());
             }
+            // Table 1's memory columns are what the two oracles store.
+            if oracle.stats().table_entries != stats.table_entries {
+                return Err(format!(
+                    "oracle stores {} entries, Table 1 reports {}",
+                    oracle.stats().table_entries,
+                    stats.table_entries
+                ));
+            }
+            if reduced.table_entries() != stats.reduced_table_entries {
+                return Err(format!(
+                    "reduced oracle stores {} entries, Table 1 reports {}",
+                    reduced.table_entries(),
+                    stats.reduced_table_entries
+                ));
+            }
             Ok(())
         });
 }
