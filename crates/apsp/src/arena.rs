@@ -56,12 +56,6 @@ impl DistArena {
         self.data.len()
     }
 
-    /// Articulation-point count (side of the AP table).
-    #[inline]
-    pub(crate) fn ap_n(&self) -> usize {
-        self.ap_n
-    }
-
     /// The AP table's span.
     pub fn ap_span(&self) -> &[Weight] {
         &self.data[..self.ap_n * self.ap_n]

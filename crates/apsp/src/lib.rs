@@ -17,10 +17,9 @@
 //!   tables are stored (`a² + Σ (nᵢʳ)²`, in the same kind of arena) and
 //!   the §2.1.3 extension runs per query — the storage level the paper's
 //!   published MB figures for its chain-heavy graphs imply;
-//! * [`query`] — the serving-grade fast path over a built oracle:
-//!   precomputed per-vertex gateway records over the oracle's own arena,
-//!   a batched many-to-many kernel, and fast path realization —
-//!   bit-identical to the oracle's own query path;
+//! * [`query`] — the serving handle over a built oracle: its plan and
+//!   arena behind two `Arc`s, answering through the same block-cut-tree
+//!   distance function and path descent as the oracle;
 //! * [`baselines`] — plain Dijkstra-from-every-vertex and Floyd–Warshall
 //!   (the correctness oracle);
 //! * [`partition`] — region-growing graph partitioner (METIS substitute);
@@ -53,5 +52,5 @@ pub use arena::DistArena;
 pub use ear::{ear_apsp, EarApspOutput};
 pub use matrix::DistMatrix;
 pub use oracle::{build_oracle, build_oracle_with_plan, ApspMethod, DistanceOracle, OracleStats};
-pub use query::{QueryEngine, QueryScratch};
+pub use query::QueryEngine;
 pub use reduced_oracle::ReducedOracle;

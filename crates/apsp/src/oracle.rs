@@ -13,9 +13,11 @@
 //! * the `a × a` articulation-point table `A` holds distances between all
 //!   articulation points, computed by Dijkstra over the *AP graph* (APs
 //!   connected within each block by within-block distances);
-//! * a query `d(u,v)` across blocks resolves its gateway articulation
-//!   points with block-cut-tree LCA routing and sums
-//!   `d(u,a₁) + A[a₁,a₂] + d(a₂,v)`.
+//! * a query `d(u,v)` across blocks asks the plan's [`BlockCutTree`]
+//!   router for the articulation points `a₁`, `a₂` at which the tree
+//!   path leaves `u`'s block and enters `v`'s, and sums
+//!   `d(u,a₁) + A[a₁,a₂] + d(a₂,v)` — at most three arena reads
+//!   (`tree_dist`, the one distance function every query type uses).
 //!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
 //! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`].
@@ -25,7 +27,7 @@
 
 use std::sync::Arc;
 
-use ear_decomp::block_cut::Route;
+use ear_decomp::block_cut::{BlockCutTree, Endpoint};
 use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
@@ -229,53 +231,10 @@ impl Store {
     }
 
     /// Shortest-path distance between any two vertices (`INF` when
-    /// disconnected), by block-cut-tree LCA routing.
+    /// disconnected).
     pub(crate) fn dist(&self, u: VertexId, v: VertexId) -> Weight {
-        if u == v {
-            return 0;
-        }
-        let bct = self.plan.bct();
-        match bct.route(u, v) {
-            Route::Disconnected => INF,
-            Route::SameBlock(b) => self.pair_dist(b, u, v),
-            Route::ViaAps { a1, a2 } => {
-                let d1 = if a1 == u {
-                    0
-                } else {
-                    self.pair_dist(self.common_block(u, a1), u, a1)
-                };
-                let d2 = if a2 == v {
-                    0
-                } else {
-                    self.pair_dist(self.common_block(v, a2), v, a2)
-                };
-                let (i, j) = (bct.ap_index[a1 as usize], bct.ap_index[a2 as usize]);
-                debug_assert!(i != u32::MAX && j != u32::MAX);
-                let mid = self.arena.ap_row(i)[j as usize];
-                dist_add(d1, dist_add(mid, d2))
-            }
-        }
-    }
-
-    /// A block containing both `x` (any vertex) and articulation point `a`.
-    /// For the routing results this always exists: `a` is the gateway of
-    /// `x`'s own block.
-    fn common_block(&self, x: VertexId, a: VertexId) -> u32 {
-        let b = self.plan.bct().vertex_block[x as usize];
-        debug_assert_ne!(b, u32::MAX);
-        if self.plan.local(b, a).is_some() {
-            return b;
-        }
-        // `x` is itself an articulation point whose stored block does not
-        // contain `a`: scan x's own adjacent blocks (the precomputed
-        // AP→blocks index) for one holding `a` — O(deg(x)).
-        self.plan
-            .bct()
-            .blocks_of_ap(x)
-            .iter()
-            .copied()
-            .find(|&blk| self.plan.local(blk, a).is_some())
-            .expect("routing produced a non-adjacent gateway")
+        let block = |b, i, j| self.block_dist(b, i, j);
+        tree_dist(self.plan.bct(), &self.arena, block, u, v)
     }
 
     /// The full `n × n` distance matrix (tests / small graphs only).
@@ -367,43 +326,10 @@ impl DistanceOracle {
     }
 
     /// Reconstructs an actual shortest path `u → v` as a vertex sequence
-    /// (inclusive of both endpoints), or `None` when disconnected.
-    ///
-    /// This is the **legacy baseline** realization: greedy descent on the
-    /// distance function — from `x`, some neighbor `y` always satisfies
-    /// `w(x,y) + d(y,v) = d(x,v)` (ties break to the smallest edge id, so
-    /// the path is deterministic) — with every `d(·,v)` answered by a full
-    /// [`Self::dist`] query, i.e. an LCA route plus table reads per
-    /// incident edge per hop. [`crate::QueryEngine::path`] walks the same
-    /// descent over precomputed gateway records and the same arena
-    /// (bit-identical output, the differential suite holds it to that) and
-    /// is the realization servers should call.
+    /// (inclusive of both endpoints), or `None` when disconnected — the
+    /// same descent as [`crate::QueryEngine::path`].
     pub fn path(&self, g: &CsrGraph, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-        if self.dist(u, v) >= INF {
-            return None;
-        }
-        let mut path = vec![u];
-        let mut x = u;
-        let mut guard = g.n() + 1;
-        while x != v {
-            let dx = self.dist(x, v);
-            let mut next: Option<(VertexId, ear_graph::EdgeId)> = None;
-            for &(y, e) in g.neighbors(x) {
-                if y == x {
-                    continue;
-                }
-                if dist_add(g.weight(e), self.dist(y, v)) == dx && next.is_none_or(|(_, be)| e < be)
-                {
-                    next = Some((y, e));
-                }
-            }
-            let (y, _) = next.expect("finite distance must have a tight edge");
-            path.push(y);
-            x = y;
-            guard -= 1;
-            assert!(guard > 0, "path reconstruction looped");
-        }
-        Some(path)
+        realize_path(g, u, v, |x, y| self.dist(x, y))
     }
 
     /// Materialises the full `n × n` matrix (tests / small graphs only).
@@ -438,6 +364,92 @@ impl DistanceOracle {
             ap_phase,
         }
     }
+}
+
+/// Shortest-path distance between any two vertices by block-cut-tree
+/// routing (paper §2.3), `INF` when disconnected. `block(b, i, j)` is the
+/// within-block distance between local ids `i` and `j` of block `b` — a
+/// span lookup, or the §2.1.3 minima at the reduced level.
+///
+/// Both endpoints non-AP in one block read that block's table. Otherwise
+/// each endpoint `x` leaves its side of the tree path through `a = x`
+/// when it is an articulation point, else through its home block's
+/// [`BlockCutTree::gateway`] toward the other endpoint, and the answer is
+/// `d(u,a₁) + A[a₁,a₂] + d(a₂,v)`. Because `A[a,a] = 0` and `A` holds
+/// exact AP-to-AP distances, that one formula also covers an AP inside
+/// the other endpoint's block and two APs sharing a block.
+#[inline]
+pub(crate) fn tree_dist(
+    bct: &BlockCutTree,
+    arena: &DistArena,
+    block: impl Fn(u32, VertexId, VertexId) -> Weight,
+    u: VertexId,
+    v: VertexId,
+) -> Weight {
+    if u == v {
+        return 0;
+    }
+    let (eu, ev) = (bct.endpoint(u), bct.endpoint(v));
+    if eu.node == ev.node && bct.is_block(eu.node) {
+        return block(eu.node, eu.local, ev.local);
+    }
+    if eu.tree != ev.tree || eu.tree == u32::MAX {
+        return INF;
+    }
+    // (AP index, d(x, AP)) of the AP where x's side of the path ends.
+    let exit = |x: Endpoint, toward: Endpoint| match bct.ap_of(x) {
+        Some(a) => (a, 0),
+        None => {
+            let gw = bct.gateway(x.node, toward.pre);
+            (gw.ap, block(x.node, x.local, gw.local))
+        }
+    };
+    let ((a1, du), (a2, dv)) = (exit(eu, ev), exit(ev, eu));
+    dist_add(du, dist_add(arena.ap_row(a1)[a2 as usize], dv))
+}
+
+/// Realizes a shortest path `u → v` (inclusive of both endpoints) by
+/// greedy descent on the distance function `dist`, or `None` when
+/// disconnected. From `x`, some neighbor `y` always satisfies
+/// `w(x,y) + d(y,v) = d(x,v)`; ties break to the smallest edge id, so the
+/// path is deterministic.
+pub(crate) fn realize_path(
+    g: &CsrGraph,
+    u: VertexId,
+    v: VertexId,
+    dist: impl Fn(VertexId, VertexId) -> Weight,
+) -> Option<Vec<VertexId>> {
+    // d(x, v), carried across hops: a tight step along edge `e` means
+    // d(y, v) = d(x, v) - w(e) with everything finite, so the chosen
+    // neighbor's probe doubles as the next hop's `dx`.
+    let mut dx = dist(u, v);
+    if dx >= INF {
+        return None;
+    }
+    let mut path = vec![u];
+    let mut x = u;
+    let mut guard = g.n() + 1;
+    while x != v {
+        let mut next: Option<(VertexId, ear_graph::EdgeId, Weight)> = None;
+        for &(y, e) in g.neighbors(x) {
+            // Once a tight edge is in hand, only a smaller edge id can
+            // displace it, so the rest need no probe.
+            if y == x || next.is_some_and(|(_, be, _)| e >= be) {
+                continue;
+            }
+            let dy = dist(y, v);
+            if dist_add(g.weight(e), dy) == dx {
+                next = Some((y, e, dy));
+            }
+        }
+        let (y, _, dy) = next.expect("finite distance must have a tight edge");
+        path.push(y);
+        x = y;
+        dx = dy;
+        guard -= 1;
+        assert!(guard > 0, "path reconstruction looped");
+    }
+    Some(path)
 }
 
 /// Builds the oracle: BCC split, per-block APSP (`method` decides whether

@@ -1,41 +1,45 @@
-//! Query-serving throughput: the `QueryEngine` fast path against the
-//! legacy `DistanceOracle` query path, on the multi-BCC workloads where
-//! routing cost dominates.
+//! Query-serving throughput of the `QueryEngine`: block-cut-tree routing
+//! over the oracle's distance arena, on the multi-BCC workloads where
+//! routing cost shows.
 //!
-//! Three query shapes per graph family:
+//! Two query shapes per graph family:
 //!
 //! * **p2p** — point-to-point `dist(u, v)` over a uniform workload and a
 //!   zipf-skewed one (rank-1 popularity over a shuffled vertex
 //!   permutation — the "hot landmarks" shape real query logs have).
-//! * **batch** — many-to-many `dist_batch` squares against the
-//!   equivalent loop of scalar legacy queries.
 //! * **path** — full path realization on sampled pairs.
 //!
-//! Every variant is **checksum-gated**: fast and legacy answers are
-//! FNV-1a-folded and must agree bit-for-bit before a speedup is
-//! reported, so a throughput win can never come from a wrong answer.
-//! Latency samples are taken per 64-query chunk (amortizing the timer
-//! read), each sample is the minimum over 5 repeated passes of the same
-//! work (a scheduler noise window must hit the same chunk in every pass
-//! to survive), and the qps means are 1%-trimmed — all noise filters
-//! applied symmetrically to fast and legacy, so neither can manufacture
-//! a speedup. The report carries p50/p99 ns/query plus queries/sec for
-//! both paths.
+//! Every cell is **checksum-gated** against `ear_graph::dijkstra`: for up
+//! to [`CHECK_SOURCES`] sources sampled from the cell's own pairs, the
+//! engine's whole distance row must equal the Dijkstra row (p2p), and
+//! every sampled path must be a walk of the graph whose weight is the
+//! Dijkstra distance (path). The FNV-1a fold of the cell's answers is its
+//! checksum. Latency samples are taken per 64-query chunk (amortizing
+//! the timer read), each sample is the minimum over 5 repeated passes of
+//! the same work (a scheduler noise window must hit the same chunk in
+//! every pass to survive), and the qps mean is 1%-trimmed. The report
+//! carries p50/p99 ns/query and queries/sec.
+//!
+//! Families: three chains of `--blocks` generator blocks (at most two
+//! articulation points per block) and the `cond_mat_2003` Table-1 analog
+//! at its APSP base scale (hundreds of blocks, one holding most of the
+//! articulation points).
 //!
 //! Flags: `--seed S` (default 7), `--queries Q` (p2p queries per
 //! workload, default 200000), `--blocks B` (blocks per chain, default
-//! 256 — the deep multi-BCC regime the fast path targets), `--smoke`
-//! (tiny inputs for CI), `--out PATH` (default `BENCH_query.json`).
-//! Writes medians as JSON.
+//! 256), `--smoke` (tiny inputs for CI), `--out PATH` (default
+//! `BENCH_query.json`). Writes medians as JSON.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ear_apsp::{build_oracle_with_plan, ApspMethod, DistanceOracle, QueryEngine, QueryScratch};
+use ear_apsp::{build_oracle_with_plan, ApspMethod, QueryEngine};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, GraphBuilder, VertexId, Weight};
+use ear_graph::{dijkstra, CsrGraph, GraphBuilder, VertexId, Weight};
 use ear_hetero::HeteroExecutor;
 use ear_workloads::generators::{small_world, triangulated_grid};
+use ear_workloads::table1_specs;
 
 /// Queries per timing chunk: one `Instant` read per chunk keeps timer
 /// overhead out of the per-query figures.
@@ -44,50 +48,24 @@ const CHUNK: usize = 64;
 /// Repetitions per measurement. Each timing sample covers identical work
 /// in every repetition, so the per-sample **minimum** across repetitions
 /// is the clean estimate: a scheduler noise window has to land on the
-/// same chunk in all [`REPS`] passes to survive into the figures. The
-/// filter is applied to fast and legacy alike, so it cannot manufacture
-/// a speedup in either direction.
+/// same chunk in all [`REPS`] passes to survive into the figures.
 const REPS: usize = 5;
 
-/// Runs a legacy pass and a fast pass [`REPS`] times each,
-/// **interleaved** (L F L F …) so a sustained noise window — another
-/// tenant saturating the cache for seconds — degrades both sides of the
-/// speedup ratio instead of poisoning whichever happened to be running.
-/// Each pass must fill its sample array by min-merging
-/// (`samples[i] = samples[i].min(t)`) and return its checksum, which
-/// must be identical across repetitions (the workloads are
-/// deterministic).
-///
-/// One extra repetition of each side runs first and is **discarded**:
-/// it absorbs one-time costs (first-touch page faults on the tables,
-/// cold branch predictors, frequency ramp-up) that would otherwise
-/// survive the per-chunk minimum in the first measured cell. The
-/// warm-up is symmetric, so it cannot tilt the ratio.
-fn min_over_reps(
-    legacy_samples: &mut [f64],
-    mut legacy_pass: impl FnMut(&mut [f64]) -> u64,
-    fast_samples: &mut [f64],
-    mut fast_pass: impl FnMut(&mut [f64]) -> u64,
-) -> (u64, u64) {
-    legacy_samples.iter_mut().for_each(|s| *s = f64::INFINITY);
-    fast_samples.iter_mut().for_each(|s| *s = f64::INFINITY);
-    let lh = legacy_pass(legacy_samples);
-    let fh = fast_pass(fast_samples);
-    legacy_samples.iter_mut().for_each(|s| *s = f64::INFINITY);
-    fast_samples.iter_mut().for_each(|s| *s = f64::INFINITY);
+/// Sources per cell whose Dijkstra rows gate the cell's answers.
+const CHECK_SOURCES: usize = 32;
+
+/// Runs `pass` [`REPS`] times after one discarded warm-up repetition
+/// (first-touch page faults on the tables, cold branch predictors,
+/// frequency ramp-up). `pass` must fill `samples` by min-merging
+/// (`samples[i] = samples[i].min(t)`) and return its checksum, which must
+/// be identical across repetitions (the workloads are deterministic).
+fn min_over_reps(samples: &mut [f64], mut pass: impl FnMut(&mut [f64]) -> u64) -> u64 {
+    let h = pass(samples);
+    samples.iter_mut().for_each(|s| *s = f64::INFINITY);
     for _ in 0..REPS {
-        assert_eq!(
-            legacy_pass(legacy_samples),
-            lh,
-            "legacy answers diverged across repetitions"
-        );
-        assert_eq!(
-            fast_pass(fast_samples),
-            fh,
-            "fast answers diverged across repetitions"
-        );
+        assert_eq!(pass(samples), h, "answers diverged across repetitions");
     }
-    (lh, fh)
+    h
 }
 
 struct Opts {
@@ -150,8 +128,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Glues `blocks` generator outputs into one graph: block `i`'s last
 /// vertex is block `i+1`'s first, so each part is its own biconnected
-/// component hanging off a chain of articulation points — the regime
-/// where legacy routing pays its LCA walk on every query.
+/// component hanging off a chain of articulation points.
 fn chain_of_blocks(blocks: usize, seed: u64, make: impl Fn(u64) -> CsrGraph) -> CsrGraph {
     assert!(blocks >= 1);
     let parts: Vec<CsrGraph> = (0..blocks as u64).map(|i| make(seed ^ (i << 40))).collect();
@@ -259,10 +236,9 @@ fn fnv_fold(h: &mut u64, x: u64) {
 
 /// Per-chunk latency samples → (p50 ns/query, p99 ns/query, trimmed mean
 /// ns/query). The mean discards samples above the p99: a scheduler
-/// preemption landing inside one chunk charges ~100µs to 32 queries and
-/// would dominate an untrimmed mean. The trim is applied to fast and
-/// legacy alike, so it cannot manufacture a speedup — it only keeps the
-/// qps figures about the query paths rather than about the scheduler.
+/// preemption landing inside one chunk charges ~100µs to 64 queries and
+/// would dominate an untrimmed mean, so the trim keeps the qps figure
+/// about the query path rather than about the scheduler.
 fn percentiles(samples: &mut [f64]) -> (f64, f64, f64) {
     assert!(!samples.is_empty());
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -293,15 +269,25 @@ fn p2p_pass(
 
 struct Cell {
     variant: String,
-    fast_p50: f64,
-    fast_p99: f64,
-    fast_qps: f64,
-    legacy_p50: f64,
-    legacy_p99: f64,
-    legacy_qps: f64,
-    speedup: f64,
+    p50: f64,
+    p99: f64,
+    qps: f64,
     queries: u64,
     checksum: u64,
+}
+
+impl Cell {
+    fn new(variant: String, samples: &mut [f64], queries: usize, checksum: u64) -> Cell {
+        let (p50, p99, mean) = percentiles(samples);
+        Cell {
+            variant,
+            p50,
+            p99,
+            qps: 1e9 / mean,
+            queries: queries as u64,
+            checksum,
+        }
+    }
 }
 
 struct FamilyRun {
@@ -310,6 +296,35 @@ struct FamilyRun {
     edges: u64,
     blocks: u64,
     cells: Vec<Cell>,
+}
+
+/// Dijkstra rows of up to [`CHECK_SOURCES`] sources spread evenly over
+/// `pairs`, keyed by source.
+fn reference_rows(g: &CsrGraph, pairs: &[(VertexId, VertexId)]) -> HashMap<VertexId, Vec<Weight>> {
+    let step = pairs.len().div_ceil(CHECK_SOURCES).max(1);
+    pairs
+        .iter()
+        .step_by(step)
+        .map(|&(u, _)| (u, dijkstra(g, u)))
+        .collect()
+}
+
+/// Weight of `path` as a walk of `g` from `u` to `v`; panics unless it
+/// is one.
+fn walk_weight(g: &CsrGraph, u: VertexId, v: VertexId, path: &[VertexId]) -> Weight {
+    assert_eq!(
+        (path[0], path[path.len() - 1]),
+        (u, v),
+        "path({u},{v}) ends"
+    );
+    let step = |w: &[VertexId]| {
+        let edges = g.neighbors(w[0]).iter().filter(|&&(y, _)| y == w[1]);
+        edges
+            .map(|&(_, e)| g.weight(e))
+            .min()
+            .expect("path steps along an edge")
+    };
+    path.windows(2).map(step).sum()
 }
 
 fn bench_family(
@@ -321,114 +336,36 @@ fn bench_family(
 ) -> FamilyRun {
     let exec = HeteroExecutor::sequential();
     let plan = Arc::new(DecompPlan::build(g));
-    let oracle: DistanceOracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
+    let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
     let q = QueryEngine::new(&oracle);
     let mut cells = Vec::new();
 
     // p2p, both skews.
     for skew in [Skew::Uniform, Skew::Zipf] {
         let pairs = PairSampler::new(g.n(), skew, seed ^ skew as u64).pairs(queries);
-        let n_chunks = pairs.len().div_ceil(CHUNK);
-        let mut lsamples = vec![0.0; n_chunks];
-        let mut fsamples = vec![0.0; n_chunks];
-        let (lsum, fsum) = min_over_reps(
-            &mut lsamples,
-            |s| p2p_pass(&pairs, s, |u, v| oracle.dist(u, v)),
-            &mut fsamples,
-            |s| p2p_pass(&pairs, s, |u, v| q.dist(u, v)),
-        );
-        assert_eq!(
-            fsum,
-            lsum,
-            "{family}/{}: fast p2p answers diverged from legacy",
-            skew.name()
-        );
-        let (lp50, lp99, lmean) = percentiles(&mut lsamples);
-        let (fp50, fp99, fmean) = percentiles(&mut fsamples);
-        cells.push(Cell {
-            variant: format!("p2p_{}", skew.name()),
-            fast_p50: fp50,
-            fast_p99: fp99,
-            fast_qps: 1e9 / fmean,
-            legacy_p50: lp50,
-            legacy_p99: lp99,
-            legacy_qps: 1e9 / lmean,
-            speedup: lmean / fmean,
-            queries: pairs.len() as u64,
-            checksum: fsum,
-        });
-    }
-
-    // Batched many-to-many: 32×32 squares, fast kernel vs the same pairs
-    // through scalar legacy queries.
-    {
-        let side = 32.min(g.n().max(1));
-        let rounds = (queries / (side * side)).max(4);
-        let mut sampler = PairSampler::new(g.n(), Skew::Uniform, seed ^ 0xba7c);
-        let batches: Vec<(Vec<u32>, Vec<u32>)> = (0..rounds)
-            .map(|_| {
-                (
-                    (0..side).map(|_| sampler.vertex()).collect(),
-                    (0..side).map(|_| sampler.vertex()).collect(),
-                )
-            })
-            .collect();
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        let mut lsamples = vec![0.0; rounds];
-        let mut fsamples = vec![0.0; rounds];
-        let (lh, fh) = min_over_reps(
-            &mut lsamples,
-            |samples| {
-                let mut h = 0xcbf29ce484222325u64;
-                for (bi, (ss, ts)) in batches.iter().enumerate() {
-                    let t0 = Instant::now();
-                    for &s in ss {
-                        for &t in ts {
-                            fnv_fold(&mut h, oracle.dist(s, t));
-                        }
-                    }
-                    let t = t0.elapsed().as_nanos() as f64 / (side * side) as f64;
-                    samples[bi] = samples[bi].min(t);
-                }
-                h
-            },
-            &mut fsamples,
-            |samples| {
-                let mut h = 0xcbf29ce484222325u64;
-                for (bi, (ss, ts)) in batches.iter().enumerate() {
-                    let t0 = Instant::now();
-                    q.dist_batch_into(ss, ts, &mut scratch, &mut out);
-                    let t = t0.elapsed().as_nanos() as f64 / (side * side) as f64;
-                    samples[bi] = samples[bi].min(t);
-                    for &d in &out {
-                        fnv_fold(&mut h, d);
-                    }
-                }
-                h
-            },
-        );
-        assert_eq!(fh, lh, "{family}: batch answers diverged from legacy");
-        let (lp50, lp99, lmean) = percentiles(&mut lsamples);
-        let (fp50, fp99, fmean) = percentiles(&mut fsamples);
-        cells.push(Cell {
-            variant: "batch".into(),
-            fast_p50: fp50,
-            fast_p99: fp99,
-            fast_qps: 1e9 / fmean,
-            legacy_p50: lp50,
-            legacy_p99: lp99,
-            legacy_qps: 1e9 / lmean,
-            speedup: lmean / fmean,
-            queries: (rounds * side * side) as u64,
-            checksum: fh,
-        });
+        for (s, row) in reference_rows(g, &pairs) {
+            for (v, &want) in row.iter().enumerate() {
+                let got = q.dist(s, v as VertexId);
+                assert_eq!(got, want, "{family}/{}: dist({s},{v})", skew.name());
+            }
+        }
+        let mut samples = vec![0.0; pairs.len().div_ceil(CHUNK)];
+        let sum = min_over_reps(&mut samples, |s| p2p_pass(&pairs, s, |u, v| q.dist(u, v)));
+        let variant = format!("p2p_{}", skew.name());
+        cells.push(Cell::new(variant, &mut samples, pairs.len(), sum));
     }
 
     // Path realization. Checksums fold length and vertex sum of every
-    // path — fast and legacy must produce identical vertex sequences.
+    // path.
     {
         let pairs = PairSampler::new(g.n(), Skew::Uniform, seed ^ 0x9a7).pairs(paths);
+        let rows = reference_rows(g, &pairs);
+        for &(u, v) in &pairs {
+            let Some(row) = rows.get(&u) else { continue };
+            let want = (row[v as usize] < ear_graph::INF).then_some(row[v as usize]);
+            let walked = q.path(g, u, v).map(|p| walk_weight(g, u, v, &p));
+            assert_eq!(walked, want, "{family}: path({u},{v}) weight");
+        }
         let path_sum = |p: &Option<Vec<VertexId>>| -> u64 {
             match p {
                 None => u64::MAX,
@@ -437,47 +374,18 @@ fn bench_family(
                     .fold(p.len() as u64, |acc, &v| acc.wrapping_mul(31) + v as u64),
             }
         };
-        let mut lsamples = vec![0.0; pairs.len()];
-        let mut fsamples = vec![0.0; pairs.len()];
-        let (lh, fh) = min_over_reps(
-            &mut lsamples,
-            |samples| {
-                let mut h = 0xcbf29ce484222325u64;
-                for (pi, &(u, v)) in pairs.iter().enumerate() {
-                    let t0 = Instant::now();
-                    let p = oracle.path(g, u, v);
-                    samples[pi] = samples[pi].min(t0.elapsed().as_nanos() as f64);
-                    fnv_fold(&mut h, path_sum(&p));
-                }
-                h
-            },
-            &mut fsamples,
-            |samples| {
-                let mut h = 0xcbf29ce484222325u64;
-                for (pi, &(u, v)) in pairs.iter().enumerate() {
-                    let t0 = Instant::now();
-                    let p = q.path(g, u, v);
-                    samples[pi] = samples[pi].min(t0.elapsed().as_nanos() as f64);
-                    fnv_fold(&mut h, path_sum(&p));
-                }
-                h
-            },
-        );
-        assert_eq!(fh, lh, "{family}: fast paths diverged from legacy");
-        let (lp50, lp99, lmean) = percentiles(&mut lsamples);
-        let (fp50, fp99, fmean) = percentiles(&mut fsamples);
-        cells.push(Cell {
-            variant: "path".into(),
-            fast_p50: fp50,
-            fast_p99: fp99,
-            fast_qps: 1e9 / fmean,
-            legacy_p50: lp50,
-            legacy_p99: lp99,
-            legacy_qps: 1e9 / lmean,
-            speedup: lmean / fmean,
-            queries: pairs.len() as u64,
-            checksum: fh,
+        let mut samples = vec![0.0; pairs.len()];
+        let sum = min_over_reps(&mut samples, |samples| {
+            let mut h = 0xcbf29ce484222325u64;
+            for (pi, &(u, v)) in pairs.iter().enumerate() {
+                let t0 = Instant::now();
+                let p = q.path(g, u, v);
+                samples[pi] = samples[pi].min(t0.elapsed().as_nanos() as f64);
+                fnv_fold(&mut h, path_sum(&p));
+            }
+            h
         });
+        cells.push(Cell::new("path".into(), &mut samples, pairs.len(), sum));
     }
 
     FamilyRun {
@@ -497,15 +405,10 @@ fn write_json(path: &str, opts: &Opts, runs: &[FamilyRun]) {
         .uint("blocks", opts.blocks as u64)
         .flag("smoke", opts.smoke);
     use ear_bench::report::Direction::{Higher, Lower};
-    rep.column("fast_p50_ns", Lower)
-        .column("fast_p99_ns", Lower)
-        .column("fast_qps", Higher)
-        .column("legacy_p50_ns", Lower)
-        .column("legacy_p99_ns", Lower)
-        .column("legacy_qps", Higher)
-        .column("speedup", Higher);
-    let mut min_p2p = f64::INFINITY;
-    let mut min_path = f64::INFINITY;
+    rep.column("p50_ns", Lower)
+        .column("p99_ns", Lower)
+        .column("qps", Higher);
+    let mut worst_p2p = 0.0f64;
     for run in runs {
         for c in &run.cells {
             let tag = format!("{}@{}", run.family, c.variant);
@@ -515,35 +418,30 @@ fn write_json(path: &str, opts: &Opts, runs: &[FamilyRun]) {
                 .uint("blocks", run.blocks)
                 .text("variant", &c.variant)
                 .uint("queries", c.queries)
-                .num("fast_p50_ns", c.fast_p50, 1)
-                .num("fast_p99_ns", c.fast_p99, 1)
-                .num("fast_qps", c.fast_qps, 0)
-                .num("legacy_p50_ns", c.legacy_p50, 1)
-                .num("legacy_p99_ns", c.legacy_p99, 1)
-                .num("legacy_qps", c.legacy_qps, 0)
-                .num("speedup", c.speedup, 3);
+                .num("p50_ns", c.p50, 1)
+                .num("p99_ns", c.p99, 1)
+                .num("qps", c.qps, 0);
             if c.variant.starts_with("p2p") {
-                min_p2p = min_p2p.min(c.speedup);
-            }
-            if c.variant == "path" {
-                min_path = min_path.min(c.speedup);
+                worst_p2p = worst_p2p.max(c.p50);
             }
         }
     }
-    rep.summary()
-        .num("min_p2p_speedup", min_p2p, 3)
-        .num("min_path_speedup", min_path, 3);
+    rep.summary().num("worst_p2p_p50_ns", worst_p2p, 1);
     rep.write(path);
 }
 
 fn main() {
     let opts = parse_args();
     opts.obs.init();
-    let (blocks, block_n, queries, paths) = if opts.smoke {
-        (8, 20, 4_096, 64)
+    let (blocks, block_n, queries, paths, extra_scale) = if opts.smoke {
+        (8, 20, 4_096, 64, 8)
     } else {
-        (opts.blocks, 48, opts.queries, 2_000)
+        (opts.blocks, 48, opts.queries, 2_000, 1)
     };
+    let cond_mat = table1_specs()
+        .into_iter()
+        .find(|s| s.name == "cond_mat_2003")
+        .expect("cond_mat_2003 is a Table-1 spec");
 
     let families = [
         (
@@ -566,17 +464,13 @@ fn main() {
                 }
             }),
         ),
+        (
+            "cond_mat_2003",
+            cond_mat.build(ear_bench::base_scale(&cond_mat) * extra_scale, opts.seed),
+        ),
     ];
 
-    let mut table = ear_bench::Table::new(&[
-        "family",
-        "variant",
-        "fast p50",
-        "fast p99",
-        "fast qps",
-        "legacy qps",
-        "speedup",
-    ]);
+    let mut table = ear_bench::Table::new(&["family", "variant", "p50", "p99", "qps"]);
     let mut runs = Vec::new();
     for (family, g) in &families {
         let run = bench_family(family, g, queries, paths, opts.seed);
@@ -584,11 +478,9 @@ fn main() {
             table.row(vec![
                 family.to_string(),
                 c.variant.clone(),
-                format!("{:.0} ns", c.fast_p50),
-                format!("{:.0} ns", c.fast_p99),
-                format!("{:.2}M", c.fast_qps / 1e6),
-                format!("{:.2}M", c.legacy_qps / 1e6),
-                format!("{:.1}x", c.speedup),
+                format!("{:.0} ns", c.p50),
+                format!("{:.0} ns", c.p99),
+                format!("{:.2}M", c.qps / 1e6),
             ]);
         }
         runs.push(run);

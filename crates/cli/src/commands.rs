@@ -486,12 +486,11 @@ pub fn recustomize(
     obs.finish()
 }
 
-/// `ear query` — serve point-to-point queries off the fast-path
-/// [`QueryEngine`] (precomputed gateway records over the oracle's own
-/// distance arena),
-/// answer any `--pairs` with distance and realized path, then run a
-/// seeded uniform workload through both the fast path and the legacy
-/// oracle, checksum-gated, and report the throughput of each.
+/// `ear query` — serve point-to-point queries off the [`QueryEngine`]
+/// (block-cut-tree routing over the oracle's own distance arena), answer
+/// any `--pairs` with distance and realized path, then time a seeded
+/// uniform workload whose answers from sampled sources are gated against
+/// Dijkstra.
 pub fn query(
     g: &CsrGraph,
     opts: &CommonOpts,
@@ -511,7 +510,7 @@ pub fn query(
     let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
     let engine = QueryEngine::new(&oracle);
     println!(
-        "query engine: {} blocks, {} APs, {} gateway records, {} table entries (shared with the oracle), {:.3} ms build wall",
+        "query engine: {} blocks, {} APs, {} gateway entries, {} table entries (shared with the oracle), {:.3} ms build wall",
         plan.n_blocks(),
         plan.bct().ap_count(),
         engine.gateway_records(),
@@ -521,10 +520,10 @@ pub fn query(
 
     for &(u, v) in pairs {
         let d = engine.dist(u, v);
-        let legacy = oracle.dist(u, v);
-        if d != legacy {
+        let want = ear_graph::dijkstra(g, u)[v as usize];
+        if d != want {
             return Err(format!(
-                "fast path diverged from legacy on ({u},{v}): {d} vs {legacy}"
+                "query engine diverged from Dijkstra on ({u},{v}): {d} vs {want}"
             ));
         }
         if d >= INF {
@@ -547,35 +546,32 @@ pub fn query(
                 )
             })
             .collect();
-        let digest = |mut h: u64, d: Weight| {
+        let t0 = Instant::now();
+        let mut h = 0xcbf29ce484222325u64;
+        let mut answers = Vec::with_capacity(queries);
+        for &(u, v) in &workload {
+            let d = engine.dist(u, v);
+            answers.push(d);
             for b in d.to_le_bytes() {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x100000001b3);
             }
-            h
-        };
-        let t0 = Instant::now();
-        let mut lh = 0xcbf29ce484222325u64;
-        for &(u, v) in &workload {
-            lh = digest(lh, oracle.dist(u, v));
         }
-        let legacy_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let mut fh = 0xcbf29ce484222325u64;
-        for &(u, v) in &workload {
-            fh = digest(fh, engine.dist(u, v));
-        }
-        let fast_s = t0.elapsed().as_secs_f64();
-        if fh != lh {
-            return Err(format!(
-                "workload checksum mismatch (fast {fh:016x} != legacy {lh:016x})"
-            ));
+        let wall_s = t0.elapsed().as_secs_f64();
+        // Gate: the answers of up to 16 pairs spread over the workload
+        // against Dijkstra rows from their sources.
+        for (i, &(u, v)) in workload.iter().enumerate().step_by(queries.div_ceil(16)) {
+            let want = ear_graph::dijkstra(g, u)[v as usize];
+            if answers[i] != want {
+                return Err(format!(
+                    "workload query ({u},{v}) answered {} but Dijkstra says {want}",
+                    answers[i]
+                ));
+            }
         }
         println!(
-            "{queries} uniform queries: fast {:.2}M q/s, legacy {:.2}M q/s ({:.1}x), checksum ok {fh:016x}",
-            queries as f64 / fast_s.max(1e-9) / 1e6,
-            queries as f64 / legacy_s.max(1e-9) / 1e6,
-            legacy_s / fast_s.max(1e-9),
+            "{queries} uniform queries: {:.2}M q/s, checksum ok {h:016x}",
+            queries as f64 / wall_s.max(1e-9) / 1e6,
         );
     }
     obs.finish()

@@ -5,8 +5,8 @@
 //! ear decompose <graph>                  blocks, articulation points, ears, reduction
 //! ear apsp <graph> [--pairs u:v,...]     build the distance oracle, answer queries
 //! ear query <graph> [--pairs u:v,...] [--queries N]
-//!                                        fast-path query engine: O(1) gateway routing
-//!                                        over the oracle's tables, checksum-gated vs legacy
+//!                                        query engine: block-cut-tree routing over the
+//!                                        oracle's tables, checksum-gated vs Dijkstra
 //! ear mcb <graph> [--print-cycles] [--profile]  minimum cycle basis
 //! ear combined <graph> [--pairs u:v,...] stats + APSP + MCB off one shared plan
 //! ear recustomize <graph> [--fraction F] [--rounds N] [--seed S]

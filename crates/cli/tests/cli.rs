@@ -98,7 +98,7 @@ fn apsp_answers_queries_with_paths() {
 }
 
 #[test]
-fn query_fast_path_answers_and_checksums() {
+fn query_answers_and_checksums() {
     let p = tmpfile("theta_query.txt", THETA);
     let out = ear(&[
         "query",
@@ -120,8 +120,37 @@ fn query_fast_path_answers_and_checksums() {
     assert!(text.contains("d(1,3) = 4"), "{text}");
     assert!(text.contains("d(0,2) = 3"), "{text}");
     assert!(text.contains("path"), "{text}");
-    // The workload runs both the fast path and the legacy oracle and
-    // errors out unless the FNV digests match.
+    // The workload errors out unless the answers of its sampled pairs
+    // match Dijkstra rows from their sources.
+    assert!(text.contains("checksum ok"), "{text}");
+    assert!(text.contains("q/s"), "{text}");
+}
+
+#[test]
+fn query_routes_across_blocks() {
+    // Triangle 0-1-2, AP 2, triangle 2-4-5, AP 5, triangle 5-6-7, with a
+    // square 0-3-2 folded into the first block.
+    let g = "0 1 1\n1 2 2\n0 2 10\n0 3 3\n3 2 4\n2 4 1\n4 5 2\n5 2 3\n5 6 1\n6 7 2\n7 5 1\n";
+    let p = tmpfile("blocks_query.txt", g);
+    let out = ear(&[
+        "query",
+        p.to_str().unwrap(),
+        "--pairs",
+        "0:7,2:6,5:2",
+        "--queries",
+        "1000",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    // d(0,2) = 3, d(2,5) = 3, d(5,7) = 1.
+    assert!(text.contains("d(0,7) = 7"), "{text}");
+    assert!(text.contains("d(2,6) = 4"), "{text}");
+    assert!(text.contains("d(5,2) = 3"), "{text}");
+    assert!(text.contains("2 APs"), "{text}");
     assert!(text.contains("checksum ok"), "{text}");
 }
 

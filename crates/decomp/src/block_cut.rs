@@ -3,16 +3,23 @@
 //! Nodes are the biconnected components (*blocks*) plus the articulation
 //! points; a block is adjacent to exactly the articulation points it
 //! contains. The structure is a forest (one tree per connected component of
-//! the graph). Binary-lifting LCA answers, for any two vertices in
-//! different blocks, *which* articulation point their shortest path leaves
-//! the first block through and enters the last block through — exactly the
-//! `a_1`/`a_2` of the paper's cross-component distance formula
+//! the graph). The tree path between two nodes is unique, so the
+//! articulation point through which a `u → v` shortest path leaves `u`'s
+//! block depends only on the two tree nodes — exactly the `a_1`/`a_2` of
+//! the paper's cross-component distance formula
 //! `d(n_1,n_2) = d(n_1,a_1) + d(a_1,a_2) + d(a_2,n_2)`.
+//!
+//! [`BlockCutTree::gateway`] answers that question from DFS preorder
+//! intervals: when the target lies inside a block's subtree, the exit is
+//! the child articulation point whose interval holds the target's
+//! preorder number (a binary search); otherwise it is the block's parent.
+//! No ancestor walk is needed, and the router is a handful of flat
+//! arrays: one [`Endpoint`] per vertex, one interval and parent gateway
+//! per block, and one CSR of child gateways.
 
-use crate::bcc::Bcc;
-use ear_graph::{CsrGraph, VertexId};
+use ear_graph::VertexId;
 
-/// Block-cut tree with LCA acceleration.
+/// Block-cut forest and its query router.
 #[derive(Clone, Debug)]
 pub struct BlockCutTree {
     /// Number of blocks (tree nodes `0..n_blocks`).
@@ -24,46 +31,65 @@ pub struct BlockCutTree {
     /// `vertex → a block containing it` (`u32::MAX` for isolated vertices).
     /// Unique for non-articulation vertices.
     pub vertex_block: Vec<u32>,
-    /// Articulation points contained in each block.
+    /// Articulation points contained in each block, ascending.
     pub block_aps: Vec<Vec<VertexId>>,
-    /// Blocks adjacent to each articulation point: `ap_blocks[i]` is the
-    /// ascending list of block ids containing `aps[i]`. The inverse of
-    /// `block_aps`, so "which blocks hold this AP?" is a slice read instead
-    /// of an O(n_blocks) membership scan.
-    ap_blocks: Vec<Vec<u32>>,
-    parent: Vec<u32>,
-    depth: Vec<u32>,
-    tree_id: Vec<u32>,
-    up: Vec<Vec<u32>>, // binary-lifting table, up[k][node]
+    /// Preorder number of every tree node.
+    pre: Vec<u32>,
+    endpoints: Vec<Endpoint>,
+    blocks: Vec<BlockSpan>,
+    /// `(preorder number of the AP node, gateway)`, ascending per block.
+    children: Vec<(u32, Gateway)>,
 }
 
-/// How two vertices relate in the block-cut forest.
+/// One vertex's routing record, 16 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Route {
-    /// Different connected components: no path at all.
-    Disconnected,
-    /// Some common block contains both vertices: the within-block table
-    /// already has the answer.
-    SameBlock(u32),
-    /// The path must run `u → a1 → … → a2 → v`; `a1 == a2` is possible
-    /// (single shared articulation point).
-    ViaAps {
-        /// Articulation point through which the path leaves `u`'s block.
-        a1: VertexId,
-        /// Articulation point through which the path enters `v`'s block.
-        a2: VertexId,
-    },
+pub struct Endpoint {
+    /// Tree node: the home block id, or `n_blocks + AP index` for an
+    /// articulation point (`u32::MAX` for an isolated vertex).
+    pub node: u32,
+    /// Local id in the vertex's home block ([`BlockCutTree::vertex_block`]).
+    pub local: u32,
+    /// Preorder number of `node`.
+    pub pre: u32,
+    /// Tree id of `node` (`u32::MAX` for an isolated vertex).
+    pub tree: u32,
+}
+
+/// An articulation point as seen from one of its blocks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Gateway {
+    /// AP index (row of the AP distance table).
+    pub ap: u32,
+    /// The AP's local id in that block.
+    pub local: u32,
+}
+
+/// A block's preorder interval `[pre, end)`, its parent gateway
+/// (`ap == u32::MAX` for a tree root) and the range of its child gateways
+/// in `BlockCutTree::children`.
+#[derive(Clone, Copy, Debug)]
+struct BlockSpan {
+    pre: u32,
+    end: u32,
+    parent: Gateway,
+    kids: (u32, u32),
 }
 
 impl BlockCutTree {
-    /// Builds the tree from a graph and its biconnected components.
-    pub fn new(g: &CsrGraph, bcc: &Bcc) -> Self {
-        let n = g.n();
-        let n_blocks = bcc.count();
+    /// Builds the tree and its router from a graph's articulation-point
+    /// flags (one per vertex) and its `n_blocks` biconnected components:
+    /// `members(b)` is block `b`'s `local → parent` vertex map, which fixes
+    /// every local id the router hands out.
+    pub fn new<'a>(
+        is_articulation: &[bool],
+        n_blocks: usize,
+        members: impl Fn(usize) -> &'a [VertexId],
+    ) -> Self {
+        let n = is_articulation.len();
         let mut ap_index = vec![u32::MAX; n];
         let mut aps = Vec::new();
         for v in 0..n as u32 {
-            if bcc.is_articulation[v as usize] {
+            if is_articulation[v as usize] {
                 ap_index[v as usize] = aps.len() as u32;
                 aps.push(v);
             }
@@ -73,69 +99,115 @@ impl BlockCutTree {
         let mut vertex_block = vec![u32::MAX; n];
         let mut block_aps: Vec<Vec<VertexId>> = vec![Vec::new(); n_blocks];
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-        for b in 0..n_blocks {
-            for v in bcc.comp_vertices(g, b) {
+        for (b, aps_b) in block_aps.iter_mut().enumerate() {
+            let vs = members(b);
+            // A block of self-loops alone is its own tree; it is a
+            // vertex's home only when the vertex has no other block.
+            for &v in vs {
                 if ap_index[v as usize] != u32::MAX {
-                    block_aps[b].push(v);
-                    let ap_node = n_blocks as u32 + ap_index[v as usize];
-                    adj[b].push(ap_node);
-                    adj[ap_node as usize].push(b as u32);
-                    // For an AP, keep any one containing block.
-                    vertex_block[v as usize] = b as u32;
-                } else {
+                    aps_b.push(v);
+                } else if vs.len() > 1 || vertex_block[v as usize] == u32::MAX {
                     vertex_block[v as usize] = b as u32;
                 }
             }
+            aps_b.sort_unstable();
+            for &v in aps_b.iter() {
+                let ap_node = n_blocks as u32 + ap_index[v as usize];
+                adj[b].push(ap_node);
+                adj[ap_node as usize].push(b as u32);
+                // For an AP, keep any one containing block.
+                vertex_block[v as usize] = b as u32;
+            }
         }
 
-        // BFS forest over tree nodes.
+        // DFS forest over tree nodes. Roots are taken in node order, so
+        // every root is a block (an AP node always has a block neighbour
+        // with a smaller id).
         let mut parent = vec![u32::MAX; node_count];
-        let mut depth = vec![0u32; node_count];
-        let mut tree_id = vec![u32::MAX; node_count];
-        let mut queue = std::collections::VecDeque::new();
-        let mut trees = 0u32;
+        let mut pre = vec![u32::MAX; node_count];
+        let mut end = vec![u32::MAX; node_count];
+        let mut tree = vec![u32::MAX; node_count];
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        let mut next = 0u32;
         for r in 0..node_count as u32 {
-            if tree_id[r as usize] != u32::MAX {
+            if pre[r as usize] != u32::MAX {
                 continue;
             }
-            tree_id[r as usize] = trees;
-            queue.push_back(r);
-            while let Some(x) = queue.pop_front() {
-                for &y in &adj[x as usize] {
-                    if tree_id[y as usize] == u32::MAX {
-                        tree_id[y as usize] = trees;
+            // A tree is named after its root.
+            (pre[r as usize], tree[r as usize], next) = (next, r, next + 1);
+            stack.push((r, 0));
+            while let Some(top) = stack.last_mut() {
+                let (x, i) = *top;
+                top.1 += 1;
+                match adj[x as usize].get(i) {
+                    Some(&y) if pre[y as usize] == u32::MAX => {
+                        (pre[y as usize], tree[y as usize], next) = (next, r, next + 1);
                         parent[y as usize] = x;
-                        depth[y as usize] = depth[x as usize] + 1;
-                        queue.push_back(y);
+                        stack.push((y, 0));
+                    }
+                    Some(_) => {}
+                    None => {
+                        end[x as usize] = next;
+                        stack.pop();
                     }
                 }
             }
-            trees += 1;
         }
 
-        // AP → adjacent blocks: the AP nodes' tree adjacency is exactly
-        // that list, already ascending because the block loop above runs in
-        // block-id order.
-        let ap_blocks: Vec<Vec<u32>> = adj[n_blocks..].to_vec();
-
-        // Binary lifting table.
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let levels = (32 - u32::leading_zeros(max_depth.max(1))) as usize;
-        let mut up = Vec::with_capacity(levels);
-        up.push(parent.clone());
-        for k in 1..levels {
-            let prev = &up[k - 1];
-            let next: Vec<u32> = (0..node_count)
-                .map(|x| {
-                    let p = prev[x];
-                    if p == u32::MAX {
-                        u32::MAX
-                    } else {
-                        prev[p as usize]
-                    }
-                })
-                .collect();
-            up.push(next);
+        // The router: per-vertex endpoints, per-block spans and the CSR of
+        // child gateways (every AP node is the child of exactly one block).
+        let mut endpoints = vec![
+            Endpoint {
+                node: u32::MAX,
+                local: u32::MAX,
+                pre: u32::MAX,
+                tree: u32::MAX,
+            };
+            n
+        ];
+        let mut blocks = Vec::with_capacity(n_blocks);
+        let mut children = Vec::with_capacity(aps.len());
+        let root = Gateway {
+            ap: u32::MAX,
+            local: u32::MAX,
+        };
+        for b in 0..n_blocks {
+            let mut span = BlockSpan {
+                pre: pre[b],
+                end: end[b],
+                parent: root,
+                kids: (children.len() as u32, 0),
+            };
+            for (l, &v) in members(b).iter().enumerate() {
+                let (ap, l) = (ap_index[v as usize], l as u32);
+                let node = if ap == u32::MAX {
+                    b
+                } else {
+                    n_blocks + ap as usize
+                };
+                if vertex_block[v as usize] == b as u32 {
+                    let (pre, tree) = (pre[node], tree[node]);
+                    let node = node as u32;
+                    endpoints[v as usize] = Endpoint {
+                        node,
+                        local: l,
+                        pre,
+                        tree,
+                    };
+                }
+                if ap == u32::MAX {
+                    continue;
+                }
+                let gw = Gateway { ap, local: l };
+                if parent[node] == b as u32 {
+                    children.push((pre[node], gw));
+                } else {
+                    span.parent = gw;
+                }
+            }
+            span.kids.1 = children.len() as u32;
+            children[span.kids.0 as usize..].sort_unstable_by_key(|&(pre, _)| pre);
+            blocks.push(span);
         }
 
         BlockCutTree {
@@ -144,11 +216,10 @@ impl BlockCutTree {
             ap_index,
             vertex_block,
             block_aps,
-            ap_blocks,
-            parent,
-            depth,
-            tree_id,
-            up,
+            pre,
+            endpoints,
+            blocks,
+            children,
         }
     }
 
@@ -157,147 +228,53 @@ impl BlockCutTree {
         self.aps.len()
     }
 
-    /// Tree node of a vertex: its AP node when articulation, otherwise its
-    /// unique block. `None` for isolated vertices.
-    pub fn node_of_vertex(&self, v: VertexId) -> Option<u32> {
-        let ai = self.ap_index[v as usize];
-        if ai != u32::MAX {
-            return Some(self.n_blocks as u32 + ai);
-        }
-        let b = self.vertex_block[v as usize];
-        (b != u32::MAX).then_some(b)
+    /// DFS preorder number of a tree node — the `to` argument of
+    /// [`Self::gateway`].
+    pub fn preorder(&self, node: u32) -> u32 {
+        self.pre[node as usize]
     }
 
-    /// Lifts `x` up by `steps` ancestors.
-    fn ancestor(&self, mut x: u32, mut steps: u32) -> u32 {
-        let mut k = 0;
-        while steps > 0 && x != u32::MAX {
-            if steps & 1 == 1 {
-                x = self.up[k][x as usize];
-            }
-            steps >>= 1;
-            k += 1;
-        }
-        x
+    /// Routing record of vertex `v`. Two vertices have a path between
+    /// them iff they are one vertex or their `tree` ids match and are not
+    /// `u32::MAX`.
+    #[inline]
+    pub fn endpoint(&self, v: VertexId) -> Endpoint {
+        self.endpoints[v as usize]
     }
 
-    /// Lowest common ancestor of two tree nodes, `None` across trees.
-    pub fn lca(&self, mut x: u32, mut y: u32) -> Option<u32> {
-        if self.tree_id[x as usize] != self.tree_id[y as usize] {
-            return None;
-        }
-        if self.depth[x as usize] < self.depth[y as usize] {
-            std::mem::swap(&mut x, &mut y);
-        }
-        x = self.ancestor(x, self.depth[x as usize] - self.depth[y as usize]);
-        if x == y {
-            return Some(x);
-        }
-        for k in (0..self.up.len()).rev() {
-            let (px, py) = (self.up[k][x as usize], self.up[k][y as usize]);
-            if px != py {
-                x = px;
-                y = py;
-            }
-        }
-        Some(self.up[0][x as usize])
+    /// True when `node` is a block (not an AP node, not the isolated
+    /// sentinel).
+    #[inline]
+    pub fn is_block(&self, node: u32) -> bool {
+        (node as usize) < self.n_blocks
     }
 
-    /// First node after `x` on the tree path from `x` to `y` (`x != y`,
-    /// same tree).
-    fn first_step(&self, x: u32, y: u32) -> u32 {
-        let l = self.lca(x, y).expect("same tree");
-        if l == x {
-            // Descend: the child of x that is an ancestor of y.
-            self.ancestor(y, self.depth[y as usize] - self.depth[x as usize] - 1)
+    /// AP index of an articulation-point endpoint, `None` otherwise.
+    #[inline]
+    pub fn ap_of(&self, e: Endpoint) -> Option<u32> {
+        let nb = self.n_blocks as u32;
+        (e.node >= nb && e.node != u32::MAX).then(|| e.node - nb)
+    }
+
+    /// The articulation point through which the tree path from block `b`
+    /// to the node with preorder number `to` leaves `b`. The target must
+    /// be another node of `b`'s tree.
+    #[inline]
+    pub fn gateway(&self, b: u32, to: u32) -> Gateway {
+        let span = self.blocks[b as usize];
+        if to > span.pre && to < span.end {
+            let kids = &self.children[span.kids.0 as usize..span.kids.1 as usize];
+            kids[kids.partition_point(|&(pre, _)| pre <= to) - 1].1
         } else {
-            self.parent[x as usize]
+            debug_assert!(span.parent.ap != u32::MAX, "target outside the tree");
+            span.parent
         }
     }
 
-    /// Resolves which articulation points a `u → v` path crosses.
-    pub fn route(&self, u: VertexId, v: VertexId) -> Route {
-        let (Some(nu), Some(nv)) = (self.node_of_vertex(u), self.node_of_vertex(v)) else {
-            return Route::Disconnected;
-        };
-        if self.tree_id[nu as usize] != self.tree_id[nv as usize] {
-            return Route::Disconnected;
-        }
-        let u_is_ap = self.ap_index[u as usize] != u32::MAX;
-        let v_is_ap = self.ap_index[v as usize] != u32::MAX;
-        // Same-block fast paths.
-        if nu == nv {
-            return Route::SameBlock(nu);
-        }
-        if !u_is_ap && !v_is_ap {
-            // Both are plain block nodes; distinct blocks.
-        } else if u_is_ap && !v_is_ap {
-            // If u sits in v's block the within-block table answers.
-            if self.block_contains_ap(nv, u) {
-                return Route::SameBlock(nv);
-            }
-        } else if !u_is_ap && v_is_ap {
-            if self.block_contains_ap(nu, v) {
-                return Route::SameBlock(nu);
-            }
-        } else {
-            // Both APs; adjacent in the tree through a shared block?
-            if let Some(b) = self.shared_block(u, v) {
-                return Route::SameBlock(b);
-            }
-        }
-        let a1 = if u_is_ap {
-            u
-        } else {
-            self.ap_of_node(self.first_step(nu, nv))
-        };
-        let a2 = if v_is_ap {
-            v
-        } else {
-            self.ap_of_node(self.first_step(nv, nu))
-        };
-        Route::ViaAps { a1, a2 }
-    }
-
-    fn ap_of_node(&self, node: u32) -> VertexId {
-        debug_assert!(node as usize >= self.n_blocks, "expected an AP node");
-        self.aps[node as usize - self.n_blocks]
-    }
-
-    fn block_contains_ap(&self, block: u32, ap: VertexId) -> bool {
-        self.block_aps[block as usize].contains(&ap)
-    }
-
-    /// Blocks containing articulation point `ap`, ascending by block id.
-    /// Empty when `ap` is not an articulation point.
-    pub fn blocks_of_ap(&self, ap: VertexId) -> &[u32] {
-        let ai = self.ap_index[ap as usize];
-        if ai == u32::MAX {
-            return &[];
-        }
-        &self.ap_blocks[ai as usize]
-    }
-
-    /// Connected-component id of a vertex (`None` for isolated vertices).
-    /// Two vertices have a path between them iff their component ids match.
-    pub fn component_of(&self, v: VertexId) -> Option<u32> {
-        self.node_of_vertex(v)
-            .map(|node| self.tree_id[node as usize])
-    }
-
-    /// Smallest block id containing both articulation points, via a merge
-    /// over their sorted adjacent-block lists — O(deg) instead of the old
-    /// O(n_blocks) scan.
-    fn shared_block(&self, a: VertexId, b: VertexId) -> Option<u32> {
-        let (mut xs, mut ys) = (self.blocks_of_ap(a), self.blocks_of_ap(b));
-        while let (Some(&x), Some(&y)) = (xs.first(), ys.first()) {
-            match x.cmp(&y) {
-                std::cmp::Ordering::Equal => return Some(x),
-                std::cmp::Ordering::Less => xs = &xs[1..],
-                std::cmp::Ordering::Greater => ys = &ys[1..],
-            }
-        }
-        None
+    /// Block → AP gateway entries stored: `Σ` APs per block.
+    pub fn gateway_entries(&self) -> usize {
+        let parents = self.blocks.iter().filter(|s| s.parent.ap != u32::MAX);
+        self.children.len() + parents.count()
     }
 }
 
@@ -305,10 +282,12 @@ impl BlockCutTree {
 mod tests {
     use super::*;
     use crate::bcc::biconnected_components;
+    use crate::plan::DecompPlan;
+    use ear_graph::CsrGraph;
 
     /// triangle(0,1,2) — AP 2 — triangle(2,3,4) — AP 4 — edge(4,5)
-    fn chain_of_blocks() -> (CsrGraph, Bcc, BlockCutTree) {
-        let g = CsrGraph::from_edges(
+    fn chain_of_blocks() -> CsrGraph {
+        CsrGraph::from_edges(
             6,
             &[
                 (0, 1, 1),
@@ -319,170 +298,127 @@ mod tests {
                 (4, 2, 1),
                 (4, 5, 1),
             ],
-        );
-        let b = biconnected_components(&g);
-        let t = BlockCutTree::new(&g, &b);
-        (g, b, t)
+        )
+    }
+
+    /// The APs a `u → v` path leaves `u`'s side through and enters `v`'s
+    /// side through: an AP endpoint is its own exit, anyone else leaves
+    /// its home block through the router's gateway toward the other end.
+    fn exits(plan: &DecompPlan, u: VertexId, v: VertexId) -> (VertexId, VertexId) {
+        let (r, aps) = (plan.bct(), &plan.bct().aps);
+        let exit = |x: Endpoint, y: Endpoint| match r.ap_of(x) {
+            Some(a) => aps[a as usize],
+            None => {
+                let gw = r.gateway(x.node, y.pre);
+                assert_eq!(plan.local(x.node, aps[gw.ap as usize]), Some(gw.local));
+                aps[gw.ap as usize]
+            }
+        };
+        let (eu, ev) = (r.endpoint(u), r.endpoint(v));
+        assert_eq!(eu.tree, ev.tree, "({u},{v}) in different trees");
+        (exit(eu, ev), exit(ev, eu))
     }
 
     #[test]
     fn counts_blocks_and_aps() {
-        let (_, b, t) = chain_of_blocks();
-        assert_eq!(t.n_blocks, b.count());
+        let g = chain_of_blocks();
+        let plan = DecompPlan::build(&g);
+        let t = plan.bct();
+        assert_eq!(t.n_blocks, biconnected_components(&g).count());
         assert_eq!(t.n_blocks, 3);
         assert_eq!(t.aps, vec![2, 4]);
     }
 
     #[test]
     fn same_block_routing() {
-        let (_, _, t) = chain_of_blocks();
-        match t.route(0, 1) {
-            Route::SameBlock(_) => {}
-            r => panic!("expected SameBlock, got {r:?}"),
-        }
-        // AP with a vertex of its own block.
-        match t.route(2, 0) {
-            Route::SameBlock(_) => {}
-            r => panic!("expected SameBlock, got {r:?}"),
-        }
+        let plan = DecompPlan::build(&chain_of_blocks());
+        let r = plan.bct();
+        // Two non-APs of one block share their tree node.
+        assert_eq!(r.endpoint(0).node, r.endpoint(1).node);
+        assert!(r.is_block(r.endpoint(0).node));
+        // AP with a vertex of its own block: the block's gateway toward
+        // the AP is the AP itself.
+        assert_eq!(exits(&plan, 2, 0), (2, 2));
     }
 
     #[test]
     fn cross_block_routing_finds_the_aps() {
-        let (_, _, t) = chain_of_blocks();
-        match t.route(0, 5) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!(a1, 2);
-                assert_eq!(a2, 4);
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
-        match t.route(5, 0) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!(a1, 4);
-                assert_eq!(a2, 2);
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
+        let plan = DecompPlan::build(&chain_of_blocks());
+        assert_eq!(exits(&plan, 0, 5), (2, 4));
+        assert_eq!(exits(&plan, 5, 0), (4, 2));
     }
 
     #[test]
     fn adjacent_blocks_share_single_ap() {
-        let (_, _, t) = chain_of_blocks();
-        match t.route(0, 3) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!(a1, 2);
-                assert_eq!(a2, 2);
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
+        let plan = DecompPlan::build(&chain_of_blocks());
+        assert_eq!(exits(&plan, 0, 3), (2, 2));
     }
 
     #[test]
     fn two_aps_in_shared_block() {
-        let (_, _, t) = chain_of_blocks();
-        // 2 and 4 share the middle triangle.
-        match t.route(2, 4) {
-            Route::SameBlock(_) => {}
-            r => panic!("expected SameBlock, got {r:?}"),
+        let plan = DecompPlan::build(&chain_of_blocks());
+        // 2 and 4 share the middle triangle, whose gateway toward each of
+        // them is that AP.
+        let r = plan.bct();
+        let mid = r.endpoint(3).node;
+        for ap in [2u32, 4] {
+            let gw = r.gateway(mid, r.endpoint(ap).pre);
+            assert_eq!(plan.bct().aps[gw.ap as usize], ap);
         }
+        assert_eq!(exits(&plan, 2, 4), (2, 4));
     }
 
     #[test]
     fn ap_to_distant_vertex() {
-        let (_, _, t) = chain_of_blocks();
-        match t.route(2, 5) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!(a1, 2);
-                assert_eq!(a2, 4);
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
+        let plan = DecompPlan::build(&chain_of_blocks());
+        assert_eq!(exits(&plan, 2, 5), (2, 4));
     }
 
     #[test]
     fn disconnected_vertices() {
         let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1)]);
-        let b = biconnected_components(&g);
-        let t = BlockCutTree::new(&g, &b);
-        assert_eq!(t.route(0, 3), Route::Disconnected);
-        assert_eq!(t.route(0, 4), Route::Disconnected);
-        match t.route(3, 4) {
-            Route::SameBlock(_) => {}
-            r => panic!("expected SameBlock, got {r:?}"),
-        }
+        let plan = DecompPlan::build(&g);
+        let r = plan.bct();
+        assert_ne!(r.endpoint(0).tree, r.endpoint(3).tree);
+        assert_ne!(r.endpoint(0).tree, r.endpoint(4).tree);
+        assert_eq!(r.endpoint(3).node, r.endpoint(4).node);
     }
 
     #[test]
     fn isolated_vertex_routes_nowhere() {
-        let g = CsrGraph::from_edges(3, &[(0, 1, 1)]);
-        let b = biconnected_components(&g);
-        let t = BlockCutTree::new(&g, &b);
-        assert_eq!(t.route(0, 2), Route::Disconnected);
+        let plan = DecompPlan::build(&CsrGraph::from_edges(3, &[(0, 1, 1)]));
+        let e = plan.bct().endpoint(2);
+        assert_eq!((e.node, e.tree), (u32::MAX, u32::MAX));
+        assert_eq!(plan.bct().ap_of(e), None);
     }
 
     #[test]
     fn long_chain_of_bridges() {
         // Path 0-1-2-3-4: every edge a block, inner vertices APs.
         let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        let b = biconnected_components(&g);
-        let t = BlockCutTree::new(&g, &b);
-        assert_eq!(t.ap_count(), 3);
-        match t.route(0, 4) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!(a1, 1);
-                assert_eq!(a2, 3);
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
-        match t.route(1, 3) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!((a1, a2), (1, 3));
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
-    }
-
-    #[test]
-    fn ap_block_index_inverts_block_aps() {
-        let (_, _, t) = chain_of_blocks();
-        for (i, &ap) in t.aps.iter().enumerate() {
-            let blocks = t.blocks_of_ap(ap);
-            assert!(!blocks.is_empty(), "AP {ap} adjacent to no block");
-            assert!(blocks.windows(2).all(|w| w[0] < w[1]), "unsorted");
-            for b in 0..t.n_blocks as u32 {
-                assert_eq!(
-                    blocks.contains(&b),
-                    t.block_aps[b as usize].contains(&ap),
-                    "AP {i} block {b}"
-                );
-            }
-        }
-        // Non-APs have no adjacent-block list.
-        assert!(t.blocks_of_ap(0).is_empty());
+        let plan = DecompPlan::build(&g);
+        assert_eq!(plan.bct().ap_count(), 3);
+        assert_eq!(exits(&plan, 0, 4), (1, 3));
+        assert_eq!(exits(&plan, 1, 3), (1, 3));
+        // Three APs in two-AP blocks: 2 · 2 + 2 · 1 gateway entries.
+        assert_eq!(plan.bct().gateway_entries(), 6);
     }
 
     #[test]
     fn component_ids_partition_the_graph() {
         let g = CsrGraph::from_edges(6, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1)]);
-        let b = biconnected_components(&g);
-        let t = BlockCutTree::new(&g, &b);
-        assert_eq!(t.component_of(0), t.component_of(2));
-        assert_eq!(t.component_of(3), t.component_of(4));
-        assert_ne!(t.component_of(0), t.component_of(3));
-        assert_eq!(t.component_of(5), None); // isolated
+        let plan = DecompPlan::build(&g);
+        let tree = |v| plan.bct().endpoint(v).tree;
+        assert_eq!(tree(0), tree(2));
+        assert_eq!(tree(3), tree(4));
+        assert_ne!(tree(0), tree(3));
+        assert_eq!(tree(5), u32::MAX); // isolated
     }
 
     #[test]
     fn star_graph_hub_is_everyones_gateway() {
         let g = CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
-        let b = biconnected_components(&g);
-        let t = BlockCutTree::new(&g, &b);
-        match t.route(1, 2) {
-            Route::ViaAps { a1, a2 } => {
-                assert_eq!((a1, a2), (0, 0));
-            }
-            r => panic!("expected ViaAps, got {r:?}"),
-        }
+        let plan = DecompPlan::build(&g);
+        assert_eq!(exits(&plan, 1, 2), (0, 0));
     }
 }

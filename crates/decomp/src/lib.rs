@@ -5,8 +5,9 @@
 //!
 //! * [`bcc`] — biconnected components, articulation points and bridges
 //!   (iterative Hopcroft–Tarjan with an explicit edge stack);
-//! * [`block_cut`] — the block-cut tree with binary-lifting LCA, used to
-//!   stitch shortest paths across biconnected components (paper §2.2);
+//! * [`block_cut`] — the block-cut tree with its preorder-interval query
+//!   router, used to stitch shortest paths across biconnected components
+//!   (paper §2.2);
 //! * [`ear`] — open ear decomposition of biconnected graphs via Schmidt's
 //!   chain decomposition, plus a validity checker;
 //! * [`reduce`] — contraction of maximal degree-2 chains into single

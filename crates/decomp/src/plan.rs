@@ -6,7 +6,7 @@
 //! that whole front half as one reusable artifact:
 //!
 //! * the [`BlockCutTree`] (which also fixes articulation points and
-//!   per-vertex home blocks);
+//!   per-vertex home blocks) with its query router;
 //! * one [`BlockPlan`] per biconnected component, holding its id maps
 //!   back to the parent graph and — for simple blocks — the degree-2 chain
 //!   reduction ([`ReducedGraph`] with all its `RemovedInfo` bookkeeping);
@@ -27,8 +27,8 @@
 //! implies:
 //!
 //! * [`PlanTopology`] — everything that depends only on the graph's
-//!   *structure*: the block-cut tree, the edge→block table, bridges, the
-//!   per-vertex home-block numbering, arena spans and the locality
+//!   *structure*: the block-cut tree and its router, the edge→block
+//!   table, bridges, arena spans and the locality
 //!   [`NodeOrder`]. Shared via [`Arc`] by every customization of the same
 //!   graph shape.
 //! * [`CustomizedPlan`] — everything that depends on the current edge
@@ -154,8 +154,8 @@ impl BlockPlan {
 }
 
 /// The weight-independent layer of a [`DecompPlan`]: BCC partition,
-/// block-cut tree, edge→block table, bridges, home-block numbering, arena
-/// spans and the locality order. Never recomputed by
+/// block-cut tree and router, edge→block table, bridges, arena spans and
+/// the locality order. Never recomputed by
 /// [`DecompPlan::recustomize`]; shared via [`Arc`] by every customization
 /// of the same graph structure.
 #[derive(Clone, Debug)]
@@ -168,9 +168,6 @@ pub struct PlanTopology {
     edge_comp: Vec<u32>,
     /// Bridge edges (single-edge non-loop blocks).
     bridges: Vec<EdgeId>,
-    /// `vertex → local id within its home block` (`u32::MAX` for isolated
-    /// vertices); the home block is `bct.vertex_block`.
-    home_local: Vec<u32>,
     /// One arena window per block, in block-id order.
     spans: Vec<CsrSpan>,
     /// BCC-clustered locality order over the parent graph's vertices:
@@ -273,15 +270,11 @@ impl DecompPlan {
             let _s = ear_obs::span("decomp.bcc");
             biconnected_components(g)
         };
-        let bct = {
-            let _s = ear_obs::span("decomp.bct");
-            BlockCutTree::new(g, &bcc)
-        };
         let Bcc {
             comps,
             edge_comp,
             bridges,
-            ..
+            is_articulation,
         } = bcc;
 
         // Extract every block with one shared scratch into the shared
@@ -301,6 +294,10 @@ impl DecompPlan {
             spans.push(span);
         }
         drop(extract_span);
+        let bct = {
+            let _s = ear_obs::span("decomp.bct");
+            BlockCutTree::new(&is_articulation, extracted.len(), |b| &extracted[b].0)
+        };
 
         // Chain-contract all simple blocks, in parallel across blocks. The
         // per-block sequential `reduce_graph` keeps the output bit-identical
@@ -320,7 +317,6 @@ impl DecompPlan {
                 .collect()
         };
 
-        let mut home_local = vec![u32::MAX; g.n()];
         let blocks: Vec<BlockPlan> = extracted
             .into_iter()
             .zip(reductions)
@@ -330,9 +326,7 @@ impl DecompPlan {
                 |(b, (((to_parent_vertex, to_parent_edge, simple), reduction), span))| {
                     let mut shared = Vec::new();
                     for (l, &p) in to_parent_vertex.iter().enumerate() {
-                        if bct.vertex_block[p as usize] == b as u32 {
-                            home_local[p as usize] = l as u32;
-                        } else {
+                        if bct.vertex_block[p as usize] != b as u32 {
                             shared.push((p, l as u32));
                         }
                     }
@@ -398,7 +392,6 @@ impl DecompPlan {
                 bct,
                 edge_comp,
                 bridges,
-                home_local,
                 spans,
                 node_order,
             }),
@@ -623,7 +616,8 @@ impl DecompPlan {
         &self.custom.blocks[b as usize]
     }
 
-    /// The block-cut tree (articulation points, routing, home blocks).
+    /// The block-cut tree (articulation points, home blocks, query
+    /// routing).
     pub fn bct(&self) -> &BlockCutTree {
         &self.topo.bct
     }
@@ -653,7 +647,7 @@ impl DecompPlan {
     /// not a member of that block.
     pub fn local(&self, b: u32, v: VertexId) -> Option<VertexId> {
         if self.topo.bct.vertex_block[v as usize] == b {
-            return Some(self.topo.home_local[v as usize]);
+            return Some(self.topo.bct.endpoint(v).local);
         }
         let shared = &self.custom.blocks[b as usize].shared;
         shared

@@ -245,3 +245,69 @@ fn one_shared_plan_serves_every_consumer() {
             Ok(())
         });
 }
+
+/// The router's exit AP out of every block toward every other node of
+/// its tree is the first articulation point on the forest path, as a BFS
+/// over the block-cut forest (blocks ↔ the APs they contain) finds it —
+/// and the gateway's local id is that AP's id inside the block. The
+/// graphs are large enough that some block holds three or more APs, so a
+/// router that picked the wrong child would be caught.
+#[test]
+fn router_gateways_match_forest_bfs() {
+    let families = [
+        ("multi_bcc", multi_bcc_graphs(64)),
+        ("cactus", cactus_graphs(64)),
+        ("workload", workload_graphs(96)),
+    ];
+    let many_ap_blocks = std::sync::atomic::AtomicUsize::new(0);
+    for (name, strat) in families {
+        forall(format!("router_gateways/{name}").leak())
+            .cases(16)
+            .run(&strat, |g| {
+                let plan = DecompPlan::build(g);
+                let (bct, nb) = (plan.bct(), plan.n_blocks());
+                let many = bct.block_aps.iter().filter(|aps| aps.len() >= 3).count();
+                many_ap_blocks.fetch_add(many, std::sync::atomic::Ordering::Relaxed);
+                let mut adj = vec![Vec::new(); nb + bct.ap_count()];
+                for b in 0..nb {
+                    for &a in &bct.block_aps[b] {
+                        let node = nb + bct.ap_index[a as usize] as usize;
+                        adj[b].push(node);
+                        adj[node].push(b);
+                    }
+                }
+                for b in 0..nb {
+                    // first[y]: the AP node the path b → y starts with.
+                    let mut first = vec![usize::MAX; adj.len()];
+                    first[b] = b;
+                    let mut queue = std::collections::VecDeque::from([b]);
+                    while let Some(x) = queue.pop_front() {
+                        for &y in &adj[x] {
+                            if first[y] == usize::MAX {
+                                first[y] = if x == b { y } else { first[x] };
+                                queue.push_back(y);
+                            }
+                        }
+                    }
+                    for (y, &f) in first.iter().enumerate() {
+                        if y == b || f == usize::MAX {
+                            continue;
+                        }
+                        let ap = (f - nb) as u32;
+                        let want = (ap, plan.local(b as u32, bct.aps[ap as usize]));
+                        let gw = plan.bct().gateway(b as u32, bct.preorder(y as u32));
+                        if (gw.ap, Some(gw.local)) != want {
+                            return Err(format!(
+                                "gateway(block {b}, node {y}) = {gw:?}, BFS says {want:?}"
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            });
+    }
+    assert!(
+        many_ap_blocks.into_inner() > 0,
+        "no block with three or more APs"
+    );
+}

@@ -180,10 +180,13 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
     });
     assert_eq!(delta, 0, "registry reads allocated {delta} times");
 
-    // 4. The query fast path is allocation-free in steady state with
-    //    tracing off: scalar `dist` always, and the batched kernel once
-    //    its scratch and output vectors are warmed by a first batch.
+    // 4. Query routing is allocation-free with tracing off: scalar `dist`
+    //    over every pair of the graph above — three blocks joined at
+    //    articulation points 2 and 5, so the pairs include same-block,
+    //    cross-block and AP-endpoint routes.
     let q = ear_apsp::QueryEngine::new(&oracle);
+    assert_eq!(q.plan().n_blocks(), 3);
+    assert_eq!(q.plan().bct().aps, vec![2, 5]);
     let delta = min_alloc_delta(3, || {
         for u in 0..8u32 {
             for v in 0..8u32 {
@@ -194,19 +197,6 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
     assert_eq!(
         delta, 0,
         "disabled-obs scalar queries allocated {delta} times"
-    );
-    let all: Vec<u32> = (0..8).collect();
-    let mut scratch = ear_apsp::QueryScratch::new();
-    let mut out = Vec::new();
-    q.dist_batch_into(&all, &all, &mut scratch, &mut out); // warm-up
-    let delta = min_alloc_delta(3, || {
-        for _ in 0..100 {
-            q.dist_batch_into(&all, &all, &mut scratch, &mut out);
-        }
-    });
-    assert_eq!(
-        delta, 0,
-        "warmed disabled-obs batches allocated {delta} times"
     );
 
     // 5. The arena block layout earns its name: a plan build allocates no
