@@ -80,14 +80,37 @@ impl DistArena {
         self.data[h.off + i as usize * h.n as usize + j as usize]
     }
 
-    /// Mutable row `i` of the AP table.
-    pub(crate) fn ap_row_mut(&mut self, i: u32) -> &mut [Weight] {
-        &mut self.data[i as usize * self.ap_n..][..self.ap_n]
+    /// The AP table's rows, in AP index order, for writing.
+    pub(crate) fn ap_rows_mut(&mut self) -> impl Iterator<Item = &mut [Weight]> {
+        let a = self.ap_n;
+        self.data[..a * a].chunks_mut(a.max(1))
     }
 
-    /// Mutable row `i` of block `b`'s table.
-    pub(crate) fn block_row_mut(&mut self, b: u32, i: u32) -> &mut [Weight] {
-        let h = self.blocks[b as usize];
-        &mut self.data[h.off + i as usize * h.n as usize..][..h.n as usize]
+    /// Every row of the tables of `blocks` as `(block, local row, row)`,
+    /// for writing: disjoint `&mut` rows that one parallel region can fill.
+    ///
+    /// # Panics
+    /// Panics unless `blocks` is strictly ascending (the order
+    /// [`DecompPlan::dirty_blocks_since`] returns).
+    pub(crate) fn block_rows_mut(&mut self, blocks: &[u32]) -> Vec<(u32, u32, &mut [Weight])> {
+        assert!(
+            blocks.windows(2).all(|w| w[0] < w[1]),
+            "block ids must ascend"
+        );
+        let mut rows = Vec::new();
+        // `rest` is `data[base..]`: everything past the last span taken.
+        let (mut rest, mut base) = (&mut self.data[..], 0);
+        for &b in blocks {
+            let h = self.blocks[b as usize];
+            let n = h.n as usize;
+            let (span, tail) = std::mem::take(&mut rest)[h.off - base..].split_at_mut(n * n);
+            rows.extend(
+                (0..)
+                    .zip(span.chunks_mut(n.max(1)))
+                    .map(|(x, row)| (b, x, row)),
+            );
+            (rest, base) = (tail, h.off + n * n);
+        }
+        rows
     }
 }

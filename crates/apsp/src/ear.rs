@@ -21,10 +21,11 @@
 //! (`n²`) for simplicity.
 
 use ear_decomp::reduce::{reduce_graph, ReducedGraph, RemovedInfo};
-use ear_graph::{dijkstra_with_stats, dist_add, CsrGraph, VertexId, Weight};
-use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
+use ear_graph::{dist_add, CsrGraph, VertexId, Weight};
+use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
 use crate::matrix::DistMatrix;
+use crate::oracle::sssp_row;
 
 /// Result of [`ear_apsp`].
 #[derive(Debug)]
@@ -56,37 +57,25 @@ pub fn ear_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> EarApspOutput {
     let r = reduce_graph(g.view()).expect("ear_apsp requires a simple graph");
     let nr = r.reduced.n();
 
-    // Phase II: all-sources Dijkstra on G^r.
+    // Phase II: all-sources Dijkstra on G^r, one row of S^r per source.
     let m_hint = r.reduced.m() as u64 + 1;
-    let RunOutput {
-        results: sr_rows,
-        report: processing,
-    } = exec.run(
-        (0..nr as u32).collect::<Vec<_>>(),
+    let mut sr = DistMatrix::new(nr);
+    let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(sr.rows_mut()).collect();
+    let processing = exec.run_mut(
+        &mut rows,
         |_| m_hint,
-        |&s| {
-            let (dist, stats) = dijkstra_with_stats(&r.reduced, s);
-            let counters = WorkCounters {
-                edges_relaxed: stats.edges_relaxed,
-                vertices_settled: stats.settled,
-                ..Default::default()
-            };
-            (dist, counters)
-        },
+        |(s, row)| sssp_row(r.reduced.view(), *s, row),
     );
-    let sr = DistMatrix::from_rows(sr_rows);
 
     // Phase III: one workunit per original vertex (its row of S).
     let n = g.n();
-    let RunOutput {
-        results: rows,
-        report: post,
-    } = exec.run(
-        (0..n as u32).collect::<Vec<_>>(),
+    let mut dist = DistMatrix::new(n);
+    let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(dist.rows_mut()).collect();
+    let post = exec.run_mut(
+        &mut rows,
         |_| n as u64,
-        |&x| extend_row(n, &r, &sr, x),
+        |(x, row)| extend_row(n, &r, &sr, *x, row),
     );
-    let dist = DistMatrix::from_rows(rows);
 
     EarApspOutput {
         dist,
@@ -98,18 +87,19 @@ pub fn ear_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> EarApspOutput {
     }
 }
 
-/// Computes the full distance row of `x` in `G` from the reduced matrix
-/// (the `UPDATE_DISTANCE(s)` of Algorithm 1), where `n` is the vertex
-/// count of `G` — the whole graph never needs to be materialized, so the
-/// per-BCC pipeline in [`crate::oracle`] can drive this from zero-copy
-/// block views.
+/// Writes the full distance row of `x` in `G` into `row`, from the reduced
+/// matrix (the `UPDATE_DISTANCE(s)` of Algorithm 1), and returns its work
+/// counters. `n` is the vertex count of `G` — the whole graph never needs
+/// to be materialized, so the per-BCC pipeline in [`crate::oracle`] can
+/// drive this from zero-copy block views.
 pub(crate) fn extend_row(
     n: usize,
     r: &ReducedGraph,
     sr: &DistMatrix,
     x: VertexId,
-) -> (Vec<Weight>, WorkCounters) {
-    let mut row = vec![0; n];
+    row: &mut [Weight],
+) -> WorkCounters {
+    assert_eq!(row.len(), n, "distance row length");
     let mut combos = 0u64;
     match r.removed_info(x) {
         None => {
@@ -134,7 +124,8 @@ pub(crate) fn extend_row(
             let row_r = sr.row(lr);
             for y in 0..n as u32 {
                 if y == x {
-                    continue; // row[x] already 0
+                    row[y as usize] = 0;
+                    continue;
                 }
                 row[y as usize] = match r.removed_info(y) {
                     None => {
@@ -165,11 +156,10 @@ pub(crate) fn extend_row(
             }
         }
     }
-    let counters = WorkCounters {
+    WorkCounters {
         distances_combined: combos,
         ..Default::default()
-    };
-    (row, counters)
+    }
 }
 
 /// `S[x,v]` for retained `x` (whose reduced row is `sr_row`) and removed `v`.

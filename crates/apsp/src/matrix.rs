@@ -72,6 +72,12 @@ impl DistMatrix {
         &mut self.d[i as usize * self.n..(i as usize + 1) * self.n]
     }
 
+    /// Mutable views of every row, in order: disjoint `&mut` rows that one
+    /// parallel region can fill.
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut [Weight]> {
+        self.d.chunks_mut(self.n.max(1))
+    }
+
     /// Checks symmetry (used by tests; undirected distances are symmetric).
     pub fn is_symmetric(&self) -> bool {
         (0..self.n).all(|i| (i..self.n).all(|j| self.d[i * self.n + j] == self.d[j * self.n + i]))

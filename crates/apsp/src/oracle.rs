@@ -30,7 +30,7 @@ use std::sync::Arc;
 use ear_decomp::block_cut::{BlockCutTree, Endpoint};
 use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF};
-use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
+use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
 use crate::arena::DistArena;
 use crate::matrix::DistMatrix;
@@ -472,18 +472,19 @@ pub fn build_oracle(g: &CsrGraph, exec: &HeteroExecutor, method: ApspMethod) -> 
     build_oracle_with_plan(Arc::new(DecompPlan::build(g)), exec, method)
 }
 
-/// One Phase-II / AP-phase workunit: the distance row of source `s` in
-/// `target`, from one run of the worker thread's pooled
-/// [`SsspEngine`](ear_graph::SsspEngine), plus its work counters.
-fn sssp_row(target: CsrView<'_>, s: u32) -> (Vec<Weight>, WorkCounters) {
+/// One Phase-II / AP-phase workunit: writes the distance row of source
+/// `s` in `target` into `row`, from one run of the worker thread's pooled
+/// [`SsspEngine`](ear_graph::SsspEngine), and returns its work counters.
+pub(crate) fn sssp_row(target: CsrView<'_>, s: u32, row: &mut [Weight]) -> WorkCounters {
+    assert_eq!(row.len(), target.n(), "distance row length");
     with_engine(|eng| {
         let stats = eng.run_view(target, s);
-        let counters = WorkCounters {
+        eng.write_dist(row);
+        WorkCounters {
             edges_relaxed: stats.edges_relaxed,
             vertices_settled: stats.settled,
             ..WorkCounters::default()
-        };
-        (eng.dist_vec(), counters)
+        }
     })
 }
 
@@ -539,14 +540,15 @@ pub fn build_oracle_with_plan(
     }
 }
 
-/// Phases II + III for the given `blocks` only, writing each block's rows
-/// straight into its span of `tables` (cloned first when shared: a
-/// refresh's clone-and-rewrite). Phase II is the all-sources Dijkstra on
-/// each block's reduced graph — on the block itself when it is not
-/// reduced or `level` is `Full(Plain)`. Phase III runs at `Full(Ear)`
+/// Phases II + III for the given `blocks` only (ascending ids), writing
+/// each block's rows straight into its span of `tables` (cloned first when
+/// shared: a refresh's clone-and-rewrite). Phase II is the all-sources
+/// Dijkstra on each block's reduced graph — on the block itself when it is
+/// not reduced or `level` is `Full(Plain)`. Phase III runs at `Full(Ear)`
 /// only: the §2.1.3 extension of the reduced matrices to the whole block.
 /// Returns the merged executor report. The cold build passes every block;
-/// an incremental refresh passes just the dirty ones.
+/// an incremental refresh passes just the dirty ones, and an empty list
+/// leaves `tables` shared.
 fn compute_block_tables(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
@@ -562,78 +564,58 @@ fn compute_block_tables(
         Level::Full(ApspMethod::Ear) | Level::Reduced => plan.reduction(b),
     };
     let target = |b: u32| red(b).map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
-
-    // Phase II: workunits are (block, source) pairs.
-    let phase2_span = ear_obs::span("apsp.phase2");
-    let units: Vec<(u32, u32)> = blocks
-        .iter()
-        .flat_map(|&b| (0..target(b).n() as u32).map(move |s| (b, s)))
-        .collect();
-    let RunOutput {
-        results: rows,
-        report: phase2,
-    } = exec.run(
-        units.clone(),
-        |&(b, _)| target(b).m() as u64 + 1,
-        // Pooled engines: per-source scratch is reused across workunits
-        // handled by the same worker thread.
-        |&(b, s)| sssp_row(target(b), s),
-    );
-    drop(phase2_span);
-
-    // Phase III (`Full(Ear)` only): extend each block's reduced matrix to
-    // the whole block; workunits are (block, vertex) rows. At the other
-    // levels the phase-II rows already are the block tables.
-    let phase3_span = ear_obs::span("apsp.phase3");
-    let (units, rows, phase3) = match level {
-        Level::Full(ApspMethod::Plain) | Level::Reduced => (units, rows, None),
+    // Phase II: workunits are (block, source) rows, filled in place.
+    // Pooled engines: per-source scratch is reused across workunits handled
+    // by the same worker thread.
+    let phase2 = |rows: &mut [(u32, u32, &mut [Weight])]| {
+        let _span = ear_obs::span("apsp.phase2");
+        exec.run_mut(
+            rows,
+            |&(b, _, _)| target(b).m() as u64 + 1,
+            |(b, s, row)| sssp_row(target(*b), *s, row),
+        )
+    };
+    let mut rows = match blocks {
+        [] => Vec::new(),
+        _ => Arc::make_mut(tables).block_rows_mut(blocks),
+    };
+    match level {
+        // The phase-II rows are the block tables.
+        Level::Full(ApspMethod::Plain) | Level::Reduced => phase2(&mut rows),
         Level::Full(ApspMethod::Ear) => {
-            // Transient per-block reduced (or full) matrices, by position
-            // in `blocks`.
-            let mut pos = vec![usize::MAX; plan.n_blocks()];
-            for (i, &b) in blocks.iter().enumerate() {
-                pos[b as usize] = i;
+            // Phase II into transient per-block reduced (or full) matrices,
+            // by block id (empty for the blocks not listed).
+            let mut srs = vec![DistMatrix::new(0); plan.n_blocks()];
+            for &b in blocks {
+                srs[b as usize] = DistMatrix::new(plan.block(b).reduced_n());
             }
-            let mut srs: Vec<DistMatrix> = blocks
-                .iter()
-                .map(|&b| DistMatrix::new(plan.block(b).reduced_n()))
+            let mut sr_rows: Vec<(u32, u32, &mut [Weight])> = (0..)
+                .zip(&mut srs)
+                .flat_map(|(b, sr)| (0..).zip(sr.rows_mut()).map(move |(s, row)| (b, s, row)))
                 .collect();
-            for ((b, s), row) in units.into_iter().zip(rows) {
-                srs[pos[b as usize]].row_mut(s).copy_from_slice(&row);
-            }
-            let units: Vec<(u32, u32)> = blocks
-                .iter()
-                .flat_map(|&b| (0..plan.block(b).n() as u32).map(move |x| (b, x)))
-                .collect();
-            let RunOutput {
-                results: rows,
-                report,
-            } = exec.run(
-                units.clone(),
-                |&(b, _)| plan.block(b).n() as u64,
-                |&(b, x)| match red(b) {
-                    Some(r) => {
-                        crate::ear::extend_row(plan.block(b).n(), r, &srs[pos[b as usize]], x)
+            let p2 = phase2(&mut sr_rows);
+            drop(sr_rows);
+            // Phase III: extend each block's reduced matrix to the whole
+            // block; workunits are (block, vertex) rows of the arena.
+            let _span = ear_obs::span("apsp.phase3");
+            let p3 = exec.run_mut(
+                &mut rows,
+                |&(b, _, _)| plan.block(b).n() as u64,
+                |(b, x, row)| {
+                    let sr = &srs[*b as usize];
+                    match red(*b) {
+                        Some(r) => crate::ear::extend_row(plan.block(*b).n(), r, sr, *x, row),
+                        // Non-simple block processed plainly: its reduced
+                        // matrix already is the full per-block table.
+                        None => {
+                            row.copy_from_slice(sr.row(*x));
+                            WorkCounters::default()
+                        }
                     }
-                    // Non-simple block processed plainly: its reduced matrix
-                    // is already the full per-block table.
-                    None => (srs[pos[b as usize]].row(x).to_vec(), Default::default()),
                 },
             );
-            (units, rows, Some(report))
+            merge_reports(p2, p3)
         }
-    };
-    if !units.is_empty() {
-        let arena = Arc::make_mut(tables);
-        for ((b, x), row) in units.into_iter().zip(rows) {
-            arena.block_row_mut(b, x).copy_from_slice(&row);
-        }
-    }
-    drop(phase3_span);
-
-    match phase3 {
-        Some(p3) => merge_reports(phase2, p3),
-        None => phase2,
     }
 }
 
@@ -657,18 +639,12 @@ fn compute_ap_table(
         .flat_map(|seg| seg.iter().copied())
         .collect();
     let ap_graph = CsrGraph::from_edges(a, &ap_edges);
-    let RunOutput {
-        results: ap_rows,
-        report: ap_phase,
-    } = exec.run(
-        (0..a as u32).collect(),
+    let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(tables.ap_rows_mut()).collect();
+    exec.run_mut(
+        &mut rows,
         |_| ap_graph.m() as u64 + 1,
-        |&s| sssp_row(ap_graph.view(), s),
-    );
-    for (s, row) in ap_rows.into_iter().enumerate() {
-        tables.ap_row_mut(s as u32).copy_from_slice(&row);
-    }
-    ap_phase
+        |(s, row)| sssp_row(ap_graph.view(), *s, row),
+    )
 }
 
 fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {

@@ -1,33 +1,15 @@
-//! Benchmarks of the heterogeneous runtime itself: queue throughput under
-//! contention and executor dispatch overhead.
+//! Benchmarks of the heterogeneous runtime itself: executor dispatch
+//! overhead (one parallel region plus the modelled queue replay).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ear_hetero::{HeteroExecutor, WorkCounters, WorkQueue};
+use ear_hetero::{HeteroExecutor, WorkCounters};
 use std::hint::black_box;
 
-fn bench_queue(c: &mut Criterion) {
+fn bench_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("hetero");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(3));
-
-    for &n in &[10_000usize, 100_000] {
-        group.bench_with_input(BenchmarkId::new("queue_drain", n), &n, |b, &n| {
-            b.iter(|| {
-                let q = WorkQueue::new(0..n as u64);
-                let mut total = 0u64;
-                loop {
-                    let f = q.pop_front_batch(64);
-                    let k = q.pop_back_batch(64);
-                    if f.is_empty() && k.is_empty() {
-                        break;
-                    }
-                    total += f.len() as u64 + k.len() as u64;
-                }
-                black_box(total)
-            })
-        });
-    }
 
     let kernel = |x: &u64| {
         (
@@ -48,5 +30,5 @@ fn bench_queue(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_queue);
+criterion_group!(benches, bench_executor);
 criterion_main!(benches);

@@ -132,10 +132,10 @@ struct ParentState {
 /// lazy reset, indexed 4-ary decrease-key heap.
 ///
 /// One engine serves one run at a time; query methods ([`dist`](Self::dist),
-/// [`dist_vec`](Self::dist_vec), [`tree`](Self::tree),
-/// [`settle_order`](Self::settle_order)) read the most recent run. Engines
-/// grow monotonically to the largest graph they have seen and can be reused
-/// across graphs of different sizes.
+/// [`dist_vec`](Self::dist_vec), [`write_dist`](Self::write_dist),
+/// [`tree`](Self::tree), [`settle_order`](Self::settle_order)) read the
+/// most recent run. Engines grow monotonically to the largest graph they
+/// have seen and can be reused across graphs of different sizes.
 #[derive(Debug)]
 pub struct SsspEngine {
     /// Current generation; `state[v].stamp == gen` marks `v` as touched.
@@ -598,11 +598,23 @@ impl SsspEngine {
     /// Materialises the most recent run's distance array (`INF` for
     /// untouched vertices).
     pub fn dist_vec(&self) -> Vec<Weight> {
-        let mut out = vec![INF; self.n];
+        let mut out = vec![0; self.n];
+        self.write_dist(&mut out);
+        out
+    }
+
+    /// Writes the most recent run's distance array into `out` (`INF` for
+    /// untouched vertices) — [`dist_vec`](Self::dist_vec) into a buffer
+    /// the caller owns, such as a row of a distance table.
+    ///
+    /// # Panics
+    /// Panics unless `out.len()` is the run's vertex count.
+    pub fn write_dist(&self, out: &mut [Weight]) {
+        assert_eq!(out.len(), self.n, "distance row length");
+        out.fill(INF);
         for &v in &self.touched {
             out[v as usize] = self.state[v as usize].dist;
         }
-        out
     }
 
     /// Settle order of the most recent run: vertices in the order they

@@ -1,35 +1,39 @@
 //! The heterogeneous executor.
 //!
-//! [`HeteroExecutor::run`] is the centrepiece: a discrete-event scheduler
-//! that mirrors the paper's dynamic CPU/GPU work balancing. Workunits are
-//! sorted descending by a caller-supplied size hint into a
-//! [`WorkQueue`]; whenever a device is free (its modelled clock is the
-//! smallest) it pops a batch from its end — GPU from the big-unit front,
-//! CPU from the small-unit back — executes the kernel *for real* on the
-//! host (in parallel through Rayon), and advances its modelled clock by the
-//! profile's batch time. The schedule this produces is exactly the one the
-//! paper's queue produces on real hardware: devices keep pulling work until
-//! the queue drains, and the modelled makespan is the slower device's final
-//! clock.
+//! [`HeteroExecutor::run_mut`] is the centrepiece. It executes every
+//! workunit *for real*, once, in one parallel region on the host (units are
+//! claimed biggest first), records each unit's operation counters, and
+//! then replays the paper's dynamic CPU/GPU work balancing over those
+//! counters with [`HeteroExecutor::simulate`]: workunits are sorted
+//! descending by a caller-supplied size hint into a double-ended queue;
+//! whenever a device is free (its modelled clock is the smallest) it pops
+//! a batch from its end — GPU from the big-unit front, CPU from the
+//! small-unit back — and advances its modelled clock by the profile's
+//! batch time. The schedule this produces is exactly the one the paper's
+//! queue produces on real hardware: devices keep pulling work until the
+//! queue drains, and the modelled makespan is the slower device's final
+//! clock. The schedule is a pure function of the per-unit `(size hint,
+//! counters)` pairs, so running the kernels in a different order than the
+//! model dispatches them changes no report.
 //!
-//! [`HeteroExecutor::run_concurrent`] is the wall-clock twin used by tests
-//! and examples: one OS thread per device, genuinely concurrent, no model.
+//! [`HeteroExecutor::run`] wraps `run_mut` for kernels that return a
+//! value per unit; kernels that fill a caller-owned buffer (the APSP
+//! oracle's arena rows) use `run_mut` directly and skip the per-unit
+//! result allocation.
 //!
 //! Kernels that run SSSP should go through `ear_graph::with_engine`
-//! rather than allocating scratch inline: batches execute on short-lived
-//! Rayon worker threads, and the engine pool's thread-local slot plus
-//! global free list keeps warm, pre-sized scratch flowing between batches
-//! instead of reallocating per workunit. The APSP oracle builders use one
-//! workunit per (block, source) pair, sized by the block's edge count.
+//! rather than allocating scratch inline: units execute on Rayon worker
+//! threads, and the engine pool's thread-local slot plus global free list
+//! keeps warm, pre-sized scratch flowing between units instead of
+//! reallocating per workunit. The APSP oracle builders use one workunit
+//! per (block, source) pair, sized by the block's edge count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rayon::prelude::*;
 
 use crate::counters::WorkCounters;
 use crate::profile::{DeviceKind, DeviceProfile};
-use crate::queue::WorkQueue;
 
 /// Per-device execution summary.
 #[derive(Clone, Debug)]
@@ -42,8 +46,7 @@ pub struct DeviceReport {
     pub units: usize,
     /// Batches popped.
     pub batches: usize,
-    /// Modelled busy time in seconds (wall busy time in
-    /// [`HeteroExecutor::run_concurrent`]).
+    /// Modelled busy time in seconds.
     pub busy_s: f64,
     /// Accumulated kernel counters.
     pub counters: WorkCounters,
@@ -73,9 +76,9 @@ impl ExecutionReport {
 }
 
 /// Publish a *real* execution's totals into the `ear-obs` metrics
-/// registry under the `hetero.*` names. Only `run` / `run_concurrent`
-/// call this: modelled replays (`simulate*`) would double-count work
-/// that real kernels already reported.
+/// registry under the `hetero.*` names. Only `run_mut` calls this:
+/// modelled replays (`simulate*`) would double-count work that real
+/// kernels already reported.
 fn publish_report(report: &ExecutionReport) {
     if !ear_obs::is_enabled() {
         return;
@@ -95,6 +98,19 @@ fn publish_report(report: &ExecutionReport) {
     ear_obs::counter_add("hetero.dense_combined", c.dense_combined);
 }
 
+/// The device whose modelled clock is smallest — the next to pull work.
+/// Ties go to the earlier device in the list, keeping the schedule
+/// deterministic.
+fn freest(clocks: &[f64]) -> usize {
+    (0..clocks.len())
+        .min_by(|&a, &b| {
+            clocks[a]
+                .partial_cmp(&clocks[b])
+                .expect("modelled clocks are finite")
+        })
+        .expect("an executor has at least one device")
+}
+
 /// Results plus the execution report.
 #[derive(Debug)]
 pub struct RunOutput<R> {
@@ -104,7 +120,7 @@ pub struct RunOutput<R> {
     pub report: ExecutionReport,
 }
 
-/// A set of devices sharing one work queue.
+/// A set of devices sharing one modelled work queue.
 #[derive(Clone, Debug)]
 pub struct HeteroExecutor {
     devices: Vec<DeviceProfile>,
@@ -145,10 +161,75 @@ impl HeteroExecutor {
         &self.devices
     }
 
-    /// Discrete-event heterogeneous run (see module docs).
+    /// One empty report per device, in device order.
+    fn idle_reports(&self) -> Vec<DeviceReport> {
+        self.devices
+            .iter()
+            .map(|d| DeviceReport {
+                name: d.name.clone(),
+                kind: d.kind,
+                units: 0,
+                batches: 0,
+                busy_s: 0.0,
+                counters: WorkCounters::default(),
+            })
+            .collect()
+    }
+
+    /// Runs every workunit once and models the paper's schedule over the
+    /// recorded counters (see module docs). `size_hint` orders the queue
+    /// (bigger first); `kernel` does one unit's work in place — writing
+    /// its output through whatever the unit borrows — and returns the
+    /// operation counters the device model charges.
     ///
-    /// `size_hint` orders the queue (bigger first); `kernel` maps a workunit
-    /// to its result plus the operation counters the device model charges.
+    /// ```
+    /// use ear_hetero::{HeteroExecutor, WorkCounters};
+    /// let mut rows = vec![[0u64; 4]; 100];
+    /// let mut units: Vec<(u64, &mut [u64; 4])> = (0..).zip(&mut rows).collect();
+    /// let report = HeteroExecutor::cpu_gpu().run_mut(
+    ///     &mut units,
+    ///     |&(x, _)| x, // size hint: big units first
+    ///     |(x, row)| {
+    ///         row.fill(*x);
+    ///         WorkCounters { edges_relaxed: 4, ..Default::default() }
+    ///     },
+    /// );
+    /// assert_eq!(rows[30], [30; 4]);
+    /// assert_eq!(report.total_units(), 100);
+    /// ```
+    pub fn run_mut<T, K, S>(&self, units: &mut [T], size_hint: S, kernel: K) -> ExecutionReport
+    where
+        T: Send,
+        K: Fn(&mut T) -> WorkCounters + Sync,
+        S: Fn(&T) -> u64,
+    {
+        let _span = ear_obs::span_with("hetero.run", units.len() as u64);
+        let wall_start = Instant::now();
+        let hints: Vec<u64> = units.iter().map(size_hint).collect();
+        // Claim units in the modelled queue's order, biggest first, so the
+        // parallel region ends on small units.
+        let mut order: Vec<(usize, &mut T)> = units.iter_mut().enumerate().collect();
+        order.sort_by_key(|&(i, _)| (std::cmp::Reverse(hints[i]), i));
+        let counters: Vec<WorkCounters> = order
+            .par_iter_mut()
+            .map(|(i, t)| {
+                let _u = ear_obs::span_with("hetero.unit", *i as u64);
+                kernel(t)
+            })
+            .collect();
+        let mut recorded = vec![(0, WorkCounters::default()); hints.len()];
+        for ((i, _), c) in order.iter().zip(counters) {
+            recorded[*i] = (hints[*i], c);
+        }
+        let mut report = self.simulate(&recorded);
+        report.wall_s = wall_start.elapsed().as_secs_f64();
+        publish_report(&report);
+        report
+    }
+
+    /// [`HeteroExecutor::run_mut`] for kernels that return a value per
+    /// workunit: `kernel` maps a unit to its result plus its counters, and
+    /// the results come back in the original workunit order.
     ///
     /// ```
     /// use ear_hetero::{HeteroExecutor, WorkCounters};
@@ -168,182 +249,94 @@ impl HeteroExecutor {
         K: Fn(&T) -> (R, WorkCounters) + Sync,
         S: Fn(&T) -> u64,
     {
-        let _span = ear_obs::span_with("hetero.run", units.len() as u64);
+        let mut slots: Vec<(T, Option<R>)> = units.into_iter().map(|t| (t, None)).collect();
+        let report = self.run_mut(
+            &mut slots,
+            |(t, _)| size_hint(t),
+            |(t, out)| {
+                let (r, c) = kernel(t);
+                *out = Some(r);
+                c
+            },
+        );
+        let results = slots
+            .into_iter()
+            .map(|(_, r)| r.expect("every unit executed"))
+            .collect();
+        RunOutput { results, report }
+    }
+
+    /// The discrete-event schedule of the paper's double-ended queue over
+    /// work that was *already* performed: `units` holds one
+    /// `(size_hint, counters)` pair per workunit. [`HeteroExecutor::run_mut`]
+    /// replays every real run through here.
+    pub fn simulate(&self, units: &[(u64, WorkCounters)]) -> ExecutionReport {
         let obs_on = ear_obs::is_enabled();
         let mut slices: Vec<ear_obs::ModelledSlice> = Vec::new();
-        let wall_start = Instant::now();
-        let n = units.len();
-        let mut indexed: Vec<(usize, &T)> = units.iter().enumerate().collect();
-        indexed.sort_by_key(|(i, t)| (std::cmp::Reverse(size_hint(t)), *i));
-        let queue = WorkQueue::new(indexed);
-
+        let mut order: Vec<usize> = (0..units.len()).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(units[i].0), i));
+        // The queue is `order[front..back]`: the GPU pops from the front
+        // (biggest units), the CPU from the back.
+        let (mut front, mut back) = (0usize, order.len());
         let mut clocks = vec![0.0_f64; self.devices.len()];
-        let mut reports: Vec<DeviceReport> = self
-            .devices
-            .iter()
-            .map(|d| DeviceReport {
-                name: d.name.clone(),
-                kind: d.kind,
-                units: 0,
-                batches: 0,
-                busy_s: 0.0,
-                counters: WorkCounters::default(),
-            })
-            .collect();
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-
-        while !queue.is_empty() {
-            // The free-est device pulls next — ties go to the earlier device
-            // in the list, keeping the schedule deterministic.
-            let d = (0..self.devices.len())
-                .min_by(|&a, &b| clocks[a].partial_cmp(&clocks[b]).unwrap())
-                .unwrap();
+        let mut reports = self.idle_reports();
+        let mut batch: Vec<WorkCounters> = Vec::new();
+        while front < back {
+            let d = freest(&clocks);
             let dev = &self.devices[d];
             // A lone device does not share the queue: it maps the whole
             // unit list to one kernel launch / one parallel-for region,
             // exactly as single-device implementations do. Batching only
             // exists to interleave devices.
             let take = if self.devices.len() == 1 {
-                usize::MAX
+                back - front
             } else {
-                dev.batch_units
+                dev.batch_units.min(back - front)
             };
-            let batch = match dev.kind {
-                DeviceKind::Gpu => queue.pop_front_batch(take),
-                DeviceKind::Cpu => queue.pop_back_batch(take),
-            };
-            if batch.is_empty() {
+            if take == 0 {
                 break;
             }
-            // Execute the batch for real, in parallel, on the host.
-            let batch_span = ear_obs::span_with("hetero.batch", batch.len() as u64);
-            let outs: Vec<(usize, R, WorkCounters)> = batch
-                .par_iter()
-                .map(|&(i, t)| {
-                    let _u = ear_obs::span_with("hetero.unit", i as u64);
-                    let (r, c) = kernel(t);
-                    (i, r, c)
-                })
-                .collect();
-            drop(batch_span);
-            if obs_on {
-                ear_obs::histogram_record("hetero.batch_units", outs.len() as u64);
-                // Cumulative units series: a process-wide total emitted as
-                // a trace counter event after every batch. The value only
-                // ever grows, giving `ear trace-check` a genuinely
-                // monotone `*.total` series to validate (the occupancy
-                // counter `queue.len` legitimately goes up and down).
-                static UNITS_TOTAL: AtomicU64 = AtomicU64::new(0);
-                let total =
-                    UNITS_TOTAL.fetch_add(outs.len() as u64, Ordering::Relaxed) + outs.len() as u64;
-                ear_obs::counter_event("hetero.units.total", total);
-            }
-            let per_unit: Vec<WorkCounters> = outs.iter().map(|(_, _, c)| *c).collect();
+            batch.clear();
+            let counters = |i: &usize| units[*i].1;
+            let (pops, popped_units) = match dev.kind {
+                DeviceKind::Gpu => {
+                    batch.extend(order[front..front + take].iter().map(counters));
+                    front += take;
+                    ("queue.pops.front", "queue.units.front")
+                }
+                // The back end pops the unit closest to it first.
+                DeviceKind::Cpu => {
+                    batch.extend(order[back - take..back].iter().rev().map(counters));
+                    back -= take;
+                    ("queue.pops.back", "queue.units.back")
+                }
+            };
             let rep = &mut reports[d];
             // Launch overhead is paid once per device per run: follow-up
             // batches stream (pipelined kernels / a live thread pool).
-            let mut dt = dev.batch_work_s(&per_unit);
+            let mut dt = dev.batch_work_s(&batch);
             if rep.batches == 0 {
                 dt += dev.launch_overhead_us * 1e-6;
             }
             clocks[d] += dt;
             if obs_on {
+                let left = (back - front) as u64;
+                ear_obs::counter_add(pops, 1);
+                ear_obs::counter_add(popped_units, take as u64);
+                ear_obs::counter_event("queue.len", left);
+                ear_obs::histogram_record("queue.len_after_pop", left);
                 slices.push(ear_obs::ModelledSlice {
                     lane: dev.name.clone(),
                     name: "batch".to_string(),
                     start_s: clocks[d] - dt,
                     end_s: clocks[d],
-                    units: outs.len() as u64,
+                    units: take as u64,
                 });
             }
-            rep.units += outs.len();
+            rep.units += take;
             rep.batches += 1;
             rep.busy_s += dt;
-            for (i, r, c) in outs {
-                rep.counters.merge(&c);
-                results[i] = Some(r);
-            }
-        }
-
-        let makespan_s = clocks.iter().copied().fold(0.0, f64::max);
-        let results: Vec<R> = results
-            .into_iter()
-            .map(|r| r.expect("every unit executed"))
-            .collect();
-        let report = ExecutionReport {
-            devices: reports,
-            makespan_s,
-            wall_s: wall_start.elapsed().as_secs_f64(),
-        };
-        if obs_on {
-            ear_obs::modelled_run(slices, makespan_s);
-        }
-        publish_report(&report);
-        RunOutput { results, report }
-    }
-
-    /// Replays the discrete-event schedule over work that was *already*
-    /// performed: `units` holds one `(size_hint, counters)` pair per
-    /// workunit. Used by phases whose real execution shape does not match
-    /// the workunit granularity (e.g. an early-exit candidate scan that ran
-    /// sequentially but is modelled as the paper's per-batch parallel
-    /// check), so the device model can still charge them consistently.
-    pub fn simulate(&self, units: &[(u64, WorkCounters)]) -> ExecutionReport {
-        let obs_on = ear_obs::is_enabled();
-        let mut slices: Vec<ear_obs::ModelledSlice> = Vec::new();
-        let mut order: Vec<usize> = (0..units.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(units[i].0), i));
-        let queue = WorkQueue::new(order);
-        let mut clocks = vec![0.0_f64; self.devices.len()];
-        let mut reports: Vec<DeviceReport> = self
-            .devices
-            .iter()
-            .map(|d| DeviceReport {
-                name: d.name.clone(),
-                kind: d.kind,
-                units: 0,
-                batches: 0,
-                busy_s: 0.0,
-                counters: WorkCounters::default(),
-            })
-            .collect();
-        while !queue.is_empty() {
-            let d = (0..self.devices.len())
-                .min_by(|&a, &b| clocks[a].partial_cmp(&clocks[b]).unwrap())
-                .unwrap();
-            let dev = &self.devices[d];
-            let take = if self.devices.len() == 1 {
-                usize::MAX
-            } else {
-                dev.batch_units
-            };
-            let batch = match dev.kind {
-                DeviceKind::Gpu => queue.pop_front_batch(take),
-                DeviceKind::Cpu => queue.pop_back_batch(take),
-            };
-            if batch.is_empty() {
-                break;
-            }
-            let per_unit: Vec<WorkCounters> = batch.iter().map(|&i| units[i].1).collect();
-            let rep = &mut reports[d];
-            let mut dt = dev.batch_work_s(&per_unit);
-            if rep.batches == 0 {
-                dt += dev.launch_overhead_us * 1e-6;
-            }
-            clocks[d] += dt;
-            if obs_on {
-                slices.push(ear_obs::ModelledSlice {
-                    lane: dev.name.clone(),
-                    name: "batch".to_string(),
-                    start_s: clocks[d] - dt,
-                    end_s: clocks[d],
-                    units: batch.len() as u64,
-                });
-            }
-            rep.units += batch.len();
-            rep.batches += 1;
-            rep.busy_s += dt;
-            for c in &per_unit {
+            for c in &batch {
                 rep.counters.merge(c);
             }
         }
@@ -382,23 +375,10 @@ impl HeteroExecutor {
         let mut back = remaining.len();
 
         let mut clocks = vec![0.0_f64; self.devices.len()];
-        let mut reports: Vec<DeviceReport> = self
-            .devices
-            .iter()
-            .map(|d| DeviceReport {
-                name: d.name.clone(),
-                kind: d.kind,
-                units: 0,
-                batches: 0,
-                busy_s: 0.0,
-                counters: WorkCounters::default(),
-            })
-            .collect();
+        let mut reports = self.idle_reports();
 
         while total_left > 0 {
-            let d = (0..self.devices.len())
-                .min_by(|&a, &b| clocks[a].partial_cmp(&clocks[b]).unwrap())
-                .unwrap();
+            let d = freest(&clocks);
             let dev = &self.devices[d];
             // Adaptive batching (the paper: batches "whose size depends on
             // the nature of the task"): a device takes at least its
@@ -535,98 +515,6 @@ impl HeteroExecutor {
             wall_s: 0.0,
         }
     }
-
-    /// Genuinely concurrent run: one OS thread per device, each pulling
-    /// batches from its end of the shared queue until it drains. Reported
-    /// `busy_s` is wall time; no modelling. Used to validate that the
-    /// dynamic balancing itself (not the model) delivers exactly-once
-    /// execution and full coverage under real concurrency.
-    pub fn run_concurrent<T, R, K, S>(&self, units: Vec<T>, size_hint: S, kernel: K) -> RunOutput<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        K: Fn(&T) -> (R, WorkCounters) + Sync,
-        S: Fn(&T) -> u64,
-    {
-        let wall_start = Instant::now();
-        let n = units.len();
-        let mut indexed: Vec<(usize, &T)> = units.iter().enumerate().collect();
-        indexed.sort_by_key(|(i, t)| (std::cmp::Reverse(size_hint(t)), *i));
-        let queue = WorkQueue::new(indexed);
-
-        let slots: Vec<parking_lot::Mutex<Option<R>>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        let reports: Vec<parking_lot::Mutex<DeviceReport>> = self
-            .devices
-            .iter()
-            .map(|d| {
-                parking_lot::Mutex::new(DeviceReport {
-                    name: d.name.clone(),
-                    kind: d.kind,
-                    units: 0,
-                    batches: 0,
-                    busy_s: 0.0,
-                    counters: WorkCounters::default(),
-                })
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            for (d, dev) in self.devices.iter().enumerate() {
-                let queue = &queue;
-                let slots = &slots;
-                let kernel = &kernel;
-                let reports = &reports;
-                // Named threads give the trace one readable lane per device.
-                std::thread::Builder::new()
-                    .name(format!("dev:{}", dev.name))
-                    .spawn_scoped(scope, move || {
-                        let t0 = Instant::now();
-                        loop {
-                            let batch = match dev.kind {
-                                DeviceKind::Gpu => queue.pop_front_batch(dev.batch_units),
-                                DeviceKind::Cpu => queue.pop_back_batch(dev.batch_units),
-                            };
-                            if batch.is_empty() {
-                                break;
-                            }
-                            let _b = ear_obs::span_with("hetero.batch", batch.len() as u64);
-                            // Accumulate counters locally; touch the shared
-                            // report once per batch, not once per unit.
-                            let mut acc = WorkCounters::default();
-                            let units = batch.len();
-                            for (i, t) in batch {
-                                let _u = ear_obs::span_with("hetero.unit", i as u64);
-                                let (r, c) = kernel(t);
-                                *slots[i].lock() = Some(r);
-                                acc.merge(&c);
-                            }
-                            let mut rep = reports[d].lock();
-                            rep.batches += 1;
-                            rep.units += units;
-                            rep.counters.merge(&acc);
-                        }
-                        reports[d].lock().busy_s = t0.elapsed().as_secs_f64();
-                    })
-                    .expect("spawn device thread");
-            }
-        });
-
-        let results: Vec<R> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every unit executed"))
-            .collect();
-        let devices: Vec<DeviceReport> = reports.into_iter().map(|r| r.into_inner()).collect();
-        let wall_s = wall_start.elapsed().as_secs_f64();
-        let makespan_s = devices.iter().map(|d| d.busy_s).fold(0.0, f64::max);
-        let report = ExecutionReport {
-            devices,
-            makespan_s,
-            wall_s,
-        };
-        publish_report(&report);
-        RunOutput { results, report }
-    }
 }
 
 #[cfg(test)]
@@ -728,18 +616,11 @@ mod tests {
         assert_eq!(out.report.makespan_s, 0.0);
     }
 
-    #[test]
-    fn concurrent_mode_processes_everything_exactly_once() {
-        let ex = HeteroExecutor::cpu_gpu();
-        let units: Vec<u64> = (0..4000).collect();
-        let out = ex.run_concurrent(units.clone(), |&x| x, square_kernel);
-        let expect: Vec<u64> = units.iter().map(|x| x * x).collect();
-        assert_eq!(out.results, expect);
-        assert_eq!(out.report.total_units(), 4000);
-        let relaxed: u64 = out.report.total_counters().edges_relaxed;
-        assert_eq!(relaxed, units.iter().sum::<u64>());
-    }
-
+    /// The modelled schedule is a pure function of the unit list: two runs
+    /// agree, and every device's units, batches and busy time plus the
+    /// makespan match, to the bit, the values the per-batch executor
+    /// produced before kernels ran in one region. The lists mix sizes so
+    /// the two-device platform interleaves CPU and GPU batches.
     #[test]
     fn deterministic_schedule() {
         let ex = HeteroExecutor::cpu_gpu();
@@ -750,6 +631,72 @@ mod tests {
         for (da, db) in a.report.devices.iter().zip(&b.report.devices) {
             assert_eq!(da.units, db.units);
             assert_eq!(da.batches, db.batches);
+        }
+
+        let skewed = {
+            let mut u = vec![3_000_000u64];
+            u.extend((0..8).map(|i| 400_000u64 >> i));
+            u.extend((0..700u64).map(|i| 500 + (i * 7919) % 300));
+            u
+        };
+        let lists: [Vec<u64>; 3] = [
+            (0..3000).map(|i| (i * 37) % 1009).collect(),
+            skewed,
+            (0..40).map(|i| (i * i) % 23).collect(),
+        ];
+        type Pin = (u64, &'static [(usize, usize, u64)]);
+        // [list][sequential, multicore, gpu_only, cpu_gpu]:
+        // (makespan bits, per device (units, batches, busy bits)).
+        const PINNED: [[Pin; 4]; 3] = [
+            [
+                (0x3f658be0cd1512c6, &[(3000, 1, 0x3f658be0cd1512c6)]),
+                (0x3f3762e77539067c, &[(3000, 1, 0x3f3762e77539067c)]),
+                (0x3f181f52f8edb471, &[(3000, 1, 0x3f181f52f8edb471)]),
+                (
+                    0x3f13b4da596ef8cf,
+                    &[
+                        (1344, 84, 0x3f12f70488d0374c),
+                        (1656, 7, 0x3f13b4da596ef8cf),
+                    ],
+                ),
+            ],
+            [
+                (0x3f7e497d759bfd9b, &[(709, 1, 0x3f7e497d759bfd9b)]),
+                (0x3f755fe13fd6a64f, &[(709, 1, 0x3f755fe13fd6a64f)]),
+                (0x3f472ba0bcb8ad55, &[(709, 1, 0x3f472ba0bcb8ad55)]),
+                (
+                    0x3f472ba0bcb8ad55,
+                    &[(453, 29, 0x3f110a1dddcc11e0), (256, 1, 0x3f472ba0bcb8ad55)],
+                ),
+            ],
+            [
+                (0x3ea2d94d69502d2a, &[(40, 1, 0x3ea2d94d69502d2a)]),
+                (0x3eb20d6282f0cf7a, &[(40, 1, 0x3eb20d6282f0cf7a)]),
+                (0x3ee0d099e4b88dff, &[(40, 1, 0x3ee0d099e4b88dff)]),
+                (
+                    0x3ee0cf701bea2b5e,
+                    &[(16, 1, 0x3eb0f3c8cae704f4), (24, 1, 0x3ee0cf701bea2b5e)],
+                ),
+            ],
+        ];
+        let profiles = [
+            HeteroExecutor::sequential(),
+            HeteroExecutor::multicore(),
+            HeteroExecutor::gpu_only(),
+            HeteroExecutor::cpu_gpu(),
+        ];
+        for (units, pins) in lists.iter().zip(&PINNED) {
+            for (ex, &(makespan, devices)) in profiles.iter().zip(pins) {
+                let r = ex.run(units.clone(), |&x| x, square_kernel).report;
+                let got: Vec<(usize, usize, u64)> = r
+                    .devices
+                    .iter()
+                    .map(|d| (d.units, d.batches, d.busy_s.to_bits()))
+                    .collect();
+                let name = &ex.devices().last().unwrap().name;
+                assert_eq!(got, devices, "{name} on {} units", units.len());
+                assert_eq!(r.makespan_s.to_bits(), makespan, "{name}");
+            }
         }
     }
 }

@@ -6,10 +6,11 @@
 //! NVidia Tesla K40c GPU, balancing work between them with a double-ended
 //! work queue (Indarapu et al.; paper §2.3/§3.4). This crate reproduces that
 //! platform **as a model**: kernels execute for real on host threads (so
-//! every result is genuine and testable), while a discrete-event scheduler
-//! charges each device *modelled time* derived from instrumented operation
-//! counts and a calibrated [`DeviceProfile`] (lanes × clock × efficiency,
-//! kernel-launch overhead, memory bandwidth).
+//! every result is genuine and testable), once each, and a discrete-event
+//! replay of the paper's queue then charges each device *modelled time*
+//! derived from the units' instrumented operation counts and a calibrated
+//! [`DeviceProfile`] (lanes × clock × efficiency, kernel-launch overhead,
+//! memory bandwidth).
 //!
 //! Why this preserves the paper's behaviour: the reported speedups come from
 //! (a) algorithmic work reduction — measured exactly here, because the
@@ -22,16 +23,13 @@
 //! Modules:
 //! * [`counters`] — the operation counters all algorithm crates report;
 //! * [`profile`] — device descriptions and the batch time model;
-//! * [`queue`] — the sorted double-ended work queue;
-//! * [`executor`] — discrete-event heterogeneous scheduler plus a
-//!   real-concurrency mode for tests and examples.
+//! * [`executor`] — runs workunits in one parallel region and replays the
+//!   sorted double-ended work queue over their counters.
 
 pub mod counters;
 pub mod executor;
 pub mod profile;
-pub mod queue;
 
 pub use counters::{group_units, group_units_two, UnitGroups, WorkCounters};
 pub use executor::{DeviceReport, ExecutionReport, HeteroExecutor, RunOutput};
 pub use profile::{DeviceKind, DeviceProfile};
-pub use queue::WorkQueue;

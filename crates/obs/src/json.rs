@@ -311,8 +311,8 @@ pub struct TraceCheck {
 /// nothing left open); `X` events have a non-negative `dur`; `C` events
 /// carry a numeric non-negative `args.value` (queue occupancies and
 /// totals can't go below zero), and counters named `*.total` — the
-/// convention for cumulative series like `hetero.units.total` — must be
-/// monotone non-decreasing per lane.
+/// convention for cumulative series — must be monotone non-decreasing per
+/// lane.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     let doc = parse(text)?;
     let events = match &doc {

@@ -4,8 +4,7 @@
 //! workunits plus a long tail of small ones — the shape per-BCC APSP
 //! produces on real sparse graphs (one giant component, thousands of tiny
 //! ones). Compares the paper's dynamic balancing against static splits
-//! under the device model, and runs the genuinely-concurrent mode to show
-//! exactly-once execution.
+//! under the device model, and checks that every unit ran exactly once.
 //!
 //! ```text
 //! cargo run --release --example hetero_scheduling
@@ -84,17 +83,14 @@ fn main() {
         out.report.makespan_s * 1e3
     );
 
-    // Genuinely concurrent execution (no model): exactly-once checks.
-    let conc = exec.run_concurrent(units.clone(), |&s| s, kernel);
-    assert_eq!(
-        conc.results, out.results,
-        "same checksums under real concurrency"
-    );
-    let items: u64 = conc.report.total_counters().edges_relaxed;
+    // Every unit ran exactly once: the devices' counters add up to the
+    // workload.
+    let items: u64 = out.report.total_counters().edges_relaxed;
     assert_eq!(items, total, "every item processed exactly once");
+    assert_eq!(out.report.total_units(), units.len());
     println!(
-        "\nconcurrent mode re-ran the workload on real threads: {} units, wall {:.1} ms",
-        conc.report.total_units(),
-        conc.report.wall_s * 1e3
+        "\n{} units ran once each in one parallel region: wall {:.1} ms",
+        out.report.total_units(),
+        out.report.wall_s * 1e3
     );
 }

@@ -1,11 +1,10 @@
-//! Exactly-once guarantees of the heterogeneous executor and its
-//! double-ended work queue, including a concurrency stress test with
-//! adversarial batch sizes (0, 1, and larger than the queue).
+//! Exactly-once guarantees of the heterogeneous executor: every unit runs
+//! once, through both the value-returning `run` and the in-place
+//! `run_mut`, and the modelled schedule accounts for each unit once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use ear_hetero::{HeteroExecutor, WorkCounters, WorkQueue};
+use ear_hetero::{HeteroExecutor, WorkCounters};
 use ear_testkit::{forall, invariants, usizes};
 
 /// Every executor profile processes each workunit exactly once, keeps
@@ -45,109 +44,23 @@ fn every_profile_processes_each_unit_exactly_once() {
                         return Err(format!("result {i} = {r}, expected {}", i * 2));
                     }
                 }
-            }
-            Ok(())
-        });
-}
 
-/// Same contract for the thread-backed `run_concurrent`, which must also
-/// terminate (no deadlock) under every profile.
-#[test]
-fn run_concurrent_is_exactly_once_and_deadlock_free() {
-    forall("run_concurrent_is_exactly_once_and_deadlock_free")
-        .cases(16)
-        .run(&usizes(0..400), |&n| {
-            for exec in [HeteroExecutor::sequential(), HeteroExecutor::cpu_gpu()] {
-                let units: Vec<u32> = (0..n as u32).collect();
-                let touched: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let out = exec.run_concurrent(
-                    units,
-                    |&u| u as u64 + 1,
-                    |&u| {
-                        touched[u as usize].fetch_add(1, Ordering::Relaxed);
-                        (u as u64, WorkCounters::default())
+                // In place: each unit bumps its own slot.
+                let mut slots = vec![0u32; n];
+                let mut units: Vec<(u32, &mut u32)> = (0..).zip(&mut slots).collect();
+                let report = exec.run_mut(
+                    &mut units,
+                    |&(u, _)| u as u64 + 1,
+                    |(_, slot)| {
+                        **slot += 1;
+                        WorkCounters::default()
                     },
                 );
-                invariants::exactly_once(&out.report, n)?;
-                if touched.iter().any(|c| c.load(Ordering::Relaxed) != 1) {
-                    return Err("some unit not processed exactly once".into());
-                }
-                for (i, r) in out.results.iter().enumerate() {
-                    if *r != i as u64 {
-                        return Err(format!("result {i} out of order"));
-                    }
+                invariants::exactly_once(&report, n)?;
+                if let Some(u) = slots.iter().position(|&c| c != 1) {
+                    return Err(format!("run_mut: unit {u} ran {} times", slots[u]));
                 }
             }
             Ok(())
         });
-}
-
-/// Adversarial batch sizes on the raw queue: zero-sized batches make no
-/// progress but must not corrupt anything or deadlock the consumers
-/// (they give up after a bounded number of empty pops); batch size 1 and
-/// batches larger than the whole queue drain it cleanly from both ends.
-#[test]
-fn work_queue_stress_with_adversarial_batch_sizes() {
-    let n = 20_000u32;
-    // Batch sizes deliberately include 0, 1, and 2×n (> queue length).
-    let batch_sizes = [0usize, 1, 7, 64, (2 * n) as usize];
-    let q = Arc::new(WorkQueue::new(0..n));
-    let seen: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
-    let mut handles = Vec::new();
-    for (t, &k) in batch_sizes.iter().enumerate() {
-        for front in [true, false] {
-            let q = Arc::clone(&q);
-            let seen = Arc::clone(&seen);
-            handles.push(std::thread::spawn(move || {
-                loop {
-                    let batch = if front {
-                        q.pop_front_batch(k)
-                    } else {
-                        q.pop_back_batch(k)
-                    };
-                    if batch.is_empty() {
-                        // k == 0 always yields empty batches; everyone else
-                        // stops when the queue is drained. Either way the
-                        // thread terminates — that is the no-deadlock claim.
-                        break;
-                    }
-                    if batch.len() > k {
-                        panic!("thread {t}: batch of {} exceeds requested {k}", batch.len());
-                    }
-                    for item in batch {
-                        seen[item as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }));
-        }
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    // The k = 0 consumers contributed nothing, so the others must have
-    // drained the queue — every item seen exactly once, none left behind.
-    assert!(q.is_empty(), "{} items stranded", q.len());
-    for (i, c) in seen.iter().enumerate() {
-        assert_eq!(
-            c.load(Ordering::Relaxed),
-            1,
-            "item {i} seen {} times",
-            c.load(Ordering::Relaxed)
-        );
-    }
-}
-
-/// Batch size 0 is a no-op that leaves the queue untouched, and an
-/// oversized batch takes exactly what is left — from either end.
-#[test]
-fn queue_edge_case_batch_sizes_are_exact() {
-    let q = WorkQueue::new(0..5u32);
-    assert!(q.pop_front_batch(0).is_empty());
-    assert!(q.pop_back_batch(0).is_empty());
-    assert_eq!(q.len(), 5);
-    assert_eq!(q.pop_front_batch(1), vec![0]);
-    assert_eq!(q.pop_back_batch(1), vec![4]);
-    assert_eq!(q.pop_front_batch(100), vec![1, 2, 3]);
-    assert!(q.pop_back_batch(100).is_empty());
-    assert!(q.is_empty());
 }

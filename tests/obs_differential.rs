@@ -204,4 +204,41 @@ fn tracing_is_transparent_and_metrics_match_legacy_stats() {
             );
         }
     }
+
+    // ---- The modelled queue's end counters account for every unit the
+    // executor ran, and on a graph big enough for the CPU+GPU platform to
+    // interleave both ends pop work (e2ebench's `hetero.gpu_unit_share`
+    // divides the front count by their sum).
+    let side = 24u32;
+    let mut edges = Vec::new();
+    for r in 0..side {
+        for c in 0..side {
+            let v = r * side + c;
+            if c + 1 < side {
+                edges.push((v, v + 1, 1 + u64::from((r + c) % 5)));
+            }
+            if r + 1 < side {
+                edges.push((v, v + side, 1 + u64::from((r * c) % 7)));
+            }
+        }
+    }
+    let grid = CsrGraph::from_edges((side * side) as usize, &edges);
+    ear_obs::reset();
+    ear_obs::enable();
+    let oracle = build_oracle(&grid, &HeteroExecutor::cpu_gpu(), ApspMethod::Ear);
+    let m = ear_obs::metrics_snapshot();
+    ear_obs::disable();
+    ear_obs::reset();
+    let (front, back) = (
+        m.counter("queue.units.front"),
+        m.counter("queue.units.back"),
+    );
+    let units = oracle.processing.total_units() + oracle.ap_phase.total_units();
+    assert_eq!(m.counter("hetero.units"), units as u64);
+    assert_eq!(
+        front + back,
+        m.counter("hetero.units"),
+        "queue ends vs units"
+    );
+    assert!(front > 0 && back > 0, "front {front}, back {back}");
 }
