@@ -4,8 +4,11 @@
 //!
 //! 1. **Preprocessing** — contract degree-2 chains ([`ear_decomp::reduce`])
 //!    into the reduced graph `G^r`.
-//! 2. **Processing** — Dijkstra from every vertex of `G^r`, one workunit per
-//!    source, scheduled across the heterogeneous devices.
+//! 2. **Processing** — the all-sources table of `G^r`, one workunit per
+//!    source, scheduled across the heterogeneous devices: Dijkstra from
+//!    every source outside a maximal independent set of `G^r`, then each
+//!    remaining row as the minimum over its neighbours' rows
+//!    ([`crate::oracle::phase2_table`]), bit-identical to Dijkstra.
 //! 3. **Post-processing** — extend `S^r` to all of `G` with the closed-form
 //!    minima of paper §2.1.3: a removed vertex reaches the world only
 //!    through its chain anchors `left(x)` / `right(x)`, so
@@ -25,7 +28,7 @@ use ear_graph::{dist_add, CsrGraph, VertexId, Weight};
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
 use crate::matrix::DistMatrix;
-use crate::oracle::sssp_row;
+use crate::oracle::phase2_table;
 
 /// Result of [`ear_apsp`].
 #[derive(Debug)]
@@ -38,7 +41,7 @@ pub struct EarApspOutput {
     pub reduced_m: usize,
     /// Degree-2 vertices removed by preprocessing.
     pub removed: usize,
-    /// Executor report for Phase II (Dijkstra on `G^r`).
+    /// Executor report for Phase II (Dijkstra and derived rows on `G^r`).
     pub processing: ExecutionReport,
     /// Executor report for Phase III (distance extension).
     pub post: ExecutionReport,
@@ -57,15 +60,9 @@ pub fn ear_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> EarApspOutput {
     let r = reduce_graph(g.view()).expect("ear_apsp requires a simple graph");
     let nr = r.reduced.n();
 
-    // Phase II: all-sources Dijkstra on G^r, one row of S^r per source.
-    let m_hint = r.reduced.m() as u64 + 1;
-    let mut sr = DistMatrix::new(nr);
-    let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(sr.rows_mut()).collect();
-    let processing = exec.run_mut(
-        &mut rows,
-        |_| m_hint,
-        |(s, row)| sssp_row(r.reduced.view(), *s, row),
-    );
+    // Phase II: one row of S^r per source of G^r — Dijkstra outside an
+    // independent set, the minimum over neighbours' rows inside it.
+    let (sr, processing) = phase2_table(r.reduced.view(), exec);
 
     // Phase III: one workunit per original vertex (its row of S).
     let n = g.n();

@@ -19,6 +19,13 @@
 //!   `d(u,a₁) + A[a₁,a₂] + d(a₂,v)` — at most three arena reads
 //!   (`tree_dist`, the one distance function every query type uses).
 //!
+//! Phase II (per-block tables) runs Dijkstra only from sources outside a
+//! maximal independent set of each block's phase-II graph
+//! ([`derived_sources`]); every other row is the minimum over its
+//! neighbours' rows, `d(x,t) = min w(x,u) + d(u,t)`. The Banerjee
+//! baseline ([`ApspMethod::Plain`]) derives no rows, so it stays one
+//! Dijkstra per block vertex.
+//!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
 //! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`].
 //! All of it lives in one [`DistArena`]: the build writes every table
@@ -488,6 +495,137 @@ pub(crate) fn sssp_row(target: CsrView<'_>, s: u32, row: &mut [Weight]) -> WorkC
     })
 }
 
+/// The sources phase II derives instead of searching from: a maximal
+/// independent set of `g`, as a membership mask. Chosen greedily in
+/// ascending `(degree, vertex id)` order, so it depends on the topology
+/// alone and every call returns the same set.
+pub fn derived_sources(g: CsrView<'_>) -> Vec<bool> {
+    let mut order: Vec<VertexId> = g.vertices().collect();
+    order.sort_unstable_by_key(|&v| (g.degree(v), v));
+    let mut member = vec![false; g.n()];
+    let mut blocked = vec![false; g.n()];
+    for v in order {
+        if !blocked[v as usize] {
+            member[v as usize] = true;
+            for &(u, _) in g.neighbors(v) {
+                blocked[u as usize] = true;
+            }
+        }
+    }
+    member
+}
+
+/// Writes the distance row of `x` in `g` into `row` from its neighbours'
+/// rows (`row_of(u)`): `d(x,t) = min over incidences (u, w) of x, u ≠ x,
+/// of w + d(u,t)`, saturating at `INF`, and `d(x,x) = 0`. Returns its
+/// work counters: one streaming min-plus combination per incidence and
+/// target.
+fn derive_row<'r>(
+    g: CsrView<'_>,
+    x: VertexId,
+    row_of: impl Fn(VertexId) -> &'r [Weight],
+    row: &mut [Weight],
+) -> WorkCounters {
+    let (adj, wts) = g.incidences(x);
+    row.fill(INF);
+    for (&(u, _), &w) in adj.iter().zip(wts) {
+        if u == x {
+            continue;
+        }
+        let du = row_of(u);
+        assert_eq!(du.len(), row.len(), "distance row length");
+        // Starting from INF, the plain saturating sum equals `dist_add`:
+        // any sum at or past INF loses the minimum to the initial INF.
+        for (d, &t) in row.iter_mut().zip(du) {
+            *d = (*d).min(w.saturating_add(t));
+        }
+    }
+    row[x as usize] = 0;
+    WorkCounters {
+        dense_combined: adj.len() as u64 * row.len() as u64,
+        ..WorkCounters::default()
+    }
+}
+
+/// Phase II: fills every row of an all-sources table, one `(block,
+/// source, row)` unit per source of each block's `target` graph, grouped
+/// by block in ascending source order. With `derive`, each block's
+/// [`derived_sources`] get their rows from their neighbours' rows
+/// ([`derive_row`], under an `apsp.derive` span) after one Dijkstra per
+/// other source has written those; without it every source runs Dijkstra.
+/// Returns the merged executor report of both passes.
+fn all_sources<'g>(
+    exec: &HeteroExecutor,
+    rows: Vec<(u32, u32, &mut [Weight])>,
+    target: impl Fn(u32) -> CsrView<'g> + Sync,
+    derive: bool,
+) -> ExecutionReport {
+    // Row (b, s) sits at index first[b] + s of `rows`.
+    let total = rows.len();
+    let mut first = vec![0; rows.last().map_or(0, |r| r.0 as usize + 1)];
+    let mut member = Vec::with_capacity(total);
+    for (k, &(b, s, _)) in rows.iter().enumerate() {
+        if s == 0 {
+            first[b as usize] = k;
+            if derive {
+                member.extend(derived_sources(target(b)));
+            } else {
+                member.resize(member.len() + target(b).n(), false);
+            }
+        }
+    }
+    assert_eq!(member.len(), total, "every block lists all its rows");
+    let (mut searched, mut derived) = (Vec::new(), Vec::new());
+    for (row, m) in rows.into_iter().zip(member) {
+        if m {
+            derived.push(row);
+        } else {
+            searched.push(row);
+        }
+    }
+    if ear_obs::is_enabled() {
+        ear_obs::counter_add("apsp.rows_sssp", searched.len() as u64);
+        ear_obs::counter_add("apsp.rows_derived", derived.len() as u64);
+    }
+    let report = exec.run_mut(
+        &mut searched,
+        |&(b, _, _)| target(b).m() as u64 + 1,
+        |(b, s, row)| sssp_row(target(*b), *s, row),
+    );
+    if derived.is_empty() {
+        return report;
+    }
+    // An independent set's neighbours are all searched sources.
+    let mut done: Vec<&[Weight]> = vec![&[]; total];
+    for (b, s, row) in &searched {
+        done[first[*b as usize] + *s as usize] = row;
+    }
+    let derived_report = exec.run_mut(
+        &mut derived,
+        |&(b, x, _)| (target(b).degree(x) * target(b).n()) as u64 + 1,
+        |(b, x, row)| {
+            let _span = ear_obs::span("apsp.derive");
+            let base = first[*b as usize];
+            derive_row(target(*b), *x, |u| done[base + u as usize], row)
+        },
+    );
+    merge_reports(report, derived_report)
+}
+
+/// Phase II on one graph: the all-sources distance table of `g`, with
+/// Dijkstra run only outside [`derived_sources`]. Rows equal one Dijkstra
+/// per source bit for bit. Returns the table and the merged executor
+/// report of both passes.
+pub fn phase2_table(g: CsrView<'_>, exec: &HeteroExecutor) -> (DistMatrix, ExecutionReport) {
+    let mut table = DistMatrix::new(g.n());
+    let rows = (0..)
+        .zip(table.rows_mut())
+        .map(|(s, row)| (0, s, row))
+        .collect();
+    let report = all_sources(exec, rows, |_| g, true);
+    (table, report)
+}
+
 /// Builds the oracle from a prebuilt [`DecompPlan`], skipping the BCC
 /// split, block extraction and per-block reduction entirely.
 ///
@@ -543,8 +681,9 @@ pub fn build_oracle_with_plan(
 /// Phases II + III for the given `blocks` only (ascending ids), writing
 /// each block's rows straight into its span of `tables` (cloned first when
 /// shared: a refresh's clone-and-rewrite). Phase II is the all-sources
-/// Dijkstra on each block's reduced graph — on the block itself when it is
-/// not reduced or `level` is `Full(Plain)`. Phase III runs at `Full(Ear)`
+/// table of each block's reduced graph — of the block itself when it is
+/// not reduced or `level` is `Full(Plain)` — with rows derived outside
+/// Dijkstra everywhere but at `Full(Plain)`. Phase III runs at `Full(Ear)`
 /// only: the §2.1.3 extension of the reduced matrices to the whole block.
 /// Returns the merged executor report. The cold build passes every block;
 /// an incremental refresh passes just the dirty ones, and an empty list
@@ -564,16 +703,13 @@ fn compute_block_tables(
         Level::Full(ApspMethod::Ear) | Level::Reduced => plan.reduction(b),
     };
     let target = |b: u32| red(b).map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
-    // Phase II: workunits are (block, source) rows, filled in place.
-    // Pooled engines: per-source scratch is reused across workunits handled
-    // by the same worker thread.
-    let phase2 = |rows: &mut [(u32, u32, &mut [Weight])]| {
+    // Phase II: workunits are (block, source) rows, filled in place. The
+    // Banerjee baseline (`Full(Plain)`) derives no rows: one Dijkstra per
+    // block vertex is the comparison axis.
+    let derive = level != Level::Full(ApspMethod::Plain);
+    let phase2 = |rows: Vec<(u32, u32, &mut [Weight])>| {
         let _span = ear_obs::span("apsp.phase2");
-        exec.run_mut(
-            rows,
-            |&(b, _, _)| target(b).m() as u64 + 1,
-            |(b, s, row)| sssp_row(target(*b), *s, row),
-        )
+        all_sources(exec, rows, target, derive)
     };
     let mut rows = match blocks {
         [] => Vec::new(),
@@ -581,7 +717,7 @@ fn compute_block_tables(
     };
     match level {
         // The phase-II rows are the block tables.
-        Level::Full(ApspMethod::Plain) | Level::Reduced => phase2(&mut rows),
+        Level::Full(ApspMethod::Plain) | Level::Reduced => phase2(rows),
         Level::Full(ApspMethod::Ear) => {
             // Phase II into transient per-block reduced (or full) matrices,
             // by block id (empty for the blocks not listed).
@@ -589,12 +725,11 @@ fn compute_block_tables(
             for &b in blocks {
                 srs[b as usize] = DistMatrix::new(plan.block(b).reduced_n());
             }
-            let mut sr_rows: Vec<(u32, u32, &mut [Weight])> = (0..)
+            let sr_rows = (0..)
                 .zip(&mut srs)
                 .flat_map(|(b, sr)| (0..).zip(sr.rows_mut()).map(move |(s, row)| (b, s, row)))
                 .collect();
-            let p2 = phase2(&mut sr_rows);
-            drop(sr_rows);
+            let p2 = phase2(sr_rows);
             // Phase III: extend each block's reduced matrix to the whole
             // block; workunits are (block, vertex) rows of the arena.
             let _span = ear_obs::span("apsp.phase3");

@@ -36,7 +36,7 @@ use crate::oracle::{Level, Store};
 /// clones it and rewrites only the dirty blocks' spans and the AP span.
 pub struct ReducedOracle {
     store: Store,
-    /// Executor report of the reduced all-sources Dijkstra (phase II).
+    /// Executor report of the reduced all-sources table (phase II).
     pub processing: ExecutionReport,
     /// Executor report of the articulation-point table construction.
     pub ap_phase: ExecutionReport,

@@ -35,7 +35,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use ear_graph::{CsrGraph, CsrView, EdgeId, VertexId, Weight};
+use ear_graph::{dist_add, CsrGraph, CsrView, EdgeId, VertexId, Weight};
 
 /// Error returned when chain contraction is asked to reduce a non-simple
 /// graph (self-loops or parallel edges present).
@@ -305,9 +305,10 @@ fn compute_chain_weights(
     for ch in &topo.chains {
         let mut acc: Weight = 0;
         for (pos, &e) in ch.edges.iter().enumerate() {
-            // Cannot overflow for graphs from `ear_graph::io`: the readers'
-            // weight contract keeps every edge-disjoint sum below INF.
-            acc += g.weight(e);
+            // Saturates at INF like every other path sum: the readers'
+            // weight contract keeps sums below INF, `CsrGraph::from_edges`
+            // does not.
+            acc = dist_add(acc, g.weight(e));
             if pos < ch.interior.len() {
                 prefix_weights.push(acc);
             }
@@ -479,7 +480,7 @@ fn mark_pure_cycle_anchors(g: CsrView<'_>, anchor: &mut [bool]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ear_graph::dijkstra;
+    use ear_graph::{dijkstra, INF};
 
     /// Square 0-1-2-3 where 1 and 3 are degree-2; plus pendant chain at 0
     /// and a hub edge 0-2 making 0 and 2 degree >= 3.
@@ -502,6 +503,22 @@ mod tests {
         ws.sort_unstable();
         assert_eq!(ws, vec![3, 7, 10]);
         assert_eq!(r.chains.len(), 2);
+    }
+
+    #[test]
+    fn chain_sum_past_u64_max_saturates_at_inf() {
+        // The chain 0-1-2 weighs 2 · (u64::MAX / 2 + 1) > u64::MAX.
+        let huge = u64::MAX / 2 + 1;
+        let g = CsrGraph::from_edges(
+            4,
+            &[(0, 1, huge), (1, 2, huge), (0, 2, 5), (0, 3, 1), (3, 2, 1)],
+        );
+        let r = reduce_graph(g.view()).unwrap();
+        let chain = r.removed_info(1).unwrap().chain;
+        assert_eq!(r.chain_weight(chain), INF);
+        let mut ws: Vec<Weight> = r.reduced.edges().iter().map(|e| e.w).collect();
+        ws.sort_unstable();
+        assert_eq!(ws, vec![2, 5, INF]);
     }
 
     #[test]
