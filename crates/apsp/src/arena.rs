@@ -1,12 +1,11 @@
-//! The oracles' one distance store: the `a × a` articulation-point table
+//! The oracle's one distance store: the `a × a` articulation-point table
 //! and every per-block table in one row-major arena, `[ A | B₀ | B₁ | … ]`.
-//! A block's side is set by the storage level: `nᵢ` for
-//! [`crate::DistanceOracle`] — exactly the `a² + Σ nᵢ²` entries of paper
-//! §2.3 — or `nᵢʳ` for [`crate::ReducedOracle`] (`a² + Σ (nᵢʳ)²`). Each
-//! oracle builds its arena in place and owns it behind an [`Arc`]; query
-//! engines share that `Arc`. A refresh clones the parent arena and
-//! rewrites only the AP span and the dirty blocks' spans; the block
-//! headers stay shared.
+//! A block's side is set by the oracle's [`crate::ApspMethod`]: `nᵢ` —
+//! exactly the `a² + Σ nᵢ²` entries of paper §2.3 — or `nᵢʳ` at
+//! `Reduced` (`a² + Σ (nᵢʳ)²`). Each oracle builds its arena in place
+//! and owns it behind an [`Arc`]; query engines share that `Arc`. A
+//! refresh clones the parent arena and rewrites only the AP span and the
+//! dirty blocks' spans; the block headers stay shared.
 
 use std::sync::Arc;
 

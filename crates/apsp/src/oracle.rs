@@ -27,10 +27,13 @@
 //! Dijkstra per block vertex.
 //!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
-//! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`].
-//! All of it lives in one [`DistArena`]: the build writes every table
-//! straight into its span, and the [`crate::QueryEngine`] serving the
-//! oracle reads the same allocation through a shared [`Arc`].
+//! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`] —
+//! or `O(a² + Σᵢ (nᵢʳ)²)` at [`ApspMethod::Reduced`], which stores only
+//! the phase-II tables and runs the §2.1.3 extension (the private `ear`
+//! module) per query. All of it lives in one [`DistArena`]: the build
+//! writes every table straight into its span, and the
+//! [`crate::QueryEngine`] serving the oracle reads the same allocation
+//! through a shared [`Arc`].
 
 use std::sync::Arc;
 
@@ -40,16 +43,23 @@ use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF}
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
 use crate::arena::DistArena;
+use crate::ear::{block_pair_dist, extend_row};
 use crate::matrix::DistMatrix;
-use crate::reduced_oracle::block_pair_dist;
 
-/// How each biconnected component is solved.
+/// How each biconnected component is solved and stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApspMethod {
-    /// The paper's approach: ear-decomposition reduction first.
+    /// The paper's approach: ear-decomposition reduction first, then the
+    /// §2.1.3 extension materialised into full `nᵢ × nᵢ` block tables.
     Ear,
     /// The Banerjee et al. baseline: plain all-sources Dijkstra per block.
     Plain,
+    /// Ear reduction with only the reduced `nᵢʳ × nᵢʳ` tables stored
+    /// (`a² + Σ (nᵢʳ)²` entries): phase III does not run, and a query
+    /// touching a removed vertex evaluates the §2.1.3 minima over its
+    /// block's reduced span — the storage level the paper's published
+    /// memory figures for its chain-heavy graphs imply.
+    Reduced,
 }
 
 /// Structural and memory statistics — the columns of the paper's Table 1.
@@ -67,7 +77,8 @@ pub struct OracleStats {
     pub removed_vertices: usize,
     /// Articulation-point count `a`.
     pub articulation_points: usize,
-    /// Stored table entries: `a² + Σ nᵢ²`.
+    /// Stored table entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at
+    /// [`ApspMethod::Reduced`]).
     pub table_entries: u64,
     /// Entries a flat `n × n` table would need.
     pub max_entries: u64,
@@ -100,49 +111,42 @@ impl OracleStats {
 /// Dijkstra, `Arc`-shared between an oracle and its warm refreshes.
 type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
 
-/// The storage level of an oracle's block tables — the one thing
-/// [`DistanceOracle`] and [`crate::ReducedOracle`] differ in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Level {
-    /// Full `nᵢ × nᵢ` tables (paper §2.3), filled by `method`; phase III
-    /// runs in `Ear` mode.
-    Full(ApspMethod),
-    /// Reduced `nᵢʳ × nᵢʳ` tables, written by phase II; the §2.1.3
-    /// extension runs per query.
-    Reduced,
+/// Side of block `bp`'s table under `method`: `nᵢ`, or `nᵢʳ` at
+/// [`ApspMethod::Reduced`].
+fn table_side(method: ApspMethod, bp: &BlockPlan) -> usize {
+    match method {
+        ApspMethod::Ear | ApspMethod::Plain => bp.n(),
+        ApspMethod::Reduced => bp.reduced_n(),
+    }
 }
 
-/// The tables of one customization at one [`Level`], and the cached AP
-/// segments a refresh reuses: the build, refresh and routing machinery
-/// both oracle types share.
+/// The tables of one customization under one [`ApspMethod`], and the
+/// cached AP segments a refresh reuses: the build, refresh and routing
+/// machinery behind [`DistanceOracle`].
 #[derive(Debug)]
-pub(crate) struct Store {
-    pub(crate) plan: Arc<DecompPlan>,
-    level: Level,
-    pub(crate) arena: Arc<DistArena>,
+struct Store {
+    plan: Arc<DecompPlan>,
+    method: ApspMethod,
+    arena: Arc<DistArena>,
     /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
     /// so a refresh recollects only dirty blocks' segments.
-    pub(crate) ap_segments: Vec<ApSegment>,
+    ap_segments: Vec<ApSegment>,
 }
 
 impl Store {
     /// Cold build: every block's table and the AP table. Returns the
     /// executor reports of phases II + III and of the AP table.
-    pub(crate) fn build(
+    fn build(
         plan: Arc<DecompPlan>,
         exec: &HeteroExecutor,
-        level: Level,
+        method: ApspMethod,
     ) -> (Store, ExecutionReport, ExecutionReport) {
         let nb = plan.n_blocks();
-        let side = |bp: &BlockPlan| match level {
-            Level::Full(_) => bp.n(),
-            Level::Reduced => bp.reduced_n(),
-        };
         let mut store = Store {
-            arena: Arc::new(DistArena::new(&plan, side)),
+            arena: Arc::new(DistArena::new(&plan, |bp| table_side(method, bp))),
             ap_segments: vec![ApSegment::default(); nb],
             plan,
-            level,
+            method,
         };
         let all: Vec<u32> = (0..nb as u32).collect();
         let (processing, ap_phase) = store.rewrite(exec, &all);
@@ -157,7 +161,7 @@ impl Store {
     ///
     /// # Panics
     /// Panics unless `plan` shares this store's plan topology.
-    pub(crate) fn refreshed(
+    fn refreshed(
         &self,
         plan: Arc<DecompPlan>,
         exec: &HeteroExecutor,
@@ -168,13 +172,13 @@ impl Store {
              (build it with DecompPlan::recustomized)"
         );
         let dirty = plan.dirty_blocks_since(&self.plan);
-        let (span, refreshes, dirty_blocks) = match self.level {
-            Level::Full(_) => (
+        let (span, refreshes, dirty_blocks) = match self.method {
+            ApspMethod::Ear | ApspMethod::Plain => (
                 "apsp.refresh",
                 "apsp.refreshes",
                 "apsp.refresh.dirty_blocks",
             ),
-            Level::Reduced => (
+            ApspMethod::Reduced => (
                 "apsp.reduced_refresh",
                 "apsp.reduced_refreshes",
                 "apsp.reduced_refresh.dirty_blocks",
@@ -183,7 +187,7 @@ impl Store {
         let _span = ear_obs::span_with(span, dirty.len() as u64);
         let mut store = Store {
             plan,
-            level: self.level,
+            method: self.method,
             arena: Arc::clone(&self.arena),
             ap_segments: self.ap_segments.clone(),
         };
@@ -205,7 +209,7 @@ impl Store {
         blocks: &[u32],
     ) -> (ExecutionReport, ExecutionReport) {
         let processing =
-            compute_block_tables(&self.plan, exec, self.level, blocks, &mut self.arena);
+            compute_block_tables(&self.plan, exec, self.method, blocks, &mut self.arena);
         for &b in blocks {
             self.ap_segments[b as usize] = Arc::new(self.ap_segment(b));
         }
@@ -218,42 +222,16 @@ impl Store {
         (processing, ap_phase)
     }
 
-    /// Within-block distance between local ids `i` and `j` of block `b` —
-    /// the one read that depends on the level: a span lookup, or the
-    /// §2.1.3 minima over the reduced span.
-    fn block_dist(&self, b: u32, i: VertexId, j: VertexId) -> Weight {
-        match self.level {
-            Level::Full(_) => self.arena.block(b, i, j),
-            Level::Reduced => block_pair_dist(&self.plan, &self.arena, b, i, j),
-        }
-    }
-
     /// Within-block distance between vertices `u` and `v` of block `b`
     /// (`INF` when either is not a member).
     fn pair_dist(&self, b: u32, u: VertexId, v: VertexId) -> Weight {
         let (Some(lu), Some(lv)) = (self.plan.local(b, u), self.plan.local(b, v)) else {
             return INF;
         };
-        self.block_dist(b, lu, lv)
-    }
-
-    /// Shortest-path distance between any two vertices (`INF` when
-    /// disconnected).
-    pub(crate) fn dist(&self, u: VertexId, v: VertexId) -> Weight {
-        let block = |b, i, j| self.block_dist(b, i, j);
-        tree_dist(self.plan.bct(), &self.arena, block, u, v)
-    }
-
-    /// The full `n × n` distance matrix (tests / small graphs only).
-    pub(crate) fn materialize(&self) -> DistMatrix {
-        let n = self.plan.n();
-        let mut m = DistMatrix::new(n);
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                m.set(u, v, self.dist(u, v));
-            }
+        match self.method {
+            ApspMethod::Ear | ApspMethod::Plain => self.arena.block(b, lu, lv),
+            ApspMethod::Reduced => block_pair_dist(&self.plan, &self.arena, b, lu, lv),
         }
-        m
     }
 
     /// Block `b`'s contribution to the AP graph: one `(ap_index, ap_index,
@@ -303,10 +281,7 @@ impl DistanceOracle {
 
     /// The per-block method this oracle was built with.
     pub fn method(&self) -> ApspMethod {
-        match self.store.level {
-            Level::Full(method) => method,
-            Level::Reduced => unreachable!("a DistanceOracle stores full tables"),
-        }
+        self.store.method
     }
 
     /// The decomposition plan this oracle was built from (shareable with
@@ -323,7 +298,8 @@ impl DistanceOracle {
     /// Shortest-path distance between any two vertices (`INF` when
     /// disconnected).
     pub fn dist(&self, u: VertexId, v: VertexId) -> Weight {
-        self.store.dist(u, v)
+        let s = &self.store;
+        tree_dist(&s.plan, &s.arena, s.method, u, v)
     }
 
     /// The oracle's distance store (AP table and every block table),
@@ -341,13 +317,20 @@ impl DistanceOracle {
 
     /// Materialises the full `n × n` matrix (tests / small graphs only).
     pub fn materialize(&self) -> DistMatrix {
-        self.store.materialize()
+        let n = self.store.plan.n();
+        let mut m = DistMatrix::new(n);
+        for u in 0..n as u32 {
+            for v in 0..n as u32 {
+                m.set(u, v, self.dist(u, v));
+            }
+        }
+        m
     }
 
     /// Incrementally refreshes the oracle for a recustomized plan: only the
     /// tables of the blocks whose weights differ between `self`'s plan and
     /// `plan` (see [`DecompPlan::dirty_blocks_since`]) are recomputed —
-    /// phases II and III run on exactly those blocks — into a clone of
+    /// the build's phases run on exactly those blocks — into a clone of
     /// `self`'s arena, so every clean block's span is copied, never
     /// recomputed. The articulation-point span is rebuilt whenever any
     /// block is dirty (a changed within-block distance can reroute
@@ -373,10 +356,34 @@ impl DistanceOracle {
     }
 }
 
-/// Shortest-path distance between any two vertices by block-cut-tree
-/// routing (paper §2.3), `INF` when disconnected. `block(b, i, j)` is the
-/// within-block distance between local ids `i` and `j` of block `b` — a
-/// span lookup, or the §2.1.3 minima at the reduced level.
+/// Shortest-path distance between any two vertices, `INF` when
+/// disconnected: the one distance function of the oracle and its query
+/// engines, reading `arena` laid out for `method`. The method picks the
+/// within-block read once per query — a span lookup, or at
+/// [`ApspMethod::Reduced`] the §2.1.3 minima over the reduced span — so
+/// each arm's [`route`] inlines its own read.
+#[inline]
+pub(crate) fn tree_dist(
+    plan: &DecompPlan,
+    arena: &DistArena,
+    method: ApspMethod,
+    u: VertexId,
+    v: VertexId,
+) -> Weight {
+    let bct = plan.bct();
+    match method {
+        ApspMethod::Ear | ApspMethod::Plain => {
+            route(bct, arena, |b, i, j| arena.block(b, i, j), u, v)
+        }
+        ApspMethod::Reduced => {
+            let read = |b, i, j| block_pair_dist(plan, arena, b, i, j);
+            route(bct, arena, read, u, v)
+        }
+    }
+}
+
+/// Block-cut-tree routing (paper §2.3) over the within-block read
+/// `block(b, i, j)` (local ids `i`, `j` of block `b`).
 ///
 /// Both endpoints non-AP in one block read that block's table. Otherwise
 /// each endpoint `x` leaves its side of the tree path through `a = x`
@@ -386,7 +393,7 @@ impl DistanceOracle {
 /// exact AP-to-AP distances, that one formula also covers an AP inside
 /// the other endpoint's block and two APs sharing a block.
 #[inline]
-pub(crate) fn tree_dist(
+fn route(
     bct: &BlockCutTree,
     arena: &DistArena,
     block: impl Fn(u32, VertexId, VertexId) -> Weight,
@@ -612,41 +619,27 @@ fn all_sources<'g>(
     merge_reports(report, derived_report)
 }
 
-/// Phase II on one graph: the all-sources distance table of `g`, with
-/// Dijkstra run only outside [`derived_sources`]. Rows equal one Dijkstra
-/// per source bit for bit. Returns the table and the merged executor
-/// report of both passes.
-pub fn phase2_table(g: CsrView<'_>, exec: &HeteroExecutor) -> (DistMatrix, ExecutionReport) {
-    let mut table = DistMatrix::new(g.n());
-    let rows = (0..)
-        .zip(table.rows_mut())
-        .map(|(s, row)| (0, s, row))
-        .collect();
-    let report = all_sources(exec, rows, |_| g, true);
-    (table, report)
-}
-
 /// Builds the oracle from a prebuilt [`DecompPlan`], skipping the BCC
 /// split, block extraction and per-block reduction entirely.
 ///
-/// The plan can be shared (`Arc::clone`) with the MCB pipeline,
-/// [`crate::ReducedOracle`] and statistics over the same graph — a
+/// The plan can be shared (`Arc::clone`) with the MCB pipeline, oracles
+/// of the other methods and statistics over the same graph — a
 /// server-style caller pays the decomposition once per graph, not once per
 /// workload. In `Plain` mode the plan's reductions are simply ignored (and
-/// [`OracleStats::removed_vertices`] reports zero), so one plan serves both
-/// methods.
+/// [`OracleStats::removed_vertices`] reports zero), so one plan serves
+/// every method.
 pub fn build_oracle_with_plan(
     plan: Arc<DecompPlan>,
     exec: &HeteroExecutor,
     method: ApspMethod,
 ) -> DistanceOracle {
     let _build_span = ear_obs::span_with("apsp.build", plan.n() as u64);
-    let (store, processing, ap_phase) = Store::build(plan, exec, Level::Full(method));
+    let (store, processing, ap_phase) = Store::build(plan, exec, method);
 
     // Statistics.
     let plan = &store.plan;
     let removed = match method {
-        ApspMethod::Ear => plan.removed_vertices(),
+        ApspMethod::Ear | ApspMethod::Reduced => plan.removed_vertices(),
         ApspMethod::Plain => 0,
     };
     let table_entries = store.arena.entries() as u64;
@@ -682,31 +675,32 @@ pub fn build_oracle_with_plan(
 /// each block's rows straight into its span of `tables` (cloned first when
 /// shared: a refresh's clone-and-rewrite). Phase II is the all-sources
 /// table of each block's reduced graph — of the block itself when it is
-/// not reduced or `level` is `Full(Plain)` — with rows derived outside
-/// Dijkstra everywhere but at `Full(Plain)`. Phase III runs at `Full(Ear)`
-/// only: the §2.1.3 extension of the reduced matrices to the whole block.
-/// Returns the merged executor report. The cold build passes every block;
-/// an incremental refresh passes just the dirty ones, and an empty list
-/// leaves `tables` shared.
+/// not reduced or `method` is `Plain` — with rows derived outside
+/// Dijkstra everywhere but at `Plain`. Phase III runs at `Ear` only: the
+/// §2.1.3 extension of the reduced matrices to the whole block (at
+/// `Reduced` the phase-II rows are the stored tables). Returns the merged
+/// executor report. The cold build passes every block; an incremental
+/// refresh passes just the dirty ones, and an empty list leaves `tables`
+/// shared.
 fn compute_block_tables(
     plan: &Arc<DecompPlan>,
     exec: &HeteroExecutor,
-    level: Level,
+    method: ApspMethod,
     blocks: &[u32],
     tables: &mut Arc<DistArena>,
 ) -> ExecutionReport {
     // Ear reduction requires simple blocks; a multigraph input's parallel
     // bundles fall back to plain processing for that block. The plan's
     // per-block `reduction` accessor is the single guard.
-    let red = |b: u32| match level {
-        Level::Full(ApspMethod::Plain) => None,
-        Level::Full(ApspMethod::Ear) | Level::Reduced => plan.reduction(b),
+    let red = |b: u32| match method {
+        ApspMethod::Plain => None,
+        ApspMethod::Ear | ApspMethod::Reduced => plan.reduction(b),
     };
     let target = |b: u32| red(b).map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
     // Phase II: workunits are (block, source) rows, filled in place. The
-    // Banerjee baseline (`Full(Plain)`) derives no rows: one Dijkstra per
-    // block vertex is the comparison axis.
-    let derive = level != Level::Full(ApspMethod::Plain);
+    // Banerjee baseline (`Plain`) derives no rows: one Dijkstra per block
+    // vertex is the comparison axis.
+    let derive = method != ApspMethod::Plain;
     let phase2 = |rows: Vec<(u32, u32, &mut [Weight])>| {
         let _span = ear_obs::span("apsp.phase2");
         all_sources(exec, rows, target, derive)
@@ -715,10 +709,10 @@ fn compute_block_tables(
         [] => Vec::new(),
         _ => Arc::make_mut(tables).block_rows_mut(blocks),
     };
-    match level {
+    match method {
         // The phase-II rows are the block tables.
-        Level::Full(ApspMethod::Plain) | Level::Reduced => phase2(rows),
-        Level::Full(ApspMethod::Ear) => {
+        ApspMethod::Plain | ApspMethod::Reduced => phase2(rows),
+        ApspMethod::Ear => {
             // Phase II into transient per-block reduced (or full) matrices,
             // by block id (empty for the blocks not listed).
             let mut srs = vec![DistMatrix::new(0); plan.n_blocks()];
@@ -739,7 +733,7 @@ fn compute_block_tables(
                 |(b, x, row)| {
                     let sr = &srs[*b as usize];
                     match red(*b) {
-                        Some(r) => crate::ear::extend_row(plan.block(*b).n(), r, sr, *x, row),
+                        Some(r) => extend_row(plan.block(*b).n(), r, sr, *x, row),
                         // Non-simple block processed plainly: its reduced
                         // matrix already is the full per-block table.
                         None => {
@@ -799,18 +793,26 @@ mod tests {
     use super::*;
     use crate::baselines::floyd_warshall;
 
-    fn check_both_methods(g: &CsrGraph) -> (DistanceOracle, DistanceOracle) {
-        let exec = HeteroExecutor::sequential();
-        let ear = build_oracle(g, &exec, ApspMethod::Ear);
-        let plain = build_oracle(g, &exec, ApspMethod::Plain);
-        let oracle = floyd_warshall(g);
-        for u in 0..g.n() as u32 {
-            for v in 0..g.n() as u32 {
-                assert_eq!(ear.dist(u, v), oracle.get(u, v), "ear ({u},{v})");
-                assert_eq!(plain.dist(u, v), oracle.get(u, v), "plain ({u},{v})");
+    const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];
+
+    /// The oracle at every method (`Ear`, `Plain`, `Reduced`), each held
+    /// to Floyd–Warshall on every pair and built bit-identically by the
+    /// sequential and the CPU+GPU executor.
+    fn check_methods(g: &CsrGraph) -> [DistanceOracle; 3] {
+        let fw = floyd_warshall(g);
+        METHODS.map(|method| {
+            let o = build_oracle(g, &HeteroExecutor::sequential(), method);
+            assert_eq!(o.method(), method);
+            let m = o.materialize();
+            for u in 0..g.n() as u32 {
+                for v in 0..g.n() as u32 {
+                    assert_eq!(m.get(u, v), fw.get(u, v), "{method:?} ({u},{v})");
+                }
             }
-        }
-        (ear, plain)
+            let hetero = build_oracle(g, &HeteroExecutor::cpu_gpu(), method);
+            assert_eq!(hetero.materialize(), m, "{method:?} executors");
+            o
+        })
     }
 
     /// triangle — bridge — square — pendant
@@ -832,47 +834,324 @@ mod tests {
     }
 
     #[test]
-    fn mixed_graph_both_methods_match_oracle() {
+    fn mixed_graph_every_method_matches_oracle() {
         let g = mixed_graph();
-        let (ear, plain) = check_both_methods(&g);
+        let [ear, plain, reduced] = check_methods(&g);
         assert_eq!(ear.stats().n_bccs, plain.stats().n_bccs);
         assert!(ear.stats().n_bccs >= 3);
         // The square 3-4-5-6 contains degree-2 vertices for ear to remove.
         assert!(ear.stats().removed_vertices > 0);
         assert_eq!(plain.stats().removed_vertices, 0);
+        assert_eq!(
+            reduced.stats().removed_vertices,
+            ear.stats().removed_vertices
+        );
+        assert!(reduced.stats().table_entries < ear.stats().table_entries);
+        assert_eq!(ear.stats().table_entries, plain.stats().table_entries);
+    }
+
+    /// One graph of the §2.1.3 table: the degree-2 vertices the plan
+    /// removes across its blocks, and the `Reduced` oracle's
+    /// `a² + Σ (nᵢʳ)²` entries.
+    struct Case {
+        name: &'static str,
+        g: CsrGraph,
+        removed: usize,
+        reduced_entries: u64,
+        /// Distances pinned beyond the Floyd–Warshall check.
+        pinned: &'static [(u32, u32, Weight)],
+    }
+
+    fn extension_cases() -> Vec<Case> {
+        let ring = |n: u32| (0..n).map(|i| (i, (i + 1) % n, 1)).collect::<Vec<_>>();
+        vec![
+            Case {
+                // Two chains plus a direct edge between the same anchors.
+                name: "theta",
+                g: CsrGraph::from_edges(
+                    4,
+                    &[(0, 1, 1), (1, 2, 2), (0, 2, 10), (0, 3, 3), (3, 2, 4)],
+                ),
+                removed: 2,
+                reduced_entries: 2 * 2,
+                pinned: &[(1, 3, 4)],
+            },
+            Case {
+                // A pure cycle keeps one anchor with a self-loop.
+                name: "pure_cycle",
+                g: CsrGraph::from_edges(
+                    5,
+                    &[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 0, 5)],
+                ),
+                removed: 4,
+                reduced_entries: 1,
+                pinned: &[(1, 4, 6)],
+            },
+            Case {
+                // Chain 0-1-2-3-4 between hubs 0 and 4, plus three bypasses.
+                name: "long_chain",
+                g: CsrGraph::from_edges(
+                    8,
+                    &[
+                        (0, 1, 5),
+                        (1, 2, 5),
+                        (2, 3, 5),
+                        (3, 4, 5),
+                        (0, 5, 1),
+                        (5, 4, 1),
+                        (0, 6, 2),
+                        (6, 4, 9),
+                        (0, 7, 1),
+                        (7, 4, 1),
+                    ],
+                ),
+                removed: 6,
+                reduced_entries: 2 * 2,
+                pinned: &[(2, 6, 12)],
+            },
+            Case {
+                name: "no_degree_two",
+                g: CsrGraph::from_edges(
+                    4,
+                    &[
+                        (0, 1, 1),
+                        (0, 2, 2),
+                        (0, 3, 3),
+                        (1, 2, 4),
+                        (1, 3, 5),
+                        (2, 3, 6),
+                    ],
+                ),
+                removed: 0,
+                reduced_entries: 4 * 4,
+                pinned: &[],
+            },
+            Case {
+                // Two triangles: two pure-cycle blocks.
+                name: "disconnected",
+                g: CsrGraph::from_edges(
+                    6,
+                    &[
+                        (0, 1, 1),
+                        (1, 2, 1),
+                        (2, 0, 1),
+                        (3, 4, 2),
+                        (4, 5, 2),
+                        (5, 3, 2),
+                    ],
+                ),
+                removed: 4,
+                reduced_entries: 1 + 1,
+                pinned: &[(0, 3, INF), (4, 3, 2)],
+            },
+            Case {
+                // Hub triangle with a dangling path 2-3-4-5: the triangle is
+                // a pure-cycle block, the path three bridge blocks whose
+                // vertices 2, 3, 4 are the articulation points.
+                name: "pendant_chains",
+                g: CsrGraph::from_edges(
+                    6,
+                    &[
+                        (0, 1, 1),
+                        (1, 2, 1),
+                        (2, 0, 1),
+                        (2, 3, 2),
+                        (3, 4, 3),
+                        (4, 5, 4),
+                    ],
+                ),
+                removed: 2,
+                reduced_entries: 3 * 3 + 1 + 3 * 2 * 2,
+                pinned: &[(0, 5, 10)],
+            },
+            Case {
+                // Chain 0-1-2-3 between anchors 0, 3 with cheap bypasses:
+                // d(1,2) must take the direct segment (10), not 1-0-3-2 (21).
+                name: "same_chain_shortcut",
+                g: CsrGraph::from_edges(
+                    6,
+                    &[
+                        (0, 1, 10),
+                        (1, 2, 10),
+                        (2, 3, 10),
+                        (0, 3, 1),
+                        (0, 4, 1),
+                        (3, 4, 1),
+                        (0, 5, 1),
+                        (3, 5, 1),
+                    ],
+                ),
+                removed: 4,
+                reduced_entries: 2 * 2,
+                pinned: &[(1, 2, 10)],
+            },
+            Case {
+                // Heavy middle edge: direct 1-2 costs 100, around
+                // 1-0 (10) + 0-3 (2) + 3-2 (10) costs 22.
+                name: "around_beats_direct",
+                g: CsrGraph::from_edges(
+                    5,
+                    &[
+                        (0, 1, 10),
+                        (1, 2, 100),
+                        (2, 3, 10),
+                        (0, 3, 2),
+                        (0, 4, 1),
+                        (3, 4, 1),
+                    ],
+                ),
+                removed: 3,
+                reduced_entries: 2 * 2,
+                pinned: &[(1, 2, 22)],
+            },
+            Case {
+                // Triangle and square sharing vertex 2.
+                name: "executor_variants",
+                g: CsrGraph::from_edges(
+                    6,
+                    &[
+                        (0, 1, 3),
+                        (1, 2, 4),
+                        (2, 0, 5),
+                        (2, 3, 1),
+                        (3, 4, 2),
+                        (4, 5, 6),
+                        (5, 2, 7),
+                    ],
+                ),
+                removed: 2 + 3,
+                reduced_entries: 1 + 1 + 1,
+                pinned: &[(0, 4, 8)],
+            },
+            Case {
+                // A ring of 21: the reduced graph is one self-looped vertex.
+                name: "phase2_work_reduction",
+                g: CsrGraph::from_edges(21, &ring(21)),
+                removed: 20,
+                reduced_entries: 1,
+                pinned: &[(0, 10, 10), (3, 19, 5)],
+            },
+        ]
+    }
+
+    #[test]
+    fn extension_cases_match_floyd_warshall_at_every_method() {
+        for c in extension_cases() {
+            let [ear, plain, reduced] = check_methods(&c.g);
+            for o in [&ear, &plain, &reduced] {
+                for &(u, v, d) in c.pinned {
+                    assert_eq!(o.dist(u, v), d, "{} {:?} d({u},{v})", c.name, o.method());
+                }
+            }
+            assert_eq!(ear.stats().removed_vertices, c.removed, "{}", c.name);
+            assert_eq!(reduced.stats().removed_vertices, c.removed, "{}", c.name);
+            assert_eq!(plain.stats().removed_vertices, 0, "{}", c.name);
+            assert_eq!(
+                reduced.stats().table_entries,
+                c.reduced_entries,
+                "{}",
+                c.name
+            );
+            assert_eq!(ear.stats().table_entries, plain.stats().table_entries);
+        }
+    }
+
+    #[test]
+    fn reduced_phase2_does_far_less_work_than_plain() {
+        let c = extension_cases().pop().unwrap();
+        assert_eq!(c.name, "phase2_work_reduction");
+        let [_, plain, reduced] = check_methods(&c.g);
+        let r_relax = reduced.processing.total_counters().edges_relaxed;
+        let p_relax = plain.processing.total_counters().edges_relaxed;
+        assert!(
+            r_relax < p_relax / 10,
+            "reduced {r_relax} vs plain {p_relax}"
+        );
+    }
+
+    #[test]
+    fn saturated_chain_matches_dijkstra_at_every_method() {
+        // The chain 0-1-2 weighs 2b ≥ INF, so its total saturates; each
+        // half is below INF and must still be read exactly.
+        let b = INF / 2 + 5;
+        let g = CsrGraph::from_edges(4, &[(0, 1, b), (1, 2, b), (0, 2, 7), (0, 3, 1), (3, 2, 1)]);
+        for method in METHODS {
+            let o = build_oracle(&g, &HeteroExecutor::sequential(), method);
+            for u in 0..g.n() as u32 {
+                let want = ear_graph::dijkstra(&g, u);
+                let got: Vec<Weight> = (0..g.n() as u32).map(|v| o.dist(u, v)).collect();
+                assert_eq!(got, want, "{method:?} from {u}");
+            }
+        }
     }
 
     #[test]
     fn memory_stats_beat_flat_table_on_blocky_graphs() {
         let g = mixed_graph();
-        let (ear, _) = check_both_methods(&g);
-        assert!(ear.stats().table_entries < ear.stats().max_entries);
-        assert!(ear.stats().memory_bytes_f32() < ear.stats().max_memory_bytes_f32());
+        for o in check_methods(&g) {
+            assert!(o.stats().table_entries < o.stats().max_entries);
+            assert!(o.stats().memory_bytes_f32() < o.stats().max_memory_bytes_f32());
+        }
+    }
+
+    #[test]
+    fn chain_heavy_block_saves_memory_at_reduced() {
+        // A ring of 40 with two chords: most vertices are degree-2.
+        let mut edges: Vec<(u32, u32, u64)> = (0..40).map(|i| (i, (i + 1) % 40, 2)).collect();
+        edges.push((0, 20, 3));
+        edges.push((10, 30, 3));
+        let g = CsrGraph::from_edges(40, &edges);
+        let [ear, _, reduced] = check_methods(&g);
+        assert!(reduced.stats().table_entries * 10 < ear.stats().table_entries);
+    }
+
+    #[test]
+    fn articulation_point_inside_a_chain() {
+        // Two pure cycles sharing vertex 0: within each block, vertex 0 has
+        // degree 2 and may be contracted away — queries must still route
+        // through it correctly.
+        let g = CsrGraph::from_edges(
+            7,
+            &[
+                (0, 1, 1),
+                (1, 2, 2),
+                (2, 3, 3),
+                (3, 0, 4),
+                (0, 4, 5),
+                (4, 5, 6),
+                (5, 6, 7),
+                (6, 0, 8),
+            ],
+        );
+        check_methods(&g);
     }
 
     #[test]
     fn biconnected_graph_is_one_block() {
         let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 5)]);
-        let (ear, _) = check_both_methods(&g);
-        assert_eq!(ear.stats().n_bccs, 1);
-        assert_eq!(ear.stats().articulation_points, 0);
+        for o in check_methods(&g) {
+            assert_eq!(o.stats().n_bccs, 1);
+            assert_eq!(o.stats().articulation_points, 0);
+        }
     }
 
     #[test]
     fn disconnected_components_are_inf_apart() {
         let g = CsrGraph::from_edges(6, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 2)]);
-        let (ear, _) = check_both_methods(&g);
-        assert_eq!(ear.dist(0, 3), INF);
-        assert_eq!(ear.dist(0, 0), 0);
+        for o in check_methods(&g) {
+            assert_eq!(o.dist(0, 3), INF);
+            assert_eq!(o.dist(0, 0), 0);
+        }
     }
 
     #[test]
     fn isolated_vertices() {
         let g = CsrGraph::from_edges(4, &[(0, 1, 7)]);
-        let (ear, _) = check_both_methods(&g);
-        assert_eq!(ear.dist(2, 3), INF);
-        assert_eq!(ear.dist(2, 2), 0);
-        assert_eq!(ear.dist(0, 1), 7);
+        for o in check_methods(&g) {
+            assert_eq!(o.dist(2, 3), INF);
+            assert_eq!(o.dist(2, 2), 0);
+            assert_eq!(o.dist(0, 1), 7);
+        }
     }
 
     #[test]
@@ -894,7 +1173,7 @@ mod tests {
                 (0, 8, 4),
             ],
         );
-        check_both_methods(&g);
+        check_methods(&g);
     }
 
     #[test]
@@ -914,44 +1193,45 @@ mod tests {
                 (6, 0, 3),
             ],
         );
-        let (ear, _) = check_both_methods(&g);
-        assert_eq!(ear.stats().articulation_points, 1);
-        assert_eq!(ear.stats().n_bccs, 3);
+        for o in check_methods(&g) {
+            assert_eq!(o.stats().articulation_points, 1);
+            assert_eq!(o.stats().n_bccs, 3);
+        }
     }
 
     #[test]
     fn materialize_matches_queries() {
         let g = mixed_graph();
-        let exec = HeteroExecutor::sequential();
-        let o = build_oracle(&g, &exec, ApspMethod::Ear);
-        let m = o.materialize();
-        assert!(m.is_symmetric());
-        assert_eq!(m.get(0, 7), o.dist(0, 7));
+        for o in check_methods(&g) {
+            let m = o.materialize();
+            assert!(m.is_symmetric());
+            assert_eq!(m.get(0, 7), o.dist(0, 7));
+        }
     }
 
     #[test]
     fn path_reconstruction_is_tight() {
         let g = mixed_graph();
-        let exec = HeteroExecutor::sequential();
-        let o = build_oracle(&g, &exec, ApspMethod::Ear);
-        for u in 0..g.n() as u32 {
-            for v in 0..g.n() as u32 {
-                let p = o.path(&g, u, v).unwrap();
-                assert_eq!(p[0], u);
-                assert_eq!(*p.last().unwrap(), v);
-                // Sum the walked edges.
-                let mut total = 0;
-                for w in p.windows(2) {
-                    let best = g
-                        .neighbors(w[0])
-                        .iter()
-                        .filter(|&&(y, _)| y == w[1])
-                        .map(|&(_, e)| g.weight(e))
-                        .min()
-                        .expect("consecutive path vertices must be adjacent");
-                    total += best;
+        for o in check_methods(&g) {
+            for u in 0..g.n() as u32 {
+                for v in 0..g.n() as u32 {
+                    let p = o.path(&g, u, v).unwrap();
+                    assert_eq!(p[0], u);
+                    assert_eq!(*p.last().unwrap(), v);
+                    // Sum the walked edges.
+                    let mut total = 0;
+                    for w in p.windows(2) {
+                        let best = g
+                            .neighbors(w[0])
+                            .iter()
+                            .filter(|&&(y, _)| y == w[1])
+                            .map(|&(_, e)| g.weight(e))
+                            .min()
+                            .expect("consecutive path vertices must be adjacent");
+                        total += best;
+                    }
+                    assert_eq!(total, o.dist(u, v), "{:?} path ({u},{v})", o.method());
                 }
-                assert_eq!(total, o.dist(u, v), "path ({u},{v})");
             }
         }
     }
@@ -959,18 +1239,10 @@ mod tests {
     #[test]
     fn path_is_none_across_components() {
         let g = CsrGraph::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        let exec = HeteroExecutor::sequential();
-        let o = build_oracle(&g, &exec, ApspMethod::Ear);
-        assert!(o.path(&g, 0, 2).is_none());
-        assert_eq!(o.path(&g, 0, 0), Some(vec![0]));
-    }
-
-    #[test]
-    fn hetero_executor_matches_sequential() {
-        let g = mixed_graph();
-        let a = build_oracle(&g, &HeteroExecutor::sequential(), ApspMethod::Ear);
-        let b = build_oracle(&g, &HeteroExecutor::cpu_gpu(), ApspMethod::Ear);
-        assert_eq!(a.materialize(), b.materialize());
+        for o in check_methods(&g) {
+            assert!(o.path(&g, 0, 2).is_none());
+            assert_eq!(o.path(&g, 0, 0), Some(vec![0]));
+        }
     }
 
     #[test]
@@ -978,7 +1250,7 @@ mod tests {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
         let plan = Arc::new(DecompPlan::build(&g));
-        for method in [ApspMethod::Ear, ApspMethod::Plain] {
+        for method in METHODS {
             let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
             let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
             w[0] = 50; // triangle block
@@ -988,11 +1260,12 @@ mod tests {
             let cold = build_oracle(&g.reweighted(&w), &exec, method);
             assert_eq!(warm.materialize(), cold.materialize());
             assert_eq!(warm.stats(), cold.stats());
+            assert_eq!(warm.method(), method);
             // The refresh only reran the dirty blocks.
-            let mut scratch = Arc::new(DistArena::new(&warm_plan, BlockPlan::n));
+            let side = |bp: &BlockPlan| table_side(method, bp);
+            let mut scratch = Arc::new(DistArena::new(&warm_plan, side));
             let dirty = warm_plan.dirty_blocks();
-            let level = Level::Full(method);
-            let rep = compute_block_tables(&warm_plan, &exec, level, dirty, &mut scratch);
+            let rep = compute_block_tables(&warm_plan, &exec, method, dirty, &mut scratch);
             assert_eq!(warm.processing.total_units(), rep.total_units());
         }
     }
@@ -1002,25 +1275,27 @@ mod tests {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
         let plan = Arc::new(DecompPlan::build(&g));
-        let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-        let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
-        let warm = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
-        assert!(Arc::ptr_eq(oracle.tables(), warm.tables()));
-        for (a, b) in oracle.store.ap_segments.iter().zip(&warm.store.ap_segments) {
-            assert!(Arc::ptr_eq(a, b));
-        }
-        assert_eq!(warm.processing.total_units(), 0);
+        for method in METHODS {
+            let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
+            let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+            let warm = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
+            assert!(Arc::ptr_eq(oracle.tables(), warm.tables()));
+            for (a, b) in oracle.store.ap_segments.iter().zip(&warm.store.ap_segments) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+            assert_eq!(warm.processing.total_units(), 0);
 
-        // A dirty refresh rewrites its own arena; clean spans are
-        // byte-identical copies of the parent's.
-        w[0] = 50; // triangle block only
-        let warm_plan = Arc::new(plan.recustomized(&w));
-        let dirty = warm_plan.dirty_blocks().to_vec();
-        let warm = oracle.recustomized(warm_plan, &exec);
-        assert!(!Arc::ptr_eq(oracle.tables(), warm.tables()));
-        for b in (0..plan.n_blocks() as u32).filter(|b| !dirty.contains(b)) {
-            let (old, new) = (oracle.tables().block_span(b), warm.tables().block_span(b));
-            assert_eq!(old, new, "clean block {b}");
+            // A dirty refresh rewrites its own arena; clean spans are
+            // byte-identical copies of the parent's.
+            w[0] = 50; // triangle block only
+            let warm_plan = Arc::new(plan.recustomized(&w));
+            let dirty = warm_plan.dirty_blocks().to_vec();
+            let warm = oracle.recustomized(warm_plan, &exec);
+            assert!(!Arc::ptr_eq(oracle.tables(), warm.tables()));
+            for b in (0..plan.n_blocks() as u32).filter(|b| !dirty.contains(b)) {
+                let (old, new) = (oracle.tables().block_span(b), warm.tables().block_span(b));
+                assert_eq!(old, new, "{method:?} clean block {b}");
+            }
         }
     }
 
@@ -1029,19 +1304,26 @@ mod tests {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
         let plan = Arc::new(DecompPlan::build(&g));
-        let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-        let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
-        w[0] = 50; // dirties the triangle block only
-        let warm_plan = Arc::new(plan.recustomized(&w));
-        let dirty = warm_plan.dirty_blocks().to_vec();
-        let warm = oracle.recustomized(warm_plan, &exec);
-        for b in 0..plan.n_blocks() {
-            let shared = Arc::ptr_eq(&oracle.store.ap_segments[b], &warm.store.ap_segments[b]);
-            assert_eq!(shared, !dirty.contains(&(b as u32)), "block {b}");
+        for method in METHODS {
+            let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
+            let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+            w[0] = 50; // dirties the triangle block only
+            let warm_plan = Arc::new(plan.recustomized(&w));
+            let dirty = warm_plan.dirty_blocks().to_vec();
+            assert_eq!(dirty.len(), 1);
+            let warm = oracle.recustomized(warm_plan, &exec);
+            for b in 0..plan.n_blocks() {
+                let (old, new) = (&oracle.store.ap_segments[b], &warm.store.ap_segments[b]);
+                let shared = Arc::ptr_eq(old, new);
+                assert_eq!(shared, !dirty.contains(&(b as u32)), "{method:?} block {b}");
+            }
+            // The rebuilt AP table still matches a cold one bit-for-bit.
+            let cold = build_oracle(&g.reweighted(&w), &exec, method);
+            assert_eq!(warm.tables().ap_span(), cold.tables().ap_span());
+            // The phase-II units are the dirty block's sources only.
+            let sources = table_side(method, plan.block(dirty[0]));
+            assert_eq!(warm.processing.total_units() > 0, sources > 0);
         }
-        // The rebuilt AP table still matches a cold one bit-for-bit.
-        let cold = build_oracle(&g.reweighted(&w), &exec, ApspMethod::Ear);
-        assert_eq!(warm.tables().ap_span(), cold.tables().ap_span());
     }
 
     #[test]
@@ -1065,12 +1347,14 @@ mod tests {
         edges.push((0, 15, 1));
         edges.push((5, 20, 1));
         let g = CsrGraph::from_edges(30, &edges);
-        let exec = HeteroExecutor::sequential();
-        let ear = build_oracle(&g, &exec, ApspMethod::Ear);
-        let plain = build_oracle(&g, &exec, ApspMethod::Plain);
+        let [ear, plain, reduced] = check_methods(&g);
         let e_relax = ear.processing.total_counters().edges_relaxed;
         let p_relax = plain.processing.total_counters().edges_relaxed;
         assert!(e_relax < p_relax, "ear {e_relax} vs plain {p_relax}");
-        check_both_methods(&g);
+        // Reduced runs Ear's phase II and skips its phase III.
+        let r = reduced.processing.total_counters();
+        assert_eq!(r.edges_relaxed, e_relax);
+        assert_eq!(r.distances_combined, 0);
+        assert!(ear.processing.total_counters().distances_combined > 0);
     }
 }

@@ -2,16 +2,18 @@
 //!
 //! [`QueryEngine`] holds two [`Arc`]s — the [`DecompPlan`], whose
 //! weight-independent block-cut-tree router resolves every query's
-//! articulation points, and the oracle's [`DistArena`] — and nothing it
-//! computes itself. Building one or following an oracle refresh copies no
-//! table and folds no distance: [`QueryEngine::dist`] is the same
-//! block-cut-tree distance function as [`DistanceOracle::dist`] (at most
-//! three arena reads) and [`QueryEngine::path`] the same descent as
-//! [`DistanceOracle::path`]; the engine only drops the oracle's storage
-//! level switch and build reports from the serving path.
+//! articulation points, and the oracle's [`DistArena`] — plus the
+//! oracle's [`ApspMethod`], and nothing it computes itself. Building one
+//! or following an oracle refresh copies no table and folds no distance:
+//! [`QueryEngine::dist`] is the same block-cut-tree distance function as
+//! [`DistanceOracle::dist`] (at most three within-block reads, each a
+//! span lookup or, at [`ApspMethod::Reduced`], the §2.1.3 minima) and
+//! [`QueryEngine::path`] the same descent as [`DistanceOracle::path`];
+//! the engine only drops the oracle's build reports from the serving path.
 //!
-//! `tests/query_fastpath_differential.rs` holds the engine, both oracle
-//! types and their refreshes to Floyd–Warshall on every testkit family.
+//! `tests/query_fastpath_differential.rs` holds the engine and the oracle
+//! at every method, and their refreshes, to Floyd–Warshall on every
+//! testkit family.
 
 use std::sync::Arc;
 
@@ -19,14 +21,16 @@ use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, VertexId, Weight};
 
 use crate::arena::DistArena;
-use crate::oracle::{realize_path, tree_dist, DistanceOracle};
+use crate::oracle::{realize_path, tree_dist, ApspMethod, DistanceOracle};
 
 /// The serving-grade query layer over a built [`DistanceOracle`]: its plan
-/// and its arena, both shared (cloning the engine clones two `Arc`s).
+/// and its arena, both shared (cloning the engine clones two `Arc`s), and
+/// the method that laid the arena out.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     plan: Arc<DecompPlan>,
     tables: Arc<DistArena>,
+    method: ApspMethod,
 }
 
 impl QueryEngine {
@@ -37,6 +41,7 @@ impl QueryEngine {
         let engine = QueryEngine {
             plan: Arc::clone(oracle.plan()),
             tables: Arc::clone(oracle.tables()),
+            method: oracle.method(),
         };
         if ear_obs::is_enabled() {
             ear_obs::counter_add("query.engines", 1);
@@ -62,6 +67,7 @@ impl QueryEngine {
         QueryEngine {
             plan: Arc::clone(oracle.plan()),
             tables: Arc::clone(oracle.tables()),
+            method: oracle.method(),
         }
     }
 
@@ -77,9 +83,7 @@ impl QueryEngine {
 
     #[inline]
     fn dist_uncounted(&self, u: VertexId, v: VertexId) -> Weight {
-        let tables = &*self.tables;
-        let block = |b, i, j| tables.block(b, i, j);
-        tree_dist(self.plan.bct(), tables, block, u, v)
+        tree_dist(&self.plan, &self.tables, self.method, u, v)
     }
 
     /// Reconstructs an actual shortest path `u → v` (inclusive of both
@@ -102,8 +106,8 @@ impl QueryEngine {
         self.plan.bct().gateway_entries()
     }
 
-    /// Entries in the distance arena (`a² + Σ nᵢ²`), shared with the
-    /// oracle — not a copy.
+    /// Entries in the distance arena (`a² + Σ nᵢ²`, or `a² + Σ (nᵢʳ)²` at
+    /// [`ApspMethod::Reduced`]), shared with the oracle — not a copy.
     pub fn arena_entries(&self) -> usize {
         self.tables.entries()
     }
@@ -142,16 +146,19 @@ mod tests {
         )
     }
 
+    const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];
+
     #[test]
     fn dist_matches_floyd_warshall_on_every_pair() {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
-        let oracle = build_oracle(&g, &exec, ApspMethod::Ear);
-        let q = QueryEngine::new(&oracle);
         let fw = floyd_warshall(&g);
-        for u in 0..g.n() as u32 {
-            for v in 0..g.n() as u32 {
-                assert_eq!(q.dist(u, v), fw.get(u, v), "({u},{v})");
+        for method in METHODS {
+            let q = QueryEngine::new(&build_oracle(&g, &exec, method));
+            for u in 0..g.n() as u32 {
+                for v in 0..g.n() as u32 {
+                    assert_eq!(q.dist(u, v), fw.get(u, v), "{method:?} ({u},{v})");
+                }
             }
         }
     }
@@ -160,11 +167,17 @@ mod tests {
     fn path_matches_oracle_path() {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
-        let oracle = build_oracle(&g, &exec, ApspMethod::Ear);
-        let q = QueryEngine::new(&oracle);
-        for u in 0..g.n() as u32 {
-            for v in 0..g.n() as u32 {
-                assert_eq!(q.path(&g, u, v), oracle.path(&g, u, v), "({u},{v})");
+        for method in METHODS {
+            let oracle = build_oracle(&g, &exec, method);
+            let q = QueryEngine::new(&oracle);
+            for u in 0..g.n() as u32 {
+                for v in 0..g.n() as u32 {
+                    assert_eq!(
+                        q.path(&g, u, v),
+                        oracle.path(&g, u, v),
+                        "{method:?} ({u},{v})"
+                    );
+                }
             }
         }
     }

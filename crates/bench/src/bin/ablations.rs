@@ -6,9 +6,7 @@
 //!    the store-based search vs pure signed-graph phases;
 //! 3. **Work-queue batch size** — heterogeneous makespan as the GPU batch
 //!    grows (the paper's "batches whose size depends on the nature of the
-//!    task");
-//! 4. **Sequential vs parallel chain contraction** — wall time of the two
-//!    `reduce_graph` implementations.
+//!    task").
 //!
 //! ```text
 //! cargo run --release -p ear-bench --bin ablations [-- --scale N]
@@ -18,12 +16,11 @@ use std::time::Instant;
 
 use ear_bench::{fmt_s, BenchOpts, Table};
 use ear_decomp::feedback_vertex_set;
-use ear_decomp::reduce::{reduce_graph, reduce_graph_parallel};
 use ear_graph::dijkstra_with_stats;
 use ear_hetero::{DeviceProfile, HeteroExecutor, WorkCounters};
 use ear_mcb::depina::{depina_mcb, DepinaOptions};
 use ear_workloads::combinators::subdivide_edges;
-use ear_workloads::generators::{random_min_deg3, triangulated_grid};
+use ear_workloads::generators::random_min_deg3;
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -125,25 +122,4 @@ fn main() {
         ]);
     }
     t.print();
-    println!();
-
-    // ---------------------------------------------------------------- 4
-    println!("Ablation 4 — sequential vs parallel chain contraction\n");
-    let mesh = triangulated_grid(260 / div.max(1), 260 / div.max(1), 13);
-    let chained = subdivide_edges(&mesh, mesh.m(), 2, 14);
-    let t0 = Instant::now();
-    let a = reduce_graph(chained.view()).unwrap();
-    let seq_t = t0.elapsed();
-    let t0 = Instant::now();
-    let b = reduce_graph_parallel(chained.view()).unwrap();
-    let par_t = t0.elapsed();
-    assert_eq!(a.reduced.edges(), b.reduced.edges());
-    println!(
-        "  graph n={}, m={}, chains={}: sequential {:.2?}, parallel {:.2?}",
-        chained.n(),
-        chained.m(),
-        a.chains.len(),
-        seq_t,
-        par_t
-    );
 }

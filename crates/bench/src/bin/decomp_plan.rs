@@ -6,9 +6,9 @@
 //! 1. **Front half**: building one [`DecompPlan`] versus building it five
 //!    times — the pre-refactor workspace ran the BCC split + block-cut
 //!    tree + per-block extraction + reduction independently inside
-//!    `build_oracle`, `ReducedOracle::build`, `mcb`, the CLI `decompose`
-//!    command and `GraphStats::measure`, so five rebuilds is exactly the
-//!    duplicated cost a combined run used to pay.
+//!    `build_oracle`, the reduced-table oracle's build, `mcb`, the CLI
+//!    `decompose` command and `GraphStats::measure`, so five rebuilds is
+//!    exactly the duplicated cost a combined run used to pay.
 //! 2. **Combined pipelines**: stats + APSP oracle + MCB sharing one
 //!    `Arc<DecompPlan>` versus the same three consumers each decomposing
 //!    from scratch. Outputs are cross-checked (distance/weight checksums)

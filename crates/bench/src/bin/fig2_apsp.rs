@@ -5,8 +5,9 @@
 //! Paper result to compare against: 1.7x average over Banerjee on general
 //! graphs, 2.2x average over Djidjev on planar graphs.
 //!
-//! Before a general-graph row is printed, the Ours and Banerjee oracles
-//! must agree on a seeded sample of pairs; a mismatch aborts the run.
+//! Before a general-graph row is printed, the Ours (`ApspMethod::Ear`),
+//! Banerjee (`Plain`) and reduced-table (`Reduced`) oracles must agree on
+//! a seeded sample of pairs; a mismatch aborts the run.
 //!
 //! ```text
 //! cargo run --release -p ear-bench --bin fig2_apsp [-- --scale N]
@@ -19,17 +20,24 @@ use ear_hetero::HeteroExecutor;
 use ear_testkit::TestRng;
 use ear_workloads::specs::{planar_specs, table1_specs};
 
-/// Pairs sampled per graph for the Ours-vs-Banerjee agreement check.
+/// Pairs sampled per graph for the agreement check.
 const SAMPLED_PAIRS: usize = 4096;
 
-/// Panics unless `ours` and `base` answer the same on `SAMPLED_PAIRS`
-/// pairs drawn from `seed`.
-fn assert_agree(name: &str, n: usize, ours: &DistanceOracle, base: &DistanceOracle, seed: u64) {
+/// Panics unless every oracle answers like `oracles[0]` on
+/// `SAMPLED_PAIRS` pairs drawn from `seed`.
+fn assert_agree(name: &str, n: usize, oracles: &[&DistanceOracle], seed: u64) {
     let mut rng = TestRng::new(seed);
     for _ in 0..SAMPLED_PAIRS {
         let (u, v) = (rng.usize_in(0, n) as u32, rng.usize_in(0, n) as u32);
-        let (a, b) = (ours.dist(u, v), base.dist(u, v));
-        assert_eq!(a, b, "{name}: Ours and Banerjee disagree on d({u},{v})");
+        let want = oracles[0].dist(u, v);
+        for o in &oracles[1..] {
+            let (a, b) = (oracles[0].method(), o.method());
+            assert_eq!(
+                o.dist(u, v),
+                want,
+                "{name}: {a:?} and {b:?} disagree on d({u},{v})"
+            );
+        }
     }
 }
 
@@ -44,7 +52,8 @@ fn main() {
         let (g, _) = build_apsp(&spec, &opts);
         let ours = build_oracle(&g, &exec, ApspMethod::Ear);
         let base = build_oracle(&g, &exec, ApspMethod::Plain);
-        assert_agree(spec.name, g.n(), &ours, &base, opts.seed);
+        let reduced = build_oracle(&g, &exec, ApspMethod::Reduced);
+        assert_agree(spec.name, g.n(), &[&ours, &base, &reduced], opts.seed);
         let (to, tb) = (ours.modelled_time_s(), base.modelled_time_s());
         speedups.push(tb / to);
         t.row(vec![

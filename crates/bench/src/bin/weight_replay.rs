@@ -7,8 +7,8 @@
 //!
 //! 1. **Warm** — `DecompPlan::recustomized` (weight layer only, dirty
 //!    blocks recomputed in parallel) followed by the incremental
-//!    `DistanceOracle::recustomized` and `ReducedOracle::recustomized`
-//!    refreshes, which recompute only the dirty blocks' tables into a
+//!    `DistanceOracle::recustomized` refreshes of an `Ear` and a `Reduced`
+//!    oracle, which recompute only the dirty blocks' tables into a
 //!    clone of the parent oracle's arena (clean tables are copied, never
 //!    recomputed) and share the whole arena when no block is dirty.
 //! 2. **Cold** — full `DecompPlan::build` on the reweighted graph plus
@@ -37,7 +37,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ear_apsp::{build_oracle_with_plan, ApspMethod, DistanceOracle, ReducedOracle};
+use ear_apsp::{build_oracle_with_plan, ApspMethod, DistanceOracle};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, GraphBuilder, Weight};
 use ear_hetero::HeteroExecutor;
@@ -174,7 +174,7 @@ fn perturb(base: &[Weight], count: usize, model: Model, rng: &mut u64) -> Vec<We
 
 /// FNV-1a over a deterministic sample of full-oracle and reduced-oracle
 /// answers.
-fn checksum(oracle: &DistanceOracle, reduced: &ReducedOracle, n: usize, seed: u64) -> u64 {
+fn checksum(oracle: &DistanceOracle, reduced: &DistanceOracle, n: usize, seed: u64) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     let mut state = seed;
     let samples = 2048.min(n * n);
@@ -226,12 +226,12 @@ struct FamilyRun {
 fn bench_family(family: &'static str, graphs: &[CsrGraph], reps: usize, seed: u64) -> FamilyRun {
     let exec = HeteroExecutor::sequential();
     // Base plans and oracles — the state a long-lived server holds.
-    let base: Vec<(Arc<DecompPlan>, DistanceOracle, ReducedOracle)> = graphs
+    let base: Vec<(Arc<DecompPlan>, DistanceOracle, DistanceOracle)> = graphs
         .iter()
         .map(|g| {
             let plan = Arc::new(DecompPlan::build(g));
             let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-            let reduced = ReducedOracle::build_with_plan(Arc::clone(&plan), &exec);
+            let reduced = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Reduced);
             (plan, oracle, reduced)
         })
         .collect();
@@ -266,7 +266,8 @@ fn bench_family(family: &'static str, graphs: &[CsrGraph], reps: usize, seed: u6
                     let cold_plan = Arc::new(DecompPlan::build(&gp));
                     let cold_oracle =
                         build_oracle_with_plan(Arc::clone(&cold_plan), &exec, ApspMethod::Ear);
-                    let cold_reduced = ReducedOracle::build_with_plan(cold_plan, &exec);
+                    let cold_reduced =
+                        build_oracle_with_plan(cold_plan, &exec, ApspMethod::Reduced);
                     cold_ns.push(t1.elapsed().as_nanos() as f64);
 
                     let pair_seed = seed ^ (rep as u64) << 8 ^ gi as u64;

@@ -11,9 +11,11 @@
 //! * [`ear`] — open ear decomposition of biconnected graphs via Schmidt's
 //!   chain decomposition, plus a validity checker;
 //! * [`reduce`] — contraction of maximal degree-2 chains into single
-//!   weighted edges, producing the *reduced graph* `G^r` together with all
-//!   the per-removed-vertex metadata (`left(x)`, `right(x)`, prefix weights)
-//!   that the APSP post-processing formulas of paper §2.1.3 consume;
+//!   weighted edges (one contractor, [`reduce_graph`]; the plan runs it in
+//!   parallel across blocks), producing the *reduced graph* `G^r` together
+//!   with all the per-removed-vertex metadata (`left(x)`, `right(x)`,
+//!   prefix and suffix weights) that the APSP post-processing formulas of
+//!   paper §2.1.3 consume;
 //! * [`fvs`] — feedback vertex sets for the Mehlhorn–Michail candidate
 //!   restriction in the MCB algorithm;
 //! * [`pendant`] — iterative degree-1 peeling (the Banerjee et al.
@@ -37,6 +39,6 @@ pub use fvs::feedback_vertex_set;
 pub use pendant::{peel_pendants, PendantPeel};
 pub use plan::{BlockPlan, CustomizedPlan, DecompPlan, PlanTopology};
 pub use reduce::{
-    reduce_graph, reduce_graph_parallel, ChainTopology, EdgeOrigin, NotSimpleError, ReducedGraph,
-    ReducedTopology, RemovedInfo, RemovedSlot,
+    reduce_graph, ChainTopology, EdgeOrigin, NotSimpleError, ReducedGraph, ReducedTopology,
+    RemovedInfo, RemovedSlot,
 };

@@ -14,7 +14,7 @@
 //!   zero-copy [`CsrView`] windows by [`DecompPlan::block_graph`];
 //! * the edge→block assignment and the bridge list.
 //!
-//! Consumers (`ear-apsp`'s `build_oracle_with_plan` and `ReducedOracle`,
+//! Consumers (`ear-apsp`'s `build_oracle_with_plan` at every method,
 //! `ear-mcb`'s `mcb_with_plan`, the CLI, `ear-workloads`' `GraphStats`)
 //! take a plan instead of recomputing the split themselves; a server-style
 //! caller wraps the plan in an `Arc` and amortises the decomposition across

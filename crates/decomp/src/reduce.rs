@@ -171,12 +171,8 @@ pub struct ReducedGraph {
     topo: Arc<ReducedTopology>,
     /// The contracted multigraph on the retained vertices (local ids).
     pub reduced: CsrGraph,
-    /// Total weight per chain (the reduced chain-edge's weight).
-    chain_weights: Vec<Weight>,
-    /// Flattened `wt(x, left)` per interior vertex, chain-major; window of
-    /// chain `c` is `chain_off[c] .. chain_off[c + 1]`.
-    prefix_weights: Vec<Weight>,
-    chain_off: Vec<u32>,
+    /// Chain totals and per-removed-vertex prefix / suffix weights.
+    w: ChainWeights,
 }
 
 impl Deref for ReducedGraph {
@@ -193,7 +189,7 @@ impl ReducedGraph {
     /// [`ReducedGraph::reweighted`], so both are bit-identical by
     /// construction.
     fn customize(topo: Arc<ReducedTopology>, g: CsrView<'_>) -> ReducedGraph {
-        let (chain_weights, prefix_weights, chain_off) = compute_chain_weights(&topo, g);
+        let w = compute_chain_weights(&topo, g);
         let reduced_edges: Vec<(u32, u32, Weight)> = topo
             .edge_origin
             .iter()
@@ -211,19 +207,13 @@ impl ReducedGraph {
                     (
                         topo.to_reduced[ch.left as usize],
                         topo.to_reduced[ch.right as usize],
-                        chain_weights[c as usize],
+                        w.chain_weights[c as usize],
                     )
                 }
             })
             .collect();
         let reduced = CsrGraph::from_edges(topo.retained.len(), &reduced_edges);
-        ReducedGraph {
-            topo,
-            reduced,
-            chain_weights,
-            prefix_weights,
-            chain_off,
-        }
+        ReducedGraph { topo, reduced, w }
     }
 
     /// The same contraction under the block's new weights: reuses the
@@ -234,22 +224,20 @@ impl ReducedGraph {
     /// bit-identical to a cold [`reduce_graph`] of `g` while sharing the
     /// topology [`Arc`] and the reduced CSR's structure arrays with `self`.
     pub fn reweighted(&self, g: CsrView<'_>) -> ReducedGraph {
-        let (chain_weights, prefix_weights, chain_off) = compute_chain_weights(&self.topo, g);
+        let w = compute_chain_weights(&self.topo, g);
         let new_reduced_w: Vec<Weight> = self
             .topo
             .edge_origin
             .iter()
             .map(|&o| match o {
                 EdgeOrigin::Direct(e) => g.weight(e),
-                EdgeOrigin::Chain(c) => chain_weights[c as usize],
+                EdgeOrigin::Chain(c) => w.chain_weights[c as usize],
             })
             .collect();
         ReducedGraph {
             topo: Arc::clone(&self.topo),
             reduced: self.reduced.reweighted(&new_reduced_w),
-            chain_weights,
-            prefix_weights,
-            chain_off,
+            w,
         }
     }
 
@@ -269,54 +257,75 @@ impl ReducedGraph {
     /// weights — the inputs of the paper's §2.1.3 extension formulas.
     pub fn removed_info(&self, x: VertexId) -> Option<RemovedInfo> {
         let s = self.topo.removed[x as usize]?;
-        let w_left =
-            self.prefix_weights[self.chain_off[s.chain as usize] as usize + s.pos as usize];
-        let total = self.chain_weights[s.chain as usize];
+        let k = self.w.chain_off[s.chain as usize] as usize + s.pos as usize;
         Some(RemovedInfo {
             chain: s.chain,
             pos: s.pos,
             left: s.left,
             right: s.right,
-            w_left,
-            w_right: total - w_left,
+            w_left: self.w.prefix_weights[k],
+            w_right: self.w.suffix_weights[k],
         })
     }
 
     /// Total weight of chain `c` (the reduced chain-edge's weight).
     pub fn chain_weight(&self, c: u32) -> Weight {
-        self.chain_weights[c as usize]
+        self.w.chain_weights[c as usize]
     }
 }
 
-/// One pass over the recorded chain edge lists: totals plus the
-/// per-interior-vertex prefix weights, in chain order. Edge `k` of a chain
-/// joins the previous vertex to `interior[k]`, so `wt(interior[k], left)`
-/// is the sum of edges `0..=k` — the exact summation order of the original
-/// inline walk, preserved for bit-identity.
-fn compute_chain_weights(
-    topo: &ReducedTopology,
-    g: CsrView<'_>,
-) -> (Vec<Weight>, Vec<Weight>, Vec<u32>) {
+/// The chain half of a [`ReducedGraph`]'s weight layer.
+#[derive(Clone, Debug)]
+struct ChainWeights {
+    /// Total weight per chain (the reduced chain-edge's weight).
+    chain_weights: Vec<Weight>,
+    /// Flattened `wt(x, left)` per interior vertex, chain-major; window of
+    /// chain `c` is `chain_off[c] .. chain_off[c + 1]`.
+    prefix_weights: Vec<Weight>,
+    /// Flattened `wt(x, right)`, in the same windows.
+    suffix_weights: Vec<Weight>,
+    chain_off: Vec<u32>,
+}
+
+/// Two passes over each recorded chain edge list: totals plus the
+/// per-interior-vertex prefix and suffix weights, in chain order. Edge `k`
+/// of a chain joins the previous vertex to `interior[k]`, so
+/// `wt(interior[k], left)` is the sum of edges `0..=k` and
+/// `wt(interior[k], right)` the sum of the edges after it. Every sum
+/// saturates at INF like every other path sum (the readers' weight
+/// contract keeps sums below INF, `CsrGraph::from_edges` does not), so the
+/// suffix is summed on its own: `total - prefix` undershoots once the
+/// total saturates.
+fn compute_chain_weights(topo: &ReducedTopology, g: CsrView<'_>) -> ChainWeights {
     let mut chain_weights = Vec::with_capacity(topo.chains.len());
     let mut chain_off = Vec::with_capacity(topo.chains.len() + 1);
     let total_interior: usize = topo.chains.iter().map(|c| c.interior.len()).sum();
     let mut prefix_weights = Vec::with_capacity(total_interior);
+    let mut suffix_weights = vec![0; total_interior];
     chain_off.push(0);
     for ch in &topo.chains {
+        let start = prefix_weights.len();
         let mut acc: Weight = 0;
         for (pos, &e) in ch.edges.iter().enumerate() {
-            // Saturates at INF like every other path sum: the readers'
-            // weight contract keeps sums below INF, `CsrGraph::from_edges`
-            // does not.
             acc = dist_add(acc, g.weight(e));
             if pos < ch.interior.len() {
                 prefix_weights.push(acc);
             }
         }
         chain_weights.push(acc);
+        acc = 0;
+        for (pos, &e) in ch.edges.iter().enumerate().skip(1).rev() {
+            acc = dist_add(acc, g.weight(e));
+            suffix_weights[start + pos - 1] = acc;
+        }
         chain_off.push(prefix_weights.len() as u32);
     }
-    (chain_weights, prefix_weights, chain_off)
+    ChainWeights {
+        chain_weights,
+        prefix_weights,
+        suffix_weights,
+        chain_off,
+    }
 }
 
 /// Contracts all maximal degree-2 chains of `g`.
@@ -522,6 +531,19 @@ mod tests {
     }
 
     #[test]
+    fn saturated_chain_keeps_exact_suffix_weights() {
+        // Each half of the chain 0-1-2 is below INF, their sum is not.
+        let b = INF / 2 + 5;
+        let g = CsrGraph::from_edges(4, &[(0, 1, b), (1, 2, b), (0, 2, 7), (0, 3, 1), (3, 2, 1)]);
+        let r = reduce_graph(g.view()).unwrap();
+        let i1 = r.removed_info(1).unwrap();
+        assert_eq!(r.chain_weight(i1.chain), INF);
+        assert_eq!((i1.w_left, i1.w_right), (b, b));
+        let i3 = r.removed_info(3).unwrap();
+        assert_eq!((i3.w_left, i3.w_right), (1, 1));
+    }
+
+    #[test]
     fn removed_info_prefix_weights() {
         let g = theta();
         let r = reduce_graph(g.view()).unwrap();
@@ -694,7 +716,6 @@ mod tests {
     fn rejects_multigraph_input_with_error() {
         let g = CsrGraph::from_edges(2, &[(0, 1, 1), (0, 1, 2)]);
         assert_eq!(reduce_graph(g.view()).unwrap_err(), NotSimpleError);
-        assert_eq!(reduce_graph_parallel(g.view()).unwrap_err(), NotSimpleError);
         let g = CsrGraph::from_edges(2, &[(0, 0, 1), (0, 1, 2)]);
         assert_eq!(reduce_graph(g.view()).unwrap_err(), NotSimpleError);
     }
@@ -734,240 +755,5 @@ mod tests {
         let same = r.reweighted(g.view());
         assert_eq!(same.reduced.edges(), r.reduced.edges());
         assert!(same.shares_topology(&r));
-    }
-}
-
-/// Parallel variant of [`reduce_graph`]: chain walks are independent, so
-/// they fan out across the Rayon pool. Every chain is walked from both of
-/// its anchor ends; the walk that the sequential algorithm would have kept
-/// (the one whose `(anchor rank, adjacency index)` start comes first) wins,
-/// which makes the output **bit-identical** to [`reduce_graph`] — the
-/// equivalence is property-tested.
-///
-/// This replaces the paper's PRAM ear-decomposition parallelism
-/// (Ramachandran) at the step that actually matters in practice: the
-/// decomposition itself is a linear scan, while chain contraction touches
-/// every edge.
-///
-/// # Errors
-/// Returns [`NotSimpleError`] under the same conditions as [`reduce_graph`].
-pub fn reduce_graph_parallel(g: CsrView<'_>) -> Result<ReducedGraph, NotSimpleError> {
-    use rayon::prelude::*;
-
-    if !g.is_simple() {
-        return Err(NotSimpleError);
-    }
-    let n = g.n();
-    let mut anchor = vec![false; n];
-    for v in 0..n as u32 {
-        if g.degree(v) != 2 {
-            anchor[v as usize] = true;
-        }
-    }
-    mark_pure_cycle_anchors(g, &mut anchor);
-
-    let mut to_reduced = vec![u32::MAX; n];
-    let mut retained = Vec::new();
-    for v in 0..n as u32 {
-        if anchor[v as usize] {
-            to_reduced[v as usize] = retained.len() as u32;
-            retained.push(v);
-        }
-    }
-
-    // All chain starts with their sequential-order rank.
-    let starts: Vec<(u32, u32, VertexId, VertexId, EdgeId)> = retained
-        .iter()
-        .enumerate()
-        .flat_map(|(rank, &a)| {
-            g.neighbors(a)
-                .iter()
-                .enumerate()
-                .filter(|(_, &(first, _))| !anchor[first as usize])
-                .map(move |(ai, &(first, first_edge))| {
-                    (rank as u32, ai as u32, a, first, first_edge)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    // Parallel walks; a dummy visited map per walk is unnecessary — the
-    // walk is fully determined by its start.
-    let walked: Vec<((u32, u32), ChainTopology)> = starts
-        .par_iter()
-        .map(|&(rank, ai, a, first, first_edge)| {
-            (
-                (rank, ai),
-                walk_chain_pure(g, &anchor, a, first, first_edge),
-            )
-        })
-        .collect();
-
-    // Keep the first-start walk per chain. A chain's identity is its edge
-    // set; the boundary edge pair (unordered) identifies it uniquely in a
-    // simple graph.
-    use std::collections::HashMap;
-    let mut best: HashMap<(EdgeId, EdgeId), usize> = HashMap::with_capacity(walked.len());
-    for (i, ((_, _), chain)) in walked.iter().enumerate() {
-        let (e0, e1) = (*chain.edges.first().unwrap(), *chain.edges.last().unwrap());
-        let key = (e0.min(e1), e0.max(e1));
-        match best.entry(key) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(i);
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                if walked[i].0 < walked[*o.get()].0 {
-                    o.insert(i);
-                }
-            }
-        }
-    }
-    let mut kept: Vec<usize> = best.into_values().collect();
-    kept.sort_unstable_by_key(|&i| walked[i].0);
-
-    // Assemble in the sequential layout: direct edges first, then chains.
-    let mut chains: Vec<ChainTopology> = Vec::with_capacity(kept.len());
-    let mut removed: Vec<Option<RemovedSlot>> = vec![None; n];
-    let mut edge_origin: Vec<EdgeOrigin> = Vec::new();
-    for (idx, e) in g.edges().iter().enumerate() {
-        if anchor[e.u as usize] && anchor[e.v as usize] {
-            edge_origin.push(EdgeOrigin::Direct(idx as EdgeId));
-        }
-    }
-    for i in kept {
-        let chain = walked[i].1.clone();
-        let cid = chains.len() as u32;
-        for (pos, &x) in chain.interior.iter().enumerate() {
-            removed[x as usize] = Some(RemovedSlot {
-                chain: cid,
-                pos: pos as u32,
-                left: chain.left,
-                right: chain.right,
-            });
-        }
-        edge_origin.push(EdgeOrigin::Chain(cid));
-        chains.push(chain);
-    }
-
-    let topo = ReducedTopology {
-        retained,
-        to_reduced,
-        edge_origin,
-        chains,
-        removed,
-    };
-    Ok(ReducedGraph::customize(Arc::new(topo), g))
-}
-
-/// Side-effect-free chain walk (no shared visited map): a degree-2 interior
-/// uniquely determines the continuation, so the walk needs no marking.
-fn walk_chain_pure(
-    g: CsrView<'_>,
-    anchor: &[bool],
-    a: VertexId,
-    first: VertexId,
-    first_edge: EdgeId,
-) -> ChainTopology {
-    let mut edges = vec![first_edge];
-    let mut interior = vec![first];
-    let mut prev_edge = first_edge;
-    let mut cur = first;
-    loop {
-        let nbrs = g.neighbors(cur);
-        debug_assert_eq!(nbrs.len(), 2);
-        let (next, e) = if nbrs[0].1 == prev_edge {
-            nbrs[1]
-        } else {
-            nbrs[0]
-        };
-        edges.push(e);
-        if anchor[next as usize] {
-            return ChainTopology {
-                left: a,
-                right: next,
-                edges,
-                interior,
-            };
-        }
-        interior.push(next);
-        prev_edge = e;
-        cur = next;
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    fn assert_identical(g: &CsrGraph) {
-        let a = reduce_graph(g.view()).unwrap();
-        let b = reduce_graph_parallel(g.view()).unwrap();
-        assert_eq!(a.retained, b.retained);
-        assert_eq!(a.to_reduced, b.to_reduced);
-        assert_eq!(a.reduced.edges(), b.reduced.edges());
-        assert_eq!(a.edge_origin.len(), b.edge_origin.len());
-        for (x, y) in a.edge_origin.iter().zip(&b.edge_origin) {
-            assert_eq!(x, y);
-        }
-        assert_eq!(a.chains.len(), b.chains.len());
-        for (ca, cb) in a.chains.iter().zip(&b.chains) {
-            assert_eq!(ca.edges, cb.edges);
-            assert_eq!(ca.interior, cb.interior);
-            assert_eq!((ca.left, ca.right), (cb.left, cb.right));
-        }
-        for c in 0..a.chains.len() as u32 {
-            assert_eq!(a.chain_weight(c), b.chain_weight(c));
-        }
-        for v in 0..g.n() as u32 {
-            match (a.removed_info(v), b.removed_info(v)) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        (x.chain, x.pos, x.left, x.right, x.w_left, x.w_right),
-                        (y.chain, y.pos, y.left, y.right, y.w_left, y.w_right)
-                    );
-                }
-                _ => panic!("removed mismatch at {v}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_theta() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (0, 2, 10), (0, 3, 3), (3, 2, 4)]);
-        assert_identical(&g);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_pure_cycle() {
-        let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)]);
-        assert_identical(&g);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_loop_chain() {
-        let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1), (0, 4, 1)]);
-        assert_identical(&g);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..12u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(6..60);
-            let mut seen = std::collections::HashSet::new();
-            let mut edges = Vec::new();
-            for _ in 0..rng.gen_range(n..4 * n) {
-                let u = rng.gen_range(0..n as u32);
-                let v = rng.gen_range(0..n as u32);
-                if u != v && seen.insert((u.min(v), u.max(v))) {
-                    edges.push((u, v, rng.gen_range(1..50u64)));
-                }
-            }
-            let g = CsrGraph::from_edges(n, &edges);
-            assert_identical(&g);
-        }
     }
 }

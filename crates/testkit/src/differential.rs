@@ -12,9 +12,7 @@
 
 use ear_apsp::baselines::{floyd_warshall, plain_apsp};
 use ear_apsp::djidjev::djidjev_apsp;
-use ear_apsp::ear::ear_apsp;
 use ear_apsp::oracle::{build_oracle, ApspMethod};
-use ear_apsp::reduced_oracle::ReducedOracle;
 use ear_apsp::DistMatrix;
 use ear_graph::CsrGraph;
 use ear_hetero::HeteroExecutor;
@@ -62,9 +60,8 @@ pub struct ApspImpl {
 
 /// Every APSP implementation in the workspace, reference first:
 /// Floyd–Warshall, plain all-sources Dijkstra (sequential and CPU+GPU),
-/// ear-reduced APSP (sequential and CPU+GPU), Djidjev partition APSP
-/// (k = 2 and 4), the block-cut-tree oracle under both build methods,
-/// and the reduced-table oracle.
+/// Djidjev partition APSP (k = 2 and 4), and the block-cut-tree oracle
+/// under every build method (`Ear` and `Reduced` on both executors).
 pub fn apsp_implementations() -> Vec<ApspImpl> {
     vec![
         ApspImpl {
@@ -81,16 +78,6 @@ pub fn apsp_implementations() -> Vec<ApspImpl> {
             name: "plain_apsp/cpu_gpu",
             simple_only: false,
             run: Box::new(|g| plain_apsp(g, &HeteroExecutor::cpu_gpu()).0),
-        },
-        ApspImpl {
-            name: "ear_apsp/sequential",
-            simple_only: true,
-            run: Box::new(|g| ear_apsp(g, &HeteroExecutor::sequential()).dist),
-        },
-        ApspImpl {
-            name: "ear_apsp/cpu_gpu",
-            simple_only: true,
-            run: Box::new(|g| ear_apsp(g, &HeteroExecutor::cpu_gpu()).dist),
         },
         ApspImpl {
             name: "djidjev_apsp/k2",
@@ -110,6 +97,13 @@ pub fn apsp_implementations() -> Vec<ApspImpl> {
             }),
         },
         ApspImpl {
+            name: "oracle/ear/cpu_gpu",
+            simple_only: true,
+            run: Box::new(|g| {
+                build_oracle(g, &HeteroExecutor::cpu_gpu(), ApspMethod::Ear).materialize()
+            }),
+        },
+        ApspImpl {
             name: "oracle/plain",
             simple_only: true,
             run: Box::new(|g| {
@@ -117,14 +111,18 @@ pub fn apsp_implementations() -> Vec<ApspImpl> {
             }),
         },
         ApspImpl {
-            name: "reduced_oracle",
+            name: "oracle/reduced",
             simple_only: true,
-            run: Box::new(|g| ReducedOracle::build(g, &HeteroExecutor::sequential()).materialize()),
+            run: Box::new(|g| {
+                build_oracle(g, &HeteroExecutor::sequential(), ApspMethod::Reduced).materialize()
+            }),
         },
         ApspImpl {
-            name: "reduced_oracle/cpu_gpu",
+            name: "oracle/reduced/cpu_gpu",
             simple_only: true,
-            run: Box::new(|g| ReducedOracle::build(g, &HeteroExecutor::cpu_gpu()).materialize()),
+            run: Box::new(|g| {
+                build_oracle(g, &HeteroExecutor::cpu_gpu(), ApspMethod::Reduced).materialize()
+            }),
         },
     ]
 }
@@ -287,9 +285,9 @@ mod tests {
     #[test]
     fn registries_cover_every_implementation() {
         // The tentpole's acceptance criterion: every APSP implementation
-        // and every MCB mode is registered. 11 APSP entries; 3 standalone
+        // and every MCB mode is registered. 10 APSP entries; 3 standalone
         // MCB algorithms + 4 modes × 2 ear settings.
-        assert_eq!(apsp_implementations().len(), 11);
+        assert_eq!(apsp_implementations().len(), 10);
         assert_eq!(mcb_implementations().len(), 11);
     }
 

@@ -37,7 +37,9 @@ use ear_apsp::matrix::DistMatrix;
 use ear_apsp::oracle::DistanceOracle;
 use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::{reduce_graph, ReducedGraph};
-use ear_graph::{connected_components, dijkstra, edge_subgraph, CsrGraph, VertexId, Weight, INF};
+use ear_graph::{
+    connected_components, dijkstra, dist_add, edge_subgraph, CsrGraph, VertexId, Weight, INF,
+};
 use ear_hetero::executor::ExecutionReport;
 use ear_mcb::cycle_space::{Cycle, CycleSpace};
 
@@ -229,7 +231,7 @@ pub fn reduction_invariants(g: &CsrGraph) -> Result<(), String> {
         if info.w_left == 0 || info.w_right == 0 {
             return Err(format!("removed vertex {x}: zero-length half-chain"));
         }
-        if info.w_left + info.w_right != r.chain_weight(info.chain) {
+        if dist_add(info.w_left, info.w_right) != r.chain_weight(info.chain) {
             return Err(format!(
                 "removed vertex {x}: {} + {} ≠ chain weight {}",
                 info.w_left,

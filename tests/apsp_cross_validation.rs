@@ -7,14 +7,16 @@
 
 use ear_apsp::baselines::{floyd_warshall, plain_apsp};
 use ear_apsp::djidjev::djidjev_apsp;
-use ear_apsp::ear::ear_apsp;
 use ear_apsp::{build_oracle, ApspMethod};
 use ear_graph::CsrGraph;
 use ear_hetero::HeteroExecutor;
 use ear_testkit::{forall, invariants, multigraphs, simple_graphs, usizes, zip};
 
-/// Algorithm 1 (single-matrix form) equals the oracle on arbitrary simple
-/// graphs, under both device configurations — and is a metric.
+const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];
+
+/// Algorithm 1 (the `Ear` oracle, materialized to one matrix) equals
+/// Floyd–Warshall on arbitrary simple graphs, under both device
+/// configurations — and is a metric.
 #[test]
 fn ear_apsp_matches_floyd_warshall() {
     forall("ear_apsp_matches_floyd_warshall")
@@ -23,26 +25,28 @@ fn ear_apsp_matches_floyd_warshall() {
             let fw = floyd_warshall(g);
             invariants::metric_axioms(g, &fw)?;
             for exec in [HeteroExecutor::sequential(), HeteroExecutor::cpu_gpu()] {
-                let out = ear_apsp(g, &exec);
-                if out.dist != fw {
-                    return Err("ear_apsp disagrees with floyd_warshall".into());
+                let o = build_oracle(g, &exec, ApspMethod::Ear);
+                if o.materialize() != fw {
+                    return Err("ear oracle disagrees with floyd_warshall".into());
                 }
             }
             Ok(())
         });
 }
 
-/// The general-graph oracle (both per-block methods) answers every query
-/// exactly, and its reconstructed paths realize the claimed distances.
+/// The general-graph oracle (every build method, on both device
+/// configurations) answers every query exactly — a metric — and its
+/// reconstructed paths realize the claimed distances.
 #[test]
 fn oracle_matches_floyd_warshall() {
     forall("oracle_matches_floyd_warshall")
         .cases(48)
         .run(&simple_graphs(28), |g| {
             let fw = floyd_warshall(g);
-            let exec = HeteroExecutor::cpu_gpu();
-            for method in [ApspMethod::Ear, ApspMethod::Plain] {
-                let o = build_oracle(g, &exec, method);
+            invariants::metric_axioms(g, &fw)?;
+            let execs = [HeteroExecutor::sequential(), HeteroExecutor::cpu_gpu()];
+            for (exec, method) in execs.iter().flat_map(|e| METHODS.map(|m| (e, m))) {
+                let o = build_oracle(g, exec, method);
                 invariants::oracle_consistency(&o, &fw).map_err(|e| format!("{method:?}: {e}"))?;
                 invariants::oracle_paths_realize_distances(g, &o, &fw)
                     .map_err(|e| format!("{method:?}: {e}"))?;
@@ -83,14 +87,15 @@ fn plain_apsp_matches_on_multigraphs() {
         });
 }
 
-/// Memory accounting: the oracle's table entries never exceed the flat
-/// table, and they match the definition `a² + Σ nᵢ²` recomputed here.
+/// Memory accounting: the oracle's table entries match the definition
+/// `a² + Σ nᵢ²` recomputed here, and `a² + Σ (nᵢʳ)²` at `Reduced`.
 #[test]
 fn oracle_memory_accounting() {
     forall("oracle_memory_accounting")
         .cases(48)
         .run(&simple_graphs(32), |g| {
-            let o = build_oracle(g, &HeteroExecutor::sequential(), ApspMethod::Ear);
+            let exec = HeteroExecutor::sequential();
+            let o = build_oracle(g, &exec, ApspMethod::Ear);
             let s = o.stats();
             let plan = ear_decomp::plan::DecompPlan::build(g);
             let a = plan.bct().ap_count() as u64;
@@ -100,6 +105,19 @@ fn oracle_memory_accounting() {
                     "table_entries = {}, expected a² + Σnᵢ² = {}",
                     s.table_entries,
                     a * a + sum_sq
+                ));
+            }
+            let reduced = build_oracle(g, &exec, ApspMethod::Reduced);
+            let sum_sq_r: u64 = plan
+                .blocks()
+                .iter()
+                .map(|bp| (bp.reduced_n() as u64).pow(2))
+                .sum();
+            if reduced.stats().table_entries != a * a + sum_sq_r {
+                return Err(format!(
+                    "Reduced table_entries = {}, expected a² + Σ(nᵢʳ)² = {}",
+                    reduced.stats().table_entries,
+                    a * a + sum_sq_r
                 ));
             }
             if s.articulation_points as u64 != a {
@@ -143,10 +161,8 @@ fn kitchen_sink_graph() {
     );
     let fw = floyd_warshall(&g);
     let exec = HeteroExecutor::cpu_gpu();
-    for method in [ApspMethod::Ear, ApspMethod::Plain] {
+    for method in METHODS {
         let o = build_oracle(&g, &exec, method);
         assert_eq!(o.materialize(), fw, "{method:?}");
     }
-    let out = ear_apsp(&g, &exec);
-    assert_eq!(out.dist, fw);
 }

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle_with_plan, ApspMethod, ReducedOracle};
+use ear_apsp::{build_oracle_with_plan, ApspMethod};
 use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::reduce_graph;
 use ear_graph::{dijkstra, edge_subgraph, NodeOrder, SsspEngine};
@@ -222,8 +222,8 @@ fn oracle_is_layout_and_permutation_invariant() {
     }
 }
 
-/// The reduced oracle answers identically on the graph laid out in the
-/// plan's BCC-clustered order, and agrees with the full oracle.
+/// The oracle at `ApspMethod::Reduced` answers identically on the graph
+/// laid out in the plan's BCC-clustered order, and agrees with `Ear`.
 #[test]
 fn reduced_oracle_is_layout_invariant() {
     for (name, strat) in families() {
@@ -234,12 +234,13 @@ fn reduced_oracle_is_layout_invariant() {
                 let plan = Arc::new(DecompPlan::build(g));
                 let order = plan.node_order().clone();
                 let full = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-                let c = ReducedOracle::build_with_plan(plan, &exec);
-                let v = ReducedOracle::build_with_plan(
+                let c = build_oracle_with_plan(plan, &exec, ApspMethod::Reduced);
+                let v = build_oracle_with_plan(
                     Arc::new(DecompPlan::build(&g.permute(&order))),
                     &exec,
+                    ApspMethod::Reduced,
                 );
-                if c.table_entries() != v.table_entries() {
+                if c.stats().table_entries != v.stats().table_entries {
                     return Err("table_entries diverge across layouts".into());
                 }
                 for a in 0..g.n() as u32 {

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, ReducedOracle};
+use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::CsrGraph;
 use ear_hetero::HeteroExecutor;
@@ -83,29 +83,14 @@ fn oracle_with_plan_is_bit_identical() {
     }
 }
 
-/// `ReducedOracle::build` and `ReducedOracle::build_with_plan` answer
-/// every pair identically and store the same number of table entries.
+/// The same at `ApspMethod::Reduced`, the reduced-table oracle.
 #[test]
 fn reduced_oracle_with_plan_is_bit_identical() {
     for (name, strat) in families() {
         forall(format!("reduced_oracle_with_plan/{name}").leak())
             .cases(10)
             .run(&strat, |g| {
-                let exec = HeteroExecutor::sequential();
-                let direct = ReducedOracle::build(g, &exec);
-                let planned = ReducedOracle::build_with_plan(Arc::new(DecompPlan::build(g)), &exec);
-                if direct.table_entries() != planned.table_entries() {
-                    return Err("table_entries diverge".into());
-                }
-                for u in 0..g.n() as u32 {
-                    for v in 0..g.n() as u32 {
-                        let (a, b) = (direct.dist(u, v), planned.dist(u, v));
-                        if a != b {
-                            return Err(format!("dist({u},{v}) direct {a} vs planned {b}"));
-                        }
-                    }
-                }
-                Ok(())
+                assert_oracles_identical(g, ApspMethod::Reduced, "reduced")
             });
     }
 }
@@ -187,7 +172,7 @@ fn stats_from_plan_match_measure() {
     }
 }
 
-/// One `Arc<DecompPlan>` feeds the oracle, the reduced oracle, the MCB
+/// One `Arc<DecompPlan>` feeds the oracle at `Ear` and `Reduced`, the MCB
 /// pipeline and the stats reporter — the combined-mode contract: a single
 /// decomposition serves every consumer with unchanged outputs.
 #[test]
@@ -200,7 +185,7 @@ fn one_shared_plan_serves_every_consumer() {
             plan_invariants(g, &plan)?;
 
             let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-            let reduced = ReducedOracle::build_with_plan(Arc::clone(&plan), &exec);
+            let reduced = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Reduced);
             let cold = build_oracle(g, &exec, ApspMethod::Ear);
             for u in 0..g.n() as u32 {
                 for v in 0..g.n() as u32 {
@@ -227,7 +212,8 @@ fn one_shared_plan_serves_every_consumer() {
             if stats.table_entries != GraphStats::measure(g).table_entries {
                 return Err("shared-plan stats diverge".into());
             }
-            // Table 1's memory columns are what the two oracles store.
+            // Table 1's memory columns are what the oracle stores at `Ear`
+            // and at `Reduced`.
             if oracle.stats().table_entries != stats.table_entries {
                 return Err(format!(
                     "oracle stores {} entries, Table 1 reports {}",
@@ -235,10 +221,10 @@ fn one_shared_plan_serves_every_consumer() {
                     stats.table_entries
                 ));
             }
-            if reduced.table_entries() != stats.reduced_table_entries {
+            if reduced.stats().table_entries != stats.reduced_table_entries {
                 return Err(format!(
                     "reduced oracle stores {} entries, Table 1 reports {}",
-                    reduced.table_entries(),
+                    reduced.stats().table_entries,
                     stats.reduced_table_entries
                 ));
             }

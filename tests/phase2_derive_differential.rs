@@ -8,14 +8,16 @@
 //! generated and with every third edge reweighted to zero — and on the
 //! edge cases the derivation has to get right: a self-loop-only block, a
 //! bridge block, a non-simple block processed plainly, zero-weight edges
-//! and a disconnected `ear_apsp` input. It also checks that `I` is
-//! independent, maximal and deterministic, and pins the Banerjee baseline
-//! (`ApspMethod::Plain`) to exactly one full Dijkstra per block vertex.
+//! and a disconnected input. The phase-II tables are read where
+//! `ApspMethod::Reduced` stores them: its block spans. The suite also
+//! checks that `I` is independent, maximal and deterministic, and pins
+//! the Banerjee baseline (`ApspMethod::Plain`) to exactly one full
+//! Dijkstra per block vertex.
 
 use std::sync::Arc;
 
-use ear_apsp::oracle::{derived_sources, phase2_table};
-use ear_apsp::{build_oracle_with_plan, ear_apsp, ApspMethod, DistMatrix};
+use ear_apsp::oracle::derived_sources;
+use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, DistMatrix};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, CsrView, SsspEngine, Weight, INF};
 use ear_hetero::HeteroExecutor;
@@ -72,43 +74,45 @@ fn check_independent_set(g: CsrView<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// The phase-II table of `g` equals one Dijkstra per source.
-fn check_table(g: CsrView<'_>, exec: &HeteroExecutor) -> Result<(), String> {
-    check_independent_set(g)?;
-    let (table, report) = phase2_table(g, exec);
-    let want = dijkstra_rows(g);
-    for s in 0..g.n() as u32 {
-        if table.row(s) != want.row(s) {
-            return Err(format!(
-                "row {s}: {:?} vs Dijkstra {:?}",
-                table.row(s),
-                want.row(s)
-            ));
-        }
-    }
-    if report.total_units() != g.n() {
-        return Err(format!(
-            "{} units for {} sources",
-            report.total_units(),
-            g.n()
-        ));
-    }
-    Ok(())
-}
-
-/// Every block's phase-II graph, the whole graph, and both oracle tables:
-/// `Full(Ear)` spans (phase II, then phase III) equal `Full(Plain)`'s one
-/// Dijkstra per block vertex.
+/// Every block's phase-II table — the `Reduced` oracle's span of the
+/// block — equals one Dijkstra per source of the block's phase-II graph,
+/// with one executor unit per source; and the full tables agree: `Ear`
+/// spans (phase II, then phase III) equal `Plain`'s one Dijkstra per
+/// block vertex.
 fn check_graph(g: &CsrGraph) -> Result<(), String> {
     let exec = HeteroExecutor::sequential();
     let plan = Arc::new(DecompPlan::build(g));
+    let reduced = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Reduced);
+    let mut sources = 0;
     for b in 0..plan.n_blocks() as u32 {
         let target = plan
             .reduction(b)
             .map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
-        check_table(target, &exec).map_err(|e| format!("block {b}: {e}"))?;
+        check_independent_set(target).map_err(|e| format!("block {b}: {e}"))?;
+        let (span, want, n) = (
+            reduced.tables().block_span(b),
+            dijkstra_rows(target),
+            target.n(),
+        );
+        if span.len() != n * n {
+            return Err(format!("block {b}: span of {} for n = {n}", span.len()));
+        }
+        for (s, row) in (0..).zip(span.chunks(n.max(1))) {
+            if row != want.row(s) {
+                return Err(format!(
+                    "block {b} row {s}: {row:?} vs Dijkstra {:?}",
+                    want.row(s)
+                ));
+            }
+        }
+        sources += n;
     }
-    check_table(g.view(), &exec).map_err(|e| format!("whole graph: {e}"))?;
+    if reduced.processing.total_units() != sources {
+        return Err(format!(
+            "{} units for {sources} sources",
+            reduced.processing.total_units()
+        ));
+    }
     let ear = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
     let plain = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Plain);
     for b in 0..plan.n_blocks() as u32 {
@@ -178,13 +182,13 @@ fn edge_case_blocks_match_dijkstra() {
     for (n, edges) in [(1, vec![(0, 0, 3)]), (2, vec![(0, 1, 9)])] {
         let g = CsrGraph::from_edges(n, &edges);
         check_graph(&g).unwrap();
-        let (table, _) = phase2_table(g.view(), &HeteroExecutor::sequential());
-        assert_eq!(table.get(0, 0), 0);
+        let reduced = build_oracle(&g, &HeteroExecutor::sequential(), ApspMethod::Reduced);
+        assert_eq!(reduced.tables().block_span(0)[0], 0);
     }
 }
 
 #[test]
-fn ear_apsp_on_a_disconnected_input_matches_dijkstra() {
+fn reduced_oracle_on_a_disconnected_input_matches_dijkstra() {
     // Two triangles with a pendant chain, one isolated vertex.
     let g = CsrGraph::from_edges(
         9,
@@ -199,12 +203,13 @@ fn ear_apsp_on_a_disconnected_input_matches_dijkstra() {
             (7, 5, 4),
         ],
     );
-    let out = ear_apsp(&g, &HeteroExecutor::cpu_gpu());
-    assert_eq!(out.dist, dijkstra_rows(g.view()));
-    assert_eq!(out.dist.get(0, 5), INF);
-    assert_eq!(out.dist.get(8, 8), 0);
+    let reduced = build_oracle(&g, &HeteroExecutor::cpu_gpu(), ApspMethod::Reduced);
+    let dist = reduced.materialize();
+    assert_eq!(dist, dijkstra_rows(g.view()));
+    assert_eq!(dist.get(0, 5), INF);
+    assert_eq!(dist.get(8, 8), 0);
     // The derived rows ran as dense combinations, not searches.
-    assert!(out.processing.total_counters().dense_combined > 0);
+    assert!(reduced.processing.total_counters().dense_combined > 0);
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! Differential acceptance suite for query routing.
 //!
-//! Every distance query — `QueryEngine::dist`, `DistanceOracle::dist` and
-//! `ReducedOracle::dist` — runs through one block-cut-tree router and one
+//! Every distance query — `QueryEngine::dist` and `DistanceOracle::dist`,
+//! at every `ApspMethod` — runs through one block-cut-tree router and one
 //! distance function, so checking them against each other proves
-//! nothing. This suite checks all three, and `QueryEngine::path`, against
-//! `baselines::floyd_warshall` on every testkit family, before and after
-//! recustomization, and tallies that the pair shapes the router
+//! nothing. This suite checks the oracle and the engine over it at every
+//! method (`Ear`, `Plain` and the reduced tables of `Reduced`), with
+//! `QueryEngine::path`, against `baselines::floyd_warshall` on every
+//! testkit family, before and after recustomization, and tallies that
+//! the pair shapes the router
 //! special-cases in its arithmetic actually occur: an AP endpoint inside
 //! the other endpoint's home block, two APs sharing a block, routes up to
 //! a common ancestor and back down, routes to and from a root block
@@ -16,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ear_apsp::baselines::floyd_warshall;
-use ear_apsp::{build_oracle_with_plan, ApspMethod, DistMatrix, QueryEngine, ReducedOracle};
+use ear_apsp::{build_oracle_with_plan, ApspMethod, DistMatrix, DistanceOracle, QueryEngine};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{dist_add, CsrGraph, VertexId, Weight, INF};
 use ear_hetero::HeteroExecutor;
@@ -25,6 +27,8 @@ use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
     simple_graphs, workload_graphs, GraphStrategy, TestRng,
 };
+
+const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];
 
 /// Every strategy family the testkit ships, in one list.
 fn families() -> Vec<(&'static str, GraphStrategy)> {
@@ -183,23 +187,26 @@ fn reference_path(g: &CsrGraph, fw: &DistMatrix, u: VertexId, v: VertexId) -> Op
     Some(path)
 }
 
-/// Engine, full oracle and reduced oracle `dist` ≡ Floyd–Warshall on every
-/// pair of every family, and the engine's path on every planted shape is
-/// the reference descent over the Floyd–Warshall matrix.
+/// Oracle and engine `dist` ≡ Floyd–Warshall on every pair of every
+/// family, and the engine's path on every planted shape is the reference
+/// descent over the Floyd–Warshall matrix.
 fn check_against_floyd_warshall(
     g: &CsrGraph,
+    oracle: &DistanceOracle,
     q: &QueryEngine,
-    reduced: &ReducedOracle,
     seed: u64,
 ) -> Result<(), String> {
     let fw = floyd_warshall(g);
+    let method = oracle.method();
+    if oracle.materialize() != fw {
+        return Err(format!("{method:?} oracle materialize diverges"));
+    }
     for u in 0..g.n() as u32 {
         for v in 0..g.n() as u32 {
-            let want = fw.get(u, v);
-            let (e, r) = (q.dist(u, v), reduced.dist(u, v));
-            if e != want || r != want {
+            let (got, want) = (q.dist(u, v), fw.get(u, v));
+            if got != want {
                 return Err(format!(
-                    "dist({u},{v}): engine {e} reduced {r} floyd–warshall {want}"
+                    "{method:?} dist({u},{v}): engine {got} floyd–warshall {want}"
                 ));
             }
         }
@@ -207,13 +214,16 @@ fn check_against_floyd_warshall(
     for (u, v) in query_pairs(g, q.plan(), seed) {
         let (got, want) = (q.path(g, u, v), reference_path(g, &fw, u, v));
         if got != want {
-            return Err(format!("path({u},{v}): {got:?} vs reference {want:?}"));
+            return Err(format!(
+                "{method:?} path({u},{v}): {got:?} vs reference {want:?}"
+            ));
         }
     }
     Ok(())
 }
 
-/// Every router client matches Floyd–Warshall, on all pairs and shapes.
+/// Every router client matches Floyd–Warshall at every method, on all
+/// pairs and shapes.
 #[test]
 fn every_router_matches_floyd_warshall() {
     for (name, strat) in families() {
@@ -222,13 +232,12 @@ fn every_router_matches_floyd_warshall() {
             .run(&strat, |g| {
                 let exec = HeteroExecutor::sequential();
                 let plan = Arc::new(DecompPlan::build(g));
-                let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-                let q = QueryEngine::new(&oracle);
-                let reduced = ReducedOracle::build_with_plan(plan, &exec);
-                if oracle.materialize() != floyd_warshall(g) {
-                    return Err("full oracle materialize diverges".into());
+                for method in METHODS {
+                    let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
+                    let q = QueryEngine::new(&oracle);
+                    check_against_floyd_warshall(g, &oracle, &q, g.n() as u64)?;
                 }
-                check_against_floyd_warshall(g, &q, &reduced, g.n() as u64)
+                Ok(())
             });
     }
 }
@@ -275,8 +284,8 @@ fn path_is_a_tight_walk_on_every_pair_shape() {
     }
 }
 
-/// After a recustomization the engine, the full oracle and the reduced
-/// oracle all match Floyd–Warshall on the reweighted graph; the engine
+/// After a recustomization the oracle and the engine over it match
+/// Floyd–Warshall on the reweighted graph at every method; the engine
 /// always reads its oracle's own arena, a no-op refresh shares the arena
 /// outright, and a dirty refresh keeps every clean block span
 /// byte-identical and rebuilds the AP span exactly as a cold build does.
@@ -286,69 +295,66 @@ fn recustomized_engine_matches_cold_and_shares_clean_state() {
         forall(format!("query_recustomize/{name}").leak())
             .cases(6)
             .run(&strat, |g| {
-                let exec = HeteroExecutor::sequential();
-                let plan = Arc::new(DecompPlan::build(g));
-                let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-                let reduced = ReducedOracle::build_with_plan(Arc::clone(&plan), &exec);
-                let q = QueryEngine::new(&oracle);
-                if !Arc::ptr_eq(q.tables(), oracle.tables()) {
-                    return Err("engine must read the oracle's arena, not a copy".into());
-                }
-                let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
-
-                // No-op refresh: everything is shared.
-                let noop_plan = Arc::new(plan.recustomized(&base));
-                let noop_oracle = oracle.recustomized(Arc::clone(&noop_plan), &exec);
-                let noop = q.recustomized(&noop_oracle);
-                if !Arc::ptr_eq(noop_oracle.tables(), oracle.tables()) {
-                    return Err("no-op oracle refresh must share the arena".into());
-                }
-                if !q.plan().shares_topology(noop.plan()) || !Arc::ptr_eq(q.tables(), noop.tables())
-                {
-                    return Err("no-op refresh must share topology and tables".into());
-                }
-
-                if g.m() == 0 {
-                    return Ok(());
-                }
-                // Dense perturbation: some blocks dirty, the rest shared.
-                let mut rng = TestRng::new(derive_seed(g.n() as u64, 0xcafe));
-                let mut w = base.clone();
-                for wi in w.iter_mut() {
-                    if rng.coin() {
-                        *wi = rng.u64_in(1, 101);
-                    }
-                }
-                let warm_plan = Arc::new(plan.recustomized(&w));
-                let dirty = warm_plan.dirty_blocks().to_vec();
-                let warm_oracle = oracle.recustomized(Arc::clone(&warm_plan), &exec);
-                let warm = q.recustomized(&warm_oracle);
-                if !Arc::ptr_eq(warm.tables(), warm_oracle.tables()) {
-                    return Err("refreshed engine must read the refreshed oracle's arena".into());
-                }
-                if !dirty.is_empty() && Arc::ptr_eq(q.tables(), warm.tables()) {
-                    return Err("dirty refresh must not share the parent arena".into());
-                }
-                let (old, new) = (q.tables(), warm.tables());
-                for b in 0..plan.n_blocks() as u32 {
-                    if !dirty.contains(&b) && old.block_span(b) != new.block_span(b) {
-                        return Err(format!("clean block {b} span changed"));
-                    }
-                }
-                let reweighted = g.reweighted(&w);
-                let cold = build_oracle_with_plan(
-                    Arc::new(DecompPlan::build(&reweighted)),
-                    &exec,
-                    ApspMethod::Ear,
-                );
-                if warm.tables().ap_span() != cold.tables().ap_span() {
-                    return Err("refreshed AP span diverges from cold".into());
-                }
-                if warm_oracle.materialize() != floyd_warshall(&reweighted) {
-                    return Err("refreshed full oracle diverges".into());
-                }
-                let warm_reduced = reduced.recustomized(warm_plan, &exec);
-                check_against_floyd_warshall(&reweighted, &warm, &warm_reduced, 3)
+                METHODS.into_iter().try_for_each(|method| {
+                    check_refresh(g, method).map_err(|e| format!("{method:?}: {e}"))
+                })
             });
     }
+}
+
+/// The refresh checks above for the oracle built with `method`.
+fn check_refresh(g: &CsrGraph, method: ApspMethod) -> Result<(), String> {
+    let exec = HeteroExecutor::sequential();
+    let plan = Arc::new(DecompPlan::build(g));
+    let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
+    let q = QueryEngine::new(&oracle);
+    if !Arc::ptr_eq(q.tables(), oracle.tables()) {
+        return Err("engine must read the oracle's arena, not a copy".into());
+    }
+    let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+
+    // No-op refresh: everything is shared.
+    let noop_plan = Arc::new(plan.recustomized(&base));
+    let noop_oracle = oracle.recustomized(Arc::clone(&noop_plan), &exec);
+    let noop = q.recustomized(&noop_oracle);
+    if !Arc::ptr_eq(noop_oracle.tables(), oracle.tables()) {
+        return Err("no-op oracle refresh must share the arena".into());
+    }
+    if !q.plan().shares_topology(noop.plan()) || !Arc::ptr_eq(q.tables(), noop.tables()) {
+        return Err("no-op refresh must share topology and tables".into());
+    }
+
+    if g.m() == 0 {
+        return Ok(());
+    }
+    // Dense perturbation: some blocks dirty, the rest shared.
+    let mut rng = TestRng::new(derive_seed(g.n() as u64, 0xcafe));
+    let mut w = base.clone();
+    for wi in w.iter_mut() {
+        if rng.coin() {
+            *wi = rng.u64_in(1, 101);
+        }
+    }
+    let warm_plan = Arc::new(plan.recustomized(&w));
+    let dirty = warm_plan.dirty_blocks().to_vec();
+    let warm_oracle = oracle.recustomized(Arc::clone(&warm_plan), &exec);
+    let warm = q.recustomized(&warm_oracle);
+    if !Arc::ptr_eq(warm.tables(), warm_oracle.tables()) {
+        return Err("refreshed engine must read the refreshed oracle's arena".into());
+    }
+    if !dirty.is_empty() && Arc::ptr_eq(q.tables(), warm.tables()) {
+        return Err("dirty refresh must not share the parent arena".into());
+    }
+    let (old, new) = (q.tables(), warm.tables());
+    for b in 0..plan.n_blocks() as u32 {
+        if !dirty.contains(&b) && old.block_span(b) != new.block_span(b) {
+            return Err(format!("clean block {b} span changed"));
+        }
+    }
+    let reweighted = g.reweighted(&w);
+    let cold = build_oracle_with_plan(Arc::new(DecompPlan::build(&reweighted)), &exec, method);
+    if warm.tables().ap_span() != cold.tables().ap_span() {
+        return Err("refreshed AP span diverges from cold".into());
+    }
+    check_against_floyd_warshall(&reweighted, &warm_oracle, &warm, 3)
 }

@@ -3,8 +3,8 @@
 //! `DecompPlan::recustomize` claims that recomputing only the weight layer
 //! — dirty blocks in parallel, everything else shared — produces a plan
 //! **bit-identical** to a cold `DecompPlan::build` on the reweighted
-//! graph, and that every plan consumer (the full and reduced distance
-//! oracles via their incremental `recustomized` refreshes, the MCB
+//! graph, and that every plan consumer (the distance oracle at every
+//! `ApspMethod` via its incremental `recustomized` refresh, the MCB
 //! pipeline, the stats reporter) gives the same answers either way. This
 //! suite pins that claim across every testkit graph family and three
 //! perturbation shapes: a no-op reweight (`w' == w`), a single-edge
@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, QueryEngine, ReducedOracle};
+use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, QueryEngine};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, Weight};
 use ear_hetero::HeteroExecutor;
@@ -26,6 +26,8 @@ use ear_testkit::{
     simple_graphs, workload_graphs, GraphStrategy, TestRng,
 };
 use ear_workloads::GraphStats;
+
+const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];
 
 /// Every strategy family the testkit ships, in one list.
 fn families() -> Vec<(&'static str, GraphStrategy)> {
@@ -109,8 +111,7 @@ fn chained_recustomization_stays_exact() {
 }
 
 /// The incremental oracle refresh answers every pair exactly like a cold
-/// oracle built on the reweighted graph — full oracle (both methods) and
-/// reduced oracle.
+/// oracle built on the reweighted graph, at every method.
 #[test]
 fn refreshed_oracles_match_cold_builds() {
     for (name, strat) in families() {
@@ -122,7 +123,7 @@ fn refreshed_oracles_match_cold_builds() {
                 for (shape, w) in perturbations(g, 13) {
                     let gp = g.reweighted(&w);
                     let warm_plan = Arc::new(plan.recustomized(&w));
-                    for method in [ApspMethod::Ear, ApspMethod::Plain] {
+                    for method in METHODS {
                         let base = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
                         let warm = base.recustomized(Arc::clone(&warm_plan), &exec);
                         let cold = build_oracle(&gp, &exec, method);
@@ -139,22 +140,6 @@ fn refreshed_oracles_match_cold_builds() {
                         if warm.stats() != cold.stats() {
                             return Err(format!("{shape}/{method:?}: oracle stats diverge"));
                         }
-                    }
-                    let base = ReducedOracle::build_with_plan(Arc::clone(&plan), &exec);
-                    let warm = base.recustomized(Arc::clone(&warm_plan), &exec);
-                    let cold = ReducedOracle::build(&gp, &exec);
-                    for u in 0..g.n() as u32 {
-                        for v in 0..g.n() as u32 {
-                            let (a, b) = (warm.dist(u, v), cold.dist(u, v));
-                            if a != b {
-                                return Err(format!(
-                                    "{shape}/reduced: dist({u},{v}) warm {a} vs cold {b}"
-                                ));
-                            }
-                        }
-                    }
-                    if warm.table_entries() != cold.table_entries() {
-                        return Err(format!("{shape}/reduced: table entries diverge"));
                     }
                 }
                 Ok(())
@@ -182,8 +167,8 @@ fn same_answers(
 }
 
 /// A refresh handed a plan that is not the direct child of the refreshed
-/// object's own plan still matches a cold build: the full oracle (both
-/// methods), the reduced oracle and the query engine each recompute the
+/// object's own plan still matches a cold build: the oracle (every
+/// method) and the query engine over it each recompute the
 /// blocks whose weights differ from *their* plan, not the plan's parent.
 /// Two shapes, both built from single-edge steps so the hops usually
 /// dirty different blocks: a skipped generation (`p0` → `p2`, where `p2 =
@@ -215,7 +200,7 @@ fn refresh_across_generations_and_branches_matches_cold_builds() {
                 let pb = Arc::new(p0.recustomized(&wb));
                 for (shape, from, to, w) in [("skip", &p0, &p2, &w2), ("sibling", &p1, &pb, &wb)] {
                     let gp = g.reweighted(w);
-                    for method in [ApspMethod::Ear, ApspMethod::Plain] {
+                    for method in METHODS {
                         let base = build_oracle_with_plan(Arc::clone(from), &exec, method);
                         let warm = base.recustomized(Arc::clone(to), &exec);
                         let cold = build_oracle(&gp, &exec, method);
@@ -236,11 +221,6 @@ fn refresh_across_generations_and_branches_matches_cold_builds() {
                             |u, v| cold.dist(u, v),
                         )?;
                     }
-                    let warm = ReducedOracle::build_with_plan(Arc::clone(from), &exec)
-                        .recustomized(Arc::clone(to), &exec);
-                    let cold = ReducedOracle::build(&gp, &exec);
-                    let what = format!("{shape}/reduced");
-                    same_answers(g.n(), &what, |u, v| warm.dist(u, v), |u, v| cold.dist(u, v))?;
                 }
                 Ok(())
             });

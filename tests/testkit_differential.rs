@@ -14,8 +14,8 @@ fn fail(d: ear_testkit::Divergence) -> String {
     d.to_string()
 }
 
-/// The registries are complete: 11 APSP implementations (reference +
-/// 10 candidates), 11 MCB configurations (3 standalone algorithms + the
+/// The registries are complete: 10 APSP implementations (reference +
+/// 9 candidates), 11 MCB configurations (3 standalone algorithms + the
 /// 4-mode × 2-ear pipeline grid).
 #[test]
 fn registries_enumerate_every_implementation() {
@@ -24,14 +24,13 @@ fn registries_enumerate_every_implementation() {
         "floyd_warshall",
         "plain_apsp/sequential",
         "plain_apsp/cpu_gpu",
-        "ear_apsp/sequential",
-        "ear_apsp/cpu_gpu",
         "djidjev_apsp/k2",
         "djidjev_apsp/k4",
         "oracle/ear",
+        "oracle/ear/cpu_gpu",
         "oracle/plain",
-        "reduced_oracle",
-        "reduced_oracle/cpu_gpu",
+        "oracle/reduced",
+        "oracle/reduced/cpu_gpu",
     ] {
         assert!(apsp.contains(&expected), "APSP registry missing {expected}");
     }
