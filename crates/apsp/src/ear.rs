@@ -42,7 +42,7 @@ fn four_way(d: [[Weight; 2]; 2], x: &RemovedInfo, y: &RemovedInfo) -> Weight {
     if x.chain == y.chain {
         // Same ear: the direct sub-chain path never leaves the ear (paper:
         // "the unique xy-path along P that does not use ℓx and rx").
-        around.min(x.w_left.abs_diff(y.w_left))
+        around.min(x.along_chain(y))
     } else {
         around
     }

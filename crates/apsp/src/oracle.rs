@@ -1071,16 +1071,35 @@ mod tests {
 
     #[test]
     fn saturated_chain_matches_dijkstra_at_every_method() {
+        let b = INF / 2 + 5;
         // The chain 0-1-2 weighs 2b ≥ INF, so its total saturates; each
         // half is below INF and must still be read exactly.
-        let b = INF / 2 + 5;
-        let g = CsrGraph::from_edges(4, &[(0, 1, b), (1, 2, b), (0, 2, 7), (0, 3, 1), (3, 2, 1)]);
-        for method in METHODS {
-            let o = build_oracle(&g, &HeteroExecutor::sequential(), method);
-            for u in 0..g.n() as u32 {
-                let want = ear_graph::dijkstra(&g, u);
-                let got: Vec<Weight> = (0..g.n() as u32).map(|v| o.dist(u, v)).collect();
-                assert_eq!(got, want, "{method:?} from {u}");
+        let halves =
+            CsrGraph::from_edges(4, &[(0, 1, b), (1, 2, b), (0, 2, 7), (0, 3, 1), (3, 2, 1)]);
+        // The chain 0-1-2-3-4-5 saturates from vertex 2 on, so every
+        // prefix and suffix of 2, 3 and 4 is INF; the same-chain distances
+        // between them (d(2,3) = 1, d(2,4) = b + 1) must still be exact.
+        let prefixes = CsrGraph::from_edges(
+            7,
+            &[
+                (0, 1, b),
+                (1, 2, b),
+                (2, 3, 1),
+                (3, 4, b),
+                (4, 5, b),
+                (0, 6, 1),
+                (6, 5, 1),
+                (0, 5, 3),
+            ],
+        );
+        for g in [halves, prefixes] {
+            for method in METHODS {
+                let o = build_oracle(&g, &HeteroExecutor::sequential(), method);
+                for u in 0..g.n() as u32 {
+                    let want = ear_graph::dijkstra(&g, u);
+                    let got: Vec<Weight> = (0..g.n() as u32).map(|v| o.dist(u, v)).collect();
+                    assert_eq!(got, want, "{method:?} from {u}");
+                }
             }
         }
     }

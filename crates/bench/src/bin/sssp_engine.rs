@@ -18,13 +18,8 @@
 //! replaces the binary heap — the regime the unit-weight-bounded testkit
 //! families put every production block in.
 //!
-//! The engine pass runs on **locality-ordered copies** of the per-block
-//! targets (DFS pre-order via [`NodeOrder`], the layout the decomposition
-//! plan computes for its blocks); the legacy pass keeps the original
-//! vertex order. Distance checksums and relaxation counts are
-//! permutation-invariant, so the divergence gate still holds across the
-//! relabeling. Each family also reports `reorder_ns` (cost of computing
-//! and applying the order).
+//! Both passes run on the same per-block targets, in the same vertex
+//! labels, from the same sources.
 //!
 //! Flags: `--seed S` (default 7), `--reps R` (default 7), `--max-n N`
 //! (design-point graph scale, default 32), `--smoke` (tiny inputs for CI),
@@ -35,7 +30,7 @@
 use std::time::Instant;
 
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, NodeOrder, SsspEngine, Weight};
+use ear_graph::{CsrGraph, SsspEngine, Weight};
 use ear_testkit::{chain_heavy_graphs, multi_bcc_graphs, workload_graphs, Strategy, TestRng};
 
 struct Opts {
@@ -93,27 +88,16 @@ fn parse_args() -> Opts {
 
 /// The reduced-oracle build workload for one family: the per-block SSSP
 /// targets (reduced graph for simple blocks, raw subgraph otherwise), each
-/// run from every vertex. `ordered` holds the locality-permuted copies the
-/// engine passes traverse; `blocks` keeps the original order for the
-/// legacy baseline.
+/// run from its first `src_cap` vertices.
 struct Workload {
     family: &'static str,
     graphs: usize,
     blocks: Vec<CsrGraph>,
-    ordered: Vec<CsrGraph>,
     sources: u64,
-    /// Per-block source lists for the legacy pass, in each block's
-    /// *original* labels. Design-point families run every vertex; large
-    /// families cap the count so block sizes can grow without the sweep
-    /// going quadratic.
-    src_raw: Vec<Vec<u32>>,
-    /// The same logical sources in each block's *DFS-ordered* labels
-    /// (`src_ord[i][j]` is `src_raw[i][j]` mapped through the block's
-    /// order), so every pass solves the same (source, block) set and the
-    /// full-distance-sum checksums stay comparable.
-    src_ord: Vec<Vec<u32>>,
-    /// Total time to compute + apply the locality orders, in ns.
-    reorder_ns: u128,
+    /// Per-block source count: every vertex for the design-point
+    /// families; large families cap it so block sizes can grow without
+    /// the sweep going quadratic.
+    srcs: Vec<u32>,
 }
 
 fn prepare(
@@ -136,34 +120,14 @@ fn prepare(
             }
         }
     }
-    // Locality-order the engine targets: DFS pre-order clusters each
-    // block's traversal working set; the legacy pass keeps the original
-    // labels so the comparison includes the layout win. Sources are the
-    // first `src_cap` ranks of the DFS order, mapped back through the
-    // order for the legacy pass so both layouts solve the same logical
-    // queries.
-    let t0 = Instant::now();
-    let mut ordered = Vec::with_capacity(blocks.len());
-    let mut src_raw = Vec::with_capacity(blocks.len());
-    let mut src_ord = Vec::with_capacity(blocks.len());
-    for b in &blocks {
-        let order = NodeOrder::dfs_preorder(b);
-        ordered.push(b.permute(&order));
-        let k = b.n().min(src_cap) as u32;
-        src_ord.push((0..k).collect::<Vec<u32>>());
-        src_raw.push((0..k).map(|r| order.node(r)).collect::<Vec<u32>>());
-    }
-    let reorder_ns = t0.elapsed().as_nanos();
-    let sources = src_ord.iter().map(|s| s.len() as u64).sum();
+    let srcs: Vec<u32> = blocks.iter().map(|b| b.n().min(src_cap) as u32).collect();
+    let sources = srcs.iter().map(|&k| k as u64).sum();
     Workload {
         family,
         graphs: cases.len(),
         blocks,
-        ordered,
         sources,
-        src_raw,
-        src_ord,
-        reorder_ns,
+        srcs,
     }
 }
 
@@ -177,8 +141,8 @@ fn run_legacy(w: &Workload) -> Pass {
     let t0 = Instant::now();
     let mut edges_relaxed = 0u64;
     let mut checksum: Weight = 0;
-    for (b, srcs) in w.blocks.iter().zip(&w.src_raw) {
-        for &s in srcs {
+    for (b, &k) in w.blocks.iter().zip(&w.srcs) {
+        for s in 0..k {
             let (dist, stats) = ear_graph::dijkstra::legacy::dijkstra_with_stats(b, s);
             edges_relaxed += stats.edges_relaxed;
             for d in dist {
@@ -197,8 +161,8 @@ fn run_engine(w: &Workload, eng: &mut SsspEngine) -> Pass {
     let t0 = Instant::now();
     let mut edges_relaxed = 0u64;
     let mut checksum: Weight = 0;
-    for (b, srcs) in w.ordered.iter().zip(&w.src_ord) {
-        for &s in srcs {
+    for (b, &k) in w.blocks.iter().zip(&w.srcs) {
+        for s in 0..k {
             let stats = eng.run(b, s);
             edges_relaxed += stats.edges_relaxed;
             for t in 0..b.n() as u32 {
@@ -236,7 +200,6 @@ struct FamilyResult {
     legacy_edges_per_sec: f64,
     engine_edges_per_sec: f64,
     speedup: f64,
-    reorder_ns: u128,
 }
 
 fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
@@ -296,7 +259,6 @@ fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
         legacy_edges_per_sec: per_source_edges / (legacy * 1e-9),
         engine_edges_per_sec: per_source_edges / (engine * 1e-9),
         speedup: legacy / engine,
-        reorder_ns: w.reorder_ns,
     }
 }
 
@@ -322,8 +284,7 @@ fn write_json(path: &str, opts: &Opts, results: &[FamilyResult]) {
             .num("engine_ns_per_source", r.engine_ns_per_source, 1)
             .num("legacy_edges_relaxed_per_sec", r.legacy_edges_per_sec, 0)
             .num("engine_edges_relaxed_per_sec", r.engine_edges_per_sec, 0)
-            .num("speedup", r.speedup, 3)
-            .uint("reorder_ns", r.reorder_ns as u64);
+            .num("speedup", r.speedup, 3);
     }
     let mut speedups: Vec<f64> = results.iter().map(|r| r.speedup).collect();
     let mut large: Vec<f64> = results

@@ -3,10 +3,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ear_apsp::{build_oracle_with_plan, QueryEngine};
-use ear_core::prelude::*;
+use ear_apsp::{build_oracle_with_plan, DistanceOracle, QueryEngine};
 use ear_decomp::{ear_decomposition, DecompPlan};
-use ear_mcb::verify_basis;
+use ear_graph::{CsrGraph, Weight, INF};
+use ear_mcb::{mcb_with_plan, verify_basis, McbResult};
 use ear_workloads::specs::all_specs;
 use ear_workloads::GraphStats;
 
@@ -97,21 +97,12 @@ pub fn combined(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result
     print_decomposition(&plan);
 
     println!("== apsp ==");
-    let out = ApspPipeline::new()
-        .mode(opts.mode)
-        .use_ear(!opts.no_ear)
-        .plan(Arc::clone(&plan))
-        .run(g);
-    report_apsp(g, &out, pairs);
+    let oracle = build_oracle_with_plan(Arc::clone(&plan), &opts.mode.executor(), opts.method());
+    report_apsp(g, &oracle, pairs);
 
     println!("== mcb ==");
     if g.is_simple() {
-        let out = McbPipeline::new()
-            .mode(opts.mode)
-            .use_ear(!opts.no_ear)
-            .plan(Arc::clone(&plan))
-            .run(g);
-        report_mcb(g, &out, false)?;
+        report_mcb(g, &mcb_with_plan(g, &plan, &opts.mcb_config()), false)?;
     } else {
         println!("skipped: mcb expects a simple graph");
     }
@@ -121,28 +112,28 @@ pub fn combined(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result
 /// `ear apsp` — build the oracle, report stats, answer queries.
 pub fn apsp(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result<(), String> {
     let obs = opts.begin_obs("cli.apsp")?;
-    let out = ApspPipeline::new()
-        .mode(opts.mode)
-        .use_ear(!opts.no_ear)
-        .plan(Arc::new(DecompPlan::build(g)))
-        .run(g);
-    report_apsp(g, &out, pairs);
+    let plan = Arc::new(DecompPlan::build(g));
+    let oracle = build_oracle_with_plan(plan, &opts.mode.executor(), opts.method());
+    report_apsp(g, &oracle, pairs);
     obs.finish()
 }
 
-fn report_apsp(g: &CsrGraph, out: &ApspOutcome, pairs: &[(u32, u32)]) {
-    let st = out.oracle.stats();
+fn report_apsp(g: &CsrGraph, oracle: &DistanceOracle, pairs: &[(u32, u32)]) {
+    let st = oracle.stats();
     println!(
         "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries",
         st.n_bccs, st.articulation_points, st.removed_vertices, st.table_entries
     );
-    println!("modelled device time: {:.3} ms", out.modelled_time_s * 1e3);
+    println!(
+        "modelled device time: {:.3} ms",
+        oracle.modelled_time_s() * 1e3
+    );
     for &(u, v) in pairs {
-        let d = out.oracle.dist(u, v);
+        let d = oracle.dist(u, v);
         if d >= INF {
             println!("d({u},{v}) = unreachable");
         } else {
-            match out.oracle.path(g, u, v) {
+            match oracle.path(g, u, v) {
                 Some(p) => println!("d({u},{v}) = {d}  path {p:?}"),
                 None => println!("d({u},{v}) = {d}"),
             }
@@ -168,12 +159,8 @@ pub fn mcb(
         ear_obs::enable();
     }
     let obs = opts.begin_obs("cli.mcb")?;
-    let out = McbPipeline::new()
-        .mode(opts.mode)
-        .use_ear(!opts.no_ear)
-        .plan(Arc::new(DecompPlan::build(g)))
-        .run(g);
-    report_mcb(g, &out, print_cycles)?;
+    let result = mcb_with_plan(g, &DecompPlan::build(g), &opts.mcb_config());
+    report_mcb(g, &result, print_cycles)?;
     if profile || profile_json {
         let p = profile_from_registry();
         if profile {
@@ -316,18 +303,18 @@ fn print_mcb_profile(p: &ear_mcb::PhaseProfile) {
     );
 }
 
-fn report_mcb(g: &CsrGraph, out: &McbOutcome, print_cycles: bool) -> Result<(), String> {
-    verify_basis(g, &out.result.cycles).map_err(|e| format!("basis verification failed: {e}"))?;
+fn report_mcb(g: &CsrGraph, result: &McbResult, print_cycles: bool) -> Result<(), String> {
+    verify_basis(g, &result.cycles).map_err(|e| format!("basis verification failed: {e}"))?;
     println!(
         "minimum cycle basis: dimension {}, total weight {}",
-        out.result.dim, out.result.total_weight
+        result.dim, result.total_weight
     );
     println!(
         "ear reduction removed {} vertices; modelled device time {:.3} ms",
-        out.result.removed_vertices,
-        out.modelled_time_s * 1e3
+        result.removed_vertices,
+        result.modelled_time_s() * 1e3
     );
-    let (l, s, u) = out.result.profile.shares();
+    let (l, s, u) = result.profile.shares();
     println!(
         "phase shares: labels {:.0}% search {:.0}% update {:.0}%",
         l * 100.0,
@@ -335,11 +322,11 @@ fn report_mcb(g: &CsrGraph, out: &McbOutcome, print_cycles: bool) -> Result<(), 
         u * 100.0
     );
     if print_cycles {
-        for (i, c) in out.result.cycles.iter().enumerate() {
+        for (i, c) in result.cycles.iter().enumerate() {
             println!("cycle {i}: weight {} edges {:?}", c.weight, c.edges);
         }
     } else {
-        let mut sizes: Vec<usize> = out.result.cycles.iter().map(|c| c.edges.len()).collect();
+        let mut sizes: Vec<usize> = result.cycles.iter().map(|c| c.edges.len()).collect();
         sizes.sort_unstable();
         println!("cycle lengths: {sizes:?}");
     }
@@ -417,11 +404,7 @@ pub fn recustomize(
         return Err("recustomize needs a graph with at least one edge".into());
     }
     let obs = opts.begin_obs("cli.recustomize")?;
-    let method = if opts.no_ear {
-        ApspMethod::Plain
-    } else {
-        ApspMethod::Ear
-    };
+    let method = opts.method();
     let exec = opts.mode.executor();
 
     let build_start = Instant::now();
@@ -499,11 +482,7 @@ pub fn query(
     seed: u64,
 ) -> Result<(), String> {
     let obs = opts.begin_obs("cli.query")?;
-    let method = if opts.no_ear {
-        ApspMethod::Plain
-    } else {
-        ApspMethod::Ear
-    };
+    let method = opts.method();
     let exec = opts.mode.executor();
     let build_start = Instant::now();
     let plan = Arc::new(DecompPlan::build(g));

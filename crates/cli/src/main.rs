@@ -35,8 +35,10 @@
 
 use std::process::ExitCode;
 
-use ear_core::prelude::*;
+use ear_apsp::ApspMethod;
 use ear_graph::io::{read_edge_list, read_matrix_market};
+use ear_graph::CsrGraph;
+use ear_mcb::{ExecMode, McbConfig};
 
 mod commands;
 
@@ -260,6 +262,24 @@ impl CommonOpts {
             metrics_stream,
             metrics_interval_ms,
         })
+    }
+
+    /// The oracle method the flags select: `--no-ear` gives the Banerjee
+    /// baseline ([`ApspMethod::Plain`]), the default is [`ApspMethod::Ear`].
+    pub fn method(&self) -> ApspMethod {
+        if self.no_ear {
+            ApspMethod::Plain
+        } else {
+            ApspMethod::Ear
+        }
+    }
+
+    /// The MCB configuration the flags select.
+    pub fn mcb_config(&self) -> McbConfig {
+        McbConfig {
+            mode: self.mode,
+            use_ear: !self.no_ear,
+        }
     }
 
     /// True when any observability output was requested.

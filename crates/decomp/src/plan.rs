@@ -28,9 +28,8 @@
 //!
 //! * [`PlanTopology`] — everything that depends only on the graph's
 //!   *structure*: the block-cut tree and its router, the edge→block
-//!   table, bridges, arena spans and the locality
-//!   [`NodeOrder`]. Shared via [`Arc`] by every customization of the same
-//!   graph shape.
+//!   table, bridges and arena spans. Shared via [`Arc`] by every
+//!   customization of the same graph shape.
 //! * [`CustomizedPlan`] — everything that depends on the current edge
 //!   *weights*: the chain-contracted reductions, the shared arena's weight
 //!   layer, and the weight vector itself.
@@ -90,8 +89,8 @@ use crate::bcc::{biconnected_components, Bcc};
 use crate::block_cut::BlockCutTree;
 use crate::reduce::{reduce_graph, ReducedGraph};
 use ear_graph::{
-    edge_subgraph_into_arena, CsrArena, CsrGraph, CsrSpan, CsrView, EdgeId, NodeOrder,
-    SubgraphScratch, VertexId, Weight,
+    edge_subgraph_into_arena, CsrArena, CsrGraph, CsrSpan, CsrView, EdgeId, SubgraphScratch,
+    VertexId, Weight, INF,
 };
 
 /// One biconnected component of the plan: its id maps and (for simple
@@ -154,10 +153,9 @@ impl BlockPlan {
 }
 
 /// The weight-independent layer of a [`DecompPlan`]: BCC partition,
-/// block-cut tree and router, edge→block table, bridges, arena spans and
-/// the locality order. Never recomputed by
-/// [`DecompPlan::recustomize`]; shared via [`Arc`] by every customization
-/// of the same graph structure.
+/// block-cut tree and router, edge→block table, bridges and arena spans.
+/// Never recomputed by [`DecompPlan::recustomize`]; shared via [`Arc`] by
+/// every customization of the same graph structure.
 #[derive(Clone, Debug)]
 pub struct PlanTopology {
     n: usize,
@@ -170,11 +168,6 @@ pub struct PlanTopology {
     bridges: Vec<EdgeId>,
     /// One arena window per block, in block-id order.
     spans: Vec<CsrSpan>,
-    /// BCC-clustered locality order over the parent graph's vertices:
-    /// blocks in id order, home vertices of each block in local-id order
-    /// (DFS discovery order along the component edge list), isolated
-    /// vertices last.
-    node_order: NodeOrder,
 }
 
 /// The weight-dependent layer of a [`DecompPlan`]: per-block reductions
@@ -344,32 +337,6 @@ impl DecompPlan {
             )
             .collect();
 
-        // BCC-clustered locality order: blocks in id order, each block's
-        // home vertices in local-id order (first appearance along the
-        // DFS-generated component edge list), isolated vertices last.
-        // Permuting the parent graph by this order lays each block's
-        // vertices contiguously, which is what the cache-aware layout
-        // benchmarks exploit.
-        let node_order = {
-            let mut rank = vec![u32::MAX; g.n()];
-            let mut next = 0u32;
-            for (b, bp) in blocks.iter().enumerate() {
-                for &p in bp.to_parent_vertex.iter() {
-                    if bct.vertex_block[p as usize] == b as u32 && rank[p as usize] == u32::MAX {
-                        rank[p as usize] = next;
-                        next += 1;
-                    }
-                }
-            }
-            for r in rank.iter_mut() {
-                if *r == u32::MAX {
-                    *r = next;
-                    next += 1;
-                }
-            }
-            NodeOrder::from_rank(rank)
-        };
-
         if ear_obs::is_enabled() {
             ear_obs::counter_add("decomp.plans", 1);
             ear_obs::counter_add("decomp.blocks", blocks.len() as u64);
@@ -393,7 +360,6 @@ impl DecompPlan {
                 edge_comp,
                 bridges,
                 spans,
-                node_order,
             }),
             custom: CustomizedPlan {
                 blocks,
@@ -422,13 +388,17 @@ impl DecompPlan {
     /// Pair it with the shared topology via [`DecompPlan::recustomized`].
     ///
     /// # Panics
-    /// Panics if `new_weights.len() != self.m()`.
+    /// Panics if `new_weights.len() != self.m()` or a weight exceeds
+    /// [`INF`] (see [`CsrGraph::from_edge_records`]).
     pub fn recustomize(&self, new_weights: &[Weight]) -> CustomizedPlan {
         assert_eq!(
             new_weights.len(),
             self.m(),
             "one weight per parent edge is required"
         );
+        if let Some(w) = new_weights.iter().find(|&&w| w > INF) {
+            panic!("edge weight {w} exceeds INF");
+        }
         let _span = ear_obs::span_with("decomp.recustomize", self.m() as u64);
 
         let (dirty_flag, changed_edges) = {
@@ -564,14 +534,6 @@ impl DecompPlan {
     /// shared arena — the access path every solver uses.
     pub fn block_graph(&self, b: u32) -> CsrView<'_> {
         self.custom.arena.view(&self.topo.spans[b as usize])
-    }
-
-    /// The BCC-clustered locality order computed by the build (blocks in id
-    /// order, home vertices in local discovery order, isolated vertices
-    /// last). `CsrGraph::permute` with this order lays each block's
-    /// vertices contiguously in memory.
-    pub fn node_order(&self) -> &NodeOrder {
-        &self.topo.node_order
     }
 
     /// Bytes of shared arena storage backing the plan's blocks.
@@ -799,27 +761,12 @@ mod tests {
     }
 
     #[test]
-    fn node_order_clusters_blocks_contiguously() {
+    #[should_panic(expected = "exceeds INF")]
+    fn recustomize_rejects_weight_above_inf() {
         let g = mixed();
-        let plan = DecompPlan::build(&g);
-        let order = plan.node_order();
-        // Bijection is enforced by NodeOrder's constructor; check that the
-        // home vertices of each block occupy a contiguous rank range, in
-        // block order.
-        let mut next = 0u32;
-        for (b, bp) in plan.blocks().iter().enumerate() {
-            let mut home: Vec<u32> = bp
-                .to_parent_vertex
-                .iter()
-                .filter(|&&p| plan.bct().vertex_block[p as usize] == b as u32)
-                .map(|&p| order.rank(p))
-                .collect();
-            home.sort_unstable();
-            let want: Vec<u32> = (next..next + home.len() as u32).collect();
-            assert_eq!(home, want, "block {b} ranks not contiguous");
-            next += home.len() as u32;
-        }
-        assert_eq!(next as usize, g.n(), "mixed() has no isolated vertices");
+        let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+        w[0] = INF + 1;
+        DecompPlan::build(&g).recustomize(&w);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use ear_graph::{dist_add, CsrGraph, CsrView, EdgeId, VertexId, Weight};
+use ear_graph::{CsrGraph, CsrView, EdgeId, VertexId, Weight, INF};
 
 /// Error returned when chain contraction is asked to reduce a non-simple
 /// graph (self-loops or parallel edges present).
@@ -113,6 +113,27 @@ pub struct RemovedInfo {
     pub w_left: Weight,
     /// `wt(x, right(x))`: exact distance along the chain to the right anchor.
     pub w_right: Weight,
+    /// `wt(x, left(x))` unsaturated: a chain of fewer than 2³² edges of
+    /// weight at most [`INF`] cannot overflow it, so differences of two
+    /// prefixes on one chain stay exact even where `w_left` saturates.
+    prefix: u128,
+}
+
+impl RemovedInfo {
+    /// The direct sub-chain distance between `self` and `other`, which must
+    /// sit on the same chain: the unique path along the chain that uses
+    /// neither anchor, saturated at [`INF`].
+    #[inline]
+    pub fn along_chain(&self, other: &RemovedInfo) -> Weight {
+        debug_assert_eq!(self.chain, other.chain, "vertices on different chains");
+        clamp_inf(self.prefix.abs_diff(other.prefix))
+    }
+}
+
+/// An unsaturated chain sum saturated at [`INF`], like every path sum.
+#[inline]
+fn clamp_inf(w: u128) -> Weight {
+    w.min(INF as u128) as Weight
 }
 
 /// The weight-independent layer of a contraction: anchors, numbering,
@@ -207,7 +228,7 @@ impl ReducedGraph {
                     (
                         topo.to_reduced[ch.left as usize],
                         topo.to_reduced[ch.right as usize],
-                        w.chain_weights[c as usize],
+                        w.chain_weight(c),
                     )
                 }
             })
@@ -231,7 +252,7 @@ impl ReducedGraph {
             .iter()
             .map(|&o| match o {
                 EdgeOrigin::Direct(e) => g.weight(e),
-                EdgeOrigin::Chain(c) => w.chain_weights[c as usize],
+                EdgeOrigin::Chain(c) => w.chain_weight(c),
             })
             .collect();
         ReducedGraph {
@@ -258,72 +279,69 @@ impl ReducedGraph {
     pub fn removed_info(&self, x: VertexId) -> Option<RemovedInfo> {
         let s = self.topo.removed[x as usize]?;
         let k = self.w.chain_off[s.chain as usize] as usize + s.pos as usize;
+        let prefix = self.w.prefix[k];
         Some(RemovedInfo {
             chain: s.chain,
             pos: s.pos,
             left: s.left,
             right: s.right,
-            w_left: self.w.prefix_weights[k],
-            w_right: self.w.suffix_weights[k],
+            w_left: clamp_inf(prefix),
+            w_right: clamp_inf(self.w.totals[s.chain as usize] - prefix),
+            prefix,
         })
     }
 
-    /// Total weight of chain `c` (the reduced chain-edge's weight).
+    /// Total weight of chain `c` (the reduced chain-edge's weight),
+    /// saturated at [`INF`].
     pub fn chain_weight(&self, c: u32) -> Weight {
-        self.w.chain_weights[c as usize]
+        self.w.chain_weight(c)
     }
 }
 
-/// The chain half of a [`ReducedGraph`]'s weight layer.
+/// The chain half of a [`ReducedGraph`]'s weight layer, unsaturated: every
+/// edge weighs at most [`INF`] < 2⁶², so a chain of fewer than 2³² edges
+/// sums below 2⁹⁴ and each read saturates one exact difference.
 #[derive(Clone, Debug)]
 struct ChainWeights {
-    /// Total weight per chain (the reduced chain-edge's weight).
-    chain_weights: Vec<Weight>,
+    /// Total weight per chain.
+    totals: Vec<u128>,
     /// Flattened `wt(x, left)` per interior vertex, chain-major; window of
-    /// chain `c` is `chain_off[c] .. chain_off[c + 1]`.
-    prefix_weights: Vec<Weight>,
-    /// Flattened `wt(x, right)`, in the same windows.
-    suffix_weights: Vec<Weight>,
+    /// chain `c` is `chain_off[c] .. chain_off[c + 1]`. `wt(x, right)` is
+    /// the chain total minus it.
+    prefix: Vec<u128>,
     chain_off: Vec<u32>,
 }
 
-/// Two passes over each recorded chain edge list: totals plus the
-/// per-interior-vertex prefix and suffix weights, in chain order. Edge `k`
-/// of a chain joins the previous vertex to `interior[k]`, so
-/// `wt(interior[k], left)` is the sum of edges `0..=k` and
-/// `wt(interior[k], right)` the sum of the edges after it. Every sum
-/// saturates at INF like every other path sum (the readers' weight
-/// contract keeps sums below INF, `CsrGraph::from_edges` does not), so the
-/// suffix is summed on its own: `total - prefix` undershoots once the
-/// total saturates.
+impl ChainWeights {
+    fn chain_weight(&self, c: u32) -> Weight {
+        clamp_inf(self.totals[c as usize])
+    }
+}
+
+/// One pass over each recorded chain edge list: totals plus the
+/// per-interior-vertex prefix sums, in chain order. Edge `k` of a chain
+/// joins the previous vertex to `interior[k]`, so `wt(interior[k], left)`
+/// is the sum of edges `0..=k`.
 fn compute_chain_weights(topo: &ReducedTopology, g: CsrView<'_>) -> ChainWeights {
-    let mut chain_weights = Vec::with_capacity(topo.chains.len());
+    let mut totals = Vec::with_capacity(topo.chains.len());
     let mut chain_off = Vec::with_capacity(topo.chains.len() + 1);
     let total_interior: usize = topo.chains.iter().map(|c| c.interior.len()).sum();
-    let mut prefix_weights = Vec::with_capacity(total_interior);
-    let mut suffix_weights = vec![0; total_interior];
+    let mut prefix = Vec::with_capacity(total_interior);
     chain_off.push(0);
     for ch in &topo.chains {
-        let start = prefix_weights.len();
-        let mut acc: Weight = 0;
+        let mut acc = 0u128;
         for (pos, &e) in ch.edges.iter().enumerate() {
-            acc = dist_add(acc, g.weight(e));
+            acc += u128::from(g.weight(e));
             if pos < ch.interior.len() {
-                prefix_weights.push(acc);
+                prefix.push(acc);
             }
         }
-        chain_weights.push(acc);
-        acc = 0;
-        for (pos, &e) in ch.edges.iter().enumerate().skip(1).rev() {
-            acc = dist_add(acc, g.weight(e));
-            suffix_weights[start + pos - 1] = acc;
-        }
-        chain_off.push(prefix_weights.len() as u32);
+        totals.push(acc);
+        chain_off.push(prefix.len() as u32);
     }
     ChainWeights {
-        chain_weights,
-        prefix_weights,
-        suffix_weights,
+        totals,
+        prefix,
         chain_off,
     }
 }
@@ -516,12 +534,13 @@ mod tests {
 
     #[test]
     fn chain_sum_past_u64_max_saturates_at_inf() {
-        // The chain 0-1-2 weighs 2 · (u64::MAX / 2 + 1) > u64::MAX.
-        let huge = u64::MAX / 2 + 1;
-        let g = CsrGraph::from_edges(
-            4,
-            &[(0, 1, huge), (1, 2, huge), (0, 2, 5), (0, 3, 1), (3, 2, 1)],
-        );
+        // The chain 0-1-2-3-4-5 is five edges of INF - 1: each weight is
+        // legal, their sum passes u64::MAX.
+        let w = INF - 1;
+        let mut edges: Vec<(u32, u32, Weight)> = (0..5).map(|i| (i, i + 1, w)).collect();
+        edges.extend([(0, 5, 5), (0, 6, 1), (6, 5, 1)]);
+        let g = CsrGraph::from_edges(7, &edges);
+        assert!((0..5).map(|_| u128::from(w)).sum::<u128>() > u128::from(u64::MAX));
         let r = reduce_graph(g.view()).unwrap();
         let chain = r.removed_info(1).unwrap().chain;
         assert_eq!(r.chain_weight(chain), INF);

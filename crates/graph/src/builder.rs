@@ -52,11 +52,11 @@ impl GraphBuilder {
     }
 
     /// Adds an undirected edge and returns its id. Parallel edges and
-    /// self-loops are allowed; deduplication, when wanted, happens at
-    /// [`CsrGraph::simplify_min_weight`] time.
+    /// self-loops are allowed and kept as distinct edges.
     ///
     /// # Panics
-    /// Panics if an endpoint is not a known vertex.
+    /// Panics if an endpoint is not a known vertex. A weight above
+    /// [`INF`](crate::types::INF) panics at [`GraphBuilder::build`].
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> EdgeId {
         assert!(
             (u as usize) < self.n && (v as usize) < self.n,

@@ -2,8 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::layout::NodeOrder;
-use crate::types::{Edge, EdgeId, VertexId, Weight};
+use crate::types::{Edge, EdgeId, VertexId, Weight, INF};
 use crate::view::CsrView;
 
 /// An immutable undirected weighted multigraph in CSR form.
@@ -46,13 +45,19 @@ impl CsrGraph {
     /// Builds a graph with `n` vertices from an edge list.
     ///
     /// # Panics
-    /// Panics if an endpoint is out of range.
+    /// Panics if an endpoint is out of range or a weight exceeds [`INF`].
     pub fn from_edges(n: usize, list: &[(VertexId, VertexId, Weight)]) -> Self {
         let edges: Vec<Edge> = list.iter().map(|&(u, v, w)| Edge::new(u, v, w)).collect();
         Self::from_edge_records(n, edges)
     }
 
     /// Builds a graph from pre-assembled [`Edge`] records.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range or a weight exceeds [`INF`].
+    /// A weight of exactly `INF` is legal: it is a saturated chain's weight
+    /// and means "no edge". Anything above it would wrap the shortest-path
+    /// relaxations' `d + w`.
     pub fn from_edge_records(n: usize, edges: Vec<Edge>) -> Self {
         assert!(n < u32::MAX as usize, "vertex count exceeds u32 id space");
         let mut deg = vec![0u32; n + 1];
@@ -61,6 +66,7 @@ impl CsrGraph {
                 (e.u as usize) < n && (e.v as usize) < n,
                 "edge endpoint out of range"
             );
+            assert!(e.w <= INF, "edge weight {} exceeds INF", e.w);
             deg[e.u as usize + 1] += 1;
             if !e.is_self_loop() {
                 deg[e.v as usize + 1] += 1;
@@ -105,7 +111,8 @@ impl CsrGraph {
     /// the per-incidence weight stream differ.
     ///
     /// # Panics
-    /// Panics if `new_weights.len() != self.m()`.
+    /// Panics if `new_weights.len() != self.m()` or a weight exceeds
+    /// [`INF`] (see [`CsrGraph::from_edge_records`]).
     pub fn reweighted(&self, new_weights: &[Weight]) -> CsrGraph {
         assert_eq!(
             new_weights.len(),
@@ -116,7 +123,10 @@ impl CsrGraph {
             .edges
             .iter()
             .zip(new_weights)
-            .map(|(e, &w)| Edge::new(e.u, e.v, w))
+            .map(|(e, &w)| {
+                assert!(w <= INF, "edge weight {w} exceeds INF");
+                Edge::new(e.u, e.v, w)
+            })
             .collect();
         let adj_weights: Vec<Weight> = self
             .adj
@@ -200,28 +210,6 @@ impl CsrGraph {
         )
     }
 
-    /// Rebuilds the graph with vertex `v` stored at position
-    /// `order.rank(v)`. Edge records keep their list order (edge ids are
-    /// stable); only endpoints are renamed, so the result is the same
-    /// multigraph under the bijection and [`NodeOrder::node`] maps
-    /// per-vertex results back. Records the rebuild time in the
-    /// `graph.layout.reorder_ns` counter.
-    ///
-    /// # Panics
-    /// Panics if `order.n() != self.n()`.
-    pub fn permute(&self, order: &NodeOrder) -> CsrGraph {
-        assert_eq!(order.n(), self.n, "order must cover every vertex");
-        let t0 = std::time::Instant::now();
-        let edges: Vec<Edge> = self
-            .edges
-            .iter()
-            .map(|e| Edge::new(order.rank(e.u), order.rank(e.v), e.w))
-            .collect();
-        let g = CsrGraph::from_edge_records(self.n, edges);
-        ear_obs::counter_add("graph.layout.reorder_ns", t0.elapsed().as_nanos() as u64);
-        g
-    }
-
     /// Incidence-list length of `v` (self-loops counted once).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -247,35 +235,6 @@ impl CsrGraph {
             }
         }
         true
-    }
-
-    /// Collapses the multigraph to a simple graph: self-loops are dropped and
-    /// each bundle of parallel edges is replaced by its minimum-weight member
-    /// (the right reduction for shortest-path computations — the paper's
-    /// Section 2.1.1 prescribes exactly this for the reduced graph).
-    ///
-    /// Returns the simple graph together with, for each new edge, the id of
-    /// the original edge it kept.
-    pub fn simplify_min_weight(&self) -> (CsrGraph, Vec<EdgeId>) {
-        use std::collections::HashMap;
-        let mut best: HashMap<(VertexId, VertexId), EdgeId> = HashMap::with_capacity(self.m());
-        for (idx, e) in self.edges.iter().enumerate() {
-            if e.is_self_loop() {
-                continue;
-            }
-            let id = idx as EdgeId;
-            best.entry(e.key())
-                .and_modify(|cur| {
-                    if e.w < self.weight(*cur) {
-                        *cur = id;
-                    }
-                })
-                .or_insert(id);
-        }
-        let mut kept: Vec<EdgeId> = best.into_values().collect();
-        kept.sort_unstable();
-        let edges = kept.iter().map(|&id| self.edge(id)).collect();
-        (CsrGraph::from_edge_records(self.n, edges), kept)
     }
 
     /// Sum of incidence-list lengths — `2m` minus the number of self-loops.
@@ -329,25 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn simplify_keeps_min_weight_parallel_edge() {
-        let g = CsrGraph::from_edges(3, &[(0, 1, 9), (0, 1, 4), (1, 2, 2), (2, 2, 7)]);
-        let (s, kept) = g.simplify_min_weight();
-        assert_eq!(s.m(), 2);
-        assert!(s.is_simple());
-        let w01: Vec<Weight> = s
-            .edges()
-            .iter()
-            .filter(|e| e.key() == (0, 1))
-            .map(|e| e.w)
-            .collect();
-        assert_eq!(w01, vec![4]);
-        // kept maps back to original ids
-        assert!(kept.contains(&1));
-        assert!(kept.contains(&2));
-        assert!(!kept.contains(&3)); // the self-loop is gone
-    }
-
-    #[test]
     fn empty_graph_is_fine() {
         let g = CsrGraph::from_edges(0, &[]);
         assert_eq!(g.n(), 0);
@@ -387,25 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_renames_endpoints_and_keeps_edge_ids() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 3), (1, 2, 5), (2, 3, 7), (3, 3, 9)]);
-        let order = crate::layout::NodeOrder::from_rank(vec![3, 1, 0, 2]);
-        let p = g.permute(&order);
-        assert_eq!(p.n(), g.n());
-        assert_eq!(p.m(), g.m());
-        for (id, e) in g.edges().iter().enumerate() {
-            let pe = p.edge(id as u32);
-            assert_eq!(pe.u, order.rank(e.u));
-            assert_eq!(pe.v, order.rank(e.v));
-            assert_eq!(pe.w, e.w);
-        }
-        // Degrees transport through the bijection.
-        for v in 0..g.n() as u32 {
-            assert_eq!(p.degree(order.rank(v)), g.degree(v));
-        }
-    }
-
-    #[test]
     fn reweighted_matches_cold_construction_and_shares_topology() {
         let list = [(0, 1, 4), (0, 1, 9), (1, 1, 7), (1, 2, 2), (2, 0, 5)];
         let g = CsrGraph::from_edges(3, &list);
@@ -437,12 +358,20 @@ mod tests {
     }
 
     #[test]
-    fn identity_permute_is_a_fixpoint() {
-        let g = triangle();
-        let p = g.permute(&crate::layout::NodeOrder::identity(g.n()));
-        assert_eq!(p.edges(), g.edges());
-        for v in 0..g.n() as u32 {
-            assert_eq!(p.neighbors(v), g.neighbors(v));
-        }
+    #[should_panic(expected = "exceeds INF")]
+    fn weight_above_inf_panics() {
+        CsrGraph::from_edges(3, &[(0, 1, 1), (1, 2, u64::MAX)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds INF")]
+    fn reweighted_rejects_weight_above_inf() {
+        triangle().reweighted(&[1, INF + 1, 3]);
+    }
+
+    #[test]
+    fn inf_weight_is_legal() {
+        let g = CsrGraph::from_edges(2, &[(0, 1, INF)]);
+        assert_eq!(g.reweighted(&[INF]).weight(0), INF);
     }
 }

@@ -198,7 +198,7 @@ impl SsspEngine {
     }
 
     /// Grows the scratch arrays to hold `n` vertices (never shrinks).
-    pub fn ensure_capacity(&mut self, n: usize) {
+    fn ensure_capacity(&mut self, n: usize) {
         if self.state.len() < n {
             // New stamp entries are 0; the generation is bumped to >= 1
             // before every run, so 0 can never equal a live generation.
@@ -237,11 +237,6 @@ impl SsspEngine {
     /// block window) — the same code path, so results are bit-identical.
     pub fn run_view(&mut self, g: CsrView<'_>, source: VertexId) -> DijkstraStats {
         self.run_inner::<false>(g, source)
-    }
-
-    /// [`run_tree`](Self::run_tree) on a borrowed [`CsrView`].
-    pub fn run_tree_view(&mut self, g: CsrView<'_>, source: VertexId) -> DijkstraStats {
-        self.run_inner::<true>(g, source)
     }
 
     // Monomorphised on `WANT_TREE` so the distances-only path carries no

@@ -15,7 +15,9 @@
 //! * vertices and edges are dense `u32` ids ([`VertexId`], [`EdgeId`]);
 //! * weights are exact `u64` integers ([`Weight`]) with an [`INF`] sentinel —
 //!   fractional inputs should be fixed-point scaled by the caller, which
-//!   keeps every distance comparison in the test-suite exact;
+//!   keeps every distance comparison in the test-suite exact. A weight may
+//!   be at most `INF` (construction panics above it, where the relaxations'
+//!   `d + w` would wrap); a weight of exactly `INF` means "no edge";
 //! * adjacency is a single flat `(neighbor, edge-id)` array addressed by a
 //!   per-vertex offset table, so traversals are cache-linear;
 //! * algorithms ([`dijkstra`](crate::dijkstra::dijkstra), BFS/DFS, spanning
@@ -28,7 +30,6 @@ pub mod csr;
 pub mod dijkstra;
 pub mod engine;
 pub mod io;
-pub mod layout;
 pub mod spanning;
 pub mod subgraph;
 pub mod traverse;
@@ -40,11 +41,10 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dijkstra::{dijkstra, dijkstra_tree, dijkstra_with_stats, DijkstraStats, SsspTree};
 pub use engine::{with_engine, SsspEngine};
-pub use layout::NodeOrder;
 pub use spanning::{non_tree_edges, spanning_forest, tree_edge_flags};
 pub use subgraph::{
-    edge_subgraph, edge_subgraph_into_arena, edge_subgraph_reusing, induced_subgraph,
-    CompactSubgraphMap, SubgraphMap, SubgraphScratch,
+    edge_subgraph, edge_subgraph_into_arena, induced_subgraph, CompactSubgraphMap, SubgraphMap,
+    SubgraphScratch,
 };
 pub use traverse::{bfs, bfs_tree, connected_components, BfsTree, Components};
 pub use types::{dist_add, Edge, EdgeId, VertexId, Weight, INF};

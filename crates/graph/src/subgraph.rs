@@ -40,8 +40,8 @@ impl SubgraphMap {
 /// `parent -> local` array: just the two `local -> parent` tables, both
 /// sized by the subgraph.
 ///
-/// Produced by [`edge_subgraph_reusing`], which keeps the dense lookup in a
-/// caller-owned [`SubgraphScratch`] so repeated extractions over the same
+/// Produced by [`edge_subgraph_into_arena`], which keeps the dense lookup in
+/// a caller-owned [`SubgraphScratch`] so repeated extractions over the same
 /// parent stay O(subgraph) each. `to_parent_edge` is the edge-id vector the
 /// caller passed in, taken by value — local edge `i` is parent edge
 /// `to_parent_edge[i]`.
@@ -61,7 +61,7 @@ impl CompactSubgraphMap {
     }
 }
 
-/// Reusable workspace for [`edge_subgraph_reusing`].
+/// Reusable workspace for [`edge_subgraph_into_arena`].
 ///
 /// Holds the parent-sized dense `parent -> local` array between calls. The
 /// array is allocated (and `u32::MAX`-filled) once on first use and then
@@ -83,14 +83,13 @@ impl SubgraphScratch {
     }
 }
 
-/// Scratch-reusing, edge-id-owning variant of [`edge_subgraph`].
+/// Scratch-reusing, edge-id-owning core of [`edge_subgraph`].
 ///
 /// Takes ownership of `edge_ids` (they become the map's `to_parent_edge`
 /// verbatim — no copy) and reuses `scratch` across calls, so extracting
 /// every block of a decomposition is O(block) per block after the first
-/// call sizes the scratch. Returns a [`CompactSubgraphMap`]; callers that
-/// need the dense `parent -> local` array should use [`edge_subgraph`].
-pub fn edge_subgraph_reusing(
+/// call sizes the scratch.
+fn edge_subgraph_reusing(
     g: &CsrGraph,
     edge_ids: Vec<EdgeId>,
     scratch: &mut SubgraphScratch,
@@ -109,12 +108,15 @@ pub fn edge_subgraph_reusing(
     (sub, map)
 }
 
-/// [`edge_subgraph_reusing`], but the subgraph is appended to a shared
-/// [`CsrArena`] instead of allocating a standalone [`CsrGraph`]. The
-/// interning (and therefore every local id and the local edge order) is
-/// the same shared core, and [`CsrArena::push`] mirrors
-/// [`CsrGraph::from_edge_records`], so `arena.view(&span)` is bit-identical
-/// to the graph the standalone variant would have built.
+/// Scratch-reusing extraction of the subgraph spanned by `edge_ids` into a
+/// shared [`CsrArena`] instead of a standalone [`CsrGraph`]. Takes
+/// ownership of `edge_ids` (they become the map's `to_parent_edge`
+/// verbatim) and reuses `scratch` across calls, so extracting every block
+/// of a decomposition is O(block) per block. The interning (and therefore
+/// every local id and the local edge order) is the one [`edge_subgraph`]
+/// uses, and [`CsrArena::push`] mirrors [`CsrGraph::from_edge_records`], so
+/// `arena.view(&span)` is bit-identical to the graph [`edge_subgraph`]
+/// builds.
 pub fn edge_subgraph_into_arena(
     g: &CsrGraph,
     edge_ids: Vec<EdgeId>,
@@ -168,9 +170,8 @@ fn intern_edge_list(
 /// Extracts the subgraph spanned by `edge_ids` (vertices are those incident
 /// to the listed edges, renumbered compactly in order of first appearance).
 ///
-/// One-shot convenience over [`edge_subgraph_reusing`]: allocates its own
-/// scratch and rebuilds the dense `parent -> local` array for the returned
-/// [`SubgraphMap`].
+/// Allocates its own scratch and rebuilds the dense `parent -> local`
+/// array for the returned [`SubgraphMap`].
 pub fn edge_subgraph(g: &CsrGraph, edge_ids: &[EdgeId]) -> (CsrGraph, SubgraphMap) {
     let mut scratch = SubgraphScratch::new();
     let (sub, compact) = edge_subgraph_reusing(g, edge_ids.to_vec(), &mut scratch);
@@ -192,7 +193,7 @@ pub fn edge_subgraph(g: &CsrGraph, edge_ids: &[EdgeId]) -> (CsrGraph, SubgraphMa
 /// endpoints are both in `vertices`, plus the isolated members of
 /// `vertices`, which take the trailing local ids in caller order.
 ///
-/// Built directly on the [`edge_subgraph_reusing`] interning core: the
+/// Built directly on the interning core [`edge_subgraph`] uses: the
 /// isolated members are appended to the vertex table *before* the single
 /// CSR construction, so there is no rebuild and no edge-id-list copy.
 pub fn induced_subgraph(g: &CsrGraph, vertices: &[VertexId]) -> (CsrGraph, SubgraphMap) {

@@ -45,45 +45,6 @@ pub struct CsrView<'a> {
 }
 
 impl<'a> CsrView<'a> {
-    /// Assembles a view from raw windows.
-    ///
-    /// # Panics
-    /// Panics unless the windows are mutually consistent: `offsets` holds
-    /// `n + 1` monotone entries spanning exactly `adj`, and `weights` is
-    /// parallel to `adj`.
-    pub fn from_raw(
-        n: usize,
-        offsets: &'a [u32],
-        adj: &'a [(VertexId, EdgeId)],
-        weights: &'a [Weight],
-        edges: &'a [Edge],
-    ) -> Self {
-        assert_eq!(
-            offsets.len(),
-            n + 1,
-            "offsets window must hold n + 1 entries"
-        );
-        let base = offsets[0];
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be monotone"
-        );
-        assert_eq!(
-            (offsets[n] - base) as usize,
-            adj.len(),
-            "offsets window must span the adjacency window"
-        );
-        assert_eq!(weights.len(), adj.len(), "weights must parallel adj");
-        CsrView {
-            n,
-            offsets,
-            base,
-            adj,
-            weights,
-            edges,
-        }
-    }
-
     /// Non-validating constructor for the in-crate producers
     /// ([`CsrGraph::view`], [`CsrArena::view`](crate::arena::CsrArena::view))
     /// whose windows are consistent by construction; skips the O(n)
@@ -103,31 +64,6 @@ impl<'a> CsrView<'a> {
             offsets,
             base: offsets[0],
             adj,
-            weights,
-            edges,
-        }
-    }
-
-    /// The same topology window under different weights: reuses the
-    /// offsets/adjacency slices of `self` and swaps in new per-incidence
-    /// weights and edge records — the borrowed counterpart of
-    /// [`CsrGraph::reweighted`](crate::csr::CsrGraph::reweighted).
-    ///
-    /// # Panics
-    /// Panics unless `weights` parallels the adjacency window and `edges`
-    /// has the same length as the current record window.
-    pub fn with_weights(&self, weights: &'a [Weight], edges: &'a [Edge]) -> Self {
-        assert_eq!(weights.len(), self.adj.len(), "weights must parallel adj");
-        assert_eq!(
-            edges.len(),
-            self.edges.len(),
-            "edge records must keep their count"
-        );
-        CsrView {
-            n: self.n,
-            offsets: self.offsets,
-            base: self.base,
-            adj: self.adj,
             weights,
             edges,
         }
@@ -272,30 +208,5 @@ mod tests {
         for u in 0..g.n() as u32 {
             assert_eq!(m.neighbors(u), g.neighbors(u));
         }
-    }
-
-    #[test]
-    fn with_weights_swaps_only_the_weight_layer() {
-        let g = sample();
-        let new_w: Vec<Weight> = g.edges().iter().map(|e| e.w * 10).collect();
-        let h = g.reweighted(&new_w);
-        let v = g
-            .view()
-            .with_weights(h.view().incidence_weights(), h.edges());
-        assert_eq!(v.edges(), h.edges());
-        for u in 0..g.n() as u32 {
-            assert_eq!(v.neighbors(u), g.neighbors(u));
-            assert_eq!(v.incidences(u), h.view().incidences(u));
-        }
-        assert_eq!(v.total_weight(), g.total_weight() * 10);
-    }
-
-    #[test]
-    #[should_panic]
-    fn inconsistent_windows_are_rejected() {
-        let g = sample();
-        let v = g.view();
-        // Truncated weights slice must trip the parallel-slice check.
-        let _ = CsrView::from_raw(v.n(), v.offsets, v.adj, &v.weights[1..], v.edges);
     }
 }

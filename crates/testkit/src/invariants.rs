@@ -440,62 +440,11 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks the cache-aware layout artifacts of a [`DecompPlan`] built from
-/// `g`: the locality [`NodeOrder`](ear_graph::NodeOrder) is a bijection
-/// that clusters each block's home vertices into a contiguous rank range
-/// (blocks in id order, isolated vertices last), and the block spans tile
-/// the shared arena exactly once with no gaps or overlaps.
-pub fn layout_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
-    // 1. The order is a bijection on the vertex set: rank and node arrays
-    //    are mutually inverse over 0..n.
-    let order = plan.node_order();
-    if order.n() != g.n() {
-        return Err(format!(
-            "node order covers {} vertices, graph has {}",
-            order.n(),
-            g.n()
-        ));
-    }
-    for v in 0..g.n() as u32 {
-        let r = order.rank(v);
-        if r as usize >= g.n() || order.node(r) != v {
-            return Err(format!(
-                "order not a bijection: rank({v}) = {r}, node({r}) = {}",
-                order.node(r)
-            ));
-        }
-    }
-
-    // 2. BCC clustering: block b's home vertices (first block claiming
-    //    them, in local-id order) occupy the next contiguous rank range;
-    //    isolated vertices close out the order.
-    let bct = plan.bct();
-    let mut next = 0u32;
-    let mut seen = vec![false; g.n()];
-    for (b, bp) in plan.blocks().iter().enumerate() {
-        for &p in bp.to_parent_vertex.iter() {
-            if bct.vertex_block[p as usize] == b as u32 && !seen[p as usize] {
-                seen[p as usize] = true;
-                if order.rank(p) != next {
-                    return Err(format!(
-                        "block {b}: home vertex {p} has rank {} but the clustered order wants {next}",
-                        order.rank(p)
-                    ));
-                }
-                next += 1;
-            }
-        }
-    }
-    for v in 0..g.n() as u32 {
-        if !seen[v as usize] && order.rank(v) < next {
-            return Err(format!(
-                "isolated vertex {v} ranked {} inside the block ranges (< {next})",
-                order.rank(v)
-            ));
-        }
-    }
-
-    // 3. One span per block; the spans tile the arena arrays exactly
+/// Checks the arena layout of a [`DecompPlan`]: the block spans tile the
+/// shared arena exactly once with no gaps or overlaps, and every block
+/// window matches its block plan's dimensions.
+pub fn layout_invariants(plan: &DecompPlan) -> Result<(), String> {
+    // 1. One span per block; the spans tile the arena arrays exactly
     //    once, in block order: each window starts where the previous one
     //    ended, and the last ends at the arena's high-water mark.
     if plan.spans().len() != plan.n_blocks() {
@@ -543,7 +492,7 @@ pub fn layout_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> 
         return Err("plan with blocks reports zero arena bytes".into());
     }
 
-    // 4. The block accessor serves windows whose dimensions match the
+    // 2. The block accessor serves windows whose dimensions match the
     //    block plans.
     for b in 0..plan.n_blocks() as u32 {
         let bg = plan.block_graph(b);

@@ -11,7 +11,9 @@
 //! cargo run --release --example internet_topology
 //! ```
 
-use ear_core::prelude::*;
+use ear_apsp::{build_oracle, ApspMethod};
+use ear_graph::INF;
+use ear_mcb::ExecMode;
 use ear_workloads::specs::table1_specs;
 use ear_workloads::GraphStats;
 
@@ -37,28 +39,20 @@ fn main() {
     );
 
     // Build the oracle on the heterogeneous platform.
-    let ours = ApspPipeline::new().run(&g);
-    let plain = ApspPipeline::new().use_ear(false).run(&g);
-    let o = &ours.oracle;
+    let exec = ExecMode::Hetero.executor();
+    let o = build_oracle(&g, &exec, ApspMethod::Ear);
+    let plain = build_oracle(&g, &exec, ApspMethod::Plain);
+    let (ours_s, plain_s) = (o.modelled_time_s(), plain.modelled_time_s());
 
     println!("\n== modelled build time (CPU+GPU) ==");
-    println!(
-        "  with ear reduction:  {:.2} ms",
-        ours.modelled_time_s * 1e3
-    );
-    println!(
-        "  without (Banerjee):  {:.2} ms",
-        plain.modelled_time_s * 1e3
-    );
-    println!(
-        "  speedup:             {:.2}x",
-        plain.modelled_time_s / ours.modelled_time_s
-    );
+    println!("  with ear reduction:  {:.2} ms", ours_s * 1e3);
+    println!("  without (Banerjee):  {:.2} ms", plain_s * 1e3);
+    println!("  speedup:             {:.2}x", plain_s / ours_s);
     let mteps = |t: f64| (g.n() as f64 * g.m() as f64) / t / 1e6;
     println!(
         "  MTEPS (fig. 3):      {:.0} vs {:.0}",
-        mteps(ours.modelled_time_s),
-        mteps(plain.modelled_time_s)
+        mteps(ours_s),
+        mteps(plain_s)
     );
 
     println!("\n== memory (4-byte entries) ==");

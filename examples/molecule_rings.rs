@@ -10,8 +10,9 @@
 //! cargo run --release --example molecule_rings
 //! ```
 
-use ear_core::prelude::*;
+use ear_graph::{CsrGraph, GraphBuilder, VertexId, Weight};
 use ear_mcb::verify::is_simple_cycle;
+use ear_mcb::{mcb, ExecMode, McbConfig};
 
 /// Naphthalene: two fused benzene rings (C10H8 skeleton, hydrogens
 /// omitted). Vertices are carbons; all bonds weight 1.
@@ -69,19 +70,25 @@ fn gonane() -> CsrGraph {
 }
 
 fn report(name: &str, g: &CsrGraph, expected_rings: &[usize]) {
-    let out = McbPipeline::new().mode(ExecMode::MultiCore).run(g);
+    let basis = mcb(
+        g,
+        &McbConfig {
+            mode: ExecMode::MultiCore,
+            use_ear: true,
+        },
+    );
     println!("== {name} ==");
     println!(
         "atoms {}, bonds {}, ring count (cyclomatic) {}",
         g.n(),
         g.m(),
-        out.result.dim
+        basis.dim
     );
-    let mut sizes: Vec<usize> = out.result.cycles.iter().map(|c| c.edges.len()).collect();
+    let mut sizes: Vec<usize> = basis.cycles.iter().map(|c| c.edges.len()).collect();
     sizes.sort_unstable();
     println!("ring sizes: {sizes:?} (expected {expected_rings:?})");
     assert_eq!(sizes, expected_rings, "{name}: wrong ring system");
-    for (i, c) in out.result.cycles.iter().enumerate() {
+    for (i, c) in basis.cycles.iter().enumerate() {
         assert!(
             is_simple_cycle(g, &c.edges),
             "ring {i} must be a simple cycle"
@@ -134,21 +141,21 @@ fn main() {
         last_exit = Some(base + 7);
     }
     let polymer = b.build();
-    let out = McbPipeline::new().run(&polymer);
+    let basis = mcb(&polymer, &McbConfig::default());
     println!("== polymer of 12 naphthalene units ==");
     println!(
         "atoms {}, bonds {}, rings {}, total ring weight {}",
         polymer.n(),
         polymer.m(),
-        out.result.dim,
-        out.result.total_weight
+        basis.dim,
+        basis.total_weight
     );
     // The linker carbons sit on bridges (acyclic blocks the pipeline skips
     // outright); the contracted vertices are the degree-2 ring carbons
     // inside each naphthalene block — 8 of its 10 carbons.
     println!(
         "degree-2 ring carbons contracted by ear reduction: {}",
-        out.result.removed_vertices
+        basis.removed_vertices
     );
-    assert_eq!(out.result.dim, 24, "12 units x 2 rings");
+    assert_eq!(basis.dim, 24, "12 units x 2 rings");
 }

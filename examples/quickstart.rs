@@ -8,8 +8,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ear_core::prelude::*;
+use ear_apsp::{build_oracle, ApspMethod};
 use ear_decomp::{ear_decomposition, DecompPlan};
+use ear_graph::GraphBuilder;
+use ear_mcb::{mcb, ExecMode, McbConfig};
 
 fn main() {
     // Two hub vertices (0 and 1) joined by three ears, plus a pendant
@@ -72,35 +74,35 @@ fn main() {
 
     // APSP.
     println!("\n== all-pairs shortest paths (Algorithm 1) ==");
-    let apsp = ApspPipeline::new().run(&g);
-    let st = apsp.oracle.stats();
+    let oracle = build_oracle(&g, &ExecMode::Hetero.executor(), ApspMethod::Ear);
+    let st = oracle.stats();
     println!(
         "stored {} table entries vs {} for a flat n x n table",
         st.table_entries, st.max_entries
     );
     for (u, v) in [(0u32, 1u32), (2, 6), (0, 8), (4, 9)] {
-        println!("  d({u},{v}) = {}", apsp.oracle.dist(u, v));
+        println!("  d({u},{v}) = {}", oracle.dist(u, v));
     }
     println!(
         "modelled heterogeneous build time: {:.3} us",
-        apsp.modelled_time_s * 1e6
+        oracle.modelled_time_s() * 1e6
     );
 
     // MCB.
     println!("\n== minimum cycle basis (Algorithm 2 + Lemma 3.1) ==");
-    let mcb = McbPipeline::new().run(&g);
+    let basis = mcb(&g, &McbConfig::default());
     println!(
         "dimension {} (= m - n + k), total weight {}",
-        mcb.result.dim, mcb.result.total_weight
+        basis.dim, basis.total_weight
     );
-    for (i, c) in mcb.result.cycles.iter().enumerate() {
+    for (i, c) in basis.cycles.iter().enumerate() {
         println!("  cycle {i}: weight {:>3}, edges {:?}", c.weight, c.edges);
     }
     println!(
         "ear reduction removed {} vertices before the witness phases",
-        mcb.result.removed_vertices
+        basis.removed_vertices
     );
-    let (l, s, u) = mcb.result.profile.shares();
+    let (l, s, u) = basis.profile.shares();
     println!(
         "phase shares: labels {:.0}%, search {:.0}%, update {:.0}% (paper: 76/14/8)",
         l * 100.0,

@@ -11,7 +11,8 @@
 //! cargo run --release --example road_network
 //! ```
 
-use ear_core::prelude::*;
+use ear_apsp::{build_oracle, ApspMethod};
+use ear_mcb::ExecMode;
 use ear_workloads::combinators::subdivide_edges;
 use ear_workloads::generators::grid;
 
@@ -27,13 +28,11 @@ fn main() {
         roads.m()
     );
 
-    let ours = ApspPipeline::new().mode(ExecMode::Hetero).run(&roads);
-    let baseline = ApspPipeline::new()
-        .mode(ExecMode::Hetero)
-        .use_ear(false)
-        .run(&roads);
+    let exec = ExecMode::Hetero.executor();
+    let ours = build_oracle(&roads, &exec, ApspMethod::Ear);
+    let baseline = build_oracle(&roads, &exec, ApspMethod::Plain);
 
-    let s = ours.oracle.stats();
+    let s = ours.stats();
     println!("\n== preprocessing ==");
     println!(
         "degree-2 vertices removed: {} of {} ({:.1}%)",
@@ -43,8 +42,8 @@ fn main() {
     );
 
     println!("\n== work comparison (edge relaxations in the Dijkstra phase) ==");
-    let ours_relax = ours.oracle.processing.total_counters().edges_relaxed;
-    let base_relax = baseline.oracle.processing.total_counters().edges_relaxed;
+    let ours_relax = ours.processing.total_counters().edges_relaxed;
+    let base_relax = baseline.processing.total_counters().edges_relaxed;
     println!("  with ear reduction:    {ours_relax:>12}");
     println!("  without (Banerjee):    {base_relax:>12}");
     println!(
@@ -53,24 +52,19 @@ fn main() {
     );
 
     println!("\n== modelled heterogeneous time ==");
-    println!(
-        "  with ear reduction:    {:.3} ms",
-        ours.modelled_time_s * 1e3
-    );
-    println!(
-        "  without:               {:.3} ms",
-        baseline.modelled_time_s * 1e3
-    );
+    let (ours_s, base_s) = (ours.modelled_time_s(), baseline.modelled_time_s());
+    println!("  with ear reduction:    {:.3} ms", ours_s * 1e3);
+    println!("  without:               {:.3} ms", base_s * 1e3);
     println!(
         "  speedup:               {:.2}x (paper reports 1.7x on average)",
-        baseline.modelled_time_s / ours.modelled_time_s
+        base_s / ours_s
     );
 
     // Sample routes between far corners and mid-network points.
     println!("\n== sample routes ==");
     let far = (roads.n() - 1) as u32;
     for (a, b) in [(0u32, far), (0, far / 2), (far / 3, far)] {
-        let (d1, d2) = (ours.oracle.dist(a, b), baseline.oracle.dist(a, b));
+        let (d1, d2) = (ours.dist(a, b), baseline.dist(a, b));
         assert_eq!(d1, d2, "both oracles must agree");
         println!("  d({a:>4}, {b:>4}) = {d1}");
     }

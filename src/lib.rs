@@ -17,12 +17,15 @@
 //! * [`bc`] — betweenness centrality (the companion path-problem the
 //!   paper's conclusions point at) with pendant-tree reduction;
 //! * [`workloads`] — synthetic dataset generators matched to the paper;
-//! * [`core`] — high-level pipelines;
 //! * [`obs`] — tracing + metrics with Chrome-trace export.
+//!
+//! The two pipelines' front doors are
+//! [`apsp::build_oracle`]/[`apsp::build_oracle_with_plan`] (at an
+//! [`apsp::ApspMethod`]) and [`mcb::mcb`]/[`mcb::mcb_with_plan`] (with an
+//! [`mcb::McbConfig`]).
 
 pub use ear_apsp as apsp;
 pub use ear_bc as bc;
-pub use ear_core as core;
 pub use ear_decomp as decomp;
 pub use ear_graph as graph;
 pub use ear_hetero as hetero;

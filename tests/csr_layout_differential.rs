@@ -1,16 +1,13 @@
-//! Differential acceptance suite for the cache-aware graph layout.
+//! Differential acceptance suite for the graph storage layout.
 //!
-//! The layout work makes two claims and this suite pins both across every
-//! testkit graph family:
+//! Two claims, pinned across every testkit graph family:
 //!
-//! 1. **Permutation invariance** — relabeling vertices with a
-//!    [`NodeOrder`] (DFS pre-order or the plan's BCC-clustered order) and
-//!    solving on the permuted graph yields bit-identical answers once
-//!    mapped back through the inverse: Dijkstra distance vectors, APSP
-//!    oracle tables, MCB weight/dimension, and the permutation-invariant
-//!    engine counters (`settled`, `edges_relaxed`).
-//!    The plan's own BCC-clustered order is the layout that matters, so
-//!    every consumer is also run on the graph permuted by it.
+//! 1. **Permutation invariance** — relabeling vertices (reversal and a
+//!    seeded shuffle, rebuilt through `from_edges`) and solving on the
+//!    relabeled graph yields bit-identical answers once read back through
+//!    the new labels: Dijkstra distance vectors, the `Ear` and `Reduced`
+//!    oracles, MCB weight/dimension, and the permutation-invariant engine
+//!    counters (`settled`, `edges_relaxed`).
 //! 2. **Views ≡ copies** — a `DecompPlan`'s zero-copy arena windows are
 //!    bit-identical to standalone per-block CSRs extracted with
 //!    `edge_subgraph` (same local ids, edge records, adjacency order and
@@ -22,14 +19,39 @@ use std::sync::Arc;
 use ear_apsp::{build_oracle_with_plan, ApspMethod};
 use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::reduce_graph;
-use ear_graph::{dijkstra, edge_subgraph, NodeOrder, SsspEngine};
+use ear_graph::{edge_subgraph, CsrGraph, SsspEngine};
 use ear_hetero::HeteroExecutor;
 use ear_mcb::{mcb, mcb_with_plan, ExecMode, McbConfig};
 use ear_testkit::invariants::{layout_invariants, plan_invariants};
 use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
-    simple_graphs, workload_graphs, GraphStrategy,
+    simple_graphs, workload_graphs, GraphStrategy, TestRng,
 };
+
+/// `g` relabeled by two bijections — reversal and a seeded Fisher–Yates
+/// shuffle — as `(rank, relabeled graph)` pairs: vertex `v` of `g` is
+/// vertex `rank[v]` of the relabeled graph, and edge ids are kept.
+fn relabelings(g: &CsrGraph) -> Vec<(Vec<u32>, CsrGraph)> {
+    let n = g.n() as u32;
+    let reversed: Vec<u32> = (0..n).rev().collect();
+    let mut shuffled: Vec<u32> = (0..n).collect();
+    let mut rng = TestRng::new(0x5EED ^ g.m() as u64);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.usize_in(0, i + 1));
+    }
+    [reversed, shuffled]
+        .into_iter()
+        .map(|rank| {
+            let edges: Vec<_> = g
+                .edges()
+                .iter()
+                .map(|e| (rank[e.u as usize], rank[e.v as usize], e.w))
+                .collect();
+            let relabeled = CsrGraph::from_edges(g.n(), &edges);
+            (rank, relabeled)
+        })
+        .collect()
+}
 
 /// Every strategy family the testkit ships, in one list.
 fn families() -> Vec<(&'static str, GraphStrategy)> {
@@ -45,8 +67,8 @@ fn families() -> Vec<(&'static str, GraphStrategy)> {
 }
 
 /// Every plan satisfies the structural plan invariants and the layout
-/// ones (order bijection, contiguous block ranges, exact arena tiling) on
-/// every family.
+/// ones (exact arena tiling, block windows matching block plans) on every
+/// family.
 #[test]
 fn layout_invariants_hold_on_every_family() {
     for (name, strat) in families() {
@@ -55,7 +77,7 @@ fn layout_invariants_hold_on_every_family() {
             .run(&strat, |g| {
                 let plan = DecompPlan::build(g);
                 plan_invariants(g, &plan)?;
-                layout_invariants(g, &plan)
+                layout_invariants(&plan)
             });
     }
 }
@@ -104,33 +126,24 @@ fn viewed_plan_is_bit_identical_to_copied() {
     }
 }
 
-/// Dijkstra from every source on a permuted graph maps back to the
-/// unpermuted distance vector exactly, and the permutation-invariant
-/// engine counters (`settled` = component size, `edges_relaxed` = settled
-/// degree sum) are unchanged. Exercises both DFS pre-order and the plan's
-/// BCC-clustered order.
+/// Dijkstra from every source on a relabeled graph reads back to the
+/// original distance vector exactly, and the permutation-invariant engine
+/// counters (`settled` = component size, `edges_relaxed` = settled degree
+/// sum) are unchanged.
 #[test]
 fn sssp_is_permutation_invariant() {
     for (name, strat) in families() {
         forall(format!("sssp_permutation/{name}").leak())
             .cases(12)
             .run(&strat, |g| {
-                let orders = [
-                    NodeOrder::dfs_preorder(g),
-                    DecompPlan::build(g).node_order().clone(),
-                ];
-                for order in &orders {
-                    let p = g.permute(order);
-                    if p.n() != g.n() || p.m() != g.m() {
-                        return Err("permute changed the graph size".into());
-                    }
+                for (rank, p) in relabelings(g) {
                     for s in 0..g.n() as u32 {
                         let mut eng = SsspEngine::new();
                         let base_stats = eng.run(g, s);
                         let base = eng.dist_vec();
-                        let perm_stats = eng.run(&p, order.rank(s));
-                        let mapped = order.unpermute(&eng.dist_vec());
-                        if mapped != base {
+                        let perm_stats = eng.run(&p, rank[s as usize]);
+                        let perm = eng.dist_vec();
+                        if (0..g.n()).any(|v| perm[rank[v] as usize] != base[v]) {
                             return Err(format!("source {s}: distances diverge under permutation"));
                         }
                         if base_stats.settled != perm_stats.settled
@@ -151,47 +164,8 @@ fn sssp_is_permutation_invariant() {
     }
 }
 
-/// The inverse mapping is exact: permuting then reading every pairwise
-/// distance through `rank` matches the plain `dijkstra` on the original.
-#[test]
-fn permute_round_trips_through_rank_and_node() {
-    for (name, strat) in families() {
-        forall(format!("permute_roundtrip/{name}").leak())
-            .cases(12)
-            .run(&strat, |g| {
-                let order = NodeOrder::dfs_preorder(g);
-                let p = g.permute(&order);
-                // rank∘node and node∘rank are both the identity.
-                for v in 0..g.n() as u32 {
-                    if order.node(order.rank(v)) != v {
-                        return Err(format!("rank/node not inverse at {v}"));
-                    }
-                }
-                // Edge ids are stable: edge e of `p` joins the ranks of the
-                // endpoints edge e of `g` joins, at the same weight.
-                for (e, (pe, ge)) in p.edges().iter().zip(g.edges()).enumerate() {
-                    let want = (order.rank(ge.u), order.rank(ge.v), ge.w);
-                    if (pe.u, pe.v, pe.w) != want {
-                        return Err(format!("edge {e} not relabeled in place"));
-                    }
-                }
-                for s in 0..g.n().min(6) as u32 {
-                    let base = dijkstra(g, s);
-                    let perm = dijkstra(&p, order.rank(s));
-                    for v in 0..g.n() as u32 {
-                        if perm[order.rank(v) as usize] != base[v as usize] {
-                            return Err(format!("d({s},{v}) diverges under permutation"));
-                        }
-                    }
-                }
-                Ok(())
-            });
-    }
-}
-
-/// APSP oracles built on the graph laid out in the plan's BCC-clustered
-/// order and in DFS pre-order agree with the oracle on the original
-/// labels (read back through `rank`).
+/// `Ear` oracles built on relabeled graphs agree with the oracle on the
+/// original labels (read back through `rank`).
 #[test]
 fn oracle_is_layout_and_permutation_invariant() {
     for (name, strat) in families() {
@@ -201,9 +175,7 @@ fn oracle_is_layout_and_permutation_invariant() {
                 let exec = HeteroExecutor::sequential();
                 let base =
                     build_oracle_with_plan(Arc::new(DecompPlan::build(g)), &exec, ApspMethod::Ear);
-                let orders = [base.plan().node_order().clone(), NodeOrder::dfs_preorder(g)];
-                for order in &orders {
-                    let p = g.permute(order);
+                for (rank, p) in relabelings(g) {
                     let permuted = build_oracle_with_plan(
                         Arc::new(DecompPlan::build(&p)),
                         &exec,
@@ -211,7 +183,8 @@ fn oracle_is_layout_and_permutation_invariant() {
                     );
                     for u in 0..g.n() as u32 {
                         for v in 0..g.n() as u32 {
-                            if permuted.dist(order.rank(u), order.rank(v)) != base.dist(u, v) {
+                            if permuted.dist(rank[u as usize], rank[v as usize]) != base.dist(u, v)
+                            {
                                 return Err(format!("dist({u},{v}): permuted oracle diverges"));
                             }
                         }
@@ -222,8 +195,8 @@ fn oracle_is_layout_and_permutation_invariant() {
     }
 }
 
-/// The oracle at `ApspMethod::Reduced` answers identically on the graph
-/// laid out in the plan's BCC-clustered order, and agrees with `Ear`.
+/// The oracle at `ApspMethod::Reduced` answers identically on relabeled
+/// graphs, and agrees with `Ear`.
 #[test]
 fn reduced_oracle_is_layout_invariant() {
     for (name, strat) in families() {
@@ -232,25 +205,29 @@ fn reduced_oracle_is_layout_invariant() {
             .run(&strat, |g| {
                 let exec = HeteroExecutor::sequential();
                 let plan = Arc::new(DecompPlan::build(g));
-                let order = plan.node_order().clone();
                 let full = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
                 let c = build_oracle_with_plan(plan, &exec, ApspMethod::Reduced);
-                let v = build_oracle_with_plan(
-                    Arc::new(DecompPlan::build(&g.permute(&order))),
-                    &exec,
-                    ApspMethod::Reduced,
-                );
-                if c.stats().table_entries != v.stats().table_entries {
-                    return Err("table_entries diverge across layouts".into());
-                }
                 for a in 0..g.n() as u32 {
                     for b in 0..g.n() as u32 {
-                        let d = c.dist(a, b);
-                        if v.dist(order.rank(a), order.rank(b)) != d {
-                            return Err(format!("dist({a},{b}) diverges across layouts"));
-                        }
-                        if full.dist(a, b) != d {
+                        if full.dist(a, b) != c.dist(a, b) {
                             return Err(format!("dist({a},{b}) diverges from the full oracle"));
+                        }
+                    }
+                }
+                for (rank, p) in relabelings(g) {
+                    let v = build_oracle_with_plan(
+                        Arc::new(DecompPlan::build(&p)),
+                        &exec,
+                        ApspMethod::Reduced,
+                    );
+                    if c.stats().table_entries != v.stats().table_entries {
+                        return Err("table_entries diverge across labelings".into());
+                    }
+                    for a in 0..g.n() as u32 {
+                        for b in 0..g.n() as u32 {
+                            if v.dist(rank[a as usize], rank[b as usize]) != c.dist(a, b) {
+                                return Err(format!("dist({a},{b}) diverges across labelings"));
+                            }
                         }
                     }
                 }
@@ -261,7 +238,7 @@ fn reduced_oracle_is_layout_invariant() {
 
 /// The MCB pipeline on a shared plan returns the same basis, cycle for
 /// cycle, as a cold `mcb` run, and the basis weight/dimension survive
-/// relabeling by both the plan's BCC-clustered order and DFS pre-order.
+/// relabeling.
 #[test]
 fn mcb_is_layout_and_permutation_invariant() {
     for (name, strat) in families() {
@@ -291,8 +268,8 @@ fn mcb_is_layout_and_permutation_invariant() {
                 }
                 // Weight and dimension are graph properties: invariant
                 // under relabeling.
-                for order in [plan.node_order().clone(), NodeOrder::dfs_preorder(g)] {
-                    let pm = mcb(&g.permute(&order), &config);
+                for (_, p) in relabelings(g) {
+                    let pm = mcb(&p, &config);
                     if pm.total_weight != c.total_weight || pm.dim != c.dim {
                         return Err(format!(
                             "MCB weight/dim not permutation-invariant: {}/{} vs {}/{}",

@@ -1,18 +1,19 @@
-//! End-to-end integration: the high-level pipelines on the synthetic
-//! Table 1 workloads, cross-checked against direct Dijkstra queries and
-//! basis verification. These run at aggressive downscales so the whole file
-//! stays in CI time budgets while still exercising multi-block, multi-chain
-//! graphs with thousands of vertices.
+//! End-to-end integration: the APSP and MCB front doors
+//! ([`build_oracle`] and [`mcb`]) on the synthetic Table 1 workloads,
+//! cross-checked against direct Dijkstra queries and basis verification.
+//! These run at aggressive downscales so the whole file stays in CI time
+//! budgets while still exercising multi-block, multi-chain graphs with
+//! thousands of vertices.
 
-use ear_core::prelude::*;
-use ear_graph::dijkstra;
-use ear_mcb::verify_basis;
+use ear_apsp::{build_oracle, ApspMethod, DistanceOracle};
+use ear_graph::{dijkstra, CsrGraph};
+use ear_mcb::{mcb, verify_basis, ExecMode, McbConfig, McbResult};
 use ear_workloads::specs::{planar_specs, table1_specs};
 use ear_workloads::GraphStats;
 
 /// Spot-checks oracle distances against fresh Dijkstra runs from a few
 /// sources.
-fn check_oracle(g: &CsrGraph, oracle: &ear_apsp::DistanceOracle) {
+fn check_oracle(g: &CsrGraph, oracle: &DistanceOracle) {
     let n = g.n() as u32;
     for s in [0, n / 3, n / 2, n - 1] {
         let d = dijkstra(g, s);
@@ -22,13 +23,74 @@ fn check_oracle(g: &CsrGraph, oracle: &ear_apsp::DistanceOracle) {
     }
 }
 
+/// The oracle at the paper defaults: ear reduction on CPU+GPU.
+fn ear_oracle(g: &CsrGraph) -> DistanceOracle {
+    oracle_at(g, ExecMode::Hetero, ApspMethod::Ear)
+}
+
+fn oracle_at(g: &CsrGraph, mode: ExecMode, method: ApspMethod) -> DistanceOracle {
+    build_oracle(g, &mode.executor(), method)
+}
+
+fn basis_at(g: &CsrGraph, mode: ExecMode, use_ear: bool) -> McbResult {
+    mcb(g, &McbConfig { mode, use_ear })
+}
+
+/// Two triangles joined by the bridge (2, 3).
+fn two_triangles() -> CsrGraph {
+    CsrGraph::from_edges(
+        6,
+        &[
+            (0, 1, 2),
+            (1, 2, 3),
+            (2, 0, 4),
+            (2, 3, 1),
+            (3, 4, 2),
+            (4, 5, 3),
+            (5, 3, 4),
+        ],
+    )
+}
+
+#[test]
+fn default_oracle_answers_queries() {
+    let o = ear_oracle(&two_triangles());
+    // 0 →(4) 2 →(1) 3 →(4) 5 beats the longer unit-hop routes.
+    assert_eq!(o.dist(0, 5), 9);
+    assert!(o.modelled_time_s() > 0.0);
+}
+
+#[test]
+fn ear_hetero_matches_plain_multicore_on_every_pair() {
+    let g = two_triangles();
+    let ours = ear_oracle(&g);
+    let banerjee = oracle_at(&g, ExecMode::MultiCore, ApspMethod::Plain);
+    for u in 0..g.n() as u32 {
+        for v in 0..g.n() as u32 {
+            assert_eq!(ours.dist(u, v), banerjee.dist(u, v), "d({u},{v})");
+        }
+    }
+}
+
+#[test]
+fn mcb_weight_is_equal_across_modes_and_ear_toggle() {
+    let g = two_triangles();
+    let mut weights = std::collections::HashSet::new();
+    for mode in ExecMode::all() {
+        for use_ear in [true, false] {
+            weights.insert(basis_at(&g, mode, use_ear).total_weight);
+        }
+    }
+    assert_eq!(weights.len(), 1, "all configs must agree: {weights:?}");
+}
+
 #[test]
 fn apsp_pipeline_on_all_specs() {
     for spec in table1_specs().into_iter().chain(planar_specs()) {
         let g = spec.build(spec.n / 400, 11);
-        let out = ApspPipeline::new().run(&g);
-        check_oracle(&g, &out.oracle);
-        assert!(out.modelled_time_s > 0.0, "{}", spec.name);
+        let o = ear_oracle(&g);
+        check_oracle(&g, &o);
+        assert!(o.modelled_time_s() > 0.0, "{}", spec.name);
     }
 }
 
@@ -36,15 +98,12 @@ fn apsp_pipeline_on_all_specs() {
 fn apsp_ear_and_plain_agree_on_specs() {
     for spec in table1_specs().into_iter().take(4) {
         let g = spec.build(spec.n / 300, 3);
-        let ours = ApspPipeline::new().mode(ExecMode::Hetero).run(&g);
-        let plain = ApspPipeline::new()
-            .use_ear(false)
-            .mode(ExecMode::Sequential)
-            .run(&g);
+        let ours = ear_oracle(&g);
+        let plain = oracle_at(&g, ExecMode::Sequential, ApspMethod::Plain);
         let n = g.n() as u32;
         for s in (0..n).step_by((n as usize / 17).max(1)) {
             for t in (0..n).step_by((n as usize / 13).max(1)) {
-                assert_eq!(ours.oracle.dist(s, t), plain.oracle.dist(s, t));
+                assert_eq!(ours.dist(s, t), plain.dist(s, t));
             }
         }
     }
@@ -54,25 +113,13 @@ fn apsp_ear_and_plain_agree_on_specs() {
 fn mcb_pipeline_on_mcb_specs() {
     for spec in ear_workloads::specs::mcb_specs() {
         let g = spec.build(spec.n / 120, 5);
-        let with = McbPipeline::new().run(&g);
-        let without = McbPipeline::new()
-            .use_ear(false)
-            .mode(ExecMode::MultiCore)
-            .run(&g);
-        assert_eq!(
-            with.result.total_weight, without.result.total_weight,
-            "{}",
-            spec.name
-        );
-        verify_basis(&g, &with.result.cycles).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        let with = basis_at(&g, ExecMode::Hetero, true);
+        let without = basis_at(&g, ExecMode::MultiCore, false);
+        assert_eq!(with.total_weight, without.total_weight, "{}", spec.name);
+        verify_basis(&g, &with.cycles).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         // The dimension formula m - n + k.
         let comps = ear_graph::connected_components(&g);
-        assert_eq!(
-            with.result.dim,
-            g.m() - g.n() + comps.count,
-            "{}",
-            spec.name
-        );
+        assert_eq!(with.dim, g.m() - g.n() + comps.count, "{}", spec.name);
     }
 }
 
@@ -83,16 +130,16 @@ fn ear_reduction_pays_off_on_chain_heavy_specs() {
     for (idx, min_gain) in [(3usize, 1.4), (4, 1.15)] {
         let spec = &table1_specs()[idx];
         let g = spec.build(spec.n / 800, 9);
-        let ours = ApspPipeline::new().run(&g);
-        let plain = ApspPipeline::new().use_ear(false).run(&g);
-        let gain = plain.modelled_time_s / ours.modelled_time_s;
+        let ours = ear_oracle(&g);
+        let plain = oracle_at(&g, ExecMode::Hetero, ApspMethod::Plain);
+        let gain = plain.modelled_time_s() / ours.modelled_time_s();
         assert!(
             gain > min_gain,
             "{}: modelled gain {gain:.2} < {min_gain}",
             spec.name
         );
-        let w_ours = ours.oracle.processing.total_counters().edges_relaxed;
-        let w_plain = plain.oracle.processing.total_counters().edges_relaxed;
+        let w_ours = ours.processing.total_counters().edges_relaxed;
+        let w_plain = plain.processing.total_counters().edges_relaxed;
         assert!(w_ours < w_plain, "{}", spec.name);
     }
 }
@@ -128,29 +175,29 @@ fn pipelines_are_exact_on_random_workload_graphs() {
     forall("pipelines_are_exact_on_random_workload_graphs")
         .cases(12)
         .run(&workload_graphs(60), |g| {
-            let out = ApspPipeline::new().run(g);
+            let o = ear_oracle(g);
             let n = g.n() as u32;
             for s in [0, n / 2, n - 1] {
                 let d = dijkstra(g, s);
                 for t in 0..n {
-                    if out.oracle.dist(s, t) != d[t as usize] {
+                    if o.dist(s, t) != d[t as usize] {
                         return Err(format!(
                             "oracle.dist({s},{t}) = {}, dijkstra says {}",
-                            out.oracle.dist(s, t),
+                            o.dist(s, t),
                             d[t as usize]
                         ));
                     }
                 }
             }
-            let with = McbPipeline::new().run(g);
-            let without = McbPipeline::new().use_ear(false).run(g);
-            if with.result.total_weight != without.result.total_weight {
+            let with = basis_at(g, ExecMode::Hetero, true);
+            let without = basis_at(g, ExecMode::Hetero, false);
+            if with.total_weight != without.total_weight {
                 return Err(format!(
                     "MCB weight {} with ear, {} without",
-                    with.result.total_weight, without.result.total_weight
+                    with.total_weight, without.total_weight
                 ));
             }
-            invariants::basis_valid(g, &with.result.cycles)
+            invariants::basis_valid(g, &with.cycles)
         });
 }
 
@@ -162,8 +209,7 @@ fn modelled_mode_hierarchy_on_real_workload() {
     let g = spec.build(spec.n / 350, 17);
     let mut times = Vec::new();
     for mode in ExecMode::all() {
-        let out = McbPipeline::new().mode(mode).run(&g);
-        times.push((mode.name(), out.modelled_time_s));
+        times.push((mode.name(), basis_at(&g, mode, true).modelled_time_s()));
     }
     let get = |name: &str| times.iter().find(|(n, _)| *n == name).unwrap().1;
     let (seq, mc, gpu, het) = (
