@@ -11,8 +11,8 @@
 //!   never leaves it (it would have to re-enter through the same
 //!   articulation point);
 //! * the `a × a` articulation-point table `A` holds distances between all
-//!   articulation points, computed by Dijkstra over the *AP graph* (APs
-//!   connected within each block by within-block distances);
+//!   articulation points, summed from within-block distances along the
+//!   block-cut-tree path by one sweep of the tree per source AP;
 //! * a query `d(u,v)` across blocks asks the plan's [`BlockCutTree`]
 //!   router for the articulation points `a₁`, `a₂` at which the tree
 //!   path leaves `u`'s block and enters `v`'s, and sums
@@ -107,10 +107,6 @@ impl OracleStats {
     }
 }
 
-/// One block's AP-pair edge list `(ap_i, ap_j, d)` feeding the AP-graph
-/// Dijkstra, `Arc`-shared between an oracle and its warm refreshes.
-type ApSegment = Arc<Vec<(u32, u32, Weight)>>;
-
 /// Side of block `bp`'s table under `method`: `nᵢ`, or `nᵢʳ` at
 /// [`ApspMethod::Reduced`].
 fn table_side(method: ApspMethod, bp: &BlockPlan) -> usize {
@@ -120,17 +116,13 @@ fn table_side(method: ApspMethod, bp: &BlockPlan) -> usize {
     }
 }
 
-/// The tables of one customization under one [`ApspMethod`], and the
-/// cached AP segments a refresh reuses: the build, refresh and routing
-/// machinery behind [`DistanceOracle`].
+/// The tables of one customization under one [`ApspMethod`]: the build,
+/// refresh and routing machinery behind [`DistanceOracle`].
 #[derive(Debug)]
 struct Store {
     plan: Arc<DecompPlan>,
     method: ApspMethod,
     arena: Arc<DistArena>,
-    /// Per-block AP-pair edge lists feeding the AP-graph Dijkstra, cached
-    /// so a refresh recollects only dirty blocks' segments.
-    ap_segments: Vec<ApSegment>,
 }
 
 impl Store {
@@ -141,23 +133,21 @@ impl Store {
         exec: &HeteroExecutor,
         method: ApspMethod,
     ) -> (Store, ExecutionReport, ExecutionReport) {
-        let nb = plan.n_blocks();
         let mut store = Store {
             arena: Arc::new(DistArena::new(&plan, |bp| table_side(method, bp))),
-            ap_segments: vec![ApSegment::default(); nb],
             plan,
             method,
         };
-        let all: Vec<u32> = (0..nb as u32).collect();
+        let all: Vec<u32> = (0..store.plan.n_blocks() as u32).collect();
         let (processing, ap_phase) = store.rewrite(exec, &all);
         (store, processing, ap_phase)
     }
 
     /// Incremental refresh for a recustomized `plan`: clones the arena and
-    /// rewrites the spans and AP segments of the blocks whose weights
-    /// differ between the two plans (see [`DecompPlan::dirty_blocks_since`]),
-    /// then the AP span if any block is dirty. Bit-identical to a cold
-    /// [`Store::build`] on `plan`; a no-op refresh shares the whole arena.
+    /// rewrites the spans of the blocks whose weights differ between the
+    /// two plans (see [`DecompPlan::dirty_blocks_since`]), then the AP span
+    /// if any block is dirty. Bit-identical to a cold [`Store::build`] on
+    /// `plan`; a no-op refresh shares the whole arena.
     ///
     /// # Panics
     /// Panics unless `plan` shares this store's plan topology.
@@ -189,7 +179,6 @@ impl Store {
             plan,
             method: self.method,
             arena: Arc::clone(&self.arena),
-            ap_segments: self.ap_segments.clone(),
         };
         let (processing, ap_phase) = store.rewrite(exec, &dirty);
         if ear_obs::is_enabled() {
@@ -199,10 +188,9 @@ impl Store {
         (store, processing, ap_phase)
     }
 
-    /// Recomputes the tables and AP segments of `blocks` and, unless
-    /// `blocks` is empty, the AP span (a changed within-block distance can
-    /// reroute AP-to-AP paths globally). Clean blocks' spans and segments
-    /// are kept as they are.
+    /// Recomputes the tables of `blocks` and, unless `blocks` is empty, the
+    /// AP span (a changed within-block distance can reroute AP-to-AP paths
+    /// globally). Clean blocks' spans are kept as they are.
     fn rewrite(
         &mut self,
         exec: &HeteroExecutor,
@@ -210,14 +198,10 @@ impl Store {
     ) -> (ExecutionReport, ExecutionReport) {
         let processing =
             compute_block_tables(&self.plan, exec, self.method, blocks, &mut self.arena);
-        for &b in blocks {
-            self.ap_segments[b as usize] = Arc::new(self.ap_segment(b));
-        }
         let ap_phase = if blocks.is_empty() {
             processing.clone()
         } else {
-            let arena = Arc::make_mut(&mut self.arena);
-            compute_ap_table(&self.plan, exec, &self.ap_segments, arena)
+            self.compute_ap_table(exec)
         };
         (processing, ap_phase)
     }
@@ -234,26 +218,68 @@ impl Store {
         }
     }
 
-    /// Block `b`'s contribution to the AP graph: one `(ap_index, ap_index,
-    /// within-block distance)` edge per finite AP pair of the block, in the
-    /// deterministic `i < j` order the cold build has always used.
-    fn ap_segment(&self, b: u32) -> Vec<(u32, u32, Weight)> {
+    /// Stage 2 post-processing: the `a × a` AP table, written into the AP
+    /// span by sweeping the block-cut tree once every block table is set.
+    ///
+    /// A path between two articulation points passes through every cut
+    /// vertex on their tree path and, between two consecutive ones, never
+    /// leaves their shared block, whose table holds exact global distances:
+    /// `A[s,t]` is the sum of within-block distances along the tree path.
+    /// One unit per source AP `s` walks the tree from `s` with an explicit
+    /// stack (the tree can be `a` levels deep); entering block `B` through
+    /// AP `x` sets `d(s,y) = d(s,x) ⊕ d_B(x,y)` for every other AP `y` of
+    /// `B`. APs in other trees stay `INF`, and sums saturate at `INF`.
+    fn compute_ap_table(&mut self, exec: &HeteroExecutor) -> ExecutionReport {
+        let _ap_span = ear_obs::span("apsp.ap_table");
         let bct = self.plan.bct();
-        let aps = &bct.block_aps[b as usize];
-        let mut seg = Vec::new();
-        for i in 0..aps.len() {
-            for j in i + 1..aps.len() {
-                let w = self.pair_dist(b, aps[i], aps[j]);
-                if w < INF {
-                    seg.push((
-                        bct.ap_index[aps[i] as usize],
-                        bct.ap_index[aps[j] as usize],
-                        w,
-                    ));
+        // Block b's within-block AP distances, row-major in `block_aps[b]`
+        // order, at `pair[off[b]..]`.
+        let (mut pair, mut off) = (Vec::new(), Vec::with_capacity(bct.n_blocks));
+        // The blocks holding each AP, as (block, position in its APs).
+        let mut ap_blocks: Vec<Vec<(u32, usize)>> = vec![Vec::new(); bct.ap_count()];
+        for (b, aps) in (0..).zip(&bct.block_aps) {
+            let (base, k) = (pair.len(), aps.len());
+            off.push(base);
+            pair.resize(base + k * k, 0);
+            for (i, &x) in aps.iter().enumerate() {
+                ap_blocks[bct.ap_index[x as usize] as usize].push((b, i));
+                for (j, &y) in aps.iter().enumerate().skip(i + 1) {
+                    let w = self.pair_dist(b, x, y);
+                    (pair[base + i * k + j], pair[base + j * k + i]) = (w, w);
                 }
             }
         }
-        seg
+        let arena = Arc::make_mut(&mut self.arena);
+        let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(arena.ap_rows_mut()).collect();
+        // Each AP of the source's tree but the source is set once: at most
+        // `a − 1` combinations per source, exactly that when connected.
+        let a = rows.len() as u64;
+        exec.run_mut(
+            &mut rows,
+            |_| a,
+            |(s, row)| {
+                row.fill(INF);
+                row[*s as usize] = 0;
+                let mut combined = 0;
+                // (block, position of the AP it is entered through)
+                let mut stack = ap_blocks[*s as usize].clone();
+                while let Some((b, i)) = stack.pop() {
+                    let aps = &bct.block_aps[b as usize];
+                    let d_b = &pair[off[b as usize] + i * aps.len()..][..aps.len()];
+                    let dx = row[bct.ap_index[aps[i] as usize] as usize];
+                    for (&y, &w) in aps.iter().zip(d_b).filter(|&(&y, _)| y != aps[i]) {
+                        let t = bct.ap_index[y as usize] as usize;
+                        row[t] = dist_add(dx, w);
+                        combined += 1;
+                        stack.extend(ap_blocks[t].iter().filter(|&&(c, _)| c != b));
+                    }
+                }
+                WorkCounters {
+                    distances_combined: combined,
+                    ..WorkCounters::default()
+                }
+            },
+        )
     }
 }
 
@@ -486,10 +512,10 @@ pub fn build_oracle(g: &CsrGraph, exec: &HeteroExecutor, method: ApspMethod) -> 
     build_oracle_with_plan(Arc::new(DecompPlan::build(g)), exec, method)
 }
 
-/// One Phase-II / AP-phase workunit: writes the distance row of source
-/// `s` in `target` into `row`, from one run of the worker thread's pooled
+/// One phase-II workunit: writes the distance row of source `s` in
+/// `target` into `row`, from one run of the worker thread's pooled
 /// [`SsspEngine`](ear_graph::SsspEngine), and returns its work counters.
-pub(crate) fn sssp_row(target: CsrView<'_>, s: u32, row: &mut [Weight]) -> WorkCounters {
+fn sssp_row(target: CsrView<'_>, s: u32, row: &mut [Weight]) -> WorkCounters {
     assert_eq!(row.len(), target.n(), "distance row length");
     with_engine(|eng| {
         let stats = eng.run_view(target, s);
@@ -746,34 +772,6 @@ fn compute_block_tables(
             merge_reports(p2, p3)
         }
     }
-}
-
-/// Stage 2 post-processing: the AP graph (APs connected within each block
-/// by within-block distances) and its all-sources Dijkstra, written into
-/// the AP span of `tables`. Consumes prebuilt per-block edge segments — a
-/// refresh recomputes only dirty blocks' segments and reuses the rest, so
-/// the O(Σ aᵢ²) recollection no longer reruns in full on every
-/// recustomization. Concatenation in block id order keeps the AP graph's
-/// edge ids (and thus the Dijkstra results) bit-identical to a cold build.
-fn compute_ap_table(
-    plan: &Arc<DecompPlan>,
-    exec: &HeteroExecutor,
-    segments: &[ApSegment],
-    tables: &mut DistArena,
-) -> ExecutionReport {
-    let _ap_span = ear_obs::span("apsp.ap_table");
-    let a = plan.bct().ap_count();
-    let ap_edges: Vec<(u32, u32, Weight)> = segments
-        .iter()
-        .flat_map(|seg| seg.iter().copied())
-        .collect();
-    let ap_graph = CsrGraph::from_edges(a, &ap_edges);
-    let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(tables.ap_rows_mut()).collect();
-    exec.run_mut(
-        &mut rows,
-        |_| ap_graph.m() as u64 + 1,
-        |(s, row)| sssp_row(ap_graph.view(), *s, row),
-    )
 }
 
 fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
@@ -1157,9 +1155,30 @@ mod tests {
     #[test]
     fn disconnected_components_are_inf_apart() {
         let g = CsrGraph::from_edges(6, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 2)]);
-        for o in check_methods(&g) {
-            assert_eq!(o.dist(0, 3), INF);
-            assert_eq!(o.dist(0, 0), 0);
+        // Triangles 0-1-2 and 2-3-4 (AP 2) apart from the bridge path
+        // 5-6-7-8 into triangle 8-9-10 (APs 6, 7, 8): APs in both trees.
+        let forest = CsrGraph::from_edges(
+            11,
+            &[
+                (0, 1, 1),
+                (1, 2, 2),
+                (2, 0, 3),
+                (2, 3, 1),
+                (3, 4, 2),
+                (4, 2, 3),
+                (5, 6, 4),
+                (6, 7, 5),
+                (7, 8, 6),
+                (8, 9, 1),
+                (9, 10, 1),
+                (10, 8, 1),
+            ],
+        );
+        for g in [g, forest] {
+            for o in check_methods(&g) {
+                assert_eq!(o.dist(0, 5), INF);
+                assert_eq!(o.dist(0, 0), 0);
+            }
         }
     }
 
@@ -1195,26 +1214,34 @@ mod tests {
         check_methods(&g);
     }
 
+    /// `k` triangles; triangle `i` is `(2i, 2i+1, 2i+2)` when `chained`
+    /// (consecutive triangles share an AP), else `(0, 2i+1, 2i+2)` (all
+    /// share vertex 0).
+    fn triangles(k: u32, chained: bool) -> CsrGraph {
+        let mut edges = Vec::new();
+        for i in 0..k {
+            let (a, b, c) = (if chained { 2 * i } else { 0 }, 2 * i + 1, 2 * i + 2);
+            let w = u64::from(i % 5);
+            edges.extend([(a, b, 1 + w), (b, c, 2 + w), (c, a, 4 - w % 3)]);
+        }
+        CsrGraph::from_edges(2 * k as usize + 1, &edges)
+    }
+
+    #[test]
+    fn deep_chain_of_triangles() {
+        // 39 APs on one tree path 40 blocks long.
+        for o in check_methods(&triangles(40, true)) {
+            assert_eq!(o.stats().articulation_points, 39);
+            assert_eq!(o.stats().n_bccs, 40);
+        }
+    }
+
     #[test]
     fn star_of_triangles() {
-        // Hub vertex shared by three triangles: one AP, three blocks.
-        let g = CsrGraph::from_edges(
-            7,
-            &[
-                (0, 1, 1),
-                (1, 2, 2),
-                (2, 0, 3),
-                (0, 3, 1),
-                (3, 4, 2),
-                (4, 0, 3),
-                (0, 5, 1),
-                (5, 6, 2),
-                (6, 0, 3),
-            ],
-        );
-        for o in check_methods(&g) {
+        // Hub vertex shared by twenty triangles: one AP, twenty blocks.
+        for o in check_methods(&triangles(20, false)) {
             assert_eq!(o.stats().articulation_points, 1);
-            assert_eq!(o.stats().n_bccs, 3);
+            assert_eq!(o.stats().n_bccs, 20);
         }
     }
 
@@ -1299,9 +1326,6 @@ mod tests {
             let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
             let warm = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
             assert!(Arc::ptr_eq(oracle.tables(), warm.tables()));
-            for (a, b) in oracle.store.ap_segments.iter().zip(&warm.store.ap_segments) {
-                assert!(Arc::ptr_eq(a, b));
-            }
             assert_eq!(warm.processing.total_units(), 0);
 
             // A dirty refresh rewrites its own arena; clean spans are
@@ -1319,7 +1343,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_recollects_only_dirty_ap_segments() {
+    fn one_dirty_block_reruns_alone_and_rebuilds_the_cold_ap_span() {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
         let plan = Arc::new(DecompPlan::build(&g));
@@ -1331,12 +1355,7 @@ mod tests {
             let dirty = warm_plan.dirty_blocks().to_vec();
             assert_eq!(dirty.len(), 1);
             let warm = oracle.recustomized(warm_plan, &exec);
-            for b in 0..plan.n_blocks() {
-                let (old, new) = (&oracle.store.ap_segments[b], &warm.store.ap_segments[b]);
-                let shared = Arc::ptr_eq(old, new);
-                assert_eq!(shared, !dirty.contains(&(b as u32)), "{method:?} block {b}");
-            }
-            // The rebuilt AP table still matches a cold one bit-for-bit.
+            // The rebuilt AP table matches a cold one bit-for-bit.
             let cold = build_oracle(&g.reweighted(&w), &exec, method);
             assert_eq!(warm.tables().ap_span(), cold.tables().ap_span());
             // The phase-II units are the dirty block's sources only.

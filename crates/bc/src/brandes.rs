@@ -7,10 +7,8 @@
 //! accumulation; sources fan out as workunits exactly like the paper's
 //! APSP Phase II.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 use ear_graph::{CsrGraph, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
@@ -21,6 +19,7 @@ use rayon::prelude::*;
 /// dominant allocation of the old per-call version), settle order, and the
 /// heap. Reset is O(touched): only vertices settled by the previous run
 /// are cleared.
+#[derive(Default)]
 struct BcScratch {
     dist: Vec<Weight>,
     sigma: Vec<f64>,
@@ -33,18 +32,6 @@ struct BcScratch {
 }
 
 impl BcScratch {
-    fn new() -> Self {
-        BcScratch {
-            dist: Vec::new(),
-            sigma: Vec::new(),
-            preds: Vec::new(),
-            done: Vec::new(),
-            order: Vec::new(),
-            heap: BinaryHeap::new(),
-            stats: WorkCounters::default(),
-        }
-    }
-
     /// Clears the previous run's footprint and grows arrays to `n`.
     fn begin(&mut self, n: usize) {
         // Every written entry belongs to a settled vertex (a vertex is only
@@ -102,46 +89,10 @@ fn count_paths(g: &CsrGraph, s: VertexId, sc: &mut BcScratch) {
     }
 }
 
-// Per-thread scratch pool, same shape as `ear_graph::engine::with_engine`:
-// a thread-local slot whose Drop feeds a bounded global free list, so warm
-// scratch survives the scoped worker threads the rayon shim spawns.
-static FREE_SCRATCH: Mutex<Vec<BcScratch>> = Mutex::new(Vec::new());
-const MAX_POOLED: usize = 64;
-
-thread_local! {
-    static TLS_SCRATCH: RefCell<ScratchSlot> = const { RefCell::new(ScratchSlot(None)) };
-}
-
-struct ScratchSlot(Option<BcScratch>);
-
-impl Drop for ScratchSlot {
-    fn drop(&mut self) {
-        if let Some(sc) = self.0.take() {
-            recycle(sc);
-        }
-    }
-}
-
-fn recycle(sc: BcScratch) {
-    if let Ok(mut free) = FREE_SCRATCH.lock() {
-        if free.len() < MAX_POOLED {
-            free.push(sc);
-        }
-    }
-}
-
-fn with_scratch<R>(f: impl FnOnce(&mut BcScratch) -> R) -> R {
-    let mut sc = TLS_SCRATCH
-        .try_with(|slot| slot.borrow_mut().0.take())
-        .ok()
-        .flatten()
-        .or_else(|| FREE_SCRATCH.lock().ok().and_then(|mut v| v.pop()))
-        .unwrap_or_else(BcScratch::new);
-    let r = f(&mut sc);
-    if let Ok(Some(displaced)) = TLS_SCRATCH.try_with(|slot| slot.borrow_mut().0.replace(sc)) {
-        recycle(displaced);
-    }
-    r
+// Per-thread scratch (an `ear_graph::pool`), so warm scratch survives the
+// scoped worker threads the rayon shim spawns.
+ear_graph::scratch_pool! {
+    fn with_scratch(BcScratch, bound = 64);
 }
 
 /// Dependency accumulation from one source: returns `δ_s(v)` for all `v`,
@@ -258,7 +209,7 @@ mod tests {
     fn brute(g: &CsrGraph) -> Vec<f64> {
         let n = g.n();
         let mut bc = vec![0.0; n];
-        let mut sp = BcScratch::new();
+        let mut sp = BcScratch::default();
         for s in 0..n as u32 {
             count_paths(g, s, &mut sp);
             for t in 0..n as u32 {

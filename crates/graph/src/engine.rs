@@ -16,10 +16,11 @@
 //!   a decrease-key heap keyed on `(dist, vertex)`. No stale entries, at
 //!   most one slot per vertex, and the 4-way fanout keeps sift-downs cache
 //!   friendly.
-//! * **Engine pool** — [`with_engine`] hands out a per-thread engine
-//!   (thread-local slot backed by a global free list), so the hot
-//!   `kernel-per-source` loops in `ear-apsp` / `ear-mcb` / `ear-bc` reuse
-//!   scratch even when the executor spawns fresh worker threads per batch.
+//! * **Engine pool** — [`with_engine`] hands out a per-thread engine (a
+//!   [`crate::pool`]: thread-local slot backed by a global free list), so
+//!   the hot `kernel-per-source` loops in `ear-apsp` / `ear-mcb` / `ear-bc`
+//!   reuse scratch even when the executor spawns fresh worker threads per
+//!   batch.
 //! * **Dial bucket queue for the large-graph regime** — once a block
 //!   outgrows [`DIAL_MIN_N`] vertices, the heap's random `pos[]` writes
 //!   and sift chains are the dominant cache-miss source. When every edge
@@ -56,9 +57,6 @@
 //! verbatim. `heap_pushes` counts every strictly-improving relaxation even
 //! when it is implemented as a decrease-key or a bucket append rather
 //! than a push.
-
-use std::cell::RefCell;
-use std::sync::Mutex;
 
 use crate::csr::CsrGraph;
 use crate::dijkstra::{tie_prefers, DijkstraStats, SsspTree};
@@ -810,72 +808,16 @@ impl SsspEngine {
     }
 }
 
-// ---- per-thread engine pool ----
-
-/// Global free list feeding threads that have no engine yet. Bounded so a
-/// burst of short-lived worker threads cannot hoard memory forever.
-static FREE_ENGINES: Mutex<Vec<SsspEngine>> = Mutex::new(Vec::new());
-const MAX_POOLED: usize = 64;
-
-thread_local! {
-    static TLS_ENGINE: RefCell<TlsSlot> = const { RefCell::new(TlsSlot(None)) };
-}
-
-/// Thread-local engine slot whose `Drop` returns the engine to the global
-/// free list — essential because the executor / rayon shim spawn fresh
-/// scoped worker threads per batch, so warm engines must outlive threads.
-struct TlsSlot(Option<SsspEngine>);
-
-impl Drop for TlsSlot {
-    fn drop(&mut self) {
-        if let Some(e) = self.0.take() {
-            recycle(e);
-        }
-    }
-}
-
-fn recycle(e: SsspEngine) {
-    if let Ok(mut free) = FREE_ENGINES.lock() {
-        if free.len() < MAX_POOLED {
-            free.push(e);
-        }
-    }
-}
-
-fn checkout() -> SsspEngine {
-    if let Ok(Some(e)) = TLS_ENGINE.try_with(|slot| slot.borrow_mut().0.take()) {
-        ear_obs::counter_add("sssp.pool.tls_hits", 1);
-        return e;
-    }
-    if let Some(e) = FREE_ENGINES.lock().ok().and_then(|mut v| v.pop()) {
-        ear_obs::counter_add("sssp.pool.freelist_hits", 1);
-        return e;
-    }
-    ear_obs::counter_add("sssp.pool.misses", 1);
-    SsspEngine::default()
-}
-
-fn checkin(e: SsspEngine) {
-    match TLS_ENGINE.try_with(|slot| slot.borrow_mut().0.replace(e)) {
-        // Nested `with_engine` calls can displace an engine; keep both.
-        Ok(Some(displaced)) => recycle(displaced),
-        Ok(None) => {}
-        // Thread is tearing down: the engine is dropped with the closure.
-        Err(_) => {}
-    }
-}
-
-/// Runs `f` with a pooled per-thread [`SsspEngine`].
-///
-/// The engine comes from (in order) the calling thread's slot, the global
-/// free list, or a fresh allocation; afterwards it is parked back in the
-/// thread's slot. Warm scratch therefore survives both sequential loops on
-/// one thread and repeated fan-outs over short-lived worker threads.
-pub fn with_engine<R>(f: impl FnOnce(&mut SsspEngine) -> R) -> R {
-    let mut engine = checkout();
-    let r = f(&mut engine);
-    checkin(engine);
-    r
+crate::scratch_pool! {
+    /// Runs `f` with a pooled per-thread [`SsspEngine`] (a [`crate::pool`]
+    /// of at most 64 spares, counted under `sssp.pool.*`).
+    ///
+    /// The engine comes from (in order) the calling thread's slot, the
+    /// global free list, or a fresh allocation; afterwards it is parked back
+    /// in the thread's slot. Warm scratch therefore survives both sequential
+    /// loops on one thread and repeated fan-outs over short-lived worker
+    /// threads.
+    pub fn with_engine(SsspEngine, bound = 64, counters = "sssp.pool");
 }
 
 #[cfg(test)]

@@ -66,6 +66,18 @@ fn add_weight(total: Weight, w: Weight, line: usize) -> Result<Weight, IoError> 
     })
 }
 
+/// Rejects a vertex count of `VertexId::MAX` or more, which
+/// [`CsrGraph::from_edges`] cannot index, as a parse error at `line`.
+fn check_vertex_count(n: usize, line: usize) -> Result<(), IoError> {
+    if n >= VertexId::MAX as usize {
+        return Err(parse_err(
+            line,
+            format!("{n} vertices exceed the {}-vertex limit", VertexId::MAX - 1),
+        ));
+    }
+    Ok(())
+}
+
 /// Reads a Matrix Market `coordinate` file as an undirected graph.
 ///
 /// * Pattern matrices get unit weights.
@@ -74,8 +86,10 @@ fn add_weight(total: Weight, w: Weight, line: usize) -> Result<Weight, IoError> 
 ///   positive integer weights.
 /// * Diagonal entries (self-loops) are skipped.
 /// * For `general` symmetry, entries `(i,j)` and `(j,i)` are collapsed.
-/// * A size line declaring more than `VertexId::MAX` rows or columns is a
-///   parse error: those indices have no vertex id.
+/// * A size line declaring `VertexId::MAX` or more rows or columns is a
+///   parse error: a graph holds at most `VertexId::MAX − 1` vertices
+///   (see [`CsrGraph::from_edges`]), and the check runs before anything
+///   is allocated.
 /// * The kept edges' weights must sum below [`INF`] (the
 ///   [weight contract](self#weight-contract)); otherwise the file is
 ///   rejected with a parse error at the edge that reaches it.
@@ -124,16 +138,9 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrGraph, IoError> {
                     .parse()
                     .map_err(|_| parse_err(i + 1, "bad col count"))?;
                 let nnz: usize = parts[2].parse().map_err(|_| parse_err(i + 1, "bad nnz"))?;
-                if rows.max(cols) > VertexId::MAX as usize {
-                    return Err(parse_err(
-                        i + 1,
-                        format!(
-                            "{rows} x {cols} matrix exceeds the {} vertex-id limit",
-                            VertexId::MAX
-                        ),
-                    ));
-                }
-                break (rows.max(cols), nnz, i + 1);
+                let n = rows.max(cols);
+                check_vertex_count(n, i + 1)?;
+                break (n, nnz, i + 1);
             }
             None => return Err(parse_err(0, "missing size line")),
         }
@@ -196,7 +203,13 @@ fn weight_of(s: &str) -> Option<Weight> {
 /// The weights must sum below [`INF`] (the
 /// [weight contract](self#weight-contract)); otherwise the file is
 /// rejected with a parse error at the edge that reaches it.
+///
+/// The vertex count must stay below `VertexId::MAX` (see
+/// [`CsrGraph::from_edges`]): an id of `VertexId::MAX − 1` or more is a
+/// parse error at its line, and a `min_n` of `VertexId::MAX` or more one
+/// at line 0.
 pub fn read_edge_list<R: BufRead>(reader: R, min_n: usize) -> Result<CsrGraph, IoError> {
+    check_vertex_count(min_n, 0)?;
     let mut edges: Vec<(u32, u32, Weight)> = Vec::new();
     let mut n = min_n;
     let mut total: Weight = 0;
@@ -218,7 +231,8 @@ pub fn read_edge_list<R: BufRead>(reader: R, min_n: usize) -> Result<CsrGraph, I
             1
         };
         total = add_weight(total, w, i + 1)?;
-        n = n.max(u as usize + 1).max(v as usize + 1);
+        n = n.max(u.max(v) as usize + 1);
+        check_vertex_count(n, i + 1)?;
         edges.push((u, v, w));
     }
     Ok(CsrGraph::from_edges(n, &edges))
@@ -313,6 +327,28 @@ mod tests {
             Err(IoError::Parse { line: 2, .. }) => {}
             other => panic!("expected a size-line parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn matrix_market_rejects_a_size_at_the_vertex_id_limit() {
+        let text = "%%MatrixMarket matrix coordinate pattern general\n4294967295 4294967295 0\n";
+        assert!(matches!(
+            read_matrix_market(Cursor::new(text)),
+            Err(IoError::Parse { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn edge_list_rejects_ids_and_min_n_at_the_vertex_id_limit() {
+        // Id u32::MAX − 1 needs n = u32::MAX vertices.
+        assert!(matches!(
+            read_edge_list(Cursor::new("0 1\n0 4294967294\n"), 0),
+            Err(IoError::Parse { line: 2, .. })
+        ));
+        assert!(matches!(
+            read_edge_list(Cursor::new("0 1\n"), u32::MAX as usize),
+            Err(IoError::Parse { line: 0, .. })
+        ));
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod csr;
 pub mod dijkstra;
 pub mod engine;
 pub mod io;
+pub mod pool;
 pub mod spanning;
 pub mod subgraph;
 pub mod traverse;

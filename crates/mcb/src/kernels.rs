@@ -40,9 +40,6 @@
 //! [`ear_hetero::WorkCounters`] multisets of the scalar loop from the batch
 //! results (`tests/mcb_kernels_differential.rs` enforces equality).
 
-use std::cell::RefCell;
-use std::sync::Mutex;
-
 use ear_graph::CsrGraph;
 use rayon::prelude::*;
 
@@ -498,64 +495,11 @@ impl DepinaScratch {
     }
 }
 
-// ---- per-thread scratch pool (mirrors `ear_graph::engine`) ----
-
-/// Global free list feeding threads that have no scratch yet. Bounded so a
-/// burst of short-lived worker threads cannot hoard memory forever.
-static FREE_SCRATCH: Mutex<Vec<DepinaScratch>> = Mutex::new(Vec::new());
-const MAX_POOLED: usize = 16;
-
-thread_local! {
-    static TLS_SCRATCH: RefCell<TlsSlot> = const { RefCell::new(TlsSlot(None)) };
-}
-
-/// Thread-local scratch slot whose `Drop` returns the scratch to the
-/// global free list, so warm buffers outlive short-lived worker threads.
-struct TlsSlot(Option<DepinaScratch>);
-
-impl Drop for TlsSlot {
-    fn drop(&mut self) {
-        if let Some(s) = self.0.take() {
-            recycle(s);
-        }
-    }
-}
-
-fn recycle(s: DepinaScratch) {
-    if let Ok(mut free) = FREE_SCRATCH.lock() {
-        if free.len() < MAX_POOLED {
-            free.push(s);
-        }
-    }
-}
-
-fn checkout() -> DepinaScratch {
-    TLS_SCRATCH
-        .try_with(|slot| slot.borrow_mut().0.take())
-        .ok()
-        .flatten()
-        .or_else(|| FREE_SCRATCH.lock().ok().and_then(|mut v| v.pop()))
-        .unwrap_or_default()
-}
-
-fn checkin(s: DepinaScratch) {
-    match TLS_SCRATCH.try_with(|slot| slot.borrow_mut().0.replace(s)) {
-        // Nested calls can displace a scratch; keep both.
-        Ok(Some(displaced)) => recycle(displaced),
-        Ok(None) => {}
-        // Thread is tearing down: the scratch is dropped with the closure.
-        Err(_) => {}
-    }
-}
-
-/// Runs `f` with a pooled per-thread [`DepinaScratch`] (thread-local slot
-/// backed by a global free list — the `ear_graph::engine` pool pattern),
-/// so repeated phase-loop runs reuse warm buffers.
-pub fn with_depina_scratch<R>(f: impl FnOnce(&mut DepinaScratch) -> R) -> R {
-    let mut scratch = checkout();
-    let r = f(&mut scratch);
-    checkin(scratch);
-    r
+ear_graph::scratch_pool! {
+    /// Runs `f` with a pooled per-thread [`DepinaScratch`] (an
+    /// [`ear_graph::pool`] of at most 16 spares), so repeated phase-loop
+    /// runs reuse warm buffers.
+    pub fn with_depina_scratch(DepinaScratch, bound = 16);
 }
 
 #[cfg(test)]
