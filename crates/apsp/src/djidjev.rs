@@ -266,7 +266,7 @@ fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::floyd_warshall;
+    use ear_testkit::reference::floyd_warshall;
 
     fn grid(rows: u32, cols: u32) -> CsrGraph {
         let idx = |r: u32, c: u32| r * cols + c;

@@ -1,7 +1,9 @@
 //! # ear-apsp
 //!
-//! All-pairs shortest paths via ear decomposition (paper §2), plus every
-//! baseline the paper compares against.
+//! All-pairs shortest paths via ear decomposition (paper §2), plus the
+//! baselines the paper compares against (Banerjee et al. and Djidjev et
+//! al.). The test-only references — Floyd–Warshall and Dijkstra from
+//! every vertex of the whole graph — live in `ear_testkit::reference`.
 //!
 //! * [`matrix`] — dense distance-matrix storage;
 //! * [`arena`] — the oracle's one distance store: the AP table and every
@@ -22,8 +24,6 @@
 //! * [`query`] — the serving handle over a built oracle: its plan and
 //!   arena behind two `Arc`s, answering through the same block-cut-tree
 //!   distance function and path descent as the oracle;
-//! * [`baselines`] — plain Dijkstra-from-every-vertex and Floyd–Warshall
-//!   (the correctness oracle);
 //! * [`partition`] — region-growing graph partitioner (METIS substitute);
 //! * [`djidjev`] — the partition-based planar APSP baseline of Djidjev
 //!   et al. that Figure 2 compares against on planar graphs.
@@ -40,7 +40,6 @@
 //! `README.md` / `DESIGN.md`.
 
 pub mod arena;
-pub mod baselines;
 pub mod djidjev;
 mod ear;
 pub mod matrix;

@@ -83,11 +83,6 @@ impl DistMatrix {
         (0..self.n).all(|i| (i..self.n).all(|j| self.d[i * self.n + j] == self.d[j * self.n + i]))
     }
 
-    /// Number of finite entries (reachable pairs, including the diagonal).
-    pub fn finite_entries(&self) -> usize {
-        self.d.iter().filter(|&&w| w < INF).count()
-    }
-
     /// Bytes this matrix actually occupies.
     pub fn bytes(&self) -> usize {
         self.d.len() * std::mem::size_of::<Weight>()
@@ -104,7 +99,7 @@ mod tests {
         assert_eq!(m.get(0, 0), 0);
         assert_eq!(m.get(1, 1), 0);
         assert_eq!(m.get(0, 2), INF);
-        assert_eq!(m.finite_entries(), 3);
+        assert_eq!(m.get(2, 2), 0);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! [`crate::QueryEngine`] serving the oracle reads the same allocation
 //! through a shared [`Arc`].
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ear_decomp::block_cut::{BlockCutTree, Endpoint};
@@ -450,9 +451,11 @@ fn route(
 
 /// Realizes a shortest path `u → v` (inclusive of both endpoints) by
 /// greedy descent on the distance function `dist`, or `None` when
-/// disconnected. From `x`, some neighbor `y` always satisfies
-/// `w(x,y) + d(y,v) = d(x,v)`; ties break to the smallest edge id, so the
-/// path is deterministic.
+/// disconnected. From `x`, the step is the tight edge
+/// (`w(x,y) + d(y,v) = d(x,v)`) of positive weight with the smallest edge
+/// id, so the path is deterministic. A zero-weight edge is tight in both
+/// directions, so when `x` has no positive tight edge the walk crosses
+/// zero-weight tight edges instead ([`zero_weight_hops`]).
 pub(crate) fn realize_path(
     g: &CsrGraph,
     u: VertexId,
@@ -468,13 +471,12 @@ pub(crate) fn realize_path(
     }
     let mut path = vec![u];
     let mut x = u;
-    let mut guard = g.n() + 1;
     while x != v {
         let mut next: Option<(VertexId, ear_graph::EdgeId, Weight)> = None;
         for &(y, e) in g.neighbors(x) {
             // Once a tight edge is in hand, only a smaller edge id can
             // displace it, so the rest need no probe.
-            if y == x || next.is_some_and(|(_, be, _)| e >= be) {
+            if y == x || g.weight(e) == 0 || next.is_some_and(|(_, be, _)| e >= be) {
                 continue;
             }
             let dy = dist(y, v);
@@ -482,14 +484,58 @@ pub(crate) fn realize_path(
                 next = Some((y, e, dy));
             }
         }
-        let (y, _, dy) = next.expect("finite distance must have a tight edge");
-        path.push(y);
-        x = y;
-        dx = dy;
-        guard -= 1;
-        assert!(guard > 0, "path reconstruction looped");
+        match next {
+            Some((y, _, dy)) => {
+                path.push(y);
+                x = y;
+                dx = dy;
+            }
+            None => {
+                path.extend(zero_weight_hops(g, x, v, dx, &dist));
+                x = *path.last().unwrap();
+            }
+        }
+        assert!(path.len() <= g.n(), "path reconstruction looped");
     }
     Some(path)
+}
+
+/// The hops after `x` of a breadth-first walk over zero-weight tight
+/// edges (`d(y,v) = d(x,v) = dx`) to the nearest vertex that is `v` or has
+/// a tight edge of positive weight. A shortest path `x → v` starts with
+/// zero-weight edges up to its first positive edge (or up to `v`), so such
+/// a vertex exists whenever `dx` is finite.
+fn zero_weight_hops(
+    g: &CsrGraph,
+    x: VertexId,
+    v: VertexId,
+    dx: Weight,
+    dist: &impl Fn(VertexId, VertexId) -> Weight,
+) -> Vec<VertexId> {
+    let positive_step = |z: VertexId| {
+        g.neighbors(z)
+            .iter()
+            .any(|&(y, e)| y != z && g.weight(e) > 0 && dist_add(g.weight(e), dist(y, v)) == dx)
+    };
+    let mut parent = HashMap::from([(x, x)]);
+    let mut queue = VecDeque::from([x]);
+    while let Some(z) = queue.pop_front() {
+        if z != x && (z == v || positive_step(z)) {
+            let mut hops = vec![z];
+            while parent[hops.last().unwrap()] != x {
+                hops.push(parent[hops.last().unwrap()]);
+            }
+            hops.reverse();
+            return hops;
+        }
+        for &(y, e) in g.neighbors(z) {
+            if g.weight(e) == 0 && !parent.contains_key(&y) && dist(y, v) == dx {
+                parent.insert(y, z);
+                queue.push_back(y);
+            }
+        }
+    }
+    panic!("finite distance must have a tight edge");
 }
 
 /// Builds the oracle: BCC split, per-block APSP (`method` decides whether
@@ -789,7 +835,7 @@ fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::floyd_warshall;
+    use ear_testkit::reference::floyd_warshall;
 
     const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];
 
@@ -1255,29 +1301,69 @@ mod tests {
         }
     }
 
+    /// Every connected pair's path, from the oracle and from a query
+    /// engine over it, is a walk `u → v` whose weight is `dist(u, v)`.
+    fn assert_paths_tight(g: &CsrGraph, o: &DistanceOracle) {
+        let q = crate::QueryEngine::new(o);
+        for u in 0..g.n() as u32 {
+            for v in 0..g.n() as u32 {
+                let path = o.path(g, u, v);
+                assert_eq!(q.path(g, u, v), path);
+                let Some(p) = path else {
+                    assert_eq!(o.dist(u, v), INF);
+                    continue;
+                };
+                assert_eq!(p[0], u);
+                assert_eq!(*p.last().unwrap(), v);
+                // Sum the walked edges.
+                let mut total = 0;
+                for w in p.windows(2) {
+                    let best = g
+                        .neighbors(w[0])
+                        .iter()
+                        .filter(|&&(y, _)| y == w[1])
+                        .map(|&(_, e)| g.weight(e))
+                        .min()
+                        .expect("consecutive path vertices must be adjacent");
+                    total += best;
+                }
+                assert_eq!(total, o.dist(u, v), "{:?} path ({u},{v})", o.method());
+            }
+        }
+    }
+
     #[test]
     fn path_reconstruction_is_tight() {
         let g = mixed_graph();
         for o in check_methods(&g) {
-            for u in 0..g.n() as u32 {
-                for v in 0..g.n() as u32 {
-                    let p = o.path(&g, u, v).unwrap();
-                    assert_eq!(p[0], u);
-                    assert_eq!(*p.last().unwrap(), v);
-                    // Sum the walked edges.
-                    let mut total = 0;
-                    for w in p.windows(2) {
-                        let best = g
-                            .neighbors(w[0])
-                            .iter()
-                            .filter(|&&(y, _)| y == w[1])
-                            .map(|&(_, e)| g.weight(e))
-                            .min()
-                            .expect("consecutive path vertices must be adjacent");
-                        total += best;
-                    }
-                    assert_eq!(total, o.dist(u, v), "{:?} path ({u},{v})", o.method());
-                }
+            assert_paths_tight(&g, &o);
+        }
+    }
+
+    /// A zero-weight edge is tight in both directions; the descent must
+    /// cross it instead of bouncing between its ends.
+    #[test]
+    fn zero_weight_edges_realize_tight_paths() {
+        // A zero-weight pendant edge on a triangle: 0 → 2 first crosses
+        // 0-1 for free.
+        let pendant = CsrGraph::from_edges(4, &[(0, 1, 0), (1, 2, 1), (2, 3, 1), (3, 1, 1)]);
+        // A zero-weight triangle with a positive tail, and a lone
+        // zero-weight triangle.
+        let triangles = CsrGraph::from_edges(
+            7,
+            &[
+                (0, 1, 0),
+                (1, 2, 0),
+                (2, 0, 0),
+                (2, 3, 2),
+                (4, 5, 0),
+                (5, 6, 0),
+                (6, 4, 0),
+            ],
+        );
+        for g in [pendant, triangles] {
+            for o in check_methods(&g) {
+                assert_paths_tight(&g, &o);
             }
         }
     }

@@ -122,10 +122,10 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::floyd_warshall;
     use crate::oracle::{build_oracle, build_oracle_with_plan, ApspMethod};
     use ear_graph::INF;
     use ear_hetero::HeteroExecutor;
+    use ear_testkit::reference::floyd_warshall;
 
     /// triangle — bridge — square — pendant (same shape as the oracle
     /// tests).

@@ -13,11 +13,11 @@
 //!   Dijkstra path counting), sequential and as per-source workunits on
 //!   the [`ear_hetero::HeteroExecutor`] — the identical scheduling shape
 //!   to the paper's APSP Phase II;
-//! * [`pendant`] — the degree-1 reduction: pendant trees are peeled with
-//!   [`ear_decomp::peel_pendants`] and their exactly-known contributions
-//!   are accounted in closed form, so Brandes runs only on the 1-core
-//!   (with vertex multiplicities), mirroring the pendant optimisation the
-//!   paper credits to Banerjee et al.
+//! * [`pendant`] — the degree-1 reduction: pendant trees are peeled
+//!   iteratively and their exactly-known contributions are accounted in
+//!   closed form, so Brandes runs only on the 1-core (with vertex
+//!   multiplicities), mirroring the pendant optimisation the paper
+//!   credits to Banerjee et al.
 
 pub mod brandes;
 pub mod pendant;

@@ -23,11 +23,74 @@
 //!
 //! All shares are 1 (tree paths are unique), so no σ-fractions appear
 //! outside the core Brandes.
+//!
+//! The peel itself is the Banerjee et al. degree-1 removal (paper §2.4.3:
+//! "it initially removes vertices of degree-1 from the graph. It then
+//! checks if the degree of any vertices adjacent to the vertices removed
+//! in the first iteration, degenerates to 1"), iterated until the 1-core
+//! remains.
 
-use ear_decomp::pendant::peel_pendants;
 use ear_graph::{connected_components, induced_subgraph, CsrGraph, VertexId};
 
 use crate::brandes::betweenness_weighted;
+
+/// Result of the peel: the 1-core and the pendant forests hanging off it.
+struct PendantPeel {
+    /// `true` for vertices that survive (the 1-core).
+    in_core: Vec<bool>,
+    /// Tree parent of each peeled vertex (one hop toward the core;
+    /// `u32::MAX` for core vertices).
+    parent: Vec<VertexId>,
+    /// Peeled vertices in removal order — children always precede their
+    /// parents, which makes subtree aggregation a single forward sweep.
+    peel_order: Vec<VertexId>,
+}
+
+/// Iteratively removes degree-1 vertices.
+///
+/// Whole-tree components keep exactly one vertex in core (the last
+/// survivor), so every peeled vertex's parent chain ends in the core.
+fn peel_pendants(g: &CsrGraph) -> PendantPeel {
+    let n = g.n();
+    let mut deg: Vec<u32> = (0..n as u32)
+        .map(|v| g.neighbors(v).iter().filter(|&&(w, _)| w != v).count() as u32)
+        .collect();
+    let mut in_core = vec![true; n];
+    let mut queue: Vec<VertexId> = (0..n as u32).filter(|&v| deg[v as usize] == 1).collect();
+    let mut next_round: Vec<VertexId> = Vec::new();
+    let mut parent = vec![u32::MAX; n];
+    let mut peel_order: Vec<VertexId> = Vec::new();
+
+    while !queue.is_empty() {
+        for &v in &queue {
+            if !in_core[v as usize] || deg[v as usize] != 1 {
+                continue;
+            }
+            // The unique live neighbor.
+            let Some(&(u, _)) = g
+                .neighbors(v)
+                .iter()
+                .find(|&&(u, _)| u != v && in_core[u as usize])
+            else {
+                continue;
+            };
+            in_core[v as usize] = false;
+            peel_order.push(v);
+            parent[v as usize] = u;
+            deg[u as usize] -= 1;
+            if deg[u as usize] == 1 {
+                next_round.push(u);
+            }
+        }
+        queue = std::mem::take(&mut next_round);
+    }
+
+    PendantPeel {
+        in_core,
+        parent,
+        peel_order,
+    }
+}
 
 /// Exact betweenness via pendant-tree reduction. Equals
 /// [`crate::betweenness`] on every graph (property-tested) while running
@@ -118,9 +181,82 @@ mod tests {
     }
 
     #[test]
+    fn peel_triangle_with_tail() {
+        // triangle 0-1-2 with tail 2-3-4.
+        let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 5), (3, 4, 7)]);
+        let p = peel_pendants(&g);
+        assert_eq!(p.peel_order, vec![4, 3]);
+        assert!(p.in_core[0] && p.in_core[1] && p.in_core[2]);
+        assert!(!p.in_core[3] && !p.in_core[4]);
+        assert_eq!(p.parent[3], 2);
+        assert_eq!(p.parent[4], 3);
+        assert_eq!(p.parent[2], u32::MAX);
+    }
+
+    #[test]
+    fn peel_pure_tree_keeps_one_survivor() {
+        let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)]);
+        let p = peel_pendants(&g);
+        assert_eq!(p.peel_order.len(), 4);
+        assert_eq!(p.in_core.iter().filter(|&&c| c).count(), 1);
+        // Every peeled vertex's parent chain ends at the survivor, and
+        // each parent is peeled after its child.
+        let survivor = (0..5u32).find(|&v| p.in_core[v as usize]).unwrap();
+        let pos = |v: VertexId| p.peel_order.iter().position(|&x| x == v);
+        for &v in &p.peel_order {
+            let mut cur = v;
+            while !p.in_core[cur as usize] {
+                let up = p.parent[cur as usize];
+                if let Some(i) = pos(up) {
+                    assert!(pos(cur).unwrap() < i, "{cur} peels before its parent {up}");
+                }
+                cur = up;
+            }
+            assert_eq!(cur, survivor);
+        }
+    }
+
+    #[test]
+    fn peel_cycle_has_nothing_to_peel() {
+        let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]);
+        let p = peel_pendants(&g);
+        assert!(p.peel_order.is_empty());
+        assert!(p.in_core.iter().all(|&c| c));
+    }
+
+    #[test]
+    fn peel_isolated_vertices_stay_in_core() {
+        let g = CsrGraph::from_edges(3, &[(0, 1, 1)]);
+        let p = peel_pendants(&g);
+        assert!(p.in_core[2]);
+        // The 0-1 edge: one endpoint peels, one survives.
+        assert_eq!(p.peel_order.len(), 1);
+    }
+
+    #[test]
     fn triangle_with_tail() {
         let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 5), (3, 4, 7)]);
         close(&betweenness_pendant_reduced(&g), &betweenness(&g));
+    }
+
+    /// A triangle plus a 100 000-vertex path whose ids fall away from the
+    /// triangle: one peel round per path vertex, and a parent chain as
+    /// long as the path. Nothing in the reduction may recurse along it
+    /// (a recursive root resolution overflowed the stack here).
+    #[test]
+    fn long_pendant_path_with_descending_ids() {
+        let n = 100_000u32;
+        let mut edges = vec![(n - 1, n - 2, 1), (n - 2, n - 3, 1), (n - 3, n - 1, 1)];
+        edges.extend((0..n - 3).map(|i| (i + 1, i, 1)));
+        let g = CsrGraph::from_edges(n as usize, &edges);
+        let bc = betweenness_pendant_reduced(&g);
+        // Tail vertex x has the subtree {0..=x}, so sub(x) = x + 1 and the
+        // separator credit is (sub(x) − 1)·(N − sub(x)).
+        let nn = n as f64;
+        for x in [0u32, 1, 12_345, n / 2, n - 4] {
+            let sub = x as f64 + 1.0;
+            assert_eq!(bc[x as usize], (sub - 1.0) * (nn - sub), "vertex {x}");
+        }
     }
 
     #[test]

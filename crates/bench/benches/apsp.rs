@@ -2,10 +2,10 @@
 //! modelled device comparison lives in the fig2/fig3 binaries).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ear_apsp::baselines::plain_apsp;
 use ear_apsp::djidjev::djidjev_apsp;
 use ear_apsp::{build_oracle, ApspMethod};
 use ear_hetero::HeteroExecutor;
+use ear_testkit::reference::plain_apsp;
 use ear_workloads::combinators::subdivide_edges;
 use ear_workloads::generators::{random_min_deg3, triangulated_grid};
 use std::hint::black_box;

@@ -1,7 +1,7 @@
 //! Kernel-vs-legacy microbenchmark for the de Pina phase loop: the batched
 //! GF(2) kernel path (`ear_mcb::depina::depina_phase_loop`, word-transposed
-//! witness matrix + packed incidence + pooled scratch) against the retained
-//! scalar path (`depina::legacy`), on whole testkit family graphs.
+//! witness matrix + packed incidence + pooled scratch) against the scalar
+//! reference (`ear_testkit::reference`), on whole testkit family graphs.
 //!
 //! Only the phase loop is timed — each repetition replays a cloned
 //! snapshot of one pre-generated candidate set, so tree construction and
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use ear_graph::{CsrGraph, Weight};
 use ear_mcb::candidates::{self, Candidates};
-use ear_mcb::depina::{self, legacy, DepinaOptions, PhaseTrace};
+use ear_mcb::depina::{self, DepinaOptions, PhaseTrace};
 use ear_mcb::{Cycle, CycleSpace};
 use ear_testkit::{
     cactus_graphs, chain_heavy_graphs, dense_residual_graphs, multi_bcc_graphs, Strategy, TestRng,
@@ -210,7 +210,7 @@ fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
     // Warm-up doubles as the checksum gate: identical basis weight and
     // byte-identical traces, or the numbers mean nothing.
     let k0 = run_pass(w, depina::depina_phase_loop);
-    let l0 = run_pass(w, legacy::depina_phase_loop);
+    let l0 = run_pass(w, ear_testkit::reference::depina_phase_loop);
     assert_eq!(
         k0.weight, l0.weight,
         "{}: basis weight checksum mismatch",
@@ -231,7 +231,7 @@ fn bench_family(w: &Workload, reps: usize) -> FamilyResult {
         assert_eq!(k.weight, k0.weight, "{}: kernel weight drifted", w.family);
         kernel_ns.push(k.ns as f64 / w.phases as f64);
         kernel_allocs.push(k.allocs as f64 / w.phases as f64);
-        let l = run_pass(w, legacy::depina_phase_loop);
+        let l = run_pass(w, ear_testkit::reference::depina_phase_loop);
         assert_eq!(l.weight, k0.weight, "{}: legacy weight drifted", w.family);
         legacy_ns.push(l.ns as f64 / w.phases as f64);
         legacy_allocs.push(l.allocs as f64 / w.phases as f64);

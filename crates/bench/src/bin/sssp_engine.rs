@@ -1,5 +1,5 @@
-//! Old-vs-new SSSP microbenchmark: the legacy allocate-per-source
-//! `dijkstra_with_stats` against the pooled [`SsspEngine`], on the exact
+//! Old-vs-new SSSP microbenchmark: the allocate-per-source reference
+//! (`ear_testkit::reference`) against the pooled [`SsspEngine`], on the exact
 //! workload the reduced oracle's build phase runs — all-sources Dijkstra
 //! over the reduced biconnected blocks of testkit graph families.
 //!
@@ -143,7 +143,7 @@ fn run_legacy(w: &Workload) -> Pass {
     let mut checksum: Weight = 0;
     for (b, &k) in w.blocks.iter().zip(&w.srcs) {
         for s in 0..k {
-            let (dist, stats) = ear_graph::dijkstra::legacy::dijkstra_with_stats(b, s);
+            let (dist, stats) = ear_testkit::reference::dijkstra_with_stats(b, s);
             edges_relaxed += stats.edges_relaxed;
             for d in dist {
                 checksum = checksum.wrapping_add(d);

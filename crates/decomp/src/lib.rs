@@ -18,8 +18,6 @@
 //!   paper §2.1.3 consume;
 //! * [`fvs`] — feedback vertex sets for the Mehlhorn–Michail candidate
 //!   restriction in the MCB algorithm;
-//! * [`pendant`] — iterative degree-1 peeling (the Banerjee et al.
-//!   optimisation the paper compares against);
 //! * [`plan`] — the [`DecompPlan`]: all of the above front half (BCC split,
 //!   block-cut tree, per-block subgraphs, per-block reductions) built once
 //!   and shared — via `Arc` — by the APSP, MCB and statistics pipelines.
@@ -28,7 +26,6 @@ pub mod bcc;
 pub mod block_cut;
 pub mod ear;
 pub mod fvs;
-pub mod pendant;
 pub mod plan;
 pub mod reduce;
 
@@ -36,8 +33,7 @@ pub use bcc::{biconnected_components, Bcc};
 pub use block_cut::BlockCutTree;
 pub use ear::{ear_decomposition, validate_ears, Ear, EarDecomposition, EarError};
 pub use fvs::feedback_vertex_set;
-pub use pendant::{peel_pendants, PendantPeel};
-pub use plan::{BlockPlan, CustomizedPlan, DecompPlan, PlanTopology};
+pub use plan::{BlockPlan, DecompPlan};
 pub use reduce::{
     reduce_graph, ChainTopology, EdgeOrigin, NotSimpleError, ReducedGraph, ReducedTopology,
     RemovedInfo, RemovedSlot,

@@ -26,21 +26,21 @@
 //! split the paper's "disassemble once, reassemble per metric" pipeline
 //! implies:
 //!
-//! * [`PlanTopology`] — everything that depends only on the graph's
+//! * the **topology** — everything that depends only on the graph's
 //!   *structure*: the block-cut tree and its router, the edge→block
 //!   table, bridges and arena spans. Shared via [`Arc`] by every
 //!   customization of the same graph shape.
-//! * [`CustomizedPlan`] — everything that depends on the current edge
+//! * the **customization** — everything that depends on the current edge
 //!   *weights*: the chain-contracted reductions, the shared arena's weight
 //!   layer, and the weight vector itself.
 //!
-//! [`DecompPlan::recustomize`] recomputes only the second layer for a new
-//! weight vector — rayon-parallel over the **dirty blocks** (those
+//! [`DecompPlan::recustomized`] recomputes only the second layer for a
+//! new weight vector — rayon-parallel over the **dirty blocks** (those
 //! containing at least one changed edge, read off the edge→block table) —
-//! and [`DecompPlan::recustomized`] packages it with the shared topology.
-//! The result is bit-identical to a cold [`DecompPlan::build`] of the
-//! reweighted graph (the differential suite holds it to that), at the cost
-//! of one weight sweep instead of a re-decomposition.
+//! and pairs it with the shared topology. The result is bit-identical to a
+//! cold [`DecompPlan::build`] of the reweighted graph (the differential
+//! suite holds it to that), at the cost of one weight sweep instead of a
+//! re-decomposition.
 //!
 //! # Id-translation conventions
 //!
@@ -154,10 +154,10 @@ impl BlockPlan {
 
 /// The weight-independent layer of a [`DecompPlan`]: BCC partition,
 /// block-cut tree and router, edge→block table, bridges and arena spans.
-/// Never recomputed by [`DecompPlan::recustomize`]; shared via [`Arc`] by
+/// Never recomputed by [`DecompPlan::recustomized`]; shared via [`Arc`] by
 /// every customization of the same graph structure.
 #[derive(Clone, Debug)]
-pub struct PlanTopology {
+struct PlanTopology {
     n: usize,
     m: usize,
     bct: BlockCutTree,
@@ -172,17 +172,17 @@ pub struct PlanTopology {
 
 /// The weight-dependent layer of a [`DecompPlan`]: per-block reductions
 /// under one specific weight vector, plus the shared arena's weight layer.
-/// Produced by [`DecompPlan::build`] (cold) or [`DecompPlan::recustomize`]
-/// (warm, dirty blocks only).
+/// Produced by [`DecompPlan::build`] (cold) or
+/// [`DecompPlan::recustomized`] (warm, dirty blocks only).
 #[derive(Clone, Debug)]
-pub struct CustomizedPlan {
+struct CustomizedPlan {
     blocks: Vec<BlockPlan>,
     /// Shared CSR storage for every block. Topology arrays are shared
     /// across customizations; the weight layer belongs to this
     /// customization.
     arena: CsrArena,
     /// The full-graph weight vector this customization was built for —
-    /// the baseline [`DecompPlan::recustomize`] diffs against.
+    /// the baseline [`DecompPlan::recustomized`] diffs against.
     edge_weights: Vec<Weight>,
     /// Blocks whose weight layer was (re)computed by this customization:
     /// every block for a cold build, exactly the blocks containing a
@@ -190,27 +190,6 @@ pub struct CustomizedPlan {
     dirty: Vec<u32>,
     /// 0 for a cold build, parent + 1 for each recustomization.
     generation: u64,
-}
-
-impl CustomizedPlan {
-    /// Blocks whose weight layer this customization (re)computed, sorted:
-    /// all blocks for a cold build, the blocks containing a changed edge
-    /// for a recustomization. Incremental refreshes rebuild the blocks
-    /// [`DecompPlan::dirty_blocks_since`] returns for their own plan,
-    /// which equal this set when that plan is the direct parent.
-    pub fn dirty_blocks(&self) -> &[u32] {
-        &self.dirty
-    }
-
-    /// 0 for a cold build, parent's generation + 1 after `recustomize`.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The full-graph weight vector this customization embodies.
-    pub fn edge_weights(&self) -> &[Weight] {
-        &self.edge_weights
-    }
 }
 
 impl PlanTopology {
@@ -371,26 +350,29 @@ impl DecompPlan {
         }
     }
 
-    /// Recomputes only the **weight layer** for `new_weights` (indexed by
-    /// parent edge id): the shared arena's weight arrays, and — for each
-    /// *dirty* block, rayon-parallel — its chain reduction's weight layer, reusing the recorded chains instead
-    /// of re-walking degree-2 paths. No BCC split, block-cut tree, chain
-    /// walk or extraction is repeated, and clean blocks' state is shared
-    /// with `self` (the id maps and every topology array already sit
-    /// behind `Arc`s).
+    /// A full plan for `new_weights` (indexed by parent edge id) whose
+    /// topology layer is the same [`Arc`] as `self`'s
+    /// ([`DecompPlan::shares_topology`] holds).
+    ///
+    /// Recomputes only the **weight layer**: the shared arena's weight
+    /// arrays, and — for each *dirty* block, rayon-parallel — its chain
+    /// reduction's weight layer, reusing the recorded chains instead of
+    /// re-walking degree-2 paths. No BCC split, block-cut tree, chain walk
+    /// or extraction is repeated, and clean blocks' state is shared with
+    /// `self` (the id maps and every topology array already sit behind
+    /// `Arc`s).
     ///
     /// The dirty-block set is read off the edge→block table: exactly the
     /// blocks containing an edge whose weight differs from this plan's
     /// current weights.
     ///
-    /// The returned customization is bit-identical to the one a cold
-    /// [`DecompPlan::build`] of the reweighted graph produces.
-    /// Pair it with the shared topology via [`DecompPlan::recustomized`].
+    /// The result is bit-identical to a cold [`DecompPlan::build`] of the
+    /// reweighted graph.
     ///
     /// # Panics
     /// Panics if `new_weights.len() != self.m()` or a weight exceeds
     /// [`INF`] (see [`CsrGraph::from_edge_records`]).
-    pub fn recustomize(&self, new_weights: &[Weight]) -> CustomizedPlan {
+    pub fn recustomized(&self, new_weights: &[Weight]) -> DecompPlan {
         assert_eq!(
             new_weights.len(),
             self.m(),
@@ -458,33 +440,16 @@ impl DecompPlan {
             ear_obs::counter_add("decomp.recustomize.dirty_blocks", dirty.len() as u64);
         }
 
-        CustomizedPlan {
-            blocks,
-            arena,
-            edge_weights: new_weights.to_vec(),
-            dirty,
-            generation: self.custom.generation + 1,
-        }
-    }
-
-    /// [`DecompPlan::recustomize`] packaged with the shared topology: a
-    /// full plan for the new weights whose topology layer is the same
-    /// [`Arc`] as `self`'s ([`DecompPlan::shares_topology`] holds).
-    pub fn recustomized(&self, new_weights: &[Weight]) -> DecompPlan {
         DecompPlan {
             topo: Arc::clone(&self.topo),
-            custom: self.recustomize(new_weights),
+            custom: CustomizedPlan {
+                blocks,
+                arena,
+                edge_weights: new_weights.to_vec(),
+                dirty,
+                generation: self.custom.generation + 1,
+            },
         }
-    }
-
-    /// The shared weight-independent layer.
-    pub fn topology(&self) -> &Arc<PlanTopology> {
-        &self.topo
-    }
-
-    /// The weight-dependent layer (current customization).
-    pub fn custom(&self) -> &CustomizedPlan {
-        &self.custom
     }
 
     /// True when `other` shares this plan's topology layer (one is a
@@ -497,7 +462,7 @@ impl DecompPlan {
     /// all blocks for a cold build, exactly the blocks containing a changed
     /// edge after [`DecompPlan::recustomized`]. Sorted ascending.
     pub fn dirty_blocks(&self) -> &[u32] {
-        self.custom.dirty_blocks()
+        &self.custom.dirty
     }
 
     /// Blocks holding an edge whose weight differs between `base` and
@@ -521,13 +486,13 @@ impl DecompPlan {
 
     /// Customization generation: 0 for a cold build, +1 per recustomize.
     pub fn generation(&self) -> u64 {
-        self.custom.generation()
+        self.custom.generation
     }
 
     /// The full-graph weight vector the current customization was built
     /// for, indexed by parent edge id.
     pub fn edge_weights(&self) -> &[Weight] {
-        self.custom.edge_weights()
+        &self.custom.edge_weights
     }
 
     /// Block `b`'s subgraph as a zero-copy [`CsrView`] window of the
@@ -766,7 +731,7 @@ mod tests {
         let g = mixed();
         let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         w[0] = INF + 1;
-        DecompPlan::build(&g).recustomize(&w);
+        DecompPlan::build(&g).recustomized(&w);
     }
 
     #[test]

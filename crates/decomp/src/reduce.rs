@@ -154,11 +154,6 @@ pub struct ReducedTopology {
 }
 
 impl ReducedTopology {
-    /// True if `x` was removed by the contraction.
-    pub fn is_removed(&self, x: VertexId) -> bool {
-        self.removed[x as usize].is_some()
-    }
-
     /// Number of vertices removed.
     pub fn removed_count(&self) -> usize {
         self.removed.iter().filter(|r| r.is_some()).count()
@@ -597,8 +592,8 @@ mod tests {
             ],
         );
         let r = reduce_graph(g.view()).unwrap();
-        assert!(!r.is_removed(0));
-        assert!(!r.is_removed(4));
+        assert!(r.removed_info(0).is_none());
+        assert!(r.removed_info(4).is_none());
         for (x, wl) in [(1u32, 1u64), (2, 3), (3, 6)] {
             let info = r.removed_info(x).unwrap();
             let (l, rgt) = if info.left == 0 {
@@ -665,8 +660,8 @@ mod tests {
             ],
         );
         let r = reduce_graph(g.view()).unwrap();
-        assert!(r.is_removed(4));
-        assert!(!r.is_removed(5)); // degree-1 vertices are anchors
+        assert!(r.removed_info(4).is_some());
+        assert!(r.removed_info(5).is_none()); // degree-1 vertices are anchors
         let info = r.removed_info(4).unwrap();
         assert_eq!(info.w_left + info.w_right, 5);
         // Edge 0..5 chain became one reduced edge of weight 5.

@@ -236,11 +236,6 @@ impl CsrGraph {
         }
         true
     }
-
-    /// Sum of incidence-list lengths — `2m` minus the number of self-loops.
-    pub fn adjacency_len(&self) -> usize {
-        self.adj.len()
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +254,6 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(2), 2);
-        assert_eq!(g.adjacency_len(), 6);
     }
 
     #[test]
@@ -275,7 +269,6 @@ mod tests {
         let g = CsrGraph::from_edges(2, &[(0, 0, 5), (0, 1, 1)]);
         assert_eq!(g.degree(0), 2); // one loop entry + one edge entry
         assert_eq!(g.degree(1), 1);
-        assert_eq!(g.adjacency_len(), 3);
         assert!(!g.is_simple());
     }
 

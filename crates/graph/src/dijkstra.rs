@@ -3,15 +3,10 @@
 //! The paper runs one Dijkstra instance per source vertex of the reduced
 //! graph, each instance on its own thread/GPU workunit (Section 2.1.2).
 //! The free functions here ([`dijkstra`], [`dijkstra_with_stats`],
-//! [`dijkstra_tree`]) are thin compatibility wrappers that borrow a pooled
+//! [`dijkstra_tree`]) borrow a pooled
 //! [`SsspEngine`](crate::engine::SsspEngine) — preallocated scratch with
 //! generation-stamp reset and an indexed 4-ary decrease-key heap — so
-//! repeated per-source calls no longer allocate O(n) state each time.
-//!
-//! The original allocate-per-source implementation is retained verbatim in
-//! [`legacy`]: it is the differential-testing reference and the baseline
-//! the `sssp_engine` benchmark measures against. Both paths produce
-//! bit-identical distances, parents, settle orders, and statistics.
+//! repeated per-source calls allocate no O(n) state each time.
 
 use crate::csr::CsrGraph;
 use crate::engine::with_engine;
@@ -152,106 +147,6 @@ pub fn dijkstra_tree(g: &CsrGraph, source: VertexId) -> SsspTree {
     })
 }
 
-/// Deterministic tie-break for equal-distance parents: prefer the smaller
-/// (parent vertex, edge id) pair. Shared by the engine and the legacy path.
-#[inline]
-pub(crate) fn tie_prefers(u: VertexId, e: EdgeId, cur_pv: VertexId, cur_pe: EdgeId) -> bool {
-    (u, e) < (cur_pv, cur_pe)
-}
-
-/// The original allocate-per-source Dijkstra, kept as the differential
-/// reference and benchmark baseline for the pooled
-/// [`SsspEngine`](crate::engine::SsspEngine) path.
-///
-/// Four O(n) vectors and a lazy-deletion binary heap are allocated on every
-/// call; output is bit-identical to the engine.
-pub mod legacy {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use super::{tie_prefers, CsrGraph, DijkstraStats, SsspTree, VertexId, Weight, INF};
-
-    /// Allocate-per-source equivalent of [`crate::dijkstra::dijkstra`].
-    pub fn dijkstra(g: &CsrGraph, source: VertexId) -> Vec<Weight> {
-        run(g, source, false).dist
-    }
-
-    /// Allocate-per-source equivalent of
-    /// [`crate::dijkstra::dijkstra_with_stats`].
-    pub fn dijkstra_with_stats(g: &CsrGraph, source: VertexId) -> (Vec<Weight>, DijkstraStats) {
-        let t = run(g, source, false);
-        (t.dist, t.stats)
-    }
-
-    /// Allocate-per-source equivalent of
-    /// [`crate::dijkstra::dijkstra_tree`].
-    pub fn dijkstra_tree(g: &CsrGraph, source: VertexId) -> SsspTree {
-        run(g, source, true)
-    }
-
-    fn run(g: &CsrGraph, source: VertexId, want_tree: bool) -> SsspTree {
-        let n = g.n();
-        assert!((source as usize) < n, "source out of range");
-        let mut dist = vec![INF; n];
-        let mut parent_vertex = vec![u32::MAX; n];
-        let mut parent_edge = vec![u32::MAX; n];
-        let mut depths = vec![0u32; n];
-        let mut done = vec![false; n];
-        let mut settle_order = Vec::new();
-        let mut stats = DijkstraStats::default();
-
-        let mut heap: BinaryHeap<Reverse<(Weight, VertexId)>> = BinaryHeap::new();
-        dist[source as usize] = 0;
-        heap.push(Reverse((0, source)));
-
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if done[u as usize] {
-                continue; // stale entry (lazy deletion)
-            }
-            done[u as usize] = true;
-            settle_order.push(u);
-            stats.settled += 1;
-            debug_assert_eq!(d, dist[u as usize]);
-            for &(v, e) in g.neighbors(u) {
-                stats.edges_relaxed += 1;
-                if v == u {
-                    continue; // self-loops never improve a distance
-                }
-                let nd = d + g.weight(e);
-                let strictly_better = nd < dist[v as usize];
-                // With non-negative weights a settled vertex can never be
-                // strictly improved, so `strictly_better` implies `!done[v]`.
-                let tie_better = want_tree
-                    && nd == dist[v as usize]
-                    && !done[v as usize]
-                    && tie_prefers(u, e, parent_vertex[v as usize], parent_edge[v as usize]);
-                if strictly_better || tie_better {
-                    dist[v as usize] = nd;
-                    if want_tree {
-                        parent_vertex[v as usize] = u;
-                        parent_edge[v as usize] = e;
-                        depths[v as usize] = depths[u as usize] + 1;
-                    }
-                    if strictly_better {
-                        heap.push(Reverse((nd, v)));
-                        stats.heap_pushes += 1;
-                    }
-                }
-            }
-        }
-
-        SsspTree {
-            source,
-            dist,
-            parent_vertex,
-            parent_edge,
-            depths,
-            settle_order,
-            stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,24 +254,5 @@ mod tests {
         assert_eq!(t.dist, vec![0]);
         assert_eq!(t.path_edges_to_root(0), Some(vec![]));
         assert_eq!(t.settle_order, vec![0]);
-    }
-
-    #[test]
-    fn wrappers_match_legacy() {
-        let g = CsrGraph::from_edges(6, &[(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 5), (4, 5, 1)]);
-        for s in 0..6u32 {
-            let (d, st) = dijkstra_with_stats(&g, s);
-            let (ld, lst) = legacy::dijkstra_with_stats(&g, s);
-            assert_eq!(d, ld);
-            assert_eq!(st, lst);
-            let t = dijkstra_tree(&g, s);
-            let lt = legacy::dijkstra_tree(&g, s);
-            assert_eq!(t.dist, lt.dist);
-            assert_eq!(t.parent_vertex, lt.parent_vertex);
-            assert_eq!(t.parent_edge, lt.parent_edge);
-            assert_eq!(t.depths, lt.depths);
-            assert_eq!(t.settle_order, lt.settle_order);
-            assert_eq!(t.stats, lt.stats);
-        }
     }
 }

@@ -1,10 +1,11 @@
 //! Reusable zero-allocation SSSP engine with pooled scratch state.
 //!
 //! The paper's whole pipeline is "run one Dijkstra per source of the
-//! reduced graph" (§2.1.2), so per-source constant factors dominate. The
-//! free functions in [`crate::dijkstra`](mod@crate::dijkstra) allocate
-//! four O(n) vectors and a heap per call; [`SsspEngine`] preallocates
-//! them once and reuses them across runs:
+//! reduced graph" (§2.1.2), so per-source constant factors dominate. A
+//! textbook Dijkstra allocates four O(n) vectors and a heap per call;
+//! [`SsspEngine`] preallocates them once and reuses them across runs (the
+//! free functions in [`crate::dijkstra`](mod@crate::dijkstra) borrow a
+//! pooled engine):
 //!
 //! * **Generation-stamped scratch** — instead of clearing `dist`/`parent`
 //!   arrays between runs, every write is tagged with the current run's
@@ -48,18 +49,17 @@
 //!   at or above [`DIAL_WEIGHT_LIMIT`] (or zero-weight edges) still fall
 //!   back to the heap, ticking `sssp.dial.range_fallback`.
 //!
-//! Results are **bit-identical** to the legacy free functions
-//! ([`crate::dijkstra::legacy`]): the lazy-deletion heap always pops the
+//! Results are **bit-identical** to the allocate-per-source reference in
+//! `ear_testkit::reference`: its lazy-deletion heap always pops the
 //! minimum `(dist, vertex)` among unsettled touched vertices, which is
 //! exactly the key this heap orders by, so the settle order — and with it
-//! every distance, parent choice, and statistic — is the same. The
-//! deterministic `(distance, vertex, edge)` parent tie-break is shared
-//! verbatim. `heap_pushes` counts every strictly-improving relaxation even
+//! every distance, parent choice, and statistic — is the same. Both apply
+//! the deterministic `(distance, vertex, edge)` parent tie-break. `heap_pushes` counts every strictly-improving relaxation even
 //! when it is implemented as a decrease-key or a bucket append rather
 //! than a push.
 
 use crate::csr::CsrGraph;
-use crate::dijkstra::{tie_prefers, DijkstraStats, SsspTree};
+use crate::dijkstra::{DijkstraStats, SsspTree};
 use crate::types::{EdgeId, VertexId, Weight, INF};
 use crate::view::CsrView;
 
@@ -92,6 +92,13 @@ const DIAL_MASK_WORDS: usize = DIAL_BUCKETS / 64;
 /// weights (tens of thousands) that reduced blocks actually produce;
 /// anything heavier falls back to the heap.
 pub const DIAL_WEIGHT_LIMIT: usize = DIAL_BUCKETS * 128;
+
+/// Deterministic tie-break for equal-distance parents: prefer the smaller
+/// (parent vertex, edge id) pair.
+#[inline]
+fn tie_prefers(u: VertexId, e: EdgeId, cur_pv: VertexId, cur_pe: EdgeId) -> bool {
+    (u, e) < (cur_pv, cur_pe)
+}
 
 /// Which priority queue a run takes (see [`SsspEngine::dial_mode`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -622,12 +629,6 @@ impl SsspEngine {
         &self.touched
     }
 
-    /// True iff `v` was settled (popped) by the most recent run.
-    pub fn is_settled(&self, v: VertexId) -> bool {
-        let vi = v as usize;
-        vi < self.n && self.state[vi].stamp == self.gen && self.state[vi].pos == SETTLED
-    }
-
     /// Parent vertex of `v` in the most recent tree run (`u32::MAX` at the
     /// source and at untouched vertices).
     pub fn parent_vertex(&self, v: VertexId) -> VertexId {
@@ -823,65 +824,9 @@ crate::scratch_pool! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::legacy;
 
     fn diamond() -> CsrGraph {
         CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
-    }
-
-    #[test]
-    fn matches_legacy_distances_and_stats() {
-        let g = diamond();
-        let mut e = SsspEngine::new();
-        for s in 0..4u32 {
-            let stats = e.run(&g, s);
-            let (ld, ls) = legacy::dijkstra_with_stats(&g, s);
-            assert_eq!(e.dist_vec(), ld);
-            assert_eq!(stats, ls);
-        }
-    }
-
-    #[test]
-    fn matches_legacy_tree() {
-        let g = diamond();
-        let mut e = SsspEngine::new();
-        e.run_tree(&g, 0);
-        let mine = e.tree();
-        let theirs = legacy::dijkstra_tree(&g, 0);
-        assert_eq!(mine.dist, theirs.dist);
-        assert_eq!(mine.parent_vertex, theirs.parent_vertex);
-        assert_eq!(mine.parent_edge, theirs.parent_edge);
-        assert_eq!(mine.depths, theirs.depths);
-        assert_eq!(mine.settle_order, theirs.settle_order);
-        assert_eq!(mine.stats, theirs.stats);
-    }
-
-    #[test]
-    fn reuse_across_graphs_of_different_sizes() {
-        let big = CsrGraph::from_edges(6, &[(0, 1, 2), (1, 2, 2), (2, 3, 2), (4, 5, 1)]);
-        let small = CsrGraph::from_edges(2, &[(0, 1, 7)]);
-        let mut e = SsspEngine::new();
-        e.run(&big, 0);
-        assert_eq!(e.dist_vec(), legacy::dijkstra(&big, 0));
-        e.run(&small, 1);
-        assert_eq!(e.dist_vec(), legacy::dijkstra(&small, 1));
-        assert_eq!(e.dist_vec().len(), 2);
-        e.run(&big, 4);
-        assert_eq!(e.dist_vec(), legacy::dijkstra(&big, 4));
-    }
-
-    #[test]
-    fn generation_wraparound_is_transparent() {
-        let g = diamond();
-        let mut e = SsspEngine::new();
-        e.run(&g, 0); // populate stamps with a live generation
-        e.jump_generation(u32::MAX - 2);
-        for s in [0u32, 1, 2, 3, 0, 1] {
-            // Crosses the u32::MAX boundary mid-sequence.
-            e.run(&g, s);
-            assert_eq!(e.dist_vec(), legacy::dijkstra(&g, s));
-        }
-        assert!(e.generation() < 10, "generation restarted after wrap");
     }
 
     #[test]
@@ -921,83 +866,26 @@ mod tests {
         CsrGraph::from_edges(n, &edges)
     }
 
-    fn assert_matches_legacy(g: &CsrGraph, sources: &[u32]) {
-        let mut e = SsspEngine::new();
-        for &s in sources {
-            let stats = e.run(g, s);
-            let (ld, ls) = legacy::dijkstra_with_stats(g, s);
-            assert_eq!(e.dist_vec(), ld, "dist mismatch from source {s}");
-            assert_eq!(stats, ls, "stats mismatch from source {s}");
-            e.run_tree(g, s);
-            let mine = e.tree();
-            let theirs = legacy::dijkstra_tree(g, s);
-            assert_eq!(mine.dist, theirs.dist);
-            assert_eq!(mine.parent_vertex, theirs.parent_vertex);
-            assert_eq!(mine.parent_edge, theirs.parent_edge);
-            assert_eq!(mine.depths, theirs.depths);
-            assert_eq!(mine.settle_order, theirs.settle_order);
-            assert_eq!(mine.stats, theirs.stats);
-        }
-    }
-
+    /// The queue each fixture of `tests/sssp_engine_differential.rs`'s
+    /// Dial-mode sweep is built to exercise.
     #[test]
-    fn bucket_path_matches_legacy_at_scale() {
-        // n > DIAL_MIN_N with in-range weights selects the Dial path;
-        // distances, trees, settle order, and stats stay bit-identical.
-        let g = random_graph(400, 1600, 100, 99);
-        assert_matches_legacy(&g, &[0, 7, 399]);
-    }
-
-    #[test]
-    fn bucket_path_handles_equal_weight_ties() {
-        // Unit weights maximise equal-distance buckets, stressing the
-        // ascending-vertex drain order and the parent tie-break.
-        let g = random_graph(300, 2400, 1, 5);
-        assert_matches_legacy(&g, &[0, 123, 299]);
-    }
-
-    #[test]
-    fn bucket_wraparound_on_long_paths() {
-        // A path of near-maximal weights makes distances wrap the
-        // circular bucket array hundreds of times.
-        let edges: Vec<(u32, u32, Weight)> = (0..499u32)
-            .map(|i| (i, i + 1, DIAL_BUCKETS as Weight - 2))
-            .collect();
-        let g = CsrGraph::from_edges(500, &edges);
-        assert_matches_legacy(&g, &[0, 250]);
-    }
-
-    #[test]
-    fn overflow_path_matches_legacy_at_scale() {
-        // Weights far above the bucket span select the two-level overflow
-        // path; distances, trees, settle order, and stats stay
-        // bit-identical to the heap baseline.
-        let g = random_graph(400, 1600, 100_000, 77);
+    fn fixtures_select_their_dial_mode() {
+        let _guard = RANGE_FALLBACK_LOCK.lock().unwrap();
+        let e = SsspEngine::new();
+        let mode = |g: &CsrGraph| e.dial_mode(g.view());
+        assert_eq!(mode(&random_graph(400, 1600, 100, 99)), DialMode::Plain);
+        assert_eq!(mode(&random_graph(300, 2400, 1, 5)), DialMode::Plain);
+        // Weights far above the bucket span select the overflow path.
         assert_eq!(
-            SsspEngine::new().dial_mode(g.view()),
-            DialMode::Overflow,
-            "fixture must exercise the overflow path"
+            mode(&random_graph(400, 1600, 100_000, 77)),
+            DialMode::Overflow
         );
-        assert_matches_legacy(&g, &[0, 7, 399]);
-    }
-
-    #[test]
-    fn overflow_equal_weight_ties_across_windows() {
-        // One constant overflow-range weight makes whole distance levels
-        // collide, each level landing a fresh window jump away — the
-        // promote-then-sorted-drain order must still match the heap.
+        // One constant overflow-range weight: every distance level lands a
+        // fresh window jump away.
         let g = random_graph(300, 2400, 1, 5);
         let edges: Vec<(u32, u32, Weight)> = g.edges().iter().map(|e| (e.u, e.v, 10_000)).collect();
-        let g = CsrGraph::from_edges(300, &edges);
-        assert_eq!(SsspEngine::new().dial_mode(g.view()), DialMode::Overflow);
-        assert_matches_legacy(&g, &[0, 123, 299]);
-    }
-
-    #[test]
-    fn overflow_window_jumps_on_heavy_chains() {
-        // Alternating tiny and near-limit weights force entries onto both
-        // sides of every window boundary, and the total distance crosses
-        // tens of thousands of windows.
+        assert_eq!(mode(&CsrGraph::from_edges(300, &edges)), DialMode::Overflow);
+        // Alternating tiny and near-limit weights.
         let edges: Vec<(u32, u32, Weight)> = (0..499u32)
             .map(|i| {
                 let w = if i % 2 == 0 {
@@ -1008,9 +896,23 @@ mod tests {
                 (i, i + 1, w)
             })
             .collect();
-        let g = CsrGraph::from_edges(500, &edges);
-        assert_eq!(SsspEngine::new().dial_mode(g.view()), DialMode::Overflow);
-        assert_matches_legacy(&g, &[0, 250, 499]);
+        assert_eq!(mode(&CsrGraph::from_edges(500, &edges)), DialMode::Overflow);
+        // A single weight at or above DIAL_WEIGHT_LIMIT keeps the whole
+        // run on the heap path.
+        let mut edges: Vec<(u32, u32, Weight)> = (0..499u32).map(|i| (i, i + 1, 3)).collect();
+        edges.push((0, 499, DIAL_WEIGHT_LIMIT as Weight + 7));
+        assert_eq!(mode(&CsrGraph::from_edges(500, &edges)), DialMode::Heap);
+        // The three families one engine interleaves.
+        assert_eq!(mode(&random_graph(320, 1200, 50, 11)), DialMode::Plain);
+        assert_eq!(
+            mode(&random_graph(320, 1200, 80_000, 13)),
+            DialMode::Overflow
+        );
+        assert_eq!(
+            mode(&random_graph(320, 1200, 5_000_000, 12)),
+            DialMode::Heap
+        );
+        assert_eq!(mode(&diamond()), DialMode::Heap);
     }
 
     #[test]
@@ -1045,18 +947,6 @@ mod tests {
     static RANGE_FALLBACK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn wide_weights_fall_back_to_the_heap() {
-        let _guard = RANGE_FALLBACK_LOCK.lock().unwrap();
-        // A single weight at or above DIAL_WEIGHT_LIMIT keeps the whole
-        // run on the heap path — same results either way.
-        let mut edges: Vec<(u32, u32, Weight)> = (0..499u32).map(|i| (i, i + 1, 3)).collect();
-        edges.push((0, 499, DIAL_WEIGHT_LIMIT as Weight + 7));
-        let g = CsrGraph::from_edges(500, &edges);
-        assert_eq!(SsspEngine::new().dial_mode(g.view()), DialMode::Heap);
-        assert_matches_legacy(&g, &[0, 499]);
-    }
-
-    #[test]
     fn range_fallback_counter_counts_overweight_heap_runs() {
         // Same shape as `wide_weights_fall_back_to_the_heap`: big enough
         // for Dial, pushed to the heap only by one edge past the overflow
@@ -1089,46 +979,5 @@ mod tests {
         let after = ear_obs::counter_value("sssp.dial.range_fallback");
         ear_obs::disable();
         assert_eq!(after - before, 2);
-    }
-
-    #[test]
-    fn bucket_and_heap_runs_interleave_on_one_engine() {
-        // The same engine must flip between all three paths without state
-        // leaking: buckets stay drained, overflow stays drained, heap
-        // stays cleared, stamps stay valid.
-        let _guard = RANGE_FALLBACK_LOCK.lock().unwrap();
-        let dial = random_graph(320, 1200, 50, 11);
-        let over = random_graph(320, 1200, 80_000, 13);
-        let heap = random_graph(320, 1200, 5_000_000, 12);
-        let small = diamond();
-        let mut e = SsspEngine::new();
-        assert_eq!(e.dial_mode(dial.view()), DialMode::Plain);
-        assert_eq!(e.dial_mode(over.view()), DialMode::Overflow);
-        assert_eq!(e.dial_mode(heap.view()), DialMode::Heap);
-        for s in [0u32, 31, 64] {
-            e.run(&dial, s);
-            assert_eq!(e.dist_vec(), legacy::dijkstra(&dial, s));
-            e.run(&over, s);
-            assert_eq!(e.dist_vec(), legacy::dijkstra(&over, s));
-            e.run(&heap, s);
-            assert_eq!(e.dist_vec(), legacy::dijkstra(&heap, s));
-            e.run(&small, s % 4);
-            assert_eq!(e.dist_vec(), legacy::dijkstra(&small, s % 4));
-        }
-    }
-
-    #[test]
-    fn nested_with_engine_is_safe() {
-        let g = diamond();
-        let (outer, inner) = with_engine(|a| {
-            a.run(&g, 0);
-            let inner = with_engine(|b| {
-                b.run(&g, 1);
-                b.dist_vec()
-            });
-            (a.dist_vec(), inner)
-        });
-        assert_eq!(outer, legacy::dijkstra(&g, 0));
-        assert_eq!(inner, legacy::dijkstra(&g, 1));
     }
 }

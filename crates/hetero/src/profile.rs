@@ -170,12 +170,6 @@ impl DeviceProfile {
         let critical_time = critical_ops / (lane * self.intra_unit_lanes as f64);
         throughput_time.max(critical_time)
     }
-
-    /// Whether a working set fits device memory (the paper's experiments
-    /// are bounded by the GPU's 12 GB; see §2.3).
-    pub fn fits_memory(&self, bytes: u64) -> bool {
-        bytes <= self.mem_capacity_bytes
-    }
 }
 
 #[cfg(test)]
@@ -197,8 +191,6 @@ mod tests {
         assert!(gpu.lanes > cpu.lanes);
         assert!(seq.lanes == 1);
         assert!(gpu.mem_bandwidth_gbs > cpu.mem_bandwidth_gbs);
-        assert!(gpu.fits_memory(10 << 30));
-        assert!(!gpu.fits_memory(13 << 30));
     }
 
     #[test]

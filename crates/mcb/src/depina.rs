@@ -20,12 +20,14 @@
 //!    mode's block-per-witness mapping, word-transposed).
 //!
 //! The batching changes *how* the work executes, never *what* the trace
-//! records: the per-unit [`WorkCounters`] multisets equal the scalar
-//! path's ([`legacy`]) exactly — label groups are phase-invariant and
-//! precomputed, and the update step's two-cost multiset (updated vs.
-//! untouched witnesses) comes from the batch in closed form via
-//! [`ear_hetero::group_units_two`]. `tests/mcb_kernels_differential.rs`
-//! enforces byte-identical traces against [`legacy`].
+//! records: the per-unit [`WorkCounters`] multisets equal those of the
+//! scalar phase loop (one dense vector per witness, fresh labels per
+//! phase; kept as the reference in `ear_testkit::reference`) exactly —
+//! label groups are phase-invariant and precomputed, and the update
+//! step's two-cost multiset (updated vs. untouched witnesses) comes from
+//! the batch in closed form via [`ear_hetero::group_units_two`].
+//! `tests/mcb_kernels_differential.rs` enforces byte-identical traces
+//! against that reference.
 //!
 //! If the restricted candidate set has no non-orthogonal member (possible
 //! when shortest-path ties defeat the Horton-set restriction), the phase
@@ -310,143 +312,6 @@ pub fn depina_phase_loop(
     (basis, trace)
 }
 
-pub mod legacy {
-    //! The scalar de Pina phase loop — one [`DenseBits`] vector per
-    //! witness, per-witness sparse dots and XORs, fresh label vectors per
-    //! phase. Retained verbatim as the differential-testing reference for
-    //! the batched kernel path (mirroring `ear_graph::dijkstra::legacy`):
-    //! `tests/mcb_kernels_differential.rs` asserts both paths produce
-    //! identical bases *and* byte-identical [`PhaseTrace`]s.
-
-    use super::*;
-    use crate::cycle_space::DenseBits;
-    use crate::labels::{candidate_dot, tree_labels, Labels};
-    use rayon::prelude::*;
-
-    /// Scalar [`super::depina_mcb`]: basis plus modelled profile.
-    pub fn depina_mcb(
-        g: &CsrGraph,
-        exec: &HeteroExecutor,
-        opts: &DepinaOptions,
-    ) -> (Vec<Cycle>, PhaseProfile) {
-        let (basis, trace) = depina_mcb_traced(g, opts);
-        let profile = replay_trace(&trace, exec);
-        (basis, profile)
-    }
-
-    /// Scalar [`super::depina_mcb_traced`].
-    pub fn depina_mcb_traced(g: &CsrGraph, opts: &DepinaOptions) -> (Vec<Cycle>, PhaseTrace) {
-        let cs = CycleSpace::new(g);
-        let mut trace = PhaseTrace::default();
-        if cs.dim() == 0 {
-            return (Vec::new(), trace);
-        }
-        let mut cands: Candidates = candidates::generate(g);
-        trace.tree = cands.tree_units.clone();
-        let (basis, loop_trace) = depina_phase_loop(g, &cs, &mut cands, opts);
-        trace.merge(loop_trace);
-        (basis, trace)
-    }
-
-    /// Scalar [`super::depina_phase_loop`]: the original per-witness loop.
-    pub fn depina_phase_loop(
-        g: &CsrGraph,
-        cs: &CycleSpace,
-        cands: &mut Candidates,
-        opts: &DepinaOptions,
-    ) -> (Vec<Cycle>, PhaseTrace) {
-        let f = cs.dim();
-        let mut trace = PhaseTrace::default();
-        let mut basis: Vec<Cycle> = Vec::with_capacity(f);
-        if f == 0 {
-            return (basis, trace);
-        }
-        let mut witnesses: Vec<DenseBits> = (0..f).map(|i| DenseBits::unit(f, i)).collect();
-        let n_hint = g.n() as u64 + 1;
-
-        for i in 0..f {
-            let s = witnesses[i].clone();
-            let mut steps = PhaseSteps::default();
-
-            // Phase 1: labels, parallel across trees (paper Algorithm 3).
-            let labelled: Vec<(Vec<bool>, WorkCounters)> = cands
-                .trees
-                .par_iter()
-                .zip(&cands.order)
-                .map(|(t, ord)| tree_labels(t, ord, cs, &s))
-                .collect();
-            steps.labels = group_units(n_hint, labelled.iter().map(|(_, c)| *c));
-            let labels = Labels {
-                per_tree: labelled.into_iter().map(|(l, _)| l).collect(),
-            };
-
-            // Phase 2: scan the weight-sorted store for the first cycle
-            // non-orthogonal to S_i.
-            let mut inspected = 0u64;
-            let cand = if opts.force_signed {
-                None
-            } else {
-                cands
-                    .store
-                    .take_first(|c| candidate_dot(c, &labels, cs, &s, g), &mut inspected)
-            };
-            if inspected > 0 {
-                steps.search.push((
-                    1,
-                    WorkCounters {
-                        cycles_inspected: 1,
-                        ..Default::default()
-                    },
-                    inspected,
-                ));
-            }
-            let cycle = match cand {
-                Some(c) => {
-                    let edges = cands.materialize(g, &c);
-                    let cyc = cs.cycle_from_edges(g, edges);
-                    debug_assert_eq!(cyc.weight, c.live_weight());
-                    cyc
-                }
-                None => {
-                    // Backstop: exact signed search over the FVS roots. Its
-                    // Dijkstra work is charged to the search step.
-                    trace.fallbacks += usize::from(!opts.force_signed);
-                    let mut c = WorkCounters::default();
-                    let cyc = min_cycle_nonorthogonal(g, cs, &s, Some(&cands.z), &mut c)
-                        .expect("every de Pina witness admits a cycle");
-                    steps.search.push((n_hint, c, 1));
-                    cyc
-                }
-            };
-            debug_assert!(s.sparse_dot(&cycle.nt), "chosen cycle must hit its witness");
-
-            // Phase 3: witness update, parallel across the remaining
-            // witnesses (steps 4-6 of the paper's Algorithm 2).
-            let words = (f as u64).div_ceil(64);
-            let update_counters: Vec<WorkCounters> = witnesses[i + 1..]
-                .par_iter_mut()
-                .map(|sj| {
-                    let mut c = WorkCounters {
-                        words_xored: cycle.nt.len() as u64,
-                        ..Default::default()
-                    };
-                    if sj.sparse_dot(&cycle.nt) {
-                        sj.xor_assign(&s);
-                        c.words_xored += words;
-                    }
-                    c
-                })
-                .collect();
-            steps.update = group_units(words, update_counters);
-
-            trace.phases.push(steps);
-            basis.push(cycle);
-        }
-
-        (basis, trace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,11 +333,6 @@ mod tests {
             weight(&reference),
             "weight vs signed reference"
         );
-        // The batched kernels must record exactly the scalar path's trace.
-        let (legacy_basis, legacy_trace) = legacy::depina_mcb_traced(g, &DepinaOptions::default());
-        let (_, trace) = depina_mcb_traced(g, &DepinaOptions::default());
-        assert_eq!(weight(&basis), weight(&legacy_basis));
-        assert_eq!(trace, legacy_trace, "batched vs legacy trace");
         (basis, profile)
     }
 

@@ -1,11 +1,11 @@
 //! Packed GF(2) linear-algebra kernels for the de Pina phase loop.
 //!
-//! The scalar phase loop ([`crate::depina::legacy`]) keeps each witness
-//! `S_j ∈ {0,1}^f` as its own [`DenseBits`] vector and, every phase, probes
-//! them one at a time: `f` sparse dot products (`O(|C_i|)` bit reads each)
-//! to find the non-orthogonal witnesses, then one word XOR per hit. This
-//! module batches all of that into word-parallel kernels over a single
-//! contiguous matrix:
+//! The scalar phase loop (the reference in `ear_testkit::reference`)
+//! keeps each witness `S_j ∈ {0,1}^f` as its own [`DenseBits`] vector and,
+//! every phase, probes them one at a time: `f` sparse dot products
+//! (`O(|C_i|)` bit reads each) to find the non-orthogonal witnesses, then
+//! one word XOR per hit. This module batches all of that into
+//! word-parallel kernels over a single contiguous matrix:
 //!
 //! * [`BitMatrix`] — the **word-transposed** witness matrix `T`. Row `b`
 //!   (one row per non-tree edge bit of `E'`) packs bit `b` of *every*

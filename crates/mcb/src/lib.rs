@@ -12,20 +12,18 @@
 //!   (one SSSP tree per FVS vertex; cycles kept implicit as `(z, e)` pairs),
 //!   stored weight-sorted in the paper's hybrid linked-list-of-arrays
 //!   [`candidates::CycleStore`] with MSB tombstones;
-//! * [`labels`] — Algorithm 3: per-tree node labels that make each
-//!   orthogonality test O(1) (scalar form, used by the `depina::legacy`
-//!   reference path);
 //! * [`kernels`] — the packed GF(2) kernel layer: word-transposed witness
-//!   matrix, packed per-tree edge incidence, pooled scratch — the batched
-//!   engine under the phase loop;
+//!   matrix, packed per-tree edge incidence, pooled scratch, and the
+//!   per-tree node labels of Algorithm 3 that make each orthogonality
+//!   test O(1) — the batched engine under the phase loop;
 //! * [`signed`] — de Pina's signed auxiliary-graph search (§3.2.1), used
 //!   both as a standalone exact algorithm and as the correctness backstop
 //!   when candidate restriction plus tie-breaking leaves a phase empty;
 //! * [`horton`] — Horton's original algorithm with Gaussian elimination
 //!   (small-graph cross-validation baseline);
 //! * [`depina`] — the phase loop: label pass → batched candidate scan →
-//!   batched witness update, instrumented per phase; the scalar original
-//!   survives as [`depina::legacy`] for differential testing;
+//!   batched witness update, instrumented per phase (the scalar original
+//!   it is tested against lives in `ear_testkit::reference`);
 //! * [`ear_mcb`] — the full pipeline: BCC split, ear reduction, per-block
 //!   MCB, chain re-expansion (Lemma 3.1);
 //! * [`verify`] — independence (GF(2) rank), dimension and weight checks.
@@ -43,7 +41,6 @@ pub mod depina;
 pub mod ear_mcb;
 pub mod horton;
 pub mod kernels;
-pub mod labels;
 pub mod signed;
 pub mod verify;
 

@@ -10,7 +10,7 @@
 //! returned as a [`Divergence`] naming both sides, so the property runner
 //! can attach the replayable seed.
 
-use ear_apsp::baselines::{floyd_warshall, plain_apsp};
+use crate::reference::{floyd_warshall, plain_apsp};
 use ear_apsp::djidjev::djidjev_apsp;
 use ear_apsp::oracle::{build_oracle, ApspMethod};
 use ear_apsp::DistMatrix;

@@ -784,7 +784,7 @@ pub fn trace_invariants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ear_apsp::baselines::floyd_warshall;
+    use crate::reference::floyd_warshall;
 
     fn diamond() -> CsrGraph {
         CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 5), (0, 2, 7)])

@@ -28,11 +28,16 @@
 //!   every MCB mode in the workspace, with a single
 //!   [`differential::cross_validate`] entry point that runs all of them
 //!   and reports the first divergence.
+//! * [`reference`](mod@reference) — the reference implementations the production layers
+//!   are differentially tested against: the allocate-per-source Dijkstra,
+//!   the scalar de Pina phase loop, Floyd–Warshall and plain
+//!   all-sources Dijkstra APSP.
 
 #![deny(missing_docs)]
 
 pub mod differential;
 pub mod invariants;
+pub mod reference;
 pub mod rng;
 pub mod runner;
 pub mod strategy;

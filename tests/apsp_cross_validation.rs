@@ -5,11 +5,11 @@
 //! Any failure prints a one-line `EAR_TESTKIT_SEED=… cargo test <name>`
 //! reproduction.
 
-use ear_apsp::baselines::{floyd_warshall, plain_apsp};
 use ear_apsp::djidjev::djidjev_apsp;
 use ear_apsp::{build_oracle, ApspMethod};
 use ear_graph::CsrGraph;
 use ear_hetero::HeteroExecutor;
+use ear_testkit::reference::{floyd_warshall, plain_apsp};
 use ear_testkit::{forall, invariants, multigraphs, simple_graphs, usizes, zip};
 
 const METHODS: [ApspMethod; 3] = [ApspMethod::Ear, ApspMethod::Plain, ApspMethod::Reduced];

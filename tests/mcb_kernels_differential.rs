@@ -1,22 +1,22 @@
 //! Differential suite for the batched GF(2) kernel layer: the kernel-built
-//! de Pina phase loop (`ear_mcb::depina`) against the retained scalar path
-//! (`ear_mcb::depina::legacy`) across every graph family, demanding not
-//! just equal basis weights but **byte-identical cycles and
-//! [`PhaseTrace`]s** — the kernels may only change how the work executes,
-//! never what work is recorded.
+//! de Pina phase loop (`ear_mcb::depina`) against the scalar reference
+//! (`ear_testkit::reference`) across every graph family and a set of
+//! fixed shapes, demanding not just equal basis weights but
+//! **byte-identical cycles and [`PhaseTrace`]s** — the kernels may only
+//! change how the work executes, never what work is recorded.
 
 use ear_graph::CsrGraph;
-use ear_mcb::depina::{self, legacy, DepinaOptions, PhaseTrace};
+use ear_mcb::depina::{self, DepinaOptions, PhaseTrace};
 use ear_mcb::{Cycle, CycleSpace};
 use ear_testkit::{
     cactus_graphs, chain_heavy_graphs, dense_residual_graphs, forall, invariants, multi_bcc_graphs,
-    multigraphs, simple_graphs, GraphStrategy,
+    multigraphs, reference, simple_graphs, GraphStrategy,
 };
 
 /// Runs both paths on `g` and checks cycles, weights and traces match.
 fn differential(g: &CsrGraph, opts: &DepinaOptions) -> Result<(), String> {
     let (batched, batched_trace) = depina::depina_mcb_traced(g, opts);
-    let (scalar, scalar_trace) = legacy::depina_mcb_traced(g, opts);
+    let (scalar, scalar_trace) = reference::depina_mcb_traced(g, opts);
     check_equal(g, &batched, &batched_trace, &scalar, &scalar_trace)
 }
 
@@ -150,6 +150,80 @@ fn kernels_match_legacy_under_force_signed() {
 }
 
 #[test]
+fn kernels_match_reference_on_fixed_shapes() {
+    let mut wheel = vec![];
+    for i in 1..=6u32 {
+        wheel.push((0, i, 2u64));
+        wheel.push((i, if i == 6 { 1 } else { i + 1 }, 3u64));
+    }
+    let idx = |r: u32, c: u32| r * 4 + c;
+    let mut grid = Vec::new();
+    let mut w = 1u64;
+    for r in 0..4u32 {
+        for c in 0..4u32 {
+            if c + 1 < 4 {
+                grid.push((idx(r, c), idx(r, c + 1), w));
+                w = w % 9 + 1;
+            }
+            if r + 1 < 4 {
+                grid.push((idx(r, c), idx(r + 1, c), w));
+                w = w % 7 + 1;
+            }
+        }
+    }
+    let shapes = [
+        // Triangle.
+        CsrGraph::from_edges(3, &[(0, 1, 1), (1, 2, 2), (2, 0, 3)]),
+        // Two triangles sharing an edge.
+        CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 0, 2), (2, 3, 1), (3, 1, 2)]),
+        // K4 with unit weights (every candidate ties).
+        CsrGraph::from_edges(
+            4,
+            &[
+                (0, 1, 1),
+                (0, 2, 1),
+                (0, 3, 1),
+                (1, 2, 1),
+                (1, 3, 1),
+                (2, 3, 1),
+            ],
+        ),
+        // Multigraph with parallel edges and self-loops.
+        CsrGraph::from_edges(
+            3,
+            &[
+                (0, 1, 1),
+                (0, 1, 2),
+                (1, 2, 1),
+                (2, 0, 1),
+                (2, 2, 4),
+                (0, 0, 9),
+            ],
+        ),
+        CsrGraph::from_edges(7, &wheel),
+        CsrGraph::from_edges(16, &grid),
+        // Two components, one with a pendant vertex.
+        CsrGraph::from_edges(
+            7,
+            &[
+                (0, 1, 1),
+                (1, 2, 1),
+                (2, 0, 1),
+                (3, 4, 2),
+                (4, 5, 2),
+                (5, 3, 2),
+                (5, 6, 1),
+            ],
+        ),
+    ];
+    for (i, g) in shapes.iter().enumerate() {
+        if let Err(e) = differential(g, &DepinaOptions::default()) {
+            panic!("shape {i}: {e}");
+        }
+    }
+}
+
+#[test]
 fn phase_loop_entry_matches_full_run() {
     // The bench times `depina_phase_loop` against a cloned candidate set;
     // that entry point must agree with the full traced run.
@@ -168,10 +242,9 @@ fn phase_loop_entry_matches_full_run() {
             check_equal(g, &basis_loop, &trace_loop, &basis_full, &trace_full)?;
 
             let mut c2 = cands.clone();
-            let (basis_legacy, mut trace_legacy) =
-                legacy::depina_phase_loop(g, &cs, &mut c2, &opts);
-            trace_legacy.tree = cands.tree_units.clone();
-            check_equal(g, &basis_loop, &trace_loop, &basis_legacy, &trace_legacy)
+            let (basis_ref, mut trace_ref) = reference::depina_phase_loop(g, &cs, &mut c2, &opts);
+            trace_ref.tree = cands.tree_units.clone();
+            check_equal(g, &basis_loop, &trace_loop, &basis_ref, &trace_ref)
         });
 }
 

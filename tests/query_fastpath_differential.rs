@@ -5,7 +5,7 @@
 //! distance function, so checking them against each other proves
 //! nothing. This suite checks the oracle and the engine over it at every
 //! method (`Ear`, `Plain` and the reduced tables of `Reduced`), with
-//! `QueryEngine::path`, against `baselines::floyd_warshall` on every
+//! `QueryEngine::path`, against `reference::floyd_warshall` on every
 //! testkit family, before and after recustomization, and tallies that
 //! the pair shapes the router
 //! special-cases in its arithmetic actually occur: an AP endpoint inside
@@ -17,11 +17,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ear_apsp::baselines::floyd_warshall;
 use ear_apsp::{build_oracle_with_plan, ApspMethod, DistMatrix, DistanceOracle, QueryEngine};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{dist_add, CsrGraph, VertexId, Weight, INF};
 use ear_hetero::HeteroExecutor;
+use ear_testkit::reference::floyd_warshall;
 use ear_testkit::rng::derive_seed;
 use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
@@ -242,35 +242,57 @@ fn every_router_matches_floyd_warshall() {
     }
 }
 
-/// `QueryEngine::path` ≡ `DistanceOracle::path` ≡ the reference descent,
-/// and every path is a walk of the graph whose weight is the distance.
+/// Every third edge of `g` reweighted to zero.
+fn with_zero_weights(g: &CsrGraph) -> CsrGraph {
+    let w: Vec<Weight> = (0..)
+        .zip(g.edges())
+        .map(|(i, e)| if i % 3 == 0 { 0 } else { e.w })
+        .collect();
+    g.reweighted(&w)
+}
+
+/// `QueryEngine::path` ≡ `DistanceOracle::path`, and every path is a walk
+/// of the graph whose weight is the distance — also with zero-weight
+/// edges, which are tight in both directions. On the positive-weight
+/// input the path is also the reference descent.
 #[test]
 fn path_is_a_tight_walk_on_every_pair_shape() {
     for (name, strat) in families() {
         forall(format!("query_path/{name}").leak())
             .cases(6)
             .run(&strat, |g| {
-                let exec = HeteroExecutor::sequential();
-                let plan = Arc::new(DecompPlan::build(g));
-                let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-                let q = QueryEngine::new(&oracle);
-                let fw = floyd_warshall(g);
-                for (u, v) in query_pairs(g, &plan, 7 + g.n() as u64) {
-                    let (p, legacy) = (q.path(g, u, v), oracle.path(g, u, v));
-                    if p != legacy || p != reference_path(g, &fw, u, v) {
-                        return Err(format!("path({u},{v}): engine {p:?} oracle {legacy:?}"));
-                    }
-                    let Some(p) = p else { continue };
-                    let mut total = 0;
-                    for w in p.windows(2) {
-                        let edge = g.neighbors(w[0]).iter().filter(|&&(y, _)| y == w[1]);
-                        let Some(best) = edge.map(|&(_, e)| g.weight(e)).min() else {
-                            return Err(format!("path({u},{v}) steps off the graph"));
-                        };
-                        total += best;
-                    }
-                    if total != fw.get(u, v) {
-                        return Err(format!("path({u},{v}) weighs {total}"));
+                for (zero, g) in [(false, g.clone()), (true, with_zero_weights(g))] {
+                    let g = &g;
+                    let exec = HeteroExecutor::sequential();
+                    let plan = Arc::new(DecompPlan::build(g));
+                    let oracle =
+                        build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
+                    let q = QueryEngine::new(&oracle);
+                    let fw = floyd_warshall(g);
+                    for (u, v) in query_pairs(g, &plan, 7 + g.n() as u64) {
+                        let (p, by_oracle) = (q.path(g, u, v), oracle.path(g, u, v));
+                        if p != by_oracle || (!zero && p != reference_path(g, &fw, u, v)) {
+                            return Err(format!(
+                                "path({u},{v}), zero weights {zero}: engine {p:?} oracle {by_oracle:?}"
+                            ));
+                        }
+                        let Some(p) = p else { continue };
+                        if (p[0], p[p.len() - 1]) != (u, v) {
+                            return Err(format!("path({u},{v}) = {p:?} has the wrong ends"));
+                        }
+                        let mut total = 0;
+                        for w in p.windows(2) {
+                            let edge = g.neighbors(w[0]).iter().filter(|&&(y, _)| y == w[1]);
+                            let Some(best) = edge.map(|&(_, e)| g.weight(e)).min() else {
+                                return Err(format!("path({u},{v}) steps off the graph"));
+                            };
+                            total += best;
+                        }
+                        if total != fw.get(u, v) {
+                            return Err(format!(
+                                "path({u},{v}), zero weights {zero}: weighs {total}"
+                            ));
+                        }
                     }
                 }
                 Ok(())
