@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ear_apsp::djidjev::djidjev_apsp;
 use ear_apsp::{build_oracle, ApspMethod};
 use ear_hetero::HeteroExecutor;
-use ear_testkit::reference::plain_apsp;
 use ear_workloads::combinators::subdivide_edges;
 use ear_workloads::generators::{random_min_deg3, triangulated_grid};
 use std::hint::black_box;
@@ -26,9 +25,6 @@ fn bench_apsp(c: &mut Criterion) {
     });
     group.bench_function("plain_oracle/chained_2k", |b| {
         b.iter(|| black_box(build_oracle(&chained, &exec, ApspMethod::Plain)))
-    });
-    group.bench_function("plain_apsp/chained_2k", |b| {
-        b.iter(|| black_box(plain_apsp(&chained, &exec)))
     });
 
     // Planar mesh for the partition baseline.

@@ -13,9 +13,6 @@
 use ear_graph::CsrGraph;
 use ear_workloads::DatasetSpec;
 
-pub mod diff;
-pub mod report;
-
 /// Parsed common CLI options.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchOpts {

@@ -243,33 +243,6 @@ pub fn trace_check(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `ear bench-diff` — the perf-regression sentinel: compare two
-/// `ear-bench/v1` reports (checksum-gated, direction-aware, see
-/// [`ear_bench::diff`]), print the human table, optionally write the
-/// `ear-bench-diff/v1` machine verdict, and exit non-zero on a
-/// regression so CI can gate on it directly.
-pub fn bench_diff(
-    baseline: &str,
-    candidate: &str,
-    threshold: f64,
-    json_out: Option<&str>,
-) -> Result<(), String> {
-    let base = std::fs::read_to_string(baseline).map_err(|e| format!("{baseline}: {e}"))?;
-    let cand = std::fs::read_to_string(candidate).map_err(|e| format!("{candidate}: {e}"))?;
-    let d = ear_bench::diff::diff_reports(&base, &cand, threshold)?;
-    print!("{}", d.human_table());
-    if let Some(path) = json_out {
-        std::fs::write(path, d.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote verdict to {path}");
-    }
-    if d.verdict() == ear_bench::diff::Verdict::Regression {
-        // A regression is a failed check, not a usage error: exit
-        // non-zero without the usage dump an Err would trigger.
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
 /// The `--profile` table: modelled makespan per phase step under the
 /// selected device mode, with shares over the phase loop (trees are
 /// preprocessing and excluded from the share base, matching

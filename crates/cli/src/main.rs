@@ -29,9 +29,7 @@
 //! `--metrics-stream <path> --metrics-interval <ms>` streams periodic
 //! metrics frames (JSON lines) to a file or FIFO while the command runs.
 //! `ear trace-check <file>` validates a trace file's structure, including
-//! counter-event sanity (for CI), and `ear bench-diff <baseline.json>
-//! <candidate.json>` is the perf-regression sentinel over `ear-bench/v1`
-//! reports.
+//! counter-event sanity (for CI).
 
 use std::process::ExitCode;
 
@@ -67,7 +65,6 @@ fn usage() -> &'static str {
   ear bc <graph> [--top K]
   ear generate <spec-name> <scale> [out-file]
   ear trace-check <trace-file>
-  ear bench-diff <baseline.json> <candidate.json> [--threshold PCT] [--json-out FILE]
 
 graph: .mtx (Matrix Market) or edge list 'u v [w]' per line; '-' = stdin
 mode:  seq | multicore | gpu | hetero (default)
@@ -118,13 +115,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
         "bc" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            let top = rest
-                .iter()
-                .position(|a| a == "--top")
-                .and_then(|i| rest.get(i + 1))
-                .map(|s| s.parse::<usize>().map_err(|_| "--top takes an integer"))
-                .transpose()?
-                .unwrap_or(10);
+            let top = parse_value(&rest[1..], "--top")?.unwrap_or(10usize);
             commands::bc(&g, top)
         }
         "mcb" => {
@@ -136,32 +127,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             commands::mcb(&g, &opts, print_cycles, profile, profile_json)
         }
         "trace-check" => commands::trace_check(rest.first().ok_or("missing trace file")?),
-        "bench-diff" => {
-            let baseline = rest.first().ok_or("missing baseline report path")?;
-            let candidate = rest.get(1).ok_or("missing candidate report path")?;
-            let threshold_pct: f64 = parse_value(&rest[2..], "--threshold")?
-                .unwrap_or(ear_bench::diff::DEFAULT_THRESHOLD * 100.0);
-            // Also rejects NaN, which fails every ordered comparison.
-            if !(threshold_pct.is_finite() && threshold_pct > 0.0) {
-                return Err("--threshold must be a positive percentage".into());
-            }
-            let json_out = rest[2..]
-                .iter()
-                .position(|a| a == "--json-out")
-                .map(|i| {
-                    rest[2..]
-                        .get(i + 1)
-                        .cloned()
-                        .ok_or("--json-out needs a path")
-                })
-                .transpose()?;
-            commands::bench_diff(
-                baseline,
-                candidate,
-                threshold_pct / 100.0,
-                json_out.as_deref(),
-            )
-        }
         "generate" => {
             let name = rest.first().ok_or("missing spec name")?;
             let scale: usize = rest

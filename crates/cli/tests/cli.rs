@@ -393,6 +393,15 @@ fn bc_ranks_the_hub_first() {
 }
 
 #[test]
+fn bc_top_without_a_value_is_rejected() {
+    let p = tmpfile("star_top.txt", "0 1 1\n0 2 1\n0 3 1\n0 4 1\n");
+    let out = ear(&["bc", p.to_str().unwrap(), "--top"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--top needs a value"), "{err}");
+}
+
+#[test]
 fn recustomize_replays_weight_updates_with_checksum_gate() {
     let two_blocks = "0 1 3\n1 2 4\n2 0 5\n2 3 2\n3 4 1\n4 5 6\n5 3 2\n";
     let out = ear_stdin(
@@ -615,85 +624,4 @@ fn metrics_stream_writes_parseable_json_lines() {
             Some("ear-metrics/v1")
         );
     }
-}
-
-/// Minimal `ear-bench/v1` fixture for bench-diff smoke tests.
-fn bench_fixture(ns_per_op: f64, checksum: u64) -> String {
-    format!(
-        r#"{{
-  "schema": "ear-bench/v1",
-  "name": "cli_fixture",
-  "bench": "cli_fixture",
-  "columns": {{"ns_per_op": "lower", "graphs": "info"}},
-  "families": [
-    {{"family": "fam_a", "checksum": {checksum}, "samples": 3, "graphs": 2, "ns_per_op": {ns_per_op}}}
-  ]
-}}"#
-    )
-}
-
-#[test]
-fn bench_diff_passes_identity_and_flags_regressions() {
-    let base = tmpfile("bd_base.json", &bench_fixture(100.0, 42));
-    let dir = std::env::temp_dir().join("ear-cli-tests");
-
-    // Identical inputs: verdict pass, exit 0, verdict JSON written.
-    let verdict_path = dir.join("bd_verdict.json");
-    let out = ear(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        base.to_str().unwrap(),
-        "--json-out",
-        verdict_path.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("verdict: pass"), "{text}");
-    let v = ear_obs::json::parse(&std::fs::read_to_string(&verdict_path).unwrap()).unwrap();
-    assert_eq!(
-        v.get("schema").and_then(|s| s.as_str()),
-        Some("ear-bench-diff/v1")
-    );
-    assert_eq!(v.get("verdict").and_then(|s| s.as_str()), Some("pass"));
-
-    // Injected 20% regression: non-zero exit, flagged in the table.
-    let slow = tmpfile("bd_slow.json", &bench_fixture(120.0, 42));
-    let out = ear(&["bench-diff", base.to_str().unwrap(), slow.to_str().unwrap()]);
-    assert!(!out.status.success(), "regression must exit non-zero");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("REGRESSION"), "{text}");
-    assert!(text.contains("verdict: regression"), "{text}");
-
-    // Same 20% delta under a loose threshold: tolerated.
-    let out = ear(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        slow.to_str().unwrap(),
-        "--threshold",
-        "25",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Different checksum: incomparable, not a regression.
-    let other = tmpfile("bd_other.json", &bench_fixture(500.0, 43));
-    let out = ear(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        other.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("checksum-mismatch"), "{text}");
 }

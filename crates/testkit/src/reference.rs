@@ -6,13 +6,13 @@
 //!   [`dijkstra_tree`]: the allocate-per-source Dijkstra with a
 //!   lazy-deletion binary heap. Bit-identical to the pooled
 //!   [`ear_graph::SsspEngine`] in distances, parents, settle orders and
-//!   statistics; the `sssp_engine` benchmark's denominator.
+//!   statistics, which `tests/sssp_engine_differential.rs` checks.
 //! * **De Pina** — [`depina_mcb_traced`] and [`depina_phase_loop`]: the
 //!   scalar phase loop with one [`DenseBits`] vector per witness and fresh
 //!   per-tree [`Labels`] each phase ([`tree_labels`],
 //!   [`candidate_dot`]). It records byte-identical
-//!   [`PhaseTrace`]s to the packed kernels of `ear_mcb::depina`; the
-//!   `mcb_kernels` benchmark's denominator.
+//!   [`PhaseTrace`]s to the packed kernels of `ear_mcb::depina`, which
+//!   `tests/mcb_kernels_differential.rs` checks.
 //! * **APSP** — [`floyd_warshall`], the exact `O(n³)` oracle, and
 //!   [`plain_apsp`], Dijkstra from every vertex of the whole graph through
 //!   the heterogeneous executor.

@@ -174,62 +174,66 @@ fn stats_from_plan_match_measure() {
 
 /// One `Arc<DecompPlan>` feeds the oracle at `Ear` and `Reduced`, the MCB
 /// pipeline and the stats reporter — the combined-mode contract: a single
-/// decomposition serves every consumer with unchanged outputs.
+/// decomposition serves every consumer with unchanged outputs, on every
+/// family.
 #[test]
 fn one_shared_plan_serves_every_consumer() {
-    forall("one_shared_plan_serves_every_consumer")
-        .cases(12)
-        .run(&simple_graphs(14), |g| {
-            let plan = Arc::new(DecompPlan::build(g));
-            let exec = HeteroExecutor::sequential();
-            plan_invariants(g, &plan)?;
+    for (name, strat) in families() {
+        forall(format!("one_shared_plan_serves_every_consumer/{name}").leak())
+            .cases(12)
+            .run(&strat, |g| {
+                let plan = Arc::new(DecompPlan::build(g));
+                let exec = HeteroExecutor::sequential();
+                plan_invariants(g, &plan)?;
 
-            let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
-            let reduced = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Reduced);
-            let cold = build_oracle(g, &exec, ApspMethod::Ear);
-            for u in 0..g.n() as u32 {
-                for v in 0..g.n() as u32 {
-                    if oracle.dist(u, v) != cold.dist(u, v) || reduced.dist(u, v) != cold.dist(u, v)
-                    {
-                        return Err(format!("shared-plan dist({u},{v}) diverges"));
+                let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
+                let reduced = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Reduced);
+                let cold = build_oracle(g, &exec, ApspMethod::Ear);
+                for u in 0..g.n() as u32 {
+                    for v in 0..g.n() as u32 {
+                        if oracle.dist(u, v) != cold.dist(u, v)
+                            || reduced.dist(u, v) != cold.dist(u, v)
+                        {
+                            return Err(format!("shared-plan dist({u},{v}) diverges"));
+                        }
                     }
                 }
-            }
 
-            if g.is_simple() {
-                let config = McbConfig {
-                    mode: ExecMode::Sequential,
-                    use_ear: true,
-                };
-                let warm = mcb_with_plan(g, &plan, &config);
-                let cold = mcb(g, &config);
-                if warm.total_weight != cold.total_weight || warm.dim != cold.dim {
-                    return Err("shared-plan MCB diverges".into());
+                if g.is_simple() {
+                    let config = McbConfig {
+                        mode: ExecMode::Sequential,
+                        use_ear: true,
+                    };
+                    let warm = mcb_with_plan(g, &plan, &config);
+                    let cold = mcb(g, &config);
+                    if warm.total_weight != cold.total_weight || warm.dim != cold.dim {
+                        return Err("shared-plan MCB diverges".into());
+                    }
                 }
-            }
 
-            let stats = GraphStats::from_plan(&plan);
-            if stats.table_entries != GraphStats::measure(g).table_entries {
-                return Err("shared-plan stats diverge".into());
-            }
-            // Table 1's memory columns are what the oracle stores at `Ear`
-            // and at `Reduced`.
-            if oracle.stats().table_entries != stats.table_entries {
-                return Err(format!(
-                    "oracle stores {} entries, Table 1 reports {}",
-                    oracle.stats().table_entries,
-                    stats.table_entries
-                ));
-            }
-            if reduced.stats().table_entries != stats.reduced_table_entries {
-                return Err(format!(
-                    "reduced oracle stores {} entries, Table 1 reports {}",
-                    reduced.stats().table_entries,
-                    stats.reduced_table_entries
-                ));
-            }
-            Ok(())
-        });
+                let stats = GraphStats::from_plan(&plan);
+                if stats.table_entries != GraphStats::measure(g).table_entries {
+                    return Err("shared-plan stats diverge".into());
+                }
+                // Table 1's memory columns are what the oracle stores at `Ear`
+                // and at `Reduced`.
+                if oracle.stats().table_entries != stats.table_entries {
+                    return Err(format!(
+                        "oracle stores {} entries, Table 1 reports {}",
+                        oracle.stats().table_entries,
+                        stats.table_entries
+                    ));
+                }
+                if reduced.stats().table_entries != stats.reduced_table_entries {
+                    return Err(format!(
+                        "reduced oracle stores {} entries, Table 1 reports {}",
+                        reduced.stats().table_entries,
+                        stats.reduced_table_entries
+                    ));
+                }
+                Ok(())
+            });
+    }
 }
 
 /// The router's exit AP out of every block toward every other node of

@@ -225,8 +225,8 @@ fn kernels_match_reference_on_fixed_shapes() {
 
 #[test]
 fn phase_loop_entry_matches_full_run() {
-    // The bench times `depina_phase_loop` against a cloned candidate set;
-    // that entry point must agree with the full traced run.
+    // `depina_phase_loop` replays a cloned candidate set; that public
+    // entry point must agree with the full traced run.
     forall("phase_loop_entry_matches_full_run")
         .cases(20)
         .run(&dense_residual_graphs(12), |g| {
