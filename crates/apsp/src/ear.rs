@@ -19,44 +19,47 @@
 
 use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::{ReducedGraph, RemovedInfo};
-use ear_graph::{dist_add, VertexId, Weight};
+use ear_graph::{DistEntry, VertexId};
 use ear_hetero::WorkCounters;
 
 use crate::arena::DistArena;
-use crate::matrix::DistMatrix;
 
 /// The two-way minimum: the distance to removed `x` from a vertex whose
 /// distances to `x`'s anchors `ℓx` and `rx` are `d_left` and `d_right`.
+/// Chain weights are at most the block's total weight, so they narrow
+/// exactly to any width the block's table is stored at.
 #[inline]
-fn two_way(d_left: Weight, d_right: Weight, x: &RemovedInfo) -> Weight {
-    dist_add(d_left, x.w_left).min(dist_add(d_right, x.w_right))
+fn two_way<E: DistEntry>(d_left: E, d_right: E, x: &RemovedInfo) -> E {
+    let (wl, wr) = (E::narrow(x.w_left), E::narrow(x.w_right));
+    d_left.dist_add(wl).min(d_right.dist_add(wr))
 }
 
 /// The four-way minimum between removed `x` and `y`, where `d[i][j]` is
 /// the distance from `x`'s anchor `i` to `y`'s anchor `j` (0 = left,
 /// 1 = right), plus the same-chain case.
 #[inline]
-fn four_way(d: [[Weight; 2]; 2], x: &RemovedInfo, y: &RemovedInfo) -> Weight {
-    let to_y = |from: [Weight; 2]| two_way(from[0], from[1], y);
+fn four_way<E: DistEntry>(d: [[E; 2]; 2], x: &RemovedInfo, y: &RemovedInfo) -> E {
+    let to_y = |from: [E; 2]| two_way(from[0], from[1], y);
     let around = two_way(to_y(d[0]), to_y(d[1]), x);
     if x.chain == y.chain {
         // Same ear: the direct sub-chain path never leaves the ear (paper:
         // "the unique xy-path along P that does not use ℓx and rx").
-        around.min(x.along_chain(y))
+        around.min(E::narrow(x.along_chain(y)))
     } else {
         around
     }
 }
 
 /// Writes the full distance row of `x` in its block into `row`, from the
-/// block's reduced matrix `sr` (the `UPDATE_DISTANCE(s)` of Algorithm 1),
-/// and returns its work counters. `n` is the block's vertex count.
-pub(crate) fn extend_row(
+/// rows `sr(i)` of the block's reduced matrix (the `UPDATE_DISTANCE(s)` of
+/// Algorithm 1), and returns its work counters. `n` is the block's vertex
+/// count.
+pub(crate) fn extend_row<'s, E: DistEntry>(
     n: usize,
     r: &ReducedGraph,
-    sr: &DistMatrix,
+    sr: impl Fn(VertexId) -> &'s [E],
     x: VertexId,
-    row: &mut [Weight],
+    row: &mut [E],
 ) -> WorkCounters {
     assert_eq!(row.len(), n, "distance row length");
     let lid = |v: VertexId| r.to_reduced[v as usize];
@@ -65,7 +68,7 @@ pub(crate) fn extend_row(
         None => {
             // x survives into G^r: its reduced row answers retained targets
             // directly and removed targets through their two anchors.
-            let sr_row = sr.row(lid(x));
+            let sr_row = sr(lid(x));
             let at = |v| sr_row[lid(v) as usize];
             for (y, d) in (0..).zip(row.iter_mut()) {
                 *d = match r.removed_info(y) {
@@ -78,14 +81,14 @@ pub(crate) fn extend_row(
             }
         }
         Some(ix) => {
-            let (row_l, row_r) = (sr.row(lid(ix.left)), sr.row(lid(ix.right)));
+            let (row_l, row_r) = (sr(lid(ix.left)), sr(lid(ix.right)));
             let at = |v| {
                 let l = lid(v) as usize;
                 [row_l[l], row_r[l]]
             };
             for (y, d) in (0..).zip(row.iter_mut()) {
                 *d = match r.removed_info(y) {
-                    _ if y == x => 0,
+                    _ if y == x => E::default(),
                     None => {
                         combos += 2;
                         let [dl, dr] = at(y);
@@ -109,15 +112,15 @@ pub(crate) fn extend_row(
 /// Within-block distance between local ids `u` and `v` of block `b`,
 /// from the block's reduced span of `tables` — one pair of
 /// [`extend_row`]'s formulas, evaluated per query.
-pub(crate) fn block_pair_dist(
+pub(crate) fn block_pair_dist<E: DistEntry>(
     plan: &DecompPlan,
-    tables: &DistArena,
+    tables: &DistArena<E>,
     b: u32,
     u: VertexId,
     v: VertexId,
-) -> Weight {
+) -> E {
     if u == v {
-        return 0;
+        return E::default();
     }
     let Some(r) = plan.reduction(b) else {
         return tables.block(b, u, v);

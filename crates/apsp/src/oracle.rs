@@ -40,10 +40,10 @@ use std::sync::Arc;
 
 use ear_decomp::block_cut::{BlockCutTree, Endpoint};
 use ear_decomp::plan::{BlockPlan, DecompPlan};
-use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, VertexId, Weight, INF};
+use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, DistEntry, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
-use crate::arena::DistArena;
+use crate::arena::{DistArena, Rows, Tables, Width};
 use crate::ear::{block_pair_dist, extend_row};
 use crate::matrix::DistMatrix;
 
@@ -81,6 +81,11 @@ pub struct OracleStats {
     /// Stored table entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at
     /// [`ApspMethod::Reduced`]).
     pub table_entries: u64,
+    /// Resident table bytes: `table_entries` at the stored width — 4 bytes
+    /// an entry when the graph's total edge weight is below `u32::MAX`
+    /// (the paper's accounting, [`OracleStats::memory_bytes_f32`]), 8
+    /// otherwise.
+    pub table_bytes: u64,
     /// Entries a flat `n × n` table would need.
     pub max_entries: u64,
 }
@@ -117,38 +122,49 @@ fn table_side(method: ApspMethod, bp: &BlockPlan) -> usize {
     }
 }
 
+/// True when `plan`'s tables can be stored at `u32`: its total edge
+/// weight, which bounds every finite block, reduced-block and AP distance
+/// (a shortest path uses each edge at most once), is below `u32::MAX`.
+fn fits_u32(plan: &DecompPlan) -> bool {
+    let total = plan
+        .edge_weights()
+        .iter()
+        .try_fold(0 as Weight, |t, &w| t.checked_add(w));
+    total.is_some_and(|t| t < Weight::from(u32::MAX))
+}
+
 /// The tables of one customization under one [`ApspMethod`]: the build,
 /// refresh and routing machinery behind [`DistanceOracle`].
 #[derive(Debug)]
 struct Store {
     plan: Arc<DecompPlan>,
     method: ApspMethod,
-    arena: Arc<DistArena>,
+    tables: Tables,
 }
 
 impl Store {
-    /// Cold build: every block's table and the AP table. Returns the
-    /// executor reports of phases II + III and of the AP table.
+    /// Cold build: every block's table and the AP table, at the width
+    /// `plan`'s total weight allows. Returns the executor reports of
+    /// phases II + III and of the AP table.
     fn build(
         plan: Arc<DecompPlan>,
         exec: &HeteroExecutor,
         method: ApspMethod,
     ) -> (Store, ExecutionReport, ExecutionReport) {
-        let mut store = Store {
-            arena: Arc::new(DistArena::new(&plan, |bp| table_side(method, bp))),
-            plan,
-            method,
-        };
-        let all: Vec<u32> = (0..store.plan.n_blocks() as u32).collect();
-        let (processing, ap_phase) = store.rewrite(exec, &all);
-        (store, processing, ap_phase)
+        if fits_u32(&plan) {
+            Store::write::<u32>(plan, exec, method, None)
+        } else {
+            Store::write::<u64>(plan, exec, method, None)
+        }
     }
 
-    /// Incremental refresh for a recustomized `plan`: clones the arena and
-    /// rewrites the spans of the blocks whose weights differ between the
-    /// two plans (see [`DecompPlan::dirty_blocks_since`]), then the AP span
-    /// if any block is dirty. Bit-identical to a cold [`Store::build`] on
-    /// `plan`; a no-op refresh shares the whole arena.
+    /// Incremental refresh for a recustomized `plan`: a child of the
+    /// parent arena holding the clean blocks' spans, with the spans of the
+    /// blocks whose weights differ between the two plans (see
+    /// [`DecompPlan::dirty_blocks_since`]) and the AP span rewritten. When
+    /// `plan`'s total weight crosses `u32::MAX` either way the tables are
+    /// rebuilt cold at the new width. Bit-identical to a cold
+    /// [`Store::build`] on `plan`; a no-op refresh shares the whole arena.
     ///
     /// # Panics
     /// Panics unless `plan` shares this store's plan topology.
@@ -176,120 +192,169 @@ impl Store {
             ),
         };
         let _span = ear_obs::span_with(span, dirty.len() as u64);
-        let mut store = Store {
-            plan,
-            method: self.method,
-            arena: Arc::clone(&self.arena),
+        let method = self.method;
+        let refreshed = match (&self.tables, fits_u32(&plan)) {
+            // Equal weights: nothing to recompute, every table shared.
+            _ if dirty.is_empty() => {
+                let none: Rows<'_, Weight> = Vec::new();
+                let processing = compute_block_tables(&plan, exec, method, &[], none, &mut []);
+                let tables = self.tables.clone();
+                let store = Store {
+                    plan,
+                    method,
+                    tables,
+                };
+                (store, processing.clone(), processing)
+            }
+            (Tables::Full32(a) | Tables::Reduced32(a), true) => {
+                Store::write(plan, exec, method, Some((a, &dirty)))
+            }
+            (Tables::Full64(a) | Tables::Reduced64(a), false) => {
+                Store::write(plan, exec, method, Some((a, &dirty)))
+            }
+            (_, true) => Store::write::<u32>(plan, exec, method, None),
+            (_, false) => Store::write::<u64>(plan, exec, method, None),
         };
-        let (processing, ap_phase) = store.rewrite(exec, &dirty);
         if ear_obs::is_enabled() {
             ear_obs::counter_add(refreshes, 1);
             ear_obs::counter_add(dirty_blocks, dirty.len() as u64);
         }
-        (store, processing, ap_phase)
+        refreshed
     }
 
-    /// Recomputes the tables of `blocks` and, unless `blocks` is empty, the
-    /// AP span (a changed within-block distance can reroute AP-to-AP paths
-    /// globally). Clean blocks' spans are kept as they are.
-    fn rewrite(
-        &mut self,
+    /// Writes `plan`'s tables at width `E` into a new arena: with a
+    /// `parent` arena and its dirty block ids, into the parent's
+    /// `DistArena::child`, recomputing the dirty blocks only; without,
+    /// cold, every block. The AP span is recomputed either way (a changed
+    /// within-block distance can reroute AP-to-AP paths globally).
+    fn write<E: Width>(
+        plan: Arc<DecompPlan>,
         exec: &HeteroExecutor,
-        blocks: &[u32],
-    ) -> (ExecutionReport, ExecutionReport) {
-        let processing =
-            compute_block_tables(&self.plan, exec, self.method, blocks, &mut self.arena);
+        method: ApspMethod,
+        parent: Option<(&DistArena<E>, &[u32])>,
+    ) -> (Store, ExecutionReport, ExecutionReport) {
+        let blocks: Vec<u32> = match parent {
+            Some((_, dirty)) => dirty.to_vec(),
+            None => (0..plan.n_blocks() as u32).collect(),
+        };
+        let scratch = phase2_scratch(&plan, method, &blocks);
+        let mut arena = match parent {
+            Some((parent, dirty)) => parent.child(dirty, scratch),
+            None => DistArena::new(&plan, |bp| table_side(method, bp), scratch),
+        };
+        let (rows, sr) = arena.block_rows_mut(&blocks);
+        let processing = compute_block_tables(&plan, exec, method, &blocks, rows, sr);
+        arena.drop_scratch();
         let ap_phase = if blocks.is_empty() {
             processing.clone()
         } else {
-            self.compute_ap_table(exec)
+            compute_ap_table(&plan, method, exec, &mut arena)
         };
-        (processing, ap_phase)
-    }
-
-    /// Within-block distance between vertices `u` and `v` of block `b`
-    /// (`INF` when either is not a member).
-    fn pair_dist(&self, b: u32, u: VertexId, v: VertexId) -> Weight {
-        let (Some(lu), Some(lv)) = (self.plan.local(b, u), self.plan.local(b, v)) else {
-            return INF;
+        let tables = E::tables(arena, method == ApspMethod::Reduced);
+        let store = Store {
+            plan,
+            method,
+            tables,
         };
-        match self.method {
-            ApspMethod::Ear | ApspMethod::Plain => self.arena.block(b, lu, lv),
-            ApspMethod::Reduced => block_pair_dist(&self.plan, &self.arena, b, lu, lv),
-        }
+        (store, processing, ap_phase)
     }
+}
 
-    /// Stage 2 post-processing: the `a × a` AP table, written into the AP
-    /// span by sweeping the block-cut tree once every block table is set.
-    ///
-    /// A path between two articulation points passes through every cut
-    /// vertex on their tree path and, between two consecutive ones, never
-    /// leaves their shared block, whose table holds exact global distances:
-    /// `A[s,t]` is the sum of within-block distances along the tree path.
-    /// One unit per source AP `s` walks the tree from `s` with an explicit
-    /// stack (the tree can be `a` levels deep); entering block `B` through
-    /// AP `x` sets `d(s,y) = d(s,x) ⊕ d_B(x,y)` for every other AP `y` of
-    /// `B`. APs in other trees stay `INF`, and sums saturate at `INF`.
-    fn compute_ap_table(&mut self, exec: &HeteroExecutor) -> ExecutionReport {
-        let _ap_span = ear_obs::span("apsp.ap_table");
-        let bct = self.plan.bct();
-        // Block b's within-block AP distances, row-major in `block_aps[b]`
-        // order, at `pair[off[b]..]`.
-        let (mut pair, mut off) = (Vec::new(), Vec::with_capacity(bct.n_blocks));
-        // The blocks holding each AP, as (block, position in its APs).
-        let mut ap_blocks: Vec<Vec<(u32, usize)>> = vec![Vec::new(); bct.ap_count()];
-        for (b, aps) in (0..).zip(&bct.block_aps) {
-            let (base, k) = (pair.len(), aps.len());
-            off.push(base);
-            pair.resize(base + k * k, 0);
-            for (i, &x) in aps.iter().enumerate() {
-                ap_blocks[bct.ap_index[x as usize] as usize].push((b, i));
-                for (j, &y) in aps.iter().enumerate().skip(i + 1) {
-                    let w = self.pair_dist(b, x, y);
-                    (pair[base + i * k + j], pair[base + j * k + i]) = (w, w);
-                }
+/// Within-block distance between vertices `u` and `v` of block `b`
+/// (`INF` when either is not a member), from `arena` laid out for
+/// `method`.
+fn pair_dist<E: DistEntry>(
+    plan: &DecompPlan,
+    method: ApspMethod,
+    arena: &DistArena<E>,
+    b: u32,
+    u: VertexId,
+    v: VertexId,
+) -> E {
+    let (Some(lu), Some(lv)) = (plan.local(b, u), plan.local(b, v)) else {
+        return E::INF;
+    };
+    match method {
+        ApspMethod::Ear | ApspMethod::Plain => arena.block(b, lu, lv),
+        ApspMethod::Reduced => block_pair_dist(plan, arena, b, lu, lv),
+    }
+}
+
+/// Stage 2 post-processing: the `a × a` AP table, written into the AP
+/// span of `arena` by sweeping the block-cut tree once every block table
+/// is set.
+///
+/// A path between two articulation points passes through every cut
+/// vertex on their tree path and, between two consecutive ones, never
+/// leaves their shared block, whose table holds exact global distances:
+/// `A[s,t]` is the sum of within-block distances along the tree path.
+/// One unit per source AP `s` walks the tree from `s` with an explicit
+/// stack (the tree can be `a` levels deep); entering block `B` through
+/// AP `x` sets `d(s,y) = d(s,x) ⊕ d_B(x,y)` for every other AP `y` of
+/// `B`. APs in other trees stay `INF`, and sums saturate at `INF`.
+fn compute_ap_table<E: DistEntry>(
+    plan: &DecompPlan,
+    method: ApspMethod,
+    exec: &HeteroExecutor,
+    arena: &mut DistArena<E>,
+) -> ExecutionReport {
+    let _ap_span = ear_obs::span("apsp.ap_table");
+    let bct = plan.bct();
+    // Block b's within-block AP distances, row-major in `block_aps[b]`
+    // order, at `pair[off[b]..]`.
+    let (mut pair, mut off) = (Vec::new(), Vec::with_capacity(bct.n_blocks));
+    // The blocks holding each AP, as (block, position in its APs).
+    let mut ap_blocks: Vec<Vec<(u32, usize)>> = vec![Vec::new(); bct.ap_count()];
+    for (b, aps) in (0..).zip(&bct.block_aps) {
+        let (base, k) = (pair.len(), aps.len());
+        off.push(base);
+        pair.resize(base + k * k, E::default());
+        for (i, &x) in aps.iter().enumerate() {
+            ap_blocks[bct.ap_index[x as usize] as usize].push((b, i));
+            for (j, &y) in aps.iter().enumerate().skip(i + 1) {
+                let w = pair_dist(plan, method, arena, b, x, y);
+                (pair[base + i * k + j], pair[base + j * k + i]) = (w, w);
             }
         }
-        let arena = Arc::make_mut(&mut self.arena);
-        let mut rows: Vec<(u32, &mut [Weight])> = (0..).zip(arena.ap_rows_mut()).collect();
-        // Each AP of the source's tree but the source is set once: at most
-        // `a − 1` combinations per source, exactly that when connected.
-        let a = rows.len() as u64;
-        exec.run_mut(
-            &mut rows,
-            |_| a,
-            |(s, row)| {
-                row.fill(INF);
-                row[*s as usize] = 0;
-                let mut combined = 0;
-                // (block, position of the AP it is entered through)
-                let mut stack = ap_blocks[*s as usize].clone();
-                while let Some((b, i)) = stack.pop() {
-                    let aps = &bct.block_aps[b as usize];
-                    let d_b = &pair[off[b as usize] + i * aps.len()..][..aps.len()];
-                    let dx = row[bct.ap_index[aps[i] as usize] as usize];
-                    for (&y, &w) in aps.iter().zip(d_b).filter(|&(&y, _)| y != aps[i]) {
-                        let t = bct.ap_index[y as usize] as usize;
-                        row[t] = dist_add(dx, w);
-                        combined += 1;
-                        stack.extend(ap_blocks[t].iter().filter(|&&(c, _)| c != b));
-                    }
-                }
-                WorkCounters {
-                    distances_combined: combined,
-                    ..WorkCounters::default()
-                }
-            },
-        )
     }
+    let mut rows: Vec<(u32, &mut [E])> = (0..).zip(arena.ap_rows_mut()).collect();
+    // Each AP of the source's tree but the source is set once: at most
+    // `a − 1` combinations per source, exactly that when connected.
+    let a = rows.len() as u64;
+    exec.run_mut(
+        &mut rows,
+        |_| a,
+        |(s, row)| {
+            row.fill(E::INF);
+            row[*s as usize] = E::default();
+            let mut combined = 0;
+            // (block, position of the AP it is entered through)
+            let mut stack = ap_blocks[*s as usize].clone();
+            while let Some((b, i)) = stack.pop() {
+                let aps = &bct.block_aps[b as usize];
+                let d_b = &pair[off[b as usize] + i * aps.len()..][..aps.len()];
+                let dx = row[bct.ap_index[aps[i] as usize] as usize];
+                for (&y, &w) in aps.iter().zip(d_b).filter(|&(&y, _)| y != aps[i]) {
+                    let t = bct.ap_index[y as usize] as usize;
+                    row[t] = dx.dist_add(w);
+                    combined += 1;
+                    stack.extend(ap_blocks[t].iter().filter(|&&(c, _)| c != b));
+                }
+            }
+            WorkCounters {
+                distances_combined: combined,
+                ..WorkCounters::default()
+            }
+        },
+    )
 }
 
 /// The queryable distance oracle.
 ///
-/// Every table sits in one [`DistArena`] behind an [`Arc`]: a no-op
-/// [`DistanceOracle::recustomized`] refresh shares it outright, a dirty
-/// one clones it and rewrites only what changed, and
-/// [`crate::QueryEngine`] serves straight out of it.
+/// Every table sits in one [`DistArena`] behind an [`Arc`] ([`Tables`]):
+/// a no-op [`DistanceOracle::recustomized`] refresh shares it outright, a
+/// dirty one copies the clean spans into a new arena and writes only what
+/// changed, and [`crate::QueryEngine`] serves straight out of it.
 #[derive(Debug)]
 pub struct DistanceOracle {
     store: Store,
@@ -325,14 +390,14 @@ impl DistanceOracle {
     /// Shortest-path distance between any two vertices (`INF` when
     /// disconnected).
     pub fn dist(&self, u: VertexId, v: VertexId) -> Weight {
-        let s = &self.store;
-        tree_dist(&s.plan, &s.arena, s.method, u, v)
+        tree_dist(&self.store.plan, &self.store.tables, u, v)
     }
 
-    /// The oracle's distance store (AP table and every block table),
-    /// shared with the [`crate::QueryEngine`]s serving it.
-    pub fn tables(&self) -> &Arc<DistArena> {
-        &self.store.arena
+    /// The oracle's distance store (AP table and every block table, at
+    /// its stored width), shared with the [`crate::QueryEngine`]s serving
+    /// it.
+    pub fn tables(&self) -> &Tables {
+        &self.store.tables
     }
 
     /// Reconstructs an actual shortest path `u → v` as a vertex sequence
@@ -357,12 +422,14 @@ impl DistanceOracle {
     /// Incrementally refreshes the oracle for a recustomized plan: only the
     /// tables of the blocks whose weights differ between `self`'s plan and
     /// `plan` (see [`DecompPlan::dirty_blocks_since`]) are recomputed —
-    /// the build's phases run on exactly those blocks — into a clone of
-    /// `self`'s arena, so every clean block's span is copied, never
-    /// recomputed. The articulation-point span is rebuilt whenever any
-    /// block is dirty (a changed within-block distance can reroute
-    /// AP-to-AP paths globally); a no-op recustomization shares the whole
-    /// arena and runs nothing.
+    /// the build's phases run on exactly those blocks — into a new arena
+    /// with `self`'s layout, into which every clean block's span is
+    /// copied, never recomputed. The articulation-point span is rebuilt
+    /// whenever any block is dirty (a changed within-block distance can
+    /// reroute AP-to-AP paths globally); a no-op recustomization shares
+    /// the whole arena and runs nothing. When `plan`'s total edge weight
+    /// crosses `u32::MAX` either way, the tables change width and are
+    /// rebuilt cold.
     ///
     /// The result is bit-identical to a cold
     /// [`build_oracle_with_plan`] on `plan` — the differential suite
@@ -374,9 +441,13 @@ impl DistanceOracle {
     /// came from [`DecompPlan::recustomized`] on the same decomposition).
     pub fn recustomized(&self, plan: Arc<DecompPlan>, exec: &HeteroExecutor) -> DistanceOracle {
         let (store, processing, ap_phase) = self.store.refreshed(plan, exec);
+        let stats = OracleStats {
+            table_bytes: store.tables.bytes() as u64,
+            ..self.stats.clone()
+        };
         DistanceOracle {
             store,
-            stats: self.stats.clone(),
+            stats,
             processing,
             ap_phase,
         }
@@ -385,32 +456,24 @@ impl DistanceOracle {
 
 /// Shortest-path distance between any two vertices, `INF` when
 /// disconnected: the one distance function of the oracle and its query
-/// engines, reading `arena` laid out for `method`. The method picks the
-/// within-block read once per query — a span lookup, or at
-/// [`ApspMethod::Reduced`] the §2.1.3 minima over the reduced span — so
-/// each arm's [`route`] inlines its own read.
+/// engines, reading `tables`. One match per query picks both the
+/// within-block read — a span lookup, or at [`ApspMethod::Reduced`] the
+/// §2.1.3 minima over the reduced span — and the entry width, so each arm
+/// runs its own monomorphic [`route`].
 #[inline]
-pub(crate) fn tree_dist(
-    plan: &DecompPlan,
-    arena: &DistArena,
-    method: ApspMethod,
-    u: VertexId,
-    v: VertexId,
-) -> Weight {
+pub(crate) fn tree_dist(plan: &DecompPlan, tables: &Tables, u: VertexId, v: VertexId) -> Weight {
     let bct = plan.bct();
-    match method {
-        ApspMethod::Ear | ApspMethod::Plain => {
-            route(bct, arena, |b, i, j| arena.block(b, i, j), u, v)
-        }
-        ApspMethod::Reduced => {
-            let read = |b, i, j| block_pair_dist(plan, arena, b, i, j);
-            route(bct, arena, read, u, v)
-        }
+    match tables {
+        Tables::Full32(a) => route(bct, a, |b, i, j| a.block(b, i, j), u, v),
+        Tables::Full64(a) => route(bct, a, |b, i, j| a.block(b, i, j), u, v),
+        Tables::Reduced32(a) => route(bct, a, |b, i, j| block_pair_dist(plan, a, b, i, j), u, v),
+        Tables::Reduced64(a) => route(bct, a, |b, i, j| block_pair_dist(plan, a, b, i, j), u, v),
     }
 }
 
 /// Block-cut-tree routing (paper §2.3) over the within-block read
-/// `block(b, i, j)` (local ids `i`, `j` of block `b`).
+/// `block(b, i, j)` (local ids `i`, `j` of block `b`) of an arena stored
+/// at width `E`.
 ///
 /// Both endpoints non-AP in one block read that block's table. Otherwise
 /// each endpoint `x` leaves its side of the tree path through `a = x`
@@ -418,12 +481,14 @@ pub(crate) fn tree_dist(
 /// [`BlockCutTree::gateway`] toward the other endpoint, and the answer is
 /// `d(u,a₁) + A[a₁,a₂] + d(a₂,v)`. Because `A[a,a] = 0` and `A` holds
 /// exact AP-to-AP distances, that one formula also covers an AP inside
-/// the other endpoint's block and two APs sharing a block.
+/// the other endpoint's block and two APs sharing a block. The sum is a
+/// distance of the graph, so it is taken at width `E` (saturating at its
+/// `INF`) and widened once.
 #[inline]
-fn route(
+fn route<E: DistEntry>(
     bct: &BlockCutTree,
-    arena: &DistArena,
-    block: impl Fn(u32, VertexId, VertexId) -> Weight,
+    arena: &DistArena<E>,
+    block: impl Fn(u32, VertexId, VertexId) -> E,
     u: VertexId,
     v: VertexId,
 ) -> Weight {
@@ -432,21 +497,22 @@ fn route(
     }
     let (eu, ev) = (bct.endpoint(u), bct.endpoint(v));
     if eu.node == ev.node && bct.is_block(eu.node) {
-        return block(eu.node, eu.local, ev.local);
+        return block(eu.node, eu.local, ev.local).widen();
     }
     if eu.tree != ev.tree || eu.tree == u32::MAX {
         return INF;
     }
     // (AP index, d(x, AP)) of the AP where x's side of the path ends.
     let exit = |x: Endpoint, toward: Endpoint| match bct.ap_of(x) {
-        Some(a) => (a, 0),
+        Some(a) => (a, E::default()),
         None => {
             let gw = bct.gateway(x.node, toward.pre);
             (gw.ap, block(x.node, x.local, gw.local))
         }
     };
     let ((a1, du), (a2, dv)) = (exit(eu, ev), exit(ev, eu));
-    dist_add(du, dist_add(arena.ap_row(a1)[a2 as usize], dv))
+    du.dist_add(arena.ap_row(a1)[a2 as usize].dist_add(dv))
+        .widen()
 }
 
 /// Realizes a shortest path `u → v` (inclusive of both endpoints) by
@@ -561,7 +627,7 @@ pub fn build_oracle(g: &CsrGraph, exec: &HeteroExecutor, method: ApspMethod) -> 
 /// One phase-II workunit: writes the distance row of source `s` in
 /// `target` into `row`, from one run of the worker thread's pooled
 /// [`SsspEngine`](ear_graph::SsspEngine), and returns its work counters.
-fn sssp_row(target: CsrView<'_>, s: u32, row: &mut [Weight]) -> WorkCounters {
+fn sssp_row<E: DistEntry>(target: CsrView<'_>, s: u32, row: &mut [E]) -> WorkCounters {
     assert_eq!(row.len(), target.n(), "distance row length");
     with_engine(|eng| {
         let stats = eng.run_view(target, s);
@@ -599,27 +665,25 @@ pub fn derived_sources(g: CsrView<'_>) -> Vec<bool> {
 /// of w + d(u,t)`, saturating at `INF`, and `d(x,x) = 0`. Returns its
 /// work counters: one streaming min-plus combination per incidence and
 /// target.
-fn derive_row<'r>(
+fn derive_row<'r, E: DistEntry>(
     g: CsrView<'_>,
     x: VertexId,
-    row_of: impl Fn(VertexId) -> &'r [Weight],
-    row: &mut [Weight],
+    row_of: impl Fn(VertexId) -> &'r [E],
+    row: &mut [E],
 ) -> WorkCounters {
     let (adj, wts) = g.incidences(x);
-    row.fill(INF);
+    row.fill(E::INF);
     for (&(u, _), &w) in adj.iter().zip(wts) {
         if u == x {
             continue;
         }
-        let du = row_of(u);
+        let (du, w) = (row_of(u), E::narrow(w));
         assert_eq!(du.len(), row.len(), "distance row length");
-        // Starting from INF, the plain saturating sum equals `dist_add`:
-        // any sum at or past INF loses the minimum to the initial INF.
         for (d, &t) in row.iter_mut().zip(du) {
-            *d = (*d).min(w.saturating_add(t));
+            *d = (*d).min(w.dist_add(t));
         }
     }
-    row[x as usize] = 0;
+    row[x as usize] = E::default();
     WorkCounters {
         dense_combined: adj.len() as u64 * row.len() as u64,
         ..WorkCounters::default()
@@ -633,9 +697,9 @@ fn derive_row<'r>(
 /// ([`derive_row`], under an `apsp.derive` span) after one Dijkstra per
 /// other source has written those; without it every source runs Dijkstra.
 /// Returns the merged executor report of both passes.
-fn all_sources<'g>(
+fn all_sources<'g, E: DistEntry>(
     exec: &HeteroExecutor,
-    rows: Vec<(u32, u32, &mut [Weight])>,
+    rows: Rows<'_, E>,
     target: impl Fn(u32) -> CsrView<'g> + Sync,
     derive: bool,
 ) -> ExecutionReport {
@@ -675,7 +739,7 @@ fn all_sources<'g>(
         return report;
     }
     // An independent set's neighbours are all searched sources.
-    let mut done: Vec<&[Weight]> = vec![&[]; total];
+    let mut done: Vec<&[E]> = vec![&[]; total];
     for (b, s, row) in &searched {
         done[first[*b as usize] + *s as usize] = row;
     }
@@ -714,7 +778,7 @@ pub fn build_oracle_with_plan(
         ApspMethod::Ear | ApspMethod::Reduced => plan.removed_vertices(),
         ApspMethod::Plain => 0,
     };
-    let table_entries = store.arena.entries() as u64;
+    let table_entries = store.tables.entries() as u64;
     let stats = OracleStats {
         n: plan.n(),
         m: plan.m(),
@@ -727,6 +791,7 @@ pub fn build_oracle_with_plan(
         removed_vertices: removed,
         articulation_points: plan.bct().ap_count(),
         table_entries,
+        table_bytes: store.tables.bytes() as u64,
         max_entries: (plan.n() as u64).pow(2),
     };
     if ear_obs::is_enabled() {
@@ -743,23 +808,39 @@ pub fn build_oracle_with_plan(
     }
 }
 
+/// Scratch entries phase II needs for `blocks` under `method`: at `Ear`,
+/// each block's reduced (or, unreduced, full) `nᵢʳ × nᵢʳ` matrix, which
+/// phase III extends into the block's table; elsewhere none, as phase II
+/// writes the tables themselves.
+fn phase2_scratch(plan: &DecompPlan, method: ApspMethod, blocks: &[u32]) -> usize {
+    match method {
+        ApspMethod::Ear => blocks
+            .iter()
+            .map(|&b| plan.block(b).reduced_n().pow(2))
+            .sum(),
+        ApspMethod::Plain | ApspMethod::Reduced => 0,
+    }
+}
+
 /// Phases II + III for the given `blocks` only (ascending ids), writing
-/// each block's rows straight into its span of `tables` (cloned first when
-/// shared: a refresh's clone-and-rewrite). Phase II is the all-sources
-/// table of each block's reduced graph — of the block itself when it is
-/// not reduced or `method` is `Plain` — with rows derived outside
-/// Dijkstra everywhere but at `Plain`. Phase III runs at `Ear` only: the
-/// §2.1.3 extension of the reduced matrices to the whole block (at
-/// `Reduced` the phase-II rows are the stored tables). Returns the merged
-/// executor report. The cold build passes every block; an incremental
-/// refresh passes just the dirty ones, and an empty list leaves `tables`
-/// shared.
-fn compute_block_tables(
-    plan: &Arc<DecompPlan>,
+/// `rows` — every row of those blocks' arena spans, from
+/// `DistArena::block_rows_mut` — in place, with phase II's reduced
+/// matrices at `Ear` in `scratch` ([`phase2_scratch`] entries). Phase II
+/// is the all-sources table of each block's reduced graph — of the block
+/// itself when it is not reduced or `method` is `Plain` — with rows
+/// derived outside Dijkstra everywhere but at `Plain`. Phase III runs at
+/// `Ear` only: the §2.1.3 extension of the reduced matrices to the whole
+/// block (at `Reduced` the phase-II rows are the stored tables). Returns
+/// the merged executor report. The cold build passes every block; an
+/// incremental refresh passes just the dirty ones, and a no-op refresh
+/// none.
+fn compute_block_tables<E: DistEntry>(
+    plan: &DecompPlan,
     exec: &HeteroExecutor,
     method: ApspMethod,
     blocks: &[u32],
-    tables: &mut Arc<DistArena>,
+    mut rows: Rows<'_, E>,
+    scratch: &mut [E],
 ) -> ExecutionReport {
     // Ear reduction requires simple blocks; a multigraph input's parallel
     // bundles fall back to plain processing for that block. The plan's
@@ -773,45 +854,48 @@ fn compute_block_tables(
     // Banerjee baseline (`Plain`) derives no rows: one Dijkstra per block
     // vertex is the comparison axis.
     let derive = method != ApspMethod::Plain;
-    let phase2 = |rows: Vec<(u32, u32, &mut [Weight])>| {
+    let phase2 = |rows: Rows<'_, E>| {
         let _span = ear_obs::span("apsp.phase2");
         all_sources(exec, rows, target, derive)
-    };
-    let mut rows = match blocks {
-        [] => Vec::new(),
-        _ => Arc::make_mut(tables).block_rows_mut(blocks),
     };
     match method {
         // The phase-II rows are the block tables.
         ApspMethod::Plain | ApspMethod::Reduced => phase2(rows),
         ApspMethod::Ear => {
-            // Phase II into transient per-block reduced (or full) matrices,
-            // by block id (empty for the blocks not listed).
-            let mut srs = vec![DistMatrix::new(0); plan.n_blocks()];
+            // Phase II into each listed block's reduced (or full) matrix,
+            // back to back in `scratch` from `off[b]`; phase II writes
+            // every row.
+            let (mut off, mut sr_rows) = (vec![0; plan.n_blocks()], Vec::new());
+            let (mut rest, mut base) = (&mut *scratch, 0);
             for &b in blocks {
-                srs[b as usize] = DistMatrix::new(plan.block(b).reduced_n());
+                let k = plan.block(b).reduced_n();
+                let (span, tail) = std::mem::take(&mut rest).split_at_mut(k * k);
+                sr_rows.extend(
+                    (0..)
+                        .zip(span.chunks_mut(k.max(1)))
+                        .map(|(s, row)| (b, s, row)),
+                );
+                (off[b as usize], rest, base) = (base, tail, base + k * k);
             }
-            let sr_rows = (0..)
-                .zip(&mut srs)
-                .flat_map(|(b, sr)| (0..).zip(sr.rows_mut()).map(move |(s, row)| (b, s, row)))
-                .collect();
             let p2 = phase2(sr_rows);
+            let scratch = &*scratch;
+            let sr = |b: u32, i: VertexId| {
+                let k = plan.block(b).reduced_n();
+                &scratch[off[b as usize] + i as usize * k..][..k]
+            };
             // Phase III: extend each block's reduced matrix to the whole
             // block; workunits are (block, vertex) rows of the arena.
             let _span = ear_obs::span("apsp.phase3");
             let p3 = exec.run_mut(
                 &mut rows,
                 |&(b, _, _)| plan.block(b).n() as u64,
-                |(b, x, row)| {
-                    let sr = &srs[*b as usize];
-                    match red(*b) {
-                        Some(r) => extend_row(plan.block(*b).n(), r, sr, *x, row),
-                        // Non-simple block processed plainly: its reduced
-                        // matrix already is the full per-block table.
-                        None => {
-                            row.copy_from_slice(sr.row(*x));
-                            WorkCounters::default()
-                        }
+                |(b, x, row)| match red(*b) {
+                    Some(r) => extend_row(plan.block(*b).n(), r, |i| sr(*b, i), *x, row),
+                    // Non-simple block processed plainly: its reduced
+                    // matrix already is the full per-block table.
+                    None => {
+                        row.copy_from_slice(sr(*b, *x));
+                        WorkCounters::default()
                     }
                 },
             );
@@ -1139,10 +1223,68 @@ mod tests {
         for g in [halves, prefixes] {
             for method in METHODS {
                 let o = build_oracle(&g, &HeteroExecutor::sequential(), method);
+                assert_eq!(o.tables().entry_bytes(), 8, "{method:?}");
                 for u in 0..g.n() as u32 {
                     let want = ear_graph::dijkstra(&g, u);
                     let got: Vec<Weight> = (0..g.n() as u32).map(|v| o.dist(u, v)).collect();
                     assert_eq!(got, want, "{method:?} from {u}");
+                }
+            }
+        }
+    }
+
+    /// The path 0-1-2 weighing `total`, split unevenly.
+    fn heavy_path(total: Weight) -> CsrGraph {
+        let w = total / 3;
+        CsrGraph::from_edges(3, &[(0, 1, w), (1, 2, total - w)])
+    }
+
+    #[test]
+    fn total_weight_below_u32_max_is_stored_at_u32() {
+        let top = Weight::from(u32::MAX);
+        for (total, bytes) in [(top - 1, 4), (top, 8)] {
+            let g = heavy_path(total);
+            for o in check_methods(&g) {
+                let st = o.stats();
+                assert_eq!(o.tables().entry_bytes(), bytes, "total {total}");
+                assert_eq!(st.table_bytes, st.table_entries * bytes as u64);
+                assert_eq!(o.dist(0, 2), total, "{:?}", o.method());
+                assert_eq!(o.dist(2, 0), total, "{:?}", o.method());
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_across_the_u32_bound_matches_cold_builds() {
+        let g = mixed_graph();
+        let exec = HeteroExecutor::sequential();
+        let plan = Arc::new(DecompPlan::build(&g));
+        let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+        let rest: Weight = base[..8].iter().sum();
+        // The pendant edge 5-7 takes the total to u32::MAX − 1 (narrow) or
+        // u32::MAX (wide); the triangle edge changes too, so the refresh
+        // has a second dirty block.
+        let reweigh = |pendant: Weight, tri: Weight| {
+            let mut w = base.clone();
+            (w[8], w[0]) = (pendant - tri + w[0], tri);
+            w
+        };
+        let top = Weight::from(u32::MAX);
+        let narrow = reweigh(top - 1 - rest, 7);
+        let wide = reweigh(top - rest, 2);
+        for method in METHODS {
+            let mut oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
+            assert_eq!(oracle.tables().entry_bytes(), 4);
+            for (w, bytes) in [(&narrow, 4), (&wide, 8), (&narrow, 4), (&base, 4)] {
+                oracle = oracle.recustomized(Arc::new(plan.recustomized(w)), &exec);
+                let cold = build_oracle(&g.reweighted(w), &exec, method);
+                assert_eq!(oracle.tables().entry_bytes(), bytes, "{method:?}");
+                assert_eq!(oracle.materialize(), cold.materialize(), "{method:?}");
+                assert_eq!(oracle.stats(), cold.stats(), "{method:?}");
+                assert_eq!(oracle.tables().ap_span(), cold.tables().ap_span());
+                for b in 0..plan.n_blocks() as u32 {
+                    let (warm, cold) = (oracle.tables(), cold.tables());
+                    assert_eq!(warm.block_span(b), cold.block_span(b), "{method:?} {b}");
                 }
             }
         }
@@ -1395,9 +1537,11 @@ mod tests {
             assert_eq!(warm.method(), method);
             // The refresh only reran the dirty blocks.
             let side = |bp: &BlockPlan| table_side(method, bp);
-            let mut scratch = Arc::new(DistArena::new(&warm_plan, side));
             let dirty = warm_plan.dirty_blocks();
-            let rep = compute_block_tables(&warm_plan, &exec, method, dirty, &mut scratch);
+            let scratch = phase2_scratch(&warm_plan, method, dirty);
+            let mut arena = DistArena::<u32>::new(&warm_plan, side, scratch);
+            let (rows, sr) = arena.block_rows_mut(dirty);
+            let rep = compute_block_tables(&warm_plan, &exec, method, dirty, rows, sr);
             assert_eq!(warm.processing.total_units(), rep.total_units());
         }
     }
@@ -1411,7 +1555,7 @@ mod tests {
             let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
             let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
             let warm = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
-            assert!(Arc::ptr_eq(oracle.tables(), warm.tables()));
+            assert!(oracle.tables().ptr_eq(warm.tables()));
             assert_eq!(warm.processing.total_units(), 0);
 
             // A dirty refresh rewrites its own arena; clean spans are
@@ -1420,7 +1564,7 @@ mod tests {
             let warm_plan = Arc::new(plan.recustomized(&w));
             let dirty = warm_plan.dirty_blocks().to_vec();
             let warm = oracle.recustomized(warm_plan, &exec);
-            assert!(!Arc::ptr_eq(oracle.tables(), warm.tables()));
+            assert!(!oracle.tables().ptr_eq(warm.tables()));
             for b in (0..plan.n_blocks() as u32).filter(|b| !dirty.contains(b)) {
                 let (old, new) = (oracle.tables().block_span(b), warm.tables().block_span(b));
                 assert_eq!(old, new, "{method:?} clean block {b}");

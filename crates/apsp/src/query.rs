@@ -2,14 +2,17 @@
 //!
 //! [`QueryEngine`] holds two [`Arc`]s — the [`DecompPlan`], whose
 //! weight-independent block-cut-tree router resolves every query's
-//! articulation points, and the oracle's [`DistArena`] — plus the
-//! oracle's [`ApspMethod`], and nothing it computes itself. Building one
-//! or following an oracle refresh copies no table and folds no distance:
-//! [`QueryEngine::dist`] is the same block-cut-tree distance function as
-//! [`DistanceOracle::dist`] (at most three within-block reads, each a
-//! span lookup or, at [`ApspMethod::Reduced`], the §2.1.3 minima) and
-//! [`QueryEngine::path`] the same descent as [`DistanceOracle::path`];
-//! the engine only drops the oracle's build reports from the serving path.
+//! articulation points, and the oracle's distance arena, tagged with its
+//! entry width and the within-block read of the oracle's
+//! [`ApspMethod`](crate::ApspMethod) ([`Tables`]) — and nothing it
+//! computes itself. Building one or following an oracle refresh copies no
+//! table and folds no distance: [`QueryEngine::dist`] is the same
+//! block-cut-tree distance function as [`DistanceOracle::dist`] (at most
+//! three within-block reads, each a span lookup or, at
+//! [`ApspMethod::Reduced`](crate::ApspMethod::Reduced), the §2.1.3
+//! minima) and [`QueryEngine::path`] the same descent as
+//! [`DistanceOracle::path`]; the engine only drops the oracle's build
+//! reports from the serving path.
 //!
 //! `tests/query_fastpath_differential.rs` holds the engine and the oracle
 //! at every method, and their refreshes, to Floyd–Warshall on every
@@ -20,17 +23,15 @@ use std::sync::Arc;
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, VertexId, Weight};
 
-use crate::arena::DistArena;
-use crate::oracle::{realize_path, tree_dist, ApspMethod, DistanceOracle};
+use crate::arena::Tables;
+use crate::oracle::{realize_path, tree_dist, DistanceOracle};
 
 /// The serving-grade query layer over a built [`DistanceOracle`]: its plan
-/// and its arena, both shared (cloning the engine clones two `Arc`s), and
-/// the method that laid the arena out.
+/// and its arena, both shared (cloning the engine clones two `Arc`s).
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     plan: Arc<DecompPlan>,
-    tables: Arc<DistArena>,
-    method: ApspMethod,
+    tables: Tables,
 }
 
 impl QueryEngine {
@@ -40,8 +41,7 @@ impl QueryEngine {
         let _span = ear_obs::span_with("query.build", oracle.plan().n() as u64);
         let engine = QueryEngine {
             plan: Arc::clone(oracle.plan()),
-            tables: Arc::clone(oracle.tables()),
-            method: oracle.method(),
+            tables: oracle.tables().clone(),
         };
         if ear_obs::is_enabled() {
             ear_obs::counter_add("query.engines", 1);
@@ -66,8 +66,7 @@ impl QueryEngine {
         }
         QueryEngine {
             plan: Arc::clone(oracle.plan()),
-            tables: Arc::clone(oracle.tables()),
-            method: oracle.method(),
+            tables: oracle.tables().clone(),
         }
     }
 
@@ -83,7 +82,7 @@ impl QueryEngine {
 
     #[inline]
     fn dist_uncounted(&self, u: VertexId, v: VertexId) -> Weight {
-        tree_dist(&self.plan, &self.tables, self.method, u, v)
+        tree_dist(&self.plan, &self.tables, u, v)
     }
 
     /// Reconstructs an actual shortest path `u → v` (inclusive of both
@@ -107,14 +106,15 @@ impl QueryEngine {
     }
 
     /// Entries in the distance arena (`a² + Σ nᵢ²`, or `a² + Σ (nᵢʳ)²` at
-    /// [`ApspMethod::Reduced`]), shared with the oracle — not a copy.
+    /// [`ApspMethod::Reduced`](crate::ApspMethod::Reduced)), shared with
+    /// the oracle — not a copy.
     pub fn arena_entries(&self) -> usize {
         self.tables.entries()
     }
 
     /// The distance arena this engine reads: the serving oracle's own
     /// [`DistanceOracle::tables`] allocation.
-    pub fn tables(&self) -> &Arc<DistArena> {
+    pub fn tables(&self) -> &Tables {
         &self.tables
     }
 }
@@ -202,13 +202,13 @@ mod tests {
         let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
         let q = QueryEngine::new(&oracle);
         // One store: the engine reads the oracle's arena, not a copy.
-        assert!(Arc::ptr_eq(q.tables(), oracle.tables()));
+        assert!(q.tables().ptr_eq(oracle.tables()));
 
         let w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         let noop_oracle = oracle.recustomized(Arc::new(plan.recustomized(&w)), &exec);
         let noop = q.recustomized(&noop_oracle);
         assert!(q.plan().shares_topology(noop.plan()));
-        assert!(Arc::ptr_eq(q.tables(), noop.tables()));
+        assert!(q.tables().ptr_eq(noop.tables()));
 
         let mut w2 = w.clone();
         w2[0] = 50; // triangle block only
@@ -216,7 +216,7 @@ mod tests {
         let warm_oracle = oracle.recustomized(Arc::clone(&warm_plan), &exec);
         let warm = q.recustomized(&warm_oracle);
         assert!(Arc::ptr_eq(warm.plan(), &warm_plan));
-        assert!(Arc::ptr_eq(warm.tables(), warm_oracle.tables()));
+        assert!(warm.tables().ptr_eq(warm_oracle.tables()));
         let fw = floyd_warshall(&g.reweighted(&w2));
         for u in 0..g.n() as u32 {
             for v in 0..g.n() as u32 {

@@ -25,31 +25,43 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses `std::env::args()`.
+    /// Parses `std::env::args()`; on a bad argument prints the error and a
+    /// usage line to stderr and exits with status 2.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        BenchOpts::parse(args.get(1..).unwrap_or_default()).unwrap_or_else(|e| {
+            let bin = args.first().map_or("bench", |a| {
+                a.rsplit(std::path::MAIN_SEPARATOR).next().unwrap_or(a)
+            });
+            eprintln!("error: {e}");
+            eprintln!("usage: {bin} [--scale N] [--seed S] [--phases]");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the arguments after the program name.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = BenchOpts {
             scale: 1,
             seed: 7,
             phases: false,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    opts.scale = args[i].parse().expect("--scale takes an integer");
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args[i].parse().expect("--seed takes an integer");
-                }
-                "--phases" => opts.phases = true,
-                other => panic!("unknown argument {other}"),
-            }
-            i += 1;
+        // The integer value after `flag`.
+        fn int<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+            let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+            raw.parse()
+                .map_err(|_| format!("{flag} takes an integer, not '{raw}'"))
         }
-        opts
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--scale" => opts.scale = int(arg, args.next())?,
+                "--seed" => opts.seed = int(arg, args.next())?,
+                "--phases" => opts.phases = true,
+                other => return Err(format!("unknown argument '{other}'")),
+            }
+        }
+        Ok(opts)
     }
 }
 
@@ -162,6 +174,27 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchOpts, String> {
+        BenchOpts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn opts_parse_values_and_reject_bad_ones() {
+        let o = parse(&["--scale", "8", "--seed", "3", "--phases"]).unwrap();
+        assert_eq!((o.scale, o.seed, o.phases), (8, 3, true));
+        let o = parse(&[]).unwrap();
+        assert_eq!((o.scale, o.seed, o.phases), (1, 7, false));
+        assert_eq!(parse(&["--scale"]).unwrap_err(), "--scale needs a value");
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
+        let bad = parse(&["--scale", "x"]).unwrap_err();
+        assert_eq!(bad, "--scale takes an integer, not 'x'");
+        assert!(parse(&["--seed", "-1"]).is_err());
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown argument '--bogus'"
+        );
+    }
 
     #[test]
     fn mteps_formula() {

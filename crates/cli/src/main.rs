@@ -83,8 +83,16 @@ fn run(args: Vec<String>) -> Result<(), String> {
     };
     let rest = &args[1..];
     match cmd.as_str() {
-        "stats" => commands::stats(&load(rest.first().ok_or("missing graph path")?)?),
-        "decompose" => commands::decompose(&load(rest.first().ok_or("missing graph path")?)?),
+        "stats" => {
+            let g = load(rest.first().ok_or("missing graph path")?)?;
+            CommonOpts::parse(&rest[1..])?;
+            commands::stats(&g)
+        }
+        "decompose" => {
+            let g = load(rest.first().ok_or("missing graph path")?)?;
+            CommonOpts::parse(&rest[1..])?;
+            commands::decompose(&g)
+        }
         "apsp" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
             let opts = CommonOpts::parse(&rest[1..])?;
@@ -115,6 +123,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
         "bc" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
+            CommonOpts::parse(&rest[1..])?;
             let top = parse_value(&rest[1..], "--top")?.unwrap_or(10usize);
             commands::bc(&g, top)
         }
@@ -210,7 +219,7 @@ impl CommonOpts {
                         .filter(|&ms| ms > 0)
                         .ok_or_else(|| format!("bad --metrics-interval value '{raw}'"))?;
                 }
-                "--pairs" | "--fraction" | "--rounds" | "--seed" | "--queries" => {
+                "--pairs" | "--fraction" | "--rounds" | "--seed" | "--queries" | "--top" => {
                     i += 1; // value consumed by parse_pairs / parse_value
                 }
                 "--print-cycles" | "--profile" | "--profile-json" => {}

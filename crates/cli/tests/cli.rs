@@ -360,6 +360,31 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(err.contains("usage"), "{err}");
 }
 
+/// `ear <cmd> <graph> --bogus 3` fails with the unknown option named.
+fn assert_rejects_unknown_option(cmd: &str) {
+    let p = tmpfile(&format!("theta_{cmd}_bogus.txt"), THETA);
+    let out = ear(&[cmd, p.to_str().unwrap(), "--bogus", "3"]);
+    assert!(!out.status.success(), "{cmd} accepted --bogus");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option '--bogus'"), "{cmd}: {err}");
+    assert!(out.stdout.is_empty(), "{cmd} printed output");
+}
+
+#[test]
+fn stats_rejects_unknown_options() {
+    assert_rejects_unknown_option("stats");
+}
+
+#[test]
+fn decompose_rejects_unknown_options() {
+    assert_rejects_unknown_option("decompose");
+}
+
+#[test]
+fn bc_rejects_unknown_options() {
+    assert_rejects_unknown_option("bc");
+}
+
 #[test]
 fn bad_pair_is_rejected() {
     let p = tmpfile("theta6.txt", THETA);

@@ -60,7 +60,7 @@
 
 use crate::csr::CsrGraph;
 use crate::dijkstra::{DijkstraStats, SsspTree};
-use crate::types::{EdgeId, VertexId, Weight, INF};
+use crate::types::{DistEntry, EdgeId, VertexId, Weight, INF};
 use crate::view::CsrView;
 
 /// `pos` sentinel: touched this generation but not currently in the heap
@@ -605,15 +605,16 @@ impl SsspEngine {
 
     /// Writes the most recent run's distance array into `out` (`INF` for
     /// untouched vertices) — [`dist_vec`](Self::dist_vec) into a buffer
-    /// the caller owns, such as a row of a distance table.
+    /// the caller owns, such as a row of a distance table stored at width
+    /// `E` (each distance [`DistEntry::narrow`]ed).
     ///
     /// # Panics
     /// Panics unless `out.len()` is the run's vertex count.
-    pub fn write_dist(&self, out: &mut [Weight]) {
+    pub fn write_dist<E: DistEntry>(&self, out: &mut [E]) {
         assert_eq!(out.len(), self.n, "distance row length");
-        out.fill(INF);
+        out.fill(E::INF);
         for &v in &self.touched {
-            out[v as usize] = self.state[v as usize].dist;
+            out[v as usize] = E::narrow(self.state[v as usize].dist);
         }
     }
 

@@ -48,5 +48,5 @@ pub use subgraph::{
     SubgraphScratch,
 };
 pub use traverse::{bfs, bfs_tree, connected_components, BfsTree, Components};
-pub use types::{dist_add, Edge, EdgeId, VertexId, Weight, INF};
+pub use types::{dist_add, DistEntry, Edge, EdgeId, VertexId, Weight, INF};
 pub use view::CsrView;

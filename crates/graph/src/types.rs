@@ -90,6 +90,79 @@ pub fn dist_add(a: Weight, b: Weight) -> Weight {
     }
 }
 
+/// One entry of a stored distance table: `u32` or `u64`, with its own
+/// `INF` sentinel. A table is stored at `u32` when every finite distance
+/// it can hold is below `u32::MAX` (a graph whose total edge weight is
+/// below `u32::MAX`, since a shortest path uses each edge at most once),
+/// and at `u64` otherwise. The trait is sealed: these are the two widths.
+pub trait DistEntry:
+    sealed::Sealed + Copy + Ord + Default + Send + Sync + std::fmt::Debug + 'static
+{
+    /// "Unreachable" at this width: `u32::MAX`, or [`INF`] at `u64`.
+    const INF: Self;
+
+    /// Stores a distance: exact below this width's `INF`, `INF` at or above.
+    fn narrow(w: Weight) -> Self;
+
+    /// Reads a distance back as a [`Weight`] (`INF` widens to [`INF`]).
+    fn widen(self) -> Weight;
+
+    /// [`dist_add`] at this width, for entries at most `INF`: a sum at or
+    /// past `INF` is `INF`.
+    fn dist_add(self, b: Self) -> Self;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for u64 {}
+}
+
+impl DistEntry for u32 {
+    const INF: u32 = u32::MAX;
+
+    #[inline]
+    fn narrow(w: Weight) -> u32 {
+        w.min(u32::MAX as Weight) as u32
+    }
+
+    #[inline]
+    fn widen(self) -> Weight {
+        if self == u32::MAX {
+            INF
+        } else {
+            Weight::from(self)
+        }
+    }
+
+    /// `INF` is `u32::MAX`, so saturation keeps it.
+    #[inline]
+    fn dist_add(self, b: u32) -> u32 {
+        u32::saturating_add(self, b)
+    }
+}
+
+impl DistEntry for u64 {
+    const INF: u64 = INF;
+
+    #[inline]
+    fn narrow(w: Weight) -> u64 {
+        w
+    }
+
+    #[inline]
+    fn widen(self) -> Weight {
+        self
+    }
+
+    /// Branch-free: with both terms at most `INF` the sum cannot wrap
+    /// (`INF` is `u64::MAX / 4`), and clamping it equals [`dist_add`].
+    #[inline]
+    fn dist_add(self, b: u64) -> u64 {
+        (self + b).min(INF)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,5 +203,17 @@ mod tests {
             .checked_add(INF)
             .and_then(|x| x.checked_add(INF))
             .is_some());
+    }
+
+    #[test]
+    fn narrow_entries_round_trip_below_their_inf() {
+        let top = Weight::from(u32::MAX);
+        assert_eq!(<u32 as DistEntry>::narrow(top - 1).widen(), top - 1);
+        assert_eq!(<u32 as DistEntry>::narrow(top), u32::MAX);
+        assert_eq!(<u32 as DistEntry>::narrow(INF).widen(), INF);
+        assert_eq!(<u32 as DistEntry>::INF.dist_add(1), u32::MAX);
+        assert_eq!((u32::MAX - 1).dist_add(1).widen(), INF);
+        assert_eq!(<u64 as DistEntry>::narrow(top).widen(), top);
+        assert_eq!(DistEntry::dist_add(INF - 1, 5u64), INF);
     }
 }

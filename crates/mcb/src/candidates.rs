@@ -182,8 +182,9 @@ impl<'a> Iterator for LiveIter<'a> {
 /// The generated candidate set: FVS, per-`z` SSSP trees (with per-tree
 /// top-child arrays for the O(1) LCA-is-root test), and the sorted store.
 ///
-/// `Clone` exists so benchmarks can snapshot a generated set and replay
-/// the (store-consuming) phase loop from the same starting state.
+/// `Clone` lets a caller snapshot a generated set and replay the
+/// (store-consuming) phase loop from the same starting state, as the
+/// differential tests do to run two phase loops on one set.
 #[derive(Clone)]
 pub struct Candidates {
     /// Feedback vertex set members.

@@ -193,9 +193,11 @@ pub fn depina_mcb_traced(g: &CsrGraph, opts: &DepinaOptions) -> (Vec<Cycle>, Pha
 }
 
 /// The batched phase loop alone, against a prebuilt candidate set (the
-/// store is consumed). Exposed separately so benchmarks can time the loop
-/// without tree construction; the returned trace's `tree` groups are empty
-/// — [`depina_mcb_traced`] fills them from [`Candidates::tree_units`].
+/// store is consumed), so a caller holding a generated set — the
+/// differential tests, replaying one set through this loop and the
+/// reference loop — runs it without rebuilding the trees; the returned
+/// trace's `tree` groups are empty — [`depina_mcb_traced`] fills them
+/// from [`Candidates::tree_units`].
 pub fn depina_phase_loop(
     g: &CsrGraph,
     cs: &CycleSpace,

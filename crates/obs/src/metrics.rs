@@ -5,9 +5,9 @@
 //! scatter across `DijkstraStats` (ear-graph), `WorkCounters`
 //! (ear-hetero) and `PhaseTrace`/`PhaseProfile` (ear-mcb): the producing
 //! layers publish into this registry under the dotted names catalogued in
-//! `DESIGN.md`, and consumers (the CLI `--profile` table, the bench
-//! report JSON, the `--metrics-out` snapshot, the `--metrics-stream`
-//! exporter) all read one source.
+//! `DESIGN.md`, and consumers (the CLI `--profile` table, the
+//! `--metrics-out` snapshot, the `--metrics-stream` exporter, the
+//! end-to-end benchmark's per-layer metrics) all read one source.
 //!
 //! ## Sharding
 //!

@@ -235,9 +235,9 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
     // 6. One distance store: the query engine reads the oracle's arena
     //    instead of copying it, so building one allocates far less than
     //    the arena's own bytes (a copying engine allocates at least that
-    //    much). A 20×20 grid is one block of 400 vertices: 160 000
-    //    entries, 1.28 MB of tables.
-    let side = 20u32;
+    //    much). A 24×24 grid is one block of 576 vertices: 331 776
+    //    entries, 1.33 MB of tables at 4 bytes an entry.
+    let side = 24u32;
     let mut edges = Vec::new();
     for r in 0..side {
         for c in 0..side {
@@ -252,7 +252,7 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
     }
     let grid = ear_graph::CsrGraph::from_edges((side * side) as usize, &edges);
     let oracle = ear_apsp::build_oracle(&grid, &exec, ear_apsp::ApspMethod::Ear);
-    let arena_bytes = ear_apsp::QueryEngine::new(&oracle).arena_entries() as u64 * 8;
+    let arena_bytes = oracle.stats().table_bytes;
     assert!(
         arena_bytes >= 1 << 20,
         "grid arena is only {arena_bytes} bytes"

@@ -330,7 +330,7 @@ fn check_refresh(g: &CsrGraph, method: ApspMethod) -> Result<(), String> {
     let plan = Arc::new(DecompPlan::build(g));
     let oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
     let q = QueryEngine::new(&oracle);
-    if !Arc::ptr_eq(q.tables(), oracle.tables()) {
+    if !q.tables().ptr_eq(oracle.tables()) {
         return Err("engine must read the oracle's arena, not a copy".into());
     }
     let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
@@ -339,10 +339,10 @@ fn check_refresh(g: &CsrGraph, method: ApspMethod) -> Result<(), String> {
     let noop_plan = Arc::new(plan.recustomized(&base));
     let noop_oracle = oracle.recustomized(Arc::clone(&noop_plan), &exec);
     let noop = q.recustomized(&noop_oracle);
-    if !Arc::ptr_eq(noop_oracle.tables(), oracle.tables()) {
+    if !noop_oracle.tables().ptr_eq(oracle.tables()) {
         return Err("no-op oracle refresh must share the arena".into());
     }
-    if !q.plan().shares_topology(noop.plan()) || !Arc::ptr_eq(q.tables(), noop.tables()) {
+    if !q.plan().shares_topology(noop.plan()) || !q.tables().ptr_eq(noop.tables()) {
         return Err("no-op refresh must share topology and tables".into());
     }
 
@@ -361,10 +361,10 @@ fn check_refresh(g: &CsrGraph, method: ApspMethod) -> Result<(), String> {
     let dirty = warm_plan.dirty_blocks().to_vec();
     let warm_oracle = oracle.recustomized(Arc::clone(&warm_plan), &exec);
     let warm = q.recustomized(&warm_oracle);
-    if !Arc::ptr_eq(warm.tables(), warm_oracle.tables()) {
+    if !warm.tables().ptr_eq(warm_oracle.tables()) {
         return Err("refreshed engine must read the refreshed oracle's arena".into());
     }
-    if !dirty.is_empty() && Arc::ptr_eq(q.tables(), warm.tables()) {
+    if !dirty.is_empty() && q.tables().ptr_eq(warm.tables()) {
         return Err("dirty refresh must not share the parent arena".into());
     }
     let (old, new) = (q.tables(), warm.tables());
