@@ -19,12 +19,19 @@
 //!   `d(u,a₁) + A[a₁,a₂] + d(a₂,v)` — at most three arena reads
 //!   (`tree_dist`, the one distance function every query type uses).
 //!
-//! Phase II (per-block tables) runs Dijkstra only from sources outside a
-//! maximal independent set of each block's phase-II graph
-//! ([`derived_sources`]); every other row is the minimum over its
-//! neighbours' rows, `d(x,t) = min w(x,u) + d(u,t)`. The Banerjee
-//! baseline ([`ApspMethod::Plain`]) derives no rows, so it stays one
-//! Dijkstra per block vertex.
+//! Phase II (per-block tables) runs one search per source of each block's
+//! phase-II graph, and each search stops where a finished row takes over
+//! (`SsspEngine::run_reusing`): a vertex whose row is finished pops at
+//! its true distance `d` and contributes `d ⊕ row_x` in one streaming
+//! min-plus pass, and a vertex such a row already reaches as cheaply is
+//! not expanded. The first vertex of any shortest path that is cut off
+//! this way pops at its true distance, so the rows are exact. A block's
+//! sources run in descending degree order, ties broken by a hash of the
+//! id, in rounds that double from 8 sources; round `r` is every block's
+//! `r`-th batch, one executor run, and sees only the rows of earlier
+//! rounds — so tables and work counters depend on the topology alone.
+//! The Banerjee baseline ([`ApspMethod::Plain`]) reuses no rows, so it
+//! stays one full Dijkstra per block vertex.
 //!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
 //! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`] —
@@ -40,7 +47,9 @@ use std::sync::Arc;
 
 use ear_decomp::block_cut::{BlockCutTree, Endpoint};
 use ear_decomp::plan::{BlockPlan, DecompPlan};
-use ear_graph::{dist_add, with_engine, CsrGraph, CsrView, DistEntry, VertexId, Weight, INF};
+use ear_graph::{
+    dist_add, with_engine, CsrGraph, CsrView, DistEntry, QueuedView, VertexId, Weight, INF,
+};
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
 use crate::arena::{DistArena, Rows, Tables, Width};
@@ -625,134 +634,125 @@ pub fn build_oracle(g: &CsrGraph, exec: &HeteroExecutor, method: ApspMethod) -> 
 }
 
 /// One phase-II workunit: writes the distance row of source `s` in
-/// `target` into `row`, from one run of the worker thread's pooled
-/// [`SsspEngine`](ear_graph::SsspEngine), and returns its work counters.
-fn sssp_row<E: DistEntry>(target: CsrView<'_>, s: u32, row: &mut [E]) -> WorkCounters {
-    assert_eq!(row.len(), target.n(), "distance row length");
-    with_engine(|eng| {
-        let stats = eng.run_view(target, s);
-        eng.write_dist(row);
-        WorkCounters {
-            edges_relaxed: stats.edges_relaxed,
-            vertices_settled: stats.settled,
-            ..WorkCounters::default()
-        }
-    })
-}
-
-/// The sources phase II derives instead of searching from: a maximal
-/// independent set of `g`, as a membership mask. Chosen greedily in
-/// ascending `(degree, vertex id)` order, so it depends on the topology
-/// alone and every call returns the same set.
-pub fn derived_sources(g: CsrView<'_>) -> Vec<bool> {
-    let mut order: Vec<VertexId> = g.vertices().collect();
-    order.sort_unstable_by_key(|&v| (g.degree(v), v));
-    let mut member = vec![false; g.n()];
-    let mut blocked = vec![false; g.n()];
-    for v in order {
-        if !blocked[v as usize] {
-            member[v as usize] = true;
-            for &(u, _) in g.neighbors(v) {
-                blocked[u as usize] = true;
-            }
-        }
-    }
-    member
-}
-
-/// Writes the distance row of `x` in `g` into `row` from its neighbours'
-/// rows (`row_of(u)`): `d(x,t) = min over incidences (u, w) of x, u ≠ x,
-/// of w + d(u,t)`, saturating at `INF`, and `d(x,x) = 0`. Returns its
-/// work counters: one streaming min-plus combination per incidence and
-/// target.
-fn derive_row<'r, E: DistEntry>(
-    g: CsrView<'_>,
-    x: VertexId,
-    row_of: impl Fn(VertexId) -> &'r [E],
+/// `target` into `row` with one [`SsspEngine::run_reusing`] search of the
+/// worker thread's pooled engine, which takes over the rows `finished`
+/// returns where it reaches them. Returns its work counters: the
+/// expanded vertices' and `row.len()` dense combinations per folded row.
+///
+/// [`SsspEngine::run_reusing`]: ear_graph::SsspEngine::run_reusing
+fn sssp_row<'r, E: DistEntry>(
+    target: QueuedView<'_>,
+    s: u32,
     row: &mut [E],
+    finished: impl Fn(VertexId) -> Option<&'r [E]>,
 ) -> WorkCounters {
-    let (adj, wts) = g.incidences(x);
-    row.fill(E::INF);
-    for (&(u, _), &w) in adj.iter().zip(wts) {
-        if u == x {
-            continue;
-        }
-        let (du, w) = (row_of(u), E::narrow(w));
-        assert_eq!(du.len(), row.len(), "distance row length");
-        for (d, &t) in row.iter_mut().zip(du) {
-            *d = (*d).min(w.dist_add(t));
-        }
+    let (stats, combined) = with_engine(|eng| eng.run_reusing(target, s, row, finished));
+    if ear_obs::is_enabled() {
+        ear_obs::counter_add("apsp.phase2.vertices_expanded", stats.settled);
+        ear_obs::counter_add("apsp.phase2.rows_combined", combined);
     }
-    row[x as usize] = E::default();
     WorkCounters {
-        dense_combined: adj.len() as u64 * row.len() as u64,
+        edges_relaxed: stats.edges_relaxed,
+        vertices_settled: stats.settled,
+        dense_combined: combined * row.len() as u64,
         ..WorkCounters::default()
     }
 }
 
+/// Sources in a block's first phase-II round. Each later round is twice
+/// the one before: ranks `[0, 8)`, `[8, 24)`, `[24, 56)`, ….
+const FIRST_ROUND: usize = 8;
+
+/// The phase-II round of the source at `rank` in its block's order
+/// ([`source_order`]).
+fn round_of(rank: usize) -> usize {
+    (rank / FIRST_ROUND + 1).ilog2() as usize
+}
+
+/// `g`'s vertices in descending degree order, ties broken by a fixed
+/// hash of the id, so the order depends on the topology alone. Hubs
+/// first: their rows are the ones later searches reach soonest. The hash
+/// scatters equal-degree runs, which input ids often cluster spatially.
+fn source_order(g: CsrView<'_>) -> Vec<VertexId> {
+    // The splitmix64 finaliser: a bijection, so no two keys tie.
+    let mix = |v: VertexId| {
+        let mut z = u64::from(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut order: Vec<VertexId> = g.vertices().collect();
+    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), mix(v)));
+    order
+}
+
 /// Phase II: fills every row of an all-sources table, one `(block,
 /// source, row)` unit per source of each block's `target` graph, grouped
-/// by block in ascending source order. With `derive`, each block's
-/// [`derived_sources`] get their rows from their neighbours' rows
-/// ([`derive_row`], under an `apsp.derive` span) after one Dijkstra per
-/// other source has written those; without it every source runs Dijkstra.
-/// Returns the merged executor report of both passes.
+/// by block in ascending source order. With `reuse`, each block's sources
+/// run in [`source_order`], batched into rounds ([`round_of`]); round `r`
+/// is every block's `r`-th batch, one executor run, and its searches
+/// ([`sssp_row`]) take over the rows of earlier rounds. Without it one
+/// round runs a full Dijkstra per source. Either way the tables and the
+/// work counters depend on the topology alone, not on the executor.
+/// Returns the merged executor report of the rounds.
 fn all_sources<'g, E: DistEntry>(
     exec: &HeteroExecutor,
     rows: Rows<'_, E>,
     target: impl Fn(u32) -> CsrView<'g> + Sync,
-    derive: bool,
+    reuse: bool,
 ) -> ExecutionReport {
-    // Row (b, s) sits at index first[b] + s of `rows`.
+    // Row (b, s) sits at index first[b] + s of `rows`; block b's searches
+    // share one queue choice, graph[b].
     let total = rows.len();
-    let mut first = vec![0; rows.last().map_or(0, |r| r.0 as usize + 1)];
-    let mut member = Vec::with_capacity(total);
+    let blocks = rows.last().map_or(0, |r| r.0 as usize + 1);
+    let (mut first, mut graph) = (vec![0; blocks], vec![None; blocks]);
+    let mut round = vec![0; total];
     for (k, &(b, s, _)) in rows.iter().enumerate() {
         if s == 0 {
             first[b as usize] = k;
-            if derive {
-                member.extend(derived_sources(target(b)));
-            } else {
-                member.resize(member.len() + target(b).n(), false);
+            graph[b as usize] = Some(QueuedView::new(target(b)));
+            if reuse {
+                for (rank, v) in source_order(target(b)).into_iter().enumerate() {
+                    round[k + v as usize] = round_of(rank);
+                }
             }
         }
     }
-    assert_eq!(member.len(), total, "every block lists all its rows");
-    let (mut searched, mut derived) = (Vec::new(), Vec::new());
-    for (row, m) in rows.into_iter().zip(member) {
-        if m {
-            derived.push(row);
-        } else {
-            searched.push(row);
+    let mut rounds: Vec<Rows<'_, E>> = vec![Vec::new()];
+    for (row, r) in rows.into_iter().zip(round) {
+        if rounds.len() <= r {
+            rounds.resize_with(r + 1, Vec::new);
         }
+        rounds[r].push(row);
     }
     if ear_obs::is_enabled() {
-        ear_obs::counter_add("apsp.rows_sssp", searched.len() as u64);
-        ear_obs::counter_add("apsp.rows_derived", derived.len() as u64);
+        ear_obs::counter_add("apsp.phase2.rounds", rounds.len() as u64);
     }
-    let report = exec.run_mut(
-        &mut searched,
-        |&(b, _, _)| target(b).m() as u64 + 1,
-        |(b, s, row)| sssp_row(target(*b), *s, row),
-    );
-    if derived.is_empty() {
-        return report;
-    }
-    // An independent set's neighbours are all searched sources.
+    // The rows of earlier rounds, at their row index; empty until then.
     let mut done: Vec<&[E]> = vec![&[]; total];
-    for (b, s, row) in &searched {
-        done[first[*b as usize] + *s as usize] = row;
+    let mut report: Option<ExecutionReport> = None;
+    for mut units in rounds {
+        let finished = &done;
+        let r = exec.run_mut(
+            &mut units,
+            |&(b, _, _)| target(b).m() as u64 + 1,
+            |(b, s, row)| {
+                let base = first[*b as usize];
+                let finished =
+                    |x: VertexId| Some(finished[base + x as usize]).filter(|r| !r.is_empty());
+                let g = graph[*b as usize].expect("every listed block has its graph");
+                sssp_row(g, *s, row, finished)
+            },
+        );
+        report = Some(match report {
+            Some(acc) => merge_reports(acc, r),
+            None => r,
+        });
+        for (b, s, row) in units {
+            done[first[b as usize] + s as usize] = row;
+        }
     }
-    let derived_report = exec.run_mut(
-        &mut derived,
-        |&(b, x, _)| (target(b).degree(x) * target(b).n()) as u64 + 1,
-        |(b, x, row)| {
-            let _span = ear_obs::span("apsp.derive");
-            let base = first[*b as usize];
-            derive_row(target(*b), *x, |u| done[base + u as usize], row)
-        },
-    );
-    merge_reports(report, derived_report)
+    report.expect("at least one round")
 }
 
 /// Builds the oracle from a prebuilt [`DecompPlan`], skipping the BCC
@@ -827,8 +827,8 @@ fn phase2_scratch(plan: &DecompPlan, method: ApspMethod, blocks: &[u32]) -> usiz
 /// `DistArena::block_rows_mut` — in place, with phase II's reduced
 /// matrices at `Ear` in `scratch` ([`phase2_scratch`] entries). Phase II
 /// is the all-sources table of each block's reduced graph — of the block
-/// itself when it is not reduced or `method` is `Plain` — with rows
-/// derived outside Dijkstra everywhere but at `Plain`. Phase III runs at
+/// itself when it is not reduced or `method` is `Plain` — whose searches
+/// reuse finished rows everywhere but at `Plain`. Phase III runs at
 /// `Ear` only: the §2.1.3 extension of the reduced matrices to the whole
 /// block (at `Reduced` the phase-II rows are the stored tables). Returns
 /// the merged executor report. The cold build passes every block; an
@@ -851,12 +851,12 @@ fn compute_block_tables<E: DistEntry>(
     };
     let target = |b: u32| red(b).map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
     // Phase II: workunits are (block, source) rows, filled in place. The
-    // Banerjee baseline (`Plain`) derives no rows: one Dijkstra per block
-    // vertex is the comparison axis.
-    let derive = method != ApspMethod::Plain;
+    // Banerjee baseline (`Plain`) reuses no rows: one full Dijkstra per
+    // block vertex is the comparison axis.
+    let reuse = method != ApspMethod::Plain;
     let phase2 = |rows: Rows<'_, E>| {
         let _span = ear_obs::span("apsp.phase2");
-        all_sources(exec, rows, target, derive)
+        all_sources(exec, rows, target, reuse)
     };
     match method {
         // The phase-II rows are the block tables.

@@ -17,8 +17,10 @@
 //!
 //! `<graph>` is a Matrix Market (`.mtx`) or whitespace edge-list file
 //! (`u v [w]` per line, zero-based ids); `-` reads the edge list from
-//! stdin. All subcommands accept `--mode seq|multicore|gpu|hetero`
-//! (default hetero) and `--no-ear` to disable the reduction.
+//! stdin. `apsp`, `query`, `mcb`, `combined` and `recustomize` accept
+//! `--mode seq|multicore|gpu|hetero` (default hetero) and `--no-ear` to
+//! disable the reduction. A subcommand rejects every flag its usage line
+//! does not list.
 //!
 //! Observability (on `apsp`, `query`, `mcb`, `combined`, `recustomize`):
 //! `--trace-out <path>` writes a Chrome trace-event JSON of the run (load
@@ -85,23 +87,23 @@ fn run(args: Vec<String>) -> Result<(), String> {
     match cmd.as_str() {
         "stats" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            CommonOpts::parse(&rest[1..])?;
+            CommonOpts::parse(&rest[1..], &[], false)?;
             commands::stats(&g)
         }
         "decompose" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            CommonOpts::parse(&rest[1..])?;
+            CommonOpts::parse(&rest[1..], &[], false)?;
             commands::decompose(&g)
         }
         "apsp" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            let opts = CommonOpts::parse(&rest[1..])?;
+            let opts = CommonOpts::parse(&rest[1..], &["--pairs"], true)?;
             let pairs = parse_pairs(&rest[1..], g.n())?;
             commands::apsp(&g, &opts, &pairs)
         }
         "query" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            let opts = CommonOpts::parse(&rest[1..])?;
+            let opts = CommonOpts::parse(&rest[1..], &["--pairs", "--queries", "--seed"], true)?;
             let pairs = parse_pairs(&rest[1..], g.n())?;
             let queries = parse_value(&rest[1..], "--queries")?.unwrap_or(10_000usize);
             let seed = parse_value(&rest[1..], "--seed")?.unwrap_or(7u64);
@@ -109,13 +111,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
         "combined" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            let opts = CommonOpts::parse(&rest[1..])?;
+            let opts = CommonOpts::parse(&rest[1..], &["--pairs"], true)?;
             let pairs = parse_pairs(&rest[1..], g.n())?;
             commands::combined(&g, &opts, &pairs)
         }
         "recustomize" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            let opts = CommonOpts::parse(&rest[1..])?;
+            let opts = CommonOpts::parse(&rest[1..], &["--fraction", "--rounds", "--seed"], true)?;
             let fraction = parse_value(&rest[1..], "--fraction")?.unwrap_or(0.01f64);
             let rounds = parse_value(&rest[1..], "--rounds")?.unwrap_or(3usize);
             let seed = parse_value(&rest[1..], "--seed")?.unwrap_or(7u64);
@@ -123,13 +125,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
         "bc" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            CommonOpts::parse(&rest[1..])?;
+            CommonOpts::parse(&rest[1..], &["--top"], false)?;
             let top = parse_value(&rest[1..], "--top")?.unwrap_or(10usize);
             commands::bc(&g, top)
         }
         "mcb" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
-            let opts = CommonOpts::parse(&rest[1..])?;
+            let flags = ["--print-cycles", "--profile", "--profile-json"];
+            let opts = CommonOpts::parse(&rest[1..], &flags, true)?;
             let print_cycles = rest.iter().any(|a| a == "--print-cycles");
             let profile = rest.iter().any(|a| a == "--profile");
             let profile_json = rest.iter().any(|a| a == "--profile-json");
@@ -170,8 +173,23 @@ pub struct CommonOpts {
     pub metrics_interval_ms: u64,
 }
 
+/// The flags of every subcommand that runs the pipeline: `--mode`,
+/// `--no-ear` and the observability outputs.
+const PIPELINE_FLAGS: [&str; 7] = [
+    "--mode",
+    "--no-ear",
+    "--trace-out",
+    "--metrics-out",
+    "--profile-out",
+    "--metrics-stream",
+    "--metrics-interval",
+];
+
 impl CommonOpts {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses a subcommand's options: its own flags `own` (as its usage
+    /// line lists them) and, with `pipeline`, [`PIPELINE_FLAGS`]. Any
+    /// other flag is an `unknown option`.
+    fn parse(args: &[String], own: &[&str], pipeline: bool) -> Result<Self, String> {
         let mut mode = ExecMode::Hetero;
         let mut no_ear = false;
         let mut trace_out = None;
@@ -181,7 +199,11 @@ impl CommonOpts {
         let mut metrics_interval_ms = ear_obs::stream::DEFAULT_INTERVAL_MS;
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            let flag = args[i].as_str();
+            if !(own.contains(&flag) || pipeline && PIPELINE_FLAGS.contains(&flag)) {
+                return Err(format!("unknown option '{flag}'"));
+            }
+            match flag {
                 "--mode" => {
                     i += 1;
                     mode = match args.get(i).map(|s| s.as_str()) {

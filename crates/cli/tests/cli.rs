@@ -385,6 +385,63 @@ fn bc_rejects_unknown_options() {
     assert_rejects_unknown_option("bc");
 }
 
+/// `ear <cmd> <graph> <args>` fails naming `flag` as an unknown option.
+fn assert_rejects_flag(cmd: &str, args: &[&str], flag: &str) {
+    let p = tmpfile(
+        &format!("theta_{cmd}_{}.txt", flag.trim_start_matches('-')),
+        THETA,
+    );
+    let mut argv = vec![cmd, p.to_str().unwrap()];
+    argv.extend(args);
+    let out = ear(&argv);
+    assert!(!out.status.success(), "{cmd} accepted {args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("unknown option '{flag}'")),
+        "{cmd}: {err}"
+    );
+    assert!(out.stdout.is_empty(), "{cmd} printed output");
+}
+
+#[test]
+fn apsp_rejects_the_top_flag_of_bc() {
+    assert_rejects_flag("apsp", &["--top", "3"], "--top");
+}
+
+#[test]
+fn stats_rejects_the_queries_flag_of_query() {
+    assert_rejects_flag("stats", &["--queries", "5"], "--queries");
+}
+
+/// `stats`, `decompose` and `bc` run no pipeline: they take neither
+/// `--mode`, `--no-ear` nor an observability output.
+fn assert_rejects_pipeline_flags(cmd: &str) {
+    assert_rejects_flag(cmd, &["--mode", "seq"], "--mode");
+    assert_rejects_flag(cmd, &["--no-ear"], "--no-ear");
+    let trace = std::env::temp_dir().join(format!("ear_cli_{cmd}_rejected_trace.json"));
+    assert_rejects_flag(
+        cmd,
+        &["--trace-out", trace.to_str().unwrap()],
+        "--trace-out",
+    );
+    assert!(!trace.exists(), "{cmd} wrote a trace");
+}
+
+#[test]
+fn stats_rejects_pipeline_flags() {
+    assert_rejects_pipeline_flags("stats");
+}
+
+#[test]
+fn decompose_rejects_pipeline_flags() {
+    assert_rejects_pipeline_flags("decompose");
+}
+
+#[test]
+fn bc_rejects_pipeline_flags() {
+    assert_rejects_pipeline_flags("bc");
+}
+
 #[test]
 fn bad_pair_is_rejected() {
     let p = tmpfile("theta6.txt", THETA);

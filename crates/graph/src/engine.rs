@@ -48,6 +48,12 @@
 //!   settle order (and every downstream bit) is unchanged. Only weights
 //!   at or above [`DIAL_WEIGHT_LIMIT`] (or zero-weight edges) still fall
 //!   back to the heap, ticking `sssp.dial.range_fallback`.
+//! * **Row reuse** — [`SsspEngine::run_reusing`] is the same loop with a
+//!   different visit hook: it writes a distance row in place, stops
+//!   at every vertex whose row is already finished and folds that row in
+//!   with one streaming min-plus pass, and skips vertices a folded row
+//!   already covers. The loop is monomorphised on the hook, so a plain
+//!   run carries none of it.
 //!
 //! Results are **bit-identical** to the allocate-per-source reference in
 //! `ear_testkit::reference`: its lazy-deletion heap always pops the
@@ -100,6 +106,58 @@ fn tie_prefers(u: VertexId, e: EdgeId, cur_pv: VertexId, cur_pe: EdgeId) -> bool
     (u, e) < (cur_pv, cur_pe)
 }
 
+/// What a run does with each vertex it pops. The main loops are
+/// monomorphised on it, so [`ExpandAll`] compiles to plain Dijkstra.
+trait Visit {
+    /// Called once per pop, with `x`'s distance in this search; `false`
+    /// leaves `x` unexpanded (its incidences are not relaxed, and it does
+    /// not count as settled).
+    fn settle(&mut self, x: VertexId, d: Weight) -> bool;
+}
+
+/// Plain Dijkstra: every popped vertex is expanded.
+struct ExpandAll;
+
+impl Visit for ExpandAll {
+    #[inline(always)]
+    fn settle(&mut self, _: VertexId, _: Weight) -> bool {
+        true
+    }
+}
+
+/// The [`SsspEngine::run_reusing`] hook: writes `row` as vertices pop and
+/// stops at finished rows and covered vertices.
+struct Reuse<'a, E, F> {
+    source: VertexId,
+    row: &'a mut [E],
+    finished: F,
+    rows_combined: u64,
+}
+
+impl<'r, E: DistEntry, F: Fn(VertexId) -> Option<&'r [E]>> Visit for Reuse<'_, E, F> {
+    #[inline]
+    fn settle(&mut self, x: VertexId, d: Weight) -> bool {
+        let (xi, d) = (x as usize, E::narrow(d));
+        // Covered: a row folded earlier already reaches `x` this cheaply,
+        // and everything beyond `x` through that row.
+        if x != self.source && self.row[xi] <= d {
+            return false;
+        }
+        self.row[xi] = d;
+        match (self.finished)(x) {
+            Some(rx) => {
+                assert_eq!(rx.len(), self.row.len(), "distance row length");
+                for (r, &t) in self.row.iter_mut().zip(rx) {
+                    *r = (*r).min(d.dist_add(t));
+                }
+                self.rows_combined += 1;
+                false
+            }
+            None => true,
+        }
+    }
+}
+
 /// Which priority queue a run takes (see [`SsspEngine::dial_mode`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DialMode {
@@ -111,6 +169,31 @@ enum DialMode {
     /// Indexed 4-ary heap: small graph, zero weights, or weights past
     /// [`DIAL_WEIGHT_LIMIT`].
     Heap,
+}
+
+/// A graph view with its priority-queue choice made, for
+/// [`SsspEngine::run_reusing`]. Made once, it spares the many searches of
+/// a graph the pass over its weights that every plain run makes.
+#[derive(Clone, Copy, Debug)]
+pub struct QueuedView<'g> {
+    g: CsrView<'g>,
+    mode: DialMode,
+}
+
+impl<'g> QueuedView<'g> {
+    /// `g` and the queue runs on it take: one pass over its incidence
+    /// weights.
+    pub fn new(g: CsrView<'g>) -> Self {
+        QueuedView {
+            g,
+            mode: SsspEngine::dial_mode(g),
+        }
+    }
+
+    /// The graph.
+    pub fn view(&self) -> CsrView<'g> {
+        self.g
+    }
 }
 
 /// Per-vertex hot state, packed so one relaxation touches one cache line
@@ -229,27 +312,69 @@ impl SsspEngine {
     /// Distances-only run (no parent bookkeeping). Returns the run's
     /// operation counters.
     pub fn run(&mut self, g: &CsrGraph, source: VertexId) -> DijkstraStats {
-        self.run_inner::<false>(g.view(), source)
+        self.run_inner::<false, _>(g.view(), Self::dial_mode(g.view()), source, &mut ExpandAll)
     }
 
     /// Full shortest-path-tree run with the deterministic
     /// `(distance, vertex, edge)` parent tie-break.
     pub fn run_tree(&mut self, g: &CsrGraph, source: VertexId) -> DijkstraStats {
-        self.run_inner::<true>(g.view(), source)
+        self.run_inner::<true, _>(g.view(), Self::dial_mode(g.view()), source, &mut ExpandAll)
     }
 
     /// [`run`](Self::run) on a borrowed [`CsrView`] (whole graph or arena
     /// block window) — the same code path, so results are bit-identical.
     pub fn run_view(&mut self, g: CsrView<'_>, source: VertexId) -> DijkstraStats {
-        self.run_inner::<false>(g, source)
+        self.run_inner::<false, _>(g, Self::dial_mode(g), source, &mut ExpandAll)
+    }
+
+    /// Writes the distance row of `source` in `g` into `row`, reusing the
+    /// rows `finished(x)` returns (each `g.n()` long) where a search would
+    /// repeat them. On popping `x` at distance `d`:
+    ///
+    /// * `x ≠ source` and `row[x] ≤ d`: `x` is *covered* by a row folded
+    ///   earlier and is not expanded;
+    /// * otherwise `row[x] = d`, and when `x`'s row is finished it is
+    ///   folded in, `row = min(row, d ⊕ row_x)` (saturating at `INF`),
+    ///   instead of expanding `x`; else `x` is expanded as usual.
+    ///
+    /// Exact for any non-negative weights: the first vertex of a shortest
+    /// path `source → t` that is folded or covered pops at its true
+    /// distance, and the row it was folded from reaches `t` at `d(source,
+    /// t)`; every other candidate is the length of a real path. With no
+    /// finished rows this is a plain run. Returns the search's counters —
+    /// `settled` and `edges_relaxed` cover the expanded vertices only —
+    /// and the number of rows folded. The engine's own distance queries
+    /// afterwards read the search's tentative distances, not `row`.
+    ///
+    /// # Panics
+    /// Panics unless `row` and every finished row are `g.n()` long.
+    pub fn run_reusing<'r, E: DistEntry>(
+        &mut self,
+        g: QueuedView<'_>,
+        source: VertexId,
+        row: &mut [E],
+        finished: impl Fn(VertexId) -> Option<&'r [E]>,
+    ) -> (DijkstraStats, u64) {
+        assert_eq!(row.len(), g.g.n(), "distance row length");
+        row.fill(E::INF);
+        let mut reuse = Reuse {
+            source,
+            row,
+            finished,
+            rows_combined: 0,
+        };
+        let stats = self.run_inner::<false, _>(g.g, g.mode, source, &mut reuse);
+        (stats, reuse.rows_combined)
     }
 
     // Monomorphised on `WANT_TREE` so the distances-only path carries no
-    // per-edge tree branches at all.
-    fn run_inner<const WANT_TREE: bool>(
+    // per-edge tree branches at all, and on the visit hook.
+    fn run_inner<const WANT_TREE: bool, V: Visit>(
         &mut self,
         g: CsrView<'_>,
+        mode: DialMode,
         source: VertexId,
+        visit: &mut V,
     ) -> DijkstraStats {
         let _span = ear_obs::span_with("sssp.run", source as u64);
         let n = g.n();
@@ -295,10 +420,10 @@ impl SsspEngine {
         }
         self.touched.push(source);
 
-        let (edges_relaxed, heap_pushes) = match self.dial_mode(g) {
-            DialMode::Plain => self.run_buckets::<WANT_TREE, false>(g),
-            DialMode::Overflow => self.run_buckets::<WANT_TREE, true>(g),
-            DialMode::Heap => self.run_heap::<WANT_TREE>(g),
+        let (edges_relaxed, heap_pushes) = match mode {
+            DialMode::Plain => self.run_buckets::<WANT_TREE, false, V>(g, visit),
+            DialMode::Overflow => self.run_buckets::<WANT_TREE, true, V>(g, visit),
+            DialMode::Heap => self.run_heap::<WANT_TREE, V>(g, visit),
         };
         self.stats.settled = self.order.len() as u64;
         self.stats.edges_relaxed = edges_relaxed;
@@ -313,7 +438,7 @@ impl SsspEngine {
         self.stats
     }
 
-    /// Picks the queue for this run: the heap for small graphs (the whole
+    /// Picks the queue for runs on `g`: the heap for small graphs (the whole
     /// working set is cache-resident anyway), zero weights (they break the
     /// bucket invariant) and weights at or above [`DIAL_WEIGHT_LIMIT`];
     /// the plain sliding-window Dial path when every weight fits the
@@ -322,9 +447,10 @@ impl SsspEngine {
     ///
     /// When a large-enough positive-weight graph is forced onto the heap
     /// purely by weight range — the case a weight recustomization can
-    /// newly trigger — the `sssp.dial.range_fallback` counter records it.
+    /// newly trigger — the `sssp.dial.range_fallback` counter records it,
+    /// once per decision.
     #[inline]
-    fn dial_mode(&self, g: CsrView<'_>) -> DialMode {
+    fn dial_mode(g: CsrView<'_>) -> DialMode {
         if g.n() <= DIAL_MIN_N {
             return DialMode::Heap;
         }
@@ -349,7 +475,11 @@ impl SsspEngine {
 
     /// The indexed-heap main loop (the general path: any weights, any
     /// size). Assumes the prologue has seeded `state[source]`.
-    fn run_heap<const WANT_TREE: bool>(&mut self, g: CsrView<'_>) -> (u64, u64) {
+    fn run_heap<const WANT_TREE: bool, V: Visit>(
+        &mut self,
+        g: CsrView<'_>,
+        visit: &mut V,
+    ) -> (u64, u64) {
         self.heap_insert(0, self.source);
 
         // Counters live in locals so the optimiser keeps them in registers
@@ -360,6 +490,9 @@ impl SsspEngine {
         let mut heap_pushes = 0u64;
 
         while let Some((du, u)) = self.heap_pop_min() {
+            if !visit.settle(u, du) {
+                continue;
+            }
             self.order.push(u);
             let u_depth = if WANT_TREE {
                 self.parent[u as usize].depth
@@ -438,9 +571,10 @@ impl SsspEngine {
     /// bucket is always complete when it drains.
     ///
     /// [`run_heap`]: Self::run_heap
-    fn run_buckets<const WANT_TREE: bool, const OVERFLOW: bool>(
+    fn run_buckets<const WANT_TREE: bool, const OVERFLOW: bool, V: Visit>(
         &mut self,
         g: CsrView<'_>,
+        visit: &mut V,
     ) -> (u64, u64) {
         if self.buckets.is_empty() {
             self.buckets = vec![Vec::new(); DIAL_BUCKETS];
@@ -512,6 +646,9 @@ impl SsspEngine {
                     continue; // superseded: improved into an earlier bucket
                 }
                 self.state[ui].pos = SETTLED;
+                if !visit.settle(u, cur_d) {
+                    continue;
+                }
                 self.order.push(u);
                 let u_depth = if WANT_TREE { self.parent[ui].depth } else { 0 };
                 let (adj, wts) = g.incidences(u);
@@ -619,7 +756,8 @@ impl SsspEngine {
     }
 
     /// Settle order of the most recent run: vertices in the order they
-    /// were popped, i.e. non-decreasing distance.
+    /// were popped, i.e. non-decreasing distance (after
+    /// [`run_reusing`](Self::run_reusing), the expanded ones only).
     pub fn settle_order(&self) -> &[VertexId] {
         &self.order
     }
@@ -872,8 +1010,7 @@ mod tests {
     #[test]
     fn fixtures_select_their_dial_mode() {
         let _guard = RANGE_FALLBACK_LOCK.lock().unwrap();
-        let e = SsspEngine::new();
-        let mode = |g: &CsrGraph| e.dial_mode(g.view());
+        let mode = |g: &CsrGraph| SsspEngine::dial_mode(g.view());
         assert_eq!(mode(&random_graph(400, 1600, 100, 99)), DialMode::Plain);
         assert_eq!(mode(&random_graph(300, 2400, 1, 5)), DialMode::Plain);
         // Weights far above the bucket span select the overflow path.
@@ -923,23 +1060,14 @@ mod tests {
             let edges: Vec<(u32, u32, Weight)> = (0..399u32).map(|i| (i, i + 1, w)).collect();
             CsrGraph::from_edges(400, &edges)
         };
-        let e = SsspEngine::new();
+        let e = SsspEngine::dial_mode;
+        assert_eq!(e(chain(DIAL_BUCKETS as Weight - 1).view()), DialMode::Plain);
+        assert_eq!(e(chain(DIAL_BUCKETS as Weight).view()), DialMode::Overflow);
         assert_eq!(
-            e.dial_mode(chain(DIAL_BUCKETS as Weight - 1).view()),
-            DialMode::Plain
-        );
-        assert_eq!(
-            e.dial_mode(chain(DIAL_BUCKETS as Weight).view()),
+            e(chain(DIAL_WEIGHT_LIMIT as Weight - 1).view()),
             DialMode::Overflow
         );
-        assert_eq!(
-            e.dial_mode(chain(DIAL_WEIGHT_LIMIT as Weight - 1).view()),
-            DialMode::Overflow
-        );
-        assert_eq!(
-            e.dial_mode(chain(DIAL_WEIGHT_LIMIT as Weight).view()),
-            DialMode::Heap
-        );
+        assert_eq!(e(chain(DIAL_WEIGHT_LIMIT as Weight).view()), DialMode::Heap);
     }
 
     /// Serialises the tests that run overweight graphs against the global

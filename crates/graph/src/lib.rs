@@ -41,7 +41,7 @@ pub use arena::{CsrArena, CsrSpan};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dijkstra::{dijkstra, dijkstra_tree, dijkstra_with_stats, DijkstraStats, SsspTree};
-pub use engine::{with_engine, SsspEngine};
+pub use engine::{with_engine, QueuedView, SsspEngine};
 pub use spanning::{non_tree_edges, spanning_forest, tree_edge_flags};
 pub use subgraph::{
     edge_subgraph, edge_subgraph_into_arena, induced_subgraph, CompactSubgraphMap, SubgraphMap,

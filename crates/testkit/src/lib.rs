@@ -30,8 +30,8 @@
 //!   and reports the first divergence.
 //! * [`reference`](mod@reference) — the reference implementations the production layers
 //!   are differentially tested against: the allocate-per-source Dijkstra,
-//!   the scalar de Pina phase loop, Floyd–Warshall and plain
-//!   all-sources Dijkstra APSP.
+//!   the scalar de Pina phase loop, Floyd–Warshall, plain all-sources
+//!   Dijkstra APSP and the oracle's phase-II row-reuse schedule.
 
 #![deny(missing_docs)]
 

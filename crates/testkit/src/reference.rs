@@ -13,15 +13,21 @@
 //!   [`candidate_dot`]). It records byte-identical
 //!   [`PhaseTrace`]s to the packed kernels of `ear_mcb::depina`, which
 //!   `tests/mcb_kernels_differential.rs` checks.
-//! * **APSP** — [`floyd_warshall`], the exact `O(n³)` oracle, and
+//! * **APSP** — [`floyd_warshall`], the exact `O(n³)` oracle,
 //!   [`plain_apsp`], Dijkstra from every vertex of the whole graph through
-//!   the heterogeneous executor.
+//!   the heterogeneous executor, and [`reuse_apsp`], the oracle's phase-II
+//!   schedule on one graph, sequential and with a lazy-deletion heap. It
+//!   pins the oracle's phase-II tables and work counters, which
+//!   `tests/phase2_derive_differential.rs` checks.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ear_apsp::DistMatrix;
-use ear_graph::{with_engine, CsrGraph, DijkstraStats, EdgeId, SsspTree, VertexId, Weight, INF};
+use ear_graph::{
+    dist_add, with_engine, CsrGraph, CsrView, DijkstraStats, EdgeId, SsspTree, VertexId, Weight,
+    INF,
+};
 use ear_hetero::{group_units, ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 use ear_mcb::candidates::{self, CandRef, Candidates};
 use ear_mcb::signed::min_cycle_nonorthogonal;
@@ -307,6 +313,86 @@ pub fn plain_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> (DistMatrix, Execution
         },
     );
     (DistMatrix::from_rows(results), report)
+}
+
+/// Phase II of `ear_apsp`'s oracle on `g`, written plainly: the sources
+/// in descending degree order, ties broken by the splitmix64 finaliser of
+/// the id, in rounds of 8, 16, 32, … sources. Each source's search sees
+/// the rows of earlier rounds only: a popped vertex `x ≠ s` at distance
+/// `d` with `row[x] ≤ d` is skipped, one with a finished row folds
+/// `d ⊕ row_x` into the row, and any other is expanded. Returns the
+/// table and the work counters the oracle charges for it: the expanded
+/// vertices and their incidences, and `n` per folded row.
+pub fn reuse_apsp(g: CsrView<'_>) -> (DistMatrix, WorkCounters) {
+    let n = g.n();
+    let mix = |v: VertexId| {
+        let mut z = u64::from(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut order: Vec<VertexId> = g.vertices().collect();
+    order.sort_by_key(|&v| (Reverse(g.degree(v)), mix(v)));
+    let mut table = DistMatrix::new(n);
+    let mut finished = vec![false; n];
+    let mut counters = WorkCounters::default();
+    let (mut start, mut size) = (0, 8);
+    while start < n {
+        let round = &order[start..(start + size).min(n)];
+        for &s in round {
+            let row = reuse_search(g, s, &table, &finished, &mut counters);
+            table.row_mut(s).copy_from_slice(&row);
+        }
+        for &s in round {
+            finished[s as usize] = true;
+        }
+        (start, size) = (start + size, size * 2);
+    }
+    (table, counters)
+}
+
+/// One [`reuse_apsp`] search from `s` over the `finished` rows of `table`.
+fn reuse_search(
+    g: CsrView<'_>,
+    s: VertexId,
+    table: &DistMatrix,
+    finished: &[bool],
+    counters: &mut WorkCounters,
+) -> Vec<Weight> {
+    let n = g.n();
+    let (mut row, mut dist, mut popped) = (vec![INF; n], vec![INF; n], vec![false; n]);
+    let mut heap = BinaryHeap::new();
+    dist[s as usize] = 0;
+    heap.push(Reverse((0, s)));
+    while let Some(Reverse((d, x))) = heap.pop() {
+        let xi = x as usize;
+        if popped[xi] || d > dist[xi] {
+            continue;
+        }
+        popped[xi] = true;
+        if x != s && row[xi] <= d {
+            continue;
+        }
+        row[xi] = d;
+        if finished[xi] {
+            for (r, &t) in row.iter_mut().zip(table.row(x)) {
+                *r = (*r).min(dist_add(d, t));
+            }
+            counters.dense_combined += n as u64;
+            continue;
+        }
+        counters.vertices_settled += 1;
+        let (adj, wts) = g.incidences(x);
+        for (&(v, _), &w) in adj.iter().zip(wts) {
+            counters.edges_relaxed += 1;
+            let nd = d + w;
+            if v != x && nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                heap.push(Reverse((nd, v)));
+            }
+        }
+    }
+    row
 }
 
 /// Exact Floyd–Warshall, `k`-outer loop with row streaming. Parallel edges

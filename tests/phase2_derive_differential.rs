@@ -1,26 +1,29 @@
-//! Differential suite for phase II's derived rows.
+//! Differential suite for phase II's row reuse.
 //!
-//! Phase II runs Dijkstra only from sources outside a maximal independent
-//! set `I` of each block's phase-II graph (the reduced graph, or the block
-//! itself when it is not reduced) and writes every row `x ∈ I` as the
-//! minimum over its neighbours' rows. This suite holds those tables to one
-//! `SsspEngine` run per source, bit for bit, on every testkit family — as
-//! generated and with every third edge reweighted to zero — and on the
-//! edge cases the derivation has to get right: a self-loop-only block, a
-//! bridge block, a non-simple block processed plainly, zero-weight edges
-//! and a disconnected input. The phase-II tables are read where
-//! `ApspMethod::Reduced` stores them: its block spans. The suite also
-//! checks that `I` is independent, maximal and deterministic, and pins
-//! the Banerjee baseline (`ApspMethod::Plain`) to exactly one full
-//! Dijkstra per block vertex.
+//! Phase II runs one search per source of each block's phase-II graph
+//! (the reduced graph, or the block itself when it is not reduced), and
+//! each search stops where a row finished in an earlier round takes
+//! over. This suite holds those tables to one `SsspEngine` run per
+//! source, bit for bit, on every testkit family — as generated and with
+//! every third edge reweighted to zero — and on the edge cases the reuse
+//! has to get right: a self-loop-only block, a bridge block, a
+//! non-simple block processed plainly, zero-weight edges and a
+//! disconnected input. The phase-II tables are read where
+//! `ApspMethod::Reduced` stores them: its block spans. The schedule is
+//! checked too: every source runs exactly once, the tables and work
+//! counters equal the plainly written schedule of
+//! `ear_testkit::reference::reuse_apsp` and do not depend on the
+//! executor, and `u64` tables hold the same distances. The Banerjee
+//! baseline (`ApspMethod::Plain`) is pinned to exactly one full Dijkstra
+//! per block vertex.
 
 use std::sync::Arc;
 
-use ear_apsp::oracle::derived_sources;
 use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, DistMatrix};
 use ear_decomp::plan::DecompPlan;
-use ear_graph::{CsrGraph, CsrView, SsspEngine, Weight, INF};
-use ear_hetero::HeteroExecutor;
+use ear_graph::{CsrGraph, CsrView, QueuedView, SsspEngine, Weight, INF};
+use ear_hetero::{HeteroExecutor, WorkCounters};
+use ear_testkit::reference::reuse_apsp;
 use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
     simple_graphs, workload_graphs, GraphStrategy,
@@ -50,50 +53,45 @@ fn dijkstra_rows(g: CsrView<'_>) -> DistMatrix {
     m
 }
 
-/// `I` is independent (no edge joins two members; self-loops aside),
-/// maximal (every non-member has a member neighbour) and the same on a
-/// second call.
-fn check_independent_set(g: CsrView<'_>) -> Result<(), String> {
-    let member = derived_sources(g);
-    if member.len() != g.n() {
-        return Err(format!("mask length {} for n = {}", member.len(), g.n()));
-    }
-    for x in g.vertices() {
-        let nbrs = || g.neighbors(x).iter().map(|&(u, _)| u).filter(|&u| u != x);
-        if member[x as usize] {
-            if let Some(u) = nbrs().find(|&u| member[u as usize]) {
-                return Err(format!("members {x} and {u} are adjacent"));
-            }
-        } else if !nbrs().any(|u| member[u as usize]) {
-            return Err(format!("non-member {x} has no member neighbour"));
-        }
-    }
-    if derived_sources(g) != member {
-        return Err("two calls chose different sets".into());
-    }
-    Ok(())
+/// `g` plus the disjoint edge `(n, n + 1)` of weight `u32::MAX`: its
+/// tables are stored at `u64`, and no distance among `g`'s vertices
+/// changes.
+fn with_heavy_edge(g: &CsrGraph) -> CsrGraph {
+    let n = g.n() as u32;
+    let mut edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+    edges.push((n, n + 1, Weight::from(u32::MAX)));
+    CsrGraph::from_edges(g.n() + 2, &edges)
 }
 
 /// Every block's phase-II table — the `Reduced` oracle's span of the
 /// block — equals one Dijkstra per source of the block's phase-II graph,
-/// with one executor unit per source; and the full tables agree: `Ear`
+/// with one executor unit per source, and the phase-II work counters
+/// equal the reference schedule's; the CPU+GPU executor builds the same
+/// tables with the same counters, and the `u64` copy of `g` answers
+/// every pair of `g`'s vertices alike. The full tables agree too: `Ear`
 /// spans (phase II, then phase III) equal `Plain`'s one Dijkstra per
 /// block vertex.
 fn check_graph(g: &CsrGraph) -> Result<(), String> {
     let exec = HeteroExecutor::sequential();
     let plan = Arc::new(DecompPlan::build(g));
     let reduced = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Reduced);
-    let mut sources = 0;
+    let (mut sources, mut want_counters) = (0, WorkCounters::default());
     for b in 0..plan.n_blocks() as u32 {
         let target = plan
             .reduction(b)
             .map_or_else(|| plan.block_graph(b), |r| r.reduced.view());
-        check_independent_set(target).map_err(|e| format!("block {b}: {e}"))?;
         let (span, want, n) = (
             reduced.tables().block_span(b),
             dijkstra_rows(target),
             target.n(),
         );
+        let (model, counters) = reuse_apsp(target);
+        if model != want {
+            return Err(format!(
+                "block {b}: reference schedule differs from Dijkstra"
+            ));
+        }
+        want_counters.merge(&counters);
         if span.len() != n * n {
             return Err(format!("block {b}: span of {} for n = {n}", span.len()));
         }
@@ -113,6 +111,34 @@ fn check_graph(g: &CsrGraph) -> Result<(), String> {
             reduced.processing.total_units()
         ));
     }
+    let counters = reduced.processing.total_counters();
+    if counters != want_counters {
+        return Err(format!(
+            "phase-II counters {counters:?} vs reference schedule {want_counters:?}"
+        ));
+    }
+    let hetero = build_oracle_with_plan(
+        Arc::clone(&plan),
+        &HeteroExecutor::cpu_gpu(),
+        ApspMethod::Reduced,
+    );
+    if hetero.processing.total_counters() != counters {
+        return Err(format!(
+            "CPU+GPU phase-II counters {:?} vs sequential {counters:?}",
+            hetero.processing.total_counters()
+        ));
+    }
+    if hetero.processing.total_units() != sources {
+        return Err(format!(
+            "CPU+GPU: {} units for {sources} sources",
+            hetero.processing.total_units()
+        ));
+    }
+    for b in 0..plan.n_blocks() as u32 {
+        if hetero.tables().block_span(b) != reduced.tables().block_span(b) {
+            return Err(format!("block {b}: CPU+GPU span differs from sequential"));
+        }
+    }
     let ear = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
     let plain = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Plain);
     for b in 0..plan.n_blocks() as u32 {
@@ -123,6 +149,29 @@ fn check_graph(g: &CsrGraph) -> Result<(), String> {
     }
     if ear.tables().ap_span() != plain.tables().ap_span() {
         return Err("AP spans differ".into());
+    }
+    let heavy = with_heavy_edge(g);
+    for method in [ApspMethod::Ear, ApspMethod::Reduced] {
+        let wide = build_oracle(&heavy, &exec, method);
+        if wide.tables().entry_bytes() != 8 {
+            return Err(format!("{method:?}: the heavy copy is not stored at u64"));
+        }
+        let narrow = if method == ApspMethod::Ear {
+            &ear
+        } else {
+            &reduced
+        };
+        for u in 0..g.n() as u32 {
+            for v in 0..g.n() as u32 {
+                if wide.dist(u, v) != narrow.dist(u, v) {
+                    return Err(format!(
+                        "{method:?} d({u}, {v}): u64 {} vs u32 {}",
+                        wide.dist(u, v),
+                        narrow.dist(u, v)
+                    ));
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -208,8 +257,61 @@ fn reduced_oracle_on_a_disconnected_input_matches_dijkstra() {
     assert_eq!(dist, dijkstra_rows(g.view()));
     assert_eq!(dist.get(0, 5), INF);
     assert_eq!(dist.get(8, 8), 0);
-    // The derived rows ran as dense combinations, not searches.
-    assert!(reduced.processing.total_counters().dense_combined > 0);
+    // Every block fits the first round: full searches, no rows folded.
+    assert_eq!(reduced.processing.total_counters().dense_combined, 0);
+}
+
+#[test]
+fn later_rounds_fold_finished_rows() {
+    // A weighted 6 × 6 grid (its reduced block spans several rounds), a
+    // disjoint triangle and an isolated vertex.
+    let mut edges = Vec::new();
+    for r in 0..6u32 {
+        for c in 0..6u32 {
+            let v = 6 * r + c;
+            if c < 5 {
+                edges.push((v, v + 1, Weight::from(1 + (v * 7) % 5)));
+            }
+            if r < 5 {
+                edges.push((v, v + 6, Weight::from(1 + (v * 3) % 4)));
+            }
+        }
+    }
+    edges.extend([(36, 37, 2), (37, 38, 1), (38, 36, 4)]);
+    let g = CsrGraph::from_edges(40, &edges);
+    check_graph(&g).unwrap();
+    check_graph(&with_zero_weights(&g)).unwrap();
+    let reduced = build_oracle(&g, &HeteroExecutor::sequential(), ApspMethod::Reduced);
+    let c = reduced.processing.total_counters();
+    assert!(c.dense_combined > 0, "no row was folded: {c:?}");
+    let full: u64 = (0..reduced.plan().n_blocks() as u32)
+        .map(|b| reduced.plan().block(b).reduced_n().pow(2) as u64)
+        .sum();
+    assert!(
+        c.vertices_settled < full,
+        "{} vertices expanded, as many as {full} full searches",
+        c.vertices_settled
+    );
+}
+
+#[test]
+fn a_search_without_finished_rows_is_plain_dijkstra() {
+    for (name, strategy) in families() {
+        forall("a_search_without_finished_rows_is_plain_dijkstra")
+            .cases(16)
+            .run(&strategy, |g| {
+                let (mut eng, mut row) = (SsspEngine::new(), vec![0u64; g.n()]);
+                for s in g.vertices() {
+                    let plain = eng.run(g, s);
+                    let queued = QueuedView::new(g.view());
+                    let (stats, folded) = eng.run_reusing(queued, s, &mut row, |_| None);
+                    if stats != plain || folded != 0 || row != eng.dist_vec() {
+                        return Err(format!("{name}: source {s}: {stats:?} vs {plain:?}"));
+                    }
+                }
+                Ok(())
+            });
+    }
 }
 
 #[test]
