@@ -13,21 +13,38 @@
 //! clean blocks' spans into it and rewrites the rest; the block headers
 //! stay shared.
 //!
-//! While it is written, an arena can carry zeroed scratch entries past its
-//! tables (phase II's transient reduced matrices at `Ear`), cut off once
-//! the tables are set. Scratch and tables are then one allocation, which
-//! the allocator maps and unmaps whole. A scratch table of its own would
-//! be freed and reallocated every build, and in the ~30 MB range glibc
-//! moves such a buffer onto its heap, where the memory stays resident
-//! after the free and the peak RSS of a run varied with fragmentation.
+//! The plan numbers each reduced block retained first, so the block's
+//! reduced table `S^r` is the leading `k × k` submatrix of its full one:
+//! at `Ear`, phase II writes each retained source's row straight into the
+//! first `k` entries of its arena row, and phase III completes the span in
+//! place. The arena is the whole allocation of a build. Next to each
+//! reduced block's span it keeps the block's removed-vertex table (the
+//! private `ear` module's `Removed` entries, at the arena's width), which
+//! phase III and the reduced read consume.
 
 use std::sync::Arc;
 
 use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_graph::{DistEntry, Weight};
 
+use crate::ear::Removed;
+
 /// Table rows for one parallel region to fill: `(block, local row, row)`.
 pub(crate) type Rows<'a, E> = Vec<(u32, u32, &'a mut [E])>;
+
+/// One block's table for writing: its `n × n` span and its removed-vertex
+/// table (empty unless the block is reduced and the oracle reads
+/// reductions).
+pub(crate) struct BlockSpanMut<'a, E> {
+    /// Block id.
+    pub(crate) b: u32,
+    /// Side length (row stride).
+    pub(crate) n: usize,
+    /// The block's table, row-major.
+    pub(crate) span: &'a mut [E],
+    /// Entry `i` is local id `n − removed.len() + i` at `Ear`.
+    pub(crate) removed: &'a [Removed<E>],
+}
 
 /// Placement of one block's table in the arena.
 #[derive(Clone, Copy, Debug)]
@@ -47,17 +64,15 @@ pub struct DistArena<E> {
     ap_n: usize,
     /// Per-block placement, in block id order after the AP table.
     blocks: Arc<[BlockHeader]>,
+    /// Per-block removed-vertex tables, in block id order.
+    removed: Vec<Arc<[Removed<E>]>>,
 }
 
 impl<E: DistEntry> DistArena<E> {
     /// A zero-filled arena laid out for `plan`'s blocks, block `b`'s table
-    /// being `side(plan.block(b))` on a side, with `scratch` entries past
-    /// the tables; the oracle build overwrites every table entry.
-    pub(crate) fn new(
-        plan: &DecompPlan,
-        side: impl Fn(&BlockPlan) -> usize,
-        scratch: usize,
-    ) -> DistArena<E> {
+    /// being `side(plan.block(b))` on a side, with empty removed-vertex
+    /// tables; the oracle build overwrites every table entry.
+    pub(crate) fn new(plan: &DecompPlan, side: impl Fn(&BlockPlan) -> usize) -> DistArena<E> {
         let ap_n = plan.bct().ap_count();
         let mut off = ap_n * ap_n;
         let mut blocks = Vec::with_capacity(plan.n_blocks());
@@ -66,18 +81,23 @@ impl<E: DistEntry> DistArena<E> {
             blocks.push(BlockHeader { off, n: n as u32 });
             off += n * n;
         }
-        let (data, blocks) = (vec![E::default(); off + scratch], blocks.into());
-        DistArena { data, ap_n, blocks }
+        let none: Arc<[Removed<E>]> = Arc::new([]);
+        DistArena {
+            data: vec![E::default(); off],
+            ap_n,
+            blocks: blocks.into(),
+            removed: vec![none; plan.n_blocks()],
+        }
     }
 
     /// A zero-filled arena with this one's layout (headers shared) holding
-    /// copies of the spans of every block not in `dirty` (ascending ids),
-    /// with `scratch` entries past the tables: a refresh's starting point,
-    /// whose AP span and dirty spans the refresh then writes in full. Only
-    /// the clean spans are copied; the rest stays untouched zeroed memory
-    /// until it is written.
-    pub(crate) fn child(&self, dirty: &[u32], scratch: usize) -> DistArena<E> {
-        let mut data = vec![E::default(); self.entries() + scratch];
+    /// copies of the spans and removed-vertex tables of every block not in
+    /// `dirty` (ascending ids): a refresh's starting point, whose AP span
+    /// and dirty blocks the refresh then writes in full. Only the clean
+    /// spans are copied; the rest stays untouched zeroed memory until it
+    /// is written.
+    pub(crate) fn child(&self, dirty: &[u32]) -> DistArena<E> {
+        let mut data = vec![E::default(); self.entries()];
         let mut dirty = dirty.iter().peekable();
         for (b, h) in (0..).zip(self.blocks.iter()) {
             if dirty.next_if_eq(&&b).is_none() {
@@ -89,20 +109,13 @@ impl<E: DistEntry> DistArena<E> {
             data,
             ap_n: self.ap_n,
             blocks: Arc::clone(&self.blocks),
+            removed: self.removed.clone(),
         }
     }
 
-    /// Stored entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at the reduced level),
-    /// not counting any scratch past the tables.
+    /// Stored entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at the reduced level).
     pub fn entries(&self) -> usize {
-        let end = |h: &BlockHeader| h.off + (h.n as usize).pow(2);
-        self.blocks.last().map_or(self.ap_n * self.ap_n, end)
-    }
-
-    /// Cuts off the scratch past the tables and returns its memory.
-    pub(crate) fn drop_scratch(&mut self) {
-        self.data.truncate(self.entries());
-        self.data.shrink_to_fit();
+        self.data.len()
     }
 
     /// The AP table's span.
@@ -114,6 +127,23 @@ impl<E: DistEntry> DistArena<E> {
     pub fn block_span(&self, b: u32) -> &[E] {
         let h = self.blocks[b as usize];
         &self.data[h.off..h.off + (h.n as usize).pow(2)]
+    }
+
+    /// Side length of block `b`'s table.
+    #[inline]
+    pub(crate) fn side(&self, b: u32) -> usize {
+        self.blocks[b as usize].n as usize
+    }
+
+    /// Block `b`'s removed-vertex table.
+    #[inline]
+    pub(crate) fn removed(&self, b: u32) -> &[Removed<E>] {
+        &self.removed[b as usize]
+    }
+
+    /// Sets block `b`'s removed-vertex table.
+    pub(crate) fn set_removed(&mut self, b: u32, table: Arc<[Removed<E>]>) {
+        self.removed[b as usize] = table;
     }
 
     /// Row `i` of the AP table (rows are indexed by AP index).
@@ -135,35 +165,34 @@ impl<E: DistEntry> DistArena<E> {
         self.data[..a * a].chunks_mut(a.max(1))
     }
 
-    /// Every row of the tables of `blocks` as `(block, local row, row)`,
-    /// for writing: disjoint `&mut` rows that one parallel region can fill,
-    /// and the scratch past the tables.
+    /// The tables of `blocks` for writing: disjoint `&mut` spans that the
+    /// phases can split into rows for one parallel region.
     ///
     /// # Panics
     /// Panics unless `blocks` is strictly ascending (the order
     /// [`DecompPlan::dirty_blocks_since`] returns).
-    pub(crate) fn block_rows_mut(&mut self, blocks: &[u32]) -> (Rows<'_, E>, &mut [E]) {
+    pub(crate) fn block_spans_mut(&mut self, blocks: &[u32]) -> Vec<BlockSpanMut<'_, E>> {
         assert!(
             blocks.windows(2).all(|w| w[0] < w[1]),
             "block ids must ascend"
         );
-        let mut rows = Vec::new();
-        let len = self.entries();
-        let (tables, scratch) = self.data.split_at_mut(len);
-        // `rest` is `tables[base..]`: everything past the last span taken.
-        let (mut rest, mut base) = (tables, 0);
+        let mut spans = Vec::with_capacity(blocks.len());
+        // `rest` is `data[base..]`: everything past the last span taken.
+        let (mut rest, mut base) = (&mut self.data[..], 0);
         for &b in blocks {
             let h = self.blocks[b as usize];
             let n = h.n as usize;
             let (span, tail) = std::mem::take(&mut rest)[h.off - base..].split_at_mut(n * n);
-            rows.extend(
-                (0..)
-                    .zip(span.chunks_mut(n.max(1)))
-                    .map(|(x, row)| (b, x, row)),
-            );
+            let removed = &self.removed[b as usize];
+            spans.push(BlockSpanMut {
+                b,
+                n,
+                span,
+                removed,
+            });
             (rest, base) = (tail, h.off + n * n);
         }
-        (rows, scratch)
+        spans
     }
 }
 

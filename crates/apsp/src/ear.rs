@@ -2,116 +2,125 @@
 //! vertices that chain contraction ([`ear_decomp::reduce`]) removed, read
 //! off the reduced all-sources table `S^r` of a block.
 //!
-//! A removed vertex `x` reaches the rest of its block only through its
-//! chain anchors `ℓx = left(x)` and `rx = right(x)`, so
-//! `S[x,v] = min(wt(x,ℓx) + S^r[ℓx,v], wt(x,rx) + S^r[rx,v])` (the
-//! two-way minimum). Two removed endpoints take the four-way analogue —
-//! leave `x` via `ℓx` or `rx`, enter `y` via `ℓy` or `ry` — and, when
-//! they sit on the same chain, also the direct sub-chain path between
-//! them. Each of the three formulas is written once, as an `#[inline]`
-//! helper over distances its caller has already read, and both storage
-//! levels of [`crate::oracle`] call them:
+//! The plan numbers every simple block *retained first*
+//! ([`ear_decomp::plan`]): its `k` chain anchors are local ids `0..k`, and
+//! its removed vertices follow from `k`, chain by chain in walk order. So
+//! `S^r` is the leading `k × k` submatrix of the block's full table, and
+//! removed vertex `k + i` is entry `i` of the block's flat [`Removed`]
+//! table: its anchors, its chain, and its two chain weights at the
+//! table's entry width, built once per build or refresh of the block.
 //!
-//! * [`extend_row`] — phase III at [`crate::ApspMethod::Ear`]: one full
-//!   block row per workunit, materialised into the block's table;
+//! A removed vertex `x` reaches the rest of its block only through its
+//! chain anchors `ℓx` and `rx`, so
+//! `S[x,v] = min(wt(x,ℓx) + S[ℓx,v], wt(x,rx) + S[rx,v])` (the two-way
+//! minimum) for every `v` off `x`'s chain; on it, the direct sub-chain path
+//! competes too. Both storage levels of [`crate::oracle`] evaluate it:
+//!
+//! * phase III at [`crate::ApspMethod::Ear`] completes a block's table in
+//!   place, in two streaming passes over its span: each retained row fills
+//!   its removed columns `row[k..]` from its own anchor columns
+//!   ([`fill_removed_columns`]); then each removed row takes the two-way
+//!   minimum of its anchors' finished rows over the full width and fixes
+//!   its own chain's entries ([`removed_row`]);
 //! * [`block_pair_dist`] — [`crate::ApspMethod::Reduced`]: one pair per
-//!   query, straight from the block's reduced span of the arena.
+//!   query, straight from the block's `k × k` span of the arena, with the
+//!   four-way analogue when both endpoints are removed.
+
+use std::sync::Arc;
 
 use ear_decomp::plan::DecompPlan;
-use ear_decomp::reduce::{ReducedGraph, RemovedInfo};
+use ear_decomp::reduce::ReducedGraph;
 use ear_graph::{DistEntry, VertexId};
-use ear_hetero::WorkCounters;
 
 use crate::arena::DistArena;
 
+/// A removed vertex of a reduced block: entry `i` of the block's table is
+/// local id `k + i`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Removed<E> {
+    /// `ℓx`, a retained local id (below `k`).
+    left: u32,
+    /// `rx`, a retained local id (below `k`).
+    right: u32,
+    /// The chain `x` sits on.
+    chain: u32,
+    /// `wt(x, ℓx)` at the table's width. Chain weights are at most the
+    /// block's total weight, so they narrow exactly.
+    w_left: E,
+    /// `wt(x, rx)` at the table's width.
+    w_right: E,
+}
+
+/// The removed-vertex table of reduction `r`, one entry per removed local
+/// id `k..n` in id order.
+pub(crate) fn removed_table<E: DistEntry>(r: &ReducedGraph) -> Arc<[Removed<E>]> {
+    let (k, n) = (r.reduced.n() as u32, r.to_reduced.len() as u32);
+    (k..n)
+        .map(|x| {
+            let i = r.removed_info(x).expect("ids from k on are removed");
+            Removed {
+                left: i.left,
+                right: i.right,
+                chain: i.chain,
+                w_left: E::narrow(i.w_left),
+                w_right: E::narrow(i.w_right),
+            }
+        })
+        .collect()
+}
+
 /// The two-way minimum: the distance to removed `x` from a vertex whose
 /// distances to `x`'s anchors `ℓx` and `rx` are `d_left` and `d_right`.
-/// Chain weights are at most the block's total weight, so they narrow
-/// exactly to any width the block's table is stored at.
 #[inline]
-fn two_way<E: DistEntry>(d_left: E, d_right: E, x: &RemovedInfo) -> E {
-    let (wl, wr) = (E::narrow(x.w_left), E::narrow(x.w_right));
-    d_left.dist_add(wl).min(d_right.dist_add(wr))
+fn two_way<E: DistEntry>(d_left: E, d_right: E, x: &Removed<E>) -> E {
+    d_left.dist_add(x.w_left).min(d_right.dist_add(x.w_right))
 }
 
-/// The four-way minimum between removed `x` and `y`, where `d[i][j]` is
-/// the distance from `x`'s anchor `i` to `y`'s anchor `j` (0 = left,
-/// 1 = right), plus the same-chain case.
-#[inline]
-fn four_way<E: DistEntry>(d: [[E; 2]; 2], x: &RemovedInfo, y: &RemovedInfo) -> E {
-    let to_y = |from: [E; 2]| two_way(from[0], from[1], y);
-    let around = two_way(to_y(d[0]), to_y(d[1]), x);
-    if x.chain == y.chain {
-        // Same ear: the direct sub-chain path never leaves the ear (paper:
-        // "the unique xy-path along P that does not use ℓx and rx").
-        around.min(E::narrow(x.along_chain(y)))
-    } else {
-        around
+/// Phase III, pass 1, for one retained row of a block whose removed
+/// vertices are `removed`: the row's leading `k` entries are phase II's,
+/// and each removed column `row[k + i]` becomes the two-way minimum over
+/// the row's own anchor columns. Returns the distances combined.
+pub(crate) fn fill_removed_columns<E: DistEntry>(row: &mut [E], removed: &[Removed<E>]) -> u64 {
+    let (head, tail) = row.split_at_mut(row.len() - removed.len());
+    for (d, x) in tail.iter_mut().zip(removed) {
+        *d = two_way(head[x.left as usize], head[x.right as usize], x);
     }
+    2 * removed.len() as u64
 }
 
-/// Writes the full distance row of `x` in its block into `row`, from the
-/// rows `sr(i)` of the block's reduced matrix (the `UPDATE_DISTANCE(s)` of
-/// Algorithm 1), and returns its work counters. `n` is the block's vertex
-/// count.
-pub(crate) fn extend_row<'s, E: DistEntry>(
-    n: usize,
+/// Phase III, pass 2: the full row of removed vertex `id` (table entry
+/// `x`) of the block reduced by `r`, from its anchors' finished rows in
+/// `retained` (the block's first `k` rows, row-major): the two-way minimum
+/// over the full width, then the along-chain distance wherever it is
+/// shorter, which covers `x`'s chain (and sets `row[id]` to 0). Returns
+/// the distances combined.
+pub(crate) fn removed_row<E: DistEntry>(
     r: &ReducedGraph,
-    sr: impl Fn(VertexId) -> &'s [E],
-    x: VertexId,
+    retained: &[E],
+    id: VertexId,
+    x: &Removed<E>,
     row: &mut [E],
-) -> WorkCounters {
-    assert_eq!(row.len(), n, "distance row length");
-    let lid = |v: VertexId| r.to_reduced[v as usize];
-    let mut combos = 0u64;
-    match r.removed_info(x) {
-        None => {
-            // x survives into G^r: its reduced row answers retained targets
-            // directly and removed targets through their two anchors.
-            let sr_row = sr(lid(x));
-            let at = |v| sr_row[lid(v) as usize];
-            for (y, d) in (0..).zip(row.iter_mut()) {
-                *d = match r.removed_info(y) {
-                    None => at(y),
-                    Some(iy) => {
-                        combos += 2;
-                        two_way(at(iy.left), at(iy.right), &iy)
-                    }
-                };
-            }
-        }
-        Some(ix) => {
-            let (row_l, row_r) = (sr(lid(ix.left)), sr(lid(ix.right)));
-            let at = |v| {
-                let l = lid(v) as usize;
-                [row_l[l], row_r[l]]
-            };
-            for (y, d) in (0..).zip(row.iter_mut()) {
-                *d = match r.removed_info(y) {
-                    _ if y == x => E::default(),
-                    None => {
-                        combos += 2;
-                        let [dl, dr] = at(y);
-                        two_way(dl, dr, &ix)
-                    }
-                    Some(iy) => {
-                        combos += 4 + u64::from(ix.chain == iy.chain);
-                        let ([ll, rl], [lr, rr]) = (at(iy.left), at(iy.right));
-                        four_way([[ll, lr], [rl, rr]], &ix, &iy)
-                    }
-                };
-            }
-        }
+) -> u64 {
+    let n = row.len();
+    let (l, rt) = (x.left as usize * n, x.right as usize * n);
+    let (row_l, row_r) = (&retained[l..l + n], &retained[rt..rt + n]);
+    for ((d, &a), &b) in row.iter_mut().zip(row_l).zip(row_r) {
+        *d = a.dist_add(x.w_left).min(b.dist_add(x.w_right));
     }
-    WorkCounters {
-        distances_combined: combos,
-        ..Default::default()
+    let first = r.chains[x.chain as usize].interior[0] as usize;
+    let mut fixed = 0;
+    for (d, w) in row[first..].iter_mut().zip(r.along_chain_from(id)) {
+        *d = (*d).min(E::narrow(w));
+        fixed += 1;
     }
+    2 * n as u64 + fixed
 }
 
-/// Within-block distance between local ids `u` and `v` of block `b`,
-/// from the block's reduced span of `tables` — one pair of
-/// [`extend_row`]'s formulas, evaluated per query.
+/// Within-block distance between local ids `u` and `v` of block `b`, from
+/// the block's reduced span of `tables` and its removed-vertex table: a
+/// span read for two retained endpoints, the two-way minimum for one
+/// removed endpoint, the four-way one for two (plus the direct sub-chain
+/// path when they share a chain).
 pub(crate) fn block_pair_dist<E: DistEntry>(
     plan: &DecompPlan,
     tables: &DistArena<E>,
@@ -122,18 +131,25 @@ pub(crate) fn block_pair_dist<E: DistEntry>(
     if u == v {
         return E::default();
     }
-    let Some(r) = plan.reduction(b) else {
-        return tables.block(b, u, v);
-    };
-    let lid = |v: VertexId| r.to_reduced[v as usize];
-    let sr = |i, j| tables.block(b, lid(i), lid(j));
-    match (r.removed_info(u), r.removed_info(v)) {
+    let (removed, k) = (tables.removed(b), tables.side(b) as u32);
+    let entry = |x: VertexId| x.checked_sub(k).map(|i| &removed[i as usize]);
+    let sr = |i, j| tables.block(b, i, j);
+    match (entry(u), entry(v)) {
         (None, None) => sr(u, v),
-        (None, Some(iy)) => two_way(sr(u, iy.left), sr(u, iy.right), &iy),
-        (Some(ix), None) => two_way(sr(v, ix.left), sr(v, ix.right), &ix),
-        (Some(ix), Some(iy)) => {
-            let from = |a| [sr(a, iy.left), sr(a, iy.right)];
-            four_way([from(ix.left), from(ix.right)], &ix, &iy)
+        (None, Some(y)) => two_way(sr(u, y.left), sr(u, y.right), y),
+        (Some(x), None) => two_way(sr(v, x.left), sr(v, x.right), x),
+        (Some(x), Some(y)) => {
+            let to_y = |a| two_way(sr(a, y.left), sr(a, y.right), y);
+            let around = two_way(to_y(x.left), to_y(x.right), x);
+            if x.chain != y.chain {
+                return around;
+            }
+            // Same ear: the direct sub-chain path never leaves the ear
+            // (paper: "the unique xy-path along P that does not use ℓx and
+            // rx").
+            let r = plan.reduction(b).expect("a removed vertex has a reduction");
+            let [ix, iy] = [u, v].map(|w| r.removed_info(w).expect("removed"));
+            around.min(E::narrow(ix.along_chain(&iy)))
         }
     }
 }

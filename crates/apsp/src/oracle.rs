@@ -33,6 +33,18 @@
 //! The Banerjee baseline ([`ApspMethod::Plain`]) reuses no rows, so it
 //! stays one full Dijkstra per block vertex.
 //!
+//! The plan numbers every simple block retained first, so at
+//! [`ApspMethod::Ear`] phase II writes retained source `s`'s reduced row
+//! straight into the first `k` entries of the block's arena row `s`, and
+//! phase III (the §2.1.3 extension) completes the block in place with two
+//! streaming passes, one executor run each: every retained row fills its
+//! removed columns from its own anchor columns, then every removed row is
+//! the two-way minimum of its anchors' finished rows over the full width,
+//! plus its own chain's along-chain fix. Both passes read one flat
+//! per-block table of removed vertices, built once per build or refresh
+//! of the block; no full-width loop reads an `Option`, a `u128` prefix or
+//! a `to_reduced` entry.
+//!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
 //! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`] —
 //! or `O(a² + Σᵢ (nᵢʳ)²)` at [`ApspMethod::Reduced`], which stores only
@@ -52,8 +64,8 @@ use ear_graph::{
 };
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
-use crate::arena::{DistArena, Rows, Tables, Width};
-use crate::ear::{block_pair_dist, extend_row};
+use crate::arena::{BlockSpanMut, DistArena, Rows, Tables, Width};
+use crate::ear::{block_pair_dist, fill_removed_columns, removed_row, removed_table};
 use crate::matrix::DistMatrix;
 
 /// How each biconnected component is solved and stored.
@@ -205,8 +217,7 @@ impl Store {
         let refreshed = match (&self.tables, fits_u32(&plan)) {
             // Equal weights: nothing to recompute, every table shared.
             _ if dirty.is_empty() => {
-                let none: Rows<'_, Weight> = Vec::new();
-                let processing = compute_block_tables(&plan, exec, method, &[], none, &mut []);
+                let processing = compute_block_tables::<Weight>(&plan, exec, method, Vec::new());
                 let tables = self.tables.clone();
                 let store = Store {
                     plan,
@@ -246,14 +257,12 @@ impl Store {
             Some((_, dirty)) => dirty.to_vec(),
             None => (0..plan.n_blocks() as u32).collect(),
         };
-        let scratch = phase2_scratch(&plan, method, &blocks);
         let mut arena = match parent {
-            Some((parent, dirty)) => parent.child(dirty, scratch),
-            None => DistArena::new(&plan, |bp| table_side(method, bp), scratch),
+            Some((parent, dirty)) => parent.child(dirty),
+            None => DistArena::new(&plan, |bp| table_side(method, bp)),
         };
-        let (rows, sr) = arena.block_rows_mut(&blocks);
-        let processing = compute_block_tables(&plan, exec, method, &blocks, rows, sr);
-        arena.drop_scratch();
+        set_removed_tables(&plan, method, &mut arena, &blocks);
+        let processing = compute_block_tables(&plan, exec, method, arena.block_spans_mut(&blocks));
         let ap_phase = if blocks.is_empty() {
             processing.clone()
         } else {
@@ -808,39 +817,40 @@ pub fn build_oracle_with_plan(
     }
 }
 
-/// Scratch entries phase II needs for `blocks` under `method`: at `Ear`,
-/// each block's reduced (or, unreduced, full) `nᵢʳ × nᵢʳ` matrix, which
-/// phase III extends into the block's table; elsewhere none, as phase II
-/// writes the tables themselves.
-fn phase2_scratch(plan: &DecompPlan, method: ApspMethod, blocks: &[u32]) -> usize {
-    match method {
-        ApspMethod::Ear => blocks
-            .iter()
-            .map(|&b| plan.block(b).reduced_n().pow(2))
-            .sum(),
-        ApspMethod::Plain | ApspMethod::Reduced => 0,
+/// Sets the removed-vertex tables of `blocks` in `arena` from `plan`'s
+/// reductions, at the arena's width. `Plain` ignores the reductions, so
+/// its tables stay empty.
+fn set_removed_tables<E: DistEntry>(
+    plan: &DecompPlan,
+    method: ApspMethod,
+    arena: &mut DistArena<E>,
+    blocks: &[u32],
+) {
+    if method == ApspMethod::Plain {
+        return;
+    }
+    for &b in blocks {
+        if let Some(r) = plan.reduction(b) {
+            arena.set_removed(b, removed_table(r));
+        }
     }
 }
 
-/// Phases II + III for the given `blocks` only (ascending ids), writing
-/// `rows` — every row of those blocks' arena spans, from
-/// `DistArena::block_rows_mut` — in place, with phase II's reduced
-/// matrices at `Ear` in `scratch` ([`phase2_scratch`] entries). Phase II
-/// is the all-sources table of each block's reduced graph — of the block
-/// itself when it is not reduced or `method` is `Plain` — whose searches
-/// reuse finished rows everywhere but at `Plain`. Phase III runs at
-/// `Ear` only: the §2.1.3 extension of the reduced matrices to the whole
-/// block (at `Reduced` the phase-II rows are the stored tables). Returns
-/// the merged executor report. The cold build passes every block; an
-/// incremental refresh passes just the dirty ones, and a no-op refresh
-/// none.
+/// Phases II + III for the blocks of `spans` only (ascending ids),
+/// writing each block's table in place. Phase II is the all-sources table
+/// of each block's reduced graph — of the block itself when it is not
+/// reduced or `method` is `Plain` — whose searches reuse finished rows
+/// everywhere but at `Plain`. A reduced block is numbered retained first,
+/// so its `k` phase-II rows are the leading `k` entries of its first `k`
+/// table rows. Phase III runs at `Ear` only ([`extend_blocks`]); at
+/// `Reduced` the phase-II rows are the stored tables. Returns the merged
+/// executor report. The cold build passes every block; an incremental
+/// refresh passes just the dirty ones, and a no-op refresh none.
 fn compute_block_tables<E: DistEntry>(
     plan: &DecompPlan,
     exec: &HeteroExecutor,
     method: ApspMethod,
-    blocks: &[u32],
-    mut rows: Rows<'_, E>,
-    scratch: &mut [E],
+    mut spans: Vec<BlockSpanMut<'_, E>>,
 ) -> ExecutionReport {
     // Ear reduction requires simple blocks; a multigraph input's parallel
     // bundles fall back to plain processing for that block. The plan's
@@ -853,55 +863,79 @@ fn compute_block_tables<E: DistEntry>(
     // Phase II: workunits are (block, source) rows, filled in place. The
     // Banerjee baseline (`Plain`) reuses no rows: one full Dijkstra per
     // block vertex is the comparison axis.
-    let reuse = method != ApspMethod::Plain;
-    let phase2 = |rows: Rows<'_, E>| {
-        let _span = ear_obs::span("apsp.phase2");
-        all_sources(exec, rows, target, reuse)
-    };
-    match method {
-        // The phase-II rows are the block tables.
-        ApspMethod::Plain | ApspMethod::Reduced => phase2(rows),
-        ApspMethod::Ear => {
-            // Phase II into each listed block's reduced (or full) matrix,
-            // back to back in `scratch` from `off[b]`; phase II writes
-            // every row.
-            let (mut off, mut sr_rows) = (vec![0; plan.n_blocks()], Vec::new());
-            let (mut rest, mut base) = (&mut *scratch, 0);
-            for &b in blocks {
-                let k = plan.block(b).reduced_n();
-                let (span, tail) = std::mem::take(&mut rest).split_at_mut(k * k);
-                sr_rows.extend(
-                    (0..)
-                        .zip(span.chunks_mut(k.max(1)))
-                        .map(|(s, row)| (b, s, row)),
-                );
-                (off[b as usize], rest, base) = (base, tail, base + k * k);
-            }
-            let p2 = phase2(sr_rows);
-            let scratch = &*scratch;
-            let sr = |b: u32, i: VertexId| {
-                let k = plan.block(b).reduced_n();
-                &scratch[off[b as usize] + i as usize * k..][..k]
-            };
-            // Phase III: extend each block's reduced matrix to the whole
-            // block; workunits are (block, vertex) rows of the arena.
-            let _span = ear_obs::span("apsp.phase3");
-            let p3 = exec.run_mut(
-                &mut rows,
-                |&(b, _, _)| plan.block(b).n() as u64,
-                |(b, x, row)| match red(*b) {
-                    Some(r) => extend_row(plan.block(*b).n(), r, |i| sr(*b, i), *x, row),
-                    // Non-simple block processed plainly: its reduced
-                    // matrix already is the full per-block table.
-                    None => {
-                        row.copy_from_slice(sr(*b, *x));
-                        WorkCounters::default()
-                    }
-                },
-            );
-            merge_reports(p2, p3)
-        }
+    let mut rows: Rows<'_, E> = Vec::new();
+    for s in &mut spans {
+        let k = target(s.b).n();
+        let table_rows = s.span.chunks_mut(s.n.max(1)).take(k);
+        rows.extend(
+            (0..)
+                .zip(table_rows)
+                .map(|(x, row)| (s.b, x, &mut row[..k])),
+        );
     }
+    let p2 = {
+        let _span = ear_obs::span("apsp.phase2");
+        all_sources(exec, rows, target, method != ApspMethod::Plain)
+    };
+    if method != ApspMethod::Ear {
+        return p2;
+    }
+    let _span = ear_obs::span("apsp.phase3");
+    if spans.iter().all(|s| s.removed.is_empty()) {
+        // No removed vertex: phase II wrote every table in full.
+        return p2;
+    }
+    merge_reports(p2, extend_blocks(plan, exec, &mut spans))
+}
+
+/// Phase III at `Ear`: the §2.1.3 extension of each reduced block's
+/// leading `k × k` submatrix to its whole table, in two streaming passes
+/// of one executor run each (workunits are table rows). First every
+/// retained row fills its removed columns; then every removed row is
+/// assembled from its anchors' finished rows. Blocks without removed
+/// vertices have nothing to do. Returns the merged report of both passes.
+fn extend_blocks<E: DistEntry>(
+    plan: &DecompPlan,
+    exec: &HeteroExecutor,
+    spans: &mut [BlockSpanMut<'_, E>],
+) -> ExecutionReport {
+    let work = |combined| WorkCounters {
+        distances_combined: combined,
+        ..WorkCounters::default()
+    };
+    let mut retained = Vec::new();
+    for s in spans.iter_mut().filter(|s| !s.removed.is_empty()) {
+        let k = s.n - s.removed.len();
+        let removed = s.removed;
+        retained.extend(s.span[..k * s.n].chunks_mut(s.n).map(|row| (removed, row)));
+    }
+    let columns = exec.run_mut(
+        &mut retained,
+        |(removed, _)| removed.len() as u64,
+        |(removed, row)| work(fill_removed_columns(row, removed)),
+    );
+    drop(retained);
+    let mut removed_rows = Vec::new();
+    for s in spans.iter_mut().filter(|s| !s.removed.is_empty()) {
+        let r = plan
+            .reduction(s.b)
+            .expect("a block with removed vertices is reduced");
+        let k = s.n - s.removed.len();
+        let (top, bottom) = s.span.split_at_mut(k * s.n);
+        let top = &*top;
+        removed_rows.extend(
+            (k as u32..)
+                .zip(s.removed)
+                .zip(bottom.chunks_mut(s.n))
+                .map(|((id, x), row)| (r, top, id, x, row)),
+        );
+    }
+    let rows = exec.run_mut(
+        &mut removed_rows,
+        |(_, _, _, _, row)| row.len() as u64,
+        |(r, top, id, x, row)| work(removed_row(r, top, *id, x, row)),
+    );
+    merge_reports(columns, rows)
 }
 
 fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
@@ -1182,6 +1216,36 @@ mod tests {
             );
             assert_eq!(ear.stats().table_entries, plain.stats().table_entries);
         }
+    }
+
+    /// Phase III's `distances_combined` counts what its streaming passes
+    /// combine: two per removed column of each retained row (pass 1), and
+    /// per removed row two per entry of the full width plus one per vertex
+    /// of its own chain (pass 2). Phase II counts none.
+    #[test]
+    fn phase3_counts_what_the_streaming_passes_combine() {
+        // (case, retained rows × 2 × removed + removed × 2n + Σ chain len²)
+        let want = [
+            ("theta", 2 * 2 * 2 + 2 * 2 * 4 + (1 + 1)),
+            ("pure_cycle", 2 * 4 + 4 * 2 * 5 + 4 * 4),
+            (
+                "same_chain_shortcut",
+                2 * 2 * 4 + 4 * 2 * 6 + (2 * 2 + 1 + 1),
+            ),
+        ];
+        let mut seen = 0;
+        for c in extension_cases() {
+            let Some(&(_, combined)) = want.iter().find(|w| w.0 == c.name) else {
+                continue;
+            };
+            for exec in [HeteroExecutor::sequential(), HeteroExecutor::cpu_gpu()] {
+                let o = build_oracle(&c.g, &exec, ApspMethod::Ear);
+                let got = o.processing.total_counters().distances_combined;
+                assert_eq!(got, combined, "{}", c.name);
+            }
+            seen += 1;
+        }
+        assert_eq!(seen, want.len());
     }
 
     #[test]
@@ -1538,10 +1602,10 @@ mod tests {
             // The refresh only reran the dirty blocks.
             let side = |bp: &BlockPlan| table_side(method, bp);
             let dirty = warm_plan.dirty_blocks();
-            let scratch = phase2_scratch(&warm_plan, method, dirty);
-            let mut arena = DistArena::<u32>::new(&warm_plan, side, scratch);
-            let (rows, sr) = arena.block_rows_mut(dirty);
-            let rep = compute_block_tables(&warm_plan, &exec, method, dirty, rows, sr);
+            let mut arena = DistArena::<u32>::new(&warm_plan, side);
+            set_removed_tables(&warm_plan, method, &mut arena, dirty);
+            let spans = arena.block_spans_mut(dirty);
+            let rep = compute_block_tables(&warm_plan, &exec, method, spans);
             assert_eq!(warm.processing.total_units(), rep.total_units());
         }
     }

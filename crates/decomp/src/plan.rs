@@ -44,8 +44,20 @@
 //!
 //! # Id-translation conventions
 //!
-//! Block subgraphs use compact local vertex ids `0..block.n()`. The plan
-//! settles the translation in one place:
+//! Block subgraphs use compact local vertex ids `0..block.n()`. A simple
+//! block is numbered **retained first**: its `k` chain anchors (degree ≠ 2
+//! in the block, plus a pure cycle's honorary anchor) take ids `0..k` in
+//! the reduction's retained order, and its removed degree-2 vertices
+//! follow from `k`, chain by chain, each chain's interior in walk order.
+//! So [`ReducedGraph`]'s `to_reduced` is the identity on `0..k`, and a
+//! block's reduced table `S^r` is the leading `k × k` submatrix of its
+//! full table. Retention depends on the topology alone, so the numbering
+//! is fixed once by [`DecompPlan::build`] — it renumbers the reduction it
+//! just computed, without a second chain walk — and every
+//! recustomization shares it. A non-simple block keeps the numbering of a
+//! standalone `edge_subgraph` extraction; either way edge ids and edge
+//! order are the extraction's. The plan settles the translation in one
+//! place, and every map is written in the final numbering:
 //!
 //! * [`BlockPlan::parent`] / [`BlockPlan::to_parent_vertex`] map local →
 //!   parent; [`BlockPlan::to_parent_edge`] maps local edge `i` of the block
@@ -55,6 +67,8 @@
 //!   (the block-cut tree's `vertex_block`); vertices appearing in several
 //!   blocks (articulation points, and self-loop copies of a vertex) are
 //!   resolved through a small sorted per-block side table.
+//! * The block-cut tree's endpoints and gateways, and the arena windows,
+//!   carry the same local ids.
 //!
 //! Reduction is eager and runs per block in parallel through the rayon
 //! shim; blocks that are not simple (parallel edges or self-loops — only
@@ -228,14 +242,17 @@ pub struct DecompPlan {
 }
 
 impl DecompPlan {
-    /// Builds the plan: biconnected components, block-cut tree, per-block
-    /// subgraph extraction (scratch-reusing, O(n + m) total), and parallel
-    /// per-block chain reduction of every simple block.
+    /// Builds the plan: biconnected components, per-block subgraph
+    /// extraction (scratch-reusing, O(n + m) total), parallel per-block
+    /// chain reduction of every simple block, and the block-cut tree.
     ///
     /// All blocks land in one shared [`CsrArena`] and are served as
-    /// zero-copy [`CsrView`] windows with the local ids, edge order and
-    /// adjacency order of a standalone `edge_subgraph` extraction (the
-    /// arena push mirrors standalone CSR construction exactly).
+    /// zero-copy [`CsrView`] windows with the edge order of a standalone
+    /// `edge_subgraph` extraction (the arena push mirrors standalone CSR
+    /// construction exactly). A non-simple block keeps the extraction's
+    /// local ids; a simple one is renumbered retained first (see the
+    /// [module docs](self#id-translation-conventions)), which moves vertex
+    /// ids only.
     pub fn build(g: &CsrGraph) -> DecompPlan {
         let _span = ear_obs::span_with("decomp.plan", g.n() as u64);
         let bcc = {
@@ -266,18 +283,15 @@ impl DecompPlan {
             spans.push(span);
         }
         drop(extract_span);
-        let bct = {
-            let _s = ear_obs::span("decomp.bct");
-            BlockCutTree::new(&is_articulation, extracted.len(), |b| &extracted[b].0)
-        };
 
-        // Chain-contract all simple blocks, in parallel across blocks. The
-        // per-block sequential `reduce_graph` keeps the output bit-identical
-        // to what each pipeline used to compute on its own.
+        // Chain-contract all simple blocks, in parallel across blocks, then
+        // renumber each contracted block retained first. The arena windows
+        // and vertex maps take the new numbering before the block-cut tree
+        // reads them, so every local id the plan hands out is final.
         let reductions: Vec<Option<ReducedGraph>> = {
             use rayon::prelude::*;
             let _s = ear_obs::span("decomp.reduce");
-            extracted
+            let mut reductions: Vec<Option<ReducedGraph>> = extracted
                 .par_iter()
                 .zip(&spans)
                 .map(|((_, _, simple), span)| {
@@ -286,7 +300,29 @@ impl DecompPlan {
                         reduce_graph(arena.view(span)).expect("simplicity was just checked")
                     })
                 })
-                .collect()
+                .collect();
+            // Every block's new ids, back to back in block order; a block
+            // that is not reduced keeps its ids.
+            let mut new_ids: Vec<VertexId> = spans.iter().flat_map(|s| 0..s.n).collect();
+            let (mut rest, mut parent) = (&mut new_ids[..], Vec::new());
+            for (((to_parent_vertex, _, _), r), span) in
+                extracted.iter_mut().zip(&mut reductions).zip(&spans)
+            {
+                let (ids, tail) = std::mem::take(&mut rest).split_at_mut(span.n as usize);
+                rest = tail;
+                let Some(r) = r else { continue };
+                r.renumber_retained_first(ids);
+                parent.clone_from(to_parent_vertex);
+                for (&p, &id) in parent.iter().zip(&*ids) {
+                    to_parent_vertex[id as usize] = p;
+                }
+            }
+            arena.relabel(&spans, &new_ids);
+            reductions
+        };
+        let bct = {
+            let _s = ear_obs::span("decomp.bct");
+            BlockCutTree::new(&is_articulation, extracted.len(), |b| &extracted[b].0)
         };
 
         let blocks: Vec<BlockPlan> = extracted
@@ -713,15 +749,43 @@ mod tests {
             for b in 0..plan.n_blocks() as u32 {
                 let bp = plan.block(b);
                 let (sub, map) = ear_graph::edge_subgraph(&g, &bp.to_parent_edge);
-                assert_eq!(map.to_parent_vertex, *bp.to_parent_vertex);
+                // Extraction id → plan id, through the two parent maps.
+                let pi: Vec<u32> = (0..sub.n() as u32)
+                    .map(|s| plan.local(b, map.parent(s)).unwrap())
+                    .collect();
+                if !bp.simple {
+                    assert!(pi.iter().enumerate().all(|(s, &l)| s == l as usize));
+                }
                 let view = plan.block_graph(b);
                 assert_eq!((view.n(), view.m()), (bp.n(), bp.m()));
-                assert_eq!(view.edges(), sub.edges());
+                for (e, f) in view.edges().iter().zip(sub.edges()) {
+                    let want = (pi[f.u as usize], pi[f.v as usize], f.w);
+                    assert_eq!((e.u, e.v, e.w), want);
+                }
                 for u in 0..sub.n() as u32 {
-                    assert_eq!(view.incidences(u), sub.view().incidences(u));
+                    let (adj, w) = sub.view().incidences(u);
+                    let (vadj, vw) = view.incidences(pi[u as usize]);
+                    let renamed: Vec<_> = adj.iter().map(|&(y, e)| (pi[y as usize], e)).collect();
+                    assert_eq!((vadj, vw), (&renamed[..], w));
                 }
                 assert_eq!(bp.simple, sub.is_simple());
             }
+        }
+    }
+
+    #[test]
+    fn simple_blocks_are_numbered_retained_first() {
+        let g = mixed();
+        let plan = DecompPlan::build(&g);
+        for b in 0..plan.n_blocks() as u32 {
+            let r = plan.reduction(b).unwrap();
+            let k = r.reduced.n();
+            let ids: Vec<u32> = (0..plan.block(b).n() as u32).collect();
+            assert_eq!(r.retained, ids[..k]);
+            assert!(r.to_reduced[..k].iter().zip(&ids).all(|(a, b)| a == b));
+            assert!(r.to_reduced[k..].iter().all(|&l| l == u32::MAX));
+            let interiors: Vec<u32> = r.chains.iter().flat_map(|c| c.interior.clone()).collect();
+            assert_eq!(interiors, ids[k..]);
         }
     }
 

@@ -14,6 +14,11 @@
 //! APSP post-processing formulas (paper §2.1.3), and the chain edge lists
 //! drive the MCB cycle re-expansion (paper Lemma 3.1).
 //!
+//! The decomposition plan renumbers each contracted block *retained
+//! first* (anchors `0..k` in retained order, then each chain's interior in
+//! walk order), so in a plan's reductions `to_reduced` is the identity on
+//! `0..k` and a removed vertex's chain is a contiguous id range.
+//!
 //! `G^r` is a **multigraph**: parallel chains between the same anchor pair
 //! become parallel edges and anchor-to-self chains become self-loops. The
 //! MCB pipeline needs them (each is an independent cycle generator); APSP
@@ -290,6 +295,77 @@ impl ReducedGraph {
     /// saturated at [`INF`].
     pub fn chain_weight(&self, c: u32) -> Weight {
         self.w.chain_weight(c)
+    }
+
+    /// The along-chain distance from removed `x` to every interior vertex
+    /// of its chain, in walk order (0 at `x` itself), saturated at
+    /// [`INF`]: the exact prefix differences of
+    /// [`RemovedInfo::along_chain`], one chain at a time.
+    ///
+    /// # Panics
+    /// Panics if `x` is retained.
+    pub fn along_chain_from(&self, x: VertexId) -> impl Iterator<Item = Weight> + '_ {
+        let s = self.topo.removed[x as usize].expect("a removed vertex");
+        let (c, w) = (s.chain as usize, &self.w);
+        let window = &w.prefix[w.chain_off[c] as usize..w.chain_off[c + 1] as usize];
+        let px = window[s.pos as usize];
+        window.iter().map(move |&p| clamp_inf(p.abs_diff(px)))
+    }
+
+    /// Renumbers this freshly built contraction's graph *retained first*,
+    /// writing the new id of every vertex into `new_id`: anchor `i` of
+    /// [`ReducedTopology::retained`] becomes vertex `i`, and the removed
+    /// vertices follow from `k = retained.len()`, chain by chain in walk
+    /// order, so `to_reduced` is the identity on `0..k` and each chain's
+    /// interior is a contiguous id range. Only vertex ids change: the
+    /// reduced multigraph, the chains' edge lists, the edge origins and the
+    /// weight layer stay as they are, and nothing is reallocated.
+    ///
+    /// The numbering is a fixed point: degrees and each vertex's incidence
+    /// order (ascending edge id) survive a renumbering, so [`reduce_graph`]
+    /// on the renumbered graph picks the same anchors, in the same order,
+    /// and walks the same chains — it returns this contraction.
+    ///
+    /// # Panics
+    /// Panics if the topology is shared (it must come straight from
+    /// [`reduce_graph`]) or `new_id` does not hold one entry per vertex.
+    pub(crate) fn renumber_retained_first(&mut self, new_id: &mut [VertexId]) {
+        let t = Arc::get_mut(&mut self.topo).expect("a fresh contraction is unshared");
+        let k = t.retained.len() as u32;
+        assert_eq!(new_id.len(), t.to_reduced.len(), "one new id per vertex");
+        // Anchors already carry their reduced id; interiors follow.
+        new_id.copy_from_slice(&t.to_reduced);
+        let mut next = k;
+        for &x in t.chains.iter().flat_map(|c| &c.interior) {
+            new_id[x as usize] = next;
+            next += 1;
+        }
+        debug_assert_eq!(
+            next as usize,
+            new_id.len(),
+            "every vertex is an anchor or interior"
+        );
+        let id = |v: VertexId| new_id[v as usize];
+        for c in &mut t.chains {
+            (c.left, c.right) = (id(c.left), id(c.right));
+            c.interior.iter_mut().for_each(|x| *x = id(*x));
+        }
+        t.removed.truncate(k as usize);
+        t.removed.fill(None);
+        for (cid, c) in (0..).zip(&t.chains) {
+            t.removed.extend((0..).zip(&c.interior).map(|(pos, _)| {
+                Some(RemovedSlot {
+                    chain: cid,
+                    pos,
+                    left: c.left,
+                    right: c.right,
+                })
+            }));
+        }
+        for (v, (r, l)) in (0..).zip(t.retained.iter_mut().zip(&mut t.to_reduced)) {
+            (*r, *l) = (v, v);
+        }
+        t.to_reduced[k as usize..].fill(u32::MAX);
     }
 }
 
@@ -760,6 +836,105 @@ mod tests {
         assert!(!r.shares_topology(&cold));
         // Original's weight layer untouched.
         assert_eq!(r.chain_weight(0) + r.chain_weight(1), 10);
+    }
+
+    /// `g` with vertex `v` renamed `new_id[v]`, edge ids kept.
+    fn renamed(g: &CsrGraph, new_id: &[VertexId]) -> CsrGraph {
+        let id = |v: VertexId| new_id[v as usize];
+        let edges: Vec<_> = g.edges().iter().map(|e| (id(e.u), id(e.v), e.w)).collect();
+        CsrGraph::from_edges(g.n(), &edges)
+    }
+
+    #[test]
+    fn retained_first_numbering_is_a_fixed_point() {
+        // theta, a pure cycle, and a hub with a lollipop and a long chain.
+        let lollipop = CsrGraph::from_edges(
+            8,
+            &[
+                (3, 1, 1),
+                (1, 2, 1),
+                (2, 3, 1),
+                (3, 0, 1),
+                (3, 4, 2),
+                (4, 5, 3),
+                (5, 6, 4),
+                (6, 7, 5),
+                (7, 0, 1),
+                (0, 5, 9),
+            ],
+        );
+        let cycle = CsrGraph::from_edges(4, &[(2, 1, 1), (1, 0, 1), (0, 3, 1), (3, 2, 1)]);
+        for g in [theta(), cycle, lollipop] {
+            let r = reduce_graph(g.view()).unwrap();
+            let k = r.retained.len();
+            let (old_chains, old_removed) = (r.chains.clone(), r.removed.clone());
+            let (mut r, mut new_id) = (r, vec![0; g.n()]);
+            r.renumber_retained_first(&mut new_id);
+            assert_eq!(r.retained, (0..k as u32).collect::<Vec<_>>());
+            assert!(r.to_reduced[..k]
+                .iter()
+                .enumerate()
+                .all(|(v, &l)| l == v as u32));
+            assert!(r.to_reduced[k..].iter().all(|&l| l == u32::MAX));
+            let interiors: Vec<u32> = r.chains.iter().flat_map(|c| c.interior.clone()).collect();
+            assert_eq!(interiors, (k as u32..g.n() as u32).collect::<Vec<_>>());
+            for (old, new) in old_chains.iter().zip(&r.chains) {
+                assert_eq!(old.edges, new.edges);
+                assert_eq!(
+                    (new_id[old.left as usize], new_id[old.right as usize]),
+                    (new.left, new.right)
+                );
+            }
+            for (v, s) in old_removed.iter().enumerate() {
+                assert_eq!(
+                    s.map(|s| (s.chain, s.pos)),
+                    r.removed[new_id[v] as usize].map(|s| (s.chain, s.pos))
+                );
+            }
+            // A cold reduction of the renumbered graph is the renumbered
+            // contraction.
+            let fresh = reduce_graph(renamed(&g, &new_id).view()).unwrap();
+            assert_eq!(fresh.retained, r.retained);
+            assert_eq!(fresh.to_reduced, r.to_reduced);
+            assert_eq!(fresh.removed, r.removed);
+            assert_eq!(fresh.edge_origin, r.edge_origin);
+            assert_eq!(fresh.reduced.edges(), r.reduced.edges());
+            for (a, b) in fresh.chains.iter().zip(&r.chains) {
+                assert_eq!(
+                    (a.left, a.right, &a.edges, &a.interior),
+                    (b.left, b.right, &b.edges, &b.interior)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn along_chain_from_reads_every_interior_vertex() {
+        let g = CsrGraph::from_edges(
+            7,
+            &[
+                (0, 1, 1),
+                (1, 2, 2),
+                (2, 3, 3),
+                (3, 4, 4),
+                (0, 5, 1),
+                (0, 6, 1),
+                (4, 5, 1),
+                (4, 6, 1),
+            ],
+        );
+        let r = reduce_graph(g.view()).unwrap();
+        let chain = r.removed_info(1).unwrap().chain;
+        let interior = r.chains[chain as usize].interior.clone();
+        for &x in &interior {
+            let ix = r.removed_info(x).unwrap();
+            let want: Vec<Weight> = interior
+                .iter()
+                .map(|&y| ix.along_chain(&r.removed_info(y).unwrap()))
+                .collect();
+            assert_eq!(r.along_chain_from(x).collect::<Vec<_>>(), want);
+        }
+        assert_eq!(r.along_chain_from(1).collect::<Vec<_>>(), [0, 2, 5]);
     }
 
     #[test]

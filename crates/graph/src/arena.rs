@@ -141,6 +141,63 @@ impl CsrArena {
         }
     }
 
+    /// Renumbers the vertices of every span in place: vertex `v` of a
+    /// span becomes its entry of `new_id`, which holds each span's new ids
+    /// back to back in span order. Edge ids, edge order and each vertex's
+    /// incidence order are kept, so every window equals a fresh
+    /// [`CsrArena::push`] of its renamed edge list. One set of staging
+    /// buffers serves every span.
+    ///
+    /// # Panics
+    /// Panics unless each span's ids are a permutation of `0..s.n`.
+    pub fn relabel(&mut self, spans: &[CsrSpan], new_id: &[VertexId]) {
+        let total: usize = spans.iter().map(|s| s.n as usize).sum();
+        assert_eq!(new_id.len(), total, "one new id per vertex");
+        let offsets = Arc::make_mut(&mut self.offsets);
+        let adj = Arc::make_mut(&mut self.adj);
+        let (mut old_win, mut old_adj, mut old_w) = (Vec::new(), Vec::new(), Vec::new());
+        let mut rest = new_id;
+        for s in spans {
+            let n = s.n as usize;
+            let (new_id, tail) = rest.split_at(n);
+            rest = tail;
+            let win = &mut offsets[s.off as usize..][..n + 1];
+            let (lo, hi) = (s.adj as usize, (s.adj + s.adj_len) as usize);
+            old_win.clear();
+            old_win.extend_from_slice(win);
+            old_adj.clear();
+            old_adj.extend_from_slice(&adj[lo..hi]);
+            old_w.clear();
+            old_w.extend_from_slice(&self.weights[lo..hi]);
+            // New degrees, then their prefix sums, in new id order; a
+            // repeated id leaves some slot unset.
+            win[1..].fill(u32::MAX);
+            for (v, &id) in new_id.iter().enumerate() {
+                assert!(
+                    (id as usize) < n && win[id as usize + 1] == u32::MAX,
+                    "new ids must be a permutation"
+                );
+                win[id as usize + 1] = old_win[v + 1] - old_win[v];
+            }
+            for i in 0..n {
+                win[i + 1] += win[i];
+            }
+            // Vertex v's incidence list moves, renamed, to its new slot.
+            for (v, &id) in new_id.iter().enumerate() {
+                let (a, b) = (old_win[v] as usize - lo, old_win[v + 1] as usize - lo);
+                let at = win[id as usize] as usize;
+                for k in a..b {
+                    let (y, e) = old_adj[k];
+                    adj[at + k - a] = (new_id[y as usize], e);
+                    self.weights[at + k - a] = old_w[k];
+                }
+            }
+            for e in &mut self.edges[s.edge as usize..][..s.m as usize] {
+                (e.u, e.v) = (new_id[e.u as usize], new_id[e.v as usize]);
+            }
+        }
+    }
+
     /// Reopens a span as a zero-copy [`CsrView`].
     #[inline]
     pub fn view(&self, s: &CsrSpan) -> CsrView<'_> {
@@ -321,6 +378,36 @@ mod tests {
         }
         // Original untouched.
         assert_eq!(arena.view(&spans[0]).weight(0), 1);
+    }
+
+    #[test]
+    fn relabel_matches_fresh_push_of_renamed_list() {
+        let first = vec![(0, 1, 1), (1, 2, 2), (2, 0, 3)];
+        let list = vec![(0, 0, 5), (0, 1, 1), (3, 1, 9), (2, 0, 4), (1, 2, 6)];
+        let new_id = [2, 0, 3, 1];
+        let mut arena = CsrArena::new();
+        let before = arena.push(3, &first);
+        let s = arena.push(4, &list);
+        let first_id = [1, 2, 0];
+        arena.relabel(&[before, s], &[&first_id[..], &new_id].concat());
+        let renamed: Vec<(u32, u32, u64)> = list
+            .iter()
+            .map(|&(u, v, w)| (new_id[u as usize], new_id[v as usize], w))
+            .collect();
+        assert_view_matches_graph(arena.view(&s), &CsrGraph::from_edges(4, &renamed));
+        let first: Vec<(u32, u32, u64)> = first
+            .iter()
+            .map(|&(u, v, w)| (first_id[u as usize], first_id[v as usize], w))
+            .collect();
+        assert_view_matches_graph(arena.view(&before), &CsrGraph::from_edges(3, &first));
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn relabel_rejects_a_non_permutation() {
+        let mut arena = CsrArena::new();
+        let s = arena.push(2, &[(0, 1, 1)]);
+        arena.relabel(&[s], &[1, 1]);
     }
 
     #[test]

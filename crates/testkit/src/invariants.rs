@@ -16,9 +16,11 @@
 //!   between retained vertices;
 //! * [`plan_invariants`] — a [`DecompPlan`] partitions the edge set into
 //!   blocks, its id maps agree with the block-cut tree, every arena block
-//!   view equals a standalone [`edge_subgraph`] extraction edge for edge,
-//!   and its stored per-block reductions are identical to fresh
-//!   [`reduce_graph`] runs;
+//!   view equals a standalone [`edge_subgraph`] extraction edge for edge
+//!   under the plan's renumbering ([`block_renumbering`]), each reduced
+//!   block is numbered retained first ([`numbering_invariants`]), and its
+//!   stored per-block reductions are identical to fresh [`reduce_graph`]
+//!   runs;
 //! * [`customization_invariants`] — [`DecompPlan::recustomized`] shares
 //!   the topology layer, marks dirty exactly the blocks containing a
 //!   changed edge, and is bit-identical to a cold build on the reweighted
@@ -36,9 +38,10 @@
 use ear_apsp::matrix::DistMatrix;
 use ear_apsp::oracle::DistanceOracle;
 use ear_decomp::plan::DecompPlan;
-use ear_decomp::reduce::{reduce_graph, ReducedGraph};
+use ear_decomp::reduce::{reduce_graph, ChainTopology, ReducedGraph};
 use ear_graph::{
-    connected_components, dijkstra, dist_add, edge_subgraph, CsrGraph, VertexId, Weight, INF,
+    connected_components, dijkstra, dist_add, edge_subgraph, CsrGraph, CsrView, VertexId, Weight,
+    INF,
 };
 use ear_hetero::executor::ExecutionReport;
 use ear_mcb::cycle_space::{Cycle, CycleSpace};
@@ -292,9 +295,12 @@ pub fn reduction_invariants(g: &CsrGraph) -> Result<(), String> {
 /// the local/parent id maps consistently with the block-cut tree, the
 /// simplicity flags are honest, every block's arena view equals an
 /// independent [`edge_subgraph`] extraction (the standalone-graph reference
-/// layout) edge for edge and incidence for incidence, and each stored
-/// reduction is identical to a fresh [`reduce_graph`] run on that
-/// extraction.
+/// layout) edge for edge and incidence for incidence under the
+/// renumbering composed from the two `to_parent_vertex` maps (checked to
+/// be a bijection, and the identity on non-simple blocks), each reduced
+/// block is numbered retained first ([`numbering_invariants`]), and each
+/// stored reduction is a fresh [`reduce_graph`] run on that extraction,
+/// renumbered.
 pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
     if plan.n() != g.n() || plan.m() != g.m() {
         return Err(format!(
@@ -376,10 +382,11 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
         }
     }
 
-    // 4. Every block view equals a standalone extraction — same local ids,
-    //    edge records and per-vertex incidence order — and stored
-    //    reductions match a fresh reduction of it, edge for edge (the
-    //    differential guarantee the shared-plan pipelines rely on).
+    // 4. Every block view equals a standalone extraction under the
+    //    plan's renumbering — edge records and per-vertex incidence order,
+    //    with vertex ids mapped — and stored reductions match a fresh
+    //    reduction of it, edge for edge (the differential guarantee the
+    //    shared-plan pipelines rely on).
     for (b, bp) in plan.blocks().iter().enumerate() {
         let (sub, map) = edge_subgraph(g, &bp.to_parent_edge);
         let bg = plan.block_graph(b as u32);
@@ -392,30 +399,36 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
                 sub.m()
             ));
         }
-        if map.to_parent_vertex != *bp.to_parent_vertex {
-            return Err(format!(
-                "block {b}: local vertex ids differ from extraction"
-            ));
+        let pi = block_renumbering(&bp.to_parent_vertex, &map.to_parent_vertex)
+            .map_err(|e| format!("block {b}: {e}"))?;
+        let id = |v: VertexId| pi[v as usize];
+        if !bp.simple && pi.iter().enumerate().any(|(s, &l)| s != l as usize) {
+            return Err(format!("block {b}: a non-simple block was renumbered"));
         }
-        if let Some(i) = (0..sub.m()).find(|&i| bg.edges()[i] != sub.edges()[i]) {
-            return Err(format!(
-                "block {b}: edge {i} is {:?} in the view but {:?} in the extraction",
-                bg.edges()[i],
-                sub.edges()[i]
-            ));
+        for (i, (e, f)) in bg.edges().iter().zip(sub.edges()).enumerate() {
+            if (e.u, e.v, e.w) != (id(f.u), id(f.v), f.w) {
+                return Err(format!(
+                    "block {b}: edge {i} is {e:?} in the view but {f:?} in the extraction"
+                ));
+            }
         }
         for u in 0..sub.n() as u32 {
-            if bg.incidences(u) != sub.view().incidences(u) {
+            let (adj, w) = sub.view().incidences(u);
+            let renamed: Vec<_> = adj.iter().map(|&(y, e)| (id(y), e)).collect();
+            if bg.incidences(id(u)) != (&renamed[..], w) {
                 return Err(format!(
                     "block {b} vertex {u}: incidence stream differs from extraction"
                 ));
             }
         }
         let Some(r) = &bp.reduction else { continue };
+        numbering_invariants(r, bg).map_err(|e| format!("block {b}: {e}"))?;
         let fresh = reduce_graph(sub.view())
             .map_err(|e| format!("block {b}: fresh reduce_graph failed: {e}"))?;
-        if r.retained != fresh.retained
-            || r.to_reduced != fresh.to_reduced
+        let retained: Vec<VertexId> = fresh.retained.iter().map(|&v| id(v)).collect();
+        if r.retained != retained
+            || (0..sub.n() as u32)
+                .any(|v| r.to_reduced[id(v) as usize] != fresh.to_reduced[v as usize])
             || r.chains.len() != fresh.chains.len()
             || r.reduced.n() != fresh.reduced.n()
             || r.reduced.m() != fresh.reduced.m()
@@ -436,6 +449,92 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
                 "block {b}: stored reduced graph differs from fresh run"
             ));
         }
+    }
+    Ok(())
+}
+
+/// The renumbering between two numberings of one block, composed from
+/// their `local → parent` vertex maps: `pi[s]` is the id, under `ids`, of
+/// the vertex `reference` numbers `s`. Errors unless the maps name the
+/// same vertices once each, so `pi` is a bijection.
+pub fn block_renumbering(ids: &[VertexId], reference: &[VertexId]) -> Result<Vec<u32>, String> {
+    if ids.len() != reference.len() {
+        return Err(format!(
+            "{} local ids against {} in the reference",
+            ids.len(),
+            reference.len()
+        ));
+    }
+    let mut by_parent: Vec<(VertexId, u32)> = (0..).zip(ids).map(|(l, &p)| (p, l)).collect();
+    by_parent.sort_unstable();
+    if let Some(w) = by_parent.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(format!("parent vertex {} has two local ids", w[0].0));
+    }
+    let mut hit = vec![false; ids.len()];
+    reference
+        .iter()
+        .map(|&p| {
+            let i = by_parent
+                .binary_search_by_key(&p, |&(q, _)| q)
+                .map_err(|_| format!("parent vertex {p} has no local id"))?;
+            let l = by_parent[i].1;
+            if std::mem::replace(&mut hit[l as usize], true) {
+                return Err(format!("local id {l} is hit twice"));
+            }
+            Ok(l)
+        })
+        .collect()
+}
+
+/// Checks the retained-first numbering of a reduced block of `n`
+/// vertices: its `k` retained vertices are `0..k` in retained order
+/// (`to_reduced` is the identity there and `u32::MAX` beyond), and the
+/// chains' interiors, concatenated in chain order, are `k..n` — each
+/// chain's interior a contiguous run in walk order. A fresh reduction of
+/// the renumbered block `bg` is the stored one (the numbering is a fixed
+/// point).
+pub fn numbering_invariants(r: &ReducedGraph, bg: CsrView<'_>) -> Result<(), String> {
+    let (k, n) = (r.reduced.n(), bg.n());
+    if r.to_reduced.len() != n || r.retained.len() != k {
+        return Err(format!(
+            "{} reduced ids and {} retained vertices for {n} vertices, k = {k}",
+            r.to_reduced.len(),
+            r.retained.len()
+        ));
+    }
+    if let Some(v) = (0..k).find(|&v| r.retained[v] != v as u32 || r.to_reduced[v] != v as u32) {
+        return Err(format!("retained vertex {v} is not numbered {v}"));
+    }
+    if let Some(v) = (k..n).find(|&v| r.to_reduced[v] != u32::MAX) {
+        return Err(format!(
+            "removed vertex {v} has reduced id {}",
+            r.to_reduced[v]
+        ));
+    }
+    let mut next = k as u32;
+    for (c, chain) in r.chains.iter().enumerate() {
+        for (pos, &x) in chain.interior.iter().enumerate() {
+            let slot = r.removed[x as usize];
+            if x != next || slot.map(|s| (s.chain, s.pos)) != Some((c as u32, pos as u32)) {
+                return Err(format!(
+                    "chain {c} interior {pos} is vertex {x}, expected {next}"
+                ));
+            }
+            next += 1;
+        }
+    }
+    if next as usize != n {
+        return Err(format!(
+            "chain interiors end at {next}, the block has {n} vertices"
+        ));
+    }
+    let fresh = reduce_graph(bg).map_err(|e| format!("fresh reduce_graph failed: {e}"))?;
+    let walk = |c: &ChainTopology| (c.left, c.right, c.edges.clone(), c.interior.clone());
+    if fresh.to_reduced != r.to_reduced
+        || fresh.removed != r.removed
+        || !fresh.chains.iter().map(walk).eq(r.chains.iter().map(walk))
+    {
+        return Err("a fresh reduction of the renumbered block differs".into());
     }
     Ok(())
 }

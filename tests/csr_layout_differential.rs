@@ -8,10 +8,11 @@
 //!    the new labels: Dijkstra distance vectors, the `Ear` and `Reduced`
 //!    oracles, MCB weight/dimension, and the permutation-invariant engine
 //!    counters (`settled`, `edges_relaxed`).
-//! 2. **Views ≡ copies** — a `DecompPlan`'s zero-copy arena windows are
-//!    bit-identical to standalone per-block CSRs extracted with
-//!    `edge_subgraph` (same local ids, edge records, adjacency order and
-//!    reductions), and every plan satisfies
+//! 2. **Views ≡ copies** — a `DecompPlan`'s zero-copy arena windows equal
+//!    standalone per-block CSRs extracted with `edge_subgraph` under the
+//!    plan's renumbering (composed from the two `to_parent_vertex` maps
+//!    and checked to be a bijection): the same edge records, adjacency
+//!    order and reductions with vertex ids mapped. Every plan satisfies
 //!    `ear_testkit::invariants::layout_invariants`.
 
 use std::sync::Arc;
@@ -19,10 +20,10 @@ use std::sync::Arc;
 use ear_apsp::{build_oracle_with_plan, ApspMethod};
 use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::reduce_graph;
-use ear_graph::{edge_subgraph, CsrGraph, SsspEngine};
+use ear_graph::{edge_subgraph, CsrGraph, Edge, SsspEngine};
 use ear_hetero::HeteroExecutor;
 use ear_mcb::{mcb, mcb_with_plan, ExecMode, McbConfig};
-use ear_testkit::invariants::{layout_invariants, plan_invariants};
+use ear_testkit::invariants::{block_renumbering, layout_invariants, plan_invariants};
 use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
     simple_graphs, workload_graphs, GraphStrategy, TestRng,
@@ -83,8 +84,9 @@ fn layout_invariants_hold_on_every_family() {
 }
 
 /// A plan's arena-viewed blocks and reductions are term-for-term identical
-/// to standalone copies: each block extracted on its own with
-/// `edge_subgraph` and reduced with `reduce_graph`.
+/// to standalone copies — each block extracted on its own with
+/// `edge_subgraph` and reduced with `reduce_graph` — once the copy's
+/// vertex ids are mapped through the plan's renumbering.
 #[test]
 fn viewed_plan_is_bit_identical_to_copied() {
     for (name, strat) in families() {
@@ -94,15 +96,22 @@ fn viewed_plan_is_bit_identical_to_copied() {
                 let v = DecompPlan::build(g);
                 for b in 0..v.n_blocks() as u32 {
                     let (copy, map) = edge_subgraph(g, &v.block(b).to_parent_edge);
+                    let pi = block_renumbering(&v.block(b).to_parent_vertex, &map.to_parent_vertex)
+                        .map_err(|e| format!("block {b}: {e}"))?;
+                    let id = |x: u32| pi[x as usize];
                     let vg = v.block_graph(b);
-                    if map.to_parent_vertex != *v.block(b).to_parent_vertex {
-                        return Err(format!("block {b}: local ids diverge"));
-                    }
-                    if copy.edges() != vg.edges() {
+                    let renamed: Vec<_> = copy
+                        .edges()
+                        .iter()
+                        .map(|e| Edge::new(id(e.u), id(e.v), e.w))
+                        .collect();
+                    if renamed != vg.edges() {
                         return Err(format!("block {b}: edge records diverge"));
                     }
                     for u in 0..copy.n() as u32 {
-                        if copy.view().incidences(u) != vg.incidences(u) {
+                        let (adj, w) = copy.view().incidences(u);
+                        let adj: Vec<_> = adj.iter().map(|&(y, e)| (id(y), e)).collect();
+                        if (&adj[..], w) != vg.incidences(id(u)) {
                             return Err(format!("block {b}: adjacency of {u} diverges"));
                         }
                     }
@@ -112,9 +121,8 @@ fn viewed_plan_is_bit_identical_to_copied() {
                     match (copied_reduction, v.reduction(b)) {
                         (None, None) => {}
                         (Some(cr), Some(vr)) => {
-                            if cr.retained != vr.retained
-                                || cr.reduced.edges() != vr.reduced.edges()
-                            {
+                            let retained: Vec<u32> = cr.retained.iter().map(|&x| id(x)).collect();
+                            if retained != vr.retained || cr.reduced.edges() != vr.reduced.edges() {
                                 return Err(format!("block {b}: reductions diverge"));
                             }
                         }
