@@ -39,6 +39,8 @@
 //! graph exactly once — see the "Decomposition plan" sections of
 //! `README.md` / `DESIGN.md`.
 
+#![deny(unsafe_code)]
+
 pub mod arena;
 pub mod djidjev;
 mod ear;

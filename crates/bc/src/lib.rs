@@ -19,6 +19,8 @@
 //!   multiplicities), mirroring the pendant optimisation the paper
 //!   credits to Banerjee et al.
 
+#![forbid(unsafe_code)]
+
 pub mod brandes;
 pub mod pendant;
 

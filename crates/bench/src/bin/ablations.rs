@@ -12,6 +12,8 @@
 //! cargo run --release -p ear-bench --bin ablations [-- --scale N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use ear_bench::{fmt_s, BenchOpts, Table};

@@ -13,6 +13,8 @@
 //! cargo run --release -p ear-bench --bin fig2_apsp [-- --scale N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ear_apsp::djidjev::djidjev_apsp;
 use ear_apsp::{build_oracle, ApspMethod, DistanceOracle};
 use ear_bench::{build_apsp, fmt_s, geomean, BenchOpts, Table};

@@ -8,6 +8,8 @@
 //! cargo run --release -p ear-bench --bin fig3_mteps [-- --scale N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ear_apsp::djidjev::djidjev_apsp;
 use ear_apsp::{build_oracle, ApspMethod};
 use ear_bench::{build_apsp, mteps, BenchOpts, Table};

@@ -9,6 +9,8 @@
 //! cargo run --release -p ear-bench --bin fig5_speedup [-- --scale N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ear_bench::{build_mcb, geomean, BenchOpts, Table};
 use ear_mcb::mcb_all_modes;
 use ear_workloads::specs::mcb_specs;

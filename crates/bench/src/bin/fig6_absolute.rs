@@ -6,6 +6,8 @@
 //! cargo run --release -p ear-bench --bin fig6_absolute [-- --scale N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ear_bench::{build_mcb, fmt_s, BenchOpts, Table};
 use ear_mcb::mcb_all_modes;
 use ear_workloads::specs::mcb_specs;

@@ -4,10 +4,33 @@
 //! ```text
 //! cargo run --release -p ear-bench --bin run_all [-- --scale N]
 //! ```
+//!
+//! It first rebuilds its sibling binaries with
+//! `"$CARGO" build --release -p ear-bench --bins` (`cargo run` sets
+//! `CARGO`), so the tables always come from the current source.
 
-use std::process::Command;
+#![forbid(unsafe_code)]
 
-fn main() {
+use std::process::{Command, ExitCode};
+
+const BUILD: &str = "\"$CARGO\" build --release -p ear-bench --bins";
+
+fn main() -> ExitCode {
+    let Some(cargo) = std::env::var_os("CARGO") else {
+        eprintln!(
+            "run_all: CARGO is unset, so `{BUILD}` cannot rebuild the table binaries; \
+             start it with `cargo run --release -p ear-bench --bin run_all`"
+        );
+        return ExitCode::FAILURE;
+    };
+    let built = Command::new(cargo)
+        .args(["build", "--release", "-p", "ear-bench", "--bins"])
+        .status()
+        .expect("failed to launch cargo");
+    if !built.success() {
+        eprintln!("run_all: `{BUILD}` failed");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bins = [
         "table1",
@@ -31,4 +54,5 @@ fn main() {
             .expect("failed to launch sibling binary");
         assert!(status.success(), "{bin} failed");
     }
+    ExitCode::SUCCESS
 }

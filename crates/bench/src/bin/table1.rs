@@ -10,6 +10,8 @@
 //! cargo run --release -p ear-bench --bin table1 [-- --scale N --seed S]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ear_bench::{build_apsp, BenchOpts, Table};
 use ear_workloads::{specs::all_specs, GraphStats};
 

@@ -11,6 +11,8 @@
 //! cargo run --release -p ear-bench --bin table2_mcb [-- --scale N --phases]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ear_bench::{build_mcb, fmt_s, geomean, BenchOpts, Table};
 use ear_mcb::{mcb_all_modes, ExecMode};
 use ear_workloads::specs::mcb_specs;

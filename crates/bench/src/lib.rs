@@ -10,6 +10,8 @@
 //! K40c's 12 GB; see §2.3). EXPERIMENTS.md records the scales used for the
 //! committed results.
 
+#![forbid(unsafe_code)]
+
 use ear_graph::CsrGraph;
 use ear_workloads::DatasetSpec;
 

@@ -33,6 +33,8 @@
 //! `ear trace-check <file>` validates a trace file's structure, including
 //! counter-event sanity (for CI).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ear_apsp::ApspMethod;

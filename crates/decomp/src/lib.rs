@@ -22,6 +22,8 @@
 //!   block-cut tree, per-block subgraphs, per-block reductions) built once
 //!   and shared — via `Arc` — by the APSP, MCB and statistics pipelines.
 
+#![forbid(unsafe_code)]
+
 pub mod bcc;
 pub mod block_cut;
 pub mod ear;

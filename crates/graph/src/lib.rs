@@ -24,6 +24,8 @@
 //!   forests) are instrumented with operation counters that the
 //!   heterogeneous cost model in `ear-hetero` consumes.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod builder;
 pub mod csr;

@@ -26,6 +26,8 @@
 //! * [`executor`] — runs workunits in one parallel region and replays the
 //!   sorted double-ended work queue over their counters.
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod executor;
 pub mod profile;

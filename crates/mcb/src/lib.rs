@@ -35,6 +35,8 @@
 //! decomposes the graph exactly once — see the "Decomposition plan"
 //! sections of `README.md` / `DESIGN.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod candidates;
 pub mod cycle_space;
 pub mod depina;

@@ -48,6 +48,7 @@
 //! ear_obs::reset();
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod collector;

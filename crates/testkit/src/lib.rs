@@ -33,6 +33,7 @@
 //!   the scalar de Pina phase loop, Floyd–Warshall, plain all-sources
 //!   Dijkstra APSP and the oracle's phase-II row-reuse schedule.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod differential;

@@ -20,6 +20,8 @@
 //! * [`specs`] — the fifteen Table 1 rows plus `build()`;
 //! * [`stats`] — measures every Table 1 column of a generated graph.
 
+#![forbid(unsafe_code)]
+
 pub mod combinators;
 pub mod generators;
 pub mod specs;

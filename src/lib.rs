@@ -24,6 +24,8 @@
 //! [`apsp::ApspMethod`]) and [`mcb::mcb`]/[`mcb::mcb_with_plan`] (with an
 //! [`mcb::McbConfig`]).
 
+#![forbid(unsafe_code)]
+
 pub use ear_apsp as apsp;
 pub use ear_bc as bc;
 pub use ear_decomp as decomp;
