@@ -104,9 +104,7 @@ pub(crate) fn removed_row<E: DistEntry>(
     let n = row.len();
     let (l, rt) = (x.left as usize * n, x.right as usize * n);
     let (row_l, row_r) = (&retained[l..l + n], &retained[rt..rt + n]);
-    for ((d, &a), &b) in row.iter_mut().zip(row_l).zip(row_r) {
-        *d = a.dist_add(x.w_left).min(b.dist_add(x.w_right));
-    }
+    E::two_way_min_plus(row, row_l, x.w_left, row_r, x.w_right);
     let first = r.chains[x.chain as usize].interior[0] as usize;
     let mut fixed = 0;
     for (d, w) in row[first..].iter_mut().zip(r.along_chain_from(id)) {

@@ -46,6 +46,13 @@ fn assert_agree(name: &str, n: usize, oracles: &[&DistanceOracle], seed: u64) {
 fn main() {
     let opts = BenchOpts::from_args();
     let exec = HeteroExecutor::cpu_gpu();
+    // Names the host for any wall clock read beside these tables; the
+    // modelled times below depend on neither value.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "threads={threads} row kernels={}\n",
+        ear_graph::kernel_path()
+    );
 
     println!("Figure 2a — general graphs: Our Approach vs Banerjee et al. [4]\n");
     let mut t = Table::new(&["Graph", "n", "m", "Ours", "Banerjee", "Speedup"]);

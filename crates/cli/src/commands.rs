@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use ear_apsp::{build_oracle_with_plan, DistanceOracle, QueryEngine};
 use ear_decomp::{ear_decomposition, DecompPlan};
-use ear_graph::{CsrGraph, Weight, INF};
+use ear_graph::{kernel_path, CsrGraph, Weight, INF};
 use ear_mcb::{mcb_with_plan, verify_basis, McbResult};
 use ear_workloads::specs::all_specs;
 use ear_workloads::GraphStats;
@@ -19,6 +19,7 @@ pub fn stats(g: &CsrGraph) -> Result<(), String> {
 }
 
 fn print_stats(s: &GraphStats) {
+    println!("row kernels           {}", kernel_path());
     println!("vertices              {}", s.n);
     println!("edges                 {}", s.m);
     println!("biconnected comps     {}", s.n_bccs);
@@ -121,8 +122,12 @@ pub fn apsp(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result<(),
 fn report_apsp(g: &CsrGraph, oracle: &DistanceOracle, pairs: &[(u32, u32)]) {
     let st = oracle.stats();
     println!(
-        "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries",
-        st.n_bccs, st.articulation_points, st.removed_vertices, st.table_entries
+        "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries, {} row kernels",
+        st.n_bccs,
+        st.articulation_points,
+        st.removed_vertices,
+        st.table_entries,
+        kernel_path()
     );
     println!(
         "modelled device time: {:.3} ms",

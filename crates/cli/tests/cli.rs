@@ -48,6 +48,8 @@ fn stats_on_edge_list() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
+    let kernels = format!("row kernels           {}", ear_graph::kernel_path());
+    assert!(text.starts_with(&kernels), "{text}");
     assert!(text.contains("vertices              4"), "{text}");
     assert!(text.contains("edges                 5"), "{text}");
     assert!(text.contains("biconnected comps     1"), "{text}");
@@ -91,6 +93,9 @@ fn apsp_answers_queries_with_paths() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
+    let header = text.lines().next().unwrap_or_default();
+    let kernels = format!("{} row kernels", ear_graph::kernel_path());
+    assert!(header.ends_with(&kernels), "{text}");
     // d(1,3) = 1 + 3 = 4 via vertex 0; d(0,2) = 3 via vertex 1.
     assert!(text.contains("d(1,3) = 4"), "{text}");
     assert!(text.contains("d(0,2) = 3"), "{text}");

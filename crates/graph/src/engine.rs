@@ -51,7 +51,8 @@
 //! * **Row reuse** — [`SsspEngine::run_reusing`] is the same loop with a
 //!   different visit hook: it writes a distance row in place, stops
 //!   at every vertex whose row is already finished and folds that row in
-//!   with one streaming min-plus pass, and skips vertices a folded row
+//!   with one streaming min-plus pass ([`DistEntry::fold_min_plus`], on
+//!   AVX2 lanes where the CPU has them), and skips vertices a folded row
 //!   already covers. The loop is monomorphised on the hook, so a plain
 //!   run carries none of it.
 //!
@@ -146,10 +147,7 @@ impl<'r, E: DistEntry, F: Fn(VertexId) -> Option<&'r [E]>> Visit for Reuse<'_, E
         self.row[xi] = d;
         match (self.finished)(x) {
             Some(rx) => {
-                assert_eq!(rx.len(), self.row.len(), "distance row length");
-                for (r, &t) in self.row.iter_mut().zip(rx) {
-                    *r = (*r).min(d.dist_add(t));
-                }
+                E::fold_min_plus(self.row, rx, d);
                 self.rows_combined += 1;
                 false
             }

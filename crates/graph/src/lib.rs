@@ -24,7 +24,7 @@
 //!   forests) are instrumented with operation counters that the
 //!   heterogeneous cost model in `ear-hetero` consumes.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod arena;
 pub mod builder;
@@ -32,6 +32,7 @@ pub mod csr;
 pub mod dijkstra;
 pub mod engine;
 pub mod io;
+mod lanes;
 pub mod pool;
 pub mod spanning;
 pub mod subgraph;
@@ -44,6 +45,7 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dijkstra::{dijkstra, dijkstra_tree, dijkstra_with_stats, DijkstraStats, SsspTree};
 pub use engine::{with_engine, QueuedView, SsspEngine};
+pub use lanes::kernel_path;
 pub use spanning::{non_tree_edges, spanning_forest, tree_edge_flags};
 pub use subgraph::{
     edge_subgraph, edge_subgraph_into_arena, induced_subgraph, CompactSubgraphMap, SubgraphMap,

@@ -110,6 +110,49 @@ pub trait DistEntry:
     /// [`dist_add`] at this width, for entries at most `INF`: a sum at or
     /// past `INF` is `INF`.
     fn dist_add(self, b: Self) -> Self;
+
+    /// Phase II's fold of a finished row `rx` reached at distance `d`:
+    /// `row[i] = min(row[i], d ⊕ rx[i])` for every `i`, with `⊕` the
+    /// saturating [`dist_add`](DistEntry::dist_add). Vectorised where the
+    /// CPU allows ([`kernel_path`](crate::kernel_path)).
+    ///
+    /// # Panics
+    /// If the rows differ in length.
+    #[inline]
+    fn fold_min_plus(row: &mut [Self], rx: &[Self], d: Self) {
+        assert_eq!(rx.len(), row.len(), "distance row length");
+        crate::lanes::lanes(|| fold_min_plus_body(row, rx, d));
+    }
+
+    /// The two-way minimum over a full row:
+    /// `out[i] = min(a[i] ⊕ wa, b[i] ⊕ wb)` for every `i`. Vectorised
+    /// where the CPU allows ([`kernel_path`](crate::kernel_path)).
+    ///
+    /// # Panics
+    /// If `a` or `b` differs in length from `out`.
+    #[inline]
+    fn two_way_min_plus(out: &mut [Self], a: &[Self], wa: Self, b: &[Self], wb: Self) {
+        assert_eq!(a.len(), out.len(), "distance row length");
+        assert_eq!(b.len(), out.len(), "distance row length");
+        crate::lanes::lanes(|| two_way_min_plus_body(out, a, wa, b, wb));
+    }
+}
+
+/// The one body of [`DistEntry::fold_min_plus`], for rows of equal length.
+#[inline(always)]
+fn fold_min_plus_body<E: DistEntry>(row: &mut [E], rx: &[E], d: E) {
+    for (r, &t) in row.iter_mut().zip(rx) {
+        *r = (*r).min(d.dist_add(t));
+    }
+}
+
+/// The one body of [`DistEntry::two_way_min_plus`], for rows of equal
+/// length.
+#[inline(always)]
+fn two_way_min_plus_body<E: DistEntry>(out: &mut [E], a: &[E], wa: E, b: &[E], wb: E) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x.dist_add(wa).min(y.dist_add(wb));
+    }
 }
 
 mod sealed {
@@ -215,5 +258,105 @@ mod tests {
         assert_eq!((u32::MAX - 1).dist_add(1).widen(), INF);
         assert_eq!(<u64 as DistEntry>::narrow(top).widen(), top);
         assert_eq!(DistEntry::dist_add(INF - 1, 5u64), INF);
+    }
+
+    /// Entries at width `E`, whose `INF` is `top`: small ones, `INF − 1`,
+    /// `INF`, and `⌊INF/2⌋ − 1 ..= ⌊INF/2⌋ + 2`, whose pairwise sums land
+    /// just below, at and past `INF`.
+    fn kernel_values<E: DistEntry>(top: Weight) -> Vec<E> {
+        let h = top / 2;
+        [0, 1, 2, 7, h - 1, h, h + 1, h + 2, top - 1, top]
+            .map(E::narrow)
+            .to_vec()
+    }
+
+    /// `min(r, d ⊕ t)` by the definition: [`dist_add`] on widened
+    /// entries, narrowed back.
+    fn min_plus<E: DistEntry>(r: E, d: E, t: E) -> E {
+        E::narrow(r.widen().min(dist_add(d.widen(), t.widen())))
+    }
+
+    /// `len` entries drawn from `values` by `state` (xorshift), so each
+    /// value meets every lane position.
+    fn draw<E: DistEntry>(values: &[E], len: usize, state: &mut u64) -> Vec<E> {
+        (0..len)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                values[(*state % values.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    /// Both kernels at width `E` against their scalar bodies and the
+    /// definition, entry by entry, for every length up to 70 (every vector
+    /// tail) at offsets 0–3 into their buffers (unaligned rows).
+    fn kernels_match_definition<E: DistEntry>(top: Weight) {
+        let values = kernel_values::<E>(top);
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for len in 0..=70 {
+            for off in 0..=3 {
+                let [row, a, b] = [(); 3].map(|_| draw(&values, off + len, &mut state));
+                let (row, a, b) = (&row[off..], &a[off..], &b[off..]);
+                for &d in &values {
+                    let mut fast = row.to_vec();
+                    E::fold_min_plus(&mut fast, a, d);
+                    let mut body = row.to_vec();
+                    fold_min_plus_body(&mut body, a, d);
+                    for i in 0..len {
+                        let want = min_plus(row[i], d, a[i]);
+                        assert_eq!(fast[i], want, "fold len {len} off {off} d {d:?} at {i}");
+                        assert_eq!(body[i], want, "fold body len {len} off {off} at {i}");
+                    }
+                    for &wb in &values {
+                        let mut fast = vec![E::default(); len];
+                        E::two_way_min_plus(&mut fast, a, d, b, wb);
+                        let mut body = vec![E::default(); len];
+                        two_way_min_plus_body(&mut body, a, d, b, wb);
+                        for i in 0..len {
+                            let want = min_plus(min_plus(E::INF, d, a[i]), wb, b[i]);
+                            assert_eq!(fast[i], want, "two-way len {len} off {off} at {i}");
+                            assert_eq!(body[i], want, "two-way body len {len} off {off} at {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn u32_kernels_match_definition() {
+        kernels_match_definition::<u32>(Weight::from(u32::MAX));
+    }
+
+    #[test]
+    fn u64_kernels_match_definition() {
+        kernels_match_definition::<u64>(INF);
+    }
+
+    /// Every kernel call whose rows differ in length panics, at both
+    /// widths, whichever row is short.
+    #[test]
+    fn kernels_reject_rows_of_other_lengths() {
+        fn rejects<E: DistEntry>() {
+            let (long, short) = ([E::default(); 9], [E::default(); 8]);
+            let d = E::default();
+            let calls: [&dyn Fn(); 5] = [
+                &|| E::fold_min_plus(&mut long.clone(), &short, d),
+                &|| E::fold_min_plus(&mut short.clone(), &long, d),
+                &|| E::two_way_min_plus(&mut long.clone(), &short, d, &long, d),
+                &|| E::two_way_min_plus(&mut long.clone(), &long, d, &short, d),
+                &|| E::two_way_min_plus(&mut short.clone(), &long, d, &long, d),
+            ];
+            for (i, call) in calls.iter().enumerate() {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                    .expect_err("a length mismatch panics");
+                let msg = err.downcast_ref::<String>().expect("assert_eq! message");
+                assert!(msg.contains("distance row length"), "call {i}: {msg}");
+            }
+        }
+        rejects::<u32>();
+        rejects::<u64>();
     }
 }
