@@ -208,12 +208,12 @@ impl CommonOpts {
             match flag {
                 "--mode" => {
                     i += 1;
-                    mode = match args.get(i).map(|s| s.as_str()) {
-                        Some("seq") => ExecMode::Sequential,
-                        Some("multicore") => ExecMode::MultiCore,
-                        Some("gpu") => ExecMode::Gpu,
-                        Some("hetero") => ExecMode::Hetero,
-                        other => return Err(format!("bad --mode {other:?}")),
+                    mode = match args.get(i).ok_or("--mode needs a value")?.as_str() {
+                        "seq" => ExecMode::Sequential,
+                        "multicore" => ExecMode::MultiCore,
+                        "gpu" => ExecMode::Gpu,
+                        "hetero" => ExecMode::Hetero,
+                        other => return Err(format!("bad --mode value '{other}'")),
                     };
                 }
                 "--no-ear" => no_ear = true,

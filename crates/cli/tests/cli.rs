@@ -489,6 +489,24 @@ fn bc_top_without_a_value_is_rejected() {
 }
 
 #[test]
+fn bad_mode_value_is_rejected() {
+    let p = tmpfile("theta_mode.txt", THETA);
+    let out = ear(&["mcb", p.to_str().unwrap(), "--mode", "foo"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad --mode value 'foo'"), "{err}");
+}
+
+#[test]
+fn mode_without_a_value_is_rejected() {
+    let p = tmpfile("theta_mode_bare.txt", THETA);
+    let out = ear(&["mcb", p.to_str().unwrap(), "--mode"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--mode needs a value"), "{err}");
+}
+
+#[test]
 fn recustomize_replays_weight_updates_with_checksum_gate() {
     let two_blocks = "0 1 3\n1 2 4\n2 0 5\n2 3 2\n3 4 1\n4 5 6\n5 3 2\n";
     let out = ear_stdin(

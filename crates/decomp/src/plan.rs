@@ -248,11 +248,11 @@ impl DecompPlan {
     ///
     /// All blocks land in one shared [`CsrArena`] and are served as
     /// zero-copy [`CsrView`] windows with the edge order of a standalone
-    /// `edge_subgraph` extraction (the arena push mirrors standalone CSR
-    /// construction exactly). A non-simple block keeps the extraction's
-    /// local ids; a simple one is renumbered retained first (see the
-    /// [module docs](self#id-translation-conventions)), which moves vertex
-    /// ids only.
+    /// `edge_subgraph` extraction (a standalone graph is a one-span arena,
+    /// so both come from one construction). A non-simple block keeps the
+    /// extraction's local ids; a simple one is renumbered retained first
+    /// (see the [module docs](self#id-translation-conventions)), which
+    /// moves vertex ids only.
     pub fn build(g: &CsrGraph) -> DecompPlan {
         let _span = ear_obs::span_with("decomp.plan", g.n() as u64);
         let bcc = {

@@ -1,27 +1,35 @@
-//! Concatenated CSR storage for many small graphs: one allocation family,
+//! Concatenated CSR storage for many graphs: one allocation family,
 //! zero-copy per-graph views.
 //!
-//! One standalone [`CsrGraph`](crate::csr::CsrGraph) per biconnected
-//! block would cost four heap allocations and an allocator-chosen address
-//! per block, so a sweep over the blocks would hop around the heap. A
-//! [`CsrArena`] instead appends every block into four shared arrays in
-//! block order (the plan's locality order): pushing a graph returns a
-//! [`CsrSpan`], and [`CsrArena::view`] reopens it as a zero-copy
-//! [`CsrView`] window. The decomposition plan stores all of its blocks
-//! this way.
+//! A [`CsrArena`] appends graphs into four shared arrays in push order:
+//! pushing a graph returns a [`CsrSpan`], and [`CsrArena::view`] reopens
+//! it as a zero-copy [`CsrView`] window. The decomposition plan stores all
+//! of its blocks in one arena (in the plan's locality order), so a sweep
+//! over the blocks streams one allocation instead of hopping between
+//! per-block ones; a whole [`CsrGraph`](crate::csr::CsrGraph) is an arena
+//! holding one span.
 //!
-//! [`CsrArena::push`] runs the exact construction
-//! [`CsrGraph::from_edge_records`](crate::csr::CsrGraph::from_edge_records) runs — counting sort of the edge list
-//! into per-vertex incidence lists, self-loops contributing a single entry
-//! — so an arena window and a standalone per-block graph are bit-identical
-//! term by term (`tests` below and the layout differential suite hold both
-//! to that; the testkit's `plan_invariants` checks every plan block
-//! against a standalone `edge_subgraph` extraction).
+//! There is one construction: a counting sort of a span's edge records
+//! into per-vertex incidence lists, edges in list order (local edge id =
+//! list index), each vertex's incidences in ascending edge-id order, and a
+//! self-loop contributing a single entry. [`CsrArena::push`] and
+//! [`CsrGraph::from_edge_records`](crate::csr::CsrGraph::from_edge_records)
+//! both run it, and it is where the endpoint range and the `w <= INF`
+//! weight contract are checked.
 
 use std::sync::Arc;
 
-use crate::types::{Edge, EdgeId, VertexId, Weight};
+use crate::types::{Edge, EdgeId, VertexId, Weight, INF};
 use crate::view::CsrView;
+
+/// The weight contract: a weight of exactly [`INF`] is legal (it is a
+/// saturated chain's weight and means "no edge"); anything above it would
+/// wrap the shortest-path relaxations' `d + w`.
+#[inline]
+fn check_weight(w: Weight) -> Weight {
+    assert!(w <= INF, "edge weight {w} exceeds INF");
+    w
+}
 
 /// One pushed graph's windows inside a [`CsrArena`] (plain indices, `Copy`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,13 +83,35 @@ impl CsrArena {
     }
 
     /// Appends a graph with `n` vertices and the given local edge list;
-    /// returns its windows. Mirrors [`CsrGraph::from_edge_records`](crate::csr::CsrGraph::from_edge_records)
-    /// exactly: edges keep list order (local edge id = list index) and
-    /// each vertex's incidence list ends up in ascending edge-id order.
+    /// returns its windows (the [module docs](self) give the layout).
     ///
     /// # Panics
-    /// Panics if an endpoint is out of range.
+    /// Panics if an endpoint is out of range or a weight exceeds [`INF`].
     pub fn push(&mut self, n: usize, list: &[(VertexId, VertexId, Weight)]) -> CsrSpan {
+        let edge_base = self.edges.len();
+        self.edges
+            .extend(list.iter().map(|&(u, v, w)| Edge::new(u, v, w)));
+        self.index(n, edge_base)
+    }
+
+    /// A one-span arena holding `edges` (moved in, not copied) as a graph
+    /// with `n` vertices: the storage of a whole
+    /// [`CsrGraph`](crate::csr::CsrGraph).
+    ///
+    /// # Panics
+    /// As [`CsrArena::push`].
+    pub(crate) fn from_records(n: usize, edges: Vec<Edge>) -> (CsrArena, CsrSpan) {
+        let mut arena = CsrArena {
+            edges,
+            ..CsrArena::default()
+        };
+        let span = arena.index(n, 0);
+        (arena, span)
+    }
+
+    /// The construction: counting-sorts the edge records from `edge_base`
+    /// on into a new span with `n` vertices.
+    fn index(&mut self, n: usize, edge_base: usize) -> CsrSpan {
         assert!(n < u32::MAX as usize, "vertex count exceeds u32 id space");
         // During construction the arena is the sole owner of its topology
         // arrays, so `make_mut` appends in place (no clone); once spans
@@ -90,19 +120,20 @@ impl CsrArena {
         let adj = Arc::make_mut(&mut self.adj);
         let off = offsets.len();
         let adj_base = adj.len();
-        let edge_base = self.edges.len();
+        let records = &self.edges[edge_base..];
 
         // Degree counts into the fresh offsets window.
         offsets.resize(off + n + 1, 0);
         let win = &mut offsets[off..];
-        for &(u, v, _) in list {
+        for e in records {
             assert!(
-                (u as usize) < n && (v as usize) < n,
+                (e.u as usize) < n && (e.v as usize) < n,
                 "edge endpoint out of range"
             );
-            win[u as usize + 1] += 1;
-            if u != v {
-                win[v as usize + 1] += 1;
+            check_weight(e.w);
+            win[e.u as usize + 1] += 1;
+            if !e.is_self_loop() {
+                win[e.v as usize + 1] += 1;
             }
         }
         // Prefix sum, rebased onto the shared adjacency array.
@@ -112,28 +143,27 @@ impl CsrArena {
         }
         let adj_len = (win[n] as usize) - adj_base;
 
-        // Counting-sort fill, same traversal as `from_edge_records`.
+        // Counting-sort fill.
         adj.resize(adj_base + adj_len, (0, 0));
         self.weights.resize(adj_base + adj_len, 0);
         let mut cursor: Vec<u32> = offsets[off..off + n + 1].to_vec();
-        for (idx, &(u, v, w)) in list.iter().enumerate() {
+        for (idx, e) in records.iter().enumerate() {
             let id = idx as EdgeId;
-            self.edges.push(Edge::new(u, v, w));
-            let cu = cursor[u as usize] as usize;
-            adj[cu] = (v, id);
-            self.weights[cu] = w;
-            cursor[u as usize] += 1;
-            if u != v {
-                let cv = cursor[v as usize] as usize;
-                adj[cv] = (u, id);
-                self.weights[cv] = w;
-                cursor[v as usize] += 1;
+            let cu = cursor[e.u as usize] as usize;
+            adj[cu] = (e.v, id);
+            self.weights[cu] = e.w;
+            cursor[e.u as usize] += 1;
+            if !e.is_self_loop() {
+                let cv = cursor[e.v as usize] as usize;
+                adj[cv] = (e.u, id);
+                self.weights[cv] = e.w;
+                cursor[e.v as usize] += 1;
             }
         }
 
         CsrSpan {
             n: n as u32,
-            m: list.len() as u32,
+            m: records.len() as u32,
             off: off as u32,
             adj: adj_base as u32,
             adj_len: adj_len as u32,
@@ -224,8 +254,8 @@ impl CsrArena {
     /// to a fresh [`CsrArena::push`] of the reweighted list.
     ///
     /// # Panics
-    /// Panics if `new_weights.len() != self.edges_len()` or the spans do
-    /// not belong to this arena.
+    /// Panics if `new_weights.len() != self.edges_len()`, a weight exceeds
+    /// [`INF`], or the spans do not belong to this arena.
     pub fn reweighted(&self, spans: &[CsrSpan], new_weights: &[Weight]) -> CsrArena {
         assert_eq!(
             new_weights.len(),
@@ -236,7 +266,7 @@ impl CsrArena {
             .edges
             .iter()
             .zip(new_weights)
-            .map(|(e, &w)| Edge::new(e.u, e.v, w))
+            .map(|(e, &w)| Edge::new(e.u, e.v, check_weight(w)))
             .collect();
         // The adjacency stores span-local edge ids, so the parallel weight
         // stream needs each span's edge base to find the global record.
@@ -408,6 +438,23 @@ mod tests {
         let mut arena = CsrArena::new();
         let s = arena.push(2, &[(0, 1, 1)]);
         arena.relabel(&[s], &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds INF")]
+    fn push_rejects_weight_above_inf() {
+        let mut arena = CsrArena::new();
+        arena.push(2, &[(0, 1, INF)]);
+        arena.push(3, &[(0, 1, 1), (1, 2, INF + 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds INF")]
+    fn reweighted_rejects_weight_above_inf() {
+        let mut arena = CsrArena::new();
+        let s = arena.push(3, &[(0, 1, 1), (1, 2, 2)]);
+        let _ = arena.reweighted(&[s], &[INF, INF]);
+        let _ = arena.reweighted(&[s], &[1, INF + 1]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Compressed-sparse-row storage for undirected weighted multigraphs.
 
-use std::sync::Arc;
-
-use crate::types::{Edge, EdgeId, VertexId, Weight, INF};
+use crate::arena::{CsrArena, CsrSpan};
+use crate::types::{Edge, EdgeId, VertexId, Weight};
 use crate::view::CsrView;
 
 /// An immutable undirected weighted multigraph in CSR form.
@@ -12,133 +11,72 @@ use crate::view::CsrView;
 /// every algorithm in the suite share it freely across threads (`&CsrGraph`
 /// is `Send + Sync`).
 ///
-/// Storage layout:
+/// A graph is the one span of its own [`CsrArena`]: the arena's single
+/// construction lays it out, and every read goes through
+/// [`CsrGraph::view`]. Edge `e`'s record is `edges()[e]`, and
+/// `neighbors(v)` is `v`'s incidence list as `(neighbor, edge-id)` pairs in
+/// ascending edge-id order. Every non-loop edge contributes one incidence
+/// entry to each endpoint. A **self-loop contributes a single entry** to
+/// its vertex, so [`CsrGraph::degree`] counts a self-loop once; the
+/// suite's degree-based reductions only run on simple graphs where this
+/// distinction is moot, and the multigraph consumers (minimum cycle basis)
+/// never look at degrees.
 ///
-/// * `edges[e]` — the canonical record of edge `e` (endpoints + weight);
-/// * `adj[offsets[v] .. offsets[v+1]]` — the incidence list of vertex `v`
-///   as `(neighbor, edge-id)` pairs.
-///
-/// Every non-loop edge contributes one incidence entry to each endpoint.
-/// A **self-loop contributes a single entry** to its vertex, so
-/// [`CsrGraph::degree`] counts a self-loop once; the suite's degree-based
-/// reductions only run on simple graphs where this distinction is moot, and
-/// the multigraph consumers (minimum cycle basis) never look at degrees.
-///
-/// The offsets/adjacency arrays are the graph's **topology layer**: the
-/// counting-sort construction never looks at a weight, so two graphs with
-/// the same edge list shape share them bit for bit. They live behind
-/// [`Arc`] so [`CsrGraph::reweighted`] can produce a new graph that
-/// recomputes only the **weight layer** (edge records + per-incidence
-/// weights) while sharing the topology allocation with the original.
+/// The arena's offsets/adjacency arrays are the graph's **topology
+/// layer**: the construction never looks at a weight, so
+/// [`CsrGraph::reweighted`] produces a new graph that recomputes only the
+/// **weight layer** (edge records + per-incidence weights) while sharing
+/// the topology allocations with the original.
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
-    n: usize,
-    edges: Vec<Edge>,
-    offsets: Arc<Vec<u32>>,
-    adj: Arc<Vec<(VertexId, EdgeId)>>,
-    /// Per-incidence weights, parallel to `adj` — relaxation loops stream
-    /// this alongside the adjacency instead of gathering `edges[e].w`.
-    adj_weights: Vec<Weight>,
+    arena: CsrArena,
+    span: CsrSpan,
 }
 
 impl CsrGraph {
     /// Builds a graph with `n` vertices from an edge list.
     ///
     /// # Panics
-    /// Panics if an endpoint is out of range or a weight exceeds [`INF`].
+    /// Panics if an endpoint is out of range or a weight exceeds
+    /// [`INF`](crate::types::INF).
     pub fn from_edges(n: usize, list: &[(VertexId, VertexId, Weight)]) -> Self {
-        let edges: Vec<Edge> = list.iter().map(|&(u, v, w)| Edge::new(u, v, w)).collect();
-        Self::from_edge_records(n, edges)
+        let mut arena = CsrArena::new();
+        let span = arena.push(n, list);
+        CsrGraph { arena, span }
     }
 
-    /// Builds a graph from pre-assembled [`Edge`] records.
+    /// Builds a graph from pre-assembled [`Edge`] records, which it keeps
+    /// without copying.
     ///
     /// # Panics
-    /// Panics if an endpoint is out of range or a weight exceeds [`INF`].
-    /// A weight of exactly `INF` is legal: it is a saturated chain's weight
-    /// and means "no edge". Anything above it would wrap the shortest-path
-    /// relaxations' `d + w`.
+    /// Panics if an endpoint is out of range or a weight exceeds
+    /// [`INF`](crate::types::INF). A weight of exactly `INF` is legal: it
+    /// is a saturated chain's weight and means "no edge". Anything above it
+    /// would wrap the shortest-path relaxations' `d + w`.
     pub fn from_edge_records(n: usize, edges: Vec<Edge>) -> Self {
-        assert!(n < u32::MAX as usize, "vertex count exceeds u32 id space");
-        let mut deg = vec![0u32; n + 1];
-        for e in &edges {
-            assert!(
-                (e.u as usize) < n && (e.v as usize) < n,
-                "edge endpoint out of range"
-            );
-            assert!(e.w <= INF, "edge weight {} exceeds INF", e.w);
-            deg[e.u as usize + 1] += 1;
-            if !e.is_self_loop() {
-                deg[e.v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let offsets = deg;
-        let mut cursor = offsets.clone();
-        let adj_len = *offsets.last().unwrap_or(&0) as usize;
-        let mut adj = vec![(0u32, 0u32); adj_len];
-        let mut adj_weights = vec![0 as Weight; adj_len];
-        for (idx, e) in edges.iter().enumerate() {
-            let id = idx as EdgeId;
-            let cu = cursor[e.u as usize] as usize;
-            adj[cu] = (e.v, id);
-            adj_weights[cu] = e.w;
-            cursor[e.u as usize] += 1;
-            if !e.is_self_loop() {
-                let cv = cursor[e.v as usize] as usize;
-                adj[cv] = (e.u, id);
-                adj_weights[cv] = e.w;
-                cursor[e.v as usize] += 1;
-            }
-        }
-        CsrGraph {
-            n,
-            edges,
-            offsets: Arc::new(offsets),
-            adj: Arc::new(adj),
-            adj_weights,
-        }
+        let (arena, span) = CsrArena::from_records(n, edges);
+        CsrGraph { arena, span }
+    }
+
+    /// The whole graph held by a one-span `arena`.
+    pub(crate) fn from_arena(arena: CsrArena, span: CsrSpan) -> Self {
+        debug_assert_eq!(arena.edges_len(), span.m as usize);
+        CsrGraph { arena, span }
     }
 
     /// The same topology under new weights: `new_weights[e]` replaces the
-    /// weight of edge `e` while endpoints, edge ids, adjacency order and the
-    /// offsets array are untouched. The offsets/adjacency allocations are
-    /// **shared** with `self` (no clone), and the result is bit-identical to
-    /// [`CsrGraph::from_edge_records`] on the reweighted edge list — the
-    /// counting sort never consults weights, so only the edge records and
-    /// the per-incidence weight stream differ.
+    /// weight of edge `e` while endpoints, edge ids and adjacency order are
+    /// untouched. The offsets/adjacency allocations are **shared** with
+    /// `self` (no clone), and the result equals
+    /// [`CsrGraph::from_edge_records`] on the reweighted edge list.
     ///
     /// # Panics
     /// Panics if `new_weights.len() != self.m()` or a weight exceeds
-    /// [`INF`] (see [`CsrGraph::from_edge_records`]).
+    /// [`INF`](crate::types::INF) (see [`CsrGraph::from_edge_records`]).
     pub fn reweighted(&self, new_weights: &[Weight]) -> CsrGraph {
-        assert_eq!(
-            new_weights.len(),
-            self.m(),
-            "one weight per edge is required"
-        );
-        let edges: Vec<Edge> = self
-            .edges
-            .iter()
-            .zip(new_weights)
-            .map(|(e, &w)| {
-                assert!(w <= INF, "edge weight {w} exceeds INF");
-                Edge::new(e.u, e.v, w)
-            })
-            .collect();
-        let adj_weights: Vec<Weight> = self
-            .adj
-            .iter()
-            .map(|&(_, e)| new_weights[e as usize])
-            .collect();
         CsrGraph {
-            n: self.n,
-            edges,
-            offsets: Arc::clone(&self.offsets),
-            adj: Arc::clone(&self.adj),
-            adj_weights,
+            arena: self.arena.reweighted(&[self.span], new_weights),
+            span: self.span,
         }
     }
 
@@ -147,100 +85,85 @@ impl CsrGraph {
     /// equality, O(1) — the customization tests use this to prove the
     /// weight swap did not clone the structure.
     pub fn shares_topology(&self, other: &CsrGraph) -> bool {
-        Arc::ptr_eq(&self.offsets, &other.offsets) && Arc::ptr_eq(&self.adj, &other.adj)
+        self.arena.shares_topology(&other.arena)
     }
 
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.span.n as usize
     }
 
     /// Number of edges (parallel edges and self-loops each count once).
     #[inline]
     pub fn m(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The full edge array.
-    #[inline]
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// The record of edge `e`.
-    #[inline]
-    pub fn edge(&self, e: EdgeId) -> Edge {
-        self.edges[e as usize]
-    }
-
-    /// Weight of edge `e`.
-    #[inline]
-    pub fn weight(&self, e: EdgeId) -> Weight {
-        self.edges[e as usize].w
-    }
-
-    /// Incidence list of `v` as `(neighbor, edge-id)` pairs.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.adj[lo..hi]
-    }
-
-    /// Incidence list of `v` together with the parallel per-incidence
-    /// weight slice — the relaxation loops' streaming access path.
-    #[inline]
-    pub fn incidences(&self, v: VertexId) -> (&[(VertexId, EdgeId)], &[Weight]) {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        (&self.adj[lo..hi], &self.adj_weights[lo..hi])
+        self.span.m as usize
     }
 
     /// A zero-copy [`CsrView`] of the whole graph — the borrowed currency
     /// every solver in the suite traverses.
     #[inline]
     pub fn view(&self) -> CsrView<'_> {
-        CsrView::from_raw_unchecked(
-            self.n,
-            &self.offsets,
-            &self.adj,
-            &self.adj_weights,
-            &self.edges,
-        )
+        self.arena.view(&self.span)
+    }
+
+    /// The full edge array.
+    #[inline]
+    pub fn edges(&self) -> &[Edge] {
+        self.view().edges()
+    }
+
+    /// The record of edge `e`.
+    #[inline]
+    pub fn edge(&self, e: EdgeId) -> Edge {
+        self.view().edge(e)
+    }
+
+    /// Weight of edge `e`.
+    #[inline]
+    pub fn weight(&self, e: EdgeId) -> Weight {
+        self.view().weight(e)
+    }
+
+    /// Incidence list of `v` as `(neighbor, edge-id)` pairs.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
+        self.view().neighbors(v)
+    }
+
+    /// Incidence list of `v` together with the parallel per-incidence
+    /// weight slice — the relaxation loops' streaming access path.
+    #[inline]
+    pub fn incidences(&self, v: VertexId) -> (&[(VertexId, EdgeId)], &[Weight]) {
+        self.view().incidences(v)
     }
 
     /// Incidence-list length of `v` (self-loops counted once).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        self.view().degree(v)
     }
 
     /// Iterator over all vertex ids.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        0..self.n as VertexId
+        self.view().vertices()
     }
 
     /// Total weight of all edges.
     pub fn total_weight(&self) -> Weight {
-        self.edges.iter().map(|e| e.w).sum()
+        self.view().total_weight()
     }
 
     /// True if the graph contains no parallel edges and no self-loops.
     pub fn is_simple(&self) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(self.m());
-        for e in &self.edges {
-            if e.is_self_loop() || !seen.insert(e.key()) {
-                return false;
-            }
-        }
-        true
+        self.view().is_simple()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::INF;
 
     fn triangle() -> CsrGraph {
         CsrGraph::from_edges(3, &[(0, 1, 1), (1, 2, 2), (2, 0, 3)])

@@ -61,9 +61,11 @@
 //! minimum `(dist, vertex)` among unsettled touched vertices, which is
 //! exactly the key this heap orders by, so the settle order — and with it
 //! every distance, parent choice, and statistic — is the same. Both apply
-//! the deterministic `(distance, vertex, edge)` parent tie-break. `heap_pushes` counts every strictly-improving relaxation even
-//! when it is implemented as a decrease-key or a bucket append rather
-//! than a push.
+//! the deterministic `(distance, vertex, edge)` parent tie-break. The heap
+//! and bucket loops share one relaxation step (`expand`) and differ only
+//! in how they queue an improved vertex. `heap_pushes` counts every
+//! strictly-improving relaxation even when it is implemented as a
+//! decrease-key or a bucket append rather than a push.
 
 use crate::csr::CsrGraph;
 use crate::dijkstra::{DijkstraStats, SsspTree};
@@ -480,77 +482,21 @@ impl SsspEngine {
     ) -> (u64, u64) {
         self.heap_insert(0, self.source);
 
-        // Counters live in locals so the optimiser keeps them in registers
-        // across the loop body (incrementing through `&mut self` would
-        // force a load/store per edge next to the other `self` accesses).
-        let gen = self.gen;
         let mut edges_relaxed = 0u64;
         let mut heap_pushes = 0u64;
-
         while let Some((du, u)) = self.heap_pop_min() {
             if !visit.settle(u, du) {
                 continue;
             }
-            self.order.push(u);
-            let u_depth = if WANT_TREE {
-                self.parent[u as usize].depth
-            } else {
-                0
-            };
-            let (adj, wts) = g.incidences(u);
-            for (&(v, e), &w) in adj.iter().zip(wts) {
-                edges_relaxed += 1;
-                if v == u {
-                    continue; // self-loops never improve a distance
+            let (relaxed, pushed) = self.expand::<WANT_TREE>(g, u, du, |eng, v, nd, pos| {
+                if pos == NOT_IN_HEAP {
+                    eng.heap_insert(nd, v);
+                } else {
+                    eng.heap_decrease(pos as usize, nd);
                 }
-                // `w == g.weight(e)` by the parallel-slice invariant; the
-                // zipped stream replaces a random 16-byte `edges[e]` gather
-                // per relaxation.
-                let nd = du + w;
-                let vi = v as usize;
-                // The resting invariant (untouched reads as INF /
-                // NOT_IN_HEAP) makes this the same single data-dependent
-                // compare as the legacy loop's `nd < dist[v]`.
-                let st = self.state[vi];
-                let strictly_better = nd < st.dist;
-                // `nd == dist == INF` on an untouched vertex replicates the
-                // legacy parent-tie against the (u32::MAX, u32::MAX)
-                // sentinel pair, which always prefers the real `(u, e)`.
-                // A settled vertex (pos == SETTLED) never changes: with
-                // non-negative weights nd >= dist, and the legacy tie
-                // branch requires an unsettled vertex.
-                let tie_better = WANT_TREE && nd == st.dist && st.pos != SETTLED && {
-                    let (pv, pe) = if st.stamp == gen {
-                        let p = self.parent[vi];
-                        (p.vertex, p.edge)
-                    } else {
-                        (u32::MAX, u32::MAX)
-                    };
-                    tie_prefers(u, e, pv, pe)
-                };
-                if strictly_better || tie_better {
-                    if st.stamp != gen {
-                        self.state[vi].stamp = gen;
-                        self.touched.push(v);
-                    }
-                    self.state[vi].dist = nd;
-                    if WANT_TREE {
-                        self.parent[vi] = ParentState {
-                            vertex: u,
-                            edge: e,
-                            depth: u_depth + 1,
-                        };
-                    }
-                    if strictly_better {
-                        if st.pos == NOT_IN_HEAP {
-                            self.heap_insert(nd, v);
-                        } else {
-                            self.heap_decrease(st.pos as usize, nd);
-                        }
-                        heap_pushes += 1;
-                    }
-                }
-            }
+            });
+            edges_relaxed += relaxed;
+            heap_pushes += pushed;
         }
         (edges_relaxed, heap_pushes)
     }
@@ -577,7 +523,6 @@ impl SsspEngine {
         if self.buckets.is_empty() {
             self.buckets = vec![Vec::new(); DIAL_BUCKETS];
         }
-        let gen = self.gen;
         let mut edges_relaxed = 0u64;
         let mut heap_pushes = 0u64;
         // Total entries across all buckets, stale ones included — the
@@ -647,60 +592,97 @@ impl SsspEngine {
                 if !visit.settle(u, cur_d) {
                     continue;
                 }
-                self.order.push(u);
-                let u_depth = if WANT_TREE { self.parent[ui].depth } else { 0 };
-                let (adj, wts) = g.incidences(u);
-                for (&(v, e), &w) in adj.iter().zip(wts) {
-                    edges_relaxed += 1;
-                    if v == u {
-                        continue; // self-loops never improve a distance
-                    }
-                    let nd = cur_d + w;
-                    let vi = v as usize;
-                    let st = self.state[vi];
-                    let strictly_better = nd < st.dist;
-                    // Same tie handling as the heap loop; see the
-                    // comments there.
-                    let tie_better = WANT_TREE && nd == st.dist && st.pos != SETTLED && {
-                        let (pv, pe) = if st.stamp == gen {
-                            let p = self.parent[vi];
-                            (p.vertex, p.edge)
+                let parked = self.overflow.len();
+                let (relaxed, pushed) =
+                    self.expand::<WANT_TREE>(g, u, cur_d, move |eng, v, nd, _| {
+                        if OVERFLOW && nd >= window_end {
+                            eng.overflow.push((nd, v));
                         } else {
-                            (u32::MAX, u32::MAX)
-                        };
-                        tie_prefers(u, e, pv, pe)
-                    };
-                    if strictly_better || tie_better {
-                        if st.stamp != gen {
-                            self.state[vi].stamp = gen;
-                            self.touched.push(v);
+                            let b = (nd % DIAL_BUCKETS as Weight) as usize;
+                            eng.buckets[b].push(v);
+                            eng.bucket_live[b / 64] |= 1u64 << (b % 64);
                         }
-                        self.state[vi].dist = nd;
-                        if WANT_TREE {
-                            self.parent[vi] = ParentState {
-                                vertex: u,
-                                edge: e,
-                                depth: u_depth + 1,
-                            };
-                        }
-                        if strictly_better {
-                            if OVERFLOW && nd >= window_end {
-                                self.overflow.push((nd, v));
-                            } else {
-                                let b = (nd % DIAL_BUCKETS as Weight) as usize;
-                                self.buckets[b].push(v);
-                                self.bucket_live[b / 64] |= 1u64 << (b % 64);
-                                entries += 1;
-                            }
-                            heap_pushes += 1;
-                        }
-                    }
-                }
+                    });
+                // Every push that did not park went into a bucket. Counted
+                // here, not in the push, so the closure borrows no local.
+                entries += pushed as usize - (self.overflow.len() - parked);
+                edges_relaxed += relaxed;
+                heap_pushes += pushed;
             }
             bucket.clear();
             self.buckets[idx] = bucket;
         }
         (edges_relaxed, heap_pushes)
+    }
+
+    /// Expands settled vertex `u` at distance `du`: relaxes each of its
+    /// incidences and hands every strictly improving one to `push(self, v,
+    /// nd, pos)`, the caller's queue append (`pos` is `v`'s heap slot
+    /// before the relaxation). Returns the incidences relaxed and the
+    /// pushes made. The one relaxation step of every main loop.
+    #[inline(always)]
+    fn expand<const WANT_TREE: bool>(
+        &mut self,
+        g: CsrView<'_>,
+        u: VertexId,
+        du: Weight,
+        mut push: impl FnMut(&mut Self, VertexId, Weight, u32),
+    ) -> (u64, u64) {
+        let gen = self.gen;
+        let mut pushes = 0u64;
+        self.order.push(u);
+        let u_depth = if WANT_TREE {
+            self.parent[u as usize].depth
+        } else {
+            0
+        };
+        // `w == g.weight(e)` by the parallel-slice invariant; the zipped
+        // stream replaces a random 16-byte `edges[e]` gather per relaxation.
+        let (adj, wts) = g.incidences(u);
+        for (&(v, e), &w) in adj.iter().zip(wts) {
+            if v == u {
+                continue; // self-loops never improve a distance
+            }
+            let nd = du + w;
+            let vi = v as usize;
+            // The resting invariant (untouched reads as INF / NOT_IN_HEAP)
+            // makes this a single data-dependent compare.
+            let st = self.state[vi];
+            let strictly_better = nd < st.dist;
+            // `nd == dist == INF` on an untouched vertex replicates the
+            // parent tie against the (u32::MAX, u32::MAX) sentinel pair,
+            // which always prefers the real `(u, e)`. A settled vertex
+            // (pos == SETTLED) never changes: with non-negative weights
+            // nd >= dist, and the tie branch requires an unsettled vertex.
+            let tie_better = WANT_TREE && nd == st.dist && st.pos != SETTLED && {
+                let (pv, pe) = if st.stamp == gen {
+                    let p = self.parent[vi];
+                    (p.vertex, p.edge)
+                } else {
+                    (u32::MAX, u32::MAX)
+                };
+                tie_prefers(u, e, pv, pe)
+            };
+            if strictly_better || tie_better {
+                if st.stamp != gen {
+                    self.state[vi].stamp = gen;
+                    self.touched.push(v);
+                }
+                self.state[vi].dist = nd;
+                if WANT_TREE {
+                    self.parent[vi] = ParentState {
+                        vertex: u,
+                        edge: e,
+                        depth: u_depth + 1,
+                    };
+                }
+                if strictly_better {
+                    push(self, v, nd, st.pos);
+                    pushes += 1;
+                }
+            }
+        }
+        (adj.len() as u64, pushes)
     }
 
     /// Index of the first occupied bucket at or (circularly) after

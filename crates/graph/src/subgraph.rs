@@ -3,6 +3,12 @@
 //! The biconnected-component pipeline slices the input graph into per-BCC
 //! subgraphs that are processed independently (and in parallel); results are
 //! then translated back through a [`SubgraphMap`].
+//!
+//! There is one extraction, [`edge_subgraph_into_arena`]: it numbers the
+//! listed edges' endpoints compactly in order of first appearance and
+//! pushes the local edge list into a [`CsrArena`], the one CSR
+//! construction. [`edge_subgraph`] runs it into a fresh arena, whose one
+//! span is the returned [`CsrGraph`].
 
 use crate::arena::{CsrArena, CsrSpan};
 use crate::csr::CsrGraph;
@@ -72,7 +78,7 @@ impl CompactSubgraphMap {
 pub struct SubgraphScratch {
     /// Dense `parent -> local` map; `u32::MAX` everywhere between calls.
     to_local: Vec<u32>,
-    /// Edge-list staging buffer for [`CsrGraph::from_edges`].
+    /// Edge-list staging buffer for [`CsrArena::push`].
     list: Vec<(VertexId, VertexId, Weight)>,
 }
 
@@ -83,40 +89,11 @@ impl SubgraphScratch {
     }
 }
 
-/// Scratch-reusing, edge-id-owning core of [`edge_subgraph`].
-///
+/// Extracts the subgraph spanned by `edge_ids` into a shared [`CsrArena`]
+/// (the one extraction; [`edge_subgraph`] runs it into a fresh arena).
 /// Takes ownership of `edge_ids` (they become the map's `to_parent_edge`
-/// verbatim — no copy) and reuses `scratch` across calls, so extracting
-/// every block of a decomposition is O(block) per block after the first
-/// call sizes the scratch.
-fn edge_subgraph_reusing(
-    g: &CsrGraph,
-    edge_ids: Vec<EdgeId>,
-    scratch: &mut SubgraphScratch,
-) -> (CsrGraph, CompactSubgraphMap) {
-    let mut to_parent_vertex: Vec<VertexId> = Vec::new();
-    intern_edge_list(g, &edge_ids, scratch, &mut to_parent_vertex);
-    let sub = CsrGraph::from_edges(to_parent_vertex.len(), &scratch.list);
-    // Sparse reset: only the entries this extraction wrote.
-    for &p in &to_parent_vertex {
-        scratch.to_local[p as usize] = u32::MAX;
-    }
-    let map = CompactSubgraphMap {
-        to_parent_vertex,
-        to_parent_edge: edge_ids,
-    };
-    (sub, map)
-}
-
-/// Scratch-reusing extraction of the subgraph spanned by `edge_ids` into a
-/// shared [`CsrArena`] instead of a standalone [`CsrGraph`]. Takes
-/// ownership of `edge_ids` (they become the map's `to_parent_edge`
 /// verbatim) and reuses `scratch` across calls, so extracting every block
-/// of a decomposition is O(block) per block. The interning (and therefore
-/// every local id and the local edge order) is the one [`edge_subgraph`]
-/// uses, and [`CsrArena::push`] mirrors [`CsrGraph::from_edge_records`], so
-/// `arena.view(&span)` is bit-identical to the graph [`edge_subgraph`]
-/// builds.
+/// of a decomposition is O(block) per block.
 pub fn edge_subgraph_into_arena(
     g: &CsrGraph,
     edge_ids: Vec<EdgeId>,
@@ -174,7 +151,9 @@ fn intern_edge_list(
 /// array for the returned [`SubgraphMap`].
 pub fn edge_subgraph(g: &CsrGraph, edge_ids: &[EdgeId]) -> (CsrGraph, SubgraphMap) {
     let mut scratch = SubgraphScratch::new();
-    let (sub, compact) = edge_subgraph_reusing(g, edge_ids.to_vec(), &mut scratch);
+    let mut arena = CsrArena::new();
+    let (span, compact) = edge_subgraph_into_arena(g, edge_ids.to_vec(), &mut scratch, &mut arena);
+    let sub = CsrGraph::from_arena(arena, span);
     // The scratch's map was sparsely reset back to all-MAX; re-mark this
     // subgraph's vertices to hand out as the dense map.
     let mut to_local = scratch.to_local;
@@ -286,35 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn reusing_variant_matches_one_shot_across_repeated_extractions() {
-        let g = square_with_diagonal();
-        let mut scratch = SubgraphScratch::new();
-        for ids in [vec![1, 2], vec![4, 0], vec![0, 1, 2, 3, 4], vec![3]] {
-            let (sub_a, map_a) = edge_subgraph(&g, &ids);
-            let (sub_b, map_b) = edge_subgraph_reusing(&g, ids.clone(), &mut scratch);
-            assert_eq!(sub_a.n(), sub_b.n());
-            assert_eq!(sub_a.edges(), sub_b.edges());
-            assert_eq!(map_a.to_parent_vertex, map_b.to_parent_vertex);
-            assert_eq!(map_b.to_parent_edge, ids);
-        }
-    }
-
-    #[test]
-    fn arena_extraction_matches_standalone() {
+    fn shared_arena_extraction_matches_one_shot() {
         let g = square_with_diagonal();
         let mut scratch = SubgraphScratch::new();
         let mut arena = CsrArena::new();
         for ids in [vec![1, 2], vec![4, 0], vec![0, 1, 2, 3, 4], vec![3]] {
-            let (sub, map) = edge_subgraph_reusing(&g, ids.clone(), &mut scratch);
-            let (span, amap) = edge_subgraph_into_arena(&g, ids, &mut scratch, &mut arena);
+            let (sub, map) = edge_subgraph(&g, &ids);
+            let (span, amap) = edge_subgraph_into_arena(&g, ids.clone(), &mut scratch, &mut arena);
             let v = arena.view(&span);
             assert_eq!(v.n(), sub.n());
             assert_eq!(v.edges(), sub.edges());
             for u in 0..sub.n() as u32 {
-                assert_eq!(v.neighbors(u), sub.neighbors(u));
+                assert_eq!(v.incidences(u), sub.incidences(u));
             }
             assert_eq!(amap.to_parent_vertex, map.to_parent_vertex);
-            assert_eq!(amap.to_parent_edge, map.to_parent_edge);
+            assert_eq!(amap.to_parent_edge, ids);
         }
         assert!(scratch.to_local.iter().all(|&l| l == u32::MAX));
     }
@@ -336,11 +301,12 @@ mod tests {
     fn scratch_is_clean_between_calls() {
         let g = square_with_diagonal();
         let mut scratch = SubgraphScratch::new();
-        let _ = edge_subgraph_reusing(&g, vec![0, 1, 2, 3, 4], &mut scratch);
+        let mut arena = CsrArena::new();
+        let _ = edge_subgraph_into_arena(&g, vec![0, 1, 2, 3, 4], &mut scratch, &mut arena);
         assert!(scratch.to_local.iter().all(|&l| l == u32::MAX));
         // A later extraction on a disjoint edge set must renumber from zero.
-        let (sub, map) = edge_subgraph_reusing(&g, vec![2], &mut scratch);
-        assert_eq!(sub.n(), 2);
+        let (span, map) = edge_subgraph_into_arena(&g, vec![2], &mut scratch, &mut arena);
+        assert_eq!(span.n, 2);
         assert_eq!(map.to_parent_vertex, vec![2, 3]);
     }
 }

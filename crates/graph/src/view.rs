@@ -2,12 +2,12 @@
 //!
 //! A [`CsrView`] is the read-only solve currency of the suite: a `Copy`
 //! bundle of slices — offsets window, `(neighbor, edge-id)` adjacency,
-//! per-incidence weights, and local edge records — that can borrow either
-//! a whole [`CsrGraph`] ([`CsrGraph::view`]) or one block's window of a
-//! [`CsrArena`](crate::arena::CsrArena) ([`CsrArena::view`](crate::arena::CsrArena::view)).
-//! The SSSP engines and the decomposition pipelines traverse views, so the
-//! copied-block and arena-window layouts share one hot loop and stay
-//! bit-identical by construction.
+//! per-incidence weights, and local edge records — over one span of a
+//! [`CsrArena`](crate::arena::CsrArena)
+//! ([`CsrArena::view`](crate::arena::CsrArena::view)). A whole
+//! [`CsrGraph`] is the one span of its own arena ([`CsrGraph::view`]), so
+//! a whole graph and a plan block have one construction and one set of
+//! accessors: the bodies below, which [`CsrGraph`]'s accessors call.
 //!
 //! The offsets window stores *absolute* positions into the backing
 //! adjacency arena; [`CsrView::neighbors`] subtracts the window base. For
@@ -23,8 +23,9 @@
 use crate::csr::CsrGraph;
 use crate::types::{Edge, EdgeId, VertexId, Weight};
 
-/// A borrowed, immutable CSR graph: either a whole [`CsrGraph`] or one
-/// block window of a [`CsrArena`](crate::arena::CsrArena).
+/// A borrowed, immutable CSR graph: one span of a
+/// [`CsrArena`](crate::arena::CsrArena), such as a whole [`CsrGraph`] or a
+/// plan block.
 ///
 /// `Copy` by design — pass it by value like the `&CsrGraph` it replaces.
 #[derive(Clone, Copy, Debug)]
@@ -45,9 +46,9 @@ pub struct CsrView<'a> {
 }
 
 impl<'a> CsrView<'a> {
-    /// Non-validating constructor for the in-crate producers
-    /// ([`CsrGraph::view`], [`CsrArena::view`](crate::arena::CsrArena::view))
-    /// whose windows are consistent by construction; skips the O(n)
+    /// Non-validating constructor for
+    /// [`CsrArena::view`](crate::arena::CsrArena::view), whose windows are
+    /// consistent by construction; skips the O(n)
     /// monotonicity sweep so taking a view costs nothing on hot paths.
     #[inline]
     pub(crate) fn from_raw_unchecked(
@@ -154,8 +155,8 @@ impl<'a> CsrView<'a> {
 
     /// Copies the view into an owned [`CsrGraph`] — the escape hatch for
     /// algorithms that need owned storage (e.g. the full de Pina loop on a
-    /// non-reduced block). The result is bit-identical to the copied-layout
-    /// block: same local ids, same edge order, same adjacency order.
+    /// non-reduced block). Same local ids, same edge order, same adjacency
+    /// order.
     pub fn materialize(&self) -> CsrGraph {
         CsrGraph::from_edge_records(self.n, self.edges.to_vec())
     }
