@@ -166,7 +166,7 @@ pub fn djidjev_apsp(g: &CsrGraph, k: usize, exec: &HeteroExecutor) -> DjidjevOut
     );
     let dist = DistMatrix::from_rows(rows);
 
-    let processing = merge_reports(part_report, bnd_report);
+    let processing = part_report.merge(bnd_report);
     DjidjevOutput {
         dist,
         k,
@@ -249,18 +249,6 @@ fn combine_row(
             ..Default::default()
         },
     )
-}
-
-fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
-    for (da, dbr) in a.devices.iter_mut().zip(&b.devices) {
-        da.units += dbr.units;
-        da.batches += dbr.batches;
-        da.busy_s += dbr.busy_s;
-        da.counters.merge(&dbr.counters);
-    }
-    a.makespan_s += b.makespan_s;
-    a.wall_s += b.wall_s;
-    a
 }
 
 #[cfg(test)]

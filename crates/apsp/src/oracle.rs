@@ -754,7 +754,7 @@ fn all_sources<'g, E: DistEntry>(
             },
         );
         report = Some(match report {
-            Some(acc) => merge_reports(acc, r),
+            Some(acc) => acc.merge(r),
             None => r,
         });
         for (b, s, row) in units {
@@ -885,7 +885,7 @@ fn compute_block_tables<E: DistEntry>(
         // No removed vertex: phase II wrote every table in full.
         return p2;
     }
-    merge_reports(p2, extend_blocks(plan, exec, &mut spans))
+    p2.merge(extend_blocks(plan, exec, &mut spans))
 }
 
 /// Phase III at `Ear`: the §2.1.3 extension of each reduced block's
@@ -935,19 +935,7 @@ fn extend_blocks<E: DistEntry>(
         |(_, _, _, _, row)| row.len() as u64,
         |(r, top, id, x, row)| work(removed_row(r, top, *id, x, row)),
     );
-    merge_reports(columns, rows)
-}
-
-fn merge_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
-    for (da, dbr) in a.devices.iter_mut().zip(&b.devices) {
-        da.units += dbr.units;
-        da.batches += dbr.batches;
-        da.busy_s += dbr.busy_s;
-        da.counters.merge(&dbr.counters);
-    }
-    a.makespan_s += b.makespan_s;
-    a.wall_s += b.wall_s;
-    a
+    columns.merge(rows)
 }
 
 #[cfg(test)]

@@ -6,7 +6,13 @@
 //!    the store-based search vs pure signed-graph phases;
 //! 3. **Work-queue batch size** — heterogeneous makespan as the GPU batch
 //!    grows (the paper's "batches whose size depends on the nature of the
-//!    task").
+//!    task");
+//! 4. **Ear reduction in host wall-clock** — real time, no device model, of
+//!    each computation without and with the reduction (APSP oracle, MCB
+//!    pipeline, betweenness) and of the MCB algorithm ladder. Each pair must
+//!    give the same answer before its row is printed.
+//!
+//! Sizes divide by `--scale` and are floored, so any scale runs.
 //!
 //! ```text
 //! cargo run --release -p ear-bench --bin ablations [-- --scale N]
@@ -14,23 +20,50 @@
 
 #![forbid(unsafe_code)]
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use ear_apsp::{build_oracle, ApspMethod};
+use ear_bc::{betweenness, betweenness_pendant_reduced};
 use ear_bench::{fmt_s, BenchOpts, Table};
 use ear_decomp::feedback_vertex_set;
-use ear_graph::dijkstra_with_stats;
+use ear_graph::{dijkstra_with_stats, CsrGraph};
 use ear_hetero::{DeviceProfile, HeteroExecutor, WorkCounters};
 use ear_mcb::depina::{depina_mcb, DepinaOptions};
-use ear_workloads::combinators::subdivide_edges;
+use ear_mcb::{horton_mcb, mcb, signed_mcb, Cycle, ExecMode, McbConfig};
+use ear_workloads::combinators::{attach_pendants, subdivide_edges};
 use ear_workloads::generators::random_min_deg3;
+
+/// Timed runs per side in Ablation 4, after one untimed warm-up.
+const RUNS: usize = 5;
+
+/// One warm-up call of `f`, then the median wall time of [`RUNS`] calls
+/// and the last call's answer.
+fn timed<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut out = f();
+    let mut secs = [0.0; RUNS];
+    for s in &mut secs {
+        let t0 = Instant::now();
+        let next = black_box(f());
+        *s = t0.elapsed().as_secs_f64();
+        out = next;
+    }
+    secs.sort_by(f64::total_cmp);
+    (secs[RUNS / 2], out)
+}
+
+fn weight(basis: &[Cycle]) -> u64 {
+    basis.iter().map(|c| c.weight).sum()
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
-    let div = opts.scale;
+    // A size divided by the scale, floored at K4.
+    let sz = |x: usize| (x / opts.scale).max(4);
 
     // ---------------------------------------------------------------- 1
     println!("Ablation 1 — FVS restriction of the Horton set (paper §3.2)\n");
-    let g = random_min_deg3(1200 / div.max(1), 3000 / div.max(1), opts.seed);
+    let g = random_min_deg3(sz(1200), sz(3000), opts.seed);
     let z = feedback_vertex_set(&g);
     let exec = HeteroExecutor::sequential();
     let cands_fvs = ear_mcb::candidates::generate(&g);
@@ -59,7 +92,7 @@ fn main() {
     // ---------------------------------------------------------------- 2
     println!("Ablation 2 — candidate store vs per-phase signed search\n");
     let small = subdivide_edges(
-        &random_min_deg3(160 / div.max(1) + 8, 400 / div.max(1) + 20, 3),
+        &random_min_deg3(160 / opts.scale + 8, 400 / opts.scale + 20, 3),
         100,
         2,
         4,
@@ -70,10 +103,7 @@ fn main() {
     let t0 = Instant::now();
     let (b2, p2) = depina_mcb(&small, &exec, &DepinaOptions { force_signed: true });
     let w2 = t0.elapsed();
-    assert_eq!(
-        b1.iter().map(|c| c.weight).sum::<u64>(),
-        b2.iter().map(|c| c.weight).sum::<u64>()
-    );
+    assert_eq!(weight(&b1), weight(&b2));
     let mut t = Table::new(&["search strategy", "modelled", "wall", "fallbacks"]);
     t.row(vec![
         "restricted store".into(),
@@ -92,7 +122,7 @@ fn main() {
 
     // ---------------------------------------------------------------- 3
     println!("Ablation 3 — GPU batch size in the double-ended queue\n");
-    let big = random_min_deg3(3000 / div.max(1), 9000 / div.max(1), 11);
+    let big = random_min_deg3(sz(3000), sz(9000), 11);
     let sources: Vec<u32> = (0..big.n() as u32).collect();
     let mut t = Table::new(&["gpu batch", "makespan", "gpu units", "cpu units"]);
     for batch in [32usize, 128, 256, 1024] {
@@ -123,5 +153,58 @@ fn main() {
             cpu_units.to_string(),
         ]);
     }
+    t.print();
+
+    // ---------------------------------------------------------------- 4
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("\nAblation 4 — ear reduction in host wall-clock (median of {RUNS} runs, threads={threads})\n");
+    let mut t = Table::new(&["computation", "n", "m", "without", "with", "ratio"]);
+    let mut row = |name: &str, g: &CsrGraph, without: f64, with: f64| {
+        t.row(vec![
+            name.into(),
+            g.n().to_string(),
+            g.m().to_string(),
+            fmt_s(without),
+            fmt_s(with),
+            format!("{:.1}x", without / with),
+        ]);
+    };
+
+    let g = subdivide_edges(&random_min_deg3(sz(400), sz(1200), 7), sz(800), 2, 8);
+    let cpu_gpu = HeteroExecutor::cpu_gpu();
+    let (t0, plain) = timed(|| build_oracle(&g, &cpu_gpu, ApspMethod::Plain));
+    let (t1, ear) = timed(|| build_oracle(&g, &cpu_gpu, ApspMethod::Ear));
+    assert_eq!(plain.materialize(), ear.materialize(), "APSP: Plain vs Ear");
+    row("APSP oracle: Plain vs Ear", &g, t0, t1);
+
+    let g = subdivide_edges(&random_min_deg3(sz(90), sz(200), 5), sz(180), 2, 6);
+    let config = |use_ear| McbConfig {
+        mode: ExecMode::Hetero,
+        use_ear,
+    };
+    let (t0, without) = timed(|| mcb(&g, &config(false)));
+    let (t1, with) = timed(|| mcb(&g, &config(true)));
+    assert_eq!(
+        (without.dim, without.total_weight),
+        (with.dim, with.total_weight)
+    );
+    row("MCB pipeline: w/o vs w ear", &g, t0, t1);
+
+    let g = attach_pendants(&random_min_deg3(sz(300), sz(800), 21), sz(700), 22);
+    let (t0, brandes) = timed(|| betweenness(&g));
+    let (t1, reduced) = timed(|| betweenness_pendant_reduced(&g));
+    for (v, (x, y)) in brandes.iter().zip(&reduced).enumerate() {
+        assert!((x - y).abs() < 1e-6 * (1.0 + x.abs()), "BC {v}: {x} vs {y}");
+    }
+    row("BC: Brandes vs pendant-reduced", &g, t0, t1);
+
+    let g = random_min_deg3(sz(60), sz(140), 3);
+    let (th, horton) = timed(|| horton_mcb(&g));
+    let (ts, signed) = timed(|| signed_mcb(&g));
+    let (tr, (restricted, _)) = timed(|| depina_mcb(&g, &exec, &DepinaOptions::default()));
+    assert_eq!(weight(&horton), weight(&restricted));
+    assert_eq!(weight(&signed), weight(&restricted));
+    row("MCB ladder: Horton vs restricted", &g, th, tr);
+    row("MCB ladder: signed vs restricted", &g, ts, tr);
     t.print();
 }

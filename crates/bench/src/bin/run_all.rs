@@ -1,5 +1,5 @@
-//! Runs every table/figure binary's logic in sequence — the one-shot
-//! regeneration entry point whose output backs EXPERIMENTS.md.
+//! Runs every table/figure binary in sequence, then the design ablations —
+//! the one-shot regeneration entry point whose output backs EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release -p ear-bench --bin run_all [-- --scale N]
@@ -39,6 +39,7 @@ fn main() -> ExitCode {
         "table2_mcb",
         "fig5_speedup",
         "fig6_absolute",
+        "ablations",
     ];
     for bin in bins {
         println!("\n{}", "=".repeat(78));

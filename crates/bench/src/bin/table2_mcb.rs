@@ -26,7 +26,6 @@ fn main() {
     ]);
     // speedup accumulators per mode: w/o divided by w.
     let mut ear_speedup: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    let mut mode_speedup: Vec<Vec<f64>> = vec![Vec::new(); 4]; // vs sequential (w)
     let mut phase_rows: Vec<(String, f64, f64, f64)> = Vec::new();
 
     for spec in mcb_specs() {
@@ -40,11 +39,9 @@ fn main() {
             "ear toggle must not change the basis weight"
         );
         let mut cells = vec![spec.name.to_string(), g.n().to_string(), g.m().to_string()];
-        let seq_with = prof_w[0].total_s();
         for mi in 0..4 {
             let (tw, two) = (prof_w[mi].total_s(), prof_wo[mi].total_s());
             ear_speedup[mi].push(two / tw);
-            mode_speedup[mi].push(seq_with / tw);
             cells.push(fmt_s(tw));
             cells.push(fmt_s(two));
             if mi == 3 && opts.phases {

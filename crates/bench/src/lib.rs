@@ -2,7 +2,7 @@
 //!
 //! Every binary accepts:
 //! * `--scale N` — divide dataset sizes by an *extra* factor `N` on top of
-//!   each dataset's base scale (default 1; larger = faster, smaller graphs);
+//!   each dataset's base scale (default 1, at least 1; larger = faster);
 //! * `--seed S` — generator seed (default 7).
 //!
 //! Dataset base scales are chosen so the largest per-block distance table
@@ -62,6 +62,9 @@ impl BenchOpts {
                 "--phases" => opts.phases = true,
                 other => return Err(format!("unknown argument '{other}'")),
             }
+        }
+        if opts.scale == 0 {
+            return Err("--scale must be at least 1".into());
         }
         Ok(opts)
     }
@@ -192,6 +195,8 @@ mod tests {
         let bad = parse(&["--scale", "x"]).unwrap_err();
         assert_eq!(bad, "--scale takes an integer, not 'x'");
         assert!(parse(&["--seed", "-1"]).is_err());
+        let zero = parse(&["--scale", "0"]).unwrap_err();
+        assert_eq!(zero, "--scale must be at least 1");
         assert_eq!(
             parse(&["--bogus"]).unwrap_err(),
             "unknown argument '--bogus'"

@@ -157,49 +157,16 @@ pub fn mcb(
     if !g.is_simple() {
         return Err("mcb expects a simple graph (parallel edges/self-loops in input)".into());
     }
-    // The profile is read back from the metrics registry, so tracing must
-    // be on before the pipeline runs (even when no obs output file was
-    // asked for and begin_obs alone wouldn't enable it).
-    if profile || profile_json {
-        ear_obs::enable();
-    }
     let obs = opts.begin_obs("cli.mcb")?;
     let result = mcb_with_plan(g, &DecompPlan::build(g), &opts.mcb_config());
     report_mcb(g, &result, print_cycles)?;
-    if profile || profile_json {
-        let p = profile_from_registry();
-        if profile {
-            print_mcb_profile(&p);
-        }
-        if profile_json {
-            println!("{}", mcb_profile_json(&p));
-        }
+    if profile {
+        print_mcb_profile(&result.profile);
+    }
+    if profile_json {
+        println!("{}", mcb_profile_json(&result.profile));
     }
     obs.finish()
-}
-
-/// Rebuilds a [`ear_mcb::PhaseProfile`] from the metrics registry. The
-/// registry is the source of truth for `--profile`: the pipeline publishes
-/// its modelled phase timings as `mcb.*` gauges and its operation counters
-/// as `mcb.*` counters, and the CLI runs exactly one MCB pipeline per
-/// process, so the registry totals equal that run's profile.
-fn profile_from_registry() -> ear_mcb::PhaseProfile {
-    let snap = ear_obs::metrics_snapshot();
-    ear_mcb::PhaseProfile {
-        trees_s: snap.gauge("mcb.trees_s").unwrap_or(0.0),
-        labels_s: snap.gauge("mcb.labels_s").unwrap_or(0.0),
-        search_s: snap.gauge("mcb.search_s").unwrap_or(0.0),
-        update_s: snap.gauge("mcb.update_s").unwrap_or(0.0),
-        counters: ear_hetero::WorkCounters {
-            labels_computed: snap.counter("mcb.labels_computed"),
-            cycles_inspected: snap.counter("mcb.cycles_inspected"),
-            words_xored: snap.counter("mcb.words_xored"),
-            edges_relaxed: snap.counter("mcb.edges_relaxed"),
-            vertices_settled: snap.counter("mcb.vertices_settled"),
-            ..Default::default()
-        },
-        fallbacks: snap.counter("mcb.fallbacks") as usize,
-    }
 }
 
 /// Machine-readable `--profile-json` line, mirroring the human table.

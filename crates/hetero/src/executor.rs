@@ -73,6 +73,21 @@ impl ExecutionReport {
     pub fn total_units(&self) -> usize {
         self.devices.iter().map(|d| d.units).sum()
     }
+
+    /// The report of `self` followed by `next` on the same executor: per
+    /// device, units, batches, busy time and counters add up, and so do
+    /// the makespans and wall times of the two runs.
+    pub fn merge(mut self, next: ExecutionReport) -> ExecutionReport {
+        for (d, n) in self.devices.iter_mut().zip(&next.devices) {
+            d.units += n.units;
+            d.batches += n.batches;
+            d.busy_s += n.busy_s;
+            d.counters.merge(&n.counters);
+        }
+        self.makespan_s += next.makespan_s;
+        self.wall_s += next.wall_s;
+        self
+    }
 }
 
 /// Publish a *real* execution's totals into the `ear-obs` metrics
@@ -538,6 +553,25 @@ mod tests {
         let out = ex.run(units.clone(), |&x| x, square_kernel);
         let expect: Vec<u64> = units.iter().map(|x| x * x).collect();
         assert_eq!(out.results, expect);
+    }
+
+    #[test]
+    fn merge_adds_two_runs() {
+        let ex = HeteroExecutor::cpu_gpu();
+        let a = ex.run((0..3000).collect(), |&x| x, square_kernel).report;
+        let b = ex.run((0..700).collect(), |&x| x, square_kernel).report;
+        let m = a.clone().merge(b.clone());
+        assert_eq!(m.total_units(), 3700);
+        assert_eq!(m.makespan_s, a.makespan_s + b.makespan_s);
+        assert_eq!(m.wall_s, a.wall_s + b.wall_s);
+        for ((d, x), y) in m.devices.iter().zip(&a.devices).zip(&b.devices) {
+            assert_eq!(
+                (d.units, d.batches),
+                (x.units + y.units, x.batches + y.batches)
+            );
+            assert_eq!(d.busy_s, x.busy_s + y.busy_s);
+            assert_eq!(d.counters, x.counters + y.counters);
+        }
     }
 
     #[test]

@@ -284,9 +284,9 @@ mod tests {
 
     #[test]
     fn registries_cover_every_implementation() {
-        // The tentpole's acceptance criterion: every APSP implementation
-        // and every MCB mode is registered. 10 APSP entries; 3 standalone
-        // MCB algorithms + 4 modes × 2 ear settings.
+        // Every APSP implementation and every MCB mode is registered:
+        // 10 APSP entries; 3 standalone MCB algorithms + 4 modes × 2 ear
+        // settings.
         assert_eq!(apsp_implementations().len(), 10);
         assert_eq!(mcb_implementations().len(), 11);
     }
