@@ -59,6 +59,7 @@ use std::sync::Arc;
 
 use ear_decomp::block_cut::{BlockCutTree, Endpoint};
 use ear_decomp::plan::{BlockPlan, DecompPlan};
+use ear_graph::rng::splitmix64;
 use ear_graph::{
     dist_add, with_engine, CsrGraph, CsrView, DistEntry, QueuedView, VertexId, Weight, INF,
 };
@@ -683,15 +684,9 @@ fn round_of(rank: usize) -> usize {
 /// first: their rows are the ones later searches reach soonest. The hash
 /// scatters equal-degree runs, which input ids often cluster spatially.
 fn source_order(g: CsrView<'_>) -> Vec<VertexId> {
-    // The splitmix64 finaliser: a bijection, so no two keys tie.
-    let mix = |v: VertexId| {
-        let mut z = u64::from(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    // splitmix64 is a bijection, so no two keys tie.
     let mut order: Vec<VertexId> = g.vertices().collect();
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), mix(v)));
+    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), splitmix64(v.into())));
     order
 }
 

@@ -12,7 +12,6 @@ use std::collections::BinaryHeap;
 
 use ear_graph::{CsrGraph, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
-use rayon::prelude::*;
 
 /// Reusable per-source shortest-path-DAG scratch: distances, path counts,
 /// predecessor lists (which keep their capacity across sources — the
@@ -90,7 +89,7 @@ fn count_paths(g: &CsrGraph, s: VertexId, sc: &mut BcScratch) {
 }
 
 // Per-thread scratch (an `ear_graph::pool`), so warm scratch survives the
-// scoped worker threads the rayon shim spawns.
+// scoped worker threads of each parallel region.
 ear_graph::scratch_pool! {
     fn with_scratch(BcScratch, bound = 64);
 }
@@ -127,17 +126,14 @@ pub fn betweenness_weighted(
     source_w: &[f64],
     target_w: &[f64],
 ) -> Vec<f64> {
-    let partials: Vec<Vec<f64>> = sources
-        .par_iter()
-        .map(|&s| {
-            let (mut delta, _) = dependencies(g, s, target_w);
-            let ws = source_w[s as usize];
-            for (v, d) in delta.iter_mut().enumerate() {
-                *d = if v == s as usize { 0.0 } else { *d * ws };
-            }
-            delta
-        })
-        .collect();
+    let partials = ear_graph::par_map(sources, |&s| {
+        let (mut delta, _) = dependencies(g, s, target_w);
+        let ws = source_w[s as usize];
+        for (v, d) in delta.iter_mut().enumerate() {
+            *d = if v == s as usize { 0.0 } else { *d * ws };
+        }
+        delta
+    });
     let mut bc = vec![0.0; g.n()];
     for p in partials {
         for (v, d) in p.into_iter().enumerate() {
@@ -280,18 +276,16 @@ mod tests {
 
     #[test]
     fn random_graphs_match_brute_force() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         for seed in 0..8u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(4..9);
+            let mut rng = ear_graph::rng::TestRng::warmed(seed);
+            let n = rng.usize_in(4, 9);
             let mut edges = Vec::new();
             let mut seen = std::collections::HashSet::new();
-            for _ in 0..rng.gen_range(n..3 * n) {
-                let u = rng.gen_range(0..n as u32);
-                let v = rng.gen_range(0..n as u32);
+            for _ in 0..rng.usize_in(n, 3 * n) {
+                let u = rng.u32_in(0, n as u32);
+                let v = rng.u32_in(0, n as u32);
                 if u != v && seen.insert((u.min(v), u.max(v))) {
-                    edges.push((u, v, rng.gen_range(1..4u64)));
+                    edges.push((u, v, rng.u64_in(1, 4)));
                 }
             }
             let g = CsrGraph::from_edges(n, &edges);

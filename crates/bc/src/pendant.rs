@@ -333,18 +333,16 @@ mod tests {
     /// integration tests).
     #[test]
     fn matches_plain_brandes_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         for case in 0..48u64 {
-            let mut rng = StdRng::seed_from_u64(0xbc0 + case);
-            let n = rng.gen_range(2usize..20);
+            let mut rng = ear_graph::rng::TestRng::warmed(0xbc0 + case);
+            let n = rng.usize_in(2, 20);
             let mut seen = std::collections::HashSet::new();
             let mut edges: Vec<(u32, u32, u64)> = Vec::new();
-            for _ in 0..rng.gen_range(0..50) {
-                let u = rng.gen_range(0..n as u32);
-                let v = rng.gen_range(0..n as u32);
+            for _ in 0..rng.usize_in(0, 50) {
+                let u = rng.u32_in(0, n as u32);
+                let v = rng.u32_in(0, n as u32);
                 if u != v && seen.insert((u.min(v), u.max(v))) {
-                    edges.push((u, v, rng.gen_range(1..6u64)));
+                    edges.push((u, v, rng.u64_in(1, 6)));
                 }
             }
             let g = CsrGraph::from_edges(n, &edges);

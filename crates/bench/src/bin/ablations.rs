@@ -34,22 +34,28 @@ use ear_mcb::{horton_mcb, mcb, signed_mcb, Cycle, ExecMode, McbConfig};
 use ear_workloads::combinators::{attach_pendants, subdivide_edges};
 use ear_workloads::generators::random_min_deg3;
 
-/// Timed runs per side in Ablation 4, after one untimed warm-up.
+/// Least timed runs per side in Ablation 4, after one untimed warm-up.
 const RUNS: usize = 5;
 
-/// One warm-up call of `f`, then the median wall time of [`RUNS`] calls
-/// and the last call's answer.
+/// Least timed wall time per side in Ablation 4: a side of a few ms runs
+/// hundreds of times, so its median holds still on a shared host.
+const MIN_SECS: f64 = 1.0;
+
+/// One warm-up call of `f`, then timed calls until there are at least
+/// [`RUNS`] of them and they add up to [`MIN_SECS`]; returns their median
+/// wall time and the last call's answer.
 fn timed<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     let mut out = f();
-    let mut secs = [0.0; RUNS];
-    for s in &mut secs {
+    let (mut secs, mut total) = (Vec::new(), 0.0);
+    while secs.len() < RUNS || total < MIN_SECS {
         let t0 = Instant::now();
-        let next = black_box(f());
-        *s = t0.elapsed().as_secs_f64();
-        out = next;
+        out = black_box(f());
+        let dt = t0.elapsed().as_secs_f64();
+        total += dt;
+        secs.push(dt);
     }
     secs.sort_by(f64::total_cmp);
-    (secs[RUNS / 2], out)
+    (secs[secs.len() / 2], out)
 }
 
 fn weight(basis: &[Cycle]) -> u64 {
@@ -156,8 +162,10 @@ fn main() {
     t.print();
 
     // ---------------------------------------------------------------- 4
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\nAblation 4 — ear reduction in host wall-clock (median of {RUNS} runs, threads={threads})\n");
+    println!(
+        "\nAblation 4 — ear reduction in host wall-clock (median of >= {RUNS} runs and >= {MIN_SECS} s per side, threads={})\n",
+        ear_graph::pool::threads()
+    );
     let mut t = Table::new(&["computation", "n", "m", "without", "with", "ratio"]);
     let mut row = |name: &str, g: &CsrGraph, without: f64, with: f64| {
         t.row(vec![

@@ -48,9 +48,9 @@ fn main() {
     let exec = HeteroExecutor::cpu_gpu();
     // Names the host for any wall clock read beside these tables; the
     // modelled times below depend on neither value.
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "threads={threads} row kernels={}\n",
+        "threads={} row kernels={}\n",
+        ear_graph::pool::threads(),
         ear_graph::kernel_path()
     );
 

@@ -45,11 +45,7 @@ fn main() -> ExitCode {
         println!("\n{}", "=".repeat(78));
         println!("== {bin}");
         println!("{}\n", "=".repeat(78));
-        let mut cmd = Command::new(std::env::current_exe().unwrap().parent().unwrap().join(bin));
-        if bin == "table2_mcb" {
-            cmd.arg("--phases");
-        }
-        let status = cmd
+        let status = Command::new(std::env::current_exe().unwrap().parent().unwrap().join(bin))
             .args(&args)
             .status()
             .expect("failed to launch sibling binary");

@@ -2,13 +2,13 @@
 //! modes (Sequential / Multi-Core / GPU / CPU+GPU), each with ('w') and
 //! without ('w/o') ear decomposition, on the first seven Table 1 graphs.
 //!
-//! With `--phases` also prints the §3.5 phase breakdown (paper: label
+//! Also prints the §3.5 phase breakdown (paper: label
 //! computation 76%, minimum-weight-cycle search 14%, independence test 8%)
 //! and the per-mode ear-decomposition speedups (paper: 3.1x / 2.7x / 2.5x /
 //! 2.7x averages).
 //!
 //! ```text
-//! cargo run --release -p ear-bench --bin table2_mcb [-- --scale N --phases]
+//! cargo run --release -p ear-bench --bin table2_mcb [-- --scale N]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +44,7 @@ fn main() {
             ear_speedup[mi].push(two / tw);
             cells.push(fmt_s(tw));
             cells.push(fmt_s(two));
-            if mi == 3 && opts.phases {
+            if mi == 3 {
                 let (l, s, u) = prof_w[mi].shares();
                 phase_rows.push((spec.name.to_string(), l, s, u));
             }
@@ -64,17 +64,15 @@ fn main() {
         );
     }
 
-    if opts.phases {
-        println!("\nPhase breakdown of the CPU+GPU w/ ear runs (paper §3.5: 76% / 14% / 8%):");
-        let mut pt = Table::new(&["Graph", "labels %", "search %", "update %"]);
-        for (name, l, s, u) in &phase_rows {
-            pt.row(vec![
-                name.clone(),
-                format!("{:.0}", l * 100.0),
-                format!("{:.0}", s * 100.0),
-                format!("{:.0}", u * 100.0),
-            ]);
-        }
-        pt.print();
+    println!("\nPhase breakdown of the CPU+GPU w/ ear runs (paper §3.5: 76% / 14% / 8%):");
+    let mut pt = Table::new(&["Graph", "labels %", "search %", "update %"]);
+    for (name, l, s, u) in &phase_rows {
+        pt.row(vec![
+            name.clone(),
+            format!("{:.0}", l * 100.0),
+            format!("{:.0}", s * 100.0),
+            format!("{:.0}", u * 100.0),
+        ]);
     }
+    pt.print();
 }

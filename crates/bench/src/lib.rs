@@ -22,8 +22,6 @@ pub struct BenchOpts {
     pub scale: usize,
     /// Generator seed.
     pub seed: u64,
-    /// Extra flag bucket (binary-specific, e.g. `--phases`).
-    pub phases: bool,
 }
 
 impl BenchOpts {
@@ -36,18 +34,14 @@ impl BenchOpts {
                 a.rsplit(std::path::MAIN_SEPARATOR).next().unwrap_or(a)
             });
             eprintln!("error: {e}");
-            eprintln!("usage: {bin} [--scale N] [--seed S] [--phases]");
+            eprintln!("usage: {bin} [--scale N] [--seed S]");
             std::process::exit(2)
         })
     }
 
     /// Parses the arguments after the program name.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = BenchOpts {
-            scale: 1,
-            seed: 7,
-            phases: false,
-        };
+        let mut opts = BenchOpts { scale: 1, seed: 7 };
         // The integer value after `flag`.
         fn int<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
             let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -59,7 +53,6 @@ impl BenchOpts {
             match arg.as_str() {
                 "--scale" => opts.scale = int(arg, args.next())?,
                 "--seed" => opts.seed = int(arg, args.next())?,
-                "--phases" => opts.phases = true,
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
@@ -186,10 +179,10 @@ mod tests {
 
     #[test]
     fn opts_parse_values_and_reject_bad_ones() {
-        let o = parse(&["--scale", "8", "--seed", "3", "--phases"]).unwrap();
-        assert_eq!((o.scale, o.seed, o.phases), (8, 3, true));
+        let o = parse(&["--scale", "8", "--seed", "3"]).unwrap();
+        assert_eq!((o.scale, o.seed), (8, 3));
         let o = parse(&[]).unwrap();
-        assert_eq!((o.scale, o.seed, o.phases), (1, 7, false));
+        assert_eq!((o.scale, o.seed), (1, 7));
         assert_eq!(parse(&["--scale"]).unwrap_err(), "--scale needs a value");
         assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
         let bad = parse(&["--scale", "x"]).unwrap_err();
@@ -200,6 +193,10 @@ mod tests {
         assert_eq!(
             parse(&["--bogus"]).unwrap_err(),
             "unknown argument '--bogus'"
+        );
+        assert_eq!(
+            parse(&["--phases"]).unwrap_err(),
+            "unknown argument '--phases'"
         );
     }
 

@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use ear_apsp::{build_oracle_with_plan, DistanceOracle, QueryEngine};
 use ear_decomp::{ear_decomposition, DecompPlan};
+use ear_graph::rng::{TestRng, GOLDEN_GAMMA};
 use ear_graph::{kernel_path, CsrGraph, Weight, INF};
 use ear_mcb::{mcb_with_plan, verify_basis, McbResult};
 use ear_workloads::specs::all_specs;
@@ -58,7 +59,7 @@ fn print_decomposition(plan: &DecompPlan) {
     for (rank, b) in plan.blocks_by_size_desc().into_iter().take(10).enumerate() {
         let bp = plan.block(b as u32);
         print!("  block {rank}: {} vertices, {} edges", bp.n(), bp.m());
-        if bp.m() >= bp.n() && bp.simple {
+        if bp.m() >= bp.n() && bp.reduction.is_some() {
             // Ear decomposition wants an owned graph: materialize the
             // block (a print-path copy only).
             let sub = plan.block_graph(b as u32).materialize();
@@ -364,12 +365,12 @@ pub fn recustomize(
 
     let per_round = ((g.m() as f64 * fraction).round() as usize).clamp(1, g.m());
     let mut weights: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
-    let mut rng = seed ^ 0x9E3779B97F4A7C15;
+    let mut rng = TestRng::new(seed ^ GOLDEN_GAMMA);
     let (mut warm_total, mut cold_total) = (0.0f64, 0.0f64);
     for round in 0..rounds {
         for _ in 0..per_round {
-            let e = (splitmix(&mut rng) % g.m() as u64) as usize;
-            weights[e] = 1 + splitmix(&mut rng) % 1000;
+            let e = (rng.next_u64() % g.m() as u64) as usize;
+            weights[e] = 1 + rng.next_u64() % 1000;
         }
 
         let warm_start = Instant::now();
@@ -461,12 +462,12 @@ pub fn query(
     }
 
     if queries > 0 && g.n() > 0 {
-        let mut rng = seed ^ 0x9a7e;
+        let mut rng = TestRng::new(seed ^ 0x9a7e);
         let workload: Vec<(u32, u32)> = (0..queries)
             .map(|_| {
                 (
-                    (splitmix(&mut rng) % g.n() as u64) as u32,
-                    (splitmix(&mut rng) % g.n() as u64) as u32,
+                    (rng.next_u64() % g.n() as u64) as u32,
+                    (rng.next_u64() % g.n() as u64) as u32,
                 )
             })
             .collect();
@@ -501,16 +502,6 @@ pub fn query(
     obs.finish()
 }
 
-/// splitmix64 step — the CLI's only randomness, so replay runs are fully
-/// determined by `--seed`.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// FNV-1a over a deterministic sample of oracle answers (up to 4096
 /// pairs, or the full n^2 when smaller).
 fn oracle_checksum(oracle: &DistanceOracle, n: usize, seed: u64) -> u64 {
@@ -531,10 +522,10 @@ fn oracle_checksum(oracle: &DistanceOracle, n: usize, seed: u64) -> u64 {
             }
         }
     } else {
-        let mut state = seed;
+        let mut rng = TestRng::new(seed);
         for _ in 0..4096 {
-            let u = (splitmix(&mut state) % n as u64) as u32;
-            let v = (splitmix(&mut state) % n as u64) as u32;
+            let u = (rng.next_u64() % n as u64) as u32;
+            let v = (rng.next_u64() % n as u64) as u32;
             digest(oracle.dist(u, v));
         }
     }

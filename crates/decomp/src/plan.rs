@@ -35,7 +35,7 @@
 //!   layer, and the weight vector itself.
 //!
 //! [`DecompPlan::recustomized`] recomputes only the second layer for a
-//! new weight vector — rayon-parallel over the **dirty blocks** (those
+//! new weight vector — parallel over the **dirty blocks** (those
 //! containing at least one changed edge, read off the edge→block table) —
 //! and pairs it with the shared topology. The result is bit-identical to a
 //! cold [`DecompPlan::build`] of the reweighted graph (the differential
@@ -70,9 +70,10 @@
 //! * The block-cut tree's endpoints and gateways, and the arena windows,
 //!   carry the same local ids.
 //!
-//! Reduction is eager and runs per block in parallel through the rayon
-//! shim; blocks that are not simple (parallel edges or self-loops — only
-//! possible for multigraph inputs) carry `reduction: None`, and
+//! Reduction is eager and runs per block in parallel
+//! ([`ear_graph::par_map`]); blocks that are not simple (parallel edges or
+//! self-loops — only possible for multigraph inputs) carry
+//! `reduction: None`, and
 //! [`DecompPlan::reduction`] is the single guard every pipeline routes
 //! through (see [`crate::reduce::NotSimpleError`]).
 //!
@@ -127,11 +128,8 @@ pub struct BlockPlan {
     /// `local edge → parent edge` ids (topology, shared across
     /// customizations).
     pub to_parent_edge: Arc<Vec<EdgeId>>,
-    /// Whether the block subgraph is simple — the one flag all reduction
-    /// guards use.
-    pub simple: bool,
     /// The chain contraction of the block subgraph, present exactly when
-    /// `simple`.
+    /// the block is simple — the one flag all reduction guards use.
     pub reduction: Option<ReducedGraph>,
     /// Members of this block whose home block is a different one
     /// (articulation points, plus self-loop copies of a vertex), as sorted
@@ -273,13 +271,11 @@ impl DecompPlan {
         let mut scratch = SubgraphScratch::new();
         let mut arena = CsrArena::new();
         let mut spans: Vec<CsrSpan> = Vec::with_capacity(comps.len());
-        // (parent vertex map, parent edge map, simple) per block.
-        let mut extracted: Vec<(Vec<VertexId>, Vec<EdgeId>, bool)> =
-            Vec::with_capacity(comps.len());
+        // (parent vertex map, parent edge map) per block.
+        let mut extracted: Vec<(Vec<VertexId>, Vec<EdgeId>)> = Vec::with_capacity(comps.len());
         for comp in comps {
             let (span, map) = edge_subgraph_into_arena(g, comp, &mut scratch, &mut arena);
-            let simple = arena.view(&span).is_simple();
-            extracted.push((map.to_parent_vertex, map.to_parent_edge, simple));
+            extracted.push((map.to_parent_vertex, map.to_parent_edge));
             spans.push(span);
         }
         drop(extract_span);
@@ -289,23 +285,16 @@ impl DecompPlan {
         // and vertex maps take the new numbering before the block-cut tree
         // reads them, so every local id the plan hands out is final.
         let reductions: Vec<Option<ReducedGraph>> = {
-            use rayon::prelude::*;
             let _s = ear_obs::span("decomp.reduce");
-            let mut reductions: Vec<Option<ReducedGraph>> = extracted
-                .par_iter()
-                .zip(&spans)
-                .map(|((_, _, simple), span)| {
-                    let _b = ear_obs::span_with("decomp.reduce.block", span.n as u64);
-                    simple.then(|| {
-                        reduce_graph(arena.view(span)).expect("simplicity was just checked")
-                    })
-                })
-                .collect();
+            let mut reductions = ear_graph::par_map(&spans, |span| {
+                let _b = ear_obs::span_with("decomp.reduce.block", span.n as u64);
+                reduce_graph(arena.view(span)).ok()
+            });
             // Every block's new ids, back to back in block order; a block
             // that is not reduced keeps its ids.
             let mut new_ids: Vec<VertexId> = spans.iter().flat_map(|s| 0..s.n).collect();
             let (mut rest, mut parent) = (&mut new_ids[..], Vec::new());
-            for (((to_parent_vertex, _, _), r), span) in
+            for (((to_parent_vertex, _), r), span) in
                 extracted.iter_mut().zip(&mut reductions).zip(&spans)
             {
                 let (ids, tail) = std::mem::take(&mut rest).split_at_mut(span.n as usize);
@@ -331,7 +320,7 @@ impl DecompPlan {
             .zip(&spans)
             .enumerate()
             .map(
-                |(b, (((to_parent_vertex, to_parent_edge, simple), reduction), span))| {
+                |(b, (((to_parent_vertex, to_parent_edge), reduction), span))| {
                     let mut shared = Vec::new();
                     for (l, &p) in to_parent_vertex.iter().enumerate() {
                         if bct.vertex_block[p as usize] != b as u32 {
@@ -344,7 +333,6 @@ impl DecompPlan {
                         m: span.m as usize,
                         to_parent_vertex: Arc::new(to_parent_vertex),
                         to_parent_edge: Arc::new(to_parent_edge),
-                        simple,
                         reduction,
                         shared: Arc::new(shared),
                     }
@@ -391,7 +379,7 @@ impl DecompPlan {
     /// ([`DecompPlan::shares_topology`] holds).
     ///
     /// Recomputes only the **weight layer**: the shared arena's weight
-    /// arrays, and — for each *dirty* block, rayon-parallel — its chain
+    /// arrays, and — for each *dirty* block, in parallel — its chain
     /// reduction's weight layer, reusing the recorded chains instead of
     /// re-walking degree-2 paths. No BCC split, block-cut tree, chain walk
     /// or extraction is repeated, and clean blocks' state is shared with
@@ -443,31 +431,25 @@ impl DecompPlan {
 
         // Per-block weight layer: dirty blocks get their chain reduction
         // resummed, clean blocks are shared.
-        let blocks: Vec<BlockPlan> = {
-            use rayon::prelude::*;
+        let blocks = {
             let _s = ear_obs::span("decomp.recustomize.blocks");
-            self.custom
-                .blocks
-                .par_iter()
-                .zip(0usize..)
-                .map(|(bp, b)| {
-                    if !dirty_flag[b] {
-                        return bp.clone();
-                    }
-                    let _b = ear_obs::span_with("decomp.recustomize.block", bp.n as u64);
-                    let view = arena.view(&self.topo.spans[b]);
-                    let reduction = bp.reduction.as_ref().map(|r| r.reweighted(view));
-                    BlockPlan {
-                        n: bp.n,
-                        m: bp.m,
-                        to_parent_vertex: Arc::clone(&bp.to_parent_vertex),
-                        to_parent_edge: Arc::clone(&bp.to_parent_edge),
-                        simple: bp.simple,
-                        reduction,
-                        shared: Arc::clone(&bp.shared),
-                    }
-                })
-                .collect()
+            let ids: Vec<usize> = (0..self.custom.blocks.len()).collect();
+            ear_graph::par_map(&ids, |&b| {
+                let bp = &self.custom.blocks[b];
+                if !dirty_flag[b] {
+                    return bp.clone();
+                }
+                let _b = ear_obs::span_with("decomp.recustomize.block", bp.n as u64);
+                let view = arena.view(&self.topo.spans[b]);
+                BlockPlan {
+                    n: bp.n,
+                    m: bp.m,
+                    to_parent_vertex: Arc::clone(&bp.to_parent_vertex),
+                    to_parent_edge: Arc::clone(&bp.to_parent_edge),
+                    reduction: bp.reduction.as_ref().map(|r| r.reweighted(view)),
+                    shared: Arc::clone(&bp.shared),
+                }
+            })
         };
 
         if ear_obs::is_enabled() {
@@ -598,7 +580,7 @@ impl DecompPlan {
     /// Whether block `b`'s subgraph is simple — the single guard behind
     /// every "can this block be ear-reduced?" decision.
     pub fn is_simple(&self, b: u32) -> bool {
-        self.custom.blocks[b as usize].simple
+        self.custom.blocks[b as usize].reduction.is_some()
     }
 
     /// Block `b`'s chain reduction, `Some` exactly when the block is simple.
@@ -753,7 +735,7 @@ mod tests {
                 let pi: Vec<u32> = (0..sub.n() as u32)
                     .map(|s| plan.local(b, map.parent(s)).unwrap())
                     .collect();
-                if !bp.simple {
+                if bp.reduction.is_none() {
                     assert!(pi.iter().enumerate().all(|(s, &l)| s == l as usize));
                 }
                 let view = plan.block_graph(b);
@@ -768,7 +750,7 @@ mod tests {
                     let renamed: Vec<_> = adj.iter().map(|&(y, e)| (pi[y as usize], e)).collect();
                     assert_eq!((vadj, vw), (&renamed[..], w));
                 }
-                assert_eq!(bp.simple, sub.is_simple());
+                assert_eq!(bp.reduction.is_some(), sub.is_simple());
             }
         }
     }

@@ -34,6 +34,7 @@ pub mod engine;
 pub mod io;
 mod lanes;
 pub mod pool;
+pub mod rng;
 pub mod spanning;
 pub mod subgraph;
 pub mod traverse;
@@ -46,6 +47,7 @@ pub use csr::CsrGraph;
 pub use dijkstra::{dijkstra, dijkstra_tree, dijkstra_with_stats, DijkstraStats, SsspTree};
 pub use engine::{with_engine, QueuedView, SsspEngine};
 pub use lanes::kernel_path;
+pub use pool::{par_map, par_map_mut};
 pub use spanning::{non_tree_edges, spanning_forest, tree_edge_flags};
 pub use subgraph::{
     edge_subgraph, edge_subgraph_into_arena, induced_subgraph, CompactSubgraphMap, SubgraphMap,

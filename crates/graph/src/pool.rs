@@ -1,20 +1,88 @@
-//! Per-thread scratch pools: a thread-local slot backed by a bounded
-//! global free list.
+//! Parallel regions, and the per-thread scratch pools that outlive them.
 //!
-//! The executor and the rayon shim spawn fresh scoped worker threads per
-//! parallel region, so warm scratch (SSSP engines, De Pina buffers,
-//! Brandes path DAGs) must outlive the thread that last used it. A pool
-//! hands out the calling thread's parked value, else a spare from the free
-//! list, else a fresh `T::default()`, and parks it in the thread's slot
-//! afterwards; the slot's destructor returns it to the free list at thread
-//! exit. The bound keeps a burst of short-lived threads from hoarding
-//! memory. A static cannot be generic, so [`scratch_pool!`](crate::scratch_pool)
-//! declares each pool's static, its thread-local slot and its `with_*`
-//! function.
+//! [`par_map`] and [`par_map_mut`] are the workspace's one parallel map:
+//! each call opens a region of fresh scoped worker threads, which claim
+//! chunks of the input from a shared queue until it drains (workunit
+//! batches here are deliberately non-uniform, so a thread that finishes
+//! early keeps pulling work). Results come back in input order, and a
+//! worker's panic is re-raised in the caller with its payload. The
+//! region's width is [`threads`], read once per process.
+//!
+//! Region threads die when the region ends, so warm scratch (SSSP
+//! engines, De Pina buffers, Brandes path DAGs) must outlive the thread
+//! that last used it. A scratch pool hands out the calling thread's
+//! parked value, else a spare from a bounded global free list, else a
+//! fresh `T::default()`, and parks it in the thread's slot afterwards; the
+//! slot's destructor returns it to the free list at thread exit. The bound
+//! keeps a burst of short-lived threads from hoarding memory. A static
+//! cannot be generic, so [`scratch_pool!`](crate::scratch_pool) declares
+//! each pool's static, its thread-local slot and its `with_*` function.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread::LocalKey;
+
+/// The width of every parallel region: the host's available parallelism,
+/// read on first use and kept for the life of the process.
+pub fn threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Maps `f` over `items` on a parallel region; the results are in input
+/// order.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let chunks = items.chunks(chunk_len(items.len()));
+    run_chunks(items.len(), chunks, |c| c.iter().map(&f).collect())
+}
+
+/// [`par_map`] over mutable items: each item is handed to exactly one
+/// call of `f`.
+pub fn par_map_mut<T: Send, R: Send>(items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
+    let len = items.len();
+    let chunks = items.chunks_mut(chunk_len(len));
+    run_chunks(len, chunks, |c| c.iter_mut().map(&f).collect())
+}
+
+/// Items per claimed chunk: a quarter of a fair share, so threads that
+/// finish early find work left to claim.
+fn chunk_len(len: usize) -> usize {
+    len.div_ceil(threads().min(len.max(1)) * 4).max(1)
+}
+
+/// The scheduling core: up to [`threads`] workers pull numbered chunks
+/// from one queue, holding its lock only to take the next chunk, and the
+/// per-chunk results are stitched back in chunk order.
+fn run_chunks<C: Send, R: Send>(
+    len: usize,
+    chunks: impl Iterator<Item = C> + Send,
+    work: impl Fn(C) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let workers = threads().min(len);
+    if workers <= 1 {
+        return chunks.flat_map(work).collect();
+    }
+    let queue = Mutex::new(chunks.enumerate());
+    let claim = || queue.lock().expect("taking a chunk never panics").next();
+    let worker = || {
+        std::iter::from_fn(claim)
+            .map(|(k, c)| (k, work(c)))
+            .collect::<Vec<_>>()
+    };
+    let mut pieces: Vec<(usize, Vec<R>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    pieces.sort_unstable_by_key(|&(k, _)| k);
+    let mut out = Vec::with_capacity(len);
+    for (_, piece) in pieces {
+        out.extend(piece);
+    }
+    out
+}
 
 /// A bounded global free list of `T`, counting thread-slot hits, free-list
 /// hits and misses under three counter names when given.
@@ -126,6 +194,37 @@ macro_rules! scratch_pool {
 
 #[cfg(test)]
 mod tests {
+    use super::{par_map, par_map_mut};
+
+    #[test]
+    fn par_map_keeps_input_order() {
+        let xs: Vec<u64> = (0..10_000).collect();
+        let ys = par_map(&xs, |&x| x * 2);
+        assert_eq!(ys, xs.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        assert!(par_map(&[] as &[u8], |&x| x).is_empty());
+    }
+
+    #[test]
+    fn par_map_mut_writes_each_item_once() {
+        let mut xs = vec![0u32; 1000];
+        let seen = par_map_mut(&mut xs, |x| {
+            *x += 1;
+            *x
+        });
+        assert!(xs.iter().all(|&x| x == 1));
+        assert_eq!(seen, xs);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let xs: Vec<u32> = (0..64).collect();
+        let r = std::panic::catch_unwind(|| {
+            par_map(&xs, |&x| if x == 40 { panic!("boom at {x}") } else { x })
+        });
+        let payload = r.unwrap_err();
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "boom at 40");
+    }
+
     #[test]
     fn a_finished_thread_hands_its_value_to_the_next() {
         crate::scratch_pool! {

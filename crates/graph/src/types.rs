@@ -294,7 +294,7 @@ mod tests {
     /// tail) at offsets 0–3 into their buffers (unaligned rows).
     fn kernels_match_definition<E: DistEntry>(top: Weight) {
         let values = kernel_values::<E>(top);
-        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let mut state = crate::rng::GOLDEN_GAMMA;
         for len in 0..=70 {
             for off in 0..=3 {
                 let [row, a, b] = [(); 3].map(|_| draw(&values, off + len, &mut state));

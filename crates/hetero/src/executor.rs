@@ -22,15 +22,13 @@
 //! result allocation.
 //!
 //! Kernels that run SSSP should go through `ear_graph::with_engine`
-//! rather than allocating scratch inline: units execute on Rayon worker
-//! threads, and the engine pool's thread-local slot plus global free list
-//! keeps warm, pre-sized scratch flowing between units instead of
-//! reallocating per workunit. The APSP oracle builders use one workunit
+//! rather than allocating scratch inline: units execute on the worker
+//! threads of an `ear_graph::par_map_mut` region, and the engine pool's
+//! thread-local slot plus global free list keeps warm, pre-sized scratch
+//! flowing between units instead of reallocating per workunit. The APSP oracle builders use one workunit
 //! per (block, source) pair, sized by the block's edge count.
 
 use std::time::Instant;
-
-use rayon::prelude::*;
 
 use crate::counters::WorkCounters;
 use crate::profile::{DeviceKind, DeviceProfile};
@@ -225,13 +223,10 @@ impl HeteroExecutor {
         // parallel region ends on small units.
         let mut order: Vec<(usize, &mut T)> = units.iter_mut().enumerate().collect();
         order.sort_by_key(|&(i, _)| (std::cmp::Reverse(hints[i]), i));
-        let counters: Vec<WorkCounters> = order
-            .par_iter_mut()
-            .map(|(i, t)| {
-                let _u = ear_obs::span_with("hetero.unit", *i as u64);
-                kernel(t)
-            })
-            .collect();
+        let counters = ear_graph::par_map_mut(&mut order, |(i, t)| {
+            let _u = ear_obs::span_with("hetero.unit", *i as u64);
+            kernel(t)
+        });
         let mut recorded = vec![(0, WorkCounters::default()); hints.len()];
         for ((i, _), c) in order.iter().zip(counters) {
             recorded[*i] = (hints[*i], c);

@@ -15,9 +15,9 @@
 //! (the paper's "setting off the MSB"), nodes compacted once half-dead.
 
 use ear_decomp::fvs::feedback_vertex_set;
+use ear_graph::rng::splitmix64;
 use ear_graph::{CsrGraph, EdgeId, SsspTree, VertexId, Weight};
 use ear_hetero::WorkCounters;
-use rayon::prelude::*;
 
 pub use ear_hetero::counters::group_units;
 
@@ -220,27 +220,24 @@ impl Candidates {
 /// Generates the candidate set for `g`, building the per-`z` trees in
 /// parallel (one workunit per FVS vertex — paper §3.4 runs exactly these
 /// trees "simultaneously on both the CPU and the GPU"; here the real work
-/// runs on the Rayon pool and the cost groups are recorded for the device
+/// runs on a parallel region and the cost groups are recorded for the device
 /// replay).
 pub fn generate(g: &CsrGraph) -> Candidates {
     let z = feedback_vertex_set(g);
     let m_hint = g.m() as u64 + 1;
-    let results: Vec<(SsspTree, WorkCounters)> = z
-        .par_iter()
-        .map(|&root| {
-            // Pooled engine: scratch survives across the roots a worker
-            // thread handles.
-            ear_graph::with_engine(|eng| {
-                let stats = eng.run_tree(g, root);
-                let c = WorkCounters {
-                    edges_relaxed: stats.edges_relaxed,
-                    vertices_settled: stats.settled,
-                    ..Default::default()
-                };
-                (eng.tree(), c)
-            })
+    let results: Vec<(SsspTree, WorkCounters)> = ear_graph::par_map(&z, |&root| {
+        // Pooled engine: scratch survives across the roots a worker thread
+        // handles.
+        ear_graph::with_engine(|eng| {
+            let stats = eng.run_tree(g, root);
+            let c = WorkCounters {
+                edges_relaxed: stats.edges_relaxed,
+                vertices_settled: stats.settled,
+                ..Default::default()
+            };
+            (eng.tree(), c)
         })
-        .collect();
+    });
     let tree_units = group_units(m_hint, results.iter().map(|(_, c)| *c));
     let trees: Vec<SsspTree> = results.into_iter().map(|(t, _)| t).collect();
 
@@ -328,16 +325,6 @@ pub fn generate(g: &CsrGraph) -> Candidates {
         store,
         tree_units,
     }
-}
-
-/// 64-bit finaliser (splitmix64): spreads edge ids into xor-combinable
-/// content hashes.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!    later witness at once: `acc = ⊕_{b ∈ C_i} T[b]` computes all dots
 //!    `⟨C_i, S_j⟩` simultaneously, and `T[b] ^= mask(acc)` over the support
 //!    of `S_i` applies `S_j ← S_j ⊕ S_i` to every flagged `j > i` (row
-//!    blocks fan out on the rayon pool past a volume threshold — the GPU
+//!    blocks fan out on a parallel region past a volume threshold — the GPU
 //!    mode's block-per-witness mapping, word-transposed).
 //!
 //! The batching changes *how* the work executes, never *what* the trace

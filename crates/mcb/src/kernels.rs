@@ -17,7 +17,7 @@
 //!   - *batched update* — `S_j ← S_j ⊕ S_i` for every flagged `j > i` is
 //!     `T[b] ← T[b] ⊕ mask` for each `b` in the support of `S_i`, where
 //!     `mask` is `acc` with bits `0..=i` cleared. Row XORs are chunked,
-//!     4-way unrolled, and fanned out across row blocks via rayon once the
+//!     4-way unrolled, and fanned out across row blocks in parallel once the
 //!     touched volume crosses [`PAR_UPDATE_WORDS`].
 //! * [`PackedWitness`] — the current witness `S_i`, extracted from column
 //!   `i` of the matrix into flat words with one always-zero **sentinel bit**
@@ -41,13 +41,12 @@
 //! results (`tests/mcb_kernels_differential.rs` enforces equality).
 
 use ear_graph::CsrGraph;
-use rayon::prelude::*;
 
 use crate::candidates::{CandRef, Candidates};
 use crate::cycle_space::{CycleSpace, DenseBits};
 
 /// Touched-word threshold past which a batched witness update fans out
-/// across row blocks on the rayon pool. Below it the sequential sweep wins
+/// across row blocks on a parallel region. Below it the sequential sweep wins
 /// (worker launch costs more than the XOR volume).
 pub const PAR_UPDATE_WORDS: usize = 1 << 16;
 
@@ -133,7 +132,7 @@ impl BitMatrix {
 
     /// The batched update kernel: `T[b] ^= mask` for every row `b` in
     /// `rows` (sorted ascending). Fans out across contiguous row blocks on
-    /// the rayon pool once the touched volume exceeds
+    /// a parallel region once the touched volume exceeds
     /// [`PAR_UPDATE_WORDS`].
     pub fn xor_mask_rows(&mut self, rows: &[u32], mask: &[u64]) {
         debug_assert_eq!(mask.len(), self.wpr);
@@ -152,16 +151,13 @@ impl BitMatrix {
         // contiguous blocks of whole rows and give each worker the slice
         // of `rows` that lands in its block (`rows` is sorted, so that
         // slice is a subrange found by binary search).
-        let block_rows = self
-            .rows
-            .div_ceil(std::thread::available_parallelism().map_or(1, |p| p.get()) * 4);
-        let block_rows = block_rows.max(1);
+        let block_rows = self.rows.div_ceil(ear_graph::pool::threads() * 4).max(1);
         let mut blocks: Vec<(usize, &mut [u64])> = self
             .words
             .chunks_mut(block_rows * wpr)
             .enumerate()
             .collect();
-        blocks.par_iter_mut().for_each(|(bi, block)| {
+        ear_graph::par_map_mut(&mut blocks, |(bi, block)| {
             let lo = *bi * block_rows;
             let hi = lo + block.len() / wpr;
             let start = rows.partition_point(|&r| (r as usize) < lo);
@@ -361,9 +357,7 @@ impl TreePacks {
             return;
         }
         let mut slices: Vec<(usize, &mut [u8])> = labels.chunks_mut(self.n).enumerate().collect();
-        slices.par_iter_mut().for_each(|(t, lab)| {
-            self.labels_one(*t, s, lab);
-        });
+        ear_graph::par_map_mut(&mut slices, |(t, lab)| self.labels_one(*t, s, lab));
     }
 
     fn labels_one(&self, t: usize, s: &PackedWitness, lab: &mut [u8]) {

@@ -5,8 +5,8 @@
 //! cross-thread synchronisation on the recording path; after it, a thread
 //! only ever locks its own uncontended mutex). [`snapshot`] drains every
 //! registered buffer — including those of threads that have since exited,
-//! which matters because the rayon shim and the concurrent executor spawn
-//! fresh scoped workers per batch.
+//! which matters because every parallel region (`ear_graph::par_map`,
+//! which the executor runs on) spawns fresh scoped workers.
 //!
 //! Timestamps are nanoseconds since a process-wide [`Instant`] epoch
 //! pinned by [`crate::enable`], so lanes from different threads share one

@@ -363,20 +363,12 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
         }
     }
 
-    // 3. Simplicity flags and reduction presence are honest.
+    // 3. A block carries a reduction exactly when it is simple.
     for (b, bp) in plan.blocks().iter().enumerate() {
-        let bg = plan.block_graph(b as u32);
-        if bp.simple != bg.is_simple() {
+        let simple = plan.block_graph(b as u32).is_simple();
+        if bp.reduction.is_some() != simple {
             return Err(format!(
-                "block {b}: simple flag {} but is_simple() = {}",
-                bp.simple,
-                bg.is_simple()
-            ));
-        }
-        if bp.simple != bp.reduction.is_some() {
-            return Err(format!(
-                "block {b}: simple = {} but reduction present = {}",
-                bp.simple,
+                "block {b}: is_simple() = {simple} but reduction present = {}",
                 bp.reduction.is_some()
             ));
         }
@@ -402,7 +394,7 @@ pub fn plan_invariants(g: &CsrGraph, plan: &DecompPlan) -> Result<(), String> {
         let pi = block_renumbering(&bp.to_parent_vertex, &map.to_parent_vertex)
             .map_err(|e| format!("block {b}: {e}"))?;
         let id = |v: VertexId| pi[v as usize];
-        if !bp.simple && pi.iter().enumerate().any(|(s, &l)| s != l as usize) {
+        if bp.reduction.is_none() && pi.iter().enumerate().any(|(s, &l)| s != l as usize) {
             return Err(format!("block {b}: a non-simple block was renumbered"));
         }
         for (i, (e, f)) in bg.edges().iter().zip(sub.edges()).enumerate() {

@@ -24,6 +24,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ear_apsp::DistMatrix;
+use ear_graph::rng::splitmix64;
 use ear_graph::{
     dist_add, with_engine, CsrGraph, CsrView, DijkstraStats, EdgeId, SsspTree, VertexId, Weight,
     INF,
@@ -32,7 +33,6 @@ use ear_hetero::{group_units, ExecutionReport, HeteroExecutor, RunOutput, WorkCo
 use ear_mcb::candidates::{self, CandRef, Candidates};
 use ear_mcb::signed::min_cycle_nonorthogonal;
 use ear_mcb::{Cycle, CycleSpace, DenseBits, DepinaOptions, PhaseSteps, PhaseTrace};
-use rayon::prelude::*;
 
 /// Deterministic tie-break for equal-distance parents: prefer the smaller
 /// (parent vertex, edge id) pair — the rule the engine applies too.
@@ -208,18 +208,14 @@ pub fn depina_phase_loop(
     }
     let mut witnesses: Vec<DenseBits> = (0..f).map(|i| DenseBits::unit(f, i)).collect();
     let n_hint = g.n() as u64 + 1;
+    let trees: Vec<_> = cands.trees.iter().zip(&cands.order).collect();
 
     for i in 0..f {
         let s = witnesses[i].clone();
         let mut steps = PhaseSteps::default();
 
         // Phase 1: labels, parallel across trees (paper Algorithm 3).
-        let labelled: Vec<(Vec<bool>, WorkCounters)> = cands
-            .trees
-            .par_iter()
-            .zip(&cands.order)
-            .map(|(t, ord)| tree_labels(t, ord, cs, &s))
-            .collect();
+        let labelled = ear_graph::par_map(&trees, |&(t, ord)| tree_labels(t, ord, cs, &s));
         steps.labels = group_units(n_hint, labelled.iter().map(|(_, c)| *c));
         let labels = Labels {
             per_tree: labelled.into_iter().map(|(l, _)| l).collect(),
@@ -268,20 +264,17 @@ pub fn depina_phase_loop(
         // Phase 3: witness update, parallel across the remaining
         // witnesses (steps 4-6 of the paper's Algorithm 2).
         let words = (f as u64).div_ceil(64);
-        let update_counters: Vec<WorkCounters> = witnesses[i + 1..]
-            .par_iter_mut()
-            .map(|sj| {
-                let mut c = WorkCounters {
-                    words_xored: cycle.nt.len() as u64,
-                    ..Default::default()
-                };
-                if sj.sparse_dot(&cycle.nt) {
-                    sj.xor_assign(&s);
-                    c.words_xored += words;
-                }
-                c
-            })
-            .collect();
+        let update_counters = ear_graph::par_map_mut(&mut witnesses[i + 1..], |sj| {
+            let mut c = WorkCounters {
+                words_xored: cycle.nt.len() as u64,
+                ..Default::default()
+            };
+            if sj.sparse_dot(&cycle.nt) {
+                sj.xor_assign(&s);
+                c.words_xored += words;
+            }
+            c
+        });
         steps.update = group_units(words, update_counters);
 
         trace.phases.push(steps);
@@ -325,14 +318,8 @@ pub fn plain_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> (DistMatrix, Execution
 /// vertices and their incidences, and `n` per folded row.
 pub fn reuse_apsp(g: CsrView<'_>) -> (DistMatrix, WorkCounters) {
     let n = g.n();
-    let mix = |v: VertexId| {
-        let mut z = u64::from(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let mut order: Vec<VertexId> = g.vertices().collect();
-    order.sort_by_key(|&v| (Reverse(g.degree(v)), mix(v)));
+    order.sort_by_key(|&v| (Reverse(g.degree(v)), splitmix64(v.into())));
     let mut table = DistMatrix::new(n);
     let mut finished = vec![false; n];
     let mut counters = WorkCounters::default();

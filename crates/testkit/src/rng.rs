@@ -1,111 +1,10 @@
 //! Deterministic seeded randomness for the property-test engine.
 //!
-//! A SplitMix64 stream: every generated test case is a pure function of a
-//! single `u64` seed, which is what makes the one-line
-//! `EAR_TESTKIT_SEED=…` replay exact. Kept dependency-free (the `rand`
-//! shim is for the workload generators; the testkit owns its stream so
-//! seed replay can never be perturbed by generator changes elsewhere).
+//! Every generated test case is a pure function of a single `u64` seed,
+//! which is what makes the one-line `EAR_TESTKIT_SEED=…` replay exact.
+//! The stream is the workspace's one SplitMix64 generator,
+//! [`ear_graph::rng`], shared with the workload generators; the
+//! `golden_streams` test pins its first draws, so a replay seed keeps its
+//! meaning.
 
-/// Deterministic test-case RNG (SplitMix64).
-#[derive(Clone, Debug)]
-pub struct TestRng {
-    state: u64,
-}
-
-/// Derives an independent stream seed from `(seed, index)` — used to give
-/// every case of a property its own replayable seed.
-pub fn derive_seed(seed: u64, index: u64) -> u64 {
-    let mut s = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    s ^ (s >> 31)
-}
-
-impl TestRng {
-    /// A generator whose entire stream is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        TestRng { state: seed }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw from the half-open interval `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    pub fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        let span = (hi - lo) as u128;
-        lo + (((self.next_u64() as u128) * span) >> 64) as usize
-    }
-
-    /// Uniform `u32` from `[lo, hi)`.
-    pub fn u32_in(&mut self, lo: u32, hi: u32) -> u32 {
-        self.usize_in(lo as usize, hi as usize) as u32
-    }
-
-    /// Uniform `u64` from `[lo, hi)`.
-    pub fn u64_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        let span = (hi - lo) as u128;
-        lo + (((self.next_u64() as u128) * span) >> 64) as u64
-    }
-
-    /// Fair coin.
-    pub fn coin(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-
-    /// True with probability `pct`/100.
-    pub fn percent(&mut self, pct: u32) -> bool {
-        self.u32_in(0, 100) < pct
-    }
-
-    /// Splits off an independent child stream (e.g. to hand a sub-seed to
-    /// an `ear-workloads` generator).
-    pub fn fork(&mut self) -> u64 {
-        derive_seed(self.next_u64(), 0xF0F0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn streams_are_deterministic() {
-        let mut a = TestRng::new(42);
-        let mut b = TestRng::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn ranges_are_respected_and_covered() {
-        let mut rng = TestRng::new(7);
-        let mut seen = [false; 5];
-        for _ in 0..500 {
-            let x = rng.usize_in(2, 7);
-            assert!((2..7).contains(&x));
-            seen[x - 2] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn derive_seed_separates_indices() {
-        let a = derive_seed(1, 0);
-        let b = derive_seed(1, 1);
-        let c = derive_seed(2, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
-}
+pub use ear_graph::rng::{derive_seed, TestRng};

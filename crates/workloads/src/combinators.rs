@@ -1,9 +1,7 @@
 //! Structure editors that steer a base graph towards a Table 1 row.
 
+use ear_graph::rng::TestRng;
 use ear_graph::{CsrGraph, EdgeId, Weight};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// Subdivides `count` edges, inserting `chain_len` degree-2 vertices into
 /// each — the direct control for the paper's "Nodes Removed (%)" column.
@@ -12,13 +10,13 @@ use rand::{Rng, SeedableRng};
 /// original vertices and preserves planarity and biconnectivity.
 pub fn subdivide_edges(g: &CsrGraph, count: usize, chain_len: usize, seed: u64) -> CsrGraph {
     assert!(chain_len >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     // Only edges heavy enough to split into chain_len+1 positive segments
     // are eligible — subdividing lighter ones would inflate distances.
     let mut picks: Vec<EdgeId> = (0..g.m() as u32)
         .filter(|&e| g.weight(e) > chain_len as u64)
         .collect();
-    picks.shuffle(&mut rng);
+    rng.shuffle(&mut picks);
     picks.truncate(count.min(picks.len()));
     let chosen: std::collections::HashSet<EdgeId> = picks.into_iter().collect();
 
@@ -54,12 +52,12 @@ pub fn subdivide_edges(g: &CsrGraph, count: usize, chain_len: usize, seed: u64) 
 /// count by `count` while adding no cycles — the Banerjee-style pendant
 /// population of the collaboration graphs.
 pub fn attach_pendants(g: &CsrGraph, count: usize, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let mut edges: Vec<(u32, u32, Weight)> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
     let mut next = g.n() as u32;
     for _ in 0..count {
-        let host = rng.gen_range(0..next); // pendants can chain off pendants
-        edges.push((host, next, rng.gen_range(1..=crate::generators::MAX_WEIGHT)));
+        let host = rng.u32_in(0, next); // pendants can chain off pendants
+        edges.push((host, next, crate::generators::w(&mut rng)));
         next += 1;
     }
     CsrGraph::from_edges(next as usize, &edges)
@@ -70,12 +68,12 @@ pub fn attach_pendants(g: &CsrGraph, count: usize, seed: u64) -> CsrGraph {
 /// adds exactly one biconnected component with `size` edges.
 pub fn attach_satellite_blocks(g: &CsrGraph, count: usize, size: usize, seed: u64) -> CsrGraph {
     assert!(size >= 3);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let mut edges: Vec<(u32, u32, Weight)> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
     let mut next = g.n() as u32;
     let host_max = g.n() as u32;
     for _ in 0..count {
-        let host = rng.gen_range(0..host_max);
+        let host = rng.u32_in(0, host_max);
         let ring: Vec<u32> = std::iter::once(host)
             .chain((0..size as u32 - 1).map(|i| next + i))
             .collect();
@@ -83,7 +81,7 @@ pub fn attach_satellite_blocks(g: &CsrGraph, count: usize, size: usize, seed: u6
         for i in 0..ring.len() {
             let a = ring[i];
             let b = ring[(i + 1) % ring.len()];
-            edges.push((a, b, rng.gen_range(1..=crate::generators::MAX_WEIGHT)));
+            edges.push((a, b, crate::generators::w(&mut rng)));
         }
     }
     CsrGraph::from_edges(next as usize, &edges)

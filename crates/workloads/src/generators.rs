@@ -3,20 +3,19 @@
 //! All generators are deterministic given a seed and produce simple
 //! connected graphs with integer weights in `1..=max_w`.
 
+use ear_graph::rng::TestRng;
 use ear_graph::{CsrGraph, GraphBuilder, Weight};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Default weight range used across the suite.
 pub const MAX_WEIGHT: Weight = 100;
 
-fn w(rng: &mut StdRng) -> Weight {
-    rng.gen_range(1..=MAX_WEIGHT)
+pub(crate) fn w(rng: &mut TestRng) -> Weight {
+    rng.u64_in(1, MAX_WEIGHT + 1)
 }
 
 /// Rectangular grid graph (`rows × cols`), 4-neighborhood.
 pub fn grid(rows: usize, cols: usize, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let idx = |r: usize, c: usize| (r * cols + c) as u32;
     let mut b = GraphBuilder::with_capacity(rows * cols, 2 * rows * cols);
     for r in 0..rows {
@@ -36,7 +35,7 @@ pub fn grid(rows: usize, cols: usize, seed: u64) -> CsrGraph {
 /// degree ≈ 6, essentially no degree-2 vertices — the `delaunay_n15`
 /// stand-in.
 pub fn triangulated_grid(rows: usize, cols: usize, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let idx = |r: usize, c: usize| (r * cols + c) as u32;
     let mut b = GraphBuilder::with_capacity(rows * cols, 3 * rows * cols);
     for r in 0..rows {
@@ -66,7 +65,7 @@ pub fn triangulated_grid(rows: usize, cols: usize, seed: u64) -> CsrGraph {
 /// AS-topology stand-in.
 pub fn power_law(n: usize, attach: usize, seed: u64) -> CsrGraph {
     assert!(n > attach && attach >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let mut b = GraphBuilder::with_capacity(n, n * attach);
     // Degree-proportional sampling via the repeated-endpoints trick.
     let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n * attach);
@@ -82,7 +81,7 @@ pub fn power_law(n: usize, attach: usize, seed: u64) -> CsrGraph {
         let mut chosen = std::collections::HashSet::new();
         let mut guard = 0;
         while chosen.len() < attach && guard < 50 * attach {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
+            let t = endpoints[rng.usize_in(0, endpoints.len())];
             if t != v {
                 chosen.insert(t);
             }
@@ -105,17 +104,17 @@ pub fn power_law(n: usize, attach: usize, seed: u64) -> CsrGraph {
 /// each edge rewired with probability `beta_pct`/100.
 pub fn small_world(n: usize, k: usize, beta_pct: u32, seed: u64) -> CsrGraph {
     assert!(n > 2 * k && k >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let mut seen = std::collections::HashSet::new();
     let mut b = GraphBuilder::with_capacity(n, n * k);
     for v in 0..n as u32 {
         for d in 1..=k as u32 {
             let mut t = (v + d) % n as u32;
-            if rng.gen_range(0..100) < beta_pct {
+            if rng.percent(beta_pct) {
                 // Rewire to a uniform random target.
                 let mut guard = 0;
                 loop {
-                    let cand = rng.gen_range(0..n as u32);
+                    let cand = rng.u32_in(0, n as u32);
                     if cand != v && !seen.contains(&key(v, cand)) || guard > 20 {
                         t = cand;
                         break;
@@ -145,20 +144,20 @@ fn key(a: u32, b: u32) -> (u32, u32) {
 pub fn random_connected(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(n >= 1);
     let m = m.max(n.saturating_sub(1));
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::warmed(seed);
     let mut b = GraphBuilder::with_capacity(n, m);
     let mut seen = std::collections::HashSet::new();
     // Random attachment tree.
     for v in 1..n as u32 {
-        let t = rng.gen_range(0..v);
+        let t = rng.u32_in(0, v);
         seen.insert(key(v, t));
         b.add_edge(v, t, w(&mut rng));
     }
     let max_edges = n * (n - 1) / 2;
     let mut guard = 0;
     while b.m() < m.min(max_edges) && guard < 100 * m {
-        let u = rng.gen_range(0..n as u32);
-        let v = rng.gen_range(0..n as u32);
+        let u = rng.u32_in(0, n as u32);
+        let v = rng.u32_in(0, n as u32);
         if u != v && seen.insert(key(u, v)) {
             b.add_edge(u, v, w(&mut rng));
         }
@@ -174,7 +173,7 @@ pub fn random_connected(n: usize, m: usize, seed: u64) -> CsrGraph {
 pub fn random_min_deg3(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(n >= 4, "need at least K4");
     let base = random_connected(n, m.max(2 * n), seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut rng = TestRng::warmed(seed ^ 0x5eed);
     let mut edges: Vec<(u32, u32, Weight)> = base.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
     let mut seen: std::collections::HashSet<(u32, u32)> =
         edges.iter().map(|&(u, v, _)| key(u, v)).collect();
@@ -186,7 +185,7 @@ pub fn random_min_deg3(n: usize, m: usize, seed: u64) -> CsrGraph {
     for v in 0..n as u32 {
         let mut guard = 0;
         while deg[v as usize] < 3 && guard < 1000 {
-            let t = rng.gen_range(0..n as u32);
+            let t = rng.u32_in(0, n as u32);
             if t != v && seen.insert(key(v, t)) {
                 edges.push((v, t, w(&mut rng)));
                 deg[v as usize] += 1;
