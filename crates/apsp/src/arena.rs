@@ -4,10 +4,13 @@
 //! exactly the `a² + Σ nᵢ²` entries of paper §2.3 — or `nᵢʳ` at
 //! `Reduced` (`a² + Σ (nᵢʳ)²`).
 //!
-//! Entries are `u32` when the graph's total edge weight is below
-//! `u32::MAX` — the paper's 4-byte accounting — and `u64` otherwise
-//! ([`DistEntry`]); [`Tables`] carries the width with the oracle's
-//! within-block read. Each oracle builds its arena in place and owns it
+//! Entries are as narrow as a bound on the graph's distances allows
+//! ([`entry_bytes`], [`DistEntry`]): `u16`, `u32` (the paper's 4-byte
+//! accounting) or `u64`. The bound is the plan's
+//! [`DecompPlan::distance_bound`], so on the benchmark graphs, whose
+//! longest distances are a few thousand, the tables take two bytes an
+//! entry although their total weights are far past `u16::MAX`.
+//! [`Tables`] carries the width with the oracle's within-block read. Each oracle builds its arena in place and owns it
 //! behind an [`Arc`]; query engines share that `Arc`. A refresh allocates
 //! a zeroed child with the same layout (`DistArena::child`), copies the
 //! clean blocks' spans into it and rewrites the rest; the block headers
@@ -25,11 +28,11 @@
 //! Every table is allocated by one helper (`zeroed`) that advises the
 //! kernel to back it with 2 MiB transparent huge pages before anything
 //! writes it. A query is one to three random reads of a table that
-//! reaches 65 MB at `a² + Σ nᵢ²`: about 16k 4 KiB pages, far beyond what
-//! the second-level TLB maps (1–2k entries), so with small pages nearly
-//! every read pays a page walk, and every cold build or refresh takes one
-//! first-touch fault per 4 KiB. With the advice the same table is about
-//! 32 huge pages. The advice is neutral where THP is set to `never` (no
+//! reaches 32 MB at `a² + Σ nᵢ²` two-byte entries: about 8k 4 KiB pages,
+//! far beyond what the second-level TLB maps (1–2k entries), so with
+//! small pages nearly every read pays a page walk, and every cold build
+//! or refresh takes one first-touch fault per 4 KiB. With the advice the
+//! same table is about 16 huge pages. The advice is neutral where THP is set to `never` (no
 //! huge pages at all) or `always` (every large mapping gets them
 //! anyway). The first-touch faults are charged to whichever span writes
 //! a row first — phase II's `run_reusing` fills its row before the SSSP
@@ -43,16 +46,54 @@ use ear_graph::{DistEntry, Weight};
 
 use crate::ear::Removed;
 
+/// The width rule: bytes per entry of tables whose every finite distance
+/// is at most `bound` — 2 when `bound < u16::MAX`, else 4 when
+/// `bound < u32::MAX`, else 8. Each width's `INF` is its maximum, so
+/// every finite distance narrows exactly.
+pub fn entry_bytes(bound: Weight) -> usize {
+    if bound < Weight::from(u16::MAX) {
+        2
+    } else if bound < Weight::from(u32::MAX) {
+        4
+    } else {
+        8
+    }
+}
+
+/// One transparent huge page.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Least capacity, in bytes, of a table of at least [`HUGE_PAGE`] bytes.
+/// glibc's `malloc` maps a request of this size or more on its own
+/// (32 MiB is the most its dynamic mmap threshold can rise to) and
+/// unmaps it when it is freed.
+const MAPPED_BYTES: usize = 32 << 20;
+
 /// `len` zero entries whose 2 MiB-aligned interior is advised for
 /// transparent huge pages (see the module doc).
 ///
-/// At table sizes `vec!` of zeros takes a fresh, untouched mapping from
-/// the allocator, so the advice lands before the first fault. Tables with
-/// no aligned 2 MiB interior, and targets other than Linux on x86_64 or
-/// aarch64, are left as allocated.
+/// A table of at least [`HUGE_PAGE`] bytes is allocated with a capacity
+/// of at least [`MAPPED_BYTES`], so the allocator always gives it a fresh
+/// mapping of its own and returns it to the kernel when it is dropped.
+/// Below that size glibc may serve it from its heap instead, once an
+/// earlier free has raised its mmap threshold past the table's size, and
+/// a freed heap table stays resident: `mesh` and `chains` tables at
+/// `u16` (31.0 and 30.2 MiB) made e2ebench's peak RSS read 72 or 102 MB
+/// from run to run. The capacity past `len` is never touched, so it
+/// costs address space, not memory. At these sizes `vec!` of zeros takes
+/// the untouched mapping, so the advice lands before the first fault.
+/// Tables with no aligned 2 MiB interior, and targets other than Linux
+/// on x86_64 or aarch64, are left as allocated.
 #[allow(unsafe_code)]
 fn zeroed<E: DistEntry>(len: usize) -> Vec<E> {
-    let data = vec![E::default(); len];
+    let entry = std::mem::size_of::<E>();
+    let cap = if len * entry >= HUGE_PAGE {
+        len.max(MAPPED_BYTES.div_ceil(entry))
+    } else {
+        len
+    };
+    let mut data = vec![E::default(); cap];
+    data.truncate(len);
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -63,7 +104,6 @@ fn zeroed<E: DistEntry>(len: usize) -> Vec<E> {
             fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
         }
         const MADV_HUGEPAGE: c_int = 14;
-        const HUGE_PAGE: usize = 2 << 20;
         let base = data.as_ptr().cast::<u8>();
         let skip = base.align_offset(HUGE_PAGE);
         let advised =
@@ -254,28 +294,33 @@ impl<E: DistEntry> DistArena<E> {
     }
 }
 
-/// An oracle's [`DistArena`] at the width its plan's total edge weight
-/// allows, tagged with the within-block read of its
+/// An oracle's [`DistArena`] at the width its plan's distance bound
+/// allows ([`entry_bytes`]), tagged with the within-block read of its
 /// [`ApspMethod`](crate::ApspMethod): a span lookup (`Ear`, `Plain`) or
 /// the §2.1.3 minima over reduced spans (`Reduced`). A query matches on
 /// it once and then runs one monomorphic read, so the width costs no
 /// branch of its own.
 #[derive(Clone, Debug)]
 pub enum Tables {
+    /// Full block tables, `u16` entries.
+    Full16(Arc<DistArena<u16>>),
     /// Full block tables, `u32` entries.
     Full32(Arc<DistArena<u32>>),
     /// Full block tables, `u64` entries.
     Full64(Arc<DistArena<u64>>),
+    /// Reduced block tables, `u16` entries.
+    Reduced16(Arc<DistArena<u16>>),
     /// Reduced block tables, `u32` entries.
     Reduced32(Arc<DistArena<u32>>),
     /// Reduced block tables, `u64` entries.
     Reduced64(Arc<DistArena<u64>>),
 }
 
-/// `$body` over the arena of `$tables`, bound as `$a` at either width.
+/// `$body` over the arena of `$tables`, bound as `$a` at any width.
 macro_rules! with_arena {
     ($tables:expr, $a:ident => $body:expr) => {
         match $tables {
+            Tables::Full16($a) | Tables::Reduced16($a) => $body,
             Tables::Full32($a) | Tables::Reduced32($a) => $body,
             Tables::Full64($a) | Tables::Reduced64($a) => $body,
         }
@@ -288,9 +333,10 @@ impl Tables {
         with_arena!(self, a => a.entries())
     }
 
-    /// Bytes per stored entry: 4 or 8.
+    /// Bytes per stored entry: 2, 4 or 8.
     pub fn entry_bytes(&self) -> usize {
         match self {
+            Tables::Full16(_) | Tables::Reduced16(_) => 2,
             Tables::Full32(_) | Tables::Reduced32(_) => 4,
             Tables::Full64(_) | Tables::Reduced64(_) => 8,
         }
@@ -314,6 +360,8 @@ impl Tables {
     /// True when both hold the same allocation.
     pub fn ptr_eq(&self, other: &Tables) -> bool {
         match (self, other) {
+            (Tables::Full16(a), Tables::Full16(b))
+            | (Tables::Reduced16(a), Tables::Reduced16(b)) => Arc::ptr_eq(a, b),
             (Tables::Full32(a), Tables::Full32(b))
             | (Tables::Reduced32(a), Tables::Reduced32(b)) => Arc::ptr_eq(a, b),
             (Tables::Full64(a), Tables::Full64(b))
@@ -323,11 +371,22 @@ impl Tables {
     }
 }
 
-/// The two entry widths an oracle stores at, each wrapping its arenas in
-/// its own [`Tables`] variants.
+/// The three entry widths an oracle stores at, each wrapping its arenas
+/// in its own [`Tables`] variants.
 pub(crate) trait Width: DistEntry {
     /// `arena` as [`Tables`], with the reduced read when `reduced`.
     fn tables(arena: DistArena<Self>, reduced: bool) -> Tables;
+}
+
+impl Width for u16 {
+    fn tables(arena: DistArena<u16>, reduced: bool) -> Tables {
+        let a = Arc::new(arena);
+        if reduced {
+            Tables::Reduced16(a)
+        } else {
+            Tables::Full16(a)
+        }
+    }
 }
 
 impl Width for u32 {
@@ -357,16 +416,24 @@ mod tests {
     use super::*;
 
     /// `zeroed` at width `E` on lengths around one 2 MiB huge page of
-    /// entries and past it: exactly `len` zeros, writable end to end.
+    /// entries and past it: exactly `len` zeros, writable end to end, in
+    /// a capacity of at least 32 MiB from one huge page on.
     fn zeroed_lengths<E: DistEntry>() {
-        let page = (2 << 20) / std::mem::size_of::<E>();
+        let page = HUGE_PAGE / std::mem::size_of::<E>();
         for len in [0, 1, page - 1, page, page + 1, 3 * page / 2 + 7] {
             let mut data = zeroed::<E>(len);
             assert_eq!(data.len(), len);
+            let mapped = data.capacity() * std::mem::size_of::<E>() >= MAPPED_BYTES;
+            assert_eq!(mapped, len >= page, "len {len}");
             assert!(data.iter().all(|&d| d == E::default()), "len {len}");
             data.fill(E::INF);
             assert!(data.iter().all(|&d| d == E::INF), "len {len}");
         }
+    }
+
+    #[test]
+    fn zeroed_returns_len_zeros_u16() {
+        zeroed_lengths::<u16>();
     }
 
     #[test]
@@ -377,5 +444,20 @@ mod tests {
     #[test]
     fn zeroed_returns_len_zeros_u64() {
         zeroed_lengths::<u64>();
+    }
+
+    #[test]
+    fn entry_bytes_switch_at_each_widths_inf() {
+        let (top16, top32) = (Weight::from(u16::MAX), Weight::from(u32::MAX));
+        for (bound, bytes) in [
+            (0, 2),
+            (top16 - 1, 2),
+            (top16, 4),
+            (top32 - 1, 4),
+            (top32, 8),
+            (ear_graph::INF, 8),
+        ] {
+            assert_eq!(entry_bytes(bound), bytes, "bound {bound}");
+        }
     }
 }

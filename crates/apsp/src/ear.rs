@@ -25,6 +25,16 @@
 //! * [`block_pair_dist`] — [`crate::ApspMethod::Reduced`]: one pair per
 //!   query, straight from the block's `k × k` span of the arena, with the
 //!   four-way analogue when both endpoints are removed.
+//!
+//! The table's width is picked from a bound `B` on the graph's distances
+//! ([`crate::arena::entry_bytes`]), so every table entry narrows exactly.
+//! The other terms of these minima — chain weights `wt(x, ℓx)`,
+//! `wt(x, rx)` and along-chain distances — are lengths of paths, not
+//! necessarily shortest ones, and can exceed `B`. They narrow by
+//! saturating at the width's `INF`, which is exact: a term past `B`
+//! exceeds every distance, so it cannot be the minimum, and saturated to
+//! `INF` it still loses every minimum it took part in, while the shortest
+//! term, at most `B`, is stored exactly.
 
 use std::sync::Arc;
 
@@ -44,10 +54,10 @@ pub(crate) struct Removed<E> {
     right: u32,
     /// The chain `x` sits on.
     chain: u32,
-    /// `wt(x, ℓx)` at the table's width. Chain weights are at most the
-    /// block's total weight, so they narrow exactly.
+    /// `wt(x, ℓx)` at the table's width, saturated to its `INF` when past
+    /// it (exact, see the module doc).
     w_left: E,
-    /// `wt(x, rx)` at the table's width.
+    /// `wt(x, rx)` at the table's width, saturated like `w_left`.
     w_right: E,
 }
 

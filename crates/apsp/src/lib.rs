@@ -49,7 +49,7 @@ pub mod oracle;
 pub mod partition;
 pub mod query;
 
-pub use arena::{DistArena, Tables};
+pub use arena::{entry_bytes, DistArena, Tables};
 pub use matrix::DistMatrix;
 pub use oracle::{build_oracle, build_oracle_with_plan, ApspMethod, DistanceOracle, OracleStats};
 pub use query::QueryEngine;

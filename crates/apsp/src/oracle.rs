@@ -65,7 +65,7 @@ use ear_graph::{
 };
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
-use crate::arena::{BlockSpanMut, DistArena, Rows, Tables, Width};
+use crate::arena::{entry_bytes, BlockSpanMut, DistArena, Rows, Tables, Width};
 use crate::ear::{block_pair_dist, fill_removed_columns, removed_row, removed_table};
 use crate::matrix::DistMatrix;
 
@@ -103,11 +103,14 @@ pub struct OracleStats {
     /// Stored table entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at
     /// [`ApspMethod::Reduced`]).
     pub table_entries: u64,
-    /// Resident table bytes: `table_entries` at the stored width — 4 bytes
-    /// an entry when the graph's total edge weight is below `u32::MAX`
-    /// (the paper's accounting, [`OracleStats::memory_bytes_f32`]), 8
-    /// otherwise.
+    /// Resident table bytes: `table_entries` at the stored width, which
+    /// [`entry_bytes`] picks from `distance_bound` — 2, 4 or 8 bytes an
+    /// entry. The paper's 4-byte accounting is
+    /// [`OracleStats::memory_bytes_f32`].
     pub table_bytes: u64,
+    /// The bound on every stored distance that picked the width
+    /// ([`DecompPlan::distance_bound`]).
+    pub distance_bound: Weight,
     /// Entries a flat `n × n` table would need.
     pub max_entries: u64,
 }
@@ -144,17 +147,6 @@ fn table_side(method: ApspMethod, bp: &BlockPlan) -> usize {
     }
 }
 
-/// True when `plan`'s tables can be stored at `u32`: its total edge
-/// weight, which bounds every finite block, reduced-block and AP distance
-/// (a shortest path uses each edge at most once), is below `u32::MAX`.
-fn fits_u32(plan: &DecompPlan) -> bool {
-    let total = plan
-        .edge_weights()
-        .iter()
-        .try_fold(0 as Weight, |t, &w| t.checked_add(w));
-    total.is_some_and(|t| t < Weight::from(u32::MAX))
-}
-
 /// The tables of one customization under one [`ApspMethod`]: the build,
 /// refresh and routing machinery behind [`DistanceOracle`].
 #[derive(Debug)]
@@ -162,21 +154,27 @@ struct Store {
     plan: Arc<DecompPlan>,
     method: ApspMethod,
     tables: Tables,
+    /// `plan`'s [`DecompPlan::distance_bound`], which picked the width.
+    bound: Weight,
 }
 
 impl Store {
     /// Cold build: every block's table and the AP table, at the width
-    /// `plan`'s total weight allows. Returns the executor reports of
-    /// phases II + III and of the AP table.
+    /// [`entry_bytes`] gives `bound`, `plan`'s
+    /// [`DecompPlan::distance_bound`]. Every block, reduced-block and
+    /// AP-table entry is a distance of the graph, so each narrows exactly.
+    /// Returns the executor reports of phases II + III and of the AP
+    /// table.
     fn build(
         plan: Arc<DecompPlan>,
         exec: &HeteroExecutor,
         method: ApspMethod,
+        bound: Weight,
     ) -> (Store, ExecutionReport, ExecutionReport) {
-        if fits_u32(&plan) {
-            Store::write::<u32>(plan, exec, method, None)
-        } else {
-            Store::write::<u64>(plan, exec, method, None)
+        match entry_bytes(bound) {
+            2 => Store::write::<u16>(plan, exec, method, bound, None),
+            4 => Store::write::<u32>(plan, exec, method, bound, None),
+            _ => Store::write::<u64>(plan, exec, method, bound, None),
         }
     }
 
@@ -184,8 +182,8 @@ impl Store {
     /// parent arena holding the clean blocks' spans, with the spans of the
     /// blocks whose weights differ between the two plans (see
     /// [`DecompPlan::dirty_blocks_since`]) and the AP span rewritten. When
-    /// `plan`'s total weight crosses `u32::MAX` either way the tables are
-    /// rebuilt cold at the new width. Bit-identical to a cold
+    /// `plan`'s distance bound gives another width (either way), the
+    /// tables are rebuilt cold at the new width. Bit-identical to a cold
     /// [`Store::build`] on `plan`; a no-op refresh shares the whole arena.
     ///
     /// # Panics
@@ -214,33 +212,35 @@ impl Store {
             ),
         };
         let _span = ear_obs::span_with(span, dirty.len() as u64);
-        let method = self.method;
-        let refreshed = match (&self.tables, fits_u32(&plan)) {
-            // Equal weights: nothing to recompute, every table shared.
-            _ if dirty.is_empty() => {
-                let processing = compute_block_tables::<Weight>(&plan, exec, method, Vec::new());
-                let tables = self.tables.clone();
-                let store = Store {
-                    plan,
-                    method,
-                    tables,
-                };
-                (store, processing.clone(), processing)
-            }
-            (Tables::Full32(a) | Tables::Reduced32(a), true) => {
-                Store::write(plan, exec, method, Some((a, &dirty)))
-            }
-            (Tables::Full64(a) | Tables::Reduced64(a), false) => {
-                Store::write(plan, exec, method, Some((a, &dirty)))
-            }
-            (_, true) => Store::write::<u32>(plan, exec, method, None),
-            (_, false) => Store::write::<u64>(plan, exec, method, None),
-        };
         if ear_obs::is_enabled() {
             ear_obs::counter_add(refreshes, 1);
             ear_obs::counter_add(dirty_blocks, dirty.len() as u64);
         }
-        refreshed
+        let method = self.method;
+        // Equal weights: nothing to recompute, every table shared.
+        if dirty.is_empty() {
+            let processing = compute_block_tables::<Weight>(&plan, exec, method, Vec::new());
+            let store = Store {
+                plan,
+                method,
+                tables: self.tables.clone(),
+                bound: self.bound,
+            };
+            return (store, processing.clone(), processing);
+        }
+        let bound = plan.distance_bound();
+        match (&self.tables, entry_bytes(bound)) {
+            (Tables::Full16(a) | Tables::Reduced16(a), 2) => {
+                Store::write(plan, exec, method, bound, Some((a, &dirty)))
+            }
+            (Tables::Full32(a) | Tables::Reduced32(a), 4) => {
+                Store::write(plan, exec, method, bound, Some((a, &dirty)))
+            }
+            (Tables::Full64(a) | Tables::Reduced64(a), 8) => {
+                Store::write(plan, exec, method, bound, Some((a, &dirty)))
+            }
+            _ => Store::build(plan, exec, method, bound),
+        }
     }
 
     /// Writes `plan`'s tables at width `E` into a new arena: with a
@@ -252,6 +252,7 @@ impl Store {
         plan: Arc<DecompPlan>,
         exec: &HeteroExecutor,
         method: ApspMethod,
+        bound: Weight,
         parent: Option<(&DistArena<E>, &[u32])>,
     ) -> (Store, ExecutionReport, ExecutionReport) {
         let blocks: Vec<u32> = match parent {
@@ -274,6 +275,7 @@ impl Store {
             plan,
             method,
             tables,
+            bound,
         };
         (store, processing, ap_phase)
     }
@@ -446,9 +448,9 @@ impl DistanceOracle {
     /// copied, never recomputed. The articulation-point span is rebuilt
     /// whenever any block is dirty (a changed within-block distance can
     /// reroute AP-to-AP paths globally); a no-op recustomization shares
-    /// the whole arena and runs nothing. When `plan`'s total edge weight
-    /// crosses `u32::MAX` either way, the tables change width and are
-    /// rebuilt cold.
+    /// the whole arena and runs nothing. When `plan`'s distance bound
+    /// ([`DecompPlan::distance_bound`]) gives another width either way
+    /// ([`entry_bytes`]), the tables change width and are rebuilt cold.
     ///
     /// The result is bit-identical to a cold
     /// [`build_oracle_with_plan`] on `plan` — the differential suite
@@ -462,6 +464,7 @@ impl DistanceOracle {
         let (store, processing, ap_phase) = self.store.refreshed(plan, exec);
         let stats = OracleStats {
             table_bytes: store.tables.bytes() as u64,
+            distance_bound: store.bound,
             ..self.stats.clone()
         };
         DistanceOracle {
@@ -483,8 +486,10 @@ impl DistanceOracle {
 pub(crate) fn tree_dist(plan: &DecompPlan, tables: &Tables, u: VertexId, v: VertexId) -> Weight {
     let bct = plan.bct();
     match tables {
+        Tables::Full16(a) => route(bct, a, |b, i, j| a.block(b, i, j), u, v),
         Tables::Full32(a) => route(bct, a, |b, i, j| a.block(b, i, j), u, v),
         Tables::Full64(a) => route(bct, a, |b, i, j| a.block(b, i, j), u, v),
+        Tables::Reduced16(a) => route(bct, a, |b, i, j| block_pair_dist(plan, a, b, i, j), u, v),
         Tables::Reduced32(a) => route(bct, a, |b, i, j| block_pair_dist(plan, a, b, i, j), u, v),
         Tables::Reduced64(a) => route(bct, a, |b, i, j| block_pair_dist(plan, a, b, i, j), u, v),
     }
@@ -774,7 +779,8 @@ pub fn build_oracle_with_plan(
     method: ApspMethod,
 ) -> DistanceOracle {
     let _build_span = ear_obs::span_with("apsp.build", plan.n() as u64);
-    let (store, processing, ap_phase) = Store::build(plan, exec, method);
+    let bound = plan.distance_bound();
+    let (store, processing, ap_phase) = Store::build(plan, exec, method, bound);
 
     // Statistics.
     let plan = &store.plan;
@@ -796,6 +802,7 @@ pub fn build_oracle_with_plan(
         articulation_points: plan.bct().ap_count(),
         table_entries,
         table_bytes: store.tables.bytes() as u64,
+        distance_bound: store.bound,
         max_entries: (plan.n() as u64).pow(2),
     };
     if ear_obs::is_enabled() {
@@ -1280,49 +1287,74 @@ mod tests {
         }
     }
 
-    /// The path 0-1-2 weighing `total`, split unevenly.
+    /// The path 0-1-2 weighing `total`, split unevenly: its bound is
+    /// `total` (`2·ecc(0)` is twice that).
     fn heavy_path(total: Weight) -> CsrGraph {
         let w = total / 3;
         CsrGraph::from_edges(3, &[(0, 1, w), (1, 2, total - w)])
     }
 
     #[test]
-    fn total_weight_below_u32_max_is_stored_at_u32() {
-        let top = Weight::from(u32::MAX);
-        for (total, bytes) in [(top - 1, 4), (top, 8)] {
+    fn total_weight_below_each_bound_picks_the_width() {
+        let (top16, top32) = (Weight::from(u16::MAX), Weight::from(u32::MAX));
+        for (total, bytes) in [(top16 - 1, 2), (top16, 4), (top32 - 1, 4), (top32, 8)] {
             let g = heavy_path(total);
             for o in check_methods(&g) {
                 let st = o.stats();
                 assert_eq!(o.tables().entry_bytes(), bytes, "total {total}");
                 assert_eq!(st.table_bytes, st.table_entries * bytes as u64);
+                assert_eq!(st.distance_bound, total);
                 assert_eq!(o.dist(0, 2), total, "{:?}", o.method());
                 assert_eq!(o.dist(2, 0), total, "{:?}", o.method());
             }
         }
     }
 
+    /// A heavy edge on no shortest path leaves the tables at `u16`: in a
+    /// ring whose edge 4-0 weighs `u32::MAX`, and which is one chain of
+    /// removed vertices, the chain weights through that edge saturate to
+    /// `INF` at `u16` and still lose every minimum.
     #[test]
-    fn refresh_across_the_u32_bound_matches_cold_builds() {
+    fn heavy_edge_off_every_shortest_path_keeps_u16() {
+        let heavy = Weight::from(u32::MAX);
+        let ring = [(0, 1, 3), (1, 2, 1), (2, 3, 4), (3, 4, 1), (4, 0, heavy)];
+        let mut edges = ring.to_vec();
+        edges.extend([(2, 5, 2), (5, 6, 1), (6, 2, 1)]);
+        for g in [
+            CsrGraph::from_edges(5, &ring),
+            CsrGraph::from_edges(7, &edges),
+        ] {
+            for o in check_methods(&g) {
+                assert_eq!(o.tables().entry_bytes(), 2, "{:?}", o.method());
+                assert!(o.stats().distance_bound < 32, "{:?}", o.stats());
+                assert_eq!(o.dist(4, 0), 9, "{:?}", o.method());
+            }
+        }
+    }
+
+    /// Refreshes of `mixed_graph` across the width bound `top`: the
+    /// pendant edge 5-7 takes the total, which is the bound, to `top − 1`
+    /// (stored at `below` bytes) or `top` (`at` bytes), then back, then to
+    /// the base weights (`u16`); the triangle edge changes too, so each
+    /// refresh has a second dirty block. Every refreshed oracle holds a
+    /// cold build's tables at a cold build's width.
+    fn refresh_across_bound(top: Weight, below: usize, at: usize) {
         let g = mixed_graph();
         let exec = HeteroExecutor::sequential();
         let plan = Arc::new(DecompPlan::build(&g));
         let base: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
         let rest: Weight = base[..8].iter().sum();
-        // The pendant edge 5-7 takes the total to u32::MAX − 1 (narrow) or
-        // u32::MAX (wide); the triangle edge changes too, so the refresh
-        // has a second dirty block.
         let reweigh = |pendant: Weight, tri: Weight| {
             let mut w = base.clone();
             (w[8], w[0]) = (pendant - tri + w[0], tri);
             w
         };
-        let top = Weight::from(u32::MAX);
         let narrow = reweigh(top - 1 - rest, 7);
         let wide = reweigh(top - rest, 2);
         for method in METHODS {
             let mut oracle = build_oracle_with_plan(Arc::clone(&plan), &exec, method);
-            assert_eq!(oracle.tables().entry_bytes(), 4);
-            for (w, bytes) in [(&narrow, 4), (&wide, 8), (&narrow, 4), (&base, 4)] {
+            assert_eq!(oracle.tables().entry_bytes(), 2);
+            for (w, bytes) in [(&narrow, below), (&wide, at), (&narrow, below), (&base, 2)] {
                 oracle = oracle.recustomized(Arc::new(plan.recustomized(w)), &exec);
                 let cold = build_oracle(&g.reweighted(w), &exec, method);
                 assert_eq!(oracle.tables().entry_bytes(), bytes, "{method:?}");
@@ -1335,6 +1367,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn refresh_across_the_u16_bound_matches_cold_builds() {
+        refresh_across_bound(Weight::from(u16::MAX), 2, 4);
+    }
+
+    #[test]
+    fn refresh_across_the_u32_bound_matches_cold_builds() {
+        refresh_across_bound(Weight::from(u32::MAX), 4, 8);
     }
 
     #[test]

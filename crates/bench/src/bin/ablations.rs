@@ -9,8 +9,9 @@
 //!    task");
 //! 4. **Ear reduction in host wall-clock** — real time, no device model, of
 //!    each computation without and with the reduction (APSP oracle, MCB
-//!    pipeline, betweenness) and of the MCB algorithm ladder. Each pair must
-//!    give the same answer before its row is printed.
+//!    pipeline, betweenness) and of the MCB algorithm ladder. The two sides
+//!    of a pair are timed in alternating rounds, and each must give the
+//!    same answer before its row is printed.
 //!
 //! Sizes divide by `--scale` and are floored, so any scale runs.
 //!
@@ -34,28 +35,62 @@ use ear_mcb::{horton_mcb, mcb, signed_mcb, Cycle, ExecMode, McbConfig};
 use ear_workloads::combinators::{attach_pendants, subdivide_edges};
 use ear_workloads::generators::random_min_deg3;
 
-/// Least timed runs per side in Ablation 4, after one untimed warm-up.
+/// Least timed rounds per pair in Ablation 4, after one untimed warm-up
+/// of each side.
 const RUNS: usize = 5;
 
-/// Least timed wall time per side in Ablation 4: a side of a few ms runs
-/// hundreds of times, so its median holds still on a shared host.
-const MIN_SECS: f64 = 1.0;
+/// Least timed wall time per pair in Ablation 4, both sides together: a
+/// pair of a few ms runs hundreds of rounds, so its medians hold still on
+/// a shared host.
+const MIN_SECS: f64 = 2.0;
 
-/// One warm-up call of `f`, then timed calls until there are at least
-/// [`RUNS`] of them and they add up to [`MIN_SECS`]; returns their median
-/// wall time and the last call's answer.
-fn timed<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut out = f();
-    let (mut secs, mut total) = (Vec::new(), 0.0);
-    while secs.len() < RUNS || total < MIN_SECS {
+/// One pair's timing: each side's median wall time and the median of the
+/// per-round ratios `without / with`.
+struct Timing {
+    without: f64,
+    with: f64,
+    ratio: f64,
+}
+
+/// Times `without` against `with` call by call: one untimed warm-up of
+/// each, then rounds of one timed call of each, the side that goes first
+/// alternating from round to round, until there are at least [`RUNS`]
+/// rounds and they add up to [`MIN_SECS`]. Host load that comes and goes
+/// then falls on both sides of a round alike, and the median of the
+/// per-round ratios discounts the rounds it still skews. Returns the
+/// timing and each side's last answer.
+fn timed_pair<A, B>(mut without: impl FnMut() -> A, mut with: impl FnMut() -> B) -> (Timing, A, B) {
+    let time = |f: &mut dyn FnMut()| {
         let t0 = Instant::now();
-        out = black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        secs.push(dt);
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut a, mut b) = (without(), with());
+    let mut rounds: Vec<(f64, f64)> = Vec::new();
+    let mut total = 0.0;
+    while rounds.len() < RUNS || total < MIN_SECS {
+        let mut ta = || time(&mut || a = black_box(without()));
+        let mut tb = || time(&mut || b = black_box(with()));
+        let (t0, t1) = if rounds.len().is_multiple_of(2) {
+            let t0 = ta();
+            (t0, tb())
+        } else {
+            let t1 = tb();
+            (ta(), t1)
+        };
+        total += t0 + t1;
+        rounds.push((t0, t1));
     }
-    secs.sort_by(f64::total_cmp);
-    (secs[secs.len() / 2], out)
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let timing = Timing {
+        without: median(rounds.iter().map(|r| r.0).collect()),
+        with: median(rounds.iter().map(|r| r.1).collect()),
+        ratio: median(rounds.iter().map(|r| r.0 / r.1).collect()),
+    };
+    (timing, a, b)
 }
 
 fn weight(basis: &[Cycle]) -> u64 {
@@ -163,56 +198,57 @@ fn main() {
 
     // ---------------------------------------------------------------- 4
     println!(
-        "\nAblation 4 — ear reduction in host wall-clock (median of >= {RUNS} runs and >= {MIN_SECS} s per side, threads={})\n",
+        "\nAblation 4 — ear reduction in host wall-clock (each pair timed in >= {RUNS} alternating rounds and >= {MIN_SECS} s; medians, ratio = median of per-round ratios; threads={})\n",
         ear_graph::pool::threads()
     );
     let mut t = Table::new(&["computation", "n", "m", "without", "with", "ratio"]);
-    let mut row = |name: &str, g: &CsrGraph, without: f64, with: f64| {
+    let mut row = |name: &str, g: &CsrGraph, time: Timing| {
         t.row(vec![
             name.into(),
             g.n().to_string(),
             g.m().to_string(),
-            fmt_s(without),
-            fmt_s(with),
-            format!("{:.1}x", without / with),
+            fmt_s(time.without),
+            fmt_s(time.with),
+            format!("{:.1}x", time.ratio),
         ]);
     };
 
     let g = subdivide_edges(&random_min_deg3(sz(400), sz(1200), 7), sz(800), 2, 8);
     let cpu_gpu = HeteroExecutor::cpu_gpu();
-    let (t0, plain) = timed(|| build_oracle(&g, &cpu_gpu, ApspMethod::Plain));
-    let (t1, ear) = timed(|| build_oracle(&g, &cpu_gpu, ApspMethod::Ear));
+    let (time, plain, ear) = timed_pair(
+        || build_oracle(&g, &cpu_gpu, ApspMethod::Plain),
+        || build_oracle(&g, &cpu_gpu, ApspMethod::Ear),
+    );
     assert_eq!(plain.materialize(), ear.materialize(), "APSP: Plain vs Ear");
-    row("APSP oracle: Plain vs Ear", &g, t0, t1);
+    row("APSP oracle: Plain vs Ear", &g, time);
 
     let g = subdivide_edges(&random_min_deg3(sz(90), sz(200), 5), sz(180), 2, 6);
     let config = |use_ear| McbConfig {
         mode: ExecMode::Hetero,
         use_ear,
     };
-    let (t0, without) = timed(|| mcb(&g, &config(false)));
-    let (t1, with) = timed(|| mcb(&g, &config(true)));
+    let (time, without, with) = timed_pair(|| mcb(&g, &config(false)), || mcb(&g, &config(true)));
     assert_eq!(
         (without.dim, without.total_weight),
         (with.dim, with.total_weight)
     );
-    row("MCB pipeline: w/o vs w ear", &g, t0, t1);
+    row("MCB pipeline: w/o vs w ear", &g, time);
 
     let g = attach_pendants(&random_min_deg3(sz(300), sz(800), 21), sz(700), 22);
-    let (t0, brandes) = timed(|| betweenness(&g));
-    let (t1, reduced) = timed(|| betweenness_pendant_reduced(&g));
+    let (time, brandes, reduced) =
+        timed_pair(|| betweenness(&g), || betweenness_pendant_reduced(&g));
     for (v, (x, y)) in brandes.iter().zip(&reduced).enumerate() {
         assert!((x - y).abs() < 1e-6 * (1.0 + x.abs()), "BC {v}: {x} vs {y}");
     }
-    row("BC: Brandes vs pendant-reduced", &g, t0, t1);
+    row("BC: Brandes vs pendant-reduced", &g, time);
 
     let g = random_min_deg3(sz(60), sz(140), 3);
-    let (th, horton) = timed(|| horton_mcb(&g));
-    let (ts, signed) = timed(|| signed_mcb(&g));
-    let (tr, (restricted, _)) = timed(|| depina_mcb(&g, &exec, &DepinaOptions::default()));
-    assert_eq!(weight(&horton), weight(&restricted));
-    assert_eq!(weight(&signed), weight(&restricted));
-    row("MCB ladder: Horton vs restricted", &g, th, tr);
-    row("MCB ladder: signed vs restricted", &g, ts, tr);
+    let restricted = || depina_mcb(&g, &exec, &DepinaOptions::default()).0;
+    let (time, horton, restricted_basis) = timed_pair(|| horton_mcb(&g), restricted);
+    assert_eq!(weight(&horton), weight(&restricted_basis));
+    row("MCB ladder: Horton vs restricted", &g, time);
+    let (time, signed, restricted_basis) = timed_pair(|| signed_mcb(&g), restricted);
+    assert_eq!(weight(&signed), weight(&restricted_basis));
+    row("MCB ladder: signed vs restricted", &g, time);
     t.print();
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ear_apsp::{build_oracle_with_plan, DistanceOracle, QueryEngine};
+use ear_apsp::{build_oracle_with_plan, entry_bytes, DistanceOracle, QueryEngine};
 use ear_decomp::{ear_decomposition, DecompPlan};
 use ear_graph::rng::{TestRng, GOLDEN_GAMMA};
 use ear_graph::{kernel_path, CsrGraph, Weight, INF};
@@ -13,13 +13,16 @@ use ear_workloads::GraphStats;
 
 use crate::CommonOpts;
 
-/// `ear stats` — the Table 1 columns for an arbitrary graph.
+/// `ear stats` — the Table 1 columns for an arbitrary graph, and the
+/// width its distance tables are stored at.
 pub fn stats(g: &CsrGraph) -> Result<(), String> {
-    print_stats(&GraphStats::measure(g));
+    print_stats(&DecompPlan::build(g));
     Ok(())
 }
 
-fn print_stats(s: &GraphStats) {
+fn print_stats(plan: &DecompPlan) {
+    let s = GraphStats::from_plan(plan);
+    let bound = plan.distance_bound();
     println!("row kernels           {}", kernel_path());
     println!("vertices              {}", s.n);
     println!("edges                 {}", s.m);
@@ -40,6 +43,10 @@ fn print_stats(s: &GraphStats) {
         s.reduced_memory_mb()
     );
     println!("flat n^2 memory       {:.1} MB", s.max_memory_mb());
+    println!(
+        "table width           u{} (distance bound {bound})",
+        8 * entry_bytes(bound)
+    );
 }
 
 /// `ear decompose` — blocks, articulation points, per-block ears and
@@ -93,7 +100,7 @@ pub fn combined(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result
     let plan = Arc::new(DecompPlan::build(g));
 
     println!("== stats ==");
-    print_stats(&GraphStats::from_plan(&plan));
+    print_stats(&plan);
 
     println!("== decomposition ==");
     print_decomposition(&plan);
@@ -123,11 +130,14 @@ pub fn apsp(g: &CsrGraph, opts: &CommonOpts, pairs: &[(u32, u32)]) -> Result<(),
 fn report_apsp(g: &CsrGraph, oracle: &DistanceOracle, pairs: &[(u32, u32)]) {
     let st = oracle.stats();
     println!(
-        "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries, {} row kernels",
+        "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries at u{} \
+         (bound {}), {} row kernels",
         st.n_bccs,
         st.articulation_points,
         st.removed_vertices,
         st.table_entries,
+        8 * oracle.tables().entry_bytes(),
+        st.distance_bound,
         kernel_path()
     );
     println!(

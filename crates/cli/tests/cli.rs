@@ -53,6 +53,11 @@ fn stats_on_edge_list() {
     assert!(text.contains("vertices              4"), "{text}");
     assert!(text.contains("edges                 5"), "{text}");
     assert!(text.contains("biconnected comps     1"), "{text}");
+    // Distances from vertex 0 reach 3, so the bound is min(20, 2·3).
+    assert!(
+        text.contains("table width           u16 (distance bound 6)"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -96,6 +101,10 @@ fn apsp_answers_queries_with_paths() {
     let header = text.lines().next().unwrap_or_default();
     let kernels = format!("{} row kernels", ear_graph::kernel_path());
     assert!(header.ends_with(&kernels), "{text}");
+    assert!(
+        header.contains("16 table entries at u16 (bound 6), "),
+        "{text}"
+    );
     // d(1,3) = 1 + 3 = 4 via vertex 0; d(0,2) = 3 via vertex 1.
     assert!(text.contains("d(1,3) = 4"), "{text}");
     assert!(text.contains("d(0,2) = 3"), "{text}");

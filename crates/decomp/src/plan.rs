@@ -104,8 +104,8 @@ use crate::bcc::{biconnected_components, Bcc};
 use crate::block_cut::BlockCutTree;
 use crate::reduce::{reduce_graph, ReducedGraph};
 use ear_graph::{
-    edge_subgraph_into_arena, CsrArena, CsrGraph, CsrSpan, CsrView, EdgeId, SubgraphScratch,
-    VertexId, Weight, INF,
+    dist_add, edge_subgraph_into_arena, with_engine, CsrArena, CsrGraph, CsrSpan, CsrView, EdgeId,
+    SubgraphScratch, VertexId, Weight, INF,
 };
 
 /// One biconnected component of the plan: its id maps and (for simple
@@ -513,6 +513,80 @@ impl DecompPlan {
         &self.custom.edge_weights
     }
 
+    /// A bound `B` on every finite distance of the graph: the smaller of
+    /// its total edge weight and the largest `2·ecc(r_c)` over its
+    /// connected components `c`, where `r_c` is the smallest vertex id of
+    /// `c` and `ecc(r_c)` its largest distance from it. Every distance in
+    /// `c` is at most `d(u, r_c) + d(r_c, v) ≤ 2·ecc(r_c)`, and at most
+    /// the total weight, since a shortest path uses each edge at most
+    /// once. Sums saturate at [`INF`].
+    ///
+    /// No whole-graph search: the block-cut tree is walked from each
+    /// `r_c`, and every block gets one search from the vertex it is
+    /// entered through, offset by that vertex's distance from `r_c` (every
+    /// path from `r_c` into the block passes through it). Each edge is
+    /// relaxed once. Runs under a `decomp.bound` span and counts its
+    /// searches' work as `decomp.bound.edges_relaxed` and
+    /// `decomp.bound.settled`.
+    pub fn distance_bound(&self) -> Weight {
+        let _span = ear_obs::span_with("decomp.bound", self.n() as u64);
+        let total = self.edge_weights().iter().fold(0, |t, &w| dist_add(t, w));
+        let bct = self.bct();
+        let mut ap_blocks: Vec<Vec<u32>> = vec![Vec::new(); bct.ap_count()];
+        for (b, aps) in (0..).zip(&bct.block_aps) {
+            for &v in aps {
+                ap_blocks[bct.ap_index[v as usize] as usize].push(b);
+            }
+        }
+        const UNSEEN: Weight = Weight::MAX;
+        let mut from_root = vec![UNSEEN; self.n()];
+        let mut entered = vec![false; self.n_blocks()];
+        let (mut ecc_max, mut stack) = (0, Vec::new());
+        let (mut relaxed, mut settled) = (0, 0);
+        for r in 0..self.n() as VertexId {
+            if from_root[r as usize] != UNSEEN {
+                continue;
+            }
+            from_root[r as usize] = 0;
+            stack.push(r);
+            while let Some(x) = stack.pop() {
+                let ap = bct.ap_index[x as usize];
+                let shared = ap_blocks.get(ap as usize).map_or(&[][..], Vec::as_slice);
+                let home = bct.vertex_block[x as usize];
+                for &b in std::iter::once(&home).chain(shared) {
+                    if b == u32::MAX || std::mem::replace(&mut entered[b as usize], true) {
+                        continue;
+                    }
+                    let (bp, dx) = (self.block(b), from_root[x as usize]);
+                    let entry = self
+                        .local(b, x)
+                        .expect("a vertex is a member of its blocks");
+                    with_engine(|eng| {
+                        let stats = eng.run_view(self.block_graph(b), entry);
+                        (relaxed, settled) =
+                            (relaxed + stats.edges_relaxed, settled + stats.settled);
+                        for (l, &v) in (0..).zip(bp.to_parent_vertex.iter()) {
+                            if v == x {
+                                continue;
+                            }
+                            let d = dist_add(dx, eng.dist(l));
+                            from_root[v as usize] = d;
+                            ecc_max = ecc_max.max(d);
+                            if bct.ap_index[v as usize] != u32::MAX {
+                                stack.push(v);
+                            }
+                        }
+                    });
+                }
+            }
+        }
+        if ear_obs::is_enabled() {
+            ear_obs::counter_add("decomp.bound.edges_relaxed", relaxed);
+            ear_obs::counter_add("decomp.bound.settled", settled);
+        }
+        total.min(dist_add(ecc_max, ecc_max))
+    }
+
     /// Block `b`'s subgraph as a zero-copy [`CsrView`] window of the
     /// shared arena — the access path every solver uses.
     pub fn block_graph(&self, b: u32) -> CsrView<'_> {
@@ -651,6 +725,88 @@ mod tests {
                 (5, 6, 9),
             ],
         )
+    }
+
+    /// The bound by its definition, from a whole-graph Dijkstra out of
+    /// each component's smallest vertex id.
+    fn bound_by_definition(g: &CsrGraph) -> Weight {
+        let total = g.edges().iter().fold(0, |t, e| dist_add(t, e.w));
+        let mut seen = vec![false; g.n()];
+        let mut ecc_max = 0;
+        for r in 0..g.n() as VertexId {
+            if seen[r as usize] {
+                continue;
+            }
+            for (v, d) in ear_graph::dijkstra(g, r).into_iter().enumerate() {
+                if d < INF {
+                    seen[v] = true;
+                    ecc_max = ecc_max.max(d);
+                }
+            }
+        }
+        total.min(dist_add(ecc_max, ecc_max))
+    }
+
+    #[test]
+    fn distance_bound_matches_its_definition() {
+        let graphs = [
+            mixed(),
+            // Two components, an isolated vertex (7) and a self-loop (8).
+            CsrGraph::from_edges(
+                9,
+                &[
+                    (0, 1, 4),
+                    (1, 2, 4),
+                    (2, 0, 1),
+                    (3, 4, 9),
+                    (4, 5, 2),
+                    (5, 6, 1),
+                    (8, 8, 3),
+                ],
+            ),
+            // The smallest id (0) hangs off a chain of blocks: a bridge,
+            // a triangle, a parallel pair and a pendant.
+            CsrGraph::from_edges(
+                6,
+                &[
+                    (0, 1, 5),
+                    (1, 2, 1),
+                    (2, 3, 2),
+                    (3, 1, 3),
+                    (3, 4, 7),
+                    (3, 4, 1),
+                    (4, 5, 6),
+                ],
+            ),
+            // One heavy edge: 2·ecc passes the total, which bounds.
+            CsrGraph::from_edges(2, &[(0, 1, 1000)]),
+            CsrGraph::from_edges(3, &[]),
+        ];
+        for g in &graphs {
+            assert_eq!(
+                DecompPlan::build(g).distance_bound(),
+                bound_by_definition(g)
+            );
+        }
+        assert_eq!(DecompPlan::build(&graphs[3]).distance_bound(), 1000);
+        assert_eq!(DecompPlan::build(&graphs[4]).distance_bound(), 0);
+        // Saturating sums stay at INF.
+        let heavy = CsrGraph::from_edges(3, &[(0, 1, INF), (1, 2, INF)]);
+        assert_eq!(DecompPlan::build(&heavy).distance_bound(), INF);
+    }
+
+    #[test]
+    fn distance_bound_follows_a_recustomization() {
+        let g = mixed();
+        let plan = DecompPlan::build(&g);
+        let mut w: Vec<Weight> = g.edges().iter().map(|e| e.w).collect();
+        w[7] = 500;
+        let fresh = plan.recustomized(&w);
+        assert_eq!(
+            fresh.distance_bound(),
+            bound_by_definition(&g.reweighted(&w))
+        );
+        assert_ne!(fresh.distance_bound(), plan.distance_bound());
     }
 
     #[test]

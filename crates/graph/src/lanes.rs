@@ -3,11 +3,15 @@
 //! The paper gets the data parallelism of its row updates from GPU warps;
 //! on a CPU the analog is SIMD lanes. The row kernels on
 //! [`DistEntry`](crate::DistEntry) are plain scalar loops of saturating
-//! adds and minima, but baseline x86-64 has neither an unsigned 32-bit
-//! `min` nor a saturating 32-bit add, so LLVM leaves them scalar. Compiled
-//! with AVX2 enabled the same loops vectorise. [`lanes`] runs a loop that
-//! way when the CPU reports AVX2, and as compiled otherwise; the loop is
-//! written once, and both paths compute the same entries.
+//! adds and minima, but baseline x86-64 (SSE2) has neither an unsigned
+//! 32-bit `min` nor a saturating 32-bit add, nor an unsigned 16-bit
+//! `min`, so LLVM leaves them scalar or half-vectorised. Compiled with
+//! AVX2 enabled the same loops vectorise: 8 lanes at `u32` (`vpaddd`,
+//! `vpminud`) and 16 at `u16`, where the saturating add and the unsigned
+//! minimum are single instructions (`vpaddusw`, `vpminuw`). [`lanes`]
+//! runs a loop that way when the CPU reports AVX2, and as compiled
+//! otherwise; the loop is written once, and both paths compute the same
+//! entries.
 
 /// Runs `f` compiled with AVX2 enabled when this is an x86_64 CPU that
 /// has it, else runs `f` as compiled. `f` inlines into the

@@ -90,15 +90,16 @@ pub fn dist_add(a: Weight, b: Weight) -> Weight {
     }
 }
 
-/// One entry of a stored distance table: `u32` or `u64`, with its own
-/// `INF` sentinel. A table is stored at `u32` when every finite distance
-/// it can hold is below `u32::MAX` (a graph whose total edge weight is
-/// below `u32::MAX`, since a shortest path uses each edge at most once),
-/// and at `u64` otherwise. The trait is sealed: these are the two widths.
+/// One entry of a stored distance table: `u16`, `u32` or `u64`, with its
+/// own `INF` sentinel. A table is stored at the narrowest width whose
+/// `INF` lies past a bound on every distance it holds (the oracle's
+/// width rule, `ear_apsp::arena::entry_bytes`), so every stored distance
+/// narrows exactly. The trait is sealed: these are the three widths.
 pub trait DistEntry:
     sealed::Sealed + Copy + Ord + Default + Send + Sync + std::fmt::Debug + 'static
 {
-    /// "Unreachable" at this width: `u32::MAX`, or [`INF`] at `u64`.
+    /// "Unreachable" at this width: `u16::MAX`, `u32::MAX`, or [`INF`] at
+    /// `u64`.
     const INF: Self;
 
     /// Stores a distance: exact below this width's `INF`, `INF` at or above.
@@ -157,8 +158,33 @@ fn two_way_min_plus_body<E: DistEntry>(out: &mut [E], a: &[E], wa: E, b: &[E], w
 
 mod sealed {
     pub trait Sealed {}
+    impl Sealed for u16 {}
     impl Sealed for u32 {}
     impl Sealed for u64 {}
+}
+
+impl DistEntry for u16 {
+    const INF: u16 = u16::MAX;
+
+    #[inline]
+    fn narrow(w: Weight) -> u16 {
+        w.min(u16::MAX as Weight) as u16
+    }
+
+    #[inline]
+    fn widen(self) -> Weight {
+        if self == u16::MAX {
+            INF
+        } else {
+            Weight::from(self)
+        }
+    }
+
+    /// `INF` is `u16::MAX`, so saturation keeps it.
+    #[inline]
+    fn dist_add(self, b: u16) -> u16 {
+        u16::saturating_add(self, b)
+    }
 }
 
 impl DistEntry for u32 {
@@ -250,6 +276,12 @@ mod tests {
 
     #[test]
     fn narrow_entries_round_trip_below_their_inf() {
+        let top = Weight::from(u16::MAX);
+        assert_eq!(<u16 as DistEntry>::narrow(top - 1).widen(), top - 1);
+        assert_eq!(<u16 as DistEntry>::narrow(top), u16::MAX);
+        assert_eq!(<u16 as DistEntry>::narrow(INF).widen(), INF);
+        assert_eq!(<u16 as DistEntry>::INF.dist_add(1), u16::MAX);
+        assert_eq!((u16::MAX - 1).dist_add(1).widen(), INF);
         let top = Weight::from(u32::MAX);
         assert_eq!(<u32 as DistEntry>::narrow(top - 1).widen(), top - 1);
         assert_eq!(<u32 as DistEntry>::narrow(top), u32::MAX);
@@ -326,6 +358,11 @@ mod tests {
     }
 
     #[test]
+    fn u16_kernels_match_definition() {
+        kernels_match_definition::<u16>(Weight::from(u16::MAX));
+    }
+
+    #[test]
     fn u32_kernels_match_definition() {
         kernels_match_definition::<u32>(Weight::from(u32::MAX));
     }
@@ -335,8 +372,8 @@ mod tests {
         kernels_match_definition::<u64>(INF);
     }
 
-    /// Every kernel call whose rows differ in length panics, at both
-    /// widths, whichever row is short.
+    /// Every kernel call whose rows differ in length panics, at every
+    /// width, whichever row is short.
     #[test]
     fn kernels_reject_rows_of_other_lengths() {
         fn rejects<E: DistEntry>() {
@@ -356,6 +393,7 @@ mod tests {
                 assert!(msg.contains("distance row length"), "call {i}: {msg}");
             }
         }
+        rejects::<u16>();
         rejects::<u32>();
         rejects::<u64>();
     }

@@ -3,11 +3,13 @@
 //! Every table is allocated zeroed and advised for transparent huge
 //! pages before it is written (`ear_apsp::arena`). The property suites
 //! draw graphs far too small to reach that path, so this one builds a
-//! single block of 1200 vertices — a 5.8 MB table at `u32` — and the same
-//! graph plus a disjoint `u32::MAX` edge, which stores it at `u64`
-//! (11.5 MB). At both widths a cold build and each oracle along a 2-hop
-//! refresh chain must answer every pair as Dijkstra does, and each
-//! refreshed oracle's tables must be bit-identical to a cold build's.
+//! single block of 1200 vertices, whose distances store it at `u16`
+//! (2.9 MB), and the same graph plus a disjoint edge of weight `u16::MAX`,
+//! which stores it at `u32` (5.8 MB), or of weight `u32::MAX`, which
+//! stores it at `u64` (11.5 MB). At every width a cold build and each
+//! oracle along a 2-hop refresh chain must answer every pair as Dijkstra
+//! does, and each refreshed oracle's tables must be bit-identical to a
+//! cold build's.
 //!
 //! The same checks run on a block whose `u32` tables are built from
 //! min-plus sums near `u32::MAX`: the row kernels run on vector lanes
@@ -31,8 +33,8 @@ const LIGHT: Weight = 1 << 10;
 
 /// A ring of `N` vertices with a chord from every fourth vertex, weights
 /// 1–7: one block, about half its vertices of degree 2. With `heavy`, a
-/// disjoint edge `(N, N + 1)` of weight `u32::MAX` is appended.
-fn ring_with_chords(heavy: bool) -> CsrGraph {
+/// disjoint edge `(N, N + 1)` of that weight is appended.
+fn ring_with_chords(heavy: Option<Weight>) -> CsrGraph {
     let mut edges: Vec<(u32, u32, Weight)> = (0..N)
         .map(|i| (i, (i + 1) % N, Weight::from(1 + i % 7)))
         .collect();
@@ -42,8 +44,8 @@ fn ring_with_chords(heavy: bool) -> CsrGraph {
             .map(|i| (i, (7 * i + 13) % N, Weight::from(1 + 3 * i % 7))),
     );
     let mut n = N as usize;
-    if heavy {
-        edges.push((N, N + 1, Weight::from(u32::MAX)));
+    if let Some(w) = heavy {
+        edges.push((N, N + 1, w));
         n += 2;
     }
     CsrGraph::from_edges(n, &edges)
@@ -77,16 +79,21 @@ fn matches_cold(o: &DistanceOracle, exec: &HeteroExecutor, what: &str) {
 }
 
 /// A cold build and a 2-hop refresh chain on `ring_with_chords(heavy)`,
-/// each stored at `bytes` per entry.
-fn cold_and_refresh_chain(heavy: bool, bytes: usize) {
+/// each stored at `bytes` per entry, with tables of more than
+/// `min_bytes`.
+fn cold_and_refresh_chain(heavy: Option<Weight>, bytes: usize, min_bytes: usize) {
     let exec = HeteroExecutor::sequential();
     let g = ring_with_chords(heavy);
     let o = build_oracle_with_plan(Arc::new(DecompPlan::build(&g)), &exec, ApspMethod::Ear);
     assert_eq!(o.tables().entry_bytes(), bytes);
-    assert_eq!(o.plan().n_blocks(), 1 + usize::from(heavy));
-    assert!(o.tables().bytes() > 4 << 20, "{} bytes", o.tables().bytes());
+    assert_eq!(o.plan().n_blocks(), 1 + usize::from(heavy.is_some()));
+    assert!(
+        o.tables().bytes() > min_bytes,
+        "{} bytes",
+        o.tables().bytes()
+    );
     matches_dijkstra(&o, &g, "cold");
-    refresh_chain(o, &g, &exec, u64::from(heavy) + 0x4b9e);
+    refresh_chain(o, &g, &exec, u64::from(heavy.is_some()) + 0x4b9e);
 }
 
 /// Refreshes cold oracle `o` of `g` twice, each time re-weighting about
@@ -119,13 +126,18 @@ fn refresh_chain(mut o: DistanceOracle, g: &CsrGraph, exec: &HeteroExecutor, see
 }
 
 #[test]
+fn u16_tables_past_a_huge_page_match_dijkstra_and_cold() {
+    cold_and_refresh_chain(None, 2, 2 << 20);
+}
+
+#[test]
 fn u32_tables_past_a_huge_page_match_dijkstra_and_cold() {
-    cold_and_refresh_chain(false, 4);
+    cold_and_refresh_chain(Some(Weight::from(u16::MAX)), 4, 4 << 20);
 }
 
 #[test]
 fn u64_tables_past_a_huge_page_match_dijkstra_and_cold() {
-    cold_and_refresh_chain(true, 8);
+    cold_and_refresh_chain(Some(Weight::from(u32::MAX)), 8, 4 << 20);
 }
 
 /// Weight of each of the two heavy edges of [`heavy_linked_rings`]:

@@ -235,9 +235,10 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
     // 6. One distance store: the query engine reads the oracle's arena
     //    instead of copying it, so building one allocates far less than
     //    the arena's own bytes (a copying engine allocates at least that
-    //    much). A 24×24 grid is one block of 576 vertices: 331 776
-    //    entries, 1.33 MB of tables at 4 bytes an entry.
-    let side = 24u32;
+    //    much). A 32×32 grid is one block of 1024 vertices: 1 048 576
+    //    entries, 2 MiB of tables at the 2 bytes an entry its distances
+    //    allow.
+    let side = 32u32;
     let mut edges = Vec::new();
     for r in 0..side {
         for c in 0..side {

@@ -165,7 +165,7 @@ fn check_graph(g: &CsrGraph) -> Result<(), String> {
             for v in 0..g.n() as u32 {
                 if wide.dist(u, v) != narrow.dist(u, v) {
                     return Err(format!(
-                        "{method:?} d({u}, {v}): u64 {} vs u32 {}",
+                        "{method:?} d({u}, {v}): u64 {} vs u16 {}",
                         wide.dist(u, v),
                         narrow.dist(u, v)
                     ));

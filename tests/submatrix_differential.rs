@@ -5,8 +5,9 @@
 //! (`k` = retained vertices). This suite holds the `Ear` oracle's block
 //! spans to that: for every simple block, the leading `k × k` entries of
 //! its `Ear` span equal the `Reduced` oracle's span bit for bit, on every
-//! testkit family, cold and along a chain of refreshes, at both entry
-//! widths (a disjoint edge of weight `u32::MAX` forces `u64`).
+//! testkit family, cold and along a chain of refreshes, at every entry
+//! width: the testkit's graphs store at `u16`, and a disjoint edge of
+//! weight `u16::MAX` forces `u32`, one of weight `u32::MAX` forces `u64`.
 
 use std::sync::Arc;
 
@@ -33,12 +34,12 @@ fn families() -> Vec<(&'static str, GraphStrategy)> {
     ]
 }
 
-/// `g` plus the disjoint edge `(n, n + 1)` of weight `u32::MAX`, appended
-/// last so the first `g.m()` edge ids are `g`'s.
-fn with_heavy_edge(g: &CsrGraph) -> CsrGraph {
+/// `g` plus the disjoint edge `(n, n + 1)` of weight `w`, appended last
+/// so the first `g.m()` edge ids are `g`'s.
+fn with_heavy_edge(g: &CsrGraph, w: Weight) -> CsrGraph {
     let n = g.n() as u32;
     let mut edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
-    edges.push((n, n + 1, Weight::from(u32::MAX)));
+    edges.push((n, n + 1, w));
     CsrGraph::from_edges(g.n() + 2, &edges)
 }
 
@@ -74,22 +75,29 @@ fn reduced_leads_full(
 }
 
 #[test]
-fn reduced_table_is_the_leading_submatrix_cold_and_refreshed_at_both_widths() {
+fn reduced_table_leads_the_full_one_cold_and_refreshed_at_every_width() {
     for (name, strat) in families() {
         forall(format!("submatrix_differential/{name}").leak())
             .cases(8)
             .run(&strat, |g| {
                 let exec = HeteroExecutor::sequential();
                 let mut rng = TestRng::new(derive_seed(g.m() as u64, 0x5b3));
-                for (graph, bytes) in [(g.clone(), None), (with_heavy_edge(g), Some(8))] {
+                let (w16, w32) = (Weight::from(u16::MAX), Weight::from(u32::MAX));
+                for (graph, bytes) in [
+                    (g.clone(), 2),
+                    (with_heavy_edge(g, w16), 4),
+                    (with_heavy_edge(g, w32), 8),
+                ] {
                     let plan = Arc::new(DecompPlan::build(&graph));
                     let build = |m| build_oracle_with_plan(Arc::clone(&plan), &exec, m);
                     let (mut ear, mut red) = (build(ApspMethod::Ear), build(ApspMethod::Reduced));
-                    if bytes.is_some_and(|b| ear.tables().entry_bytes() != b) {
-                        return Err("the heavy edge left u32 tables".into());
+                    if ear.tables().entry_bytes() != bytes {
+                        return Err(format!(
+                            "stored at {}, not {bytes} bytes",
+                            ear.tables().entry_bytes()
+                        ));
                     }
-                    let width = ear.tables().entry_bytes();
-                    reduced_leads_full(&format!("{width}B cold"), &ear, &red)?;
+                    reduced_leads_full(&format!("{bytes}B cold"), &ear, &red)?;
                     // Three hops, each redrawing about half of g's weights;
                     // the heavy edge keeps its weight.
                     let mut w: Vec<Weight> = graph.edges().iter().map(|e| e.w).collect();
@@ -102,7 +110,7 @@ fn reduced_table_is_the_leading_submatrix_cold_and_refreshed_at_both_widths() {
                         let p = Arc::new(ear.plan().recustomized(&w));
                         ear = ear.recustomized(Arc::clone(&p), &exec);
                         red = red.recustomized(p, &exec);
-                        reduced_leads_full(&format!("{width}B hop {hop}"), &ear, &red)?;
+                        reduced_leads_full(&format!("{bytes}B hop {hop}"), &ear, &red)?;
                     }
                 }
                 Ok(())
