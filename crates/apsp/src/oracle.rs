@@ -20,12 +20,16 @@
 //!   (`tree_dist`, the one distance function every query type uses).
 //!
 //! Phase II (per-block tables) runs one search per source of each block's
-//! phase-II graph, and each search stops where a finished row takes over
-//! (`SsspEngine::run_reusing`): a vertex whose row is finished pops at
-//! its true distance `d` and contributes `d ⊕ row_x` in one streaming
-//! min-plus pass, and a vertex such a row already reaches as cheaply is
-//! not expanded. The first vertex of any shortest path that is cut off
-//! this way pops at its true distance, so the rows are exact. A block's
+//! phase-II graph (`SsspEngine::run_reusing`), and each search keeps its
+//! tentative distances in the table row it writes: a relaxation queues a
+//! vertex only when it beats the row, a popped vertex whose row is
+//! finished contributes `d ⊕ row_x` in one streaming min-plus pass
+//! instead of being expanded, and a pop the row has since beaten is
+//! skipped — so a search queues nothing a folded row reaches as cheaply.
+//! Along any shortest path, the first vertex that is not expanded at its
+//! true distance is folded at it or received it from a fold, and that
+//! fold writes the path's end at its true distance, so the rows are
+//! exact. A block's
 //! sources run in descending degree order, ties broken by a hash of the
 //! id, in rounds that double from 8 sources; round `r` is every block's
 //! `r`-th batch, one executor run, and sees only the rows of earlier

@@ -32,9 +32,14 @@
 //! metrics frames (JSON lines) to a file or FIFO while the command runs.
 //! `ear trace-check <file>` validates a trace file's structure, including
 //! counter-event sanity (for CI).
+//!
+//! Every command writes its report through one locked standard-output
+//! writer. When the reader closes it early (`ear apsp g.el | head -1`),
+//! the command stops at its next write and exits 0 without a message.
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use ear_apsp::ApspMethod;
@@ -44,11 +49,43 @@ use ear_mcb::{ExecMode, McbConfig};
 
 mod commands;
 
+/// Why a command stopped before its end.
+pub enum CliError {
+    /// Standard output was closed by its reader: nothing more can be
+    /// reported, and the command ends quietly with success.
+    Closed,
+    /// A failure, reported on standard error with the usage text.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Failed(e.into())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            CliError::Closed
+        } else {
+            CliError::Failed(e.to_string())
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let mut out = io::stdout().lock();
+    match run(&mut out, args).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
+        Err(CliError::Failed(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", usage());
@@ -81,7 +118,7 @@ specs: nopoly OPF_3754 ca-AstroPh as-22july06 c-50 cond_mat_2003
        delaunay_n15 Rajat26 Wordnet3 soc-sign-epinions Planar_1..Planar_5"
 }
 
-fn run(args: Vec<String>) -> Result<(), String> {
+fn run(out: &mut dyn Write, args: Vec<String>) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
@@ -90,18 +127,18 @@ fn run(args: Vec<String>) -> Result<(), String> {
         "stats" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
             CommonOpts::parse(&rest[1..], &[], false)?;
-            commands::stats(&g)
+            commands::stats(out, &g)
         }
         "decompose" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
             CommonOpts::parse(&rest[1..], &[], false)?;
-            commands::decompose(&g)
+            commands::decompose(out, &g)
         }
         "apsp" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
             let opts = CommonOpts::parse(&rest[1..], &["--pairs"], true)?;
             let pairs = parse_pairs(&rest[1..], g.n())?;
-            commands::apsp(&g, &opts, &pairs)
+            commands::apsp(out, &g, &opts, &pairs)
         }
         "query" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
@@ -109,13 +146,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let pairs = parse_pairs(&rest[1..], g.n())?;
             let queries = parse_value(&rest[1..], "--queries")?.unwrap_or(10_000usize);
             let seed = parse_value(&rest[1..], "--seed")?.unwrap_or(7u64);
-            commands::query(&g, &opts, &pairs, queries, seed)
+            commands::query(out, &g, &opts, &pairs, queries, seed)
         }
         "combined" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
             let opts = CommonOpts::parse(&rest[1..], &["--pairs"], true)?;
             let pairs = parse_pairs(&rest[1..], g.n())?;
-            commands::combined(&g, &opts, &pairs)
+            commands::combined(out, &g, &opts, &pairs)
         }
         "recustomize" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
@@ -123,13 +160,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let fraction = parse_value(&rest[1..], "--fraction")?.unwrap_or(0.01f64);
             let rounds = parse_value(&rest[1..], "--rounds")?.unwrap_or(3usize);
             let seed = parse_value(&rest[1..], "--seed")?.unwrap_or(7u64);
-            commands::recustomize(&g, &opts, fraction, rounds, seed)
+            commands::recustomize(out, &g, &opts, fraction, rounds, seed)
         }
         "bc" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
             CommonOpts::parse(&rest[1..], &["--top"], false)?;
             let top = parse_value(&rest[1..], "--top")?.unwrap_or(10usize);
-            commands::bc(&g, top)
+            commands::bc(out, &g, top)
         }
         "mcb" => {
             let g = load(rest.first().ok_or("missing graph path")?)?;
@@ -138,9 +175,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let print_cycles = rest.iter().any(|a| a == "--print-cycles");
             let profile = rest.iter().any(|a| a == "--profile");
             let profile_json = rest.iter().any(|a| a == "--profile-json");
-            commands::mcb(&g, &opts, print_cycles, profile, profile_json)
+            commands::mcb(out, &g, &opts, print_cycles, profile, profile_json)
         }
-        "trace-check" => commands::trace_check(rest.first().ok_or("missing trace file")?),
+        "trace-check" => commands::trace_check(out, rest.first().ok_or("missing trace file")?),
         "generate" => {
             let name = rest.first().ok_or("missing spec name")?;
             let scale: usize = rest
@@ -148,10 +185,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 .ok_or("missing scale")?
                 .parse()
                 .map_err(|_| "scale must be an integer")?;
-            let out = rest.get(2).map(|s| s.as_str());
-            commands::generate(name, scale, out)
+            let file = rest.get(2).map(|s| s.as_str());
+            commands::generate(out, name, scale, file)
         }
-        other => Err(format!("unknown subcommand '{other}'")),
+        other => Err(format!("unknown subcommand '{other}'").into()),
     }
 }
 
@@ -324,8 +361,8 @@ pub struct ObsSession<'a> {
 impl ObsSession<'_> {
     /// Closes the root span, stops the profiler (taking one final sample)
     /// and the streaming exporter (flushing one final frame), and writes
-    /// every requested output file.
-    pub fn finish(mut self) -> Result<(), String> {
+    /// every requested output file, naming each on `out`.
+    pub fn finish(mut self, out: &mut dyn Write) -> Result<(), CliError> {
         // Stop the profiler while the root span is still open: its final
         // synchronous sample then captures at least the root frame even on
         // runs shorter than the sampling period.
@@ -340,25 +377,27 @@ impl ObsSession<'_> {
         if let Some(path) = &self.opts.trace_out {
             let trace = ear_obs::trace_snapshot();
             ear_obs::write_chrome_trace(path, &trace).map_err(|e| format!("{path}: {e}"))?;
-            println!("wrote trace to {path}");
+            writeln!(out, "wrote trace to {path}")?;
         }
         if let Some(path) = &self.opts.metrics_out {
             let snap = ear_obs::metrics_snapshot();
             ear_obs::write_metrics(path, &snap).map_err(|e| format!("{path}: {e}"))?;
-            println!("wrote metrics to {path}");
+            writeln!(out, "wrote metrics to {path}")?;
         }
         if let Some(path) = &self.opts.profile_out {
             ear_obs::profile::write_collapsed(path).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "wrote profile to {path} ({} samples)",
                 ear_obs::profile::samples()
-            );
+            )?;
         }
         if let Some(path) = &self.opts.metrics_stream {
-            println!(
+            writeln!(
+                out,
                 "streamed {} metrics frames to {path}",
                 ear_obs::stream::frames()
-            );
+            )?;
         }
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `ear` binary: every subcommand against real
 //! files, exercised the way a user would.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Output, Stdio};
 
 fn ear(args: &[&str]) -> Output {
@@ -58,6 +58,33 @@ fn stats_on_edge_list() {
         text.contains("table width           u16 (distance bound 6)"),
         "{text}"
     );
+}
+
+/// A reader that quits after the first line (`ear apsp … | head -1`)
+/// ends the command quietly: exit 0, no panic. Twenty 2000-vertex paths
+/// print far more than a pipe buffers, so the command is still writing
+/// when its stdout closes.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    let chain: String = (0..1999).map(|v| format!("{v} {} 1\n", v + 1)).collect();
+    let p = tmpfile("long_chain.txt", &chain);
+    let pairs = vec!["0:1999"; 20].join(",");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ear"))
+        .args(["apsp", p.to_str().unwrap(), "--pairs", &pairs])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("oracle built:"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 #[test]

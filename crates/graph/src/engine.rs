@@ -48,13 +48,16 @@
 //!   settle order (and every downstream bit) is unchanged. Only weights
 //!   at or above [`DIAL_WEIGHT_LIMIT`] (or zero-weight edges) still fall
 //!   back to the heap, ticking `sssp.dial.range_fallback`.
-//! * **Row reuse** — [`SsspEngine::run_reusing`] is the same loop with a
-//!   different visit hook: it writes a distance row in place, stops
-//!   at every vertex whose row is already finished and folds that row in
-//!   with one streaming min-plus pass ([`DistEntry::fold_min_plus`], on
-//!   AVX2 lanes where the CPU has them), and skips vertices a folded row
-//!   already covers. The loop is monomorphised on the hook, so a plain
-//!   run carries none of it.
+//! * **Row reuse** — [`SsspEngine::run_reusing`] runs the same loops with
+//!   the tentative distances kept in the distance row it writes instead
+//!   of the engine's stamped state: a relaxation queues a vertex only
+//!   when it beats the row, a popped vertex whose row is finished is
+//!   folded in with one streaming min-plus pass
+//!   ([`DistEntry::fold_min_plus`], on AVX2 lanes where the CPU has them)
+//!   instead of being expanded, and a pop the row has since beaten is
+//!   skipped (such a run keeps no heap slots, so on the heap path its
+//!   heap runs lazy deletion). The loops are monomorphised on where the distances live
+//!   (the private `Labels` trait), so a plain run carries none of it.
 //!
 //! Results are **bit-identical** to the allocate-per-source reference in
 //! `ear_testkit::reference`: its lazy-deletion heap always pops the
@@ -75,6 +78,8 @@ use crate::view::CsrView;
 /// `pos` sentinel: touched this generation but not currently in the heap
 /// (either settled-and-popped is tracked by [`SETTLED`], or never pushed —
 /// a vertex whose only known "distance" is the `INF` parent-tie case).
+/// Also what a run that keeps no heap slots reports for every vertex, so
+/// its heap is a lazy-deletion one.
 const NOT_IN_HEAP: u32 = u32::MAX;
 /// `pos` sentinel: settled (popped from the heap) this generation.
 const SETTLED: u32 = u32::MAX - 1;
@@ -109,53 +114,139 @@ fn tie_prefers(u: VertexId, e: EdgeId, cur_pv: VertexId, cur_pe: EdgeId) -> bool
     (u, e) < (cur_pv, cur_pe)
 }
 
-/// What a run does with each vertex it pops. The main loops are
-/// monomorphised on it, so [`ExpandAll`] compiles to plain Dijkstra.
-trait Visit {
-    /// Called once per pop, with `x`'s distance in this search; `false`
-    /// leaves `x` unexpanded (its incidences are not relaxed, and it does
-    /// not count as settled).
+/// Where a run keeps its tentative distances, and what it does with each
+/// vertex it pops. The main loops are monomorphised on it, so
+/// [`Stamped`] compiles to plain Dijkstra.
+trait Labels {
+    /// Offers `v` the tentative distance `nd` over edge `e` from `u`. On
+    /// a strict improvement returns `v`'s heap slot before it
+    /// ([`NOT_IN_HEAP`] when it has none), and the caller queues `v` at
+    /// `nd`; `None` queues nothing.
+    fn relax(&mut self, u: VertexId, e: EdgeId, v: VertexId, nd: Weight) -> Option<u32>;
+
+    /// Called at every pop of `x` at `d`; `true` expands `x` (it counts as
+    /// settled and its incidences are relaxed), `false` leaves it
+    /// unexpanded.
     fn settle(&mut self, x: VertexId, d: Weight) -> bool;
+
+    /// Heap slot `i` now holds `v`.
+    fn set_pos(&mut self, v: VertexId, i: u32);
 }
 
-/// Plain Dijkstra: every popped vertex is expanded.
-struct ExpandAll;
+/// The engine's own stamped state, for [`SsspEngine::run`] and
+/// [`SsspEngine::run_tree`]: tentative distances, heap slots, the touched
+/// list, the settle order and, with `WANT_TREE`, parent pointers.
+struct Stamped<'a, const WANT_TREE: bool> {
+    gen: u32,
+    state: &'a mut [VertexState],
+    parent: &'a mut [ParentState],
+    touched: &'a mut Vec<VertexId>,
+    order: &'a mut Vec<VertexId>,
+}
 
-impl Visit for ExpandAll {
+impl<const WANT_TREE: bool> Labels for Stamped<'_, WANT_TREE> {
     #[inline(always)]
-    fn settle(&mut self, _: VertexId, _: Weight) -> bool {
+    fn relax(&mut self, u: VertexId, e: EdgeId, v: VertexId, nd: Weight) -> Option<u32> {
+        let vi = v as usize;
+        // The resting invariant (untouched reads as INF / NOT_IN_HEAP)
+        // makes this a single data-dependent compare.
+        let st = self.state[vi];
+        let strictly_better = nd < st.dist;
+        // `nd == dist == INF` on an untouched vertex replicates the
+        // parent tie against the (u32::MAX, u32::MAX) sentinel pair,
+        // which always prefers the real `(u, e)`. A settled vertex
+        // (pos == SETTLED) never changes: with non-negative weights
+        // nd >= dist, and the tie branch requires an unsettled vertex.
+        let tie_better = WANT_TREE && nd == st.dist && st.pos != SETTLED && {
+            let (pv, pe) = if st.stamp == self.gen {
+                let p = self.parent[vi];
+                (p.vertex, p.edge)
+            } else {
+                (u32::MAX, u32::MAX)
+            };
+            tie_prefers(u, e, pv, pe)
+        };
+        if !(strictly_better || tie_better) {
+            return None;
+        }
+        if st.stamp != self.gen {
+            self.state[vi].stamp = self.gen;
+            self.touched.push(v);
+        }
+        self.state[vi].dist = nd;
+        if WANT_TREE {
+            self.parent[vi] = ParentState {
+                vertex: u,
+                edge: e,
+                depth: self.parent[u as usize].depth + 1,
+            };
+        }
+        strictly_better.then_some(st.pos)
+    }
+
+    /// Skips an entry a lower distance superseded (a bucket entry only;
+    /// the indexed heap holds none).
+    #[inline(always)]
+    fn settle(&mut self, x: VertexId, d: Weight) -> bool {
+        let st = &mut self.state[x as usize];
+        if st.pos == SETTLED || st.dist != d {
+            return false;
+        }
+        st.pos = SETTLED;
+        self.order.push(x);
         true
+    }
+
+    #[inline(always)]
+    fn set_pos(&mut self, v: VertexId, i: u32) {
+        self.state[v as usize].pos = i;
     }
 }
 
-/// The [`SsspEngine::run_reusing`] hook: writes `row` as vertices pop and
-/// stops at finished rows and covered vertices.
-struct Reuse<'a, E, F> {
-    source: VertexId,
+/// A distance row as a search's only distance array, for
+/// [`SsspEngine::run_reusing`]: relaxations write it and queue only what
+/// beats it, and finished rows are folded into it. It keeps no heap
+/// slots, so the heap path runs lazy deletion.
+struct Row<'a, E, F> {
     row: &'a mut [E],
     finished: F,
     rows_combined: u64,
 }
 
-impl<'r, E: DistEntry, F: Fn(VertexId) -> Option<&'r [E]>> Visit for Reuse<'_, E, F> {
+impl<'r, E: DistEntry, F: Fn(VertexId) -> Option<&'r [E]>> Labels for Row<'_, E, F> {
+    /// The saturating [`DistEntry::narrow`] queues no candidate at or past
+    /// the row's `INF`, so every queued distance is stored exactly.
+    #[inline(always)]
+    fn relax(&mut self, _: VertexId, _: EdgeId, v: VertexId, nd: Weight) -> Option<u32> {
+        let (r, nd) = (&mut self.row[v as usize], E::narrow(nd));
+        (nd < *r).then(|| {
+            *r = nd;
+            NOT_IN_HEAP
+        })
+    }
+
+    /// Skips `x` when the row beats `d`: a later push superseded the
+    /// entry, or a folded row reaches `x` more cheaply. Otherwise folds
+    /// `x`'s finished row in, `row = min(row, d ⊕ row_x)`, instead of
+    /// expanding it.
     #[inline]
     fn settle(&mut self, x: VertexId, d: Weight) -> bool {
-        let (xi, d) = (x as usize, E::narrow(d));
-        // Covered: a row folded earlier already reaches `x` this cheaply,
-        // and everything beyond `x` through that row.
-        if x != self.source && self.row[xi] <= d {
+        let dx = self.row[x as usize];
+        if dx != E::narrow(d) {
             return false;
         }
-        self.row[xi] = d;
         match (self.finished)(x) {
             Some(rx) => {
-                E::fold_min_plus(self.row, rx, d);
+                E::fold_min_plus(self.row, rx, dx);
                 self.rows_combined += 1;
                 false
             }
             None => true,
         }
     }
+
+    #[inline(always)]
+    fn set_pos(&mut self, _: VertexId, _: u32) {}
 }
 
 /// Which priority queue a run takes (see [`SsspEngine::dial_mode`]).
@@ -216,14 +307,37 @@ struct ParentState {
     depth: u32,
 }
 
+/// The priority queues every run shares, and the main loops that drive
+/// them. Always empty between runs.
+#[derive(Debug)]
+struct Queues {
+    /// The 4-ary heap: `(dist, vertex)` entries, keys inline for
+    /// cache-local comparisons.
+    heap: Vec<(Weight, VertexId)>,
+    /// Dial fast path: `buckets[d % DIAL_BUCKETS]` holds vertices whose
+    /// tentative distance is `d`. Lazily sized to [`DIAL_BUCKETS`] on the
+    /// first bucket run.
+    buckets: Vec<Vec<VertexId>>,
+    /// Occupancy bit per bucket, so advancing past empty buckets costs a
+    /// word scan instead of a per-bucket probe.
+    bucket_live: [u64; DIAL_MASK_WORDS],
+    /// Overflow level of the two-level Dial path: `(dist, vertex)` entries
+    /// whose tentative distance lies past the current bucket window,
+    /// promoted in bulk when the window jumps.
+    overflow: Vec<(Weight, VertexId)>,
+}
+
 /// A reusable Dijkstra instance: preallocated arrays, generation-stamp
 /// lazy reset, indexed 4-ary decrease-key heap.
 ///
 /// One engine serves one run at a time; query methods ([`dist`](Self::dist),
 /// [`dist_vec`](Self::dist_vec), [`write_dist`](Self::write_dist),
-/// [`tree`](Self::tree), [`settle_order`](Self::settle_order)) read the
-/// most recent run. Engines grow monotonically to the largest graph they
-/// have seen and can be reused across graphs of different sizes.
+/// [`tree`](Self::tree), [`settle_order`](Self::settle_order),
+/// [`stats`](Self::stats)) read the most recent [`run`](Self::run),
+/// [`run_view`](Self::run_view) or [`run_tree`](Self::run_tree);
+/// [`run_reusing`](Self::run_reusing) leaves them as they were. Engines
+/// grow monotonically to the largest graph they have seen and can be
+/// reused across graphs of different sizes.
 #[derive(Debug)]
 pub struct SsspEngine {
     /// Current generation; `state[v].stamp == gen` marks `v` as touched.
@@ -237,21 +351,7 @@ pub struct SsspEngine {
     state: Vec<VertexState>,
     /// Parent pointers; stale (ignored) for distances-only runs.
     parent: Vec<ParentState>,
-    /// The 4-ary heap: `(dist, vertex)` entries, keys inline for
-    /// cache-local comparisons.
-    heap: Vec<(Weight, VertexId)>,
-    /// Dial fast path: `buckets[d % DIAL_BUCKETS]` holds vertices whose
-    /// tentative distance is `d`. Lazily sized to [`DIAL_BUCKETS`] on the
-    /// first bucket run; always fully drained (empty) between runs.
-    buckets: Vec<Vec<VertexId>>,
-    /// Occupancy bit per bucket, so advancing past empty buckets costs a
-    /// word scan instead of a per-bucket probe.
-    bucket_live: [u64; DIAL_MASK_WORDS],
-    /// Overflow level of the two-level Dial path: `(dist, vertex)` entries
-    /// whose tentative distance lies past the current bucket window,
-    /// promoted in bulk when the window jumps. Always drained (empty)
-    /// between runs.
-    overflow: Vec<(Weight, VertexId)>,
+    queues: Queues,
     /// Every vertex written this run (superset of `order`).
     touched: Vec<VertexId>,
     /// Settle order of the most recent run (non-decreasing distance).
@@ -275,10 +375,12 @@ impl SsspEngine {
             tree_run: false,
             state: Vec::new(),
             parent: Vec::new(),
-            heap: Vec::new(),
-            buckets: Vec::new(),
-            bucket_live: [0; DIAL_MASK_WORDS],
-            overflow: Vec::new(),
+            queues: Queues {
+                heap: Vec::new(),
+                buckets: Vec::new(),
+                bucket_live: [0; DIAL_MASK_WORDS],
+                overflow: Vec::new(),
+            },
             touched: Vec::new(),
             order: Vec::new(),
             stats: DijkstraStats::default(),
@@ -312,39 +414,48 @@ impl SsspEngine {
     /// Distances-only run (no parent bookkeeping). Returns the run's
     /// operation counters.
     pub fn run(&mut self, g: &CsrGraph, source: VertexId) -> DijkstraStats {
-        self.run_inner::<false, _>(g.view(), Self::dial_mode(g.view()), source, &mut ExpandAll)
+        self.run_inner::<false>(g.view(), Self::dial_mode(g.view()), source)
     }
 
     /// Full shortest-path-tree run with the deterministic
     /// `(distance, vertex, edge)` parent tie-break.
     pub fn run_tree(&mut self, g: &CsrGraph, source: VertexId) -> DijkstraStats {
-        self.run_inner::<true, _>(g.view(), Self::dial_mode(g.view()), source, &mut ExpandAll)
+        self.run_inner::<true>(g.view(), Self::dial_mode(g.view()), source)
     }
 
     /// [`run`](Self::run) on a borrowed [`CsrView`] (whole graph or arena
     /// block window) — the same code path, so results are bit-identical.
     pub fn run_view(&mut self, g: CsrView<'_>, source: VertexId) -> DijkstraStats {
-        self.run_inner::<false, _>(g, Self::dial_mode(g), source, &mut ExpandAll)
+        self.run_inner::<false>(g, Self::dial_mode(g), source)
     }
 
     /// Writes the distance row of `source` in `g` into `row`, reusing the
     /// rows `finished(x)` returns (each `g.n()` long) where a search would
-    /// repeat them. On popping `x` at distance `d`:
+    /// repeat them. `row` is the search's only distance array: a
+    /// relaxation queues `v` at `nd` only when `nd < row[v]` (and `nd` is
+    /// below the row's `INF`), storing `row[v] = nd`. On popping `x` at
+    /// distance `d`:
     ///
-    /// * `x ≠ source` and `row[x] ≤ d`: `x` is *covered* by a row folded
-    ///   earlier and is not expanded;
-    /// * otherwise `row[x] = d`, and when `x`'s row is finished it is
-    ///   folded in, `row = min(row, d ⊕ row_x)` (saturating at `INF`),
-    ///   instead of expanding `x`; else `x` is expanded as usual.
+    /// * `row[x] < d`: a later relaxation, or a row folded since, reaches
+    ///   `x` more cheaply, and `x` is skipped;
+    /// * otherwise, when `x`'s row is finished it is folded in,
+    ///   `row = min(row, d ⊕ row_x)` (saturating at `INF`), instead of
+    ///   expanding `x`; else `x` is expanded as usual.
     ///
-    /// Exact for any non-negative weights: the first vertex of a shortest
-    /// path `source → t` that is folded or covered pops at its true
-    /// distance, and the row it was folded from reaches `t` at `d(source,
-    /// t)`; every other candidate is the length of a real path. With no
-    /// finished rows this is a plain run. Returns the search's counters —
-    /// `settled` and `edges_relaxed` cover the expanded vertices only —
-    /// and the number of rows folded. The engine's own distance queries
-    /// afterwards read the search's tentative distances, not `row`.
+    /// Exact for any non-negative weights: every entry of `row` is the
+    /// length of a real path. Along a shortest path `source → t` each
+    /// expanded vertex hands the next one its true distance; the first
+    /// vertex that is not expanded at its true distance is folded at it
+    /// or received it from a fold, and that fold writes `row[t] =
+    /// d(source, t)`. With none, `t` is reached as in Dijkstra. Equal
+    /// distances pop in ascending vertex order on every
+    /// queue, so which vertices are expanded depends on `g` and the
+    /// finished rows alone. With no finished rows this is a plain run.
+    ///
+    /// Returns the search's counters — `settled` and `edges_relaxed`
+    /// cover the expanded vertices only — and the number of rows folded.
+    /// The run touches none of the engine's per-vertex state: its query
+    /// methods afterwards still describe its last plain or tree run.
     ///
     /// # Panics
     /// Panics unless `row` and every finished row are `g.n()` long.
@@ -356,25 +467,28 @@ impl SsspEngine {
         finished: impl Fn(VertexId) -> Option<&'r [E]>,
     ) -> (DijkstraStats, u64) {
         assert_eq!(row.len(), g.g.n(), "distance row length");
+        assert!((source as usize) < row.len(), "source out of range");
+        // Filled before the span opens, so a fresh table's first-touch
+        // faults are charged to the caller, not to the search.
         row.fill(E::INF);
-        let mut reuse = Reuse {
-            source,
+        row[source as usize] = E::narrow(0);
+        let _span = ear_obs::span_with("sssp.run", source as u64);
+        let mut labels = Row {
             row,
             finished,
             rows_combined: 0,
         };
-        let stats = self.run_inner::<false, _>(g.g, g.mode, source, &mut reuse);
-        (stats, reuse.rows_combined)
+        let stats = self.queues.run(g.g, g.mode, source, &mut labels);
+        (stats, labels.rows_combined)
     }
 
     // Monomorphised on `WANT_TREE` so the distances-only path carries no
-    // per-edge tree branches at all, and on the visit hook.
-    fn run_inner<const WANT_TREE: bool, V: Visit>(
+    // per-edge tree branches at all.
+    fn run_inner<const WANT_TREE: bool>(
         &mut self,
         g: CsrView<'_>,
         mode: DialMode,
         source: VertexId,
-        visit: &mut V,
     ) -> DijkstraStats {
         let _span = ear_obs::span_with("sssp.run", source as u64);
         let n = g.n();
@@ -388,7 +502,7 @@ impl SsspEngine {
         self.bump_gen();
         // Restore the resting invariant `dist == INF, pos == NOT_IN_HEAP`
         // for everything the previous run wrote — O(touched), and it keeps
-        // the hot relaxation below at a single `nd < dist` compare, with no
+        // the hot relaxation at a single `nd < dist` compare, with no
         // stamp check on the fast path. (Parent state is *not* reset here;
         // the generation stamp guards its validity lazily.)
         for &v in &self.touched {
@@ -399,11 +513,8 @@ impl SsspEngine {
         self.n = n;
         self.source = source;
         self.tree_run = WANT_TREE;
-        self.heap.clear();
-        self.overflow.clear();
         self.touched.clear();
         self.order.clear();
-        self.stats = DijkstraStats::default();
 
         let s = source as usize;
         self.state[s] = VertexState {
@@ -420,21 +531,14 @@ impl SsspEngine {
         }
         self.touched.push(source);
 
-        let (edges_relaxed, heap_pushes) = match mode {
-            DialMode::Plain => self.run_buckets::<WANT_TREE, false, V>(g, visit),
-            DialMode::Overflow => self.run_buckets::<WANT_TREE, true, V>(g, visit),
-            DialMode::Heap => self.run_heap::<WANT_TREE, V>(g, visit),
+        let mut labels = Stamped::<WANT_TREE> {
+            gen: self.gen,
+            state: &mut self.state,
+            parent: &mut self.parent,
+            touched: &mut self.touched,
+            order: &mut self.order,
         };
-        self.stats.settled = self.order.len() as u64;
-        self.stats.edges_relaxed = edges_relaxed;
-        self.stats.heap_pushes = heap_pushes;
-        if ear_obs::is_enabled() {
-            ear_obs::counter_add("sssp.runs", 1);
-            ear_obs::counter_add("sssp.settled", self.stats.settled);
-            ear_obs::counter_add("sssp.edges_relaxed", edges_relaxed);
-            ear_obs::counter_add("sssp.heap_pushes", heap_pushes);
-            ear_obs::histogram_record("sssp.settled_per_run", self.stats.settled);
-        }
+        self.stats = self.queues.run(g, mode, source, &mut labels);
         self.stats
     }
 
@@ -470,233 +574,6 @@ impl SsspEngine {
                 ear_obs::counter_add("sssp.dial.range_fallback", 1);
             }
             DialMode::Heap
-        }
-    }
-
-    /// The indexed-heap main loop (the general path: any weights, any
-    /// size). Assumes the prologue has seeded `state[source]`.
-    fn run_heap<const WANT_TREE: bool, V: Visit>(
-        &mut self,
-        g: CsrView<'_>,
-        visit: &mut V,
-    ) -> (u64, u64) {
-        self.heap_insert(0, self.source);
-
-        let mut edges_relaxed = 0u64;
-        let mut heap_pushes = 0u64;
-        while let Some((du, u)) = self.heap_pop_min() {
-            if !visit.settle(u, du) {
-                continue;
-            }
-            let (relaxed, pushed) = self.expand::<WANT_TREE>(g, u, du, |eng, v, nd, pos| {
-                if pos == NOT_IN_HEAP {
-                    eng.heap_insert(nd, v);
-                } else {
-                    eng.heap_decrease(pos as usize, nd);
-                }
-            });
-            edges_relaxed += relaxed;
-            heap_pushes += pushed;
-        }
-        (edges_relaxed, heap_pushes)
-    }
-
-    /// The Dial bucket-queue main loop, monomorphised on `OVERFLOW`:
-    /// `false` is the plain sliding-window path (all weights inside the
-    /// bucket span — no window bookkeeping at all), `true` is the
-    /// two-level path whose buckets hold the fixed distance window
-    /// `[window_end - DIAL_BUCKETS, window_end)` while farther tentative
-    /// distances park in `self.overflow`. Both are bit-identical to
-    /// [`run_heap`] (see the module docs for the settle-order argument):
-    /// every bucket is drained in ascending vertex order, with strictly
-    /// positive weights no relaxation from the settling distance can feed
-    /// the bucket currently draining, and — in overflow mode — equal
-    /// distances always land on the same side of `window_end`, so a
-    /// bucket is always complete when it drains.
-    ///
-    /// [`run_heap`]: Self::run_heap
-    fn run_buckets<const WANT_TREE: bool, const OVERFLOW: bool, V: Visit>(
-        &mut self,
-        g: CsrView<'_>,
-        visit: &mut V,
-    ) -> (u64, u64) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![Vec::new(); DIAL_BUCKETS];
-        }
-        let mut edges_relaxed = 0u64;
-        let mut heap_pushes = 0u64;
-        // Total entries across all buckets, stale ones included — the
-        // window is exhausted exactly when the circular array is empty,
-        // which also restores the "all buckets drained" resting invariant.
-        let mut entries = 1usize;
-        self.buckets[0].push(self.source);
-        self.bucket_live[0] |= 1;
-        let mut cur_i = 0usize;
-        let mut cur_d: Weight = 0;
-        // Exclusive upper distance bound of the bucket window (overflow
-        // mode only; the plain path's invariant `nd < cur_d +
-        // DIAL_BUCKETS` needs no tracking).
-        let mut window_end: Weight = DIAL_BUCKETS as Weight;
-        loop {
-            if entries == 0 {
-                if !OVERFLOW || self.overflow.is_empty() {
-                    break;
-                }
-                // Window jump: the smallest parked distance is the true
-                // next settle distance (every unsettled tentative
-                // distance lives in the — empty — buckets or here), so
-                // start the new window at it and promote everything now
-                // in range. Stale parked entries promote harmlessly: the
-                // settled/superseded check at drain time skips them.
-                let base = self
-                    .overflow
-                    .iter()
-                    .map(|&(d, _)| d)
-                    .min()
-                    .expect("overflow is non-empty");
-                cur_d = base;
-                cur_i = (base % DIAL_BUCKETS as Weight) as usize;
-                window_end = base + DIAL_BUCKETS as Weight;
-                let mut i = 0;
-                while i < self.overflow.len() {
-                    let (d, v) = self.overflow[i];
-                    if d < window_end {
-                        let b = (d % DIAL_BUCKETS as Weight) as usize;
-                        self.buckets[b].push(v);
-                        self.bucket_live[b / 64] |= 1u64 << (b % 64);
-                        entries += 1;
-                        self.overflow.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            let idx = self.next_live_bucket(cur_i);
-            cur_d += ((idx + DIAL_BUCKETS - cur_i) % DIAL_BUCKETS) as Weight;
-            cur_i = idx;
-            self.bucket_live[idx / 64] &= !(1u64 << (idx % 64));
-            let mut bucket = std::mem::take(&mut self.buckets[idx]);
-            entries -= bucket.len();
-            // Ascending vertex order within one distance replicates the
-            // heap's (dist, vertex) pop order. A vertex appears at most
-            // once per bucket (an equal-distance relaxation is not
-            // strictly better), so the sort never reorders duplicates.
-            bucket.sort_unstable();
-            for &u in &bucket {
-                let ui = u as usize;
-                let st_u = self.state[ui];
-                if st_u.pos == SETTLED || st_u.dist != cur_d {
-                    continue; // superseded: improved into an earlier bucket
-                }
-                self.state[ui].pos = SETTLED;
-                if !visit.settle(u, cur_d) {
-                    continue;
-                }
-                let parked = self.overflow.len();
-                let (relaxed, pushed) =
-                    self.expand::<WANT_TREE>(g, u, cur_d, move |eng, v, nd, _| {
-                        if OVERFLOW && nd >= window_end {
-                            eng.overflow.push((nd, v));
-                        } else {
-                            let b = (nd % DIAL_BUCKETS as Weight) as usize;
-                            eng.buckets[b].push(v);
-                            eng.bucket_live[b / 64] |= 1u64 << (b % 64);
-                        }
-                    });
-                // Every push that did not park went into a bucket. Counted
-                // here, not in the push, so the closure borrows no local.
-                entries += pushed as usize - (self.overflow.len() - parked);
-                edges_relaxed += relaxed;
-                heap_pushes += pushed;
-            }
-            bucket.clear();
-            self.buckets[idx] = bucket;
-        }
-        (edges_relaxed, heap_pushes)
-    }
-
-    /// Expands settled vertex `u` at distance `du`: relaxes each of its
-    /// incidences and hands every strictly improving one to `push(self, v,
-    /// nd, pos)`, the caller's queue append (`pos` is `v`'s heap slot
-    /// before the relaxation). Returns the incidences relaxed and the
-    /// pushes made. The one relaxation step of every main loop.
-    #[inline(always)]
-    fn expand<const WANT_TREE: bool>(
-        &mut self,
-        g: CsrView<'_>,
-        u: VertexId,
-        du: Weight,
-        mut push: impl FnMut(&mut Self, VertexId, Weight, u32),
-    ) -> (u64, u64) {
-        let gen = self.gen;
-        let mut pushes = 0u64;
-        self.order.push(u);
-        let u_depth = if WANT_TREE {
-            self.parent[u as usize].depth
-        } else {
-            0
-        };
-        // `w == g.weight(e)` by the parallel-slice invariant; the zipped
-        // stream replaces a random 16-byte `edges[e]` gather per relaxation.
-        let (adj, wts) = g.incidences(u);
-        for (&(v, e), &w) in adj.iter().zip(wts) {
-            if v == u {
-                continue; // self-loops never improve a distance
-            }
-            let nd = du + w;
-            let vi = v as usize;
-            // The resting invariant (untouched reads as INF / NOT_IN_HEAP)
-            // makes this a single data-dependent compare.
-            let st = self.state[vi];
-            let strictly_better = nd < st.dist;
-            // `nd == dist == INF` on an untouched vertex replicates the
-            // parent tie against the (u32::MAX, u32::MAX) sentinel pair,
-            // which always prefers the real `(u, e)`. A settled vertex
-            // (pos == SETTLED) never changes: with non-negative weights
-            // nd >= dist, and the tie branch requires an unsettled vertex.
-            let tie_better = WANT_TREE && nd == st.dist && st.pos != SETTLED && {
-                let (pv, pe) = if st.stamp == gen {
-                    let p = self.parent[vi];
-                    (p.vertex, p.edge)
-                } else {
-                    (u32::MAX, u32::MAX)
-                };
-                tie_prefers(u, e, pv, pe)
-            };
-            if strictly_better || tie_better {
-                if st.stamp != gen {
-                    self.state[vi].stamp = gen;
-                    self.touched.push(v);
-                }
-                self.state[vi].dist = nd;
-                if WANT_TREE {
-                    self.parent[vi] = ParentState {
-                        vertex: u,
-                        edge: e,
-                        depth: u_depth + 1,
-                    };
-                }
-                if strictly_better {
-                    push(self, v, nd, st.pos);
-                    pushes += 1;
-                }
-            }
-        }
-        (adj.len() as u64, pushes)
-    }
-
-    /// Index of the first occupied bucket at or (circularly) after
-    /// `start`. Only called while `entries > 0`, so some bit is set.
-    #[inline]
-    fn next_live_bucket(&self, start: usize) -> usize {
-        let mut wi = start / 64;
-        let mut m = self.bucket_live[wi] & (!0u64 << (start % 64));
-        loop {
-            if m != 0 {
-                return wi * 64 + m.trailing_zeros() as usize;
-            }
-            wi = (wi + 1) % DIAL_MASK_WORDS;
-            m = self.bucket_live[wi];
         }
     }
 
@@ -736,8 +613,7 @@ impl SsspEngine {
     }
 
     /// Settle order of the most recent run: vertices in the order they
-    /// were popped, i.e. non-decreasing distance (after
-    /// [`run_reusing`](Self::run_reusing), the expanded ones only).
+    /// were popped, i.e. non-decreasing distance.
     pub fn settle_order(&self) -> &[VertexId] {
         &self.order
     }
@@ -844,61 +720,273 @@ impl SsspEngine {
             self.gen += 1;
         }
     }
+}
 
-    // ---- indexed 4-ary heap keyed on (dist, vertex) ----
+impl Queues {
+    /// One search from `source` on the queue `mode` picks, its tentative
+    /// distances kept in `labels` (which the caller has seeded with
+    /// `source` at 0). Returns its counters.
+    fn run<L: Labels>(
+        &mut self,
+        g: CsrView<'_>,
+        mode: DialMode,
+        source: VertexId,
+        labels: &mut L,
+    ) -> DijkstraStats {
+        // Empty already unless a run unwound mid-search.
+        self.heap.clear();
+        self.overflow.clear();
+        let stats = match mode {
+            DialMode::Plain => self.run_buckets::<false, L>(g, source, labels),
+            DialMode::Overflow => self.run_buckets::<true, L>(g, source, labels),
+            DialMode::Heap => self.run_heap(g, source, labels),
+        };
+        if ear_obs::is_enabled() {
+            ear_obs::counter_add("sssp.runs", 1);
+            ear_obs::counter_add("sssp.settled", stats.settled);
+            ear_obs::counter_add("sssp.edges_relaxed", stats.edges_relaxed);
+            ear_obs::counter_add("sssp.heap_pushes", stats.heap_pushes);
+            ear_obs::histogram_record("sssp.settled_per_run", stats.settled);
+        }
+        stats
+    }
+
+    /// The heap main loop (the general path: any weights, any size):
+    /// decrease-key on a vertex that has a heap slot, an insert
+    /// otherwise — so with labels that keep no slots, a lazy-deletion
+    /// heap whose superseded entries [`Labels::settle`] skips.
+    fn run_heap<L: Labels>(
+        &mut self,
+        g: CsrView<'_>,
+        source: VertexId,
+        labels: &mut L,
+    ) -> DijkstraStats {
+        let mut stats = DijkstraStats::default();
+        self.heap_insert(0, source, labels);
+        while let Some((du, u)) = self.heap_pop_min(labels) {
+            if !labels.settle(u, du) {
+                continue;
+            }
+            stats.settled += 1;
+            self.expand(g, labels, u, du, &mut stats, |q, labels, v, nd, pos| {
+                if pos == NOT_IN_HEAP {
+                    q.heap_insert(nd, v, labels);
+                } else {
+                    q.heap_decrease(pos as usize, nd, labels);
+                }
+            });
+        }
+        stats
+    }
+
+    /// The Dial bucket-queue main loop, monomorphised on `OVERFLOW`:
+    /// `false` is the plain sliding-window path (all weights inside the
+    /// bucket span — no window bookkeeping at all), `true` is the
+    /// two-level path whose buckets hold the fixed distance window
+    /// `[window_end - DIAL_BUCKETS, window_end)` while farther tentative
+    /// distances park in `self.overflow`. Both are bit-identical to
+    /// [`run_heap`] (see the module docs for the settle-order argument):
+    /// every bucket is drained in ascending vertex order, with strictly
+    /// positive weights no relaxation from the settling distance can feed
+    /// the bucket currently draining, and — in overflow mode — equal
+    /// distances always land on the same side of `window_end`, so a
+    /// bucket is always complete when it drains.
+    ///
+    /// [`run_heap`]: Self::run_heap
+    fn run_buckets<const OVERFLOW: bool, L: Labels>(
+        &mut self,
+        g: CsrView<'_>,
+        source: VertexId,
+        labels: &mut L,
+    ) -> DijkstraStats {
+        if self.buckets.is_empty() {
+            self.buckets = vec![Vec::new(); DIAL_BUCKETS];
+        }
+        let mut stats = DijkstraStats::default();
+        // Total entries across all buckets, stale ones included — the
+        // window is exhausted exactly when the circular array is empty,
+        // which also restores the "all buckets drained" resting invariant.
+        let mut entries = 1usize;
+        self.buckets[0].push(source);
+        self.bucket_live[0] |= 1;
+        let mut cur_i = 0usize;
+        let mut cur_d: Weight = 0;
+        // Exclusive upper distance bound of the bucket window (overflow
+        // mode only; the plain path's invariant `nd < cur_d +
+        // DIAL_BUCKETS` needs no tracking).
+        let mut window_end: Weight = DIAL_BUCKETS as Weight;
+        loop {
+            if entries == 0 {
+                if !OVERFLOW || self.overflow.is_empty() {
+                    break;
+                }
+                // Window jump: the smallest parked distance is the true
+                // next settle distance (every unsettled tentative
+                // distance lives in the — empty — buckets or here), so
+                // start the new window at it and promote everything now
+                // in range. Stale parked entries promote harmlessly: the
+                // settled/superseded check at drain time skips them.
+                let base = self
+                    .overflow
+                    .iter()
+                    .map(|&(d, _)| d)
+                    .min()
+                    .expect("overflow is non-empty");
+                cur_d = base;
+                cur_i = (base % DIAL_BUCKETS as Weight) as usize;
+                window_end = base + DIAL_BUCKETS as Weight;
+                let mut i = 0;
+                while i < self.overflow.len() {
+                    let (d, v) = self.overflow[i];
+                    if d < window_end {
+                        let b = (d % DIAL_BUCKETS as Weight) as usize;
+                        self.buckets[b].push(v);
+                        self.bucket_live[b / 64] |= 1u64 << (b % 64);
+                        entries += 1;
+                        self.overflow.swap_remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            let idx = self.next_live_bucket(cur_i);
+            cur_d += ((idx + DIAL_BUCKETS - cur_i) % DIAL_BUCKETS) as Weight;
+            cur_i = idx;
+            self.bucket_live[idx / 64] &= !(1u64 << (idx % 64));
+            let mut bucket = std::mem::take(&mut self.buckets[idx]);
+            entries -= bucket.len();
+            // Ascending vertex order within one distance replicates the
+            // heap's (dist, vertex) pop order. A vertex appears at most
+            // once per bucket (an equal-distance relaxation is not
+            // strictly better), so the sort never reorders duplicates.
+            bucket.sort_unstable();
+            for &u in &bucket {
+                if !labels.settle(u, cur_d) {
+                    continue; // superseded: improved into an earlier bucket
+                }
+                stats.settled += 1;
+                let (parked, pushed) = (self.overflow.len(), stats.heap_pushes);
+                self.expand(g, labels, u, cur_d, &mut stats, move |q, _, v, nd, _| {
+                    if OVERFLOW && nd >= window_end {
+                        q.overflow.push((nd, v));
+                    } else {
+                        let b = (nd % DIAL_BUCKETS as Weight) as usize;
+                        q.buckets[b].push(v);
+                        q.bucket_live[b / 64] |= 1u64 << (b % 64);
+                    }
+                });
+                // Every push that did not park went into a bucket. Counted
+                // here, not in the push, so the closure borrows no local.
+                entries += (stats.heap_pushes - pushed) as usize - (self.overflow.len() - parked);
+            }
+            bucket.clear();
+            self.buckets[idx] = bucket;
+        }
+        stats
+    }
+
+    /// Expands settled vertex `u` at distance `du`: offers each of its
+    /// incidences to `labels` and hands every strictly improving one to
+    /// `push(self, labels, v, nd, pos)`, the caller's queue append (`pos`
+    /// is `v`'s heap slot before the relaxation). Adds the incidences
+    /// relaxed and the pushes made to `stats`. The one relaxation step of
+    /// every main loop.
+    #[inline(always)]
+    fn expand<L: Labels>(
+        &mut self,
+        g: CsrView<'_>,
+        labels: &mut L,
+        u: VertexId,
+        du: Weight,
+        stats: &mut DijkstraStats,
+        mut push: impl FnMut(&mut Self, &mut L, VertexId, Weight, u32),
+    ) {
+        // `w == g.weight(e)` by the parallel-slice invariant; the zipped
+        // stream replaces a random 16-byte `edges[e]` gather per relaxation.
+        let (adj, wts) = g.incidences(u);
+        for (&(v, e), &w) in adj.iter().zip(wts) {
+            if v == u {
+                continue; // self-loops never improve a distance
+            }
+            let nd = du + w;
+            if let Some(pos) = labels.relax(u, e, v, nd) {
+                push(self, labels, v, nd, pos);
+                stats.heap_pushes += 1;
+            }
+        }
+        stats.edges_relaxed += adj.len() as u64;
+    }
+
+    /// Index of the first occupied bucket at or (circularly) after
+    /// `start`. Only called while `entries > 0`, so some bit is set.
+    #[inline]
+    fn next_live_bucket(&self, start: usize) -> usize {
+        let mut wi = start / 64;
+        let mut m = self.bucket_live[wi] & (!0u64 << (start % 64));
+        loop {
+            if m != 0 {
+                return wi * 64 + m.trailing_zeros() as usize;
+            }
+            wi = (wi + 1) % DIAL_MASK_WORDS;
+            m = self.bucket_live[wi];
+        }
+    }
+
+    // ---- 4-ary heap keyed on (dist, vertex) ----
     //
     // Entries carry their key `(dist, vertex)` inline so sift comparisons
     // stay cache-local instead of chasing random `dist[]` loads — the
     // difference between winning and losing to the legacy lazy-deletion
-    // heap once the distance array outgrows L2.
+    // heap once the distance array outgrows L2. Every slot move is
+    // reported to `labels`, which records it or not.
 
     #[inline(always)]
-    fn heap_insert(&mut self, key: Weight, v: VertexId) {
+    fn heap_insert<L: Labels>(&mut self, key: Weight, v: VertexId, labels: &mut L) {
         let i = self.heap.len();
         self.heap.push((key, v));
-        self.sift_up(i);
+        self.sift_up(i, labels);
     }
 
     /// Lowers the key of the entry at heap slot `i` and restores order.
     #[inline(always)]
-    fn heap_decrease(&mut self, i: usize, key: Weight) {
+    fn heap_decrease<L: Labels>(&mut self, i: usize, key: Weight, labels: &mut L) {
         debug_assert!(self.heap[i].0 >= key);
         self.heap[i].0 = key;
-        self.sift_up(i);
+        self.sift_up(i, labels);
     }
 
     #[inline(always)]
-    fn heap_pop_min(&mut self) -> Option<(Weight, VertexId)> {
+    fn heap_pop_min<L: Labels>(&mut self, labels: &mut L) -> Option<(Weight, VertexId)> {
         let top = *self.heap.first()?;
-        self.state[top.1 as usize].pos = SETTLED;
         let last = self.heap.pop().expect("heap is non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.sift_down(0);
+            self.sift_down(0, labels);
         }
         Some(top)
     }
 
-    /// Hole-based sift: the moving entry is written (and its `pos` stamped)
-    /// once at its final slot, displaced entries move one hop each.
-    fn sift_up(&mut self, mut i: usize) {
+    /// Hole-based sift: the moving entry is written (and its slot
+    /// reported) once at its final slot, displaced entries move one hop
+    /// each.
+    fn sift_up<L: Labels>(&mut self, mut i: usize, labels: &mut L) {
         let entry = self.heap[i];
         while i > 0 {
             let p = (i - 1) / 4;
             let parent = self.heap[p];
             if entry < parent {
                 self.heap[i] = parent;
-                self.state[parent.1 as usize].pos = i as u32;
+                labels.set_pos(parent.1, i as u32);
                 i = p;
             } else {
                 break;
             }
         }
         self.heap[i] = entry;
-        self.state[entry.1 as usize].pos = i as u32;
+        labels.set_pos(entry.1, i as u32);
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    fn sift_down<L: Labels>(&mut self, mut i: usize, labels: &mut L) {
         let entry = self.heap[i];
         let len = self.heap.len();
         loop {
@@ -917,14 +1005,14 @@ impl SsspEngine {
             }
             if best_entry < entry {
                 self.heap[i] = best_entry;
-                self.state[best_entry.1 as usize].pos = i as u32;
+                labels.set_pos(best_entry.1, i as u32);
                 i = best;
             } else {
                 break;
             }
         }
         self.heap[i] = entry;
-        self.state[entry.1 as usize].pos = i as u32;
+        labels.set_pos(entry.1, i as u32);
     }
 }
 

@@ -311,11 +311,13 @@ pub fn plain_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> (DistMatrix, Execution
 /// Phase II of `ear_apsp`'s oracle on `g`, written plainly: the sources
 /// in descending degree order, ties broken by the splitmix64 finaliser of
 /// the id, in rounds of 8, 16, 32, … sources. Each source's search sees
-/// the rows of earlier rounds only: a popped vertex `x ≠ s` at distance
-/// `d` with `row[x] ≤ d` is skipped, one with a finished row folds
-/// `d ⊕ row_x` into the row, and any other is expanded. Returns the
-/// table and the work counters the oracle charges for it: the expanded
-/// vertices and their incidences, and `n` per folded row.
+/// the rows of earlier rounds only, and keeps its tentative distances in
+/// the row it writes: a relaxation pushes `v` only when it beats
+/// `row[v]`, and a popped vertex `x` at distance `d` is skipped when
+/// `row[x] < d`, folds `d ⊕ row_x` into the row when its row is
+/// finished, and is expanded otherwise. Returns the table and the work
+/// counters the oracle charges for it: the expanded vertices and their
+/// incidences, and `n` per folded row.
 pub fn reuse_apsp(g: CsrView<'_>) -> (DistMatrix, WorkCounters) {
     let n = g.n();
     let mut order: Vec<VertexId> = g.vertices().collect();
@@ -347,20 +349,15 @@ fn reuse_search(
     counters: &mut WorkCounters,
 ) -> Vec<Weight> {
     let n = g.n();
-    let (mut row, mut dist, mut popped) = (vec![INF; n], vec![INF; n], vec![false; n]);
+    let mut row = vec![INF; n];
     let mut heap = BinaryHeap::new();
-    dist[s as usize] = 0;
+    row[s as usize] = 0;
     heap.push(Reverse((0, s)));
     while let Some(Reverse((d, x))) = heap.pop() {
         let xi = x as usize;
-        if popped[xi] || d > dist[xi] {
+        if row[xi] < d {
             continue;
         }
-        popped[xi] = true;
-        if x != s && row[xi] <= d {
-            continue;
-        }
-        row[xi] = d;
         if finished[xi] {
             for (r, &t) in row.iter_mut().zip(table.row(x)) {
                 *r = (*r).min(dist_add(d, t));
@@ -373,8 +370,8 @@ fn reuse_search(
         for (&(v, _), &w) in adj.iter().zip(wts) {
             counters.edges_relaxed += 1;
             let nd = d + w;
-            if v != x && nd < dist[v as usize] {
-                dist[v as usize] = nd;
+            if v != x && nd < row[v as usize] {
+                row[v as usize] = nd;
                 heap.push(Reverse((nd, v)));
             }
         }

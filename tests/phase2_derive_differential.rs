@@ -13,14 +13,17 @@
 //! checked too: every source runs exactly once, the tables and work
 //! counters equal the plainly written schedule of
 //! `ear_testkit::reference::reuse_apsp` and do not depend on the
-//! executor, and `u64` tables hold the same distances. The Banerjee
-//! baseline (`ApspMethod::Plain`) is pinned to exactly one full Dijkstra
-//! per block vertex.
+//! executor, and `u64` tables hold the same distances. The testkit
+//! families are small enough that every search takes the engine's heap,
+//! so blocks past `DIAL_MIN_N` run the same checks once on each of its
+//! three queues. The Banerjee baseline (`ApspMethod::Plain`) is pinned to
+//! exactly one full Dijkstra per block vertex.
 
 use std::sync::Arc;
 
 use ear_apsp::{build_oracle, build_oracle_with_plan, ApspMethod, DistMatrix};
 use ear_decomp::plan::DecompPlan;
+use ear_graph::engine::{DIAL_BUCKETS, DIAL_MIN_N, DIAL_WEIGHT_LIMIT};
 use ear_graph::{CsrGraph, CsrView, QueuedView, SsspEngine, Weight, INF};
 use ear_hetero::{HeteroExecutor, WorkCounters};
 use ear_testkit::reference::reuse_apsp;
@@ -66,11 +69,12 @@ fn with_heavy_edge(g: &CsrGraph) -> CsrGraph {
 /// Every block's phase-II table — the `Reduced` oracle's span of the
 /// block — equals one Dijkstra per source of the block's phase-II graph,
 /// with one executor unit per source, and the phase-II work counters
-/// equal the reference schedule's; the CPU+GPU executor builds the same
-/// tables with the same counters, and the `u64` copy of `g` answers
+/// equal the reference schedule's, at `Ear` (whose phase III adds only
+/// `distances_combined`) as at `Reduced`; the CPU+GPU executor builds the
+/// same tables with the same counters, and the `u64` copy of `g` answers
 /// every pair of `g`'s vertices alike. The full tables agree too: `Ear`
-/// spans (phase II, then phase III) equal `Plain`'s one Dijkstra per
-/// block vertex.
+/// spans (phase II, then phase III) equal `Plain`'s, and those are one
+/// Dijkstra per block vertex.
 fn check_graph(g: &CsrGraph) -> Result<(), String> {
     let exec = HeteroExecutor::sequential();
     let plan = Arc::new(DecompPlan::build(g));
@@ -140,11 +144,28 @@ fn check_graph(g: &CsrGraph) -> Result<(), String> {
         }
     }
     let ear = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Ear);
+    let ear_counters = WorkCounters {
+        distances_combined: 0,
+        ..ear.processing.total_counters()
+    };
+    if ear_counters != counters {
+        return Err(format!(
+            "Ear phase-II counters {ear_counters:?} vs Reduced {counters:?}"
+        ));
+    }
     let plain = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Plain);
     for b in 0..plan.n_blocks() as u32 {
         let (e, p) = (ear.tables().block_span(b), plain.tables().block_span(b));
         if e != p {
             return Err(format!("block {b}: Ear span {e:?} vs Plain {p:?}"));
+        }
+        let bg = plan.block_graph(b);
+        let want = dijkstra_rows(bg);
+        if (0..)
+            .zip(p.chunks(bg.n().max(1)))
+            .any(|(s, row)| row != want.row(s))
+        {
+            return Err(format!("block {b}: Plain span differs from Dijkstra"));
         }
     }
     if ear.tables().ap_span() != plain.tables().ap_span() {
@@ -292,6 +313,99 @@ fn later_rounds_fold_finished_rows() {
         "{} vertices expanded, as many as {full} full searches",
         c.vertices_settled
     );
+}
+
+/// A `side × side` torus grid, every vertex of degree 4, with every
+/// seventh edge subdivided by a degree-2 vertex that ear reduction
+/// contracts away: one block whose phase-II graph at `Ear` and `Reduced`
+/// is the `side²`-vertex torus, and at `Plain` the whole block. Torus
+/// edge `i` (each half, when subdivided) weighs `weight(i)`.
+fn subdivided_torus(side: u32, weight: impl Fn(u32) -> Weight) -> CsrGraph {
+    let (mut edges, mut next, mut i) = (Vec::new(), side * side, 0);
+    for r in 0..side {
+        for c in 0..side {
+            let v = r * side + c;
+            for u in [r * side + (c + 1) % side, (r + 1) % side * side + c] {
+                let w = weight(i);
+                if i % 7 == 0 {
+                    edges.extend([(v, next, w), (next, u, w)]);
+                    next += 1;
+                } else {
+                    edges.push((v, u, w));
+                }
+                i += 1;
+            }
+        }
+    }
+    CsrGraph::from_edges(next as usize, &edges)
+}
+
+/// The queue `SsspEngine` takes on `g`, by the rule its module docs
+/// state.
+fn queue(g: CsrView<'_>) -> &'static str {
+    let w = g.incidence_weights();
+    let max = w.iter().copied().max().unwrap_or(0);
+    if g.n() <= DIAL_MIN_N || w.contains(&0) || max >= DIAL_WEIGHT_LIMIT as Weight {
+        "heap"
+    } else if max < DIAL_BUCKETS as Weight {
+        "plain Dial"
+    } else {
+        "overflow Dial"
+    }
+}
+
+/// Weights of a few distinct values make equal distances common, so a
+/// search whose equal-distance pops left ascending vertex order would
+/// expand other vertices than the reference and fail the counter check.
+#[test]
+fn blocks_past_dial_min_n_match_on_every_queue() {
+    let small = |i: u32| Weight::from(1 + i * 13 % 4);
+    let cases = [
+        ("plain Dial", subdivided_torus(17, small)),
+        (
+            "overflow Dial",
+            subdivided_torus(17, |i| {
+                if i % 2 == 0 {
+                    DIAL_BUCKETS as Weight * small(i)
+                } else {
+                    small(i)
+                }
+            }),
+        ),
+        (
+            "heap",
+            subdivided_torus(17, |i| if i % 11 == 0 { 0 } else { small(i) }),
+        ),
+        (
+            "heap",
+            subdivided_torus(17, |i| {
+                if i == 5 {
+                    DIAL_WEIGHT_LIMIT as Weight
+                } else {
+                    small(i)
+                }
+            }),
+        ),
+    ];
+    for (want, g) in cases {
+        let plan = DecompPlan::build(&g);
+        assert_eq!(plan.n_blocks(), 1, "{want}: one block");
+        let reduced = &plan.reduction(0).expect("a simple block").reduced;
+        assert_eq!(reduced.n(), 17 * 17, "{want}: the torus is retained");
+        for target in [reduced.view(), plan.block_graph(0)] {
+            assert!(target.n() > DIAL_MIN_N);
+            assert_eq!(queue(target), want, "{} vertices", target.n());
+        }
+        check_graph(&g).unwrap_or_else(|e| panic!("{want}: {e}"));
+        let plain = build_oracle(&g, &HeteroExecutor::sequential(), ApspMethod::Plain);
+        let n = g.n() as u64;
+        let c = plain.processing.total_counters();
+        assert_eq!(
+            (c.vertices_settled, c.edges_relaxed, c.dense_combined),
+            (n * n, n * g.view().incidence_weights().len() as u64, 0),
+            "{want}: Plain runs one full Dijkstra per vertex"
+        );
+    }
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! exact reuse pattern the scratch pool produces) must be bit-exact
 //! against the allocate-per-source reference (`ear_testkit::reference`)
 //! on every testkit graph family, on fixed shapes that drive each of the
-//! engine's three queues, and on one engine interleaving them — for
-//! distances, statistics, and every field of the shortest-path tree.
+//! engine's three queues, and on one engine interleaving them with
+//! `run_reusing` searches — for distances, statistics, and every field of
+//! the shortest-path tree.
 //!
 //! A divergence prints a one-line `EAR_TESTKIT_SEED=… cargo test <name>`
 //! reproduction.
@@ -12,7 +13,7 @@
 use std::cell::RefCell;
 
 use ear_graph::engine::{DIAL_BUCKETS, DIAL_WEIGHT_LIMIT};
-use ear_graph::{with_engine, CsrGraph, SsspEngine, Weight, INF};
+use ear_graph::{with_engine, CsrGraph, QueuedView, SsspEngine, Weight, INF};
 use ear_testkit::reference;
 use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
@@ -297,24 +298,48 @@ fn engine_matches_reference_on_every_dial_mode() {
     check(&CsrGraph::from_edges(500, &edges), &[0, 499]);
 }
 
-/// One engine flipping between all three queues and a small graph must
-/// not leak state: buckets stay drained, overflow stays drained, heap
-/// stays cleared, stamps stay valid.
+/// `run_reusing` from `s` on `g` with the rows of a few other sources
+/// finished (taken from the reference): it folds at least one and writes
+/// `g`'s distance row from `s`.
+fn check_reuse(e: &mut SsspEngine, g: &CsrGraph, s: u32) {
+    let n = g.n() as u32;
+    let finished: Vec<(u32, Vec<Weight>)> = [1u32, 2, 17, 100]
+        .iter()
+        .map(|&x| x % n)
+        .filter(|&x| x != s)
+        .map(|x| (x, reference::dijkstra(g, x)))
+        .collect();
+    let mut row = vec![0; g.n()];
+    let (_, folded) = e.run_reusing(QueuedView::new(g.view()), s, &mut row, |x| {
+        finished.iter().find(|f| f.0 == x).map(|f| &f.1[..])
+    });
+    assert!(folded > 0, "source {s}: no row folded");
+    assert_eq!(row, reference::dijkstra(g, s), "source {s}");
+}
+
+/// One engine flipping between all three queues and a small graph, with
+/// a reuse run on another queue after every plain run, must not leak
+/// state: buckets stay drained, overflow stays drained, heap stays
+/// cleared, stamps stay valid, and a reuse run leaves the engine
+/// describing the plain run before it.
 #[test]
 fn interleaved_engine_matches_reference() {
     let dial = random_graph(320, 1200, 50, 11);
     let over = random_graph(320, 1200, 80_000, 13);
     let heap = random_graph(320, 1200, 5_000_000, 12);
     let small = diamond();
+    let graphs = [&dial, &over, &heap, &small];
     let mut e = SsspEngine::new();
     for s in [0u32, 31, 64] {
-        e.run(&dial, s);
-        assert_eq!(e.dist_vec(), reference::dijkstra(&dial, s));
-        e.run(&over, s);
-        assert_eq!(e.dist_vec(), reference::dijkstra(&over, s));
-        e.run(&heap, s);
-        assert_eq!(e.dist_vec(), reference::dijkstra(&heap, s));
-        e.run(&small, s % 4);
-        assert_eq!(e.dist_vec(), reference::dijkstra(&small, s % 4));
+        for (i, g) in graphs.iter().enumerate() {
+            let s = s % g.n() as u32;
+            let stats = e.run(g, s);
+            let want = reference::dijkstra(g, s);
+            assert_eq!(e.dist_vec(), want);
+            let next = graphs[(i + 1) % graphs.len()];
+            check_reuse(&mut e, next, s % next.n() as u32);
+            assert_eq!(e.dist_vec(), want, "a reuse run moved the plain run");
+            assert_eq!((e.stats(), e.source()), (stats, s));
+        }
     }
 }
