@@ -17,7 +17,7 @@
 //! Efficient only when the boundary is small — which is why the paper (and
 //! we) evaluate it on planar graphs.
 
-use ear_graph::{dist_add, with_engine, CsrGraph, VertexId, Weight, INF};
+use ear_graph::{dijkstra_with_stats, dist_add, CsrGraph, VertexId, Weight, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 
 use crate::matrix::DistMatrix;
@@ -70,17 +70,13 @@ pub fn djidjev_apsp(g: &CsrGraph, k: usize, exec: &HeteroExecutor) -> DjidjevOut
         units.clone(),
         |&(pi, _)| subs[pi as usize].0.m() as u64 + 1,
         |&(pi, s)| {
-            with_engine(|eng| {
-                let stats = eng.run(&subs[pi as usize].0, s);
-                (
-                    eng.dist_vec(),
-                    WorkCounters {
-                        edges_relaxed: stats.edges_relaxed,
-                        vertices_settled: stats.settled,
-                        ..Default::default()
-                    },
-                )
-            })
+            let (row, stats) = dijkstra_with_stats(&subs[pi as usize].0, s);
+            let counters = WorkCounters {
+                edges_relaxed: stats.edges_relaxed,
+                vertices_settled: stats.settled,
+                ..Default::default()
+            };
+            (row, counters)
         },
     );
     // Assemble per-part matrices.
@@ -128,17 +124,13 @@ pub fn djidjev_apsp(g: &CsrGraph, k: usize, exec: &HeteroExecutor) -> DjidjevOut
         (0..bn as u32).collect::<Vec<_>>(),
         |_| bg.m() as u64 + 1,
         |&s| {
-            with_engine(|eng| {
-                let stats = eng.run(&bg, s);
-                (
-                    eng.dist_vec(),
-                    WorkCounters {
-                        edges_relaxed: stats.edges_relaxed,
-                        vertices_settled: stats.settled,
-                        ..Default::default()
-                    },
-                )
-            })
+            let (row, stats) = dijkstra_with_stats(&bg, s);
+            let counters = WorkCounters {
+                edges_relaxed: stats.edges_relaxed,
+                vertices_settled: stats.settled,
+                ..Default::default()
+            };
+            (row, counters)
         },
     );
     let db = DistMatrix::from_rows(b_rows);

@@ -328,14 +328,11 @@ fn compute_ap_table<E: DistEntry>(
     // Block b's within-block AP distances, row-major in `block_aps[b]`
     // order, at `pair[off[b]..]`.
     let (mut pair, mut off) = (Vec::new(), Vec::with_capacity(bct.n_blocks));
-    // The blocks holding each AP, as (block, position in its APs).
-    let mut ap_blocks: Vec<Vec<(u32, usize)>> = vec![Vec::new(); bct.ap_count()];
     for (b, aps) in (0..).zip(&bct.block_aps) {
         let (base, k) = (pair.len(), aps.len());
         off.push(base);
         pair.resize(base + k * k, E::default());
         for (i, &x) in aps.iter().enumerate() {
-            ap_blocks[bct.ap_index[x as usize] as usize].push((b, i));
             for (j, &y) in aps.iter().enumerate().skip(i + 1) {
                 let w = pair_dist(plan, method, arena, b, x, y);
                 (pair[base + i * k + j], pair[base + j * k + i]) = (w, w);
@@ -354,16 +351,16 @@ fn compute_ap_table<E: DistEntry>(
             row[*s as usize] = E::default();
             let mut combined = 0;
             // (block, position of the AP it is entered through)
-            let mut stack = ap_blocks[*s as usize].clone();
+            let mut stack = bct.ap_blocks(*s).to_vec();
             while let Some((b, i)) = stack.pop() {
-                let aps = &bct.block_aps[b as usize];
+                let (aps, i) = (&bct.block_aps[b as usize], i as usize);
                 let d_b = &pair[off[b as usize] + i * aps.len()..][..aps.len()];
                 let dx = row[bct.ap_index[aps[i] as usize] as usize];
                 for (&y, &w) in aps.iter().zip(d_b).filter(|&(&y, _)| y != aps[i]) {
-                    let t = bct.ap_index[y as usize] as usize;
-                    row[t] = dx.dist_add(w);
+                    let t = bct.ap_index[y as usize];
+                    row[t as usize] = dx.dist_add(w);
                     combined += 1;
-                    stack.extend(ap_blocks[t].iter().filter(|&&(c, _)| c != b));
+                    stack.extend(bct.ap_blocks(t).iter().filter(|&&(c, _)| c != b));
                 }
             }
             WorkCounters {

@@ -7,108 +7,33 @@
 //! accumulation; sources fan out as workunits exactly like the paper's
 //! APSP Phase II.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use ear_graph::{CsrGraph, VertexId, Weight, INF};
+use ear_graph::{CsrGraph, PathDag, VertexId, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 
-/// Reusable per-source shortest-path-DAG scratch: distances, path counts,
-/// predecessor lists (which keep their capacity across sources — the
-/// dominant allocation of the old per-call version), settle order, and the
-/// heap. Reset is O(touched): only vertices settled by the previous run
-/// are cleared.
-#[derive(Default)]
-struct BcScratch {
-    dist: Vec<Weight>,
-    sigma: Vec<f64>,
-    preds: Vec<Vec<VertexId>>,
-    done: Vec<bool>,
-    /// Vertices in settle order (non-decreasing distance).
-    order: Vec<VertexId>,
-    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
-    stats: WorkCounters,
-}
-
-impl BcScratch {
-    /// Clears the previous run's footprint and grows arrays to `n`.
-    fn begin(&mut self, n: usize) {
-        // Every written entry belongs to a settled vertex (a vertex is only
-        // touched when strictly improved, which pushes it, so it settles).
-        for &v in &self.order {
-            let vi = v as usize;
-            self.dist[vi] = INF;
-            self.sigma[vi] = 0.0;
-            self.preds[vi].clear();
-            self.done[vi] = false;
-        }
-        self.order.clear();
-        self.heap.clear();
-        self.stats = WorkCounters::default();
-        if self.dist.len() < n {
-            self.dist.resize(n, INF);
-            self.sigma.resize(n, 0.0);
-            self.preds.resize_with(n, Vec::new);
-            self.done.resize(n, false);
-        }
-    }
-}
-
-fn count_paths(g: &CsrGraph, s: VertexId, sc: &mut BcScratch) {
-    sc.begin(g.n());
-    sc.dist[s as usize] = 0;
-    sc.sigma[s as usize] = 1.0;
-    sc.heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, u))) = sc.heap.pop() {
-        if sc.done[u as usize] {
-            continue;
-        }
-        sc.done[u as usize] = true;
-        sc.order.push(u);
-        sc.stats.vertices_settled += 1;
-        for &(v, e) in g.neighbors(u) {
-            sc.stats.edges_relaxed += 1;
-            if v == u {
-                continue;
-            }
-            let nd = d + g.weight(e);
-            if nd < sc.dist[v as usize] {
-                sc.dist[v as usize] = nd;
-                sc.sigma[v as usize] = sc.sigma[u as usize];
-                sc.preds[v as usize].clear();
-                sc.preds[v as usize].push(u);
-                sc.heap.push(Reverse((nd, v)));
-            } else if nd == sc.dist[v as usize] {
-                // A second shortest route into v (weights are >= 1, so u is
-                // settled and sigma[u] is final here).
-                sc.sigma[v as usize] += sc.sigma[u as usize];
-                sc.preds[v as usize].push(u);
-            }
-        }
-    }
-}
-
-// Per-thread scratch (an `ear_graph::pool`), so warm scratch survives the
-// scoped worker threads of each parallel region.
+// Per-thread path DAGs (an `ear_graph::pool`), so warm predecessor lists
+// survive the scoped worker threads of each parallel region.
 ear_graph::scratch_pool! {
-    fn with_scratch(BcScratch, bound = 64);
+    fn with_dag(PathDag, bound = 64);
 }
 
 /// Dependency accumulation from one source: returns `δ_s(v)` for all `v`,
 /// where targets carry weight `target_w[t]` (classic Brandes is all-ones).
 fn dependencies(g: &CsrGraph, s: VertexId, target_w: &[f64]) -> (Vec<f64>, WorkCounters) {
-    with_scratch(|sc| {
-        count_paths(g, s, sc);
-        let n = g.n();
-        let mut delta = vec![0.0; n];
-        let mut stats = sc.stats;
-        for &v in sc.order.iter().rev() {
-            if v == s || sc.dist[v as usize] >= INF {
+    with_dag(|dag| {
+        let run = ear_graph::with_engine(|eng| eng.count_paths(g.view(), s, dag));
+        let mut stats = WorkCounters {
+            vertices_settled: run.settled,
+            edges_relaxed: run.edges_relaxed,
+            ..WorkCounters::default()
+        };
+        let mut delta = vec![0.0; g.n()];
+        for &v in dag.order.iter().rev() {
+            if v == s || dag.dist[v as usize] >= INF {
                 continue;
             }
-            let coeff = (target_w[v as usize] + delta[v as usize]) / sc.sigma[v as usize];
-            for &u in &sc.preds[v as usize] {
-                delta[u as usize] += sc.sigma[u as usize] * coeff;
+            let coeff = (target_w[v as usize] + delta[v as usize]) / dag.sigma[v as usize];
+            for &u in &dag.preds[v as usize] {
+                delta[u as usize] += dag.sigma[u as usize] * coeff;
                 stats.distances_combined += 1;
             }
         }
@@ -205,9 +130,9 @@ mod tests {
     fn brute(g: &CsrGraph) -> Vec<f64> {
         let n = g.n();
         let mut bc = vec![0.0; n];
-        let mut sp = BcScratch::default();
+        let mut sp = PathDag::default();
         for s in 0..n as u32 {
-            count_paths(g, s, &mut sp);
+            ear_graph::SsspEngine::new().count_paths(g.view(), s, &mut sp);
             for t in 0..n as u32 {
                 if t <= s || sp.dist[t as usize] >= INF {
                     continue;

@@ -25,4 +25,4 @@ pub mod brandes;
 pub mod pendant;
 
 pub use brandes::{betweenness, betweenness_hetero};
-pub use pendant::betweenness_pendant_reduced;
+pub use pendant::{betweenness_pendant_reduced, pendant_reduction, PendantReduction};

@@ -30,7 +30,7 @@
 //! in the first iteration, degenerates to 1"), iterated until the 1-core
 //! remains.
 
-use ear_graph::{connected_components, induced_subgraph, CsrGraph, VertexId};
+use ear_graph::{connected_components, induced_subgraph, CsrGraph, SubgraphMap, VertexId};
 
 use crate::brandes::betweenness_weighted;
 
@@ -92,10 +92,47 @@ fn peel_pendants(g: &CsrGraph) -> PendantPeel {
     }
 }
 
+/// The pendant-tree reduction of a graph: every vertex's closed-form
+/// credits, and the weighted 1-core whose Brandes adds the core ↔ core
+/// traffic ([`PendantReduction::with_core`]).
+pub struct PendantReduction {
+    /// Root gateway, tree separator and branch junction credits, per
+    /// vertex of the graph.
+    pub closed_form: Vec<f64>,
+    /// The induced 1-core (empty only for an empty graph).
+    pub core: CsrGraph,
+    /// Core vertex → graph vertex.
+    pub map: SubgraphMap,
+    /// Source and target mass of each core vertex: `1 + b(r)`, with `b(r)`
+    /// the peeled vertices rooted at it.
+    pub mass: Vec<f64>,
+}
+
+impl PendantReduction {
+    /// The betweenness of every vertex of the graph, given `core_bc`, the
+    /// weighted betweenness of [`Self::core`] with [`Self::mass`] as
+    /// source and target weights, over every core vertex as a source.
+    pub fn with_core(self, core_bc: Vec<f64>) -> Vec<f64> {
+        let mut bc = self.closed_form;
+        for (l, val) in core_bc.into_iter().enumerate() {
+            bc[self.map.parent(l as u32) as usize] += val;
+        }
+        bc
+    }
+}
+
 /// Exact betweenness via pendant-tree reduction. Equals
 /// [`crate::betweenness`] on every graph (property-tested) while running
 /// Brandes only on the 1-core.
 pub fn betweenness_pendant_reduced(g: &CsrGraph) -> Vec<f64> {
+    let r = pendant_reduction(g);
+    let sources: Vec<VertexId> = (0..r.core.n() as u32).collect();
+    let core_bc = betweenness_weighted(&r.core, &sources, &r.mass, &r.mass);
+    r.with_core(core_bc)
+}
+
+/// Peels `g`'s pendant trees and credits their traffic in closed form.
+pub fn pendant_reduction(g: &CsrGraph) -> PendantReduction {
     let n = g.n();
     let peel = peel_pendants(g);
     let comps = connected_components(g);
@@ -151,22 +188,20 @@ pub fn betweenness_pendant_reduced(g: &CsrGraph) -> Vec<f64> {
         bc[v as usize] += 0.5 * (sum1[v as usize] * sum1[v as usize] - sum2[v as usize]);
     }
 
-    // Core ↔ core traffic: weighted Brandes on the induced 1-core.
+    // Core ↔ core traffic is left to a weighted Brandes on the 1-core.
     let core: Vec<VertexId> = (0..n as u32)
         .filter(|&v| peel.in_core[v as usize])
         .collect();
-    if !core.is_empty() {
-        let (cg, map) = induced_subgraph(g, &core);
-        let w: Vec<f64> = (0..cg.n() as u32)
-            .map(|l| 1.0 + b[map.parent(l) as usize])
-            .collect();
-        let sources: Vec<VertexId> = (0..cg.n() as u32).collect();
-        let core_bc = betweenness_weighted(&cg, &sources, &w, &w);
-        for (l, val) in core_bc.into_iter().enumerate() {
-            bc[map.parent(l as u32) as usize] += val;
-        }
+    let (core, map) = induced_subgraph(g, &core);
+    let mass = (0..core.n() as u32)
+        .map(|l| 1.0 + b[map.parent(l) as usize])
+        .collect();
+    PendantReduction {
+        closed_form: bc,
+        core,
+        map,
+        mass,
     }
-    bc
 }
 
 #[cfg(test)]

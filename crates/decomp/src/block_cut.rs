@@ -33,6 +33,11 @@ pub struct BlockCutTree {
     pub vertex_block: Vec<u32>,
     /// Articulation points contained in each block, ascending.
     pub block_aps: Vec<Vec<VertexId>>,
+    /// The inverse of `block_aps`, a CSR over AP indices: the blocks of AP
+    /// `a` are `ap_blocks[ap_block_start[a]..ap_block_start[a + 1]]`, each
+    /// as `(block, position of the AP in block_aps[block])`, ascending.
+    ap_block_start: Vec<u32>,
+    ap_blocks: Vec<(u32, u32)>,
     /// Preorder number of every tree node.
     pre: Vec<u32>,
     endpoints: Vec<Endpoint>,
@@ -117,6 +122,23 @@ impl BlockCutTree {
                 adj[ap_node as usize].push(b as u32);
                 // For an AP, keep any one containing block.
                 vertex_block[v as usize] = b as u32;
+            }
+        }
+
+        let mut ap_block_start = vec![0u32; aps.len() + 1];
+        for &v in block_aps.iter().flatten() {
+            ap_block_start[ap_index[v as usize] as usize + 1] += 1;
+        }
+        for a in 0..aps.len() {
+            ap_block_start[a + 1] += ap_block_start[a];
+        }
+        let mut next_slot = ap_block_start.clone();
+        let mut ap_blocks = vec![(0, 0); ap_block_start[aps.len()] as usize];
+        for (b, aps_b) in (0..).zip(&block_aps) {
+            for (i, &v) in (0..).zip(aps_b) {
+                let slot = &mut next_slot[ap_index[v as usize] as usize];
+                ap_blocks[*slot as usize] = (b, i);
+                *slot += 1;
             }
         }
 
@@ -216,6 +238,8 @@ impl BlockCutTree {
             ap_index,
             vertex_block,
             block_aps,
+            ap_block_start,
+            ap_blocks,
             pre,
             endpoints,
             blocks,
@@ -226,6 +250,14 @@ impl BlockCutTree {
     /// Number of articulation points.
     pub fn ap_count(&self) -> usize {
         self.aps.len()
+    }
+
+    /// The blocks holding AP index `ap`, ascending, each as `(block,
+    /// position of the AP in block_aps[block])`.
+    #[inline]
+    pub fn ap_blocks(&self, ap: u32) -> &[(u32, u32)] {
+        let a = ap as usize;
+        &self.ap_blocks[self.ap_block_start[a] as usize..self.ap_block_start[a + 1] as usize]
     }
 
     /// DFS preorder number of a tree node — the `to` argument of
@@ -413,6 +445,29 @@ mod tests {
         assert_eq!(tree(3), tree(4));
         assert_ne!(tree(0), tree(3));
         assert_eq!(tree(5), u32::MAX); // isolated
+    }
+
+    #[test]
+    fn ap_blocks_invert_block_aps() {
+        let graphs = [
+            chain_of_blocks(),
+            CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]),
+            CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (0, 3, 1)]),
+            CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1)]),
+        ];
+        for g in &graphs {
+            let t = DecompPlan::build(g).bct().clone();
+            let mut want: Vec<Vec<(u32, u32)>> = vec![Vec::new(); t.ap_count()];
+            for (b, aps) in (0..).zip(&t.block_aps) {
+                for (i, &v) in (0..).zip(aps) {
+                    want[t.ap_index[v as usize] as usize].push((b, i));
+                }
+            }
+            for (a, w) in (0..).zip(&want) {
+                assert_eq!(t.ap_blocks(a), &w[..], "AP {}", t.aps[a as usize]);
+                assert!(w.len() >= 2, "an AP lies in two blocks or more");
+            }
+        }
     }
 
     #[test]

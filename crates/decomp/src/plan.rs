@@ -532,16 +532,10 @@ impl DecompPlan {
         let _span = ear_obs::span_with("decomp.bound", self.n() as u64);
         let total = self.edge_weights().iter().fold(0, |t, &w| dist_add(t, w));
         let bct = self.bct();
-        let mut ap_blocks: Vec<Vec<u32>> = vec![Vec::new(); bct.ap_count()];
-        for (b, aps) in (0..).zip(&bct.block_aps) {
-            for &v in aps {
-                ap_blocks[bct.ap_index[v as usize] as usize].push(b);
-            }
-        }
         const UNSEEN: Weight = Weight::MAX;
         let mut from_root = vec![UNSEEN; self.n()];
         let mut entered = vec![false; self.n_blocks()];
-        let (mut ecc_max, mut stack) = (0, Vec::new());
+        let (mut ecc_max, mut stack, mut row) = (0, Vec::new(), Vec::new());
         let (mut relaxed, mut settled) = (0, 0);
         for r in 0..self.n() as VertexId {
             if from_root[r as usize] != UNSEEN {
@@ -551,32 +545,34 @@ impl DecompPlan {
             stack.push(r);
             while let Some(x) = stack.pop() {
                 let ap = bct.ap_index[x as usize];
-                let shared = ap_blocks.get(ap as usize).map_or(&[][..], Vec::as_slice);
+                let shared = if ap == u32::MAX {
+                    &[][..]
+                } else {
+                    bct.ap_blocks(ap)
+                };
                 let home = bct.vertex_block[x as usize];
-                for &b in std::iter::once(&home).chain(shared) {
+                for b in std::iter::once(home).chain(shared.iter().map(|&(b, _)| b)) {
                     if b == u32::MAX || std::mem::replace(&mut entered[b as usize], true) {
                         continue;
                     }
-                    let (bp, dx) = (self.block(b), from_root[x as usize]);
+                    let (bp, dx, bg) = (self.block(b), from_root[x as usize], self.block_graph(b));
                     let entry = self
                         .local(b, x)
                         .expect("a vertex is a member of its blocks");
-                    with_engine(|eng| {
-                        let stats = eng.run_view(self.block_graph(b), entry);
-                        (relaxed, settled) =
-                            (relaxed + stats.edges_relaxed, settled + stats.settled);
-                        for (l, &v) in (0..).zip(bp.to_parent_vertex.iter()) {
-                            if v == x {
-                                continue;
-                            }
-                            let d = dist_add(dx, eng.dist(l));
-                            from_root[v as usize] = d;
-                            ecc_max = ecc_max.max(d);
-                            if bct.ap_index[v as usize] != u32::MAX {
-                                stack.push(v);
-                            }
+                    row.resize(bg.n(), INF);
+                    let stats = with_engine(|eng| eng.run(bg, entry, &mut row));
+                    (relaxed, settled) = (relaxed + stats.edges_relaxed, settled + stats.settled);
+                    for (&d_l, &v) in row.iter().zip(bp.to_parent_vertex.iter()) {
+                        if v == x {
+                            continue;
                         }
-                    });
+                        let d = dist_add(dx, d_l);
+                        from_root[v as usize] = d;
+                        ecc_max = ecc_max.max(d);
+                        if bct.ap_index[v as usize] != u32::MAX {
+                            stack.push(v);
+                        }
+                    }
                 }
             }
         }

@@ -4,9 +4,9 @@
 //! graph, each instance on its own thread/GPU workunit (Section 2.1.2).
 //! The free functions here ([`dijkstra`], [`dijkstra_with_stats`],
 //! [`dijkstra_tree`]) borrow a pooled
-//! [`SsspEngine`](crate::engine::SsspEngine) — preallocated scratch with
-//! generation-stamp reset and an indexed 4-ary decrease-key heap — so
-//! repeated per-source calls allocate no O(n) state each time.
+//! [`SsspEngine`](crate::engine::SsspEngine), whose queues are reused
+//! across calls, and return what its run writes: a distance row, or an
+//! [`SsspTree`].
 
 use crate::csr::CsrGraph;
 use crate::engine::with_engine;
@@ -20,7 +20,7 @@ pub struct DijkstraStats {
     pub settled: u64,
     /// Edge relaxations attempted.
     pub edges_relaxed: u64,
-    /// Strictly-improving relaxations (heap pushes or decrease-keys).
+    /// Strictly-improving relaxations: one queue push each.
     pub heap_pushes: u64,
 }
 
@@ -118,19 +118,15 @@ impl SsspTree {
 
 /// Plain Dijkstra: distances only. Borrows a pooled engine.
 pub fn dijkstra(g: &CsrGraph, source: VertexId) -> Vec<Weight> {
-    with_engine(|e| {
-        e.run(g, source);
-        e.dist_vec()
-    })
+    dijkstra_with_stats(g, source).0
 }
 
 /// Dijkstra with distances plus counters, avoiding the tree bookkeeping.
 /// Borrows a pooled engine.
 pub fn dijkstra_with_stats(g: &CsrGraph, source: VertexId) -> (Vec<Weight>, DijkstraStats) {
-    with_engine(|e| {
-        let stats = e.run(g, source);
-        (e.dist_vec(), stats)
-    })
+    let mut dist = vec![INF; g.n()];
+    let stats = with_engine(|e| e.run(g.view(), source, &mut dist));
+    (dist, stats)
 }
 
 /// Dijkstra producing the full shortest-path tree. Borrows a pooled engine.
@@ -141,10 +137,7 @@ pub fn dijkstra_with_stats(g: &CsrGraph, source: VertexId) -> (Vec<Weight>, Dijk
 /// trees keep the Mehlhorn–Michail candidate set stable across the
 /// sequential / multicore / GPU execution modes.
 pub fn dijkstra_tree(g: &CsrGraph, source: VertexId) -> SsspTree {
-    with_engine(|e| {
-        e.run_tree(g, source);
-        e.tree()
-    })
+    with_engine(|e| e.run_tree(g.view(), source))
 }
 
 #[cfg(test)]

@@ -1,35 +1,38 @@
-//! Reusable zero-allocation SSSP engine with pooled scratch state.
+//! The SSSP engine: one Dijkstra main loop over three priority queues.
 //!
 //! The paper's whole pipeline is "run one Dijkstra per source of the
-//! reduced graph" (§2.1.2), so per-source constant factors dominate. A
-//! textbook Dijkstra allocates four O(n) vectors and a heap per call;
-//! [`SsspEngine`] preallocates them once and reuses them across runs (the
-//! free functions in [`crate::dijkstra`](mod@crate::dijkstra) borrow a
-//! pooled engine):
+//! reduced graph" (§2.1.2), so per-source constant factors dominate.
+//! [`SsspEngine`] keeps only its priority queues between runs; a run's
+//! labels live in the result the caller gets back, so nothing per-vertex
+//! outlives a run and nothing needs resetting (every caller materialises
+//! an `n`-long row or tree anyway). The free functions in
+//! [`crate::dijkstra`](mod@crate::dijkstra) borrow a pooled engine.
 //!
-//! * **Generation-stamped scratch** — instead of clearing `dist`/`parent`
-//!   arrays between runs, every write is tagged with the current run's
-//!   generation number (`stamp[v] == gen` means "touched this run").
-//!   Resetting is a single counter bump: O(1) per run, O(touched) total
-//!   work instead of O(n). When the `u32` generation wraps, the stamps are
-//!   cleared once in full so a stale stamp can never alias a new run.
-//! * **Indexed 4-ary heap** — replaces the lazy-deletion `BinaryHeap` with
-//!   a decrease-key heap keyed on `(dist, vertex)`. No stale entries, at
-//!   most one slot per vertex, and the 4-way fanout keeps sift-downs cache
-//!   friendly.
+//! * **Labels in the result** — the main loops are monomorphised on where
+//!   a run keeps its labels (the private `Labels` trait):
+//!   [`SsspEngine::run`] writes distances into the caller's row,
+//!   [`SsspEngine::run_tree`] fills an [`SsspTree`]'s dense arrays,
+//!   [`SsspEngine::count_paths`] fills a [`PathDag`] (distances, path
+//!   counts σ, predecessor lists and settle order for Brandes), and
+//!   [`SsspEngine::run_reusing`] is a row run that also folds finished
+//!   rows. A plain run is a row run with no finished rows.
+//! * **Lazy-deletion 4-ary heap** — keyed on `(dist, vertex)`, with the
+//!   key inline so sift comparisons stay cache-local. Every strictly
+//!   improving relaxation pushes; a pop whose label has since improved is
+//!   skipped.
 //! * **Engine pool** — [`with_engine`] hands out a per-thread engine (a
 //!   [`crate::pool`]: thread-local slot backed by a global free list), so
 //!   the hot `kernel-per-source` loops in `ear-apsp` / `ear-mcb` / `ear-bc`
-//!   reuse scratch even when the executor spawns fresh worker threads per
-//!   batch.
+//!   reuse the queues even when the executor spawns fresh worker threads
+//!   per batch.
 //! * **Dial bucket queue for the large-graph regime** — once a block
-//!   outgrows [`DIAL_MIN_N`] vertices, the heap's random `pos[]` writes
-//!   and sift chains are the dominant cache-miss source. When every edge
-//!   weight fits the bucket range (`1..DIAL_BUCKETS`), the engine swaps
-//!   the heap for a circular array of [`DIAL_BUCKETS`] distance buckets:
-//!   pushes append to a sequential `Vec`, pops drain one bucket at a
-//!   time, and a [`DIAL_BUCKETS`]-bit occupancy mask skips empty buckets
-//!   with word-level scans.
+//!   outgrows [`DIAL_MIN_N`] vertices, the heap's sift chains are the
+//!   dominant cache-miss source. When every edge weight fits the bucket
+//!   range (`1..DIAL_BUCKETS`), the engine swaps the heap for a circular
+//!   array of [`DIAL_BUCKETS`] distance buckets: pushes append to a
+//!   sequential `Vec`, pops drain one bucket at a time, and a
+//!   [`DIAL_BUCKETS`]-bit occupancy mask skips empty buckets with
+//!   word-level scans.
 //!   Draining each bucket in ascending vertex order replicates the
 //!   heap's `(dist, vertex)` pop order *exactly* (with strictly positive
 //!   weights, no relaxation from a distance-`d` vertex can create
@@ -48,43 +51,28 @@
 //!   settle order (and every downstream bit) is unchanged. Only weights
 //!   at or above [`DIAL_WEIGHT_LIMIT`] (or zero-weight edges) still fall
 //!   back to the heap, ticking `sssp.dial.range_fallback`.
-//! * **Row reuse** — [`SsspEngine::run_reusing`] runs the same loops with
-//!   the tentative distances kept in the distance row it writes instead
-//!   of the engine's stamped state: a relaxation queues a vertex only
-//!   when it beats the row, a popped vertex whose row is finished is
-//!   folded in with one streaming min-plus pass
+//! * **Row reuse** — [`SsspEngine::run_reusing`] keeps the tentative
+//!   distances in the distance row it writes: a relaxation queues a
+//!   vertex only when it beats the row, a popped vertex whose row is
+//!   finished is folded in with one streaming min-plus pass
 //!   ([`DistEntry::fold_min_plus`], on AVX2 lanes where the CPU has them)
 //!   instead of being expanded, and a pop the row has since beaten is
-//!   skipped (such a run keeps no heap slots, so on the heap path its
-//!   heap runs lazy deletion). The loops are monomorphised on where the distances live
-//!   (the private `Labels` trait), so a plain run carries none of it.
+//!   skipped.
 //!
-//! Results are **bit-identical** to the allocate-per-source reference in
-//! `ear_testkit::reference`: its lazy-deletion heap always pops the
-//! minimum `(dist, vertex)` among unsettled touched vertices, which is
-//! exactly the key this heap orders by, so the settle order — and with it
-//! every distance, parent choice, and statistic — is the same. Both apply
-//! the deterministic `(distance, vertex, edge)` parent tie-break. The heap
-//! and bucket loops share one relaxation step (`expand`) and differ only
-//! in how they queue an improved vertex. `heap_pushes` counts every
-//! strictly-improving relaxation even when it is implemented as a
-//! decrease-key or a bucket append rather than a push.
+//! Results are **bit-identical** to the allocate-per-source references in
+//! `ear_testkit::reference`: their lazy-deletion heaps pop the minimum
+//! `(dist, vertex)` among queued entries, which is exactly the key every
+//! queue here orders by, so the settle order — and with it every
+//! distance, parent choice, path count and statistic — is the same. Tree
+//! runs apply the deterministic `(distance, vertex, edge)` parent
+//! tie-break. The heap and bucket loops share one relaxation step
+//! (`expand`) and differ only in how they queue an improved vertex.
 
-use crate::csr::CsrGraph;
 use crate::dijkstra::{DijkstraStats, SsspTree};
 use crate::types::{DistEntry, EdgeId, VertexId, Weight, INF};
 use crate::view::CsrView;
 
-/// `pos` sentinel: touched this generation but not currently in the heap
-/// (either settled-and-popped is tracked by [`SETTLED`], or never pushed —
-/// a vertex whose only known "distance" is the `INF` parent-tie case).
-/// Also what a run that keeps no heap slots reports for every vertex, so
-/// its heap is a lazy-deletion one.
-const NOT_IN_HEAP: u32 = u32::MAX;
-/// `pos` sentinel: settled (popped from the heap) this generation.
-const SETTLED: u32 = u32::MAX - 1;
-
-/// Below this vertex count the indexed heap wins: the whole working set is
+/// Below this vertex count the heap wins: the whole working set is
 /// cache-resident, so the bucket array's footprint and the per-run weight
 /// scan cost more than the heap's sifts save.
 pub const DIAL_MIN_N: usize = 256;
@@ -107,106 +95,38 @@ const DIAL_MASK_WORDS: usize = DIAL_BUCKETS / 64;
 /// anything heavier falls back to the heap.
 pub const DIAL_WEIGHT_LIMIT: usize = DIAL_BUCKETS * 128;
 
-/// Deterministic tie-break for equal-distance parents: prefer the smaller
-/// (parent vertex, edge id) pair.
-#[inline]
-fn tie_prefers(u: VertexId, e: EdgeId, cur_pv: VertexId, cur_pe: EdgeId) -> bool {
-    (u, e) < (cur_pv, cur_pe)
+/// The shortest-path DAG of one source, with path counts: the forward
+/// pass of Brandes' betweenness, filled by [`SsspEngine::count_paths`].
+/// Every array is indexed by vertex.
+#[derive(Clone, Debug, Default)]
+pub struct PathDag {
+    /// Distance from the source (`INF` when unreachable).
+    pub dist: Vec<Weight>,
+    /// Number of shortest paths from the source, σ (0 when unreachable).
+    pub sigma: Vec<f64>,
+    /// Every predecessor on a shortest path, once per edge into the vertex
+    /// that closes one, in the order their vertices settled.
+    pub preds: Vec<Vec<VertexId>>,
+    /// Reached vertices in settle order: non-decreasing distance.
+    pub order: Vec<VertexId>,
 }
 
-/// Where a run keeps its tentative distances, and what it does with each
-/// vertex it pops. The main loops are monomorphised on it, so
-/// [`Stamped`] compiles to plain Dijkstra.
+/// Where a run keeps its labels, and what it does with each vertex it
+/// pops. The main loops are monomorphised on it.
 trait Labels {
-    /// Offers `v` the tentative distance `nd` over edge `e` from `u`. On
-    /// a strict improvement returns `v`'s heap slot before it
-    /// ([`NOT_IN_HEAP`] when it has none), and the caller queues `v` at
-    /// `nd`; `None` queues nothing.
-    fn relax(&mut self, u: VertexId, e: EdgeId, v: VertexId, nd: Weight) -> Option<u32>;
+    /// Offers `v` the tentative distance `nd` over edge `e` from `u`;
+    /// `true` queues `v` at `nd` (a strict improvement).
+    fn relax(&mut self, u: VertexId, e: EdgeId, v: VertexId, nd: Weight) -> bool;
 
     /// Called at every pop of `x` at `d`; `true` expands `x` (it counts as
     /// settled and its incidences are relaxed), `false` leaves it
     /// unexpanded.
     fn settle(&mut self, x: VertexId, d: Weight) -> bool;
-
-    /// Heap slot `i` now holds `v`.
-    fn set_pos(&mut self, v: VertexId, i: u32);
-}
-
-/// The engine's own stamped state, for [`SsspEngine::run`] and
-/// [`SsspEngine::run_tree`]: tentative distances, heap slots, the touched
-/// list, the settle order and, with `WANT_TREE`, parent pointers.
-struct Stamped<'a, const WANT_TREE: bool> {
-    gen: u32,
-    state: &'a mut [VertexState],
-    parent: &'a mut [ParentState],
-    touched: &'a mut Vec<VertexId>,
-    order: &'a mut Vec<VertexId>,
-}
-
-impl<const WANT_TREE: bool> Labels for Stamped<'_, WANT_TREE> {
-    #[inline(always)]
-    fn relax(&mut self, u: VertexId, e: EdgeId, v: VertexId, nd: Weight) -> Option<u32> {
-        let vi = v as usize;
-        // The resting invariant (untouched reads as INF / NOT_IN_HEAP)
-        // makes this a single data-dependent compare.
-        let st = self.state[vi];
-        let strictly_better = nd < st.dist;
-        // `nd == dist == INF` on an untouched vertex replicates the
-        // parent tie against the (u32::MAX, u32::MAX) sentinel pair,
-        // which always prefers the real `(u, e)`. A settled vertex
-        // (pos == SETTLED) never changes: with non-negative weights
-        // nd >= dist, and the tie branch requires an unsettled vertex.
-        let tie_better = WANT_TREE && nd == st.dist && st.pos != SETTLED && {
-            let (pv, pe) = if st.stamp == self.gen {
-                let p = self.parent[vi];
-                (p.vertex, p.edge)
-            } else {
-                (u32::MAX, u32::MAX)
-            };
-            tie_prefers(u, e, pv, pe)
-        };
-        if !(strictly_better || tie_better) {
-            return None;
-        }
-        if st.stamp != self.gen {
-            self.state[vi].stamp = self.gen;
-            self.touched.push(v);
-        }
-        self.state[vi].dist = nd;
-        if WANT_TREE {
-            self.parent[vi] = ParentState {
-                vertex: u,
-                edge: e,
-                depth: self.parent[u as usize].depth + 1,
-            };
-        }
-        strictly_better.then_some(st.pos)
-    }
-
-    /// Skips an entry a lower distance superseded (a bucket entry only;
-    /// the indexed heap holds none).
-    #[inline(always)]
-    fn settle(&mut self, x: VertexId, d: Weight) -> bool {
-        let st = &mut self.state[x as usize];
-        if st.pos == SETTLED || st.dist != d {
-            return false;
-        }
-        st.pos = SETTLED;
-        self.order.push(x);
-        true
-    }
-
-    #[inline(always)]
-    fn set_pos(&mut self, v: VertexId, i: u32) {
-        self.state[v as usize].pos = i;
-    }
 }
 
 /// A distance row as a search's only distance array, for
-/// [`SsspEngine::run_reusing`]: relaxations write it and queue only what
-/// beats it, and finished rows are folded into it. It keeps no heap
-/// slots, so the heap path runs lazy deletion.
+/// [`SsspEngine::run`] and [`SsspEngine::run_reusing`]: relaxations write
+/// it and queue only what beats it, and finished rows are folded into it.
 struct Row<'a, E, F> {
     row: &'a mut [E],
     finished: F,
@@ -217,12 +137,13 @@ impl<'r, E: DistEntry, F: Fn(VertexId) -> Option<&'r [E]>> Labels for Row<'_, E,
     /// The saturating [`DistEntry::narrow`] queues no candidate at or past
     /// the row's `INF`, so every queued distance is stored exactly.
     #[inline(always)]
-    fn relax(&mut self, _: VertexId, _: EdgeId, v: VertexId, nd: Weight) -> Option<u32> {
+    fn relax(&mut self, _: VertexId, _: EdgeId, v: VertexId, nd: Weight) -> bool {
         let (r, nd) = (&mut self.row[v as usize], E::narrow(nd));
-        (nd < *r).then(|| {
+        let better = nd < *r;
+        if better {
             *r = nd;
-            NOT_IN_HEAP
-        })
+        }
+        better
     }
 
     /// Skips `x` when the row beats `d`: a later push superseded the
@@ -244,9 +165,86 @@ impl<'r, E: DistEntry, F: Fn(VertexId) -> Option<&'r [E]>> Labels for Row<'_, E,
             None => true,
         }
     }
+}
 
+/// An [`SsspTree`]'s dense arrays as a tree run's labels, with a settled
+/// flag per vertex: an equal-distance relaxation re-parents a vertex only
+/// while it is unsettled.
+struct Tree<'a> {
+    t: &'a mut SsspTree,
+    settled: Vec<bool>,
+}
+
+impl Labels for Tree<'_> {
+    /// A strict improvement, or a tie on an unsettled vertex whose parent
+    /// pair `(u, e)` is smaller, takes `v`; only the former queues it. An
+    /// untouched vertex reads `INF` with `(u32::MAX, u32::MAX)` parents, so
+    /// a tie at `INF` records the real `(u, e)` without queueing `v`.
     #[inline(always)]
-    fn set_pos(&mut self, _: VertexId, _: u32) {}
+    fn relax(&mut self, u: VertexId, e: EdgeId, v: VertexId, nd: Weight) -> bool {
+        let (t, vi) = (&mut *self.t, v as usize);
+        let better = nd < t.dist[vi];
+        let tie = nd == t.dist[vi]
+            && !self.settled[vi]
+            && (u, e) < (t.parent_vertex[vi], t.parent_edge[vi]);
+        if better || tie {
+            t.dist[vi] = nd;
+            t.parent_vertex[vi] = u;
+            t.parent_edge[vi] = e;
+            t.depths[vi] = t.depths[u as usize] + 1;
+        }
+        better
+    }
+
+    /// As for [`Paths`], a vertex has one entry at its final distance (a
+    /// tie never queues); its others are stale.
+    #[inline(always)]
+    fn settle(&mut self, x: VertexId, d: Weight) -> bool {
+        let xi = x as usize;
+        if self.t.dist[xi] != d {
+            return false;
+        }
+        self.settled[xi] = true;
+        self.t.settle_order.push(x);
+        true
+    }
+}
+
+/// A [`PathDag`] as a path-counting run's labels: a strict improvement
+/// restarts `v`'s path count and predecessors from `u`, and an equal
+/// distance adds `u`'s count and appends it — also into a vertex already
+/// settled, which a zero-weight edge can reach at its own distance.
+struct Paths<'a>(&'a mut PathDag);
+
+impl Labels for Paths<'_> {
+    #[inline(always)]
+    fn relax(&mut self, u: VertexId, _: EdgeId, v: VertexId, nd: Weight) -> bool {
+        let (p, ui, vi) = (&mut *self.0, u as usize, v as usize);
+        if nd < p.dist[vi] {
+            p.dist[vi] = nd;
+            p.sigma[vi] = p.sigma[ui];
+            p.preds[vi].clear();
+            p.preds[vi].push(u);
+            true
+        } else {
+            if nd == p.dist[vi] {
+                p.sigma[vi] += p.sigma[ui];
+                p.preds[vi].push(u);
+            }
+            false
+        }
+    }
+
+    /// Every push is a strict improvement, so a vertex has one entry at
+    /// its final distance; its others, at larger distances, are stale.
+    #[inline(always)]
+    fn settle(&mut self, x: VertexId, d: Weight) -> bool {
+        if self.0.dist[x as usize] != d {
+            return false;
+        }
+        self.0.order.push(x);
+        true
+    }
 }
 
 /// Which priority queue a run takes (see [`SsspEngine::dial_mode`]).
@@ -257,14 +255,14 @@ enum DialMode {
     /// Fixed-window Dial buckets plus the overflow level: all weights in
     /// `1..DIAL_WEIGHT_LIMIT`, at least one `>= DIAL_BUCKETS`.
     Overflow,
-    /// Indexed 4-ary heap: small graph, zero weights, or weights past
-    /// [`DIAL_WEIGHT_LIMIT`].
+    /// Lazy-deletion 4-ary heap: small graph, zero weights, or weights
+    /// past [`DIAL_WEIGHT_LIMIT`].
     Heap,
 }
 
 /// A graph view with its priority-queue choice made, for
 /// [`SsspEngine::run_reusing`]. Made once, it spares the many searches of
-/// a graph the pass over its weights that every plain run makes.
+/// a graph the pass over its weights that every other run makes.
 #[derive(Clone, Copy, Debug)]
 pub struct QueuedView<'g> {
     g: CsrView<'g>,
@@ -287,30 +285,12 @@ impl<'g> QueuedView<'g> {
     }
 }
 
-/// Per-vertex hot state, packed so one relaxation touches one cache line
-/// instead of three separate arrays.
-#[derive(Clone, Copy, Debug)]
-struct VertexState {
-    /// Tentative distance; meaningful while `stamp == ` the engine's gen.
-    dist: Weight,
-    /// Generation tag: equal to the engine's `gen` iff touched this run.
-    stamp: u32,
-    /// Heap slot, or [`NOT_IN_HEAP`] / [`SETTLED`].
-    pos: u32,
-}
-
-/// Per-vertex tree state (written only by [`SsspEngine::run_tree`]).
-#[derive(Clone, Copy, Debug)]
-struct ParentState {
-    vertex: VertexId,
-    edge: EdgeId,
-    depth: u32,
-}
-
-/// The priority queues every run shares, and the main loops that drive
-/// them. Always empty between runs.
+/// A reusable Dijkstra instance: the priority queues every run shares,
+/// always empty between runs. A run's labels live in what it returns or
+/// writes, so one engine serves any sequence of runs, on graphs of any
+/// size; the queues grow to the largest run they have held.
 #[derive(Debug)]
-struct Queues {
+pub struct SsspEngine {
     /// The 4-ary heap: `(dist, vertex)` entries, keys inline for
     /// cache-local comparisons.
     heap: Vec<(Weight, VertexId)>,
@@ -327,38 +307,6 @@ struct Queues {
     overflow: Vec<(Weight, VertexId)>,
 }
 
-/// A reusable Dijkstra instance: preallocated arrays, generation-stamp
-/// lazy reset, indexed 4-ary decrease-key heap.
-///
-/// One engine serves one run at a time; query methods ([`dist`](Self::dist),
-/// [`dist_vec`](Self::dist_vec), [`write_dist`](Self::write_dist),
-/// [`tree`](Self::tree), [`settle_order`](Self::settle_order),
-/// [`stats`](Self::stats)) read the most recent [`run`](Self::run),
-/// [`run_view`](Self::run_view) or [`run_tree`](Self::run_tree);
-/// [`run_reusing`](Self::run_reusing) leaves them as they were. Engines
-/// grow monotonically to the largest graph they have seen and can be
-/// reused across graphs of different sizes.
-#[derive(Debug)]
-pub struct SsspEngine {
-    /// Current generation; `state[v].stamp == gen` marks `v` as touched.
-    gen: u32,
-    /// Vertex count of the most recent run's graph.
-    n: usize,
-    /// Source of the most recent run.
-    source: VertexId,
-    /// Whether the most recent run recorded parent pointers.
-    tree_run: bool,
-    state: Vec<VertexState>,
-    /// Parent pointers; stale (ignored) for distances-only runs.
-    parent: Vec<ParentState>,
-    queues: Queues,
-    /// Every vertex written this run (superset of `order`).
-    touched: Vec<VertexId>,
-    /// Settle order of the most recent run (non-decreasing distance).
-    order: Vec<VertexId>,
-    stats: DijkstraStats,
-}
-
 impl Default for SsspEngine {
     fn default() -> Self {
         Self::new()
@@ -366,67 +314,92 @@ impl Default for SsspEngine {
 }
 
 impl SsspEngine {
-    /// An empty engine; arrays grow on first use.
+    /// An engine with empty queues; they grow on first use.
     pub fn new() -> Self {
         SsspEngine {
-            gen: 0,
-            n: 0,
-            source: 0,
-            tree_run: false,
-            state: Vec::new(),
-            parent: Vec::new(),
-            queues: Queues {
-                heap: Vec::new(),
-                buckets: Vec::new(),
-                bucket_live: [0; DIAL_MASK_WORDS],
-                overflow: Vec::new(),
-            },
-            touched: Vec::new(),
-            order: Vec::new(),
+            heap: Vec::new(),
+            buckets: Vec::new(),
+            bucket_live: [0; DIAL_MASK_WORDS],
+            overflow: Vec::new(),
+        }
+    }
+
+    /// Writes the distance row of `source` in `g` into `row` (`INF` where
+    /// unreachable, each distance [`DistEntry::narrow`]ed to the row's
+    /// width) and returns the run's counters: a [`run_reusing`] search
+    /// with no finished rows.
+    ///
+    /// # Panics
+    /// Panics unless `row` is `g.n()` long and `source` is a vertex of `g`.
+    ///
+    /// [`run_reusing`]: Self::run_reusing
+    pub fn run<E: DistEntry>(
+        &mut self,
+        g: CsrView<'_>,
+        source: VertexId,
+        row: &mut [E],
+    ) -> DijkstraStats {
+        let none = |_: VertexId| -> Option<&[E]> { None };
+        self.run_reusing(QueuedView::new(g), source, row, none).0
+    }
+
+    /// The shortest-path tree of `source` in `g`, with the deterministic
+    /// `(distance, vertex, edge)` parent tie-break, its settle order and
+    /// the run's counters.
+    ///
+    /// # Panics
+    /// Panics unless `source` is a vertex of `g`.
+    pub fn run_tree(&mut self, g: CsrView<'_>, source: VertexId) -> SsspTree {
+        let n = g.n();
+        assert!((source as usize) < n, "source out of range");
+        let mut t = SsspTree {
+            source,
+            dist: vec![INF; n],
+            parent_vertex: vec![u32::MAX; n],
+            parent_edge: vec![u32::MAX; n],
+            depths: vec![0; n],
+            settle_order: Vec::with_capacity(n),
             stats: DijkstraStats::default(),
-        }
+        };
+        t.dist[source as usize] = 0;
+        let _span = ear_obs::span_with("sssp.run", source as u64);
+        let mut labels = Tree {
+            t: &mut t,
+            settled: vec![false; n],
+        };
+        let stats = self.search(g, Self::dial_mode(g), source, &mut labels);
+        t.stats = stats;
+        t.settle_order.shrink_to_fit();
+        t
     }
 
-    /// Grows the scratch arrays to hold `n` vertices (never shrinks).
-    fn ensure_capacity(&mut self, n: usize) {
-        if self.state.len() < n {
-            // New stamp entries are 0; the generation is bumped to >= 1
-            // before every run, so 0 can never equal a live generation.
-            self.state.resize(
-                n,
-                VertexState {
-                    dist: INF,
-                    stamp: 0,
-                    pos: NOT_IN_HEAP,
-                },
-            );
-            self.parent.resize(
-                n,
-                ParentState {
-                    vertex: u32::MAX,
-                    edge: u32::MAX,
-                    depth: 0,
-                },
-            );
-        }
-    }
-
-    /// Distances-only run (no parent bookkeeping). Returns the run's
-    /// operation counters.
-    pub fn run(&mut self, g: &CsrGraph, source: VertexId) -> DijkstraStats {
-        self.run_inner::<false>(g.view(), Self::dial_mode(g.view()), source)
-    }
-
-    /// Full shortest-path-tree run with the deterministic
-    /// `(distance, vertex, edge)` parent tie-break.
-    pub fn run_tree(&mut self, g: &CsrGraph, source: VertexId) -> DijkstraStats {
-        self.run_inner::<true>(g.view(), Self::dial_mode(g.view()), source)
-    }
-
-    /// [`run`](Self::run) on a borrowed [`CsrView`] (whole graph or arena
-    /// block window) — the same code path, so results are bit-identical.
-    pub fn run_view(&mut self, g: CsrView<'_>, source: VertexId) -> DijkstraStats {
-        self.run_inner::<false>(g, Self::dial_mode(g), source)
+    /// Brandes' forward pass from `source` in `g`: fills `dag` with the
+    /// distances, shortest-path counts σ, predecessor lists and settle
+    /// order (see [`PathDag`]) and returns the run's counters. `dag`'s
+    /// predecessor lists keep their capacity across runs.
+    ///
+    /// # Panics
+    /// Panics unless `source` is a vertex of `g`.
+    pub fn count_paths(
+        &mut self,
+        g: CsrView<'_>,
+        source: VertexId,
+        dag: &mut PathDag,
+    ) -> DijkstraStats {
+        let n = g.n();
+        assert!((source as usize) < n, "source out of range");
+        dag.dist.clear();
+        dag.dist.resize(n, INF);
+        dag.sigma.clear();
+        dag.sigma.resize(n, 0.0);
+        dag.preds.truncate(n);
+        dag.preds.iter_mut().for_each(Vec::clear);
+        dag.preds.resize_with(n, Vec::new);
+        dag.order.clear();
+        dag.dist[source as usize] = 0;
+        dag.sigma[source as usize] = 1.0;
+        let _span = ear_obs::span_with("sssp.run", source as u64);
+        self.search(g, Self::dial_mode(g), source, &mut Paths(dag))
     }
 
     /// Writes the distance row of `source` in `g` into `row`, reusing the
@@ -450,15 +423,15 @@ impl SsspEngine {
     /// d(source, t)`. With none, `t` is reached as in Dijkstra. Equal
     /// distances pop in ascending vertex order on every
     /// queue, so which vertices are expanded depends on `g` and the
-    /// finished rows alone. With no finished rows this is a plain run.
+    /// finished rows alone. With no finished rows this is [`run`].
     ///
     /// Returns the search's counters — `settled` and `edges_relaxed`
     /// cover the expanded vertices only — and the number of rows folded.
-    /// The run touches none of the engine's per-vertex state: its query
-    /// methods afterwards still describe its last plain or tree run.
     ///
     /// # Panics
     /// Panics unless `row` and every finished row are `g.n()` long.
+    ///
+    /// [`run`]: Self::run
     pub fn run_reusing<'r, E: DistEntry>(
         &mut self,
         g: QueuedView<'_>,
@@ -478,68 +451,8 @@ impl SsspEngine {
             finished,
             rows_combined: 0,
         };
-        let stats = self.queues.run(g.g, g.mode, source, &mut labels);
+        let stats = self.search(g.g, g.mode, source, &mut labels);
         (stats, labels.rows_combined)
-    }
-
-    // Monomorphised on `WANT_TREE` so the distances-only path carries no
-    // per-edge tree branches at all.
-    fn run_inner<const WANT_TREE: bool>(
-        &mut self,
-        g: CsrView<'_>,
-        mode: DialMode,
-        source: VertexId,
-    ) -> DijkstraStats {
-        let _span = ear_obs::span_with("sssp.run", source as u64);
-        let n = g.n();
-        assert!((source as usize) < n, "source out of range");
-        // Heap positions < n must stay clear of the two sentinels.
-        assert!(
-            n <= (u32::MAX - 2) as usize,
-            "graph too large for SsspEngine"
-        );
-        self.ensure_capacity(n);
-        self.bump_gen();
-        // Restore the resting invariant `dist == INF, pos == NOT_IN_HEAP`
-        // for everything the previous run wrote — O(touched), and it keeps
-        // the hot relaxation at a single `nd < dist` compare, with no
-        // stamp check on the fast path. (Parent state is *not* reset here;
-        // the generation stamp guards its validity lazily.)
-        for &v in &self.touched {
-            let vi = v as usize;
-            self.state[vi].dist = INF;
-            self.state[vi].pos = NOT_IN_HEAP;
-        }
-        self.n = n;
-        self.source = source;
-        self.tree_run = WANT_TREE;
-        self.touched.clear();
-        self.order.clear();
-
-        let s = source as usize;
-        self.state[s] = VertexState {
-            dist: 0,
-            stamp: self.gen,
-            pos: NOT_IN_HEAP,
-        };
-        if WANT_TREE {
-            self.parent[s] = ParentState {
-                vertex: u32::MAX,
-                edge: u32::MAX,
-                depth: 0,
-            };
-        }
-        self.touched.push(source);
-
-        let mut labels = Stamped::<WANT_TREE> {
-            gen: self.gen,
-            state: &mut self.state,
-            parent: &mut self.parent,
-            touched: &mut self.touched,
-            order: &mut self.order,
-        };
-        self.stats = self.queues.run(g, mode, source, &mut labels);
-        self.stats
     }
 
     /// Picks the queue for runs on `g`: the heap for small graphs (the whole
@@ -577,156 +490,10 @@ impl SsspEngine {
         }
     }
 
-    /// Distance to `v` from the most recent run's source (`INF` when
-    /// unreachable or out of range).
-    #[inline]
-    pub fn dist(&self, v: VertexId) -> Weight {
-        let vi = v as usize;
-        if vi < self.n && self.state[vi].stamp == self.gen {
-            self.state[vi].dist
-        } else {
-            INF
-        }
-    }
-
-    /// Materialises the most recent run's distance array (`INF` for
-    /// untouched vertices).
-    pub fn dist_vec(&self) -> Vec<Weight> {
-        let mut out = vec![0; self.n];
-        self.write_dist(&mut out);
-        out
-    }
-
-    /// Writes the most recent run's distance array into `out` (`INF` for
-    /// untouched vertices) — [`dist_vec`](Self::dist_vec) into a buffer
-    /// the caller owns, such as a row of a distance table stored at width
-    /// `E` (each distance [`DistEntry::narrow`]ed).
-    ///
-    /// # Panics
-    /// Panics unless `out.len()` is the run's vertex count.
-    pub fn write_dist<E: DistEntry>(&self, out: &mut [E]) {
-        assert_eq!(out.len(), self.n, "distance row length");
-        out.fill(E::INF);
-        for &v in &self.touched {
-            out[v as usize] = E::narrow(self.state[v as usize].dist);
-        }
-    }
-
-    /// Settle order of the most recent run: vertices in the order they
-    /// were popped, i.e. non-decreasing distance.
-    pub fn settle_order(&self) -> &[VertexId] {
-        &self.order
-    }
-
-    /// Every vertex the most recent run wrote (a superset of
-    /// [`settle_order`](Self::settle_order)), in first-touch order.
-    pub fn touched(&self) -> &[VertexId] {
-        &self.touched
-    }
-
-    /// Parent vertex of `v` in the most recent tree run (`u32::MAX` at the
-    /// source and at untouched vertices).
-    pub fn parent_vertex(&self, v: VertexId) -> VertexId {
-        debug_assert!(self.tree_run, "parents require a run_tree()");
-        let vi = v as usize;
-        if vi < self.n && self.state[vi].stamp == self.gen {
-            self.parent[vi].vertex
-        } else {
-            u32::MAX
-        }
-    }
-
-    /// Parent edge of `v` in the most recent tree run (`u32::MAX` at the
-    /// source and at untouched vertices).
-    pub fn parent_edge(&self, v: VertexId) -> EdgeId {
-        debug_assert!(self.tree_run, "parents require a run_tree()");
-        let vi = v as usize;
-        if vi < self.n && self.state[vi].stamp == self.gen {
-            self.parent[vi].edge
-        } else {
-            u32::MAX
-        }
-    }
-
-    /// Operation counters of the most recent run.
-    #[inline]
-    pub fn stats(&self) -> DijkstraStats {
-        self.stats
-    }
-
-    /// Source vertex of the most recent run.
-    pub fn source(&self) -> VertexId {
-        self.source
-    }
-
-    /// Materialises the most recent [`run_tree`](Self::run_tree) as an
-    /// owned [`SsspTree`], bit-identical to what
-    /// [`crate::dijkstra::dijkstra_tree`] returns.
-    ///
-    /// # Panics
-    /// Panics if the most recent run was distances-only.
-    pub fn tree(&self) -> SsspTree {
-        assert!(
-            self.tree_run,
-            "SsspEngine::tree() requires a preceding run_tree()"
-        );
-        let n = self.n;
-        let mut dist = vec![INF; n];
-        let mut parent_vertex = vec![u32::MAX; n];
-        let mut parent_edge = vec![u32::MAX; n];
-        let mut depths = vec![0u32; n];
-        for &v in &self.touched {
-            let vi = v as usize;
-            dist[vi] = self.state[vi].dist;
-            parent_vertex[vi] = self.parent[vi].vertex;
-            parent_edge[vi] = self.parent[vi].edge;
-            depths[vi] = self.parent[vi].depth;
-        }
-        SsspTree {
-            source: self.source,
-            dist,
-            parent_vertex,
-            parent_edge,
-            depths,
-            settle_order: self.order.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Current generation counter (testing / introspection).
-    pub fn generation(&self) -> u32 {
-        self.gen
-    }
-
-    /// Testing hook: jump the generation counter (e.g. to just below
-    /// `u32::MAX`) to exercise the wraparound path. Clears every stamp so
-    /// the "no stamp exceeds the generation" invariant is preserved.
-    pub fn jump_generation(&mut self, gen: u32) {
-        self.gen = gen;
-        for st in &mut self.state {
-            st.stamp = 0;
-        }
-    }
-
-    fn bump_gen(&mut self) {
-        if self.gen == u32::MAX {
-            // Wraparound: clear all stamps once so values from the
-            // previous epoch can never alias the restarted counter.
-            for st in &mut self.state {
-                st.stamp = 0;
-            }
-            self.gen = 1;
-        } else {
-            self.gen += 1;
-        }
-    }
-}
-
-impl Queues {
-    /// One search from `source` on the queue `mode` picks, its tentative
-    /// distances kept in `labels` (which the caller has seeded with
-    /// `source` at 0). Returns its counters.
-    fn run<L: Labels>(
+    /// One search from `source` on the queue `mode` picks, its labels kept
+    /// in `labels` (which the caller has seeded with `source` at 0).
+    /// Returns its counters.
+    fn search<L: Labels>(
         &mut self,
         g: CsrView<'_>,
         mode: DialMode,
@@ -752,9 +519,8 @@ impl Queues {
     }
 
     /// The heap main loop (the general path: any weights, any size):
-    /// decrease-key on a vertex that has a heap slot, an insert
-    /// otherwise — so with labels that keep no slots, a lazy-deletion
-    /// heap whose superseded entries [`Labels::settle`] skips.
+    /// every strictly improving relaxation pushes, and [`Labels::settle`]
+    /// skips the entries a later push superseded.
     fn run_heap<L: Labels>(
         &mut self,
         g: CsrView<'_>,
@@ -762,19 +528,13 @@ impl Queues {
         labels: &mut L,
     ) -> DijkstraStats {
         let mut stats = DijkstraStats::default();
-        self.heap_insert(0, source, labels);
-        while let Some((du, u)) = self.heap_pop_min(labels) {
+        self.heap_push(0, source);
+        while let Some((du, u)) = self.heap_pop_min() {
             if !labels.settle(u, du) {
                 continue;
             }
             stats.settled += 1;
-            self.expand(g, labels, u, du, &mut stats, |q, labels, v, nd, pos| {
-                if pos == NOT_IN_HEAP {
-                    q.heap_insert(nd, v, labels);
-                } else {
-                    q.heap_decrease(pos as usize, nd, labels);
-                }
-            });
+            self.expand(g, labels, u, du, &mut stats, |q, v, nd| q.heap_push(nd, v));
         }
         stats
     }
@@ -866,7 +626,7 @@ impl Queues {
                 }
                 stats.settled += 1;
                 let (parked, pushed) = (self.overflow.len(), stats.heap_pushes);
-                self.expand(g, labels, u, cur_d, &mut stats, move |q, _, v, nd, _| {
+                self.expand(g, labels, u, cur_d, &mut stats, move |q, v, nd| {
                     if OVERFLOW && nd >= window_end {
                         q.overflow.push((nd, v));
                     } else {
@@ -887,8 +647,7 @@ impl Queues {
 
     /// Expands settled vertex `u` at distance `du`: offers each of its
     /// incidences to `labels` and hands every strictly improving one to
-    /// `push(self, labels, v, nd, pos)`, the caller's queue append (`pos`
-    /// is `v`'s heap slot before the relaxation). Adds the incidences
+    /// `push(self, v, nd)`, the caller's queue append. Adds the incidences
     /// relaxed and the pushes made to `stats`. The one relaxation step of
     /// every main loop.
     #[inline(always)]
@@ -899,7 +658,7 @@ impl Queues {
         u: VertexId,
         du: Weight,
         stats: &mut DijkstraStats,
-        mut push: impl FnMut(&mut Self, &mut L, VertexId, Weight, u32),
+        mut push: impl FnMut(&mut Self, VertexId, Weight),
     ) {
         // `w == g.weight(e)` by the parallel-slice invariant; the zipped
         // stream replaces a random 16-byte `edges[e]` gather per relaxation.
@@ -909,8 +668,8 @@ impl Queues {
                 continue; // self-loops never improve a distance
             }
             let nd = du + w;
-            if let Some(pos) = labels.relax(u, e, v, nd) {
-                push(self, labels, v, nd, pos);
+            if labels.relax(u, e, v, nd) {
+                push(self, v, nd);
                 stats.heap_pushes += 1;
             }
         }
@@ -932,63 +691,40 @@ impl Queues {
         }
     }
 
-    // ---- 4-ary heap keyed on (dist, vertex) ----
+    // ---- lazy-deletion 4-ary heap keyed on (dist, vertex) ----
     //
     // Entries carry their key `(dist, vertex)` inline so sift comparisons
-    // stay cache-local instead of chasing random `dist[]` loads — the
-    // difference between winning and losing to the legacy lazy-deletion
-    // heap once the distance array outgrows L2. Every slot move is
-    // reported to `labels`, which records it or not.
+    // stay cache-local instead of chasing random distance loads.
 
     #[inline(always)]
-    fn heap_insert<L: Labels>(&mut self, key: Weight, v: VertexId, labels: &mut L) {
-        let i = self.heap.len();
+    fn heap_push(&mut self, key: Weight, v: VertexId) {
+        let mut i = self.heap.len();
         self.heap.push((key, v));
-        self.sift_up(i, labels);
-    }
-
-    /// Lowers the key of the entry at heap slot `i` and restores order.
-    #[inline(always)]
-    fn heap_decrease<L: Labels>(&mut self, i: usize, key: Weight, labels: &mut L) {
-        debug_assert!(self.heap[i].0 >= key);
-        self.heap[i].0 = key;
-        self.sift_up(i, labels);
-    }
-
-    #[inline(always)]
-    fn heap_pop_min<L: Labels>(&mut self, labels: &mut L) -> Option<(Weight, VertexId)> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0, labels);
-        }
-        Some(top)
-    }
-
-    /// Hole-based sift: the moving entry is written (and its slot
-    /// reported) once at its final slot, displaced entries move one hop
-    /// each.
-    fn sift_up<L: Labels>(&mut self, mut i: usize, labels: &mut L) {
-        let entry = self.heap[i];
+        // Hole-based sift: the new entry is written once, at its final
+        // slot; displaced parents move one hop each.
+        let entry = (key, v);
         while i > 0 {
             let p = (i - 1) / 4;
             let parent = self.heap[p];
             if entry < parent {
                 self.heap[i] = parent;
-                labels.set_pos(parent.1, i as u32);
                 i = p;
             } else {
                 break;
             }
         }
         self.heap[i] = entry;
-        labels.set_pos(entry.1, i as u32);
     }
 
-    fn sift_down<L: Labels>(&mut self, mut i: usize, labels: &mut L) {
-        let entry = self.heap[i];
+    #[inline(always)]
+    fn heap_pop_min(&mut self) -> Option<(Weight, VertexId)> {
+        let top = *self.heap.first()?;
+        let entry = self.heap.pop().expect("heap is non-empty");
         let len = self.heap.len();
+        if len == 0 {
+            return Some(top);
+        }
+        let mut i = 0;
         loop {
             let first = 4 * i + 1;
             if first >= len {
@@ -1005,14 +741,13 @@ impl Queues {
             }
             if best_entry < entry {
                 self.heap[i] = best_entry;
-                labels.set_pos(best_entry.1, i as u32);
                 i = best;
             } else {
                 break;
             }
         }
         self.heap[i] = entry;
-        labels.set_pos(entry.1, i as u32);
+        Some(top)
     }
 }
 
@@ -1031,22 +766,26 @@ crate::scratch_pool! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrGraph;
 
     fn diamond() -> CsrGraph {
         CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
     }
 
+    /// Distances from `source`, on a fresh row.
+    fn row(e: &mut SsspEngine, g: &CsrGraph, source: VertexId) -> Vec<Weight> {
+        let mut row = vec![0; g.n()];
+        e.run(g.view(), source, &mut row);
+        row
+    }
+
     #[test]
     fn pooled_engine_is_reused_on_one_thread() {
-        let g = diamond();
-        let d0 = with_engine(|e| {
-            e.run(&g, 0);
-            e.dist_vec()
-        });
+        let g = random_graph(400, 1600, 100, 99);
+        let d0 = with_engine(|e| row(e, &g, 0));
         let d0_again = with_engine(|e| {
-            assert!(e.generation() > 0, "engine carries state across calls");
-            e.run(&g, 0);
-            e.dist_vec()
+            assert!(!e.buckets.is_empty(), "the first borrow's buckets survive");
+            row(e, &g, 0)
         });
         assert_eq!(d0, d0_again);
     }
@@ -1103,8 +842,13 @@ mod tests {
             })
             .collect();
         assert_eq!(mode(&CsrGraph::from_edges(500, &edges)), DialMode::Overflow);
-        // A single weight at or above DIAL_WEIGHT_LIMIT keeps the whole
-        // run on the heap path.
+        // Zero weights, and a single weight at or above DIAL_WEIGHT_LIMIT,
+        // keep the whole run on the heap path.
+        let edges: Vec<(u32, u32, Weight)> = (0..)
+            .zip(random_graph(300, 1200, 3, 7).edges())
+            .map(|(i, e)| (e.u, e.v, if i % 4 == 0 { 0 } else { e.w }))
+            .collect();
+        assert_eq!(mode(&CsrGraph::from_edges(300, &edges)), DialMode::Heap);
         let mut edges: Vec<(u32, u32, Weight)> = (0..499u32).map(|i| (i, i + 1, 3)).collect();
         edges.push((0, 499, DIAL_WEIGHT_LIMIT as Weight + 7));
         assert_eq!(mode(&CsrGraph::from_edges(500, &edges)), DialMode::Heap);
@@ -1167,12 +911,12 @@ mod tests {
         ear_obs::enable();
         let before = ear_obs::counter_value("sssp.dial.range_fallback");
         let mut e = SsspEngine::new();
-        e.run(&overweight, 0);
-        e.run(&overweight, 499);
-        e.run(&small, 0); // too small: not a range fallback
-        e.run(&zero_weight, 0); // zero weight: not a range fallback
-        e.run(&overflow_family, 0); // overflow Dial handles it: no tick
-        e.run(&overflow_family, 499);
+        row(&mut e, &overweight, 0);
+        row(&mut e, &overweight, 499);
+        row(&mut e, &small, 0); // too small: not a range fallback
+        row(&mut e, &zero_weight, 0); // zero weight: not a range fallback
+        row(&mut e, &overflow_family, 0); // overflow Dial handles it: no tick
+        row(&mut e, &overflow_family, 499);
         let after = ear_obs::counter_value("sssp.dial.range_fallback");
         ear_obs::disable();
         assert_eq!(after - before, 2);

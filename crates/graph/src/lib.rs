@@ -45,7 +45,7 @@ pub use arena::{CsrArena, CsrSpan};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dijkstra::{dijkstra, dijkstra_tree, dijkstra_with_stats, DijkstraStats, SsspTree};
-pub use engine::{with_engine, QueuedView, SsspEngine};
+pub use engine::{with_engine, PathDag, QueuedView, SsspEngine};
 pub use lanes::kernel_path;
 pub use pool::{par_map, par_map_mut};
 pub use spanning::{non_tree_edges, spanning_forest, tree_edge_flags};

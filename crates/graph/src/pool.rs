@@ -52,7 +52,9 @@ fn chunk_len(len: usize) -> usize {
 
 /// The scheduling core: up to [`threads`] workers pull numbered chunks
 /// from one queue, holding its lock only to take the next chunk, and the
-/// per-chunk results are stitched back in chunk order.
+/// per-chunk results are stitched back in chunk order. Each worker roots
+/// the span stacks it publishes at the caller's open stack, so a sampled
+/// stack from inside the region starts where the caller's does.
 fn run_chunks<C: Send, R: Send>(
     len: usize,
     chunks: impl Iterator<Item = C> + Send,
@@ -64,7 +66,9 @@ fn run_chunks<C: Send, R: Send>(
     }
     let queue = Mutex::new(chunks.enumerate());
     let claim = || queue.lock().expect("taking a chunk never panics").next();
+    let root = ear_obs::open_stack();
     let worker = || {
+        root.adopt();
         std::iter::from_fn(claim)
             .map(|(k, c)| (k, work(c)))
             .collect::<Vec<_>>()

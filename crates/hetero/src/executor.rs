@@ -290,7 +290,7 @@ impl HeteroExecutor {
         let (mut front, mut back) = (0usize, order.len());
         let mut clocks = vec![0.0_f64; self.devices.len()];
         let mut reports = self.idle_reports();
-        let mut batch: Vec<WorkCounters> = Vec::new();
+        let mut batch: Vec<(WorkCounters, u64)> = Vec::new();
         while front < back {
             let d = freest(&clocks);
             let dev = &self.devices[d];
@@ -307,7 +307,7 @@ impl HeteroExecutor {
                 break;
             }
             batch.clear();
-            let counters = |i: &usize| units[*i].1;
+            let counters = |i: &usize| (units[*i].1, 1);
             let (pops, popped_units) = match dev.kind {
                 DeviceKind::Gpu => {
                     batch.extend(order[front..front + take].iter().map(counters));
@@ -346,7 +346,7 @@ impl HeteroExecutor {
             rep.units += take;
             rep.batches += 1;
             rep.busy_s += dt;
-            for c in &batch {
+            for (c, _) in &batch {
                 rep.counters.merge(c);
             }
         }
@@ -437,7 +437,7 @@ impl HeteroExecutor {
             }
             total_left -= taken;
             let rep = &mut reports[d];
-            let mut dt = dev.batch_work_grouped(&comp);
+            let mut dt = dev.batch_work_s(&comp);
             if rep.batches == 0 {
                 dt += dev.launch_overhead_us * 1e-6;
             }
@@ -470,7 +470,7 @@ impl HeteroExecutor {
             .devices
             .iter()
             .enumerate()
-            .map(|(i, d)| (i, d.launch_overhead_us * 1e-6 + d.batch_work_grouped(&all)))
+            .map(|(i, d)| (i, d.launch_overhead_us * 1e-6 + d.batch_work_s(&all)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
         if solo_t < makespan_s {

@@ -122,40 +122,22 @@ impl DeviceProfile {
         self.clock_ghz * 1e9 * self.ops_per_cycle * self.irregular_efficiency
     }
 
-    /// Modelled execution time (seconds) of one batch: `per_unit` holds the
-    /// counters of every workunit in the batch.
-    pub fn batch_time_s(&self, per_unit: &[WorkCounters]) -> f64 {
-        if per_unit.is_empty() {
+    /// Modelled work time (seconds) of one batch, without launch overhead:
+    /// `batch[i]` is `count` workunits sharing one counter set. Launch
+    /// overhead is charged once per device per run by the simulators.
+    pub fn batch_work_s(&self, batch: &[(WorkCounters, u64)]) -> f64 {
+        if batch.is_empty() {
             return 0.0;
         }
-        self.launch_overhead_us * 1e-6 + self.batch_work_s(per_unit)
-    }
-
-    /// The work portion of [`DeviceProfile::batch_time_s`] (no launch
-    /// overhead) — follow-up batches in a streamed schedule pay only this.
-    pub fn batch_work_s(&self, per_unit: &[WorkCounters]) -> f64 {
-        if per_unit.is_empty() {
-            return 0.0;
-        }
-        let total_ops: f64 = per_unit.iter().map(|c| c.weighted_ops()).sum();
-        let total_bytes: f64 = per_unit.iter().map(|c| c.approx_bytes()).sum();
-        let critical_ops = per_unit
+        let total_ops: f64 = batch
             .iter()
-            .map(|c| c.weighted_ops())
-            .fold(0.0_f64, f64::max);
-        self.work_time(total_ops, total_bytes, critical_ops)
-    }
-
-    /// [`DeviceProfile::batch_work_s`] over a grouped batch: `comp[i]` is
-    /// `count` workunits sharing one counter set. No launch overhead — the
-    /// grouped simulator charges that once per device per call.
-    pub fn batch_work_grouped(&self, comp: &[(WorkCounters, u64)]) -> f64 {
-        if comp.is_empty() {
-            return 0.0;
-        }
-        let total_ops: f64 = comp.iter().map(|(c, k)| c.weighted_ops() * *k as f64).sum();
-        let total_bytes: f64 = comp.iter().map(|(c, k)| c.approx_bytes() * *k as f64).sum();
-        let critical_ops = comp
+            .map(|(c, k)| c.weighted_ops() * *k as f64)
+            .sum();
+        let total_bytes: f64 = batch
+            .iter()
+            .map(|(c, k)| c.approx_bytes() * *k as f64)
+            .sum();
+        let critical_ops = batch
             .iter()
             .map(|(c, _)| c.weighted_ops())
             .fold(0.0_f64, f64::max);
@@ -176,11 +158,12 @@ impl DeviceProfile {
 mod tests {
     use super::*;
 
-    fn unit(ops_edges: u64) -> WorkCounters {
-        WorkCounters {
+    fn unit(ops_edges: u64) -> (WorkCounters, u64) {
+        let c = WorkCounters {
             edges_relaxed: ops_edges,
             ..Default::default()
-        }
+        };
+        (c, 1)
     }
 
     #[test]
@@ -196,14 +179,14 @@ mod tests {
     #[test]
     fn more_work_takes_longer() {
         let d = DeviceProfile::e5_2650();
-        let t1 = d.batch_time_s(&[unit(1_000)]);
-        let t2 = d.batch_time_s(&[unit(1_000_000)]);
+        let t1 = d.batch_work_s(&[unit(1_000)]);
+        let t2 = d.batch_work_s(&[unit(1_000_000)]);
         assert!(t2 > t1);
     }
 
     #[test]
     fn empty_batch_is_free() {
-        assert_eq!(DeviceProfile::k40c().batch_time_s(&[]), 0.0);
+        assert_eq!(DeviceProfile::k40c().batch_work_s(&[]), 0.0);
     }
 
     #[test]
@@ -213,8 +196,8 @@ mod tests {
         // single-lane time.
         let mut batch = vec![unit(10); 39];
         batch.push(unit(10_000_000));
-        let t = d.batch_time_s(&batch);
-        let giant_alone = unit(10_000_000).weighted_ops() / d.lane_rate();
+        let t = d.batch_work_s(&batch);
+        let giant_alone = unit(10_000_000).0.weighted_ops() / d.lane_rate();
         assert!(t >= giant_alone);
     }
 
@@ -222,10 +205,10 @@ mod tests {
     fn parallel_batch_beats_serial_sum() {
         let d = DeviceProfile::e5_2650();
         let batch = vec![unit(1_000_000); 40];
-        let together = d.batch_time_s(&batch);
+        let together = d.batch_work_s(&batch);
         let serial: f64 = batch
             .iter()
-            .map(|c| d.batch_time_s(std::slice::from_ref(c)))
+            .map(|c| d.batch_work_s(std::slice::from_ref(c)))
             .sum();
         assert!(
             together < serial * 0.5,
@@ -238,10 +221,10 @@ mod tests {
         // The modelled device hierarchy on big memory-bound batches must
         // reproduce the paper's ordering: sequential < multicore < GPU <
         // GPU+CPU, with GPU/multicore around the published bandwidth ratio.
-        let batch: Vec<WorkCounters> = (0..4096).map(|_| unit(100_000)).collect();
-        let t_seq = DeviceProfile::single_core().batch_time_s(&batch);
-        let t_cpu = DeviceProfile::e5_2650().batch_time_s(&batch);
-        let t_gpu = DeviceProfile::k40c().batch_time_s(&batch);
+        let batch: Vec<(WorkCounters, u64)> = (0..4096).map(|_| unit(100_000)).collect();
+        let t_seq = DeviceProfile::single_core().batch_work_s(&batch);
+        let t_cpu = DeviceProfile::e5_2650().batch_work_s(&batch);
+        let t_gpu = DeviceProfile::k40c().batch_work_s(&batch);
         assert!(t_cpu < t_seq);
         assert!(t_gpu < t_cpu);
         let ratio = t_cpu / t_gpu;
@@ -251,7 +234,14 @@ mod tests {
     #[test]
     fn launch_overhead_dominates_tiny_gpu_batches() {
         let gpu = DeviceProfile::k40c();
-        let t = gpu.batch_time_s(&[unit(1)]);
-        assert!(t >= 8.0e-6);
+        assert!(gpu.batch_work_s(&[unit(1)]) < gpu.launch_overhead_us * 1e-6);
+    }
+
+    #[test]
+    fn a_group_costs_what_its_units_cost() {
+        let d = DeviceProfile::e5_2650();
+        let (c, _) = unit(12_345);
+        let grouped = d.batch_work_s(&[(c, 40)]);
+        assert_eq!(grouped, d.batch_work_s(&vec![(c, 1); 40]));
     }
 }

@@ -226,17 +226,13 @@ pub fn generate(g: &CsrGraph) -> Candidates {
     let z = feedback_vertex_set(g);
     let m_hint = g.m() as u64 + 1;
     let results: Vec<(SsspTree, WorkCounters)> = ear_graph::par_map(&z, |&root| {
-        // Pooled engine: scratch survives across the roots a worker thread
-        // handles.
-        ear_graph::with_engine(|eng| {
-            let stats = eng.run_tree(g, root);
-            let c = WorkCounters {
-                edges_relaxed: stats.edges_relaxed,
-                vertices_settled: stats.settled,
-                ..Default::default()
-            };
-            (eng.tree(), c)
-        })
+        let t = ear_graph::dijkstra_tree(g, root);
+        let c = WorkCounters {
+            edges_relaxed: t.stats.edges_relaxed,
+            vertices_settled: t.stats.settled,
+            ..Default::default()
+        };
+        (t, c)
     });
     let tree_units = group_units(m_hint, results.iter().map(|(_, c)| *c));
     let trees: Vec<SsspTree> = results.into_iter().map(|(t, _)| t).collect();

@@ -114,6 +114,41 @@ impl DenseBits {
     }
 }
 
+/// Incremental Gaussian elimination over GF(2): the independent vectors
+/// kept so far, no two with the same lowest set bit (their pivot
+/// columns). Horton's greedy filter and [`crate::verify::basis_rank`]
+/// share it.
+#[derive(Default)]
+pub(crate) struct Gf2Elimination {
+    pivots: Vec<DenseBits>,
+    pivot_cols: Vec<usize>,
+}
+
+impl Gf2Elimination {
+    /// Reduces `v` by the kept vectors; keeps it and returns `true` when it
+    /// is independent of them.
+    pub(crate) fn insert(&mut self, mut v: DenseBits) -> bool {
+        while let Some(low) = v.lowest_set() {
+            match self.pivot_cols.iter().position(|&p| p == low) {
+                Some(i) => {
+                    v.xor_assign(&self.pivots[i]);
+                }
+                None => {
+                    self.pivot_cols.push(low);
+                    self.pivots.push(v);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Vectors kept: the rank of everything inserted.
+    pub(crate) fn rank(&self) -> usize {
+        self.pivots.len()
+    }
+}
+
 /// A cycle (or general cycle-space vector): explicit edge set plus its
 /// sparse restriction to `E'`.
 #[derive(Clone, Debug, PartialEq, Eq)]

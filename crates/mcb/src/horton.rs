@@ -9,7 +9,7 @@
 
 use ear_graph::{with_engine, CsrGraph, Weight};
 
-use crate::cycle_space::{Cycle, CycleSpace, DenseBits};
+use crate::cycle_space::{Cycle, CycleSpace, Gf2Elimination};
 
 /// Computes an MCB with Horton's algorithm. Returns the chosen cycles in
 /// weight order.
@@ -26,8 +26,7 @@ pub fn horton_mcb(g: &CsrGraph) -> Vec<Cycle> {
     let mut seen = std::collections::HashSet::<(Weight, Vec<u32>)>::new();
     with_engine(|eng| {
         for z in 0..g.n() as u32 {
-            eng.run_tree(g, z);
-            let t = eng.tree();
+            let t = eng.run_tree(g.view(), z);
             for e in 0..g.m() as u32 {
                 let r = g.edge(e);
                 if r.is_self_loop() {
@@ -62,32 +61,12 @@ pub fn horton_mcb(g: &CsrGraph) -> Vec<Cycle> {
 
     // Greedy independence filter (Gaussian elimination over E').
     let mut basis: Vec<Cycle> = Vec::with_capacity(f);
-    let mut pivots: Vec<DenseBits> = Vec::new();
-    let mut pivot_cols: Vec<usize> = Vec::new();
+    let mut kept = Gf2Elimination::default();
     for c in cands {
         if basis.len() == f {
             break;
         }
-        let mut v = cs.to_dense(&c);
-        let mut independent = true;
-        loop {
-            let Some(low) = v.lowest_set() else {
-                independent = false;
-                break;
-            };
-            match pivot_cols.iter().position(|&p| p == low) {
-                Some(i) => {
-                    let piv = pivots[i].clone();
-                    v.xor_assign(&piv);
-                }
-                None => {
-                    pivot_cols.push(low);
-                    pivots.push(v);
-                    break;
-                }
-            }
-        }
-        if independent {
+        if kept.insert(cs.to_dense(&c)) {
             basis.push(c);
         }
     }

@@ -74,11 +74,12 @@ pub fn min_cycle_nonorthogonal(
     // extracts the path (legacy built a full tree per root).
     let orig_edges = with_engine(|eng| {
         let mut best: Option<(Weight, VertexId)> = None;
+        let mut row = vec![INF; aux.n()];
         for &x in roots {
-            let stats = eng.run(&aux, x);
+            let stats = eng.run(aux.view(), x, &mut row);
             counters.edges_relaxed += stats.edges_relaxed;
             counters.vertices_settled += stats.settled;
-            let d = eng.dist(x + n as u32);
+            let d = row[x as usize + n];
             if d >= INF {
                 continue;
             }
@@ -89,14 +90,14 @@ pub fn min_cycle_nonorthogonal(
         best.map(|(_, x)| {
             // Path work for the winning root was already counted above;
             // the tree re-run is bookkeeping, not modelled device work.
-            eng.run_tree(&aux, x);
+            let t = eng.run_tree(aux.view(), x);
             let mut orig: Vec<u32> = Vec::new();
             let mut cur = x + n as u32;
             while cur != x {
-                let ae = eng.parent_edge(cur);
+                let ae = t.parent_edge[cur as usize];
                 debug_assert_ne!(ae, u32::MAX);
                 orig.push(origin[ae as usize]);
-                cur = eng.parent_vertex(cur);
+                cur = t.parent_vertex[cur as usize];
             }
             orig
         })

@@ -7,30 +7,16 @@
 
 use ear_graph::{CsrGraph, EdgeId};
 
-use crate::cycle_space::{Cycle, CycleSpace, DenseBits};
+use crate::cycle_space::{Cycle, CycleSpace, Gf2Elimination};
 
 /// GF(2) rank of the cycles' `E'` restrictions (Gaussian elimination over
 /// dense bit vectors).
 pub fn basis_rank(cs: &CycleSpace, cycles: &[Cycle]) -> usize {
-    let mut pivots: Vec<DenseBits> = Vec::new();
-    let mut pivot_cols: Vec<usize> = Vec::new();
+    let mut kept = Gf2Elimination::default();
     for c in cycles {
-        let mut v = cs.to_dense(c);
-        while let Some(low) = v.lowest_set() {
-            match pivot_cols.iter().position(|&p| p == low) {
-                Some(i) => {
-                    let piv = pivots[i].clone();
-                    v.xor_assign(&piv);
-                }
-                None => {
-                    pivot_cols.push(low);
-                    pivots.push(v);
-                    break;
-                }
-            }
-        }
+        kept.insert(cs.to_dense(c));
     }
-    pivots.len()
+    kept.rank()
 }
 
 /// Checks that an edge set is a disjoint union of simple cycles — every

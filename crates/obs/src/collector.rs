@@ -103,6 +103,9 @@ struct ThreadBuf {
     /// True span depth, including frames beyond [`MAX_STACK_DEPTH`] that
     /// were not pushed — keeps Begin/End pairing exact under truncation.
     depth: usize,
+    /// Frames the published stack starts with: the open stack of the
+    /// thread that started this one's parallel region ([`StackRoot`]).
+    root: Vec<&'static str>,
 }
 
 impl ThreadBuf {
@@ -181,6 +184,7 @@ fn register_thread() -> Arc<Mutex<ThreadBuf>> {
         dropped: 0,
         stack: Vec::new(),
         depth: 0,
+        root: Vec::new(),
     }));
     registry().lock().unwrap().push(Arc::clone(&buf));
     buf
@@ -237,6 +241,36 @@ pub fn span_with(name: &'static str, arg: u64) -> SpanGuard {
     }
     record(name, EventKind::Begin, arg);
     SpanGuard { name: Some(name) }
+}
+
+/// A thread's open span stack, captured to root the stacks of the worker
+/// threads it starts ([`open_stack`], [`StackRoot::adopt`]), so that a
+/// sample taken inside a parallel region reads as the caller's stack
+/// plus the worker's own spans.
+#[derive(Debug, Default)]
+pub struct StackRoot(Vec<&'static str>);
+
+/// The calling thread's open span stack, its own root included. Empty,
+/// and allocation-free, while collection is off.
+pub fn open_stack() -> StackRoot {
+    if !crate::is_enabled() {
+        return StackRoot::default();
+    }
+    LOCAL.with(|buf| {
+        let b = buf.lock().unwrap();
+        StackRoot(b.root.iter().chain(&b.stack).copied().collect())
+    })
+}
+
+impl StackRoot {
+    /// Starts every stack the calling thread publishes from now on with
+    /// this one. Meant for a parallel region's fresh worker thread; a
+    /// no-op for an empty root.
+    pub fn adopt(&self) {
+        if !self.0.is_empty() {
+            LOCAL.with(|buf| buf.lock().unwrap().root.clone_from(&self.0));
+        }
+    }
 }
 
 /// Record an instantaneous counter sample (rendered as a counter track
@@ -297,7 +331,7 @@ pub fn snapshot() -> Trace {
 }
 
 /// Copies every thread's currently open span stack (outermost frame
-/// first), skipping threads with nothing open. This is the sampler's
+/// first, after its [`StackRoot`]), skipping threads with nothing open. This is the sampler's
 /// read side: it locks each thread buffer only long enough to clone a
 /// small `Vec` of `&'static str`, so a recording thread is stalled for
 /// at most that window, and only when the sampler fires.
@@ -306,7 +340,7 @@ pub(crate) fn sample_stacks(out: &mut Vec<Vec<&'static str>>) {
     for buf in registry().lock().unwrap().iter() {
         let b = buf.lock().unwrap();
         if !b.stack.is_empty() {
-            out.push(b.stack.clone());
+            out.push(b.root.iter().chain(&b.stack).copied().collect());
         }
     }
 }

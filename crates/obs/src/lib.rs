@@ -113,8 +113,8 @@ pub(crate) fn with_obs<R>(f: impl FnOnce() -> R) -> R {
 
 pub use collector::snapshot as trace_snapshot;
 pub use collector::{
-    counter_event, event_count, modelled_run, span, span_with, Event, EventKind, ModelledSlice,
-    SpanGuard, ThreadLog, Trace,
+    counter_event, event_count, modelled_run, open_stack, span, span_with, Event, EventKind,
+    ModelledSlice, SpanGuard, StackRoot, ThreadLog, Trace,
 };
 pub use export::{chrome_trace_json, metrics_json, write_chrome_trace, write_metrics};
 pub use json::{validate_chrome_trace, TraceCheck, Value};

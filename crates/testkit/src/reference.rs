@@ -13,6 +13,11 @@
 //!   [`candidate_dot`]). It records byte-identical
 //!   [`PhaseTrace`]s to the packed kernels of `ear_mcb::depina`, which
 //!   `tests/mcb_kernels_differential.rs` checks.
+//! * **Brandes** — [`brandes_dependencies`], [`betweenness_weighted`],
+//!   [`betweenness`] and [`betweenness_pendant_reduced`]: the forward pass
+//!   on its own lazy-deletion binary heap, as `ear-bc` first ran it, and
+//!   the backward dependency accumulation. Bit-identical to `ear-bc`'s
+//!   scores and work counters, which `tests/bc_differential.rs` checks.
 //! * **APSP** — [`floyd_warshall`], the exact `O(n³)` oracle,
 //!   [`plain_apsp`], Dijkstra from every vertex of the whole graph through
 //!   the heterogeneous executor, and [`reuse_apsp`], the oracle's phase-II
@@ -26,8 +31,7 @@ use std::collections::BinaryHeap;
 use ear_apsp::DistMatrix;
 use ear_graph::rng::splitmix64;
 use ear_graph::{
-    dist_add, with_engine, CsrGraph, CsrView, DijkstraStats, EdgeId, SsspTree, VertexId, Weight,
-    INF,
+    dist_add, CsrGraph, CsrView, DijkstraStats, EdgeId, SsspTree, VertexId, Weight, INF,
 };
 use ear_hetero::{group_units, ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 use ear_mcb::candidates::{self, CandRef, Candidates};
@@ -117,6 +121,144 @@ fn run(g: &CsrGraph, source: VertexId, want_tree: bool) -> SsspTree {
         settle_order,
         stats,
     }
+}
+
+/// Per-source shortest-path-DAG scratch for Brandes: distances, path
+/// counts, predecessor lists, settle order, and the heap.
+#[derive(Default)]
+struct BcScratch {
+    dist: Vec<Weight>,
+    sigma: Vec<f64>,
+    preds: Vec<Vec<VertexId>>,
+    done: Vec<bool>,
+    /// Vertices in settle order (non-decreasing distance).
+    order: Vec<VertexId>,
+    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
+    stats: WorkCounters,
+}
+
+impl BcScratch {
+    /// Clears the previous run's footprint and grows arrays to `n`.
+    fn begin(&mut self, n: usize) {
+        // Every written entry belongs to a settled vertex (a vertex is only
+        // touched when strictly improved, which pushes it, so it settles).
+        for &v in &self.order {
+            let vi = v as usize;
+            self.dist[vi] = INF;
+            self.sigma[vi] = 0.0;
+            self.preds[vi].clear();
+            self.done[vi] = false;
+        }
+        self.order.clear();
+        self.heap.clear();
+        self.stats = WorkCounters::default();
+        if self.dist.len() < n {
+            self.dist.resize(n, INF);
+            self.sigma.resize(n, 0.0);
+            self.preds.resize_with(n, Vec::new);
+            self.done.resize(n, false);
+        }
+    }
+}
+
+fn count_paths(g: &CsrGraph, s: VertexId, sc: &mut BcScratch) {
+    sc.begin(g.n());
+    sc.dist[s as usize] = 0;
+    sc.sigma[s as usize] = 1.0;
+    sc.heap.push(Reverse((0, s)));
+    while let Some(Reverse((d, u))) = sc.heap.pop() {
+        if sc.done[u as usize] {
+            continue;
+        }
+        sc.done[u as usize] = true;
+        sc.order.push(u);
+        sc.stats.vertices_settled += 1;
+        for &(v, e) in g.neighbors(u) {
+            sc.stats.edges_relaxed += 1;
+            if v == u {
+                continue;
+            }
+            let nd = d + g.weight(e);
+            if nd < sc.dist[v as usize] {
+                sc.dist[v as usize] = nd;
+                sc.sigma[v as usize] = sc.sigma[u as usize];
+                sc.preds[v as usize].clear();
+                sc.preds[v as usize].push(u);
+                sc.heap.push(Reverse((nd, v)));
+            } else if nd == sc.dist[v as usize] {
+                // A second shortest route into v.
+                sc.sigma[v as usize] += sc.sigma[u as usize];
+                sc.preds[v as usize].push(u);
+            }
+        }
+    }
+}
+
+/// Allocate-per-source equivalent of `ear-bc`'s dependency accumulation
+/// from `s`: `δ_s(v)` for all `v`, where targets carry weight
+/// `target_w[t]`, and the source's work counters.
+pub fn brandes_dependencies(
+    g: &CsrGraph,
+    s: VertexId,
+    target_w: &[f64],
+) -> (Vec<f64>, WorkCounters) {
+    let mut sc = BcScratch::default();
+    count_paths(g, s, &mut sc);
+    let n = g.n();
+    let mut delta = vec![0.0; n];
+    let mut stats = sc.stats;
+    for &v in sc.order.iter().rev() {
+        if v == s || sc.dist[v as usize] >= INF {
+            continue;
+        }
+        let coeff = (target_w[v as usize] + delta[v as usize]) / sc.sigma[v as usize];
+        for &u in &sc.preds[v as usize] {
+            delta[u as usize] += sc.sigma[u as usize] * coeff;
+            stats.distances_combined += 1;
+        }
+    }
+    (delta, stats)
+}
+
+/// Sequential equivalent of `ear_bc::brandes::betweenness_weighted`, with
+/// the same summation order: each source's `source_w[s] × δ_s` (0 at `s`)
+/// added in source order, then halved.
+pub fn betweenness_weighted(
+    g: &CsrGraph,
+    sources: &[VertexId],
+    source_w: &[f64],
+    target_w: &[f64],
+) -> Vec<f64> {
+    let mut bc = vec![0.0; g.n()];
+    for &s in sources {
+        let (delta, _) = brandes_dependencies(g, s, target_w);
+        let ws = source_w[s as usize];
+        for (v, d) in delta.into_iter().enumerate() {
+            bc[v] += if v == s as usize { 0.0 } else { d * ws };
+        }
+    }
+    for b in &mut bc {
+        *b *= 0.5;
+    }
+    bc
+}
+
+/// Equivalent of `ear_bc::betweenness`: every vertex a source, unit
+/// weights.
+pub fn betweenness(g: &CsrGraph) -> Vec<f64> {
+    let ones = vec![1.0; g.n()];
+    let sources: Vec<VertexId> = (0..g.n() as u32).collect();
+    betweenness_weighted(g, &sources, &ones, &ones)
+}
+
+/// Equivalent of `ear_bc::betweenness_pendant_reduced`: `ear-bc`'s
+/// closed-form pendant credits plus [`betweenness_weighted`] on the
+/// weighted 1-core.
+pub fn betweenness_pendant_reduced(g: &CsrGraph) -> Vec<f64> {
+    let r = ear_bc::pendant_reduction(g);
+    let sources: Vec<VertexId> = (0..r.core.n() as u32).collect();
+    let core_bc = betweenness_weighted(&r.core, &sources, &r.mass, &r.mass);
+    r.with_core(core_bc)
 }
 
 /// Labels for every tree, for one witness (paper Algorithm 3, after
@@ -294,15 +436,13 @@ pub fn plain_apsp(g: &CsrGraph, exec: &HeteroExecutor) -> (DistMatrix, Execution
         sources,
         |_| m_hint,
         |&s| {
-            with_engine(|eng| {
-                let stats = eng.run(g, s);
-                let counters = WorkCounters {
-                    edges_relaxed: stats.edges_relaxed,
-                    vertices_settled: stats.settled,
-                    ..Default::default()
-                };
-                (eng.dist_vec(), counters)
-            })
+            let (row, stats) = ear_graph::dijkstra_with_stats(g, s);
+            let counters = WorkCounters {
+                edges_relaxed: stats.edges_relaxed,
+                vertices_settled: stats.settled,
+                ..Default::default()
+            };
+            (row, counters)
         },
     );
     (DistMatrix::from_rows(results), report)

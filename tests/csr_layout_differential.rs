@@ -147,10 +147,9 @@ fn sssp_is_permutation_invariant() {
                 for (rank, p) in relabelings(g) {
                     for s in 0..g.n() as u32 {
                         let mut eng = SsspEngine::new();
-                        let base_stats = eng.run(g, s);
-                        let base = eng.dist_vec();
-                        let perm_stats = eng.run(&p, rank[s as usize]);
-                        let perm = eng.dist_vec();
+                        let (mut base, mut perm) = (vec![0u64; g.n()], vec![0u64; p.n()]);
+                        let base_stats = eng.run(g.view(), s, &mut base);
+                        let perm_stats = eng.run(p.view(), rank[s as usize], &mut perm);
                         if (0..g.n()).any(|v| perm[rank[v] as usize] != base[v]) {
                             return Err(format!("source {s}: distances diverge under permutation"));
                         }

@@ -6,8 +6,12 @@
 //! sampling (200 µs period, 5× the default rate) must be bit-identical to
 //! the tracing-off baselines across every testkit strategy family.
 //!
-//! One `#[test]` only: the tracing switch, collector, and sampler are
-//! process-global; a parallel test toggling them would race.
+//! A sample taken inside a parallel region reads as the region caller's
+//! stack plus the worker's own spans, so every sampled stack starts at the
+//! caller's root span.
+//!
+//! The tracing switch, collector, and sampler are process-global, so the
+//! tests serialise on one lock.
 
 use ear_apsp::{build_oracle, ApspMethod, DistanceOracle};
 use ear_graph::CsrGraph;
@@ -40,8 +44,11 @@ fn all_dists(oracle: &DistanceOracle, n: usize) -> Vec<u64> {
     v
 }
 
+static OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn sampling_on_runs_are_bit_identical() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let exec = HeteroExecutor::sequential();
     let config = McbConfig {
         mode: ExecMode::Sequential,
@@ -105,8 +112,8 @@ fn sampling_on_runs_are_bit_identical() {
             // ---- The sampler actually observed the run: at least the
             // final stop() sample fired with `profdiff.root` open, and
             // every folded line is rooted there (all work happened under
-            // the root span on this thread; worker threads publish their
-            // own stacks rooted at their own outermost spans).
+            // the root span, and parallel workers root their stacks at
+            // their caller's).
             assert!(ticks >= 1, "{tag}: sampler took no samples");
             assert!(
                 folded
@@ -116,12 +123,54 @@ fn sampling_on_runs_are_bit_identical() {
             );
             for line in folded.lines() {
                 let (stack, count) = line.rsplit_once(' ').expect("stack<space>count");
-                assert!(!stack.is_empty(), "{tag}: empty stack in {line:?}");
+                assert!(
+                    stack == "profdiff.root" || stack.starts_with("profdiff.root;"),
+                    "{tag}: stack not rooted at profdiff.root: {line:?}"
+                );
                 assert!(
                     count.parse::<u64>().unwrap() >= 1,
                     "{tag}: bad count in {line:?}"
                 );
             }
         }
+    }
+}
+
+/// The sampler's last sample is taken from inside a `par_map` worker while
+/// every unit holds a span open: on a host with more than one thread the
+/// sample sees worker threads, whose stacks must read as the caller's root
+/// span plus their own unit span.
+#[test]
+fn samples_inside_a_parallel_region_are_rooted_at_its_caller() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    ear_obs::reset();
+    ear_obs::enable();
+    // A period far longer than the test: only stop()'s final sample falls
+    // inside the region.
+    ear_obs::profile::start(std::time::Duration::from_secs(3600)).unwrap();
+    let units: Vec<u32> = (0..2 * ear_graph::pool::threads() as u32).collect();
+    {
+        let _root = ear_obs::span("pardiff.root");
+        ear_graph::par_map(&units, |&u| {
+            let _unit = ear_obs::span("pardiff.unit");
+            if u == 0 {
+                ear_obs::profile::stop();
+            }
+        });
+    }
+    let folded = ear_obs::profile::collapsed();
+    ear_obs::disable();
+    ear_obs::reset();
+    assert!(
+        folded
+            .lines()
+            .any(|l| l.starts_with("pardiff.root;pardiff.unit ")),
+        "no sample inside the region: {folded:?}"
+    );
+    for line in folded.lines() {
+        assert!(
+            line.starts_with("pardiff.root ") || line.starts_with("pardiff.root;"),
+            "stack not rooted at the region's caller: {line:?}"
+        );
     }
 }

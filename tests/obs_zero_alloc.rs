@@ -85,6 +85,8 @@ fn disabled_tracing_allocates_nothing_and_records_nothing() {
             ear_obs::gauge_set("guard.gauge", i as f64);
             ear_obs::histogram_record("guard.histogram", i);
             ear_obs::counter_event("guard.event", i);
+            // What every parallel region does to root its workers' stacks.
+            ear_obs::open_stack().adopt();
         }
     });
     assert_eq!(

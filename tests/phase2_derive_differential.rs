@@ -50,8 +50,7 @@ fn dijkstra_rows(g: CsrView<'_>) -> DistMatrix {
     let mut eng = SsspEngine::new();
     let mut m = DistMatrix::new(g.n());
     for (s, row) in (0..).zip(m.rows_mut()) {
-        eng.run_view(g, s);
-        eng.write_dist(row);
+        eng.run(g, s, row);
     }
     m
 }
@@ -416,10 +415,10 @@ fn a_search_without_finished_rows_is_plain_dijkstra() {
             .run(&strategy, |g| {
                 let (mut eng, mut row) = (SsspEngine::new(), vec![0u64; g.n()]);
                 for s in g.vertices() {
-                    let plain = eng.run(g, s);
+                    let (dist, plain) = ear_testkit::reference::dijkstra_with_stats(g, s);
                     let queued = QueuedView::new(g.view());
                     let (stats, folded) = eng.run_reusing(queued, s, &mut row, |_| None);
-                    if stats != plain || folded != 0 || row != eng.dist_vec() {
+                    if stats != plain || folded != 0 || row != dist {
                         return Err(format!("{name}: source {s}: {stats:?} vs {plain:?}"));
                     }
                 }

@@ -1,11 +1,11 @@
-//! Differential sweep for the zero-allocation SSSP engine: one shared
-//! [`SsspEngine`] (reused across every case, graph size, and source — the
-//! exact reuse pattern the scratch pool produces) must be bit-exact
-//! against the allocate-per-source reference (`ear_testkit::reference`)
-//! on every testkit graph family, on fixed shapes that drive each of the
-//! engine's three queues, and on one engine interleaving them with
-//! `run_reusing` searches — for distances, statistics, and every field of
-//! the shortest-path tree.
+//! Differential sweep for the SSSP engine: one shared [`SsspEngine`]
+//! (reused across every case, graph size, and source — the exact reuse
+//! pattern the scratch pool produces) must be bit-exact against the
+//! allocate-per-source reference (`ear_testkit::reference`) on every
+//! testkit graph family, on fixed shapes that drive each of the engine's
+//! three queues, and on one engine interleaving them with `run_reusing`
+//! searches — for distances, statistics, every field of the
+//! shortest-path tree, and the settle order of a path-counting run.
 //!
 //! A divergence prints a one-line `EAR_TESTKIT_SEED=… cargo test <name>`
 //! reproduction.
@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 
 use ear_graph::engine::{DIAL_BUCKETS, DIAL_WEIGHT_LIMIT};
-use ear_graph::{with_engine, CsrGraph, QueuedView, SsspEngine, Weight, INF};
+use ear_graph::{with_engine, CsrGraph, PathDag, QueuedView, SsspEngine, Weight};
 use ear_testkit::reference;
 use ear_testkit::{
     biconnected_graphs, cactus_graphs, chain_heavy_graphs, forall, multi_bcc_graphs, multigraphs,
@@ -26,52 +26,35 @@ fn engine_matches_reference(g: &CsrGraph, eng: &mut SsspEngine) -> Result<(), St
     engine_matches_from(g, eng, &sources)
 }
 
-/// Each of `sources`, engine vs reference: distances (`dist`,
-/// `dist_vec`), run statistics, and the full `SsspTree` (parents, depths,
-/// settle order).
+/// Each of `sources`, engine vs reference: the distance row and run
+/// statistics, the full `SsspTree` (parents, depths, settle order,
+/// statistics), and a path-counting run's distances, settle order and
+/// statistics.
 fn engine_matches_from(g: &CsrGraph, eng: &mut SsspEngine, sources: &[u32]) -> Result<(), String> {
+    let (mut row, mut dag) = (vec![0; g.n()], PathDag::default());
     for &s in sources {
         let (ld, lstats) = reference::dijkstra_with_stats(g, s);
-        let estats = eng.run(g, s);
+        let estats = eng.run(g.view(), s, &mut row);
         if estats != lstats {
             return Err(format!(
                 "source {s}: stats {estats:?} != reference {lstats:?}"
             ));
         }
-        if eng.dist_vec() != ld {
-            return Err(format!("source {s}: dist_vec mismatch"));
-        }
-        for v in 0..g.n() as u32 {
-            if eng.dist(v) != ld[v as usize] {
-                return Err(format!(
-                    "source {s}: dist({v}) = {} != reference {}",
-                    eng.dist(v),
-                    ld[v as usize]
-                ));
-            }
-        }
-        // Out-of-range queries answer INF rather than touching stale state.
-        if eng.dist(g.n() as u32) != INF {
-            return Err(format!("source {s}: out-of-range dist not INF"));
+        if row != ld {
+            return Err(format!("source {s}: distance row mismatch"));
         }
 
         let lt = reference::dijkstra_tree(g, s);
-        eng.run_tree(g, s);
-        let et = eng.tree();
-        if et.source != lt.source
-            || et.dist != lt.dist
-            || et.parent_vertex != lt.parent_vertex
-            || et.parent_edge != lt.parent_edge
-            || et.depths != lt.depths
-            || et.settle_order != lt.settle_order
-            || et.stats != lt.stats
-        {
+        let et = eng.run_tree(g.view(), s);
+        if et != lt {
             return Err(format!(
                 "source {s}: tree mismatch\n{et:?}\nvs reference\n{lt:?}"
             ));
         }
-        if eng.settle_order() != &lt.settle_order[..] {
-            return Err(format!("source {s}: settle_order accessor mismatch"));
+
+        let pstats = eng.count_paths(g.view(), s, &mut dag);
+        if pstats != lstats || dag.dist != ld || dag.order != lt.settle_order {
+            return Err(format!("source {s}: path-counting run mismatch"));
         }
     }
     Ok(())
@@ -149,24 +132,6 @@ fn engine_matches_legacy_on_workload_graphs() {
     );
 }
 
-/// The generation counter wrapping around mid-sweep must be invisible: a
-/// stale stamp may never alias a live run.
-#[test]
-fn generation_wraparound_mid_sweep_is_transparent() {
-    let strat = simple_graphs(20);
-    let mut rng = TestRng::new(0x5eed_cafe);
-    let mut eng = SsspEngine::new();
-    // Park the generation just below the wrap point, then keep running
-    // cases straight through it.
-    eng.jump_generation(u32::MAX - 5);
-    for case in 0..16 {
-        let g = strat.generate(&mut rng);
-        if let Err(e) = engine_matches_reference(&g, &mut eng) {
-            panic!("case {case} after generation jump: {e}");
-        }
-    }
-}
-
 /// The public entry points still exist with their original signatures and
 /// still agree with the reference implementations.
 #[test]
@@ -215,9 +180,16 @@ fn diamond() -> CsrGraph {
     CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
 }
 
+/// Distances from `source`, on a fresh row.
+fn row(e: &mut SsspEngine, g: &CsrGraph, source: u32) -> Vec<Weight> {
+    let mut row = vec![0; g.n()];
+    e.run(g.view(), source, &mut row);
+    row
+}
+
 /// Small fixed shapes: the diamond's equal-weight ties, one engine reused
-/// across graphs of different sizes, a generation wrap on the diamond and
-/// a pooled engine borrowed inside another.
+/// across graphs of different sizes, and a pooled engine borrowed inside
+/// another.
 #[test]
 fn engine_matches_reference_on_fixed_shapes() {
     let g = diamond();
@@ -228,24 +200,18 @@ fn engine_matches_reference_on_fixed_shapes() {
     let small = CsrGraph::from_edges(2, &[(0, 1, 7)]);
     engine_matches_from(&big, &mut e, &[0]).unwrap();
     engine_matches_from(&small, &mut e, &[1]).unwrap();
-    assert_eq!(e.dist_vec().len(), 2);
     engine_matches_from(&big, &mut e, &[4]).unwrap();
 
-    e.jump_generation(u32::MAX - 2);
-    for s in [0u32, 1, 2, 3, 0, 1] {
-        // Crosses the u32::MAX boundary mid-sequence.
-        e.run(&g, s);
-        assert_eq!(e.dist_vec(), reference::dijkstra(&g, s));
-    }
-    assert!(e.generation() < 10, "generation restarted after wrap");
+    // Zero-weight edges: from 3, vertex 0 settles at 1 before vertex 1
+    // does, and 1's zero-weight edge then ties into 0 with a smaller
+    // parent pair than 0's own; a settled vertex keeps its parent.
+    let zero = CsrGraph::from_edges(4, &[(3, 1, 1), (3, 0, 1), (1, 0, 0)]);
+    engine_matches_reference(&zero, &mut e).unwrap();
+    assert_eq!(e.run_tree(zero.view(), 3).parent_vertex[0], 3);
 
     let (outer, inner) = with_engine(|a| {
-        a.run(&g, 0);
-        let inner = with_engine(|b| {
-            b.run(&g, 1);
-            b.dist_vec()
-        });
-        (a.dist_vec(), inner)
+        let outer = row(a, &g, 0);
+        (outer, with_engine(|b| row(b, &g, 1)))
     });
     assert_eq!(outer, reference::dijkstra(&g, 0));
     assert_eq!(inner, reference::dijkstra(&g, 1));
@@ -253,8 +219,8 @@ fn engine_matches_reference_on_fixed_shapes() {
 
 /// Graphs past `DIAL_MIN_N` built to drive each queue (the engine's unit
 /// tests pin which one each fixture selects): the plain Dial buckets, the
-/// two-level overflow window, and the heap fallback for a weight at or
-/// above `DIAL_WEIGHT_LIMIT`.
+/// two-level overflow window, and the heap fallback for zero weights and
+/// for a weight at or above `DIAL_WEIGHT_LIMIT`.
 #[test]
 fn engine_matches_reference_on_every_dial_mode() {
     let mut e = SsspEngine::new();
@@ -292,7 +258,13 @@ fn engine_matches_reference_on_every_dial_mode() {
         .collect();
     check(&CsrGraph::from_edges(500, &edges), &[0, 250, 499]);
 
-    // Heap: one edge past the overflow limit.
+    // Heap: zero-weight edges, where equal-distance relaxations reach
+    // settled vertices; then one edge past the overflow limit.
+    let edges: Vec<(u32, u32, Weight)> = (0..)
+        .zip(random_graph(300, 1200, 3, 7).edges())
+        .map(|(i, e)| (e.u, e.v, if i % 4 == 0 { 0 } else { e.w }))
+        .collect();
+    check(&CsrGraph::from_edges(300, &edges), &[0, 150, 299]);
     let mut edges: Vec<(u32, u32, Weight)> = (0..499u32).map(|i| (i, i + 1, 3)).collect();
     edges.push((0, 499, DIAL_WEIGHT_LIMIT as Weight + 7));
     check(&CsrGraph::from_edges(500, &edges), &[0, 499]);
@@ -318,10 +290,10 @@ fn check_reuse(e: &mut SsspEngine, g: &CsrGraph, s: u32) {
 }
 
 /// One engine flipping between all three queues and a small graph, with
-/// a reuse run on another queue after every plain run, must not leak
-/// state: buckets stay drained, overflow stays drained, heap stays
-/// cleared, stamps stay valid, and a reuse run leaves the engine
-/// describing the plain run before it.
+/// a reuse run on the next graph and a tree run on the one after every
+/// plain run, must not leak state between runs: buckets stay drained,
+/// overflow stays drained, heap stays cleared, and each run matches the
+/// reference.
 #[test]
 fn interleaved_engine_matches_reference() {
     let dial = random_graph(320, 1200, 50, 11);
@@ -333,13 +305,17 @@ fn interleaved_engine_matches_reference() {
     for s in [0u32, 31, 64] {
         for (i, g) in graphs.iter().enumerate() {
             let s = s % g.n() as u32;
-            let stats = e.run(g, s);
-            let want = reference::dijkstra(g, s);
-            assert_eq!(e.dist_vec(), want);
+            let mut dist = vec![0; g.n()];
+            let stats = e.run(g.view(), s, &mut dist);
+            assert_eq!((dist, stats), reference::dijkstra_with_stats(g, s));
             let next = graphs[(i + 1) % graphs.len()];
             check_reuse(&mut e, next, s % next.n() as u32);
-            assert_eq!(e.dist_vec(), want, "a reuse run moved the plain run");
-            assert_eq!((e.stats(), e.source()), (stats, s));
+            let after = graphs[(i + 2) % graphs.len()];
+            let t = s % after.n() as u32;
+            assert_eq!(
+                e.run_tree(after.view(), t),
+                reference::dijkstra_tree(after, t)
+            );
         }
     }
 }
