@@ -1,8 +1,14 @@
 //! The oracle's one distance store: the `a × a` articulation-point table
-//! and every per-block table in one row-major arena, `[ A | B₀ | B₁ | … ]`.
-//! A block's side is set by the oracle's [`crate::ApspMethod`]: `nᵢ` —
-//! exactly the `a² + Σ nᵢ²` entries of paper §2.3 — or `nᵢʳ` at
-//! `Reduced` (`a² + Σ (nᵢʳ)²`).
+//! and every per-block table in one arena, `[ A | B₀ | B₁ | … ]`. Block
+//! tables are symmetric, and a block's span is its leading `k × k` square,
+//! row-major, followed by its rows `k..n` at width `n`: `k² + (n − k)·n`
+//! entries, each pair read at `(max(i, j), min(i, j))` (`DistArena::block`
+//! is the one within-block read). The oracle's [`crate::ApspMethod`] sets
+//! `(k, n)`: at `Ear` the reduced square `S^r` plus the removed rows, so
+//! each retained–removed distance is stored once; `Plain` keeps `nᵢ × nᵢ`
+//! squares and `Reduced` `nᵢʳ × nᵢʳ` ones. [`stored_entries`] is the one
+//! sizing rule; the paper's §2.3 count stays `a² + Σ nᵢ²`
+//! (`a² + Σ (nᵢʳ)²` at `Reduced`).
 //!
 //! Entries are as narrow as a bound on the graph's distances allows
 //! ([`entry_bytes`], [`DistEntry`]): `u16`, `u32` (the paper's 4-byte
@@ -17,10 +23,10 @@
 //! stay shared.
 //!
 //! The plan numbers each reduced block retained first, so the block's
-//! reduced table `S^r` is the leading `k × k` submatrix of its full one:
-//! at `Ear`, phase II writes each retained source's row straight into the
-//! first `k` entries of its arena row, and phase III completes the span in
-//! place. The arena is the whole allocation of a build. Next to each
+//! reduced table `S^r` is the leading `k × k` square of its span: at
+//! `Ear`, phase II writes each retained source's row straight into the
+//! square, and phase III writes the removed rows after it, chain by
+//! chain. The arena is the whole allocation of a build. Next to each
 //! reduced block's span it keeps the block's removed-vertex table (the
 //! private `ear` module's `Removed` entries, at the arena's width), which
 //! phase III and the reduced read consume.
@@ -45,6 +51,7 @@ use ear_decomp::plan::{BlockPlan, DecompPlan};
 use ear_graph::{DistEntry, Weight};
 
 use crate::ear::Removed;
+use crate::ApspMethod;
 
 /// The width rule: bytes per entry of tables whose every finite distance
 /// is at most `bound` — 2 when `bound < u16::MAX`, else 4 when
@@ -130,33 +137,78 @@ fn zeroed<E: DistEntry>(len: usize) -> Vec<E> {
 /// Table rows for one parallel region to fill: `(block, local row, row)`.
 pub(crate) type Rows<'a, E> = Vec<(u32, u32, &'a mut [E])>;
 
-/// One block's table for writing: its `n × n` span and its removed-vertex
-/// table (empty unless the block is reduced and the oracle reads
-/// reductions).
+/// One block's table for writing: its span (see [`span_len`]) and its
+/// removed-vertex table (empty unless the block is reduced and the oracle
+/// reads reductions).
 pub(crate) struct BlockSpanMut<'a, E> {
     /// Block id.
     pub(crate) b: u32,
-    /// Side length (row stride).
+    /// Side of the leading square: the phase-II sources.
+    pub(crate) k: usize,
+    /// Vertices of the block: the width of the rows past the square.
     pub(crate) n: usize,
-    /// The block's table, row-major.
+    /// The `k × k` square, row-major, then rows `k..n` at width `n`.
     pub(crate) span: &'a mut [E],
-    /// Entry `i` is local id `n − removed.len() + i` at `Ear`.
+    /// Entry `i` is local id `k + i` at `Ear`.
     pub(crate) removed: &'a [Removed<E>],
 }
 
 /// Placement of one block's table in the arena.
 #[derive(Clone, Copy, Debug)]
 struct BlockHeader {
-    /// Offset of the block's `n × n` table.
+    /// Offset of the block's span.
     off: usize,
-    /// Side length (row stride).
+    /// Side of the leading square.
+    k: u32,
+    /// Side of the block's table: `k`, plus its removed vertices at `Ear`.
     n: u32,
+}
+
+/// Entries of a block span whose leading square is `k × k`, followed by
+/// `n − k` rows of width `n`.
+fn span_len(k: usize, n: usize) -> usize {
+    k * k + (n - k) * n
+}
+
+/// `(k, n)` of block `bp`'s span under `method`: its phase-II sources and
+/// its table's side. `Ear` stores the reduced square and the removed rows,
+/// `Plain` the `nᵢ × nᵢ` table, `Reduced` the `nᵢʳ × nᵢʳ` one.
+fn block_shape(method: ApspMethod, bp: &BlockPlan) -> (usize, usize) {
+    match method {
+        ApspMethod::Ear => (bp.reduced_n(), bp.n()),
+        ApspMethod::Plain => (bp.n(), bp.n()),
+        ApspMethod::Reduced => (bp.reduced_n(), bp.reduced_n()),
+    }
+}
+
+/// The sizing rule: entries an oracle of `method` on `plan` stores, the AP
+/// table's `a²` plus each block's span, `kᵢ² + (nᵢ − kᵢ)·nᵢ` at `Ear` and
+/// `nᵢ²` (`(nᵢʳ)²` at `Reduced`) otherwise. [`DistArena`] allocates
+/// exactly this many, so a level can be sized without building it.
+pub fn stored_entries(plan: &DecompPlan, method: ApspMethod) -> usize {
+    let a = plan.bct().ap_count();
+    let blocks = plan.blocks().iter().map(|bp| {
+        let (k, n) = block_shape(method, bp);
+        span_len(k, n)
+    });
+    a * a + blocks.sum::<usize>()
+}
+
+/// The paper's count of an oracle's entries (§2.3, Table 1): `a² + Σ nᵢ²`,
+/// or `a² + Σ (nᵢʳ)²` at `Reduced`, whatever the arena stores of it.
+pub(crate) fn paper_entries(plan: &DecompPlan, method: ApspMethod) -> usize {
+    let a = plan.bct().ap_count();
+    let blocks = plan
+        .blocks()
+        .iter()
+        .map(|bp| block_shape(method, bp).1.pow(2));
+    a * a + blocks.sum::<usize>()
 }
 
 /// The distance tables of one customization, at entry width `E`.
 #[derive(Debug)]
 pub struct DistArena<E> {
-    /// `[ AP table | block 0 | block 1 | … ]`, row-major.
+    /// `[ AP table | block 0 | block 1 | … ]`.
     data: Vec<E>,
     /// Articulation-point count: the AP table is `ap_n × ap_n` at offset 0.
     ap_n: usize,
@@ -167,21 +219,25 @@ pub struct DistArena<E> {
 }
 
 impl<E: DistEntry> DistArena<E> {
-    /// A zero-filled arena laid out for `plan`'s blocks, block `b`'s table
-    /// being `side(plan.block(b))` on a side, with empty removed-vertex
-    /// tables; the oracle build overwrites every table entry.
-    pub(crate) fn new(plan: &DecompPlan, side: impl Fn(&BlockPlan) -> usize) -> DistArena<E> {
+    /// A zero-filled arena laid out for `plan`'s blocks under `method`
+    /// ([`stored_entries`]), with empty removed-vertex tables; the oracle
+    /// build overwrites every table entry.
+    pub(crate) fn new(plan: &DecompPlan, method: ApspMethod) -> DistArena<E> {
         let ap_n = plan.bct().ap_count();
         let mut off = ap_n * ap_n;
         let mut blocks = Vec::with_capacity(plan.n_blocks());
         for bp in plan.blocks() {
-            let n = side(bp);
-            blocks.push(BlockHeader { off, n: n as u32 });
-            off += n * n;
+            let (k, n) = block_shape(method, bp);
+            blocks.push(BlockHeader {
+                off,
+                k: k as u32,
+                n: n as u32,
+            });
+            off += span_len(k, n);
         }
         let none: Arc<[Removed<E>]> = Arc::new([]);
         DistArena {
-            data: zeroed(off),
+            data: zeroed(stored_entries(plan, method)),
             ap_n,
             blocks: blocks.into(),
             removed: vec![none; plan.n_blocks()],
@@ -211,7 +267,7 @@ impl<E: DistEntry> DistArena<E> {
         }
     }
 
-    /// Stored entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at the reduced level).
+    /// Entries the arena holds ([`stored_entries`]).
     pub fn entries(&self) -> usize {
         self.data.len()
     }
@@ -221,16 +277,19 @@ impl<E: DistEntry> DistArena<E> {
         &self.data[..self.ap_n * self.ap_n]
     }
 
-    /// Block `b`'s table span.
+    /// Block `b`'s span: its leading `k × k` square, row-major, then its
+    /// rows `k..n` at width `n` (none unless the block is reduced at
+    /// `Ear`).
     pub fn block_span(&self, b: u32) -> &[E] {
         let h = self.blocks[b as usize];
-        &self.data[h.off..h.off + (h.n as usize).pow(2)]
+        &self.data[h.off..][..span_len(h.k as usize, h.n as usize)]
     }
 
-    /// Side length of block `b`'s table.
+    /// Side of block `b`'s leading square: its retained vertices when it
+    /// is reduced, at `Ear` and `Reduced`.
     #[inline]
-    pub(crate) fn side(&self, b: u32) -> usize {
-        self.blocks[b as usize].n as usize
+    pub(crate) fn square_side(&self, b: u32) -> u32 {
+        self.blocks[b as usize].k
     }
 
     /// Block `b`'s removed-vertex table.
@@ -250,11 +309,17 @@ impl<E: DistEntry> DistArena<E> {
         &self.data[i as usize * self.ap_n..][..self.ap_n]
     }
 
-    /// Within-block distance between local ids `i` and `j` of block `b`.
+    /// Within-block distance between local ids `i` and `j` of block `b`
+    /// (below its square's side at `Reduced`). The tables are symmetric,
+    /// so each pair is read at row `r = max(i, j)`, column `min(i, j)`:
+    /// row `r` starts `r·k` into the span, plus `(r − k)⁺·(n − k)` for the
+    /// wider rows past the square. The read has no branch.
     #[inline]
     pub(crate) fn block(&self, b: u32, i: u32, j: u32) -> E {
         let h = self.blocks[b as usize];
-        self.data[h.off + i as usize * h.n as usize + j as usize]
+        let (r, c) = (i.max(j) as usize, i.min(j) as usize);
+        let (k, n) = (h.k as usize, h.n as usize);
+        self.data[h.off + r * k + r.saturating_sub(k) * (n - k) + c]
     }
 
     /// The AP table's rows, in AP index order, for writing.
@@ -279,16 +344,18 @@ impl<E: DistEntry> DistArena<E> {
         let (mut rest, mut base) = (&mut self.data[..], 0);
         for &b in blocks {
             let h = self.blocks[b as usize];
-            let n = h.n as usize;
-            let (span, tail) = std::mem::take(&mut rest)[h.off - base..].split_at_mut(n * n);
+            let (k, n) = (h.k as usize, h.n as usize);
+            let len = span_len(k, n);
+            let (span, tail) = std::mem::take(&mut rest)[h.off - base..].split_at_mut(len);
             let removed = &self.removed[b as usize];
             spans.push(BlockSpanMut {
                 b,
+                k,
                 n,
                 span,
                 removed,
             });
-            (rest, base) = (tail, h.off + n * n);
+            (rest, base) = (tail, h.off + len);
         }
         spans
     }
@@ -296,7 +363,7 @@ impl<E: DistEntry> DistArena<E> {
 
 /// An oracle's [`DistArena`] at the width its plan's distance bound
 /// allows ([`entry_bytes`]), tagged with the within-block read of its
-/// [`ApspMethod`](crate::ApspMethod): a span lookup (`Ear`, `Plain`) or
+/// [`ApspMethod`]: a span lookup (`Ear`, `Plain`) or
 /// the §2.1.3 minima over reduced spans (`Reduced`). A query matches on
 /// it once and then runs one monomorphic read, so the width costs no
 /// branch of its own.
@@ -328,7 +395,7 @@ macro_rules! with_arena {
 }
 
 impl Tables {
-    /// Stored entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at the reduced level).
+    /// Entries the arena holds ([`stored_entries`]).
     pub fn entries(&self) -> usize {
         with_arena!(self, a => a.entries())
     }
@@ -342,7 +409,7 @@ impl Tables {
         }
     }
 
-    /// Resident table bytes at the stored width.
+    /// Bytes the arena holds: [`Tables::entries`] at the stored width.
     pub fn bytes(&self) -> usize {
         self.entries() * self.entry_bytes()
     }
@@ -352,9 +419,17 @@ impl Tables {
         with_arena!(self, a => a.ap_span().iter().map(|d| d.widen()).collect())
     }
 
-    /// Block `b`'s table entries, widened to [`Weight`].
+    /// Block `b`'s span ([`DistArena::block_span`]), widened to
+    /// [`Weight`].
     pub fn block_span(&self, b: u32) -> Vec<Weight> {
         with_arena!(self, a => a.block_span(b).iter().map(|d| d.widen()).collect())
+    }
+
+    /// The stored distance between local ids `i` and `j` of block `b`,
+    /// widened to [`Weight`]: any two of the block's ids, but only retained
+    /// ones at the reduced level, whose removed vertices have no entries.
+    pub fn block_entry(&self, b: u32, i: u32, j: u32) -> Weight {
+        with_arena!(self, a => a.block(b, i, j).widen())
     }
 
     /// True when both hold the same allocation.
@@ -372,48 +447,102 @@ impl Tables {
 }
 
 /// The three entry widths an oracle stores at, each wrapping its arenas
-/// in its own [`Tables`] variants.
+/// in its own [`Tables`] variants and keeping its own per-thread scratch.
 pub(crate) trait Width: DistEntry {
     /// `arena` as [`Tables`], with the reduced read when `reduced`.
     fn tables(arena: DistArena<Self>, reduced: bool) -> Tables;
+
+    /// Runs `f` with this thread's pooled buffer of entries (an
+    /// [`ear_graph::pool`]); it comes back as `f` left it.
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
 }
 
-impl Width for u16 {
-    fn tables(arena: DistArena<u16>, reduced: bool) -> Tables {
-        let a = Arc::new(arena);
-        if reduced {
-            Tables::Reduced16(a)
-        } else {
-            Tables::Full16(a)
+macro_rules! width {
+    ($e:ty, $full:ident, $reduced:ident) => {
+        impl Width for $e {
+            fn tables(arena: DistArena<$e>, reduced: bool) -> Tables {
+                let a = Arc::new(arena);
+                if reduced {
+                    Tables::$reduced(a)
+                } else {
+                    Tables::$full(a)
+                }
+            }
+
+            fn with_scratch<R>(f: impl FnOnce(&mut Vec<$e>) -> R) -> R {
+                ear_graph::scratch_pool! {
+                    fn scratch(Vec<$e>, bound = 64);
+                }
+                scratch(f)
+            }
         }
-    }
+    };
 }
 
-impl Width for u32 {
-    fn tables(arena: DistArena<u32>, reduced: bool) -> Tables {
-        let a = Arc::new(arena);
-        if reduced {
-            Tables::Reduced32(a)
-        } else {
-            Tables::Full32(a)
-        }
-    }
-}
-
-impl Width for u64 {
-    fn tables(arena: DistArena<u64>, reduced: bool) -> Tables {
-        let a = Arc::new(arena);
-        if reduced {
-            Tables::Reduced64(a)
-        } else {
-            Tables::Full64(a)
-        }
-    }
-}
+width!(u16, Full16, Reduced16);
+width!(u32, Full32, Reduced32);
+width!(u64, Full64, Reduced64);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_oracle;
+    use ear_graph::CsrGraph;
+    use ear_hetero::HeteroExecutor;
+    use ear_testkit::reference::floyd_warshall;
+
+    /// `g`'s one block at `Ear`: the span is `k² + (n − k)·n` entries, and
+    /// every pair `(i, j)` read at its offset (both orders) is the
+    /// Floyd–Warshall distance of the vertices it names. Returns `(k, n)`.
+    fn read_one_block(g: &CsrGraph) -> (usize, usize) {
+        let o = build_oracle(g, &HeteroExecutor::sequential(), ApspMethod::Ear);
+        let Tables::Full16(arena) = o.tables() else {
+            panic!("stored at u16")
+        };
+        let plan = o.plan();
+        assert_eq!(plan.n_blocks(), 1);
+        let bp = plan.block(0);
+        let (k, n) = (bp.reduced_n(), bp.n());
+        assert_eq!(arena.square_side(0) as usize, k);
+        assert_eq!(arena.block_span(0).len(), k * k + (n - k) * n);
+        let fw = floyd_warshall(g);
+        for i in 0..n as u32 {
+            for j in 0..n as u32 {
+                let want = fw.get(bp.parent(i), bp.parent(j));
+                assert_eq!(arena.block(0, i, j).widen(), want, "({i}, {j})");
+            }
+        }
+        (k, n)
+    }
+
+    #[test]
+    fn an_unreduced_block_reads_its_square() {
+        // K4: no degree-2 vertex, so the span is the 4 × 4 square.
+        let g = CsrGraph::from_edges(
+            4,
+            &[
+                (0, 1, 1),
+                (0, 2, 2),
+                (0, 3, 3),
+                (1, 2, 4),
+                (1, 3, 5),
+                (2, 3, 6),
+            ],
+        );
+        assert_eq!(read_one_block(&g), (4, 4));
+    }
+
+    #[test]
+    fn a_pure_cycle_reads_one_anchor_and_its_chain() {
+        let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 0, 5)]);
+        assert_eq!(read_one_block(&g), (1, 5));
+    }
+
+    #[test]
+    fn theta_reads_two_anchors_and_two_chains() {
+        let g = CsrGraph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (0, 2, 10), (0, 3, 3), (3, 2, 4)]);
+        assert_eq!(read_one_block(&g), (2, 4));
+    }
 
     /// `zeroed` at width `E` on lengths around one 2 MiB huge page of
     /// entries and past it: exactly `len` zeros, writable end to end, in

@@ -5,7 +5,7 @@
 //! The plan numbers every simple block *retained first*
 //! ([`ear_decomp::plan`]): its `k` chain anchors are local ids `0..k`, and
 //! its removed vertices follow from `k`, chain by chain in walk order. So
-//! `S^r` is the leading `k × k` submatrix of the block's full table, and
+//! `S^r` is the leading `k × k` square of the block's span, and
 //! removed vertex `k + i` is entry `i` of the block's flat [`Removed`]
 //! table: its anchors, its chain, and its two chain weights at the
 //! table's entry width, built once per build or refresh of the block.
@@ -14,14 +14,18 @@
 //! chain anchors `ℓx` and `rx`, so
 //! `S[x,v] = min(wt(x,ℓx) + S[ℓx,v], wt(x,rx) + S[rx,v])` (the two-way
 //! minimum) for every `v` off `x`'s chain; on it, the direct sub-chain path
-//! competes too. Both storage levels of [`crate::oracle`] evaluate it:
+//! competes too. The block's table is symmetric, so the arena stores each
+//! retained–removed distance once, in the removed vertex's row (see
+//! [`crate::arena`]). Both storage levels of [`crate::oracle`] evaluate the
+//! minimum:
 //!
-//! * phase III at [`crate::ApspMethod::Ear`] completes a block's table in
-//!   place, in two streaming passes over its span: each retained row fills
-//!   its removed columns `row[k..]` from its own anchor columns
-//!   ([`fill_removed_columns`]); then each removed row takes the two-way
-//!   minimum of its anchors' finished rows over the full width and fixes
-//!   its own chain's entries ([`removed_row`]);
+//! * phase III at [`crate::ApspMethod::Ear`] writes a block's removed rows
+//!   one chain at a time ([`chain_rows`]), in the manner of the
+//!   "assembly" of Urakov & Timeryaev: it gathers the chain's two anchors'
+//!   distances to every removed vertex from the square once, then each of
+//!   the chain's rows is two two-way minima — over the anchors' square
+//!   rows for its retained columns, over the gathered distances for its
+//!   removed ones — and its own chain's along-chain fix;
 //! * [`block_pair_dist`] — [`crate::ApspMethod::Reduced`]: one pair per
 //!   query, straight from the block's `k × k` span of the arena, with the
 //!   four-way analogue when both endpoints are removed.
@@ -42,7 +46,7 @@ use ear_decomp::plan::DecompPlan;
 use ear_decomp::reduce::ReducedGraph;
 use ear_graph::{DistEntry, VertexId};
 
-use crate::arena::DistArena;
+use crate::arena::{DistArena, Width};
 
 /// A removed vertex of a reduced block: entry `i` of the block's table is
 /// local id `k + i`.
@@ -86,42 +90,53 @@ fn two_way<E: DistEntry>(d_left: E, d_right: E, x: &Removed<E>) -> E {
     d_left.dist_add(x.w_left).min(d_right.dist_add(x.w_right))
 }
 
-/// Phase III, pass 1, for one retained row of a block whose removed
-/// vertices are `removed`: the row's leading `k` entries are phase II's,
-/// and each removed column `row[k + i]` becomes the two-way minimum over
-/// the row's own anchor columns. Returns the distances combined.
-pub(crate) fn fill_removed_columns<E: DistEntry>(row: &mut [E], removed: &[Removed<E>]) -> u64 {
-    let (head, tail) = row.split_at_mut(row.len() - removed.len());
-    for (d, x) in tail.iter_mut().zip(removed) {
-        *d = two_way(head[x.left as usize], head[x.right as usize], x);
-    }
-    2 * removed.len() as u64
-}
-
-/// Phase III, pass 2: the full row of removed vertex `id` (table entry
-/// `x`) of the block reduced by `r`, from its anchors' finished rows in
-/// `retained` (the block's first `k` rows, row-major): the two-way minimum
-/// over the full width, then the along-chain distance wherever it is
-/// shorter, which covers `x`'s chain (and sets `row[id]` to 0). Returns
-/// the distances combined.
-pub(crate) fn removed_row<E: DistEntry>(
+/// Phase III for chain `chain` of the block reduced by `r`, whose square
+/// `S^r` is `square` (`k × k`, row-major) and whose removed vertices are
+/// `removed`: writes the chain's removed rows, `rows` (each `n` wide, in
+/// id order). First the two anchors' distances to every removed vertex are
+/// gathered from their square rows into this thread's scratch; then each
+/// row is the two-way minimum over the anchors' square rows (columns
+/// `..k`) and over the gathered distances (columns `k..`), and the
+/// along-chain distance wherever it is shorter, which covers the chain's
+/// own columns (and sets the row's diagonal to 0). Returns the distances
+/// combined.
+pub(crate) fn chain_rows<E: Width>(
     r: &ReducedGraph,
-    retained: &[E],
-    id: VertexId,
-    x: &Removed<E>,
-    row: &mut [E],
+    square: &[E],
+    removed: &[Removed<E>],
+    chain: u32,
+    rows: &mut [E],
 ) -> u64 {
-    let n = row.len();
-    let (l, rt) = (x.left as usize * n, x.right as usize * n);
-    let (row_l, row_r) = (&retained[l..l + n], &retained[rt..rt + n]);
-    E::two_way_min_plus(row, row_l, x.w_left, row_r, x.w_right);
-    let first = r.chains[x.chain as usize].interior[0] as usize;
-    let mut fixed = 0;
-    for (d, w) in row[first..].iter_mut().zip(r.along_chain_from(id)) {
-        *d = (*d).min(E::narrow(w));
-        fixed += 1;
-    }
-    2 * n as u64 + fixed
+    let (k, m) = (r.reduced.n(), removed.len());
+    let n = k + m;
+    let first = r.chains[chain as usize].interior[0];
+    // Every vertex of a chain has the chain's anchors.
+    let anchors = &removed[first as usize - k];
+    let [sq_l, sq_r] = [anchors.left, anchors.right].map(|a| &square[a as usize * k..][..k]);
+    E::with_scratch(|gathered| {
+        gathered.clear();
+        for sq in [sq_l, sq_r] {
+            gathered.extend(
+                removed
+                    .iter()
+                    .map(|y| two_way(sq[y.left as usize], sq[y.right as usize], y)),
+            );
+        }
+        let (g_l, g_r) = gathered.split_at(m);
+        let mut combined = 4 * m as u64;
+        for (id, row) in (first..).zip(rows.chunks_mut(n)) {
+            let x = &removed[id as usize - k];
+            let (head, tail) = row.split_at_mut(k);
+            E::two_way_min_plus(head, sq_l, x.w_left, sq_r, x.w_right);
+            E::two_way_min_plus(tail, g_l, x.w_left, g_r, x.w_right);
+            for (d, w) in row[first as usize..].iter_mut().zip(r.along_chain_from(id)) {
+                *d = (*d).min(E::narrow(w));
+                combined += 1;
+            }
+            combined += 2 * n as u64;
+        }
+        combined
+    })
 }
 
 /// Within-block distance between local ids `u` and `v` of block `b`, from
@@ -139,7 +154,7 @@ pub(crate) fn block_pair_dist<E: DistEntry>(
     if u == v {
         return E::default();
     }
-    let (removed, k) = (tables.removed(b), tables.side(b) as u32);
+    let (removed, k) = (tables.removed(b), tables.square_side(b));
     let entry = |x: VertexId| x.checked_sub(k).map(|i| &removed[i as usize]);
     let sr = |i, j| tables.block(b, i, j);
     match (entry(u), entry(v)) {

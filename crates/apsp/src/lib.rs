@@ -8,10 +8,10 @@
 //! * [`matrix`] — dense distance-matrix storage;
 //! * [`arena`] — the oracle's one distance store: the AP table and every
 //!   per-block table fused into one flat arena, shared by an oracle and
-//!   its query engines;
+//!   its query engines, and the sizing rule [`stored_entries`];
 //! * `ear` (private) — the §2.1.3 closed-form extension from a block's
-//!   reduced table `S^r` to its removed degree-2 vertices: whole rows for
-//!   phase III, single pairs for reduced-table queries;
+//!   reduced table `S^r` to its removed degree-2 vertices: one chain's
+//!   rows for phase III, single pairs for reduced-table queries;
 //! * [`oracle`] — Algorithm 1 on every block of the general graph (paper
 //!   §2.2): per-BCC tables (reduce → all-sources Dijkstra on `G^r` on the
 //!   heterogeneous executor → extension), the articulation-point table
@@ -49,7 +49,7 @@ pub mod oracle;
 pub mod partition;
 pub mod query;
 
-pub use arena::{entry_bytes, DistArena, Tables};
+pub use arena::{entry_bytes, stored_entries, DistArena, Tables};
 pub use matrix::DistMatrix;
 pub use oracle::{build_oracle, build_oracle_with_plan, ApspMethod, DistanceOracle, OracleStats};
 pub use query::QueryEngine;

@@ -37,20 +37,23 @@
 //! The Banerjee baseline ([`ApspMethod::Plain`]) reuses no rows, so it
 //! stays one full Dijkstra per block vertex.
 //!
-//! The plan numbers every simple block retained first, so at
-//! [`ApspMethod::Ear`] phase II writes retained source `s`'s reduced row
-//! straight into the first `k` entries of the block's arena row `s`, and
-//! phase III (the §2.1.3 extension) completes the block in place with two
-//! streaming passes, one executor run each: every retained row fills its
-//! removed columns from its own anchor columns, then every removed row is
-//! the two-way minimum of its anchors' finished rows over the full width,
-//! plus its own chain's along-chain fix. Both passes read one flat
-//! per-block table of removed vertices, built once per build or refresh
-//! of the block; no full-width loop reads an `Option`, a `u128` prefix or
-//! a `to_reduced` entry.
+//! The plan numbers every simple block retained first, and a block's span
+//! at [`ApspMethod::Ear`] is its reduced square `S^r` followed by its
+//! removed rows (each distance between a retained and a removed vertex is
+//! stored once, in the removed row; see [`crate::arena`]). Phase II writes
+//! retained source `s`'s reduced row straight into row `s` of the square,
+//! and phase III (the §2.1.3 extension) writes the removed rows in one
+//! executor run with one unit per chain: the chain's two anchors'
+//! distances to every removed vertex are gathered from the square once,
+//! and each of the chain's rows is the two-way minimum over the anchors'
+//! square rows and the gathered distances, plus the chain's along-chain
+//! fix. It reads one flat per-block table of removed vertices, built once
+//! per build or refresh of the block; no full-width loop reads an
+//! `Option`, a `u128` prefix or a `to_reduced` entry.
 //!
 //! Storage is `O(a² + Σᵢ nᵢ²)` instead of `O(n²)` — the paper's Table 1
-//! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`] —
+//! "Our's Memory" vs "Max Memory" columns, reproduced by [`OracleStats`];
+//! the arena holds `a² + Σᵢ (kᵢ² + (nᵢ − kᵢ)·nᵢ)` of those entries —
 //! or `O(a² + Σᵢ (nᵢʳ)²)` at [`ApspMethod::Reduced`], which stores only
 //! the phase-II tables and runs the §2.1.3 extension (the private `ear`
 //! module) per query. All of it lives in one [`DistArena`]: the build
@@ -62,22 +65,23 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ear_decomp::block_cut::{BlockCutTree, Endpoint};
-use ear_decomp::plan::{BlockPlan, DecompPlan};
+use ear_decomp::plan::DecompPlan;
 use ear_graph::rng::splitmix64;
 use ear_graph::{
     dist_add, with_engine, CsrGraph, CsrView, DistEntry, QueuedView, VertexId, Weight, INF,
 };
 use ear_hetero::{ExecutionReport, HeteroExecutor, WorkCounters};
 
-use crate::arena::{entry_bytes, BlockSpanMut, DistArena, Rows, Tables, Width};
-use crate::ear::{block_pair_dist, fill_removed_columns, removed_row, removed_table};
+use crate::arena::{entry_bytes, paper_entries, BlockSpanMut, DistArena, Rows, Tables, Width};
+use crate::ear::{block_pair_dist, chain_rows, removed_table};
 use crate::matrix::DistMatrix;
 
 /// How each biconnected component is solved and stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApspMethod {
     /// The paper's approach: ear-decomposition reduction first, then the
-    /// §2.1.3 extension materialised into full `nᵢ × nᵢ` block tables.
+    /// §2.1.3 extension materialised into every block's `nᵢ × nᵢ`
+    /// distances, each retained–removed pair stored once.
     Ear,
     /// The Banerjee et al. baseline: plain all-sources Dijkstra per block.
     Plain,
@@ -104,13 +108,14 @@ pub struct OracleStats {
     pub removed_vertices: usize,
     /// Articulation-point count `a`.
     pub articulation_points: usize,
-    /// Stored table entries: `a² + Σ nᵢ²` (`a² + Σ (nᵢʳ)²` at
-    /// [`ApspMethod::Reduced`]).
+    /// The paper's count of table entries (§2.3): `a² + Σ nᵢ²`
+    /// (`a² + Σ (nᵢʳ)²` at [`ApspMethod::Reduced`]). The arena stores
+    /// fewer at [`ApspMethod::Ear`] ([`crate::stored_entries`]).
     pub table_entries: u64,
-    /// Resident table bytes: `table_entries` at the stored width, which
-    /// [`entry_bytes`] picks from `distance_bound` — 2, 4 or 8 bytes an
-    /// entry. The paper's 4-byte accounting is
-    /// [`OracleStats::memory_bytes_f32`].
+    /// Bytes the arena holds: its [`crate::stored_entries`] at the stored
+    /// width, which [`entry_bytes`] picks from `distance_bound` — 2, 4 or
+    /// 8 bytes an entry. The paper's 4-byte accounting of
+    /// `table_entries` is [`OracleStats::memory_bytes_f32`].
     pub table_bytes: u64,
     /// The bound on every stored distance that picked the width
     /// ([`DecompPlan::distance_bound`]).
@@ -139,15 +144,6 @@ impl OracleStats {
     /// Paper-style upper bound (`n²` 4-byte entries).
     pub fn max_memory_bytes_f32(&self) -> u64 {
         self.max_entries * 4
-    }
-}
-
-/// Side of block `bp`'s table under `method`: `nᵢ`, or `nᵢʳ` at
-/// [`ApspMethod::Reduced`].
-fn table_side(method: ApspMethod, bp: &BlockPlan) -> usize {
-    match method {
-        ApspMethod::Ear | ApspMethod::Plain => bp.n(),
-        ApspMethod::Reduced => bp.reduced_n(),
     }
 }
 
@@ -265,7 +261,7 @@ impl Store {
         };
         let mut arena = match parent {
             Some((parent, dirty)) => parent.child(dirty),
-            None => DistArena::new(&plan, |bp| table_side(method, bp)),
+            None => DistArena::new(&plan, method),
         };
         set_removed_tables(&plan, method, &mut arena, &blocks);
         let processing = compute_block_tables(&plan, exec, method, arena.block_spans_mut(&blocks));
@@ -789,7 +785,7 @@ pub fn build_oracle_with_plan(
         ApspMethod::Ear | ApspMethod::Reduced => plan.removed_vertices(),
         ApspMethod::Plain => 0,
     };
-    let table_entries = store.tables.entries() as u64;
+    let table_entries = paper_entries(plan, method) as u64;
     let stats = OracleStats {
         n: plan.n(),
         m: plan.m(),
@@ -843,13 +839,12 @@ fn set_removed_tables<E: DistEntry>(
 /// writing each block's table in place. Phase II is the all-sources table
 /// of each block's reduced graph — of the block itself when it is not
 /// reduced or `method` is `Plain` — whose searches reuse finished rows
-/// everywhere but at `Plain`. A reduced block is numbered retained first,
-/// so its `k` phase-II rows are the leading `k` entries of its first `k`
-/// table rows. Phase III runs at `Ear` only ([`extend_blocks`]); at
-/// `Reduced` the phase-II rows are the stored tables. Returns the merged
-/// executor report. The cold build passes every block; an incremental
-/// refresh passes just the dirty ones, and a no-op refresh none.
-fn compute_block_tables<E: DistEntry>(
+/// everywhere but at `Plain`; its `k` rows are the span's leading `k × k`
+/// square. Phase III runs at `Ear` only ([`extend_blocks`]); at `Reduced`
+/// the square is the stored table. Returns the merged executor report.
+/// The cold build passes every block; an incremental refresh passes just
+/// the dirty ones, and a no-op refresh none.
+fn compute_block_tables<E: Width>(
     plan: &DecompPlan,
     exec: &HeteroExecutor,
     method: ApspMethod,
@@ -868,13 +863,9 @@ fn compute_block_tables<E: DistEntry>(
     // block vertex is the comparison axis.
     let mut rows: Rows<'_, E> = Vec::new();
     for s in &mut spans {
-        let k = target(s.b).n();
-        let table_rows = s.span.chunks_mut(s.n.max(1)).take(k);
-        rows.extend(
-            (0..)
-                .zip(table_rows)
-                .map(|(x, row)| (s.b, x, &mut row[..k])),
-        );
+        debug_assert_eq!(s.k, target(s.b).n(), "one square row per source");
+        let square = s.span[..s.k * s.k].chunks_mut(s.k.max(1));
+        rows.extend((0..).zip(square).map(|(x, row)| (s.b, x, row)));
     }
     let p2 = {
         let _span = ear_obs::span("apsp.phase2");
@@ -892,53 +883,35 @@ fn compute_block_tables<E: DistEntry>(
 }
 
 /// Phase III at `Ear`: the §2.1.3 extension of each reduced block's
-/// leading `k × k` submatrix to its whole table, in two streaming passes
-/// of one executor run each (workunits are table rows). First every
-/// retained row fills its removed columns; then every removed row is
-/// assembled from its anchors' finished rows. Blocks without removed
-/// vertices have nothing to do. Returns the merged report of both passes.
-fn extend_blocks<E: DistEntry>(
+/// square `S^r` to its removed rows, in one executor run with one unit per
+/// chain ([`chain_rows`]). Blocks without removed vertices have nothing to
+/// do. Returns the run's report.
+fn extend_blocks<E: Width>(
     plan: &DecompPlan,
     exec: &HeteroExecutor,
     spans: &mut [BlockSpanMut<'_, E>],
 ) -> ExecutionReport {
-    let work = |combined| WorkCounters {
-        distances_combined: combined,
-        ..WorkCounters::default()
-    };
-    let mut retained = Vec::new();
-    for s in spans.iter_mut().filter(|s| !s.removed.is_empty()) {
-        let k = s.n - s.removed.len();
-        let removed = s.removed;
-        retained.extend(s.span[..k * s.n].chunks_mut(s.n).map(|row| (removed, row)));
-    }
-    let columns = exec.run_mut(
-        &mut retained,
-        |(removed, _)| removed.len() as u64,
-        |(removed, row)| work(fill_removed_columns(row, removed)),
-    );
-    drop(retained);
-    let mut removed_rows = Vec::new();
+    let mut units = Vec::new();
     for s in spans.iter_mut().filter(|s| !s.removed.is_empty()) {
         let r = plan
             .reduction(s.b)
             .expect("a block with removed vertices is reduced");
-        let k = s.n - s.removed.len();
-        let (top, bottom) = s.span.split_at_mut(k * s.n);
-        let top = &*top;
-        removed_rows.extend(
-            (k as u32..)
-                .zip(s.removed)
-                .zip(bottom.chunks_mut(s.n))
-                .map(|((id, x), row)| (r, top, id, x, row)),
-        );
+        let (square, mut rest) = s.span.split_at_mut(s.k * s.k);
+        let square = &*square;
+        for (c, chain) in (0..).zip(&r.chains) {
+            let rows;
+            (rows, rest) = std::mem::take(&mut rest).split_at_mut(chain.interior.len() * s.n);
+            units.push((r, square, s.removed, c, rows));
+        }
     }
-    let rows = exec.run_mut(
-        &mut removed_rows,
-        |(_, _, _, _, row)| row.len() as u64,
-        |(r, top, id, x, row)| work(removed_row(r, top, *id, x, row)),
-    );
-    columns.merge(rows)
+    exec.run_mut(
+        &mut units,
+        |(_, _, _, _, rows)| rows.len() as u64,
+        |(r, square, removed, c, rows)| WorkCounters {
+            distances_combined: chain_rows(r, square, removed, *c, rows),
+            ..WorkCounters::default()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1209,19 +1182,47 @@ mod tests {
         }
     }
 
-    /// Phase III's `distances_combined` counts what its streaming passes
-    /// combine: two per removed column of each retained row (pass 1), and
-    /// per removed row two per entry of the full width plus one per vertex
-    /// of its own chain (pass 2). Phase II counts none.
+    /// The sizing rule is what each oracle's arena holds, at every method,
+    /// while the stats keep the paper's count: `Ear` stores
+    /// `a² + Σ (kᵢ² + (nᵢ − kᵢ)·nᵢ)` of `Plain`'s `a² + Σ nᵢ²`.
     #[test]
-    fn phase3_counts_what_the_streaming_passes_combine() {
-        // (case, retained rows × 2 × removed + removed × 2n + Σ chain len²)
+    fn stored_entries_size_every_arena() {
+        let graphs = extension_cases().into_iter().map(|c| c.g);
+        for g in graphs.chain([mixed_graph()]) {
+            let [ear, plain, reduced] = check_methods(&g);
+            for o in [&ear, &plain, &reduced] {
+                let stored = crate::stored_entries(o.plan(), o.method());
+                assert_eq!(stored, o.tables().entries(), "{:?}", o.method());
+                let bytes = stored * o.tables().entry_bytes();
+                assert_eq!(o.stats().table_bytes, bytes as u64);
+            }
+            let (a, plan) = (plain.stats().articulation_points, plain.plan());
+            let spans = plan.blocks().iter().map(|bp| {
+                let (k, n) = (bp.reduced_n(), bp.n());
+                k * k + (n - k) * n
+            });
+            assert_eq!(ear.tables().entries(), a * a + spans.sum::<usize>());
+            assert_eq!(
+                plain.stats().table_entries as usize,
+                plain.tables().entries()
+            );
+            assert_eq!(ear.stats().table_entries, plain.stats().table_entries);
+        }
+    }
+
+    /// Phase III's `distances_combined` counts what its chain units
+    /// combine: per chain, two per removed vertex for each of its two
+    /// anchors (the gather), and per removed row two per entry of the full
+    /// width plus one per vertex of its own chain. Phase II counts none.
+    #[test]
+    fn phase3_counts_what_the_chain_units_combine() {
+        // (case, chains × 4 × removed + removed × 2n + Σ chain len²)
         let want = [
-            ("theta", 2 * 2 * 2 + 2 * 2 * 4 + (1 + 1)),
-            ("pure_cycle", 2 * 4 + 4 * 2 * 5 + 4 * 4),
+            ("theta", 2 * 4 * 2 + 2 * 2 * 4 + (1 + 1)),
+            ("pure_cycle", 4 * 4 + 4 * 2 * 5 + 4 * 4),
             (
                 "same_chain_shortcut",
-                2 * 2 * 4 + 4 * 2 * 6 + (2 * 2 + 1 + 1),
+                3 * 4 * 4 + 4 * 2 * 6 + (2 * 2 + 1 + 1),
             ),
         ];
         let mut seen = 0;
@@ -1301,9 +1302,9 @@ mod tests {
         for (total, bytes) in [(top16 - 1, 2), (top16, 4), (top32 - 1, 4), (top32, 8)] {
             let g = heavy_path(total);
             for o in check_methods(&g) {
-                let st = o.stats();
+                let (st, stored) = (o.stats(), o.tables().entries() as u64);
                 assert_eq!(o.tables().entry_bytes(), bytes, "total {total}");
-                assert_eq!(st.table_bytes, st.table_entries * bytes as u64);
+                assert_eq!(st.table_bytes, stored * bytes as u64);
                 assert_eq!(st.distance_bound, total);
                 assert_eq!(o.dist(0, 2), total, "{:?}", o.method());
                 assert_eq!(o.dist(2, 0), total, "{:?}", o.method());
@@ -1626,9 +1627,8 @@ mod tests {
             assert_eq!(warm.stats(), cold.stats());
             assert_eq!(warm.method(), method);
             // The refresh only reran the dirty blocks.
-            let side = |bp: &BlockPlan| table_side(method, bp);
             let dirty = warm_plan.dirty_blocks();
-            let mut arena = DistArena::<u32>::new(&warm_plan, side);
+            let mut arena = DistArena::<u32>::new(&warm_plan, method);
             set_removed_tables(&warm_plan, method, &mut arena, dirty);
             let spans = arena.block_spans_mut(dirty);
             let rep = compute_block_tables(&warm_plan, &exec, method, spans);
@@ -1679,8 +1679,7 @@ mod tests {
             let cold = build_oracle(&g.reweighted(&w), &exec, method);
             assert_eq!(warm.tables().ap_span(), cold.tables().ap_span());
             // The phase-II units are the dirty block's sources only.
-            let sources = table_side(method, plan.block(dirty[0]));
-            assert_eq!(warm.processing.total_units() > 0, sources > 0);
+            assert!(warm.processing.total_units() > 0);
         }
     }
 

@@ -1,19 +1,61 @@
 //! Brandes' betweenness centrality for weighted graphs, with optional
 //! vertex multiplicities (the hook the pendant reduction uses).
 //!
+//! Weights must be positive. With a zero-weight edge, shortest paths may
+//! cycle through it at no cost, so the shortest *simple* paths form no
+//! Brandes DAG to count them on: every entry point returns
+//! [`ZeroWeightEdge`] instead.
+//!
 //! Betweenness of `v`: `Σ_{s≠v≠t} σ_st(v)/σ_st` over unordered pairs,
 //! where `σ_st` counts shortest `s–t` paths. Computed with one
 //! Dijkstra-with-path-counting per source plus the backward dependency
 //! accumulation; sources fan out as workunits exactly like the paper's
 //! APSP Phase II.
 
-use ear_graph::{CsrGraph, PathDag, VertexId, INF};
+use ear_graph::{CsrGraph, EdgeId, PathDag, VertexId, INF};
 use ear_hetero::{ExecutionReport, HeteroExecutor, RunOutput, WorkCounters};
 
 // Per-thread path DAGs (an `ear_graph::pool`), so warm predecessor lists
 // survive the scoped worker threads of each parallel region.
 ear_graph::scratch_pool! {
     fn with_dag(PathDag, bound = 64);
+}
+
+/// The error of every betweenness entry point on a graph with a
+/// zero-weight edge: the first such edge, by edge id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ZeroWeightEdge {
+    /// Its edge id.
+    pub edge: EdgeId,
+    /// Its endpoints.
+    pub u: VertexId,
+    /// Its endpoints.
+    pub v: VertexId,
+}
+
+impl std::fmt::Display for ZeroWeightEdge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "betweenness needs positive weights: edge {} ({}-{}) weighs 0",
+            self.edge, self.u, self.v
+        )
+    }
+}
+
+impl std::error::Error for ZeroWeightEdge {}
+
+/// `Ok` when every edge of `g` weighs more than 0, else its first
+/// zero-weight edge.
+pub(crate) fn positive_weights(g: &CsrGraph) -> Result<(), ZeroWeightEdge> {
+    match (0..).zip(g.edges()).find(|(_, e)| e.w == 0) {
+        Some((edge, e)) => Err(ZeroWeightEdge {
+            edge,
+            u: e.u,
+            v: e.v,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Dependency accumulation from one source: returns `δ_s(v)` for all `v`,
@@ -45,12 +87,16 @@ fn dependencies(g: &CsrGraph, s: VertexId, target_w: &[f64]) -> (Vec<f64>, WorkC
 /// source contributes `source_w[s] × δ`, targets weigh `target_w[t]`, and
 /// ordered pairs are halved. With all-ones weights and all vertices as
 /// sources this is plain betweenness.
+///
+/// # Errors
+/// [`ZeroWeightEdge`] when an edge of `g` weighs 0.
 pub fn betweenness_weighted(
     g: &CsrGraph,
     sources: &[VertexId],
     source_w: &[f64],
     target_w: &[f64],
-) -> Vec<f64> {
+) -> Result<Vec<f64>, ZeroWeightEdge> {
+    positive_weights(g)?;
     let partials = ear_graph::par_map(sources, |&s| {
         let (mut delta, _) = dependencies(g, s, target_w);
         let ws = source_w[s as usize];
@@ -68,7 +114,7 @@ pub fn betweenness_weighted(
     for b in &mut bc {
         *b *= 0.5; // unordered pairs
     }
-    bc
+    Ok(bc)
 }
 
 /// Exact betweenness centrality of every vertex (unordered pairs).
@@ -78,9 +124,15 @@ pub fn betweenness_weighted(
 /// use ear_graph::CsrGraph;
 /// // Path 0-1-2: the middle vertex carries the single cross pair.
 /// let g = CsrGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-/// assert_eq!(betweenness(&g), vec![0.0, 1.0, 0.0]);
+/// assert_eq!(betweenness(&g), Ok(vec![0.0, 1.0, 0.0]));
+/// // A zero-weight edge is refused.
+/// let z = CsrGraph::from_edges(3, &[(0, 1, 1), (1, 2, 0)]);
+/// assert_eq!(betweenness(&z).unwrap_err().edge, 1);
 /// ```
-pub fn betweenness(g: &CsrGraph) -> Vec<f64> {
+///
+/// # Errors
+/// [`ZeroWeightEdge`] when an edge of `g` weighs 0.
+pub fn betweenness(g: &CsrGraph) -> Result<Vec<f64>, ZeroWeightEdge> {
     let ones = vec![1.0; g.n()];
     let sources: Vec<VertexId> = (0..g.n() as u32).collect();
     betweenness_weighted(g, &sources, &ones, &ones)
@@ -89,7 +141,14 @@ pub fn betweenness(g: &CsrGraph) -> Vec<f64> {
 /// Betweenness with per-source workunits on the heterogeneous executor —
 /// the same scheduling shape as the paper's APSP Phase II, with the same
 /// modelled report.
-pub fn betweenness_hetero(g: &CsrGraph, exec: &HeteroExecutor) -> (Vec<f64>, ExecutionReport) {
+///
+/// # Errors
+/// [`ZeroWeightEdge`] when an edge of `g` weighs 0.
+pub fn betweenness_hetero(
+    g: &CsrGraph,
+    exec: &HeteroExecutor,
+) -> Result<(Vec<f64>, ExecutionReport), ZeroWeightEdge> {
+    positive_weights(g)?;
     let ones = vec![1.0; g.n()];
     let m_hint = g.m() as u64 + 1;
     let sources: Vec<VertexId> = (0..g.n() as u32).collect();
@@ -111,12 +170,17 @@ pub fn betweenness_hetero(g: &CsrGraph, exec: &HeteroExecutor) -> (Vec<f64>, Exe
     for b in &mut bc {
         *b *= 0.5;
     }
-    (bc, report)
+    Ok((bc, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Betweenness of a graph with positive weights.
+    fn betweenness(g: &CsrGraph) -> Vec<f64> {
+        super::betweenness(g).expect("positive weights")
+    }
 
     fn close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -232,9 +296,30 @@ mod tests {
                 (1, 4, 5),
             ],
         );
-        let (bc, report) = betweenness_hetero(&g, &HeteroExecutor::cpu_gpu());
+        let (bc, report) = betweenness_hetero(&g, &HeteroExecutor::cpu_gpu()).unwrap();
         close(&bc, &betweenness(&g));
         assert!(report.total_counters().edges_relaxed > 0);
+    }
+
+    /// Every entry point names the first zero-weight edge, by id.
+    #[test]
+    fn a_zero_weight_edge_is_refused() {
+        let g = CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 2, 0), (2, 3, 0)]);
+        let want = ZeroWeightEdge {
+            edge: 2,
+            u: 1,
+            v: 2,
+        };
+        let ones = [1.0; 4];
+        assert_eq!(super::betweenness(&g), Err(want));
+        assert_eq!(betweenness_weighted(&g, &[0], &ones, &ones), Err(want));
+        let hetero = betweenness_hetero(&g, &HeteroExecutor::sequential());
+        assert_eq!(hetero.map(|(bc, _)| bc), Err(want));
+        assert_eq!(crate::betweenness_pendant_reduced(&g), Err(want));
+        assert_eq!(
+            want.to_string(),
+            "betweenness needs positive weights: edge 2 (1-2) weighs 0"
+        );
     }
 
     #[test]

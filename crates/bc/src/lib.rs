@@ -12,7 +12,8 @@
 //! * [`brandes`] — exact weighted betweenness (Brandes' algorithm with
 //!   Dijkstra path counting), sequential and as per-source workunits on
 //!   the [`ear_hetero::HeteroExecutor`] — the identical scheduling shape
-//!   to the paper's APSP Phase II;
+//!   to the paper's APSP Phase II. Weights must be positive: on a
+//!   zero-weight edge every entry point returns [`ZeroWeightEdge`];
 //! * [`pendant`] — the degree-1 reduction: pendant trees are peeled
 //!   iteratively and their exactly-known contributions are accounted in
 //!   closed form, so Brandes runs only on the 1-core (with vertex
@@ -24,5 +25,5 @@
 pub mod brandes;
 pub mod pendant;
 
-pub use brandes::{betweenness, betweenness_hetero};
+pub use brandes::{betweenness, betweenness_hetero, ZeroWeightEdge};
 pub use pendant::{betweenness_pendant_reduced, pendant_reduction, PendantReduction};

@@ -32,7 +32,7 @@
 
 use ear_graph::{connected_components, induced_subgraph, CsrGraph, SubgraphMap, VertexId};
 
-use crate::brandes::betweenness_weighted;
+use crate::brandes::{betweenness_weighted, positive_weights, ZeroWeightEdge};
 
 /// Result of the peel: the 1-core and the pendant forests hanging off it.
 struct PendantPeel {
@@ -124,11 +124,15 @@ impl PendantReduction {
 /// Exact betweenness via pendant-tree reduction. Equals
 /// [`crate::betweenness`] on every graph (property-tested) while running
 /// Brandes only on the 1-core.
-pub fn betweenness_pendant_reduced(g: &CsrGraph) -> Vec<f64> {
+///
+/// # Errors
+/// [`ZeroWeightEdge`] when an edge of `g` weighs 0, pendant or not.
+pub fn betweenness_pendant_reduced(g: &CsrGraph) -> Result<Vec<f64>, ZeroWeightEdge> {
+    positive_weights(g)?;
     let r = pendant_reduction(g);
     let sources: Vec<VertexId> = (0..r.core.n() as u32).collect();
-    let core_bc = betweenness_weighted(&r.core, &sources, &r.mass, &r.mass);
-    r.with_core(core_bc)
+    let core_bc = betweenness_weighted(&r.core, &sources, &r.mass, &r.mass)?;
+    Ok(r.with_core(core_bc))
 }
 
 /// Peels `g`'s pendant trees and credits their traffic in closed form.
@@ -271,7 +275,10 @@ mod tests {
     #[test]
     fn triangle_with_tail() {
         let g = CsrGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 5), (3, 4, 7)]);
-        close(&betweenness_pendant_reduced(&g), &betweenness(&g));
+        close(
+            &betweenness_pendant_reduced(&g).unwrap(),
+            &betweenness(&g).unwrap(),
+        );
     }
 
     /// A triangle plus a 100 000-vertex path whose ids fall away from the
@@ -284,7 +291,7 @@ mod tests {
         let mut edges = vec![(n - 1, n - 2, 1), (n - 2, n - 3, 1), (n - 3, n - 1, 1)];
         edges.extend((0..n - 3).map(|i| (i + 1, i, 1)));
         let g = CsrGraph::from_edges(n as usize, &edges);
-        let bc = betweenness_pendant_reduced(&g);
+        let bc = betweenness_pendant_reduced(&g).unwrap();
         // Tail vertex x has the subtree {0..=x}, so sub(x) = x + 1 and the
         // separator credit is (sub(x) − 1)·(N − sub(x)).
         let nn = n as f64;
@@ -307,7 +314,10 @@ mod tests {
                 (0, 6, 1),
             ],
         );
-        close(&betweenness_pendant_reduced(&g), &betweenness(&g));
+        close(
+            &betweenness_pendant_reduced(&g).unwrap(),
+            &betweenness(&g).unwrap(),
+        );
     }
 
     #[test]
@@ -322,7 +332,10 @@ mod tests {
             next += 3;
         }
         let g = CsrGraph::from_edges(10, &edges);
-        close(&betweenness_pendant_reduced(&g), &betweenness(&g));
+        close(
+            &betweenness_pendant_reduced(&g).unwrap(),
+            &betweenness(&g).unwrap(),
+        );
     }
 
     #[test]
@@ -343,7 +356,10 @@ mod tests {
                 (7, 8, 1),
             ],
         );
-        close(&betweenness_pendant_reduced(&g), &betweenness(&g));
+        close(
+            &betweenness_pendant_reduced(&g).unwrap(),
+            &betweenness(&g).unwrap(),
+        );
     }
 
     #[test]
@@ -360,7 +376,10 @@ mod tests {
                 (5, 7, 1),
             ],
         );
-        close(&betweenness_pendant_reduced(&g), &betweenness(&g));
+        close(
+            &betweenness_pendant_reduced(&g).unwrap(),
+            &betweenness(&g).unwrap(),
+        );
     }
 
     /// The reduction is exact on arbitrary simple graphs (seeded sweep;
@@ -381,8 +400,8 @@ mod tests {
                 }
             }
             let g = CsrGraph::from_edges(n, &edges);
-            let a = betweenness_pendant_reduced(&g);
-            let b = betweenness(&g);
+            let a = betweenness_pendant_reduced(&g).unwrap();
+            let b = betweenness(&g).unwrap();
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert!((x - y).abs() < 1e-7, "case {case} vertex {i}: {x} vs {y}");
             }

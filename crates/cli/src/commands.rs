@@ -4,7 +4,9 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ear_apsp::{build_oracle_with_plan, entry_bytes, DistanceOracle, QueryEngine};
+use ear_apsp::{
+    build_oracle_with_plan, entry_bytes, stored_entries, ApspMethod, DistanceOracle, QueryEngine,
+};
 use ear_decomp::{ear_decomposition, DecompPlan};
 use ear_graph::rng::{TestRng, GOLDEN_GAMMA};
 use ear_graph::{kernel_path, CsrGraph, Weight, INF};
@@ -14,8 +16,8 @@ use ear_workloads::GraphStats;
 
 use crate::{CliError, CommonOpts};
 
-/// `ear stats` — the Table 1 columns for an arbitrary graph, and the
-/// width its distance tables are stored at.
+/// `ear stats` — the Table 1 columns for an arbitrary graph, and what its
+/// distance tables store: entries, width and bytes.
 pub fn stats(out: &mut dyn Write, g: &CsrGraph) -> Result<(), CliError> {
     Ok(print_stats(out, &DecompPlan::build(g))?)
 }
@@ -23,6 +25,7 @@ pub fn stats(out: &mut dyn Write, g: &CsrGraph) -> Result<(), CliError> {
 fn print_stats(out: &mut dyn Write, plan: &DecompPlan) -> std::io::Result<()> {
     let s = GraphStats::from_plan(plan);
     let bound = plan.distance_bound();
+    let (stored, bytes) = (stored_entries(plan, ApspMethod::Ear), entry_bytes(bound));
     writeln!(out, "row kernels           {}", kernel_path())?;
     writeln!(out, "vertices              {}", s.n)?;
     writeln!(out, "edges                 {}", s.m)?;
@@ -43,6 +46,12 @@ fn print_stats(out: &mut dyn Write, plan: &DecompPlan) -> std::io::Result<()> {
         out,
         "table memory          {:.1} MB (blocks + AP table, 4-byte entries)",
         s.ours_memory_mb()
+    )?;
+    writeln!(
+        out,
+        "stored table          {stored} entries at u{}, {:.1} MB",
+        8 * bytes,
+        (stored * bytes) as f64 / (1024.0 * 1024.0)
     )?;
     writeln!(
         out,
@@ -156,12 +165,13 @@ fn report_apsp(
     let st = oracle.stats();
     writeln!(
         out,
-        "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries at u{} \
-         (bound {}), {} row kernels",
+        "oracle built: {} blocks, {} APs, {} removed vertices, {} table entries ({} stored) \
+         at u{} (bound {}), {} row kernels",
         st.n_bccs,
         st.articulation_points,
         st.removed_vertices,
         st.table_entries,
+        oracle.tables().entries(),
         8 * oracle.tables().entry_bytes(),
         st.distance_bound,
         kernel_path()
@@ -342,7 +352,7 @@ pub fn bc(out: &mut dyn Write, g: &CsrGraph, top: usize) -> Result<(), CliError>
     if !g.is_simple() {
         return Err("bc expects a simple graph".into());
     }
-    let scores = ear_bc::betweenness_pendant_reduced(g);
+    let scores = ear_bc::betweenness_pendant_reduced(g).map_err(|e| e.to_string())?;
     let mut ranked: Vec<(u32, f64)> = scores
         .iter()
         .enumerate()

@@ -58,6 +58,11 @@ fn stats_on_edge_list() {
         text.contains("table width           u16 (distance bound 6)"),
         "{text}"
     );
+    // The 2 × 2 square of anchors 0, 2 and the rows of removed 1 and 3.
+    assert!(
+        text.contains("stored table          12 entries at u16, 0.0 MB"),
+        "{text}"
+    );
 }
 
 /// A reader that quits after the first line (`ear apsp … | head -1`)
@@ -129,7 +134,7 @@ fn apsp_answers_queries_with_paths() {
     let kernels = format!("{} row kernels", ear_graph::kernel_path());
     assert!(header.ends_with(&kernels), "{text}");
     assert!(
-        header.contains("16 table entries at u16 (bound 6), "),
+        header.contains("16 table entries (12 stored) at u16 (bound 6), "),
         "{text}"
     );
     // d(1,3) = 1 + 3 = 4 via vertex 0; d(0,2) = 3 via vertex 1.
@@ -424,6 +429,26 @@ fn decompose_rejects_unknown_options() {
 #[test]
 fn bc_rejects_unknown_options() {
     assert_rejects_unknown_option("bc");
+}
+
+/// Shortest simple paths through a zero-weight edge have no Brandes DAG
+/// (counted on one, vertex 2 here would score 3.58, not 2.5), so `ear bc`
+/// names the edge and fails.
+#[test]
+fn bc_refuses_a_zero_weight_edge() {
+    let p = tmpfile("zero_tie.txt", "0 1 1\n0 2 1\n1 2 0\n2 3 1\n");
+    let out = ear(&["bc", p.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("betweenness needs positive weights: edge 2 (1-2) weighs 0"),
+        "{err}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 /// `ear <cmd> <graph> <args>` fails naming `flag` as an unknown option.

@@ -9,12 +9,14 @@
 //!
 //! Checked on every testkit family, and on graphs past `DIAL_MIN_N` built
 //! for each of the engine's queues: plain Dial buckets, the overflow
-//! window (a weight past `DIAL_BUCKETS`), and the heap that zero-weight
-//! edges force, where an equal-distance relaxation can reach a vertex that
-//! is already settled.
+//! window (a weight past `DIAL_BUCKETS`), and the heap that a weight past
+//! `DIAL_WEIGHT_LIMIT` forces. Zero-weight edges force the heap too, but
+//! betweenness refuses them: shortest simple paths through a zero-weight
+//! cycle have no Brandes DAG, so each entry point must return
+//! `ZeroWeightEdge`, naming the first such edge.
 
 use ear_bc::brandes::betweenness_weighted;
-use ear_bc::{betweenness, betweenness_hetero, betweenness_pendant_reduced};
+use ear_bc::{betweenness, betweenness_hetero, betweenness_pendant_reduced, ZeroWeightEdge};
 use ear_graph::engine::{DIAL_BUCKETS, DIAL_MIN_N, DIAL_WEIGHT_LIMIT};
 use ear_graph::{CsrGraph, VertexId, Weight};
 use ear_hetero::{HeteroExecutor, WorkCounters};
@@ -49,10 +51,13 @@ fn same(what: &str, got: &[f64], want: &[f64]) -> Result<(), String> {
 /// report's counters against the reference's per-source counters.
 fn check(g: &CsrGraph) -> Result<(), String> {
     let n = g.n() as u32;
+    let refused = |what: &str, e: ZeroWeightEdge| format!("{what}: {e}");
     let want = reference::betweenness(g);
-    same("betweenness", &betweenness(g), &want)?;
+    let bc = betweenness(g).map_err(|e| refused("betweenness", e))?;
+    same("betweenness", &bc, &want)?;
 
-    let (bc, report) = betweenness_hetero(g, &HeteroExecutor::cpu_gpu());
+    let (bc, report) = betweenness_hetero(g, &HeteroExecutor::cpu_gpu())
+        .map_err(|e| refused("betweenness_hetero", e))?;
     same("betweenness_hetero", &bc, &want)?;
     let ones = vec![1.0; g.n()];
     let counters: WorkCounters = (0..n)
@@ -69,17 +74,40 @@ fn check(g: &CsrGraph) -> Result<(), String> {
     let sources: Vec<VertexId> = (0..n).step_by(2).collect();
     let source_w: Vec<f64> = (0..n).map(|v| 1.0 + f64::from(v % 3)).collect();
     let target_w: Vec<f64> = (0..n).map(|v| 0.5 + f64::from(v % 2)).collect();
+    let bc = betweenness_weighted(g, &sources, &source_w, &target_w)
+        .map_err(|e| refused("betweenness_weighted", e))?;
     same(
         "betweenness_weighted",
-        &betweenness_weighted(g, &sources, &source_w, &target_w),
+        &bc,
         &reference::betweenness_weighted(g, &sources, &source_w, &target_w),
     )?;
 
+    let bc = betweenness_pendant_reduced(g).map_err(|e| refused("pendant_reduced", e))?;
     same(
         "betweenness_pendant_reduced",
-        &betweenness_pendant_reduced(g),
+        &bc,
         &reference::betweenness_pendant_reduced(g),
     )
+}
+
+/// The four BC entry points on `g` each return the error naming `g`'s
+/// first zero-weight edge, which is edge `edge`.
+fn refuses(g: &CsrGraph, edge: u32) {
+    let e = g.edges()[edge as usize];
+    assert_eq!(e.w, 0);
+    assert!(g.edges()[..edge as usize].iter().all(|e| e.w > 0));
+    let want = Err(ZeroWeightEdge {
+        edge,
+        u: e.u,
+        v: e.v,
+    });
+    let ones = vec![1.0; g.n()];
+    let sources: Vec<VertexId> = (0..g.n() as u32).collect();
+    assert_eq!(betweenness(g), want);
+    let hetero = betweenness_hetero(g, &HeteroExecutor::cpu_gpu());
+    assert_eq!(hetero.map(|(bc, _)| bc), want);
+    assert_eq!(betweenness_weighted(g, &sources, &ones, &ones), want);
+    assert_eq!(betweenness_pendant_reduced(g), want);
 }
 
 fn families() -> Vec<(&'static str, GraphStrategy)> {
@@ -144,7 +172,13 @@ fn bc_matches_reference_on_every_queue() {
         ),
         (
             "heap",
-            reweighted(&g, |i, w| if i % 3 == 0 { 0 } else { w }),
+            reweighted(&g, |i, w| {
+                if i == 5 {
+                    DIAL_WEIGHT_LIMIT as Weight
+                } else {
+                    w
+                }
+            }),
         ),
     ];
     for (want, g) in cases {
@@ -152,11 +186,17 @@ fn bc_matches_reference_on_every_queue() {
         assert_eq!(queue(&g), want);
         check(&g).unwrap_or_else(|e| panic!("{want}: {e}"));
     }
+    // Zero weights force the heap as well, and are refused.
+    let zeros = reweighted(&g, |i, w| if i % 3 == 0 { 0 } else { w });
+    assert_eq!(queue(&zeros), "heap");
+    refuses(&zeros, 0);
 }
 
 /// A triangle whose zero-weight edge closes a second shortest path into a
 /// vertex that settled first: from 0, vertex 1 settles at 1, then 2
-/// (also at 1) relaxes 2 → 1 at 1 and adds its paths to 1's.
+/// (also at 1) relaxes 2 → 1 at 1 and adds its paths to 1's. Counted so,
+/// vertex 2 would score 3.58 where its shortest simple paths give 2.5, so
+/// betweenness refuses the graph, naming edge 2 (1-2).
 #[test]
 fn a_tie_into_a_settled_vertex_matches_the_reference() {
     let g = CsrGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 2, 0), (2, 3, 1)]);
@@ -164,5 +204,5 @@ fn a_tie_into_a_settled_vertex_matches_the_reference() {
     ear_graph::SsspEngine::new().count_paths(g.view(), 0, &mut dag);
     assert_eq!(dag.order, vec![0, 1, 2, 3]);
     assert_eq!(dag.preds[1], vec![0, 2]);
-    check(&g).unwrap();
+    refuses(&g, 2);
 }

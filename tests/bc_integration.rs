@@ -21,8 +21,8 @@ fn close(a: &[f64], b: &[f64]) {
 fn pendant_reduction_on_pendant_rich_workload() {
     let core = random_min_deg3(120, 300, 5);
     let g = attach_pendants(&core, 150, 6);
-    let plain = betweenness(&g);
-    let reduced = betweenness_pendant_reduced(&g);
+    let plain = betweenness(&g).unwrap();
+    let reduced = betweenness_pendant_reduced(&g).unwrap();
     close(&plain, &reduced);
     // Sanity: pendant leaves have zero betweenness.
     for v in core.n() as u32..g.n() as u32 {
@@ -35,8 +35,8 @@ fn pendant_reduction_on_pendant_rich_workload() {
 #[test]
 fn hetero_bc_matches_on_mesh() {
     let g = triangulated_grid(12, 12, 7);
-    let (bc, report) = betweenness_hetero(&g, &HeteroExecutor::cpu_gpu());
-    close(&bc, &betweenness(&g));
+    let (bc, report) = betweenness_hetero(&g, &HeteroExecutor::cpu_gpu()).unwrap();
+    close(&bc, &betweenness(&g).unwrap());
     assert_eq!(report.total_units(), g.n());
     assert!(report.makespan_s > 0.0);
 }
@@ -50,11 +50,11 @@ fn degree_two_chains_carry_all_their_traffic() {
     // chain interior vertex on a bridge-free base has BC > 0.
     let core = random_min_deg3(40, 100, 9);
     let g = subdivide_edges(&core, 30, 2, 10);
-    let bc = betweenness(&g);
+    let bc = betweenness(&g).unwrap();
     for v in core.n() as u32..g.n() as u32 {
         assert!(bc[v as usize] > 0.0, "chain vertex {v} carries traffic");
     }
-    close(&bc, &betweenness_pendant_reduced(&g));
+    close(&bc, &betweenness_pendant_reduced(&g).unwrap());
 }
 
 /// The pendant reduction is exact and the heterogeneous runner processes
@@ -64,14 +64,14 @@ fn pendant_reduction_and_hetero_bc_on_random_graphs() {
     forall("pendant_reduction_and_hetero_bc_on_random_graphs")
         .cases(32)
         .run(&simple_graphs(24), |g| {
-            let plain = betweenness(g);
-            let reduced = betweenness_pendant_reduced(g);
+            let plain = betweenness(g).unwrap();
+            let reduced = betweenness_pendant_reduced(g).unwrap();
             for (i, (x, y)) in plain.iter().zip(&reduced).enumerate() {
                 if (x - y).abs() >= 1e-6 * (1.0 + x.abs()) {
                     return Err(format!("vertex {i}: {x} vs {y}"));
                 }
             }
-            let (bc, report) = betweenness_hetero(g, &HeteroExecutor::cpu_gpu());
+            let (bc, report) = betweenness_hetero(g, &HeteroExecutor::cpu_gpu()).unwrap();
             invariants::exactly_once(&report, g.n())?;
             for (i, (x, y)) in plain.iter().zip(&bc).enumerate() {
                 if (x - y).abs() >= 1e-6 * (1.0 + x.abs()) {
@@ -90,8 +90,8 @@ fn pendant_reduction_on_cactus_graphs() {
     forall("pendant_reduction_on_cactus_graphs")
         .cases(32)
         .run(&cactus_graphs(30), |g| {
-            let plain = betweenness(g);
-            let reduced = betweenness_pendant_reduced(g);
+            let plain = betweenness(g).unwrap();
+            let reduced = betweenness_pendant_reduced(g).unwrap();
             for (i, (x, y)) in plain.iter().zip(&reduced).enumerate() {
                 if (x - y).abs() >= 1e-6 * (1.0 + x.abs()) {
                     return Err(format!("vertex {i}: {x} vs {y}"));
@@ -117,7 +117,7 @@ fn bc_scales_with_gateway_position() {
     edges.push((6, 7, 1));
     edges.push((7, 8, 1));
     let g = ear_graph::CsrGraph::from_edges(13, &edges);
-    let bc = betweenness(&g);
+    let bc = betweenness(&g).unwrap();
     let max_clique_bc = (0..4)
         .chain(9..13)
         .map(|v| bc[v as usize])
@@ -128,5 +128,5 @@ fn bc_scales_with_gateway_position() {
             "bridge vertex {mid} must dominate"
         );
     }
-    close(&bc, &betweenness_pendant_reduced(&g));
+    close(&bc, &betweenness_pendant_reduced(&g).unwrap());
 }

@@ -71,9 +71,10 @@ fn with_heavy_edge(g: &CsrGraph) -> CsrGraph {
 /// equal the reference schedule's, at `Ear` (whose phase III adds only
 /// `distances_combined`) as at `Reduced`; the CPU+GPU executor builds the
 /// same tables with the same counters, and the `u64` copy of `g` answers
-/// every pair of `g`'s vertices alike. The full tables agree too: `Ear`
-/// spans (phase II, then phase III) equal `Plain`'s, and those are one
-/// Dijkstra per block vertex.
+/// every pair of `g`'s vertices alike. The full tables agree too: every
+/// pair `(i, j)` of every block read through the `Ear` oracle (phase II,
+/// then phase III; each pair stored once) equals `Plain`'s `(i, j)` and
+/// `(j, i)`, and `Plain`'s spans are one Dijkstra per block vertex.
 fn check_graph(g: &CsrGraph) -> Result<(), String> {
     let exec = HeteroExecutor::sequential();
     let plan = Arc::new(DecompPlan::build(g));
@@ -154,11 +155,18 @@ fn check_graph(g: &CsrGraph) -> Result<(), String> {
     }
     let plain = build_oracle_with_plan(Arc::clone(&plan), &exec, ApspMethod::Plain);
     for b in 0..plan.n_blocks() as u32 {
-        let (e, p) = (ear.tables().block_span(b), plain.tables().block_span(b));
-        if e != p {
-            return Err(format!("block {b}: Ear span {e:?} vs Plain {p:?}"));
-        }
+        let p = plain.tables().block_span(b);
         let bg = plan.block_graph(b);
+        let n = bg.n() as u32;
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+            let e = ear.tables().block_entry(b, i, j);
+            let (ij, ji) = (p[(i * n + j) as usize], p[(j * n + i) as usize]);
+            if e != ij || e != ji {
+                return Err(format!(
+                    "block {b} ({i}, {j}): Ear {e} vs Plain {ij} and {ji}"
+                ));
+            }
+        }
         let want = dijkstra_rows(bg);
         if (0..)
             .zip(p.chunks(bg.n().max(1)))

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use ear_apsp::{build_oracle_with_plan, ApspMethod, DistanceOracle, QueryEngine};
+use ear_apsp::{build_oracle_with_plan, stored_entries, ApspMethod, DistanceOracle, QueryEngine};
 use ear_decomp::plan::DecompPlan;
 use ear_graph::{CsrGraph, Weight, INF};
 use ear_hetero::HeteroExecutor;
@@ -123,8 +123,9 @@ fn reference_bound(g: &CsrGraph) -> u128 {
 }
 
 /// `o`, built on `g`, stores at the width of the reference bound, never
-/// wider than the total weight alone would give, reports the bound and its
-/// bytes at that width, and stores at `bytes` per entry.
+/// wider than the total weight alone would give, reports the bound and the
+/// bytes its arena holds at that width (the sizing rule's entries), and
+/// stores at `bytes` per entry.
 fn width_is_the_rules(
     g: &CsrGraph,
     o: &DistanceOracle,
@@ -146,7 +147,8 @@ fn width_is_the_rules(
     if tables.entry_bytes() > bytes_for(total(g)) {
         return Err(format!("{what}: wider than the total-weight rule"));
     }
-    if st.table_bytes != st.table_entries * bytes as u64 {
+    let stored = stored_entries(o.plan(), o.method());
+    if tables.entries() != stored || st.table_bytes != (stored * bytes) as u64 {
         return Err(format!("{what}: table_bytes {}", st.table_bytes));
     }
     Ok(())
